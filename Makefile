@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench-parallel bench-hotpath bench-fleetnet bench-sched clean
+.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare loc clean
 
 ci: build vet lint test race docs-check api-check soak
 
@@ -27,19 +27,9 @@ lint:
 test:
 	$(GO) test ./...
 
-# The parallel campaign runner and the session API must be data-race
-# free: every TestParallel* test (core fleet, public API, crash bank
-# concurrency), the deadline-aware loop, the TestStart* session suite
-# (cancellation mid-window, Stop during a mesh sync exchange,
-# double-Stop/Wait idempotence, concurrent Snapshot), the adaptive
-# scheduler's determinism/session suite (TestAdaptive*/TestSched*,
-# fleet-published stats atomics), and the stateful-session fuzzing suite
-# (TestSession* — sequence determinism, fleet-merged state counters,
-# process-backed session boundaries — plus the TestDeepState conformance
-# experiment) under -race. The fleetnet loopback suite (hub + concurrent
-# leaves) runs under -race in docs-check, which ci and check both include.
+# Every package under the race detector (about a minute).
 race:
-	$(GO) test -race -run 'TestParallel|TestConcurrent|TestRunUntil|TestStart|TestAdaptive|TestSched|TestSession|TestDeepState' ./internal/core ./internal/crash ./internal/executor ./peachstar .
+	$(GO) test -race ./...
 
 # Chaos soak over the real-target execution backend: a timed campaign
 # against the bundled toy Modbus server while a chaos goroutine SIGKILLs
@@ -53,37 +43,14 @@ race:
 soak:
 	PEACHSTAR_SOAK=1 $(GO) test -run 'TestSoakRealTarget|TestSoakKillResume' -count=1 -timeout 300s -v .
 
-# Documentation gate: vet (which checks doc-comment placement pragmas),
-# a package-doc presence check over every library package, and the
-# fleetnet loopback suite — including the 2-node hub/leaf convergence
-# test, the 3-node mesh partition/heal convergence test, and the
-# session-lifecycle regression tests — under -race (the protocol and
-# topologies documented in ARCHITECTURE.md must actually hold).
+# Documentation gate: vet (which checks doc-comment placement pragmas) and
+# docs_test.go — a package comment on every library package, the
+# ARCHITECTURE.md sections other docs point at, and no citation of a file,
+# cmd/ directory or make target that does not exist. The test also runs
+# inside plain `go test ./...`.
 docs-check:
-	@$(GO) vet ./...
-	@fail=0; \
-	for dir in internal/backoff internal/checkpoint internal/core internal/corpus \
-	           internal/coverage internal/crash internal/datamodel internal/executor \
-	           internal/fleetnet internal/mem internal/mutator internal/pit \
-	           internal/rng internal/sandbox internal/session internal/bench \
-	           internal/analysis \
-	           internal/targets peachstar; do \
-	  pkg=$$(basename $$dir); \
-	  if ! grep -l "^// Package $$pkg " $$dir/*.go >/dev/null 2>&1; then \
-	    echo "docs-check: package $$dir has no '// Package $$pkg' doc comment"; fail=1; \
-	  fi; \
-	done; \
-	test -f ARCHITECTURE.md || { echo "docs-check: ARCHITECTURE.md missing"; fail=1; }; \
-	grep -q "Scheduler & distillation" ARCHITECTURE.md 2>/dev/null \
-	  || { echo "docs-check: ARCHITECTURE.md lost the 'Scheduler & distillation' section"; fail=1; }; \
-	grep -q "Session fuzzing" ARCHITECTURE.md 2>/dev/null \
-	  || { echo "docs-check: ARCHITECTURE.md lost the 'Session fuzzing' section"; fail=1; }; \
-	grep -q "Durable checkpoints" ARCHITECTURE.md 2>/dev/null \
-	  || { echo "docs-check: ARCHITECTURE.md lost the 'Durable checkpoints' section"; fail=1; }; \
-	grep -q "Static analysis" ARCHITECTURE.md 2>/dev/null \
-	  || { echo "docs-check: ARCHITECTURE.md lost the 'Static analysis' section"; fail=1; }; \
-	exit $$fail
-	$(GO) test -race ./internal/fleetnet
+	$(GO) vet ./...
+	$(GO) test -run 'TestDocs' .
 
 # Allocation-regression guard: the steady-state Peach* exec path must stay
 # within the per-exec allocation budget (see hotpath_test.go).
@@ -110,36 +77,20 @@ fuzz:
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
 	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
 
-# Serial-vs-sharded throughput on libmodbus (the BENCH_parallel.json rows).
-bench-parallel:
-	$(GO) test -bench 'BenchmarkParallelWorkers' -benchtime 50000x -run XXX .
+# The repo's one benchmark (see cmd/bench/README.md and BENCHMARK.json):
+# six closed-loop workloads, four end-to-end metrics, per-layer attribution;
+# results land in .bench_build/results.json.
+bench:
+	$(GO) run ./cmd/bench
 
-# Execution hot-path measurement: emits the BENCH_hotpath.json fields
-# (ns/exec, execs/sec, allocs/exec, bytes/exec) for the libmodbus Peach*
-# loop as JSON on stdout. Paste into the "after" slot of BENCH_hotpath.json
-# when recording a hot-path change. The per-scan microbenchmarks live in
-# internal/coverage (word-level vs byte-reference).
-bench-hotpath:
-	$(GO) run ./cmd/benchhotpath
-	$(GO) test -bench 'BenchmarkHotpathLibmodbus' -benchtime 100000x -run XXX .
+# Run the benchmark, then judge it against an earlier results file:
+#   make bench-compare BASE=path/to/earlier-results
+bench-compare: bench
+	$(GO) run ./cmd/bench -compare $(BASE) .bench_build/results.json
 
-# Fleetnet sync-window cost over TCP loopback: emits the
-# BENCH_fleetnet.json measurement fields (per-window latency/bytes, the
-# empty-window protocol floor, and the full-resync reconnect cost) at both
-# the tight 256-exec window and the default 1024, plus the 3-node
-# hub-less mesh round cost (-mesh).
-bench-fleetnet:
-	$(GO) run ./cmd/benchfleetnet -window 256
-	$(GO) run ./cmd/benchfleetnet -window 1024
-	$(GO) run ./cmd/benchfleetnet -mesh -window 1024
-
-# Static vs adaptive scheduler at equal budget and seed on four protocol
-# targets: emits the BENCH_sched.json measurement fields (edges, paths,
-# corpus size, distillations, ns/exec per configuration) as JSON on
-# stdout. Paste into the "measurements" slot of BENCH_sched.json when
-# recording a scheduler change.
-bench-sched:
-	$(GO) run ./cmd/benchsched
+# Non-test Go lines outside the benchmark — the tracked size metric.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^cmd/bench/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/targets"
+	"repro/peachstar"
 
 	_ "repro/internal/targets/iec104"
 	_ "repro/internal/targets/modbus"
@@ -36,30 +37,57 @@ func newSerialEngine(tb testing.TB, target string, seed uint64, adaptive bool) *
 // fingerprint compresses a campaign's observable outcome into one line:
 // any change to the engine's RNG consumption or decision order moves at
 // least one of these counters.
-func fingerprint(eng *core.Engine) string {
-	s := eng.Stats()
+func fingerprint(eng *core.Engine) string { return fingerprintStats(eng.Stats()) }
+
+func fingerprintStats(s core.Stats) string {
 	return fmt.Sprintf("iters=%d execs=%d paths=%d semExecs=%d semPaths=%d edges=%d crashes=%d hangs=%d corpus=%d",
 		s.Iterations, s.Execs, s.Paths, s.SemanticExecs, s.SemanticPaths,
 		s.Edges, s.UniqueCrashes, s.Hangs, s.CorpusPuzzles)
 }
 
+// adaptiveOffGolden is the serial engine's fingerprint after 30000
+// executions at seed 1, per target (see TestAdaptiveOffGolden).
+var adaptiveOffGolden = map[string]string{
+	"libmodbus": "iters=28927 execs=30000 paths=110 semExecs=1660 semPaths=14 edges=180 crashes=2 hangs=0 corpus=290",
+	"IEC104":    "iters=28831 execs=30000 paths=67 semExecs=1758 semPaths=17 edges=79 crashes=0 hangs=0 corpus=212",
+}
+
 // TestAdaptiveOffGolden pins the backward-compatibility half of the
 // scheduler contract: with Config.Adaptive off, a campaign is bit-for-bit
-// identical to the pre-scheduler engine. The fingerprints below were
+// identical to the pre-scheduler engine. The fingerprints above were
 // recorded on the commit immediately before the scheduler landed; if this
 // test fails, the default path's RNG stream or decision order changed —
 // that is a compatibility break with every historical campaign, not a
 // golden value to refresh casually.
 func TestAdaptiveOffGolden(t *testing.T) {
-	want := map[string]string{
-		"libmodbus": "iters=28927 execs=30000 paths=110 semExecs=1660 semPaths=14 edges=180 crashes=2 hangs=0 corpus=290",
-		"IEC104":    "iters=28831 execs=30000 paths=67 semExecs=1758 semPaths=17 edges=79 crashes=0 hangs=0 corpus=212",
-	}
-	for target, golden := range want {
+	for target, golden := range adaptiveOffGolden {
 		eng := newSerialEngine(t, target, 1, false)
 		eng.Run(30000)
 		if got := fingerprint(eng); got != golden {
 			t.Errorf("%s adaptive-off stream diverged from the pre-scheduler engine:\n got %s\nwant %s",
+				target, got, golden)
+		}
+	}
+}
+
+// TestStartMatchesSerialGolden pins the public path to the same golden:
+// a default campaign driven through Campaign.Start (Fleet.Drive's window
+// loop, hooks and event stream included) is bit-for-bit the serial
+// Engine.Run the fingerprints were recorded on — observing a campaign
+// never perturbs it, and a one-worker fleet performs no sync operations.
+func TestStartMatchesSerialGolden(t *testing.T) {
+	for target, golden := range adaptiveOffGolden {
+		tgt, err := peachstar.NewTarget(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := peachstar.NewCampaign(peachstar.Options{Target: tgt, Strategy: peachstar.PeachStar, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runCampaign(t, c, 30000)
+		if got := fingerprintStats(c.Stats()); got != golden {
+			t.Errorf("%s through Campaign.Start diverged from the serial engine:\n got %s\nwant %s",
 				target, got, golden)
 		}
 	}

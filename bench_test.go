@@ -8,16 +8,14 @@
 //   - vulns: unique vulnerabilities found (Table I)
 //
 // Budgets here are sized for bench runs; cmd/benchfig4 and cmd/benchtable1
-// run the committed EXPERIMENTS.md configuration.
+// run the full-size defaults.
 package repro
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 
 	_ "repro/internal/targets/cs101"
@@ -162,8 +160,8 @@ func BenchmarkAblationNoCrossModel(b *testing.B) {
 	benchAblation(b, func(c *core.Config) { c.DisableCrossModel = true })
 }
 
-// BenchmarkAblationCorpusCap sweeps the per-signature corpus bound called
-// out in DESIGN.md.
+// BenchmarkAblationCorpusCap sweeps the per-signature corpus bound
+// (core.Config.CorpusPerSig).
 func BenchmarkAblationCorpusCap8(b *testing.B) {
 	benchAblation(b, func(c *core.Config) { c.CorpusPerSig = 8 })
 }
@@ -203,55 +201,6 @@ func BenchmarkExtensionMutation(b *testing.B) {
 	b.ReportMetric(plain/float64(b.N), "paths_mutfuzz")
 	b.ReportMetric(star/float64(b.N), "paths_mutfuzz_star")
 }
-
-// benchParallel measures raw executions per second of the sharded campaign
-// runner on libmodbus at a given parallelism — the scaling evidence for the
-// fleet. Near-linear growth of execs/s from 1 to N workers is the target,
-// but only where the cores exist: a curve recorded with workers >
-// runtime.NumCPU() measures scheduling contention and sharding overhead,
-// not scaling, and BENCH_parallel.json labels such rows accordingly.
-func benchParallel(b *testing.B, workers int) {
-	b.Helper()
-	if workers > runtime.NumCPU() {
-		b.Logf("workers=%d > NumCPU=%d: this row measures contention overhead, not multi-core scaling", workers, runtime.NumCPU())
-	}
-	tgt, err := targets.New("libmodbus")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet, err := core.NewFleet(core.Config{
-		Models:   tgt.Models(),
-		Target:   tgt,
-		Strategy: core.StrategyPeachStar,
-		Seed:     1,
-	}, core.ParallelConfig{
-		Workers: workers,
-		NewTarget: func() sandbox.Target {
-			t, err := targets.New("libmodbus")
-			if err != nil {
-				panic(err)
-			}
-			return t
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	fleet.Run(b.N)
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(fleet.Stats().Execs)/secs, "execs/s")
-	}
-}
-
-// BenchmarkParallelWorkers1/2/4/8: the serial baseline and the sharded
-// runner at increasing parallelism (BENCH_parallel.json records a measured
-// pair).
-func BenchmarkParallelWorkers1(b *testing.B) { benchParallel(b, 1) }
-func BenchmarkParallelWorkers2(b *testing.B) { benchParallel(b, 2) }
-func BenchmarkParallelWorkers4(b *testing.B) { benchParallel(b, 4) }
-func BenchmarkParallelWorkers8(b *testing.B) { benchParallel(b, 8) }
 
 // BenchmarkEngineThroughput measures raw executions per second of the full
 // Peach* loop on the largest target — the fuzzing-speed denominator behind

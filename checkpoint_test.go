@@ -45,6 +45,19 @@ func newCheckpointCampaign(tb testing.TB, target string, workers int, adaptive, 
 	return c
 }
 
+// runCampaign drives the campaign through one Start session to the
+// absolute exec budget and waits for it to end.
+func runCampaign(tb testing.TB, c *peachstar.Campaign, execs int) {
+	tb.Helper()
+	run, err := c.Start(context.Background(), peachstar.RunConfig{Execs: execs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := run.Wait(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestCheckpointRoundTripGolden pins the canonical-encoding half of the
 // checkpoint contract, across every stateful layer at once: checkpoint →
 // restore into a fresh campaign → checkpoint again must reproduce the
@@ -70,7 +83,7 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 			first, second := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
 
 			orig := newCheckpointCampaign(t, tc.target, tc.workers, tc.adaptive, tc.sessions)
-			orig.Run(20000)
+			runCampaign(t, orig, 20000)
 			if err := orig.Checkpoint(first); err != nil {
 				t.Fatal(err)
 			}
@@ -126,10 +139,10 @@ func TestCheckpointWarmRestartContinuesExactly(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "mid.ckpt")
 
 			straight := newCheckpointCampaign(t, tc.target, 1, tc.adaptive, tc.sessions)
-			straight.Run(30000)
+			runCampaign(t, straight, 30000)
 
 			interrupted := newCheckpointCampaign(t, tc.target, 1, tc.adaptive, tc.sessions)
-			interrupted.Run(15000)
+			runCampaign(t, interrupted, 15000)
 			if err := interrupted.Checkpoint(path); err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +151,7 @@ func TestCheckpointWarmRestartContinuesExactly(t *testing.T) {
 			if err := resumed.RestoreCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
-			resumed.Run(30000) // absolute budget: spends only the remainder
+			runCampaign(t, resumed, 30000) // absolute budget: spends only the remainder
 
 			if got, want := resumed.Stats(), straight.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("warm restart diverged from the uninterrupted campaign:\n got %+v\nwant %+v", got, want)
@@ -159,10 +172,10 @@ func TestCheckpointAllTargetsWarmRestart(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "mid.ckpt")
 
 			straight := newCheckpointCampaign(t, name, 1, true, false)
-			straight.Run(12000)
+			runCampaign(t, straight, 12000)
 
 			interrupted := newCheckpointCampaign(t, name, 1, true, false)
-			interrupted.Run(6000)
+			runCampaign(t, interrupted, 6000)
 			if err := interrupted.Checkpoint(path); err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +184,7 @@ func TestCheckpointAllTargetsWarmRestart(t *testing.T) {
 			if err := resumed.RestoreCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
-			resumed.Run(12000)
+			runCampaign(t, resumed, 12000)
 
 			if got, want := resumed.Stats(), straight.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("warm restart diverged:\n got %+v\nwant %+v", got, want)
@@ -186,7 +199,7 @@ func TestCheckpointAllTargetsWarmRestart(t *testing.T) {
 func TestCheckpointDigestMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "modbus.ckpt")
 	donor := newCheckpointCampaign(t, "libmodbus", 1, false, false)
-	donor.Run(5000)
+	runCampaign(t, donor, 5000)
 	if err := donor.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +214,7 @@ func TestCheckpointDigestMismatch(t *testing.T) {
 func TestCheckpointWorkerMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	donor := newCheckpointCampaign(t, "libmodbus", 2, false, false)
-	donor.Run(4000)
+	runCampaign(t, donor, 4000)
 	if err := donor.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +231,7 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "good.ckpt")
 	donor := newCheckpointCampaign(t, "libmodbus", 1, true, false)
-	donor.Run(5000)
+	runCampaign(t, donor, 5000)
 	if err := donor.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ func main() {
 	// Start one session for the whole budget. The returned Run is a live
 	// handle: its event stream reports progress, new coverage and crashes
 	// as they happen, and closes when the budget is spent — so ranging
-	// over it doubles as the wait. (Campaign.Run(40000) would do the same
-	// without the live view; ctx cancellation or run.Stop() would end the
-	// session early.)
+	// over it doubles as the wait. (Skipping the loop and calling
+	// run.Wait() does the same without the live view; ctx cancellation or
+	// run.Stop() would end the session early.)
 	run, err := campaign.Start(context.Background(), peachstar.RunConfig{
 		Execs:      40000,
 		StatsEvery: 10000,

@@ -40,6 +40,17 @@ func newCampaign() *peachstar.Campaign {
 	return campaign
 }
 
+// runTo spends the campaign's budget up to the absolute exec target.
+func runTo(c *peachstar.Campaign, execs int) {
+	run, err := c.Start(context.Background(), peachstar.RunConfig{Execs: execs})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := run.Wait(); err != nil {
+		log.Fatal(err)
+	}
+}
+
 func main() {
 	execs := flag.Int("execs", 30000, "total execution budget")
 	flag.Parse()
@@ -77,19 +88,19 @@ func main() {
 	// The process dies here. Nothing of `first` survives but the file.
 
 	// Phase 2: warm restart. A freshly built campaign restores the
-	// checkpoint and spends the remaining budget (Run takes the absolute
-	// target, so it continues rather than starting over).
+	// checkpoint and spends the remaining budget (RunConfig.Execs is the
+	// absolute target, so it continues rather than starting over).
 	resumed := newCampaign()
 	if err := resumed.RestoreCheckpoint(ckpt); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed: %d execs, %d edges\n",
 		resumed.Stats().Execs, resumed.Stats().Edges)
-	resumed.Run(*execs)
+	runTo(resumed, *execs)
 
 	// The reference: the same campaign, never interrupted.
 	straight := newCampaign()
-	straight.Run(*execs)
+	runTo(straight, *execs)
 
 	if !reflect.DeepEqual(resumed.Stats(), straight.Stats()) {
 		log.Fatalf("resumed campaign diverged:\n got %+v\nwant %+v",

@@ -11,7 +11,8 @@ import (
 )
 
 // newHotpathEngine builds the canonical hot-loop configuration: the serial
-// Peach* engine on libmodbus — the loop BENCH_hotpath.json records.
+// Peach* engine on libmodbus — the loop cmd/bench's modbus_serial workload
+// measures.
 func newHotpathEngine(tb testing.TB, seed uint64) *core.Engine {
 	tb.Helper()
 	tgt, err := targets.New("libmodbus")
@@ -28,21 +29,6 @@ func newHotpathEngine(tb testing.TB, seed uint64) *core.Engine {
 		tb.Fatal(err)
 	}
 	return eng
-}
-
-// BenchmarkHotpathLibmodbus measures the end-to-end Peach* execution hot
-// path (generate → mutate → fixup → serialize → sandbox → coverage merge)
-// on libmodbus: the ns/exec and allocs/exec rows of BENCH_hotpath.json.
-// Run via `make bench-hotpath`.
-func BenchmarkHotpathLibmodbus(b *testing.B) {
-	eng := newHotpathEngine(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run(b.N)
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(eng.Stats().Execs)/secs, "execs/s")
-	}
 }
 
 // allocGuardBudget is the steady-state allocation ceiling per execution.

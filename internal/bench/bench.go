@@ -5,9 +5,8 @@
 //
 // The paper's budget is 24 wall-clock hours per (project, fuzzer) pair,
 // repeated 10 times. This harness scales the budget to a configurable
-// number of target executions per repetition (DESIGN.md §2.4): both
-// fuzzers pay one execution per generated seed, so execution count is the
-// fair time axis.
+// number of target executions per repetition: both fuzzers pay one
+// execution per generated seed, so execution count is the fair time axis.
 package bench
 
 import (
@@ -38,8 +37,7 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the configuration the committed EXPERIMENTS.md
-// numbers were produced with.
+// DefaultConfig returns the configuration cmd/benchfig4 runs by default.
 func DefaultConfig() Config {
 	return Config{ExecBudget: 20000, Reps: 5, Checkpoints: 20, Seed: 1}
 }

@@ -445,6 +445,28 @@ func (e *Engine) execute(seed []byte) {
 		}
 		return
 	}
+	if e.observe(seed, &res) {
+		if e.pendingSemantic {
+			e.semPaths++
+			e.stats.SemanticPaths++
+		} else {
+			e.basePaths++
+		}
+		if e.isMutationStrategy() {
+			e.mutationRetain(seed)
+		}
+	}
+}
+
+// observe is the feedback half of Algorithm 1 for one finished execution —
+// the single step both the packet loop (execute) and the session loop
+// (executeSequence) go through: bank a crash or hang, decide whether the
+// seed is valuable, credit the scheduler, and crack a valuable seed into
+// the corpus. It reports whether the seed was valuable so the caller can do
+// its mode-specific retention.
+//
+//peachstar:hotpath
+func (e *Engine) observe(seed []byte, res *sandbox.Result) bool {
 	switch res.Outcome {
 	case sandbox.Crash:
 		e.crashes.ReportSequenceSteps(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, res.PathSig)
@@ -460,20 +482,13 @@ func (e *Engine) execute(seed []byte) {
 	if e.sched.on {
 		e.observeExec(valuable)
 	}
-	if valuable {
-		e.stats.Paths++
-		if e.pendingSemantic {
-			e.semPaths++
-			e.stats.SemanticPaths++
-		} else {
-			e.basePaths++
-		}
-		if e.isMutationStrategy() {
-			e.mutationRetain(seed)
-		}
-		star := e.cfg.Strategy == StrategyPeachStar || e.cfg.Strategy == StrategyMutationStar
-		if star && !e.cfg.DisableCracker {
-			e.crackValuable(seed, e.exec.Tracer().CountEdges())
-		}
+	if !valuable {
+		return false
 	}
+	e.stats.Paths++
+	star := e.cfg.Strategy == StrategyPeachStar || e.cfg.Strategy == StrategyMutationStar
+	if star && !e.cfg.DisableCracker {
+		e.crackValuable(seed, e.exec.Tracer().CountEdges())
+	}
+	return true
 }

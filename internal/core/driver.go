@@ -10,15 +10,14 @@ import (
 
 // This file is the step-driven campaign driver: the one loop every
 // execution topology — serial, sharded-parallel, hub leaf, gossip mesh —
-// advances a Fleet through. Where the original Run/RunUntil methods ran to
-// completion and could only be observed after the fact, Drive checks for
-// cancellation and reports progress at merge-window granularity, which is
-// what the public session API (peachstar.Campaign.Start) builds on.
+// advances a Fleet through. Drive checks for cancellation and reports
+// progress at merge-window granularity, which is what the public session
+// API (peachstar.Campaign.Start) builds on.
 //
 // Determinism contract: the driver only *observes* at window boundaries.
 // The sequence of engine steps — and therefore the fuzzing streams, the
-// coverage, the corpus and the crashes — is bit-for-bit identical to the
-// original run-to-completion loops for the same budget, as long as the run
+// coverage, the corpus and the crashes — is a function of the budget alone
+// (for one worker: bit-for-bit the serial Engine.Run), as long as the run
 // is not stopped early. Hooks read state; they never feed anything back
 // into the workers.
 
@@ -26,12 +25,12 @@ import (
 // with neither an exec target nor a deadline runs until the stop channel
 // closes (callers must supply one in that case, or Drive never returns).
 type Budget struct {
-	// Execs is the total fleet execution target, in the same absolute
-	// "at least this many campaign executions" terms Run used; 0 means no
-	// execution bound.
+	// Execs is the total fleet execution target, in absolute "at least
+	// this many campaign executions" terms; 0 means no execution bound.
 	Execs int
-	// Deadline is the wall-clock bound, checked before every engine step
-	// exactly like RunUntil checked it; the zero time means no deadline.
+	// Deadline is the wall-clock bound, checked before every engine step,
+	// so a worker stops within one iteration of it instead of finishing
+	// out a fixed merge window; the zero time means no deadline.
 	Deadline time.Time
 }
 
@@ -89,72 +88,64 @@ func stopped(stop <-chan struct{}) bool {
 }
 
 // Drive advances the fleet until the budget is spent or the stop channel
-// closes, whichever comes first. It is the engine room under Run and
-// RunUntil (which pass a nil stop and hook) and under the public session
-// API (which passes both). Cancellation is checked at merge-window
-// granularity — a stopped fleet finishes its in-flight windows, syncs
-// them, and returns, so no discovered state is ever abandoned — and the
-// hook, when non-nil, observes every completed window.
+// closes, whichever comes first. It is the one loop that advances a
+// campaign: Fleet.Run passes a nil stop and hook, the public session API
+// (peachstar.Campaign.Start) passes both. Cancellation is checked at
+// merge-window granularity — a stopped fleet finishes its in-flight
+// windows, syncs them, and returns, so no discovered state is ever
+// abandoned — and the hook, when non-nil, observes every completed window.
 //
 // Drive must not be called concurrently with itself or any other
 // fleet-advancing method; Stats and Execs must wait for it to return
 // (StatsApprox and ExecsApprox are the concurrent-safe observers).
 func (f *Fleet) Drive(stop <-chan struct{}, b Budget, hook WindowHook) {
 	defer f.publishExecs()
+	// remaining is the exec budget still to spend, sharded across the
+	// workers in driveWorker; -1 means no exec bound. The sentinel must
+	// not be 0: a spent budget legitimately leaves 0 and the workers must
+	// then do nothing, not fuzz forever.
+	remaining := -1
+	if b.Execs > 0 {
+		remaining = max(b.Execs-f.Execs(), 0)
+	}
 	if len(f.workers) == 1 {
-		f.driveSerial(stop, b, hook)
+		f.driveWorker(stop, 0, remaining, b.Deadline, hook)
 		return
 	}
-	targets := f.shardTargets(b.Execs)
 	var wg sync.WaitGroup
-	for i, w := range f.workers {
+	for i := range f.workers {
 		wg.Add(1)
-		go func(w *Engine, i, target int) {
+		go func(i int) {
 			defer wg.Done()
-			f.driveWorker(stop, w, i, target, b.Deadline, hook)
-		}(w, i, targets[i])
+			f.driveWorker(stop, i, remaining, b.Deadline, hook)
+		}(i)
 	}
 	wg.Wait()
 }
 
-// shardTargets splits the remaining exec budget evenly across workers and
-// returns each worker's absolute target, exactly as Run always sharded
-// it. With no exec bound every target is -1 (unbounded) — the sentinel
-// must not be 0, because a fresh worker handed a zero shard legitimately
-// has the absolute target 0 and must do nothing, not fuzz forever.
-func (f *Fleet) shardTargets(execBudget int) []int {
-	targets := make([]int, len(f.workers))
-	if execBudget <= 0 {
-		for i := range targets {
-			targets[i] = -1
-		}
-		return targets
-	}
-	remaining := execBudget - f.Execs()
-	if remaining < 0 {
-		remaining = 0
-	}
-	n := len(f.workers)
-	for i, w := range f.workers {
-		shard := remaining / n
+// driveWorker is the window loop, run once per worker: fuzz a merge window
+// (checking the deadline before every step when one is set), exchange with
+// the shared state, publish counters, report to the hook, then re-check
+// the exec target, the deadline, and the stop channel. The worker's exec
+// target is its even share of remaining (the first remaining%n workers
+// take one extra) on top of what it has already run; a worker whose share
+// is zero returns without fuzzing or syncing.
+//
+// A one-worker fleet skips the exchange: it performs no sync operations at
+// all — that is what keeps it bit-for-bit identical to the serial engine —
+// and publishes the lone worker's own figures, whose state *is* the
+// campaign state.
+func (f *Fleet) driveWorker(stop <-chan struct{}, i, remaining int, deadline time.Time, hook WindowHook) {
+	w := f.workers[i]
+	hasTarget := remaining >= 0
+	target := 0
+	if hasTarget {
+		n := len(f.workers)
+		target = w.stats.Execs + remaining/n
 		if i < remaining%n {
-			shard++
+			target++
 		}
-		targets[i] = w.stats.Execs + shard
 	}
-	return targets
-}
-
-// driveWorker is one worker's driven loop: fuzz a merge window (checking
-// the deadline before every step when one is set), exchange with the
-// shared state, publish counters, report to the hook, then re-check the
-// exec target, the deadline, and the stop channel. target is the
-// worker's absolute exec target (-1 = unbounded); a target at or below
-// the current count means "no budget left" and the worker returns
-// without fuzzing or syncing, matching the original Run's skip of
-// zero-shard workers.
-func (f *Fleet) driveWorker(stop <-chan struct{}, w *Engine, i, target int, deadline time.Time, hook WindowHook) {
-	hasTarget := target >= 0
 	hasDeadline := !deadline.IsZero()
 	for {
 		if hasTarget && w.stats.Execs >= target {
@@ -178,50 +169,16 @@ func (f *Fleet) driveWorker(stop <-chan struct{}, w *Engine, i, target int, dead
 			}
 			w.Step()
 		}
-		edges, corpusLen := f.syncWindow(i)
+		var edges, corpusLen int
+		if len(f.workers) == 1 {
+			edges, corpusLen = f.serialFigures()
+		} else {
+			edges, corpusLen = f.syncWindow(i)
+		}
 		f.publishWindow(i, edges, corpusLen, hook)
 		if w.execErr != nil {
 			// Unrecoverable backend: the in-flight window was synced and
 			// reported, but no further fuzzing is possible on this worker.
-			return
-		}
-	}
-}
-
-// driveSerial is the single-worker loop. It performs no sync exchanges at
-// all — that is what keeps a one-worker fleet bit-for-bit identical to the
-// serial engine — but still observes window boundaries for cancellation,
-// publication, and hooks. The published figures come straight from the
-// lone worker, whose state *is* the campaign state.
-func (f *Fleet) driveSerial(stop <-chan struct{}, b Budget, hook WindowHook) {
-	w := f.workers[0]
-	hasDeadline := !b.Deadline.IsZero()
-	for {
-		if b.Execs > 0 && w.stats.Execs >= b.Execs {
-			return
-		}
-		//peachstar:nondeterministic wall-clock deadline only gates loop exit, never fuzzing state
-		if hasDeadline && !time.Now().Before(b.Deadline) {
-			return
-		}
-		if stopped(stop) {
-			return
-		}
-		window := w.stats.Execs + f.merge
-		if b.Execs > 0 && window > b.Execs {
-			window = b.Execs
-		}
-		for w.stats.Execs < window && w.execErr == nil {
-			//peachstar:nondeterministic wall-clock deadline only gates loop exit, never fuzzing state
-			if hasDeadline && !time.Now().Before(b.Deadline) {
-				break
-			}
-			w.Step()
-		}
-		edges, corpusLen := f.serialFigures()
-		f.publishWindow(0, edges, corpusLen, hook)
-		if w.execErr != nil {
-			// Unrecoverable backend: final figures are published; stop.
 			return
 		}
 	}

@@ -178,7 +178,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		f := newFleet(t, workers, 64, 7)
 		start := time.Now()
-		f.RunUntil(start.Add(50 * time.Millisecond))
+		f.Drive(nil, Budget{Deadline: start.Add(50 * time.Millisecond)}, nil)
 		elapsed := time.Since(start)
 		if f.Execs() == 0 {
 			t.Fatalf("workers=%d: no executions before deadline", workers)
@@ -186,7 +186,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 		// Generous bound: the loop re-checks the deadline every engine
 		// iteration, so overshoot is one iteration, not a merge window.
 		if elapsed > 2*time.Second {
-			t.Fatalf("workers=%d: RunUntil overshot deadline by %v", workers, elapsed)
+			t.Fatalf("workers=%d: Drive overshot deadline by %v", workers, elapsed)
 		}
 		s := f.Stats()
 		if s.Execs != f.Execs() {
@@ -199,7 +199,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 // executions.
 func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 	f := newFleet(t, 2, 64, 7)
-	f.RunUntil(time.Now().Add(-time.Second))
+	f.Drive(nil, Budget{Deadline: time.Now().Add(-time.Second)}, nil)
 	if f.Execs() != 0 {
 		t.Fatalf("past deadline ran %d execs, want 0", f.Execs())
 	}

@@ -279,7 +279,7 @@ func (s *scheduler) modelWeights() []uint32 {
 }
 
 // observeExec is the scheduler's per-execution feedback step, called at
-// the MergeTracer decision point of Engine.execute: accumulate the
+// the MergeTracer decision point of Engine.observe: accumulate the
 // execution's footprint into the rarity counters, credit the round's
 // operators when the execution proved valuable, and run the periodic
 // refresh and distillation countdowns.

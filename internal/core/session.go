@@ -399,9 +399,10 @@ func (s *sessionCore) growStepScratch(n int) {
 }
 
 // executeSequence drives the working sequence down one target session:
-// open a session boundary on session-aware backends, then run each step,
-// processing crash, hang, coverage and per-state feedback. A non-OK step
-// aborts the rest of the sequence — the target's session is gone.
+// open a session boundary on session-aware backends, then run each step
+// through the engine's one feedback step (observe) plus the per-state
+// accounting. A non-OK step aborts the rest of the sequence — the target's
+// session is gone.
 func (e *Engine) executeSequence() int {
 	s := e.sess
 	if e.execErr != nil {
@@ -428,24 +429,17 @@ func (e *Engine) executeSequence() int {
 			}
 			break
 		}
-		switch res.Outcome {
-		case sandbox.Crash:
-			repro, starts := res.Repro, res.ReproStarts
-			if repro == nil {
-				// In-process backends report no journal; the executed
-				// prefix *is* the reproducer, one session from the top.
-				repro = make([][]byte, 0, i+1)
-				for j := 0; j <= i; j++ {
-					repro = append(repro, s.cur.Steps[j].Data)
-				}
-				starts = []int{0}
+		if res.Outcome == sandbox.Crash && res.Repro == nil {
+			// In-process backends report no journal; the executed
+			// prefix *is* the reproducer, one session from the top.
+			res.Repro = make([][]byte, 0, i+1)
+			for j := 0; j <= i; j++ {
+				res.Repro = append(res.Repro, s.cur.Steps[j].Data)
 			}
-			e.crashes.ReportSequenceSteps(res.Fault, st.Data, repro, starts, e.stats.Execs, res.PathSig)
-		case sandbox.Hang:
-			e.crashes.ReportHangDetail(res.HangSteps, st.Data)
+			res.ReproStarts = []int{0}
 		}
 		s.noteSent(st.State, e.stats.Execs)
-		valuable := e.virgin.MergeTracer(e.exec.Tracer())
+		var liveMuts []int
 		if e.sched.on {
 			// Restore the round context of the step being observed, so
 			// operator credit lands on the mutators that actually produced
@@ -454,21 +448,18 @@ func (e *Engine) executeSequence() int {
 			// next beginRound truncates it in place and must not scribble
 			// over the step's stored credit set.
 			e.sched.curModel = s.stepModel[i]
-			liveMuts := e.sched.roundMuts
+			liveMuts = e.sched.roundMuts
 			e.sched.roundMuts = s.stepMuts[i]
-			e.observeExec(valuable)
+		}
+		valuable := e.observe(st.Data, &res)
+		if e.sched.on {
 			e.sched.roundMuts = liveMuts
 		}
 		if valuable {
 			anyValuable = true
-			e.stats.Paths++
 			cur := e.virgin.Edges()
 			s.stateEdges[st.State] += cur - s.prevEdges
 			s.prevEdges = cur
-			star := e.cfg.Strategy == StrategyPeachStar || e.cfg.Strategy == StrategyMutationStar
-			if star && !e.cfg.DisableCracker {
-				e.crackValuable(st.Data, e.exec.Tracer().CountEdges())
-			}
 			e.retainSequence(i)
 		}
 		if res.Outcome != sandbox.OK {

@@ -8,7 +8,7 @@ import (
 // TestClassifyWordVariantsMatchBucket pins both word classifiers — the wide
 // 16-bit-LUT one and the compact 128-entry one — to the scalar bucket
 // reference, byte-exhaustively in every lane position and over random
-// words. This is the equivalence that lets bench-hotpath pick whichever
+// words. This is the equivalence that lets the benchmarks pick whichever
 // variant is faster without a semantic question.
 func TestClassifyWordVariantsMatchBucket(t *testing.T) {
 	ref := func(w uint64) uint64 {
@@ -44,8 +44,7 @@ func TestClassifyWordVariantsMatchBucket(t *testing.T) {
 
 // The classifier benchmarks feed both variants the same mixed word stream
 // (sparse low counts, the occasional saturated byte) so the choice between
-// them is made on measurements, not taste. Run via make bench-hotpath's
-// coverage microbench companion:
+// them is made on measurements, not taste:
 //
 //	go test ./internal/coverage -bench 'BenchmarkClassifyWord' -run XXX
 

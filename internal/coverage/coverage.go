@@ -258,9 +258,9 @@ func init() {
 
 // classifyWord buckets all eight counters of a map word at once. It uses
 // the wide 16-bit LUT: four table loads per word beat the compact
-// 128-entry variant's eight loads plus mask arithmetic both in the
-// microbench (1.9 vs 5.6 ns/word, BenchmarkClassifyWord*) and end to end
-// on `make bench-hotpath` (1432 vs 1550 ns/exec on the libmodbus loop).
+// 128-entry variant's eight loads plus mask arithmetic in the microbench
+// (BenchmarkClassifyWord*, roughly 3x per word when last measured); the
+// end-to-end view is cmd/bench's coverage.merge_ns.
 // The two are pinned equivalent by TestClassifyWordVariantsMatchBucket,
 // so a cache-pressured platform can swap the body for
 // classifyWordCompact without a semantic question.

@@ -160,7 +160,7 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 		wg.Add(1)
 		go func(l *Leaf) {
 			defer wg.Done()
-			if err := l.Run(budget/2, 512); err != nil {
+			if err := driveSynced(l.cfg.Fleet, l.Sync, budget/2, 512); err != nil {
 				t.Errorf("%v", err)
 			}
 		}(l)
@@ -230,7 +230,7 @@ func TestSingleLeafTransportLossless(t *testing.T) {
 	fleet, tgt := newLeafFleet(t, 99, 0)
 	hub := startHub(t, state, tgt.Models())
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-lossless")
-	if err := leaf.Run(budget, window); err != nil {
+	if err := driveSynced(fleet, leaf.Sync, budget, window); err != nil {
 		t.Fatal(err)
 	}
 

@@ -194,7 +194,7 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 		wg.Add(1)
 		go func(l *Leaf) {
 			defer wg.Done()
-			if err := l.Run(budget, 512); err != nil {
+			if err := driveSynced(l.cfg.Fleet, l.Sync, budget, 512); err != nil {
 				t.Errorf("leaf run over degraded link: %v", err)
 			}
 		}(leaf)

@@ -79,6 +79,19 @@ func startHub(t *testing.T, state *core.SyncState, models []*datamodel.Model) *H
 	return hub
 }
 
+// driveSynced is the suite's window/sync alternation (what the public
+// session driver, peachstar.Campaign.Start, does for an attached campaign):
+// drive the fleet to budget total executions, running one remote window
+// every `every` executions. Window failures are tolerated — the next
+// window retries — and the final flush's error is returned.
+func driveSynced(fleet *core.Fleet, exchange func() error, budget, every int) error {
+	for fleet.Execs() < budget {
+		fleet.Drive(nil, core.Budget{Execs: min(fleet.Execs()+every, budget)}, nil)
+		exchange()
+	}
+	return exchange()
+}
+
 func newTestLeaf(t *testing.T, fleet *core.Fleet, tgt targets.Target, addr, id string) *Leaf {
 	t.Helper()
 	leaf, err := NewLeaf(LeafConfig{
@@ -116,7 +129,7 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 		wg.Add(1)
 		go func(l *Leaf) {
 			defer wg.Done()
-			if err := l.Run(budget/2, 1024); err != nil {
+			if err := driveSynced(l.cfg.Fleet, l.Sync, budget/2, 1024); err != nil {
 				t.Errorf("%v", err)
 			}
 		}(l)

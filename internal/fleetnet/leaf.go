@@ -342,7 +342,7 @@ func (l *Leaf) Connected() bool { return l.conn != nil }
 
 // Traffic returns the cumulative bytes this leaf has sent to and received
 // from its remote in sync frames (headers included, handshakes excluded) —
-// the measurement behind `make bench-fleetnet`.
+// the measurement behind cmd/bench's fleetnet.bytes_per_window.
 func (l *Leaf) Traffic() (tx, rx int) { return l.txBytes, l.rxBytes }
 
 // FleetStats returns the fleet-wide figures from the latest ack — total
@@ -355,29 +355,6 @@ func (l *Leaf) FleetStats() (execs, edges, leaves int, ok bool) {
 	l.statsMu.Lock()
 	defer l.statsMu.Unlock()
 	return l.fleetExecs, l.fleetEdges, l.leaves, l.synced
-}
-
-// Run drives the local fleet to execBudget total executions, syncing with
-// the remote every syncEvery executions (0 = every 4 merge windows' worth,
-// 1024). Sync failures are logged and fuzzing continues; the budget is
-// always spent. The final state is flushed with a last Sync whose error, if
-// any, is returned (the campaign results remain locally intact).
-func (l *Leaf) Run(execBudget, syncEvery int) error {
-	if syncEvery <= 0 {
-		syncEvery = 4 * core.DefaultMergeEvery
-	}
-	fleet := l.cfg.Fleet
-	for fleet.Execs() < execBudget {
-		window := fleet.Execs() + syncEvery
-		if window > execBudget {
-			window = execBudget
-		}
-		fleet.Run(window)
-		if err := l.Sync(); err != nil {
-			l.cfg.Logf("fleetnet leaf: sync: %v (continuing locally)", err)
-		}
-	}
-	return l.Sync()
 }
 
 // leafSeq disambiguates default node ids for multiple leaves in one

@@ -82,11 +82,11 @@ type MeshConfig struct {
 // links keep the campaign converging; sync bandwidth scales with links,
 // not through one box.
 //
-// Sync, Run and Close must be called from the fleet's driving goroutine;
-// the accept loop and its handlers run in the background like a Hub's.
-// (Deadline-bounded runs live in the public session driver,
+// Sync and Close must be called from the fleet's driving goroutine; the
+// accept loop and its handlers run in the background like a Hub's. The
+// campaign loop itself lives in the public session driver,
 // peachstar.Campaign.Start, which alternates core.Fleet.Drive windows
-// with Mesh.SyncContext.)
+// with Mesh.SyncContext.
 type Mesh struct {
 	cfg MeshConfig
 	hub *Hub
@@ -103,9 +103,6 @@ type Mesh struct {
 	// node jitters its own way (anti-thundering-herd) yet reproduces its
 	// schedule across runs. Touched only by the driving goroutine.
 	bk *backoff.Policy
-	// closedTx/closedRx retain the traffic of dropped uplinks so Traffic
-	// stays cumulative.
-	closedTx, closedRx int
 
 	// localExecs is the node's own execution count as of the last window,
 	// published for handler goroutines building acks.
@@ -329,7 +326,7 @@ func (m *Mesh) ensureUplinks() {
 // stays dead is eventually forgotten — and the first error is returned for
 // logging;
 // inbound sessions sync themselves through the accept loop. The node's
-// fleet must not be running (call between Run windows, like Leaf.Sync).
+// fleet must not be running (call between Drive windows, like Leaf.Sync).
 func (m *Mesh) Sync() error { return m.SyncContext(context.Background()) }
 
 // SyncContext is Sync under a context: cancellation interrupts the uplink
@@ -432,37 +429,11 @@ func (m *Mesh) pruneDuplicateLinks() {
 	}
 }
 
-// dropUplink closes one uplink, retaining its traffic counters. The
-// address stays in the peer book unless the caller also forgets it.
+// dropUplink closes one uplink. The address stays in the peer book unless
+// the caller also forgets it.
 func (m *Mesh) dropUplink(addr string, u *meshUplink) {
-	tx, rx := u.leaf.Traffic()
-	m.closedTx += tx
-	m.closedRx += rx
 	u.leaf.Close()
 	delete(m.uplinks, addr)
-}
-
-// Run drives the local fleet to execBudget total executions, syncing with
-// the mesh every syncEvery executions (0 = every 4 merge windows' worth,
-// 1024). Sync failures are logged and fuzzing continues; the budget is
-// always spent. The final state is flushed with a last Sync whose error,
-// if any, is returned.
-func (m *Mesh) Run(execBudget, syncEvery int) error {
-	if syncEvery <= 0 {
-		syncEvery = 4 * core.DefaultMergeEvery
-	}
-	fleet := m.cfg.Fleet
-	for fleet.Execs() < execBudget {
-		window := fleet.Execs() + syncEvery
-		if window > execBudget {
-			window = execBudget
-		}
-		fleet.Run(window)
-		if err := m.Sync(); err != nil {
-			m.cfg.Logf("fleetnet mesh %s: sync: %v (continuing locally)", m.cfg.NodeID, err)
-		}
-	}
-	return m.Sync()
 }
 
 // PeerStats reports the node's connectivity: connected uplinks (as of
@@ -485,19 +456,6 @@ func (m *Mesh) PeerStats() (uplinks, inbound, known int) {
 func (m *Mesh) RemoteExecs() int {
 	execs, _, _ := m.hub.RemoteStats()
 	return execs
-}
-
-// Traffic returns the cumulative bytes this node's uplinks have sent and
-// received in sync frames (inbound sessions are accounted by their
-// dialer's Traffic).
-func (m *Mesh) Traffic() (tx, rx int) {
-	tx, rx = m.closedTx, m.closedRx
-	for _, u := range m.uplinks {
-		t, r := u.leaf.Traffic()
-		tx += t
-		rx += r
-	}
-	return tx, rx
 }
 
 // Close tears the node down: every uplink is closed (unregistering its

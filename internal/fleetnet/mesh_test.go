@@ -39,7 +39,7 @@ func runMeshes(t *testing.T, window int, nodes map[*Mesh]int) {
 		wg.Add(1)
 		go func(m *Mesh, budget int) {
 			defer wg.Done()
-			if err := m.Run(budget, window); err != nil {
+			if err := driveSynced(m.cfg.Fleet, m.Sync, budget, window); err != nil {
 				t.Logf("mesh %s final sync: %v", m.cfg.NodeID, err)
 			}
 		}(m, budget)

@@ -1,6 +1,9 @@
 package modbus
 
-import "repro/internal/coverage"
+import (
+	"repro/internal/coverage"
+	"repro/internal/datamodel"
+)
 
 // Extended function codes: the remainder of the libmodbus-served set plus
 // the encapsulated-interface transport. These live in their own file to
@@ -232,27 +235,10 @@ func (s *Server) HandleRTU(tr *coverage.Tracer, frame []byte) {
 	}
 	data := frame[:len(frame)-2]
 	crc := uint16(frame[len(frame)-2]) | uint16(frame[len(frame)-1])<<8
-	if crc16(data) != crc {
+	if datamodel.CRC16ModbusSum(data) != crc {
 		s.hit(tr, 143)
 		return
 	}
 	s.hit(tr, 144)
 	s.dispatchPDU(tr, frame[1:len(frame)-2])
-}
-
-// crc16 is the Modbus RTU CRC (shared with datamodel's fixup engine; kept
-// local so the target stays dependency-light).
-func crc16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xA001
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return crc
 }

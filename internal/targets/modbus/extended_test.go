@@ -10,7 +10,7 @@ import (
 // rtuFrame builds a valid RTU frame around a PDU.
 func rtuFrame(slave byte, pdu []byte) []byte {
 	out := append([]byte{slave}, pdu...)
-	crc := crc16(out)
+	crc := datamodel.CRC16ModbusSum(out)
 	return append(out, byte(crc), byte(crc>>8))
 }
 

@@ -10,7 +10,7 @@
 //
 // Seeded vulnerabilities (matching Table I's libmodbus row — 1 heap
 // use-after-free, 1 SEGV — as reproductions of the same bug classes at the
-// same counts; see DESIGN.md §2.5):
+// same counts):
 //
 //   - heap-use-after-free: the diagnostics (0x08) "force listen-only"
 //     subfunction releases the communication event buffer, but "return
@@ -24,6 +24,7 @@ package modbus
 
 import (
 	"repro/internal/coverage"
+	"repro/internal/datamodel"
 	"repro/internal/mem"
 	"repro/internal/targets"
 )
@@ -123,7 +124,7 @@ func (s *Server) Handle(tr *coverage.Tracer, pkt []byte) {
 	if len(pkt) >= 4 && pkt[0] <= 1 {
 		data := pkt[:len(pkt)-2]
 		crc := uint16(pkt[len(pkt)-2]) | uint16(pkt[len(pkt)-1])<<8
-		if crc16(data) == crc {
+		if datamodel.CRC16ModbusSum(data) == crc {
 			s.HandleRTU(tr, pkt)
 			return
 		}

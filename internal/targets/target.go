@@ -5,8 +5,8 @@
 //
 // Each target is a Go reimplementation of the corresponding C library's
 // packet-processing core, instrumented with coverage hooks at branch
-// points (the paper instruments the originals with an LLVM pass; see
-// DESIGN.md §2 for the substitution argument). Targets are stateful, like
+// points (the paper instruments the originals with an LLVM pass; here the
+// hooks are explicit Tracer.Hit calls). Targets are stateful, like
 // the long-running server processes the paper fuzzes: register banks,
 // sessions and connection state persist across packets within a campaign.
 package targets

@@ -9,7 +9,6 @@ package peachstar
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/fleetnet"
 )
@@ -68,14 +67,15 @@ func (s *SyncServer) Close() error { return s.hub.Close() }
 
 // SyncLeaf attaches one campaign to a remote hub as a fleet leaf.
 type SyncLeaf struct {
-	c    *Campaign
 	leaf *fleetnet.Leaf
 }
 
-// DialSync prepares this campaign to sync with the hub at addr. No
-// connection is made until the first Sync (or RunSynced window), and a
-// lost connection only pauses exchange — the campaign keeps fuzzing and
-// the next sync reconnects and resumes.
+// DialSync prepares this campaign to sync with the hub at addr. Drive the
+// campaign with Start and the returned leaf's Attachment in
+// RunConfig.Attach (or let the session own the uplink: WithLeaf). No
+// connection is made until the first sync window, and a lost connection
+// only pauses exchange — the campaign keeps fuzzing and the next window
+// reconnects and resumes.
 //
 // Give each leaf of a fleet a distinct Options.SeedStream so no two hosts
 // fuzz the same RNG streams of the shared campaign seed.
@@ -89,42 +89,13 @@ func (c *Campaign) DialSync(addr string) (*SyncLeaf, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SyncLeaf{c: c, leaf: leaf}, nil
+	return &SyncLeaf{leaf: leaf}, nil
 }
 
 // Sync runs one merge window with the hub: push local discoveries, pull
-// the fleet's. Safe to call between Run segments; returns the transport
+// the fleet's. Safe to call between sessions; returns the transport
 // error, if any, after resetting the session for the next attempt.
 func (l *SyncLeaf) Sync() error { return l.leaf.Sync() }
-
-// RunSynced fuzzes until the campaign has spent execBudget total
-// executions, syncing with the hub every syncEvery executions (0 picks a
-// default of four merge windows). Sync failures are tolerated: fuzzing
-// continues and the next window retries. The final sync's error, if any,
-// is returned; local results are intact regardless.
-//
-// Deprecated: use Campaign.Start with this leaf attached — either
-// RunConfig{Attach: []Attachment{WithLeaf(addr)}} for a session-owned
-// uplink, or this handle's Attachment() to keep it across sessions.
-func (l *SyncLeaf) RunSynced(execBudget, syncEvery int) error {
-	if execBudget <= 0 {
-		return l.Sync() // budget already spent: just the final flush
-	}
-	return runAttached(l.c, RunConfig{Execs: execBudget, SyncEvery: syncEvery}, l.Attachment())
-}
-
-// RunSyncedUntil is RunSynced with a wall-clock deadline instead of an
-// exec budget, keeping the same syncEvery execution cadence; it stops
-// within one merge-window slice of the deadline.
-//
-// Deprecated: use Campaign.Start with a Deadline and this leaf attached
-// (see RunSynced).
-func (l *SyncLeaf) RunSyncedUntil(deadline time.Time, syncEvery int) error {
-	if deadline.IsZero() {
-		return l.Sync() // no deadline to honor: just the final flush
-	}
-	return runAttached(l.c, RunConfig{Deadline: deadline, SyncEvery: syncEvery}, l.Attachment())
-}
 
 // FleetStats returns the fleet-wide figures from the latest hub reply —
 // total executions the hub knows of, distinct edges in the hub's union

@@ -42,16 +42,14 @@ func TestServeAndDialSync(t *testing.T) {
 	}
 	defer leaf.Close()
 
-	hubCampaign.Run(8000)
-	if err := leaf.RunSynced(8000, 1024); err != nil {
-		t.Fatal(err)
-	}
+	runExecs(t, hubCampaign, 8000)
+	runExecs(t, leafCampaign, 8000, leaf.Attachment())
 	if !leaf.Connected() {
-		t.Fatal("leaf should hold a session after RunSynced")
+		t.Fatal("leaf should hold a session after an attached run")
 	}
 	// One more hub-side flush so the hub campaign's workers pull what the
 	// leaf pushed, then a final leaf window to settle both directions.
-	hubCampaign.Run(hubCampaign.Execs() + 256)
+	runExecs(t, hubCampaign, hubCampaign.Execs()+256)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +76,7 @@ func TestDialSyncRejectsHubLessAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaf.Close()
-	c.Run(512)
+	runExecs(t, c, 512)
 	if err := leaf.Sync(); err == nil {
 		t.Fatal("sync against a dead hub should fail")
 	}

@@ -7,11 +7,7 @@ package peachstar
 // box. See ARCHITECTURE.md "Mesh topology" and the README "Mesh
 // campaigns" section.
 
-import (
-	"time"
-
-	"repro/internal/fleetnet"
-)
+import "repro/internal/fleetnet"
 
 // MeshOptions configures a campaign's mesh membership.
 type MeshOptions struct {
@@ -35,16 +31,15 @@ type MeshOptions struct {
 
 // MeshNode is one campaign's membership in a hub-less mesh fleet.
 type MeshNode struct {
-	c    *Campaign
 	mesh *fleetnet.Mesh
 }
 
 // JoinMesh makes this campaign a mesh node: it starts accepting peer
 // connections on opts.Listen and will keep uplinks to every known peer.
-// Drive the campaign through the returned node's RunSynced /
-// RunSyncedUntil (or Run segments interleaved with Sync); remote and local
-// discoveries converge through the same merge path a hub fleet uses, with
-// one session per link instead of one hub holding them all.
+// Drive the campaign with Start and the returned node's Attachment in
+// RunConfig.Attach (or let the session own the node: WithMesh); remote and
+// local discoveries converge through the same merge path a hub fleet
+// uses, with one session per link instead of one hub holding them all.
 //
 // Give each node of a mesh a distinct Options.SeedStream so no two hosts
 // fuzz the same RNG streams of the shared campaign seed.
@@ -63,7 +58,7 @@ func (c *Campaign) JoinMesh(opts MeshOptions) (*MeshNode, error) {
 	if err := mesh.ListenAndServe(opts.Listen); err != nil {
 		return nil, err
 	}
-	return &MeshNode{c: c, mesh: mesh}, nil
+	return &MeshNode{mesh: mesh}, nil
 }
 
 // Addr returns the node's bound accept-loop address.
@@ -74,38 +69,10 @@ func (m *MeshNode) Addr() string { return m.mesh.Addr() }
 func (m *MeshNode) AddPeer(addr string) { m.mesh.AddPeer(addr) }
 
 // Sync runs one merge window with every linked peer: push local
-// discoveries, pull theirs. Safe to call between Run segments; individual
+// discoveries, pull theirs. Safe to call between sessions; individual
 // link failures reset only that link's session, and the first error is
 // returned for logging.
 func (m *MeshNode) Sync() error { return m.mesh.Sync() }
-
-// RunSynced fuzzes until the campaign has spent execBudget total
-// executions, syncing with the mesh every syncEvery executions (0 picks a
-// default of four merge windows). Link failures are tolerated: fuzzing
-// continues and the next window retries. The final sync's error, if any,
-// is returned; local results are intact regardless.
-//
-// Deprecated: use Campaign.Start with a mesh attached — either
-// RunConfig{Attach: []Attachment{WithMesh(opts)}} for a session-owned
-// node, or this handle's Attachment() to keep it across sessions.
-func (m *MeshNode) RunSynced(execBudget, syncEvery int) error {
-	if execBudget <= 0 {
-		return m.Sync() // budget already spent: just the final flush
-	}
-	return runAttached(m.c, RunConfig{Execs: execBudget, SyncEvery: syncEvery}, m.Attachment())
-}
-
-// RunSyncedUntil is RunSynced with a wall-clock deadline instead of an
-// exec budget, stopping within one merge-window slice of the deadline.
-//
-// Deprecated: use Campaign.Start with a Deadline and a mesh attached
-// (see RunSynced).
-func (m *MeshNode) RunSyncedUntil(deadline time.Time, syncEvery int) error {
-	if deadline.IsZero() {
-		return m.Sync() // no deadline to honor: just the final flush
-	}
-	return runAttached(m.c, RunConfig{Deadline: deadline, SyncEvery: syncEvery}, m.Attachment())
-}
 
 // PeerStats reports the node's connectivity: connected uplinks, connected
 // inbound peer sessions, and how many peer addresses it knows.

@@ -23,12 +23,8 @@ func TestJoinMeshLoopback(t *testing.T) {
 	}
 	defer nodeB.Close()
 
-	if err := nodeB.RunSynced(6000, 1024); err != nil {
-		t.Fatal(err)
-	}
-	if err := nodeA.RunSynced(6000, 1024); err != nil {
-		t.Fatal(err)
-	}
+	runExecs(t, campB, 6000, nodeB.Attachment())
+	runExecs(t, campA, 6000, nodeA.Attachment())
 	// Settlement: one more window each so the last finisher's material
 	// reaches the other node.
 	for _, n := range []*MeshNode{nodeB, nodeA} {

@@ -1,7 +1,7 @@
 package peachstar
 
 import (
-	"reflect"
+	"context"
 	"testing"
 
 	"repro/internal/datamodel"
@@ -52,22 +52,16 @@ func newTestCampaign(t *testing.T, opts Options) *Campaign {
 	return c
 }
 
-// TestParallelWorkers1MatchesSerialAPI: through the public API, a
-// single-worker parallel run reproduces the serial campaign exactly.
-func TestParallelWorkers1MatchesSerialAPI(t *testing.T) {
-	serial := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 11})
-	serial.Run(3000)
-
-	parallel := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 11})
-	if err := parallel.RunParallel(3000, 1); err != nil {
+// runExecs is the suite's blocking driver: one Start session to the
+// absolute exec budget, with any attachments, waited to its end.
+func runExecs(t *testing.T, c *Campaign, execs int, attach ...Attachment) {
+	t.Helper()
+	r, err := c.Start(context.Background(), RunConfig{Execs: execs, Attach: attach})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	if got, want := parallel.Stats(), serial.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("RunParallel(…, 1) stats = %+v, serial Run stats = %+v", got, want)
-	}
-	if got, want := parallel.CorpusSize(), serial.CorpusSize(); got != want {
-		t.Fatalf("corpus size %d != serial %d", got, want)
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -79,34 +73,13 @@ func TestParallelCampaignRuns(t *testing.T) {
 	if c.Workers() != 4 {
 		t.Fatalf("workers = %d, want 4", c.Workers())
 	}
-	c.Run(6000)
+	runExecs(t, c, 6000)
 	s := c.Stats()
 	if s.Execs < 6000 {
 		t.Fatalf("execs = %d, want >= 6000", s.Execs)
 	}
 	if s.Paths == 0 || s.Edges == 0 || s.CorpusPuzzles == 0 {
 		t.Fatalf("campaign learned nothing: %+v", s)
-	}
-}
-
-// TestParallelRebuildBeforeFirstExec: RunParallel may pick a worker count
-// before anything has executed, and rejects changing it afterwards.
-func TestParallelRebuildBeforeFirstExec(t *testing.T) {
-	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 3})
-	if err := c.RunParallel(2000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", c.Workers())
-	}
-	if err := c.RunParallel(4000, 3); err == nil {
-		t.Fatal("changing workers mid-campaign should error")
-	}
-	if err := c.RunParallel(4000, 2); err != nil {
-		t.Fatalf("extending at the same parallelism should work: %v", err)
-	}
-	if got := c.Stats().Execs; got < 4000 {
-		t.Fatalf("execs = %d, want >= 4000", got)
 	}
 }
 
@@ -131,7 +104,7 @@ func TestParallelCustomTargetNeedsFactory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(500)
+	runExecs(t, c, 500)
 	if got := c.Stats().Execs; got < 500 {
 		t.Fatalf("execs = %d, want >= 500", got)
 	}
@@ -153,5 +126,5 @@ func TestParallelNameCollisionNeedsFactory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(200)
+	runExecs(t, c, 200)
 }

@@ -44,7 +44,7 @@ func TestCampaignRunAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(1500)
+	runExecs(t, c, 1500)
 	s := c.Stats()
 	if s.Execs < 1500 || s.Paths == 0 || s.Edges == 0 {
 		t.Fatalf("stats = %+v", s)
@@ -75,7 +75,7 @@ func TestCampaignCrashRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(12000)
+	runExecs(t, c, 12000)
 	for _, r := range c.Crashes() {
 		if r.Site == "" || len(r.Example) == 0 || r.Count == 0 {
 			t.Fatalf("malformed crash record %+v", r)
@@ -106,7 +106,7 @@ func TestModelsOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(500)
+	runExecs(t, c, 500)
 	if c.Stats().Paths == 0 {
 		t.Fatal("custom pit campaign found nothing")
 	}

@@ -1,14 +1,11 @@
 package peachstar
 
 // This file is the session-based run API — the one driver every execution
-// topology goes through. A Campaign used to grow a new blocking Run*
-// method per topology (serial Run, sharded RunParallel, hub-leaf
-// RunSynced, mesh RunSynced); Start replaces them all with one
-// context-aware entry point: the budget, the sync cadence and the
+// topology (serial, sharded, hub leaf, mesh node) goes through. Start is
+// the one context-aware entry point: the budget, the sync cadence and the
 // network attachments travel in a RunConfig, and the returned Run is a
 // handle the caller can wait on, stop, snapshot, and observe through a
-// typed event stream. The deprecated methods survive as thin wrappers
-// over Start, which pins their equivalence.
+// typed event stream.
 
 import (
 	"context"
@@ -43,14 +40,15 @@ const DefaultRelayEvery = 5 * time.Second
 // (the session then runs until the context ends or Stop is called),
 // default cadences, no attachments.
 type RunConfig struct {
-	// Execs is the total campaign execution target, in the same absolute
-	// terms the deprecated Run used: the session drives the fleet until
-	// at least this many executions have happened since the campaign was
-	// created (so extending a campaign with a second session reuses the
-	// same scale). 0 means no execution bound.
+	// Execs is the total campaign execution target, in absolute terms:
+	// the session drives the fleet until at least this many executions
+	// have happened since the campaign was created (so extending a
+	// campaign with a second session reuses the same scale). 0 means no
+	// execution bound.
 	Execs int
 	// Deadline, when non-zero, stops the session at that wall-clock
-	// instant, checked before every engine step like RunUntil checked it.
+	// instant, checked before every engine step (so the session lands on
+	// it within one engine iteration, not one merge window).
 	Deadline time.Time
 	// Duration, when positive and Deadline is zero, is a relative
 	// deadline of Start-time + Duration.
@@ -408,9 +406,8 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 // Wait blocks until the session ends and returns its result: nil on a
 // spent budget or a graceful Stop, the context's error if the context
 // ended the session, or the final sync flush's error for an attached
-// session whose last exchange failed (matching the deprecated
-// RunSynced contract). Wait may be called any number of times, from any
-// goroutine.
+// session whose last exchange failed. Wait may be called any number of
+// times, from any goroutine.
 func (r *Run) Wait() error {
 	<-r.done
 	return r.err
@@ -538,7 +535,7 @@ func (r *Run) budgetDone() bool {
 // window's worth of executions, then exchange with every active
 // attachment and take any due durable checkpoint, until the budget is
 // spent or the session is stopped; a final flush settles the remote state
-// (and its error is the session result, like RunSynced's) and a final
+// (and its error is the session result) and a final
 // checkpoint captures the session's last window. Exchange and checkpoint
 // failures inside the loop surface as events and the campaign keeps
 // fuzzing — the next window retries. Checkpoints are taken between Drive
@@ -673,18 +670,6 @@ func (r *Run) syncAll() error {
 		}
 	}
 	return firstErr
-}
-
-// runAttached is the deprecated RunSynced/RunSyncedUntil wrappers'
-// common body: one blocking session with the given budget and a single
-// borrowed attachment.
-func runAttached(c *Campaign, cfg RunConfig, att Attachment) error {
-	cfg.Attach = []Attachment{att}
-	r, err := c.Start(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	return r.Wait()
 }
 
 // windowHook is the driver's per-merge-window observer, called on worker

@@ -3,7 +3,6 @@ package peachstar
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -105,27 +104,6 @@ func TestEmitNeverDropsCrashes(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("crash order broken: %v, want %v", got, want)
 		}
-	}
-}
-
-// TestStartWrapperEquivalence: a session and the deprecated wrapper
-// produce bit-for-bit identical campaigns — Start is a new surface over
-// the same deterministic stream, not a new behavior.
-func TestStartWrapperEquivalence(t *testing.T) {
-	viaWrapper := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 23})
-	viaWrapper.Run(5000)
-
-	viaStart := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 23})
-	r, err := viaStart.Start(context.Background(), RunConfig{Execs: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := viaStart.Stats(), viaWrapper.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Start stats %+v != wrapper Run stats %+v", got, want)
 	}
 }
 
