@@ -68,13 +68,16 @@ api-snapshot:
 	$(GO) run ./cmd/apicheck -update
 
 # Short native-fuzz smoke runs over the crack/generate round-trip targets
-# and the campaign-checkpoint decoder (truncated, corrupt, and
-# non-minimal-varint envelopes must be rejected with errors, never panics).
+# and every decoder built on the checkpoint codec — sequences, virgin
+# deltas, fleetnet frames, campaign checkpoints (truncated, corrupt, and
+# non-minimal-varint inputs must be rejected with errors, never panics).
 fuzz:
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrack$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzGenerate$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrackSeedCorpusBytes$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/coverage -fuzz 'FuzzVirginDelta$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
 	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
 
 # The repo's one benchmark (see cmd/bench/README.md and BENCHMARK.json):

@@ -3,14 +3,19 @@ package repro
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/fleetnet"
+	"repro/internal/sandbox"
 	"repro/internal/targets"
 	"repro/peachstar"
 
@@ -112,6 +117,93 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 			}
 			if got, want := len(restored.Crashes()), len(orig.Crashes()); got != want {
 				t.Fatalf("restored %d crash records, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointBytesStable pins the on-disk format itself, where the
+// round-trip golden above only proves self-consistency: the SHA-256 of the
+// serial Seed-1, 20000-exec checkpoint of every target (plus one
+// adaptive+sessions case), captured at the commit before the target codecs
+// became field lists. A reordered field or a changed width fails here, and
+// checkpoint files written by that commit stay restorable.
+func TestCheckpointBytesStable(t *testing.T) {
+	for _, tc := range []struct {
+		target             string
+		adaptive, sessions bool
+		sum                string
+	}{
+		{"IEC104", false, false, "78090045f5e3101243760d1a460759b8fcccffe80491b60264a17f07c84c7dbd"},
+		{"lib60870", false, false, "788e480933dd2d931f7634048ffcfdceca24a98927a2161f535a5fb74c1f1209"},
+		{"libiccp", false, false, "c51ea9bd75f37a229512519eb7887ee3b4e72b800b5b03b4dbf2196807e074d0"},
+		{"libiec61850", false, false, "c6e15466fc77a87306c56ef15b20bc78f35d143d95ee36cd3ed6f608f410f4b8"},
+		{"libmodbus", false, false, "a22a4a1da3ff904fc578ce291637eb31bde5150352315c128cad02941daef14c"},
+		{"opendnp3", false, false, "fb734d628e4c26048fab57b8f4c7e6e547275920af8b28bd1822f39240b001cd"},
+		{"IEC104", true, true, "8505c0cca7e283bdb64d01b14f33e87e71b6f577abd53635f5668cf6ceca5cb2"},
+	} {
+		name := tc.target
+		if tc.sessions {
+			name += "-sessions-adaptive"
+		}
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.ckpt")
+			c := newCheckpointCampaign(t, tc.target, 1, tc.adaptive, tc.sessions)
+			runCampaign(t, c, 20000)
+			if err := c.Checkpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.sum {
+				t.Fatalf("checkpoint bytes changed: sha256 %s (%d bytes), want %s", got, len(data), tc.sum)
+			}
+		})
+	}
+}
+
+// TestCheckpointOverWidthRejected: every target's field list pins each
+// stored integer to its field's width, so a value too wide for its bank
+// (a holding register of 70000) fails the restore instead of being
+// truncated into it. Each case splices one over-wide varint over a known
+// one-byte field of a fresh target's dump.
+func TestCheckpointOverWidthRejected(t *testing.T) {
+	for _, tc := range []struct {
+		target string
+		offset int    // of a field that encodes in one byte on a fresh target
+		value  uint64 // one more than the field's width holds
+	}{
+		{"libmodbus", 0x500 + 0x500 + 100, 70000}, // holding[100], after coils and discrete inputs
+		{"IEC104", 1, 1 << 16},                    // vr, after the started flag
+		{"lib60870", 2 + 64 + 3, 1 << 16},         // scaled[3], after two flags and the points
+		{"libiccp", 2, 1 << 32},                   // the heap's allocation cursor, after two flags
+		{"libiec61850", -1, 1 << 32},              // nextFRSM, the dump's last byte
+		{"opendnp3", 1, 1 << 8},                   // transport sequence, after the one-byte address
+	} {
+		t.Run(tc.target, func(t *testing.T) {
+			tgt, err := targets.New(tc.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := tgt.(sandbox.StateCheckpointer)
+			var w checkpoint.Writer
+			checkpoint.SnapshotFields(&w, sc.StateFields())
+			good := w.Data()
+			if err := checkpoint.RestoreFields(checkpoint.NewReader(good), sc.StateFields()); err != nil {
+				t.Fatalf("a fresh target's own dump does not restore: %v", err)
+			}
+			off := tc.offset
+			if off < 0 {
+				off += len(good)
+			}
+			var wide checkpoint.Writer
+			wide.Uvarint(tc.value)
+			bad := append(append(append([]byte(nil), good[:off]...), wide.Data()...), good[off+1:]...)
+			err = checkpoint.RestoreFields(checkpoint.NewReader(bad), sc.StateFields())
+			if err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Fatalf("restore of a %d spliced at byte %d = %v, want a width overflow", tc.value, off, err)
 			}
 		})
 	}

@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/fleetnet"
 )
 
 // The documentation gate. It runs inside plain `go test ./...` and checks
@@ -112,6 +115,25 @@ func TestDocsArchitectureSections(t *testing.T) {
 	} {
 		if !strings.Contains(string(arch), section) {
 			t.Errorf("ARCHITECTURE.md lost the %q section", section)
+		}
+	}
+}
+
+// TestDocsProtocolVersion: wherever ARCHITECTURE.md states the fleetnet
+// protocol version ("protocol version N", "fleetnet protocol N", "min = max
+// = N"), N is the version the build speaks.
+func TestDocsProtocolVersion(t *testing.T) {
+	arch, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stated := regexp.MustCompile(`(?:protocol version|fleetnet protocol|min = max =) (\d+)`).FindAllStringSubmatch(string(arch), -1)
+	if len(stated) == 0 {
+		t.Fatal("ARCHITECTURE.md no longer states the fleetnet protocol version")
+	}
+	for _, m := range stated {
+		if n, _ := strconv.Atoi(m[1]); n != fleetnet.ProtocolVersion {
+			t.Errorf("ARCHITECTURE.md says %q, the build speaks protocol %d", m[0], fleetnet.ProtocolVersion)
 		}
 	}
 }

@@ -33,9 +33,11 @@
 //     map literals/makes, &T{} composite literals and new(T), and append
 //     to an un-presized local slice. Front-runs
 //     TestSteadyStateExecAllocBudget.
-//   - snapfields — for every type with a Snapshot/Restore (or
-//     SnapshotState/RestoreState) checkpoint codec pair, every stored field
-//     must be referenced by both methods or carry //peachstar:nosnap.
+//   - snapfields — for every type with a checkpoint codec — one method
+//     returning []checkpoint.Field (the field-list form the targets use),
+//     or a hand-written Snapshot/Restore pair — every stored field must be
+//     referenced by the list, or by both methods, or carry
+//     //peachstar:nosnap.
 //     Front-runs the checkpoint round-trip goldens and
 //     TestCheckpointWarmRestartContinuesExactly by making the
 //     new-field-silently-absent-from-warm-restart hazard a build failure.

@@ -11,22 +11,25 @@ import (
 // Snapshot/Restore method pair.
 const checkpointPackage = "repro/internal/checkpoint"
 
-// Snapfields enforces complete checkpoint-codec coverage: for every type
-// with a hand-written Snapshot(*checkpoint.Writer)/Restore(*checkpoint.Reader)
-// pair (any of the repo's naming conventions: Snapshot/Restore,
-// SnapshotState/RestoreState, snapshot/restore), every stored field must be
-// referenced by both sides of the codec or carry //peachstar:nosnap
-// <reason>. A field added to a checkpointed struct but not to its codec is
-// exactly the silent warm-restart drift PR 9's runtime goldens can only
-// catch after the fact; snapfields makes it a build failure. sync.Mutex and
-// sync.RWMutex fields are exempt — locks are never checkpointed.
+// Snapfields enforces complete checkpoint-codec coverage. A type's codec is
+// either one method returning []checkpoint.Field (the field-list form: each
+// listed field is both halves at once) or a hand-written
+// Snapshot(*checkpoint.Writer)/Restore(*checkpoint.Reader) pair (any of the
+// repo's naming conventions: Snapshot/Restore, SnapshotState/RestoreState,
+// snapshot/restore). Every stored field must be referenced by the list, or
+// by both sides of the pair, or carry //peachstar:nosnap <reason>. A field
+// added to a checkpointed struct but not to its codec is exactly the silent
+// warm-restart drift PR 9's runtime goldens can only catch after the fact;
+// snapfields makes it a build failure. sync.Mutex and sync.RWMutex fields
+// are exempt — locks are never checkpointed.
 var Snapfields = &Analyzer{
 	Name: "snapfields",
-	Doc:  "every field of a checkpointed type must be covered by both Snapshot and Restore or marked //peachstar:nosnap",
+	Doc:  "every field of a checkpointed type must be covered by its field list or by both Snapshot and Restore, or marked //peachstar:nosnap",
 	Run:  runSnapfields,
 }
 
-// codecPair is one type's snapshot/restore method pair.
+// codecPair is one type's snapshot/restore method pair; a field-list method
+// fills both halves.
 type codecPair struct {
 	typeName string
 	snapshot *ast.FuncDecl
@@ -63,9 +66,10 @@ func runSnapfields(pass *Pass) {
 				p = &codecPair{typeName: recv}
 				pairs[recv] = p
 			}
-			if role == "snapshot" {
+			if role != "restore" {
 				p.snapshot = fn
-			} else {
+			}
+			if role != "snapshot" {
 				p.restore = fn
 			}
 		}
@@ -88,10 +92,16 @@ func runSnapfields(pass *Pass) {
 }
 
 // codecRole classifies fn as the "snapshot" or "restore" half of a
-// checkpoint codec, or "" if it is neither: the name must match the
-// convention and a parameter must be *checkpoint.Writer (snapshot) or
+// checkpoint codec, as "fields" (both halves: it returns
+// []checkpoint.Field), or "" if it is none: for a half the name must match
+// the convention and a parameter must be *checkpoint.Writer (snapshot) or
 // *checkpoint.Reader (restore).
 func codecRole(pass *Pass, fn *ast.FuncDecl) string {
+	if res := fn.Type.Results; res != nil && len(res.List) == 1 {
+		if sl, ok := pass.TypesInfo.Types[res.List[0].Type].Type.(*types.Slice); ok && isCheckpointType(sl.Elem(), "Field") {
+			return "fields"
+		}
+	}
 	base := strings.TrimSuffix(strings.ToLower(fn.Name.Name), "state")
 	switch base {
 	case "snapshot":
@@ -117,20 +127,21 @@ func hasParamOfType(pass *Pass, fn *ast.FuncDecl, name string) bool {
 		if !ok {
 			continue
 		}
-		ptr, ok := tv.Type.(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named, ok := ptr.Elem().(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == checkpointPackage {
+		if ptr, ok := tv.Type.(*types.Pointer); ok && isCheckpointType(ptr.Elem(), name) {
 			return true
 		}
 	}
 	return false
+}
+
+// isCheckpointType reports whether t is the named type checkpoint.<name>.
+func isCheckpointType(t types.Type, name string) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == checkpointPackage
 }
 
 func checkCodecPair(pass *Pass, p *codecPair, methods map[string]*ast.FuncDecl) {
@@ -168,6 +179,8 @@ func checkCodecPair(pass *Pass, p *codecPair, methods map[string]*ast.FuncDecl) 
 		}
 		var missing string
 		switch {
+		case p.snapshot == p.restore:
+			missing = p.snapshot.Name.Name
 		case !snapRefs[fv] && !restRefs[fv]:
 			missing = p.snapshot.Name.Name + " or " + p.restore.Name.Name
 		case !snapRefs[fv]:
@@ -184,7 +197,7 @@ func checkCodecPair(pass *Pass, p *codecPair, methods map[string]*ast.FuncDecl) 
 }
 
 // referencedFields walks fn and every same-receiver method it transitively
-// calls (same package), collecting which of the struct's fields are
+// calls or takes as a method value (same package), collecting which of the struct's fields are
 // referenced — by selector, by composite-literal key, or wholesale via a
 // positional composite literal covering every field.
 func referencedFields(pass *Pass, fn *ast.FuncDecl, methods map[string]*ast.FuncDecl, fieldSet map[*types.Var]bool) map[*types.Var]bool {
@@ -215,11 +228,11 @@ func referencedFields(pass *Pass, fn *ast.FuncDecl, methods map[string]*ast.Func
 						}
 					}
 				}
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					if m, ok := methods[sel.Sel.Name]; ok {
-						walk(m)
-					}
+			case *ast.SelectorExpr:
+				// A helper called, or handed over as a method value
+				// (checkpoint.Func(s.snapshotX, s.restoreX)).
+				if m, ok := methods[n.Sel.Name]; ok {
+					walk(m)
 				}
 			}
 			return true

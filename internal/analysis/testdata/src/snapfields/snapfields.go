@@ -1,8 +1,9 @@
 // Package snapdemo is snapfields testdata: a checkpointed type's fields
 // must be referenced by both codec halves, with sync.Mutex and
-// //peachstar:nosnap fields exempt, helper-method references followed, and
-// both naming conventions (Snapshot/Restore, SnapshotState/RestoreState)
-// recognised.
+// //peachstar:nosnap fields exempt, helper-method references followed, both
+// naming conventions (Snapshot/Restore, SnapshotState/RestoreState)
+// recognised, and a method returning []checkpoint.Field treated as both
+// halves at once.
 package snapdemo
 
 import (
@@ -89,3 +90,29 @@ type half struct {
 }
 
 func (h *half) Snapshot(w *checkpoint.Writer) { w.U64(h.onlyWritten) }
+
+// listed declares its state once as a field list, which stands for both
+// halves: a field missing from the list is a finding, a //peachstar:nosnap
+// field is not.
+type listed struct {
+	bank    [4]uint16
+	flag    bool
+	table   map[string]int
+	late    uint32 // want `field listed\.late is not covered by StateFields:`
+	scratch []byte //peachstar:nosnap per-packet scratch, rebuilt on demand
+}
+
+func (l *listed) StateFields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Uints(l.bank[:]),
+		checkpoint.Bool(&l.flag),
+		checkpoint.Func(l.snapTable, l.restoreTable), // method values are followed
+	}
+}
+
+func (l *listed) snapTable(w *checkpoint.Writer) { w.Int(len(l.table)) }
+
+func (l *listed) restoreTable(r *checkpoint.Reader) error {
+	l.table = make(map[string]int, r.Count())
+	return r.Err()
+}

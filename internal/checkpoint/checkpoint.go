@@ -1,21 +1,31 @@
-// Package checkpoint is the canonical binary codec behind durable campaign
-// checkpoints: the versioned Snapshot/Restore seam every stateful layer of
-// the engine (coverage, corpus, crash bank, scheduler, session state, fleet
-// counters) serializes itself through.
+// Package checkpoint is the repo's one canonical binary codec. Everything
+// that leaves the engine as bytes is written by its Writer and read back by
+// its Reader: durable campaign checkpoints (the versioned Snapshot/Restore
+// seam every stateful layer serializes itself through, framed by Seal/Open),
+// fleetnet frame payloads, session sequence encodings, and virgin-bitmap
+// deltas. Those formats differ only in which fields they list; the
+// primitives and their guarantees are defined here once.
 //
-// The format follows the same discipline as the session sequence codec
-// (internal/session): a fixed magic and version lead the envelope, every
-// integer is a minimally-encoded unsigned varint (non-minimal encodings are
-// rejected, so decoding is canonical — every accepted buffer re-encodes to
-// itself byte for byte), lengths are validated against the remaining input
-// before any allocation, and trailing bytes are an error. Canonical
-// encoding is what makes the round-trip golden test possible: snapshot →
-// restore → snapshot must reproduce the identical byte string.
+// Every integer is a minimally-encoded unsigned varint (non-minimal
+// encodings are rejected, so decoding is canonical — every accepted buffer
+// re-encodes to itself byte for byte) unless a field is declared fixed-width;
+// width-pinned reads (U8/U16/U32/Int) reject a value that does not fit its
+// field instead of truncating it; lengths and element counts are validated
+// against the remaining input before any allocation, so decode-time memory
+// is bounded by the bytes received, not by what they claim; and trailing
+// bytes are an error. Canonical encoding is what makes the round-trip golden
+// test possible: snapshot → restore → snapshot must reproduce the identical
+// byte string.
 //
 // Decoding never panics on hostile input: the Reader carries a sticky
 // error, every accessor degrades to a zero value once it is set, and the
-// fuzz target (FuzzCheckpointDecode) pins that property over truncated,
-// corrupt and non-minimal inputs.
+// fuzz targets (FuzzCheckpointDecode, FuzzFrameDecode, FuzzSequenceCodec,
+// FuzzVirginDelta) pin that property over truncated, corrupt and
+// non-minimal inputs.
+//
+// State with a regular layout is declared once as an ordered []Field
+// (field.go) instead of a mirrored write/read pair, so the two directions
+// cannot drift apart.
 package checkpoint
 
 import (
@@ -137,6 +147,26 @@ func (r *Reader) Uvarint() uint64 {
 	r.data = r.data[used:]
 	return v
 }
+
+// bits reads one uvarint that must fit in n bits, failing the reader on
+// overflow so an over-wide value is rejected, never truncated.
+func (r *Reader) bits(n uint) uint64 {
+	v := r.Uvarint()
+	if r.err == nil && v>>n != 0 {
+		r.fail("value %d overflows %d bits", v, n)
+		return 0
+	}
+	return v
+}
+
+// U8 reads one uvarint pinned to 8 bits.
+func (r *Reader) U8() uint8 { return uint8(r.bits(8)) }
+
+// U16 reads one uvarint pinned to 16 bits.
+func (r *Reader) U16() uint16 { return uint16(r.bits(16)) }
+
+// U32 reads one uvarint pinned to 32 bits.
+func (r *Reader) U32() uint32 { return uint32(r.bits(32)) }
 
 // Int reads one non-negative integer.
 func (r *Reader) Int() int {

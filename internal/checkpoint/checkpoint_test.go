@@ -71,6 +71,9 @@ func TestReaderRejects(t *testing.T) {
 		{"empty varint", nil, func(r *Reader) { r.Uvarint() }, "bad varint"},
 		{"varint overflows 64 bits", bytes.Repeat([]byte{0xFF}, 11), func(r *Reader) { r.Uvarint() }, "bad varint"},
 		{"int overflow", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, func(r *Reader) { r.Int() }, "overflows int"},
+		{"u8 overflow", []byte{0x80, 0x02}, func(r *Reader) { r.U8() }, "value 256 overflows 8 bits"},
+		{"u16 overflow", []byte{0xF0, 0xA2, 0x04}, func(r *Reader) { r.U16() }, "value 70000 overflows 16 bits"},
+		{"u32 overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x10}, func(r *Reader) { r.U32() }, "overflows 32 bits"},
 		{"count overflow", []byte{0x05, 1, 2, 3}, func(r *Reader) { r.Count() }, "count 5 exceeds 3"},
 		{"blob longer than input", []byte{0x04, 1, 2, 3}, func(r *Reader) { r.Blob() }, "count 4 exceeds 3"},
 		{"string longer than input", []byte{0x02, 'a'}, func(r *Reader) { _ = r.String() }, "count 2 exceeds 1"},
@@ -277,4 +280,126 @@ func TestWriteFileAtomic(t *testing.T) {
 			t.Fatalf("failed write left debris: %v", names)
 		}
 	})
+}
+
+// fieldState is a target-shaped struct covering every field constructor.
+type fieldState struct {
+	flag    bool
+	flags   [3]bool
+	seq     uint8
+	addr    uint16
+	signed  [2]int16
+	analog  [2]int32
+	wide    uint32
+	n       int
+	clock   uint64
+	last    []byte
+	bank    [4]byte
+	table   map[string][]byte
+	classes map[uint8]uint8
+	lists   map[string][]string
+}
+
+func (s *fieldState) fields() []Field {
+	u8 := WordCodec[uint8]()
+	return []Field{
+		Bool(&s.flag), Bools(s.flags[:]), Uint(&s.seq), Uint(&s.addr), Uints(s.signed[:]), Uints(s.analog[:]),
+		Uint(&s.wide), Int(&s.n), U64(&s.clock), Blob(&s.last), FixedBlob(s.bank[:]),
+		Map(&s.table, StringCodec, BlobCodec), Map(&s.classes, u8, u8), Map(&s.lists, StringCodec, ListCodec(StringCodec)),
+	}
+}
+
+// TestFieldsRoundTrip: a field list restores exactly what it wrote —
+// signed words through their bit patterns, maps through sorted keys — and
+// re-snapshots to the identical bytes, which match the hand-written
+// layout the lists replaced.
+func TestFieldsRoundTrip(t *testing.T) {
+	orig := &fieldState{
+		flag: true, flags: [3]bool{true, false, true}, seq: 255, addr: 65535,
+		signed: [2]int16{-1, -32768}, analog: [2]int32{-2, 1 << 30}, wide: 1<<32 - 1, n: 1 << 40, clock: ^uint64(0),
+		last: []byte{1, 2, 3}, bank: [4]byte{9, 8, 7, 6},
+		table:   map[string][]byte{"b": {2}, "a": nil, "c": {3, 3}},
+		classes: map[uint8]uint8{200: 1, 3: 2},
+		lists:   map[string][]string{"x": {"m1", "m2"}, "e": nil},
+	}
+	var w Writer
+	SnapshotFields(&w, orig.fields())
+
+	var want Writer
+	want.Bool(true)
+	for _, b := range orig.flags {
+		want.Bool(b)
+	}
+	for _, v := range []uint64{255, 65535, 0xffff, 0x8000, 0xfffffffe, 1 << 30, 1<<32 - 1, 1 << 40} {
+		want.Uvarint(v)
+	}
+	want.U64(^uint64(0))
+	want.Blob([]byte{1, 2, 3})
+	want.Blob([]byte{9, 8, 7, 6})
+	want.Int(3)
+	for _, k := range []string{"a", "b", "c"} {
+		want.String(k)
+		want.Blob(orig.table[k])
+	}
+	for _, v := range []uint64{2, 3, 2, 200, 1} {
+		want.Uvarint(v)
+	}
+	want.Int(2)
+	want.String("e")
+	want.Int(0)
+	want.String("x")
+	want.Int(2)
+	want.String("m1")
+	want.String("m2")
+	if !bytes.Equal(w.Data(), want.Data()) {
+		t.Fatalf("field list wrote\n %x\nwant the hand-written layout\n %x", w.Data(), want.Data())
+	}
+
+	got := &fieldState{}
+	if err := RestoreFields(NewReader(w.Data()), got.fields()); err != nil {
+		t.Fatal(err)
+	}
+	var again Writer
+	SnapshotFields(&again, got.fields())
+	if !bytes.Equal(again.Data(), w.Data()) {
+		t.Fatalf("restore → snapshot differs:\n %x\n %x", again.Data(), w.Data())
+	}
+	if got.signed != orig.signed || got.analog != orig.analog || got.classes[200] != 1 || len(got.lists["x"]) != 2 {
+		t.Fatalf("restored %+v, want %+v", got, orig)
+	}
+}
+
+// TestFieldsReject: what the typed fields refuse beyond the Reader's own
+// checks.
+func TestFieldsReject(t *testing.T) {
+	enc := func(f func(w *Writer)) []byte {
+		var w Writer
+		f(&w)
+		return w.Data()
+	}
+	var (
+		b16   [1]int16
+		bank  [4]byte
+		table map[string][]byte
+	)
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		field Field
+		want  string
+	}{
+		{"word wider than its signed bank", enc(func(w *Writer) { w.Uvarint(1 << 16) }), Uints(b16[:]), "overflows 16 bits"},
+		{"fixed blob of the wrong size", enc(func(w *Writer) { w.Blob([]byte{1, 2, 3}) }), FixedBlob(bank[:]), "bank holds 4"},
+		{"map key repeats", enc(func(w *Writer) { w.Int(2); w.String("a"); w.Blob(nil); w.String("a"); w.Blob(nil) }), Map(&table, StringCodec, BlobCodec), "does not ascend"},
+		{"map keys out of order", enc(func(w *Writer) { w.Int(2); w.String("b"); w.Blob(nil); w.String("a"); w.Blob(nil) }), Map(&table, StringCodec, BlobCodec), "does not ascend"},
+		{"map count beyond input", enc(func(w *Writer) { w.Int(9) }), Map(&table, StringCodec, BlobCodec), "count 9 exceeds"},
+	} {
+		err := RestoreFields(NewReader(tc.data), []Field{tc.field})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if bank != [4]byte{} || table != nil {
+		t.Errorf("a refused restore wrote into its target: bank %v, table %v", bank, table)
+	}
 }

@@ -32,6 +32,9 @@ import (
 // rendered bytes are re-cracked against the (digest-pinned) models — so a
 // warm restart keeps its mutation bases instead of re-learning them.
 
+// edgeList is a counted list of 16-bit coverage-map indices.
+var edgeList = checkpoint.ListCodec(checkpoint.WordCodec[uint16]())
+
 // Section IDs of the fleet checkpoint envelope, in the order Seal emits
 // them: one meta section, the three shared-state sections, then one worker
 // section per worker engine in worker order.
@@ -238,10 +241,7 @@ func (e *Engine) snapshot(w *checkpoint.Writer) {
 		for i := range q {
 			w.Blob(q[i].ins.Bytes())
 			w.Int(q[i].depth)
-			w.Int(len(q[i].edges))
-			for _, ed := range q[i].edges {
-				w.Int(int(ed))
-			}
+			edgeList.Put(w, q[i].edges)
 			w.U64(q[i].score)
 		}
 	}
@@ -339,15 +339,7 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 		for j := 0; j < nv && r.Err() == nil; j++ {
 			data := r.Blob()
 			depth := r.Int()
-			ne := r.Count()
-			var edges []uint16
-			for k := 0; k < ne && r.Err() == nil; k++ {
-				ed := r.Int()
-				if r.Err() == nil && ed >= 1<<16 {
-					return fmt.Errorf("core: retained edge %d out of range", ed)
-				}
-				edges = append(edges, uint16(ed))
-			}
+			edges := edgeList.Get(r)
 			score := r.U64()
 			if r.Err() != nil || !known {
 				continue
@@ -439,10 +431,7 @@ func (s *scheduler) snapshot(w *checkpoint.Writer) {
 	w.Int(s.distills)
 	w.Int(len(s.contribs))
 	for _, c := range s.contribs {
-		w.Int(len(c.edges))
-		for _, e := range c.edges {
-			w.Int(int(e))
-		}
+		edgeList.Put(w, c.edges)
 		w.Int(len(c.puzzles))
 		for _, p := range c.puzzles {
 			w.String(p.sig)
@@ -500,15 +489,7 @@ func (s *scheduler) restore(r *checkpoint.Reader, nm, nmut int) error {
 	nc := r.Count()
 	s.contribs = nil
 	for i := 0; i < nc && r.Err() == nil; i++ {
-		var c contributor
-		ne := r.Count()
-		for j := 0; j < ne && r.Err() == nil; j++ {
-			e := r.Int()
-			if r.Err() == nil && e >= 1<<16 {
-				return fmt.Errorf("core: contributor edge %d out of range", e)
-			}
-			c.edges = append(c.edges, uint16(e))
-		}
+		c := contributor{edges: edgeList.Get(r)}
 		np := r.Count()
 		for j := 0; j < np && r.Err() == nil; j++ {
 			c.puzzles = append(c.puzzles, puzzleRef{sig: r.String(), data: r.Blob()})

@@ -3,6 +3,8 @@ package coverage
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/checkpoint"
 )
 
 // This file implements the campaign-bitmap delta codec used by the network
@@ -13,7 +15,8 @@ import (
 // only the differing words and brings the shadow up to date, so steady-state
 // sync windows ship a handful of words instead of the 64 KiB map.
 //
-// Wire format (all integers unsigned varints unless noted):
+// Wire format, written and read through the repo's one binary codec
+// (internal/checkpoint; all integers canonical uvarints unless noted):
 //
 //	count            number of word entries
 //	count × {
@@ -73,38 +76,25 @@ func AppendVirginDelta(dst []byte, cur, shadow *Virgin) []byte {
 // ApplyDelta ORs an AppendVirginDelta encoding into the accumulator,
 // maintaining the edge counter exactly as MergeVirgin would. It reports
 // whether any previously unseen (edge, bucket) state arrived, and rejects
-// malformed input (truncated entries, out-of-range or non-ascending
-// indices, trailing bytes) without partial effects being rolled back —
+// malformed input (truncated entries, a count larger than the bytes that
+// follow, out-of-range or non-ascending indices, trailing bytes) without
+// partial effects being rolled back —
 // callers treat an error as a broken peer and drop the connection.
 func (v *Virgin) ApplyDelta(frame []byte) (changed bool, err error) {
-	count, n := binary.Uvarint(frame)
-	if n <= 0 {
-		return false, fmt.Errorf("coverage: delta header: truncated varint")
-	}
-	pos := n
-	wi := -1
-	for k := uint64(0); k < count; k++ {
-		gap, n := binary.Uvarint(frame[pos:])
-		if n <= 0 {
-			return changed, fmt.Errorf("coverage: delta entry %d: truncated gap", k)
+	r := checkpoint.NewReader(frame)
+	wi := 0
+	for k, count := 0, r.Count(); k < count; k++ {
+		gap, w := r.Int(), r.U64()
+		if r.Err() != nil {
+			break
 		}
-		pos += n
-		if k == 0 {
-			wi = int(gap)
-		} else {
-			if gap == 0 {
-				return changed, fmt.Errorf("coverage: delta entry %d: non-ascending index", k)
-			}
-			wi += int(gap)
+		if k > 0 && gap == 0 {
+			return changed, fmt.Errorf("coverage: delta entry %d: non-ascending index", k)
 		}
-		if wi >= virginWords {
-			return changed, fmt.Errorf("coverage: delta entry %d: word index %d out of range", k, wi)
+		if gap >= virginWords-wi {
+			return changed, fmt.Errorf("coverage: delta entry %d: word index out of range", k)
 		}
-		if pos+8 > len(frame) {
-			return changed, fmt.Errorf("coverage: delta entry %d: truncated word", k)
-		}
-		w := binary.LittleEndian.Uint64(frame[pos : pos+8])
-		pos += 8
+		wi += gap
 		i := wi * 8
 		vw := binary.LittleEndian.Uint64(v.seen[i : i+8])
 		novel := w &^ vw
@@ -119,8 +109,8 @@ func (v *Virgin) ApplyDelta(frame []byte) (changed bool, err error) {
 		}
 		binary.LittleEndian.PutUint64(v.seen[i:i+8], vw|novel)
 	}
-	if pos != len(frame) {
-		return changed, fmt.Errorf("coverage: delta: %d trailing bytes", len(frame)-pos)
+	if err := r.Finish(); err != nil {
+		return changed, fmt.Errorf("coverage: delta: %w", err)
 	}
 	return changed, nil
 }

@@ -162,3 +162,37 @@ func BenchmarkAppendVirginDelta(b *testing.B) {
 		buf = AppendVirginDelta(buf[:0], cur, shadow)
 	}
 }
+
+// FuzzVirginDelta pins ApplyDelta's contract over arbitrary bytes: an error
+// or a union, never a panic (a gap of 2^64-1 must not wrap the word index
+// to -1) and nothing allocated from a declared count; an accepted delta
+// is idempotent, and the state it built re-encodes to a delta that builds
+// the same state.
+func FuzzVirginDelta(f *testing.F) {
+	good := AppendVirginDelta(nil, randomVirgin(rand.New(rand.NewSource(8)), 3), NewVirgin())
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{0x80, 0x00})                                                                            // non-minimal count
+	f.Add([]byte{0xff, 0xff, 0x03, 1, 1, 2, 3, 4, 5, 6, 7, 8})                                           // count beyond the input
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 0, 0, 0, 0, 0, 0, 0}) // gap 2^64-1
+	f.Add([]byte{2, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0x3f, 1, 0, 0, 0, 0, 0, 0, 0})                      // second index out of range
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := NewVirgin()
+		if _, err := v.ApplyDelta(data); err != nil {
+			return
+		}
+		edges := v.Edges()
+		if changed, err := v.ApplyDelta(data); err != nil || changed || v.Edges() != edges {
+			t.Fatalf("re-applying an accepted delta: changed=%v err=%v edges %d -> %d", changed, err, edges, v.Edges())
+		}
+		again := NewVirgin()
+		if _, err := again.ApplyDelta(AppendVirginDelta(nil, v, NewVirgin())); err != nil {
+			t.Fatalf("re-encoded delta rejected: %v", err)
+		}
+		if again.seen != v.seen || again.Edges() != edges {
+			t.Fatal("re-encoded delta builds a different state")
+		}
+	})
+}

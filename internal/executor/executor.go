@@ -67,9 +67,9 @@ type SessionExecutor interface {
 // StateCheckpointer is the optional interface of executors whose backend
 // holds durable target state a campaign checkpoint can capture — the
 // target layer of the checkpoint seam. The in-process backend implements
-// it by delegating to the target (sandbox.StateCheckpointer); the process
-// backend does not: a real target's memory cannot be serialized, so a
-// warm-restarted process campaign resumes against a freshly started
+// it by walking the target's field list (sandbox.StateCheckpointer); the
+// process backend does not: a real target's memory cannot be serialized,
+// so a warm-restarted process campaign resumes against a freshly started
 // target, exactly as it would after any supervised restart.
 type StateCheckpointer interface {
 	// SnapshotState writes the backend's target state, reporting whether
@@ -124,7 +124,7 @@ func (x *InProc) SnapshotState(w *checkpoint.Writer) bool {
 	if !ok {
 		return false
 	}
-	t.SnapshotState(w)
+	checkpoint.SnapshotFields(w, t.StateFields())
 	return true
 }
 
@@ -137,7 +137,7 @@ func (x *InProc) RestoreState(r *checkpoint.Reader) error {
 	if !ok {
 		return errors.New("executor: checkpoint carries target state but the target cannot restore it")
 	}
-	return t.RestoreState(r)
+	return checkpoint.RestoreFields(r, t.StateFields())
 }
 
 // BeginSession asks the target to reset its per-session state, when it

@@ -264,10 +264,11 @@ func TestHandshakeRejectsMismatchedCampaigns(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiationRule pins the min-of-maxima rule.
+// TestVersionNegotiationRule pins the one-version rule: refuse below ours,
+// cap at ours.
 func TestVersionNegotiationRule(t *testing.T) {
-	if _, err := negotiate(0); err == nil {
-		t.Fatal("protocol 0 must be refused")
+	if _, err := negotiate(ProtocolVersion - 1); err == nil {
+		t.Fatal("the previous protocol version must be refused")
 	}
 	if v, err := negotiate(ProtocolVersion); err != nil || v != ProtocolVersion {
 		t.Fatalf("negotiate(current) = %d, %v", v, err)

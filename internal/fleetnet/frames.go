@@ -1,15 +1,19 @@
 package fleetnet
 
 import (
+	"fmt"
+
+	"repro/internal/checkpoint"
 	"repro/internal/corpus"
 	"repro/internal/crash"
 	"repro/internal/mem"
 )
 
 // This file defines the typed view of each frame payload and its
-// encode/decode pair. Decoded blobs alias the frame buffer (one allocation
-// per frame); everything downstream either copies on store (crash bank) or
-// treats puzzle data as immutable (corpus), matching in-process semantics.
+// encode/decode pair over the repo's one binary codec (internal/checkpoint):
+// canonical varints, counts and lengths bounded by the bytes actually
+// received, width-checked integers, trailing bytes refused. Decoded strings
+// and blobs are copied out of the frame buffer.
 
 // helloFrame opens a session (dialer → acceptor).
 type helloFrame struct {
@@ -22,46 +26,41 @@ type helloFrame struct {
 	// disconnect. Zero for a fresh peer. The acceptor seeds its journal
 	// registration from it at handshake time, so compaction is pinned
 	// correctly from the moment a resuming peer connects.
-	resumeCursor uint64
-	// Peer exchange (protocol v2): the address other nodes can dial this
-	// node at ("" for a plain leaf with no accept loop) and the mesh peer
-	// addresses it knows, so one seed address bootstraps a whole mesh.
+	resumeCursor int
+	// Peer exchange: the address other nodes can dial this node at ("" for
+	// a plain leaf with no accept loop) and the mesh peer addresses it
+	// knows, so one seed address bootstraps a whole mesh.
 	advertise string
 	peers     []string
 }
 
-func (f *helloFrame) encode(dst []byte) []byte {
-	dst = append(dst, magic...)
-	dst = appendUvarint(dst, f.version)
-	dst = appendString(dst, f.nodeID)
-	dst = appendString(dst, f.target)
-	dst = appendU64(dst, f.digest)
-	dst = appendUvarint(dst, f.resumeCursor)
-	dst = appendString(dst, f.advertise)
-	return appendAddrs(dst, f.peers)
+func (f *helloFrame) encode() []byte {
+	var w checkpoint.Writer
+	w.Uvarint(f.version)
+	w.String(f.nodeID)
+	w.String(f.target)
+	w.U64(f.digest)
+	w.Int(f.resumeCursor)
+	w.String(f.advertise)
+	addrList.Put(&w, f.peers)
+	return append([]byte(magic), w.Data()...)
 }
 
 func decodeHello(payload []byte) (*helloFrame, error) {
-	r := &wireReader{buf: payload}
 	if len(payload) < len(magic) || string(payload[:len(magic)]) != magic {
-		r.fail("bad magic (not a fleetnet client)")
-		return nil, r.err
+		return nil, fmt.Errorf("fleetnet: bad magic (not a fleetnet client)")
 	}
-	r.pos = len(magic)
+	r := checkpoint.NewReader(payload[len(magic):])
 	f := &helloFrame{
-		version:      r.uvarint(),
-		nodeID:       r.str(),
-		target:       r.str(),
-		digest:       r.u64(),
-		resumeCursor: r.uvarint(),
+		version:      r.Uvarint(),
+		nodeID:       r.String(),
+		target:       r.String(),
+		digest:       r.U64(),
+		resumeCursor: r.Int(),
+		advertise:    r.String(),
+		peers:        readAddrs(r),
 	}
-	// The peer-exchange tail was added in protocol v2; tolerate its absence
-	// so a v1-shaped frame still decodes into an empty peer set.
-	if r.err == nil && r.pos < len(r.buf) {
-		f.advertise = r.str()
-		f.peers = readAddrs(r)
-	}
-	return f, r.done()
+	return f, r.Finish()
 }
 
 // helloAckFrame accepts a session (acceptor → dialer).
@@ -69,156 +68,112 @@ type helloAckFrame struct {
 	version uint64 // negotiated session version
 	digest  uint64 // acceptor's model digest, echoed for symmetric diagnostics
 	hubID   string
-	// peers is the acceptor's known mesh peer set (protocol v2) — how a
-	// node that bootstrapped from one address learns the rest of the mesh.
+	// peers is the acceptor's known mesh peer set — how a node that
+	// bootstrapped from one address learns the rest of the mesh.
 	peers []string
 }
 
-func (f *helloAckFrame) encode(dst []byte) []byte {
-	dst = appendUvarint(dst, f.version)
-	dst = appendU64(dst, f.digest)
-	dst = appendString(dst, f.hubID)
-	return appendAddrs(dst, f.peers)
+func (f *helloAckFrame) encode() []byte {
+	var w checkpoint.Writer
+	w.Uvarint(f.version)
+	w.U64(f.digest)
+	w.String(f.hubID)
+	addrList.Put(&w, f.peers)
+	return w.Data()
 }
 
 func decodeHelloAck(payload []byte) (*helloAckFrame, error) {
-	r := &wireReader{buf: payload}
-	f := &helloAckFrame{version: r.uvarint(), digest: r.u64(), hubID: r.str()}
-	if r.err == nil && r.pos < len(r.buf) {
-		f.peers = readAddrs(r)
-	}
-	return f, r.done()
-}
-
-// appendAddrs / readAddrs encode the peer-address lists of the v2 peer
-// exchange.
-func appendAddrs(dst []byte, addrs []string) []byte {
-	dst = appendUvarint(dst, uint64(len(addrs)))
-	for _, a := range addrs {
-		dst = appendString(dst, a)
-	}
-	return dst
+	r := checkpoint.NewReader(payload)
+	f := &helloAckFrame{version: r.Uvarint(), digest: r.U64(), hubID: r.String(), peers: readAddrs(r)}
+	return f, r.Finish()
 }
 
 // maxPeerAddrs bounds a peer-exchange list; any sane mesh is orders of
 // magnitude smaller, so a bigger count means a corrupt frame.
 const maxPeerAddrs = 1024
 
-func readAddrs(r *wireReader) []string {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
+// addrList writes the peer-address lists of the peer exchange; readAddrs
+// reads them, refusing an implausible count before reading any entry.
+var addrList = checkpoint.ListCodec(checkpoint.StringCodec)
+
+func readAddrs(r *checkpoint.Reader) (addrs []string) {
+	n := r.Count()
 	if n > maxPeerAddrs {
-		r.fail("implausible peer count %d", n)
-		return nil
+		r.Fail(fmt.Errorf("fleetnet: implausible peer count %d", n))
 	}
-	addrs := make([]string, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		addrs = append(addrs, r.str())
+	for len(addrs) < n && r.Err() == nil {
+		addrs = append(addrs, r.String())
 	}
 	return addrs
 }
 
-// appendPuzzles / readPuzzles encode the corpus delta shared by both sync
-// directions.
-func appendPuzzles(dst []byte, ps []corpus.Puzzle) []byte {
-	dst = appendUvarint(dst, uint64(len(ps)))
-	for _, p := range ps {
-		dst = appendString(dst, p.Signature)
-		dst = appendString(dst, p.Model)
-		dst = appendBlob(dst, p.Data)
-	}
-	return dst
-}
+// puzzleList is the corpus delta shared by both sync directions.
+var puzzleList = checkpoint.ListCodec(checkpoint.Codec[corpus.Puzzle]{
+	Put: func(w *checkpoint.Writer, p corpus.Puzzle) {
+		w.String(p.Signature)
+		w.String(p.Model)
+		w.Blob(p.Data)
+	},
+	Get: func(r *checkpoint.Reader) corpus.Puzzle {
+		return corpus.Puzzle{Signature: r.String(), Model: r.String(), Data: r.Blob()}
+	},
+})
 
-func readPuzzles(r *wireReader) []corpus.Puzzle {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxFrame/4 { // each puzzle costs ≥ 3 length bytes on the wire
-		r.fail("implausible puzzle count %d", n)
-		return nil
-	}
-	ps := make([]corpus.Puzzle, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		ps = append(ps, corpus.Puzzle{
-			Signature: r.str(),
-			Model:     r.str(),
-			Data:      r.blob(),
-		})
-	}
-	return ps
-}
-
-// appendCrashes / readCrashes encode the crash-record delta shared by both
-// sync directions.
-func appendCrashes(dst []byte, rs []*crash.Record) []byte {
-	dst = appendUvarint(dst, uint64(len(rs)))
-	for _, rec := range rs {
-		dst = appendString(dst, string(rec.Kind))
-		dst = appendString(dst, rec.Site)
-		dst = appendBlob(dst, rec.Example)
-		dst = appendUvarint(dst, uint64(rec.Count))
-		dst = appendUvarint(dst, uint64(rec.FirstExec))
-		dst = appendU64(dst, rec.PathSig)
-	}
-	return dst
-}
-
-func readCrashes(r *wireReader) []*crash.Record {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxFrame/8 {
-		r.fail("implausible crash count %d", n)
-		return nil
-	}
-	rs := make([]*crash.Record, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		rs = append(rs, &crash.Record{
-			Kind:      mem.FaultKind(r.str()),
-			Site:      r.str(),
-			Example:   r.blob(),
-			Count:     int(r.uvarint()),
-			FirstExec: int(r.uvarint()),
-			PathSig:   r.u64(),
-		})
-	}
-	return rs
-}
+// crashList is the crash-record delta shared by both sync directions.
+// Counts are read with Int: a peer-supplied count of 2^63 or more is a
+// malformed frame, never a negative number in the shared bank.
+var crashList = checkpoint.ListCodec(checkpoint.Codec[*crash.Record]{
+	Put: func(w *checkpoint.Writer, rec *crash.Record) {
+		w.String(string(rec.Kind))
+		w.String(rec.Site)
+		w.Blob(rec.Example)
+		w.Int(rec.Count)
+		w.Int(rec.FirstExec)
+		w.U64(rec.PathSig)
+	},
+	Get: func(r *checkpoint.Reader) *crash.Record {
+		return &crash.Record{
+			Kind:      mem.FaultKind(r.String()),
+			Site:      r.String(),
+			Example:   r.Blob(),
+			Count:     r.Int(),
+			FirstExec: r.Int(),
+			PathSig:   r.U64(),
+		}
+	},
+})
 
 // syncFrame is one push (dialer → acceptor).
 type syncFrame struct {
 	execs, hangs uint64 // sender totals, absolute (idempotent under resend)
-	cursor       uint64 // where the receiver should read its own journal from
+	cursor       int    // where the receiver should read its own journal from
 	virginDelta  []byte
 	puzzles      []corpus.Puzzle
 	crashes      []*crash.Record
 }
 
-func (f *syncFrame) encode(dst []byte) []byte {
-	dst = appendUvarint(dst, f.execs)
-	dst = appendUvarint(dst, f.hangs)
-	dst = appendUvarint(dst, f.cursor)
-	dst = appendBlob(dst, f.virginDelta)
-	dst = appendPuzzles(dst, f.puzzles)
-	return appendCrashes(dst, f.crashes)
+func (f *syncFrame) encode() []byte {
+	var w checkpoint.Writer
+	w.Uvarint(f.execs)
+	w.Uvarint(f.hangs)
+	w.Int(f.cursor)
+	w.Blob(f.virginDelta)
+	puzzleList.Put(&w, f.puzzles)
+	crashList.Put(&w, f.crashes)
+	return w.Data()
 }
 
 func decodeSync(payload []byte) (*syncFrame, error) {
-	r := &wireReader{buf: payload}
+	r := checkpoint.NewReader(payload)
 	f := &syncFrame{
-		execs:       r.uvarint(),
-		hangs:       r.uvarint(),
-		cursor:      r.uvarint(),
-		virginDelta: r.blob(),
-		puzzles:     readPuzzles(r),
-		crashes:     readCrashes(r),
+		execs:       r.Uvarint(),
+		hangs:       r.Uvarint(),
+		cursor:      r.Int(),
+		virginDelta: r.Blob(),
+		puzzles:     puzzleList.Get(r),
+		crashes:     crashList.Get(r),
 	}
-	return f, r.done()
+	return f, r.Finish()
 }
 
 // syncAckFrame is the acceptor's reply to one sync.
@@ -226,7 +181,7 @@ type syncAckFrame struct {
 	virginDelta []byte
 	puzzles     []corpus.Puzzle
 	crashes     []*crash.Record
-	newCursor   uint64 // the dialer's next cursor into the acceptor's journal
+	newCursor   int // the dialer's next cursor into the acceptor's journal
 	// Fleet-wide figures for dialer-side progress display: total remote
 	// executions the acceptor has heard of (its own workers included when
 	// it runs a fleet), distinct edges in its union map, and the number of
@@ -234,26 +189,41 @@ type syncAckFrame struct {
 	fleetExecs, fleetEdges, leaves uint64
 }
 
-func (f *syncAckFrame) encode(dst []byte) []byte {
-	dst = appendBlob(dst, f.virginDelta)
-	dst = appendPuzzles(dst, f.puzzles)
-	dst = appendCrashes(dst, f.crashes)
-	dst = appendUvarint(dst, f.newCursor)
-	dst = appendUvarint(dst, f.fleetExecs)
-	dst = appendUvarint(dst, f.fleetEdges)
-	return appendUvarint(dst, f.leaves)
+func (f *syncAckFrame) encode() []byte {
+	var w checkpoint.Writer
+	w.Blob(f.virginDelta)
+	puzzleList.Put(&w, f.puzzles)
+	crashList.Put(&w, f.crashes)
+	w.Int(f.newCursor)
+	w.Uvarint(f.fleetExecs)
+	w.Uvarint(f.fleetEdges)
+	w.Uvarint(f.leaves)
+	return w.Data()
 }
 
 func decodeSyncAck(payload []byte) (*syncAckFrame, error) {
-	r := &wireReader{buf: payload}
+	r := checkpoint.NewReader(payload)
 	f := &syncAckFrame{
-		virginDelta: r.blob(),
-		puzzles:     readPuzzles(r),
-		crashes:     readCrashes(r),
-		newCursor:   r.uvarint(),
-		fleetExecs:  r.uvarint(),
-		fleetEdges:  r.uvarint(),
-		leaves:      r.uvarint(),
+		virginDelta: r.Blob(),
+		puzzles:     puzzleList.Get(r),
+		crashes:     crashList.Get(r),
+		newCursor:   r.Int(),
+		fleetExecs:  r.Uvarint(),
+		fleetEdges:  r.Uvarint(),
+		leaves:      r.Uvarint(),
 	}
-	return f, r.done()
+	return f, r.Finish()
+}
+
+// errorFrame encodes an error frame's payload: the human-readable reason.
+func errorFrame(msg string) []byte {
+	var w checkpoint.Writer
+	w.String(msg)
+	return w.Data()
+}
+
+// decodeError returns the reason an error frame carries ("" when the frame
+// itself is malformed).
+func decodeError(payload []byte) string {
+	return checkpoint.NewReader(payload).String()
 }

@@ -309,7 +309,7 @@ func (p *connPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashe
 	req, ack, s := p.req, p.ack, p.session
 	// The dialer owns its cursor into our journal — it survives its own
 	// session resets where our copy would not — so honor the one it sent.
-	s.localCursor = int(req.cursor)
+	s.localCursor = req.cursor
 	ack.virginDelta, ack.puzzles = s.sendDelta(virgin, corp)
 	// Absorbing the push advances localCursor over the entries it
 	// journaled (nothing else can append inside this locked window), so
@@ -318,7 +318,7 @@ func (p *connPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashe
 		return err
 	}
 	ack.crashes = s.crashDelta(crashes.Records())
-	ack.newCursor = uint64(s.localCursor)
+	ack.newCursor = s.localCursor
 	corp.CompactJournal()
 	ack.fleetEdges = uint64(virgin.Edges())
 	return nil
@@ -368,8 +368,7 @@ func (h *Hub) handle(conn net.Conn) {
 		switch typ {
 		case frameSync:
 		case frameError:
-			r := &wireReader{buf: payload}
-			h.cfg.Logf("fleetnet hub: peer %q sent error: %s", peer.nodeID, r.str())
+			h.cfg.Logf("fleetnet hub: peer %q sent error: %s", peer.nodeID, decodeError(payload))
 			return
 		default:
 			sendError(conn, "unexpected frame type %d mid-session", typ)
@@ -391,7 +390,7 @@ func (h *Hub) handle(conn net.Conn) {
 		peer.ack.fleetExecs = uint64(h.fleetExecs())
 		_, _, connected := h.RemoteStats()
 		peer.ack.leaves = uint64(connected)
-		if err := writeFrame(conn, frameSyncAck, peer.ack.encode(nil)); err != nil {
+		if err := writeFrame(conn, frameSyncAck, peer.ack.encode()); err != nil {
 			h.cfg.Logf("fleetnet hub: peer %q: %v", peer.nodeID, err)
 			return
 		}
@@ -447,7 +446,7 @@ func (h *Hub) handshake(conn net.Conn, peer *connPeer) error {
 	// ack releases the dialer: a resuming peer's tail is pinned against
 	// compaction from the moment it connects, not from its first sync.
 	h.cfg.State.Exchange(core.ExchangeFunc(func(_ *coverage.Virgin, corp *corpus.Corpus, _ *crash.Bank) error {
-		peer.session.register(corp, int(hello.resumeCursor))
+		peer.session.register(corp, hello.resumeCursor)
 		return nil
 	}))
 	if h.cfg.LearnPeer != nil {
@@ -462,7 +461,7 @@ func (h *Hub) handshake(conn net.Conn, peer *connPeer) error {
 	if h.cfg.KnownPeers != nil {
 		ack.peers = h.cfg.KnownPeers()
 	}
-	return writeFrame(conn, frameHelloAck, ack.encode(nil))
+	return writeFrame(conn, frameHelloAck, ack.encode())
 }
 
 // noteLeaf records a peer's absolute progress figures.

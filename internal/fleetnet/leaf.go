@@ -173,7 +173,7 @@ func (l *Leaf) SyncContext(ctx context.Context) error {
 func (l *Leaf) buildPush() *syncFrame {
 	req := &syncFrame{
 		execs:  uint64(l.cfg.Fleet.Execs()),
-		cursor: uint64(l.session.remoteCursor),
+		cursor: l.session.remoteCursor,
 	}
 	bank := l.cfg.Fleet.Crashes()
 	req.hangs = uint64(bank.Hangs())
@@ -200,7 +200,7 @@ func (l *Leaf) roundTrip(ctx context.Context, req *syncFrame) (*syncAckFrame, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	push := req.encode(nil)
+	push := req.encode()
 	l.txBytes += len(push) + 5 // frame header + type byte
 	if err := writeFrame(l.conn, frameSync, push); err != nil {
 		return nil, fmt.Errorf("fleetnet: push to %s: %w", l.cfg.Addr, err)
@@ -211,8 +211,7 @@ func (l *Leaf) roundTrip(ctx context.Context, req *syncFrame) (*syncAckFrame, er
 	}
 	l.rxBytes += len(payload) + 5
 	if typ == frameError {
-		r := &wireReader{buf: payload}
-		return nil, fmt.Errorf("fleetnet: peer rejected sync: %s", r.str())
+		return nil, fmt.Errorf("fleetnet: peer rejected sync: %s", decodeError(payload))
 	}
 	if typ != frameSyncAck {
 		return nil, fmt.Errorf("fleetnet: expected syncAck, got frame type %d", typ)
@@ -229,7 +228,7 @@ func (l *Leaf) applyAck(ack *syncAckFrame) error {
 	if err != nil {
 		return err
 	}
-	l.session.remoteCursor = int(ack.newCursor)
+	l.session.remoteCursor = ack.newCursor
 	return nil
 }
 
@@ -248,7 +247,7 @@ func (l *Leaf) dial(ctx context.Context) error {
 		nodeID:       l.cfg.NodeID,
 		target:       l.cfg.Target,
 		digest:       l.digest,
-		resumeCursor: uint64(l.session.remoteCursor),
+		resumeCursor: l.session.remoteCursor,
 		advertise:    l.cfg.Advertise,
 	}
 	if l.cfg.KnownPeers != nil {
@@ -261,7 +260,7 @@ func (l *Leaf) dial(ctx context.Context) error {
 		conn.Close()
 		return err
 	}
-	if err := writeFrame(conn, frameHello, hello.encode(nil)); err != nil {
+	if err := writeFrame(conn, frameHello, hello.encode()); err != nil {
 		conn.Close()
 		return fmt.Errorf("fleetnet: send hello: %w", err)
 	}
@@ -271,10 +270,8 @@ func (l *Leaf) dial(ctx context.Context) error {
 		return fmt.Errorf("fleetnet: read hello reply: %w", err)
 	}
 	if typ == frameError {
-		r := &wireReader{buf: payload}
-		msg := r.str()
 		conn.Close()
-		return fmt.Errorf("fleetnet: peer refused connection: %s", msg)
+		return fmt.Errorf("fleetnet: peer refused connection: %s", decodeError(payload))
 	}
 	if typ != frameHelloAck {
 		conn.Close()
@@ -285,10 +282,9 @@ func (l *Leaf) dial(ctx context.Context) error {
 		conn.Close()
 		return err
 	}
-	if ack.version < MinProtocolVersion || ack.version > ProtocolVersion {
+	if ack.version != ProtocolVersion {
 		conn.Close()
-		return fmt.Errorf("fleetnet: peer negotiated unsupported protocol %d (this build speaks %d..%d)",
-			ack.version, MinProtocolVersion, ProtocolVersion)
+		return fmt.Errorf("fleetnet: peer negotiated protocol %d, this build speaks %d", ack.version, ProtocolVersion)
 	}
 	if l.cfg.LearnPeer != nil {
 		for _, a := range ack.peers {

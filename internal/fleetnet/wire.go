@@ -22,9 +22,10 @@
 // # Wire protocol
 //
 // Every frame is length-prefixed: a 4-byte big-endian payload length, one
-// type byte, then the payload. Integers inside payloads are unsigned
-// varints unless noted; byte strings are a uvarint length followed by the
-// bytes. The session is strictly request/response, dialer-driven:
+// type byte, then the payload. Payloads are written and read by the repo's
+// one binary codec (internal/checkpoint): canonical uvarints, uvarint-length
+// byte strings, counts bounded by the bytes received, trailing bytes
+// refused. The session is strictly request/response, dialer-driven:
 //
 //	dialer → acceptor   hello      magic, version, node id, target, model
 //	                               digest, resume cursor into the
@@ -42,16 +43,12 @@
 //
 // # Version negotiation
 //
-// A dialer sends the highest protocol version it speaks; the acceptor
-// answers with min(its own highest, the dialer's). Both sides then require
-// the negotiated version to be at least their own minimum supported
-// version — otherwise they send an error frame and close. Version 2 added
-// the peer-exchange fields to hello/helloAck; version 3 added session
-// sequences to the corpus delta (as opaque puzzles — no layout change).
-// This build speaks version 3 and accepts version 2, so a v1 peer is
-// refused with a clear error rather than misdecoding frames, while a v2
-// peer interoperates fully (sequence entries are opaque to it and relay
-// losslessly).
+// This build speaks exactly one protocol version (ProtocolVersion). A
+// dialer advertises the highest version it speaks; the acceptor refuses
+// anything below its own with an error frame and otherwise answers with
+// its own, and the dialer requires that answer to be the version it
+// speaks. An older peer is therefore refused with a clear error rather
+// than misdecoding frames, and a future one is served at this version.
 //
 // # Determinism
 //
@@ -73,25 +70,12 @@ import (
 	"io"
 )
 
-// Protocol version bounds spoken by this build. See the package comment
-// for the negotiation rule.
-const (
-	// ProtocolVersion is the highest protocol version this build speaks.
-	// v2 added the peer-exchange fields to hello/helloAck. v3 declares
-	// session-sequence corpus entries (reserved "seq\x00" signature
-	// namespace, versioned session-codec Data): sequences ride the
-	// generic puzzle delta with no frame-layout change, so the bump is a
-	// capability advertisement, not a wire change.
-	ProtocolVersion = 3
-	// MinProtocolVersion is the lowest peer version this build accepts.
-	// v1 peers are refused: their hello/helloAck layouts lack the v2
-	// peer-exchange tail, and a session negotiated below a build's wire
-	// layout would misdecode frames. v2 peers remain accepted — the v3
-	// sequence entries are ordinary puzzles to them, stored and relayed
-	// losslessly (signature, model and data are opaque on the wire), so a
-	// mixed-version fleet still converges to the union of all work.
-	MinProtocolVersion = 2
-)
+// ProtocolVersion is the one protocol version this build speaks; see the
+// package comment for the negotiation rule. (v2 added the peer-exchange
+// fields to hello/helloAck; v3 declared session-sequence corpus entries —
+// reserved "seq\x00" signature namespace, versioned session-codec Data —
+// which ride the generic puzzle delta with no frame-layout change.)
+const ProtocolVersion = 3
 
 // magic opens every hello frame; it rejects accidental connections from
 // non-fleetnet clients before any allocation-heavy decoding.
@@ -141,117 +125,17 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return buf[0], buf[1:], nil
 }
 
-// appendUvarint appends v as an unsigned varint.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-// appendBlob appends a length-prefixed byte string.
-func appendBlob(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendU64 appends a fixed-width little-endian 64-bit value.
-func appendU64(dst []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(dst, tmp[:]...)
-}
-
-// wireReader decodes a frame payload with sticky error handling: after the
-// first malformed field every subsequent read returns zero values and the
-// error survives until checked by done.
-type wireReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("fleetnet: "+format, args...)
-	}
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *wireReader) blob() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.buf)-r.pos) < n {
-		r.fail("blob of %d bytes overruns frame at offset %d", n, r.pos)
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return b
-}
-
-func (r *wireReader) str() string { return string(r.blob()) }
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.pos < 8 {
-		r.fail("truncated u64 at offset %d", r.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos : r.pos+8])
-	r.pos += 8
-	return v
-}
-
-// done returns the sticky decode error, or an error if the payload has
-// undecoded trailing bytes.
-func (r *wireReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.pos != len(r.buf) {
-		return fmt.Errorf("fleetnet: %d trailing bytes in frame", len(r.buf)-r.pos)
-	}
-	return nil
-}
-
 // sendError best-effort ships an error frame before the sender closes the
 // connection, so the far side logs a reason instead of a bare EOF.
 func sendError(w io.Writer, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	writeFrame(w, frameError, appendString(nil, msg)) //nolint:errcheck — already tearing down
+	writeFrame(w, frameError, errorFrame(fmt.Sprintf(format, args...))) //nolint:errcheck — already tearing down
 }
 
 // negotiate applies the version rule from the package comment to a peer's
-// advertised version and returns the effective session version.
+// advertised version and returns the session version.
 func negotiate(peer uint64) (uint64, error) {
-	eff := peer
-	if eff > ProtocolVersion {
-		eff = ProtocolVersion
+	if peer < ProtocolVersion {
+		return 0, fmt.Errorf("fleetnet: peer speaks protocol %d, this build needs %d", peer, ProtocolVersion)
 	}
-	if eff < MinProtocolVersion {
-		return 0, fmt.Errorf("fleetnet: peer speaks protocol %d, this build needs %d..%d",
-			peer, MinProtocolVersion, ProtocolVersion)
-	}
-	return eff, nil
+	return ProtocolVersion, nil
 }

@@ -1,77 +1,35 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/checkpoint"
-)
+import "repro/internal/checkpoint"
 
 // This file is the simulated heap's side of the campaign-checkpoint seam.
 // A target's heap is long-lived state: allocation layout, freed flags, and
 // stored bytes decide which seeded faults (use-after-free, double-free,
 // overflow into red zones) an execution can reach, so a warm-restarted
 // campaign must resume against the same heap wear the interrupted one had
-// accumulated. Stored bytes are written in ascending address order so the
-// encoding is canonical.
+// accumulated.
 
-// Snapshot writes the heap's full state through the checkpoint codec.
-func (h *Heap) Snapshot(w *checkpoint.Writer) {
-	w.Uvarint(uint64(h.next))
-	w.Int(len(h.chunks))
-	for _, c := range h.chunks {
+var chunkCodec = checkpoint.Codec[chunk]{
+	Put: func(w *checkpoint.Writer, c chunk) {
 		w.Uvarint(uint64(c.base))
 		w.Uvarint(uint64(c.size))
 		w.Bool(c.freed)
-	}
-	addrs := make([]uint32, 0, len(h.bytes))
-	for a := range h.bytes {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w.Int(len(addrs))
-	for _, a := range addrs {
-		w.Uvarint(uint64(a))
-		w.Uvarint(uint64(h.bytes[a]))
+	},
+	Get: func(r *checkpoint.Reader) chunk {
+		return chunk{base: r.U32(), size: r.U32(), freed: r.Bool()}
+	},
+}
+
+func (h *Heap) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Uint(&h.next),
+		checkpoint.Value(&h.chunks, checkpoint.ListCodec(chunkCodec)),
+		checkpoint.Map(&h.bytes, checkpoint.WordCodec[uint32](), checkpoint.WordCodec[byte]()),
 	}
 }
 
+// Snapshot writes the heap's full state through the checkpoint codec.
+func (h *Heap) Snapshot(w *checkpoint.Writer) { checkpoint.SnapshotFields(w, h.fields()) }
+
 // Restore overwrites the heap with a Snapshot-produced dump.
-func (h *Heap) Restore(r *checkpoint.Reader) error {
-	h.Reset()
-	next := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if next > 1<<32-1 {
-		return fmt.Errorf("mem: heap cursor %#x out of range", next)
-	}
-	h.next = uint32(next)
-	nc := r.Count()
-	for i := 0; i < nc && r.Err() == nil; i++ {
-		base, size := r.Uvarint(), r.Uvarint()
-		freed := r.Bool()
-		if r.Err() != nil {
-			break
-		}
-		if base > 1<<32-1 || size > 1<<32-1 {
-			return fmt.Errorf("mem: chunk %d out of 32-bit range", i)
-		}
-		h.chunks = append(h.chunks, chunk{base: uint32(base), size: uint32(size), freed: freed})
-	}
-	nb := r.Count()
-	for i := 0; i < nb && r.Err() == nil; i++ {
-		addr, v := r.Uvarint(), r.Uvarint()
-		if r.Err() != nil {
-			break
-		}
-		if addr > 1<<32-1 || v > 0xff {
-			return fmt.Errorf("mem: stored byte %d out of range", i)
-		}
-		if h.bytes == nil {
-			h.bytes = make(map[uint32]byte)
-		}
-		h.bytes[uint32(addr)] = byte(v)
-	}
-	return r.Err()
-}
+func (h *Heap) Restore(r *checkpoint.Reader) error { return checkpoint.RestoreFields(r, h.fields()) }

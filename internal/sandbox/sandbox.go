@@ -93,12 +93,10 @@ type Target interface {
 // serialize — start fresh after a restore, which is the same contract a
 // real-target campaign has after any supervised restart.
 type StateCheckpointer interface {
-	// SnapshotState writes the target's durable state through the
-	// checkpoint codec.
-	SnapshotState(w *checkpoint.Writer)
-	// RestoreState overwrites the target's state with a
-	// SnapshotState-produced dump.
-	RestoreState(r *checkpoint.Reader) error
+	// StateFields lists the target's durable state once, in encoding
+	// order; each field both writes itself into a checkpoint and
+	// restores itself from one, so the two directions cannot drift.
+	StateFields() []checkpoint.Field
 }
 
 // Runner executes packets against one target instance with one tracer.

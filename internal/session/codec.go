@@ -3,6 +3,8 @@ package session
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/checkpoint"
 )
 
 // codecVersion is the sequence wire-format version. The version byte
@@ -31,23 +33,12 @@ func Encode(dst []byte, s Sequence) []byte {
 	return dst
 }
 
-// uvarint reads a minimally-encoded unsigned varint from data. It
-// rejects non-minimal encodings (0x80 0x00 for zero, and so on) so that
-// decoding is canonical: every accepted buffer re-encodes to itself,
-// which keeps corpus dedup by byte signature honest.
-func uvarint(data []byte) (uint64, int) {
-	v, used := binary.Uvarint(data)
-	if used > 1 && data[used-1] == 0 {
-		return 0, 0
-	}
-	return v, used
-}
-
-// Decode parses an Encode-produced buffer. Payload slices are copied out
-// of data, so the caller may recycle the input. Unknown versions,
-// truncated or oversized inputs, and non-minimal varint encodings (the
-// codec is canonical: Decode accepts exactly what Encode emits) return
-// an error.
+// Decode parses an Encode-produced buffer through the repo's one binary
+// codec (internal/checkpoint). Payload slices are copied out of data, so
+// the caller may recycle the input. Unknown versions, truncated or
+// oversized inputs, and non-minimal varint encodings (the codec is
+// canonical: Decode accepts exactly what Encode emits, which keeps corpus
+// dedup by byte signature honest) return an error.
 func Decode(data []byte) (Sequence, error) {
 	if len(data) == 0 {
 		return Sequence{}, fmt.Errorf("session: empty sequence encoding")
@@ -55,47 +46,21 @@ func Decode(data []byte) (Sequence, error) {
 	if data[0] != codecVersion {
 		return Sequence{}, fmt.Errorf("session: unknown sequence codec version %d", data[0])
 	}
-	data = data[1:]
-	n, used := uvarint(data)
-	if used <= 0 {
-		return Sequence{}, fmt.Errorf("session: bad step count")
-	}
+	r := checkpoint.NewReader(data[1:])
+	n := r.Count()
 	if n > maxDecodeSteps {
 		return Sequence{}, fmt.Errorf("session: step count %d exceeds limit", n)
 	}
-	data = data[used:]
 	steps := make([]Step, 0, n)
-	for i := uint64(0); i < n; i++ {
-		state, used := uvarint(data)
-		if used <= 0 {
-			return Sequence{}, fmt.Errorf("session: step %d: bad state", i)
-		}
-		data = data[used:]
-		action, used := uvarint(data)
-		if used <= 0 {
-			return Sequence{}, fmt.Errorf("session: step %d: bad action", i)
-		}
-		data = data[used:]
-		size, used := uvarint(data)
-		if used <= 0 {
-			return Sequence{}, fmt.Errorf("session: step %d: bad payload length", i)
-		}
-		data = data[used:]
-		if uint64(len(data)) < size {
-			return Sequence{}, fmt.Errorf("session: step %d: payload truncated", i)
-		}
-		if state > maxDecodeSteps || action > maxDecodeSteps {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		st := Step{State: r.Int(), Action: r.Int(), Data: r.Blob()}
+		if st.State > maxDecodeSteps || st.Action > maxDecodeSteps {
 			return Sequence{}, fmt.Errorf("session: step %d: index out of range", i)
 		}
-		steps = append(steps, Step{
-			State:  int(state),
-			Action: int(action),
-			Data:   append([]byte(nil), data[:size]...),
-		})
-		data = data[size:]
+		steps = append(steps, st)
 	}
-	if len(data) != 0 {
-		return Sequence{}, fmt.Errorf("session: %d trailing bytes after sequence", len(data))
+	if err := r.Finish(); err != nil {
+		return Sequence{}, fmt.Errorf("session: %w", err)
 	}
 	return Sequence{Steps: steps}, nil
 }

@@ -1,91 +1,20 @@
 package cs101
 
-import (
-	"fmt"
-	"math"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// This file is the IEC 60870-5-101 target's side of the campaign-checkpoint
-// seam (sandbox.StateCheckpointer): link state, the frame-count bit, the
-// point and value banks, and the extended-type banks. Signed values are
-// stored as their unsigned bit patterns.
-
-// SnapshotState implements sandbox.StateCheckpointer.
-func (s *Slave) SnapshotState(w *checkpoint.Writer) {
-	w.Bool(s.linkReset)
-	w.Bool(s.fcb)
-	for i := range s.points {
-		w.Bool(s.points[i])
+// StateFields implements sandbox.StateCheckpointer: link state, the
+// frame-count bit, the point and value banks, and the extended-type banks.
+func (s *Slave) StateFields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Bool(&s.linkReset),
+		checkpoint.Bool(&s.fcb),
+		checkpoint.Bools(s.points[:]),
+		checkpoint.Uints(s.scaled[:]),
+		checkpoint.Uints(s.setpoints[:]),
+		checkpoint.Uint(&s.lastCOT),
+		checkpoint.FixedBlob(s.bitext.doublePoints[:]),
+		checkpoint.Uints(s.bitext.normalized[:]),
+		checkpoint.Uints(s.bitext.bitstrings[:]),
+		checkpoint.Bools(s.bitext.paramsActive[:]),
 	}
-	for i := range s.scaled {
-		w.Uvarint(uint64(uint16(s.scaled[i])))
-	}
-	for i := range s.setpoints {
-		w.Uvarint(uint64(uint16(s.setpoints[i])))
-	}
-	w.Uvarint(uint64(s.lastCOT))
-	w.Blob(s.bitext.doublePoints[:])
-	for i := range s.bitext.normalized {
-		w.Uvarint(uint64(uint16(s.bitext.normalized[i])))
-	}
-	for i := range s.bitext.bitstrings {
-		w.Uvarint(uint64(s.bitext.bitstrings[i]))
-	}
-	for i := range s.bitext.paramsActive {
-		w.Bool(s.bitext.paramsActive[i])
-	}
-}
-
-// RestoreState implements sandbox.StateCheckpointer.
-func (s *Slave) RestoreState(r *checkpoint.Reader) error {
-	s.linkReset = r.Bool()
-	s.fcb = r.Bool()
-	for i := range s.points {
-		s.points[i] = r.Bool()
-	}
-	for i := range s.scaled {
-		s.scaled[i] = int16(readBits16(r, "scaled value"))
-	}
-	for i := range s.setpoints {
-		s.setpoints[i] = int16(readBits16(r, "setpoint"))
-	}
-	cot := r.Uvarint()
-	if r.Err() == nil && cot > 0xff {
-		return fmt.Errorf("cs101: cause of transmission %d out of range", cot)
-	}
-	s.lastCOT = byte(cot)
-	dp := r.Blob()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if len(dp) != len(s.bitext.doublePoints) {
-		return fmt.Errorf("cs101: %d double points, bank holds %d", len(dp), len(s.bitext.doublePoints))
-	}
-	copy(s.bitext.doublePoints[:], dp)
-	for i := range s.bitext.normalized {
-		s.bitext.normalized[i] = int16(readBits16(r, "normalized value"))
-	}
-	for i := range s.bitext.bitstrings {
-		b := r.Uvarint()
-		if r.Err() == nil && b > math.MaxUint32 {
-			return fmt.Errorf("cs101: bitstring %#x out of range", b)
-		}
-		s.bitext.bitstrings[i] = uint32(b)
-	}
-	for i := range s.bitext.paramsActive {
-		s.bitext.paramsActive[i] = r.Bool()
-	}
-	return r.Err()
-}
-
-// readBits16 reads one uvarint pinned to 16 bits of payload.
-func readBits16(r *checkpoint.Reader, what string) uint16 {
-	v := r.Uvarint()
-	if r.Err() == nil && v > 0xffff {
-		r.Fail(fmt.Errorf("cs101: %s %d out of range", what, v))
-		return 0
-	}
-	return uint16(v)
 }

@@ -1,135 +1,30 @@
 package dnp3
 
-import (
-	"fmt"
-	"math"
-	"sort"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// This file is the DNP3 target's side of the campaign-checkpoint seam
-// (sandbox.StateCheckpointer): transport and application sequence state,
-// the point banks, the select-before-operate latch, and the extended-type
-// state including the octet-string store and class assignments. Map-backed
-// banks are written in sorted key order so the encoding is canonical.
-
-// SnapshotState implements sandbox.StateCheckpointer.
-func (o *Outstation) SnapshotState(w *checkpoint.Writer) {
-	w.Uvarint(uint64(o.addr))
-	w.Uvarint(uint64(o.seq))
-	w.Uvarint(uint64(o.appSeq))
-	for i := range o.binaries {
-		w.Bool(o.binaries[i])
+// StateFields implements sandbox.StateCheckpointer: transport and
+// application sequence state, the point banks, the select-before-operate
+// latch, and the extended-type state including the octet-string store and
+// class assignments.
+func (o *Outstation) StateFields() []checkpoint.Field {
+	octet := checkpoint.WordCodec[byte]()
+	return []checkpoint.Field{
+		checkpoint.Uint(&o.addr),
+		checkpoint.Uint(&o.seq),
+		checkpoint.Uint(&o.appSeq),
+		checkpoint.Bools(o.binaries[:]),
+		checkpoint.Bools(o.outputs[:]),
+		checkpoint.Uints(o.counters[:]),
+		checkpoint.Uints(o.analogs[:]),
+		checkpoint.U64(&o.clock),
+		checkpoint.Bool(&o.selected),
+		checkpoint.Uint(&o.selectedIndex),
+		checkpoint.Uint(&o.selectedCode),
+		checkpoint.Bools(o.unsolEnabled[:]),
+		checkpoint.Int(&o.restarts),
+		checkpoint.Uints(o.ext.frozen[:]),
+		checkpoint.Map(&o.ext.octet, checkpoint.IntCodec, checkpoint.BlobCodec),
+		checkpoint.Bool(&o.ext.deviceRestart),
+		checkpoint.Map(&o.ext.classAssign, octet, octet),
 	}
-	for i := range o.outputs {
-		w.Bool(o.outputs[i])
-	}
-	for i := range o.counters {
-		w.Uvarint(uint64(o.counters[i]))
-	}
-	for i := range o.analogs {
-		w.Uvarint(uint64(uint32(o.analogs[i])))
-	}
-	w.U64(o.clock)
-	w.Bool(o.selected)
-	w.Uvarint(uint64(o.selectedIndex))
-	w.Uvarint(uint64(o.selectedCode))
-	for i := range o.unsolEnabled {
-		w.Bool(o.unsolEnabled[i])
-	}
-	w.Int(o.restarts)
-	for i := range o.ext.frozen {
-		w.Uvarint(uint64(o.ext.frozen[i]))
-	}
-	keys := make([]int, 0, len(o.ext.octet))
-	for k := range o.ext.octet {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.Int(k)
-		w.Blob(o.ext.octet[k])
-	}
-	w.Bool(o.ext.deviceRestart)
-	groups := make([]int, 0, len(o.ext.classAssign))
-	for g := range o.ext.classAssign {
-		groups = append(groups, int(g))
-	}
-	sort.Ints(groups)
-	w.Int(len(groups))
-	for _, g := range groups {
-		w.Uvarint(uint64(g))
-		w.Uvarint(uint64(o.ext.classAssign[byte(g)]))
-	}
-}
-
-// RestoreState implements sandbox.StateCheckpointer.
-func (o *Outstation) RestoreState(r *checkpoint.Reader) error {
-	o.addr = uint16(readBounded(r, 0xffff, "dnp3: address"))
-	o.seq = byte(readBounded(r, 0xff, "dnp3: transport sequence"))
-	o.appSeq = byte(readBounded(r, 0xff, "dnp3: application sequence"))
-	for i := range o.binaries {
-		o.binaries[i] = r.Bool()
-	}
-	for i := range o.outputs {
-		o.outputs[i] = r.Bool()
-	}
-	for i := range o.counters {
-		o.counters[i] = uint32(readBounded(r, math.MaxUint32, "dnp3: counter"))
-	}
-	for i := range o.analogs {
-		o.analogs[i] = int32(uint32(readBounded(r, math.MaxUint32, "dnp3: analog")))
-	}
-	o.clock = r.U64()
-	o.selected = r.Bool()
-	o.selectedIndex = byte(readBounded(r, 0xff, "dnp3: selected index"))
-	o.selectedCode = byte(readBounded(r, 0xff, "dnp3: selected code"))
-	for i := range o.unsolEnabled {
-		o.unsolEnabled[i] = r.Bool()
-	}
-	o.restarts = r.Int()
-	for i := range o.ext.frozen {
-		o.ext.frozen[i] = uint32(readBounded(r, math.MaxUint32, "dnp3: frozen counter"))
-	}
-	no := r.Count()
-	o.ext.octet = make(map[int][]byte, no)
-	for i := 0; i < no && r.Err() == nil; i++ {
-		k := r.Int()
-		v := r.Blob()
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := o.ext.octet[k]; dup {
-			return fmt.Errorf("dnp3: duplicate octet index %d", k)
-		}
-		o.ext.octet[k] = append([]byte(nil), v...)
-	}
-	o.ext.deviceRestart = r.Bool()
-	ng := r.Count()
-	o.ext.classAssign = make(map[byte]byte, ng)
-	for i := 0; i < ng && r.Err() == nil; i++ {
-		g := byte(readBounded(r, 0xff, "dnp3: class group"))
-		c := byte(readBounded(r, 0xff, "dnp3: class"))
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := o.ext.classAssign[g]; dup {
-			return fmt.Errorf("dnp3: duplicate class group %d", g)
-		}
-		o.ext.classAssign[g] = c
-	}
-	return r.Err()
-}
-
-// readBounded reads one uvarint pinned to max, failing the reader on
-// overflow.
-func readBounded(r *checkpoint.Reader, max uint64, what string) uint64 {
-	v := r.Uvarint()
-	if r.Err() == nil && v > max {
-		r.Fail(fmt.Errorf("%s %d out of range", what, v))
-		return 0
-	}
-	return v
 }

@@ -1,71 +1,18 @@
 package iccp
 
-import (
-	"fmt"
-	"math"
-	"sort"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// This file is the ICCP/TASE.2 target's side of the campaign-checkpoint
-// seam (sandbox.StateCheckpointer): the connection-stack flags, the
-// simulated heap, the bilateral table (written in sorted name order so the
-// encoding is canonical), and the transfer-set accounting.
-
-// SnapshotState implements sandbox.StateCheckpointer.
-func (s *Server) SnapshotState(w *checkpoint.Writer) {
-	w.Bool(s.cotpConnected)
-	w.Bool(s.associated)
-	s.heap.Snapshot(w)
-	w.Uvarint(uint64(s.valueBuf))
-	names := make([]string, 0, len(s.table))
-	for n := range s.table {
-		names = append(names, n)
+// StateFields implements sandbox.StateCheckpointer: the connection-stack
+// flags, the simulated heap, the bilateral table, and the transfer-set
+// accounting.
+func (s *Server) StateFields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Bool(&s.cotpConnected),
+		checkpoint.Bool(&s.associated),
+		s.heap,
+		checkpoint.Uint(&s.valueBuf),
+		checkpoint.Map(&s.table, checkpoint.StringCodec, checkpoint.BlobCodec),
+		checkpoint.Int(&s.transferSets),
+		checkpoint.Uint(&s.invokeID),
 	}
-	sort.Strings(names)
-	w.Int(len(names))
-	for _, n := range names {
-		w.String(n)
-		w.Blob(s.table[n])
-	}
-	w.Int(s.transferSets)
-	w.Uvarint(uint64(s.invokeID))
-}
-
-// RestoreState implements sandbox.StateCheckpointer.
-func (s *Server) RestoreState(r *checkpoint.Reader) error {
-	s.cotpConnected = r.Bool()
-	s.associated = r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if err := s.heap.Restore(r); err != nil {
-		return err
-	}
-	vb := r.Uvarint()
-	if r.Err() == nil && vb > math.MaxUint32 {
-		return fmt.Errorf("iccp: value buffer address %#x out of range", vb)
-	}
-	s.valueBuf = uint32(vb)
-	n := r.Count()
-	s.table = make(map[string][]byte, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.String()
-		v := r.Blob()
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := s.table[name]; dup {
-			return fmt.Errorf("iccp: duplicate bilateral table entry %q", name)
-		}
-		s.table[name] = append([]byte(nil), v...)
-	}
-	s.transferSets = r.Int()
-	iv := r.Uvarint()
-	if r.Err() == nil && iv > 0xffff {
-		return fmt.Errorf("iccp: invoke id %d out of range", iv)
-	}
-	s.invokeID = uint16(iv)
-	return r.Err()
 }

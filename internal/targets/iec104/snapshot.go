@@ -7,80 +7,33 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// This file is the IEC 60870-5-104 target's side of the campaign-checkpoint
-// seam (sandbox.StateCheckpointer): the activation flag, both sequence
-// counters, the point and measurement banks, and the extended-type banks.
-// Session-scoped state is captured too — a checkpoint is a cut of the
-// whole campaign, mid-session wear included.
-
-// SnapshotState implements sandbox.StateCheckpointer.
-func (s *Slave) SnapshotState(w *checkpoint.Writer) {
-	w.Bool(s.started)
-	w.Uvarint(uint64(s.vr))
-	w.Uvarint(uint64(s.vs))
-	for i := range s.points {
-		w.Bool(s.points[i])
-	}
-	for i := range s.measured {
-		w.Uvarint(uint64(s.measured[i]))
-	}
-	w.Uvarint(uint64(s.lastCOT))
-	w.Blob(s.ext.doublePoints[:])
-	for i := range s.ext.floats {
-		w.U64(uint64(math.Float32bits(s.ext.floats[i])))
-	}
-	for i := range s.ext.totals {
-		w.Uvarint(uint64(s.ext.totals[i]))
+// StateFields implements sandbox.StateCheckpointer: the activation flag,
+// both sequence counters, the point and measurement banks, and the
+// extended-type banks. Session-scoped state is captured too — a checkpoint
+// is a cut of the whole campaign, mid-session wear included.
+func (s *Slave) StateFields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Bool(&s.started),
+		checkpoint.Uint(&s.vr),
+		checkpoint.Uint(&s.vs),
+		checkpoint.Bools(s.points[:]),
+		checkpoint.Uints(s.measured[:]),
+		checkpoint.Uint(&s.lastCOT),
+		checkpoint.FixedBlob(s.ext.doublePoints[:]),
+		checkpoint.Slice(s.ext.floats[:], floatBits),
+		checkpoint.Uints(s.ext.totals[:]),
 	}
 }
 
-// RestoreState implements sandbox.StateCheckpointer.
-func (s *Slave) RestoreState(r *checkpoint.Reader) error {
-	s.started = r.Bool()
-	s.vr = read16(r, "vr")
-	s.vs = read16(r, "vs")
-	for i := range s.points {
-		s.points[i] = r.Bool()
-	}
-	for i := range s.measured {
-		s.measured[i] = read16(r, "measurement")
-	}
-	cot := r.Uvarint()
-	if r.Err() == nil && cot > 0xff {
-		return fmt.Errorf("iec104: cause of transmission %d out of range", cot)
-	}
-	s.lastCOT = byte(cot)
-	dp := r.Blob()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if len(dp) != len(s.ext.doublePoints) {
-		return fmt.Errorf("iec104: %d double points, bank holds %d", len(dp), len(s.ext.doublePoints))
-	}
-	copy(s.ext.doublePoints[:], dp)
-	for i := range s.ext.floats {
+// floatBits stores a float32 as its bit pattern in a fixed-width 64-bit
+// word.
+var floatBits = checkpoint.Codec[float32]{
+	Put: func(w *checkpoint.Writer, f float32) { w.U64(uint64(math.Float32bits(f))) },
+	Get: func(r *checkpoint.Reader) float32 {
 		bits := r.U64()
-		if r.Err() == nil && bits > math.MaxUint32 {
-			return fmt.Errorf("iec104: float bits %#x out of range", bits)
+		if bits > math.MaxUint32 {
+			r.Fail(fmt.Errorf("iec104: float bits %#x out of range", bits))
 		}
-		s.ext.floats[i] = math.Float32frombits(uint32(bits))
-	}
-	for i := range s.ext.totals {
-		t := r.Uvarint()
-		if r.Err() == nil && t > math.MaxUint32 {
-			return fmt.Errorf("iec104: counter total %d out of range", t)
-		}
-		s.ext.totals[i] = uint32(t)
-	}
-	return r.Err()
-}
-
-// read16 reads one uvarint pinned to the 16-bit range.
-func read16(r *checkpoint.Reader, what string) uint16 {
-	v := r.Uvarint()
-	if r.Err() == nil && v > 0xffff {
-		r.Fail(fmt.Errorf("iec104: %s %d out of range", what, v))
-		return 0
-	}
-	return uint16(v)
+		return math.Float32frombits(uint32(bits))
+	},
 }

@@ -2,26 +2,35 @@ package iec61850
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/checkpoint"
 )
 
-// This file is the IEC 61850 MMS target's side of the campaign-checkpoint
-// seam (sandbox.StateCheckpointer). The IED model's *structure* (domains,
-// items, types) is construction-time configuration pinned by the campaign
-// digest; what a packet can mutate — attribute values, named variable
-// lists, the file-transfer state machines, the connection-stack flags and
-// request counters — is what the checkpoint carries. All maps are written
-// in sorted key order so the encoding is canonical.
+// StateFields implements sandbox.StateCheckpointer. The IED model's
+// *structure* (domains, items, types) is construction-time configuration
+// pinned by the campaign digest; what a packet can mutate — attribute
+// values, named variable lists, the file-transfer state machines, the
+// connection-stack flags and request counters — is what the checkpoint
+// carries.
+func (s *Server) StateFields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Bool(&s.cotpConnected),
+		checkpoint.Bool(&s.sessionOpen),
+		checkpoint.Bool(&s.associated),
+		checkpoint.Func(s.snapshotValues, s.restoreValues),
+		checkpoint.Map(&s.nvls, checkpoint.StringCodec, checkpoint.ListCodec(checkpoint.StringCodec)),
+		checkpoint.Uint(&s.invokeID),
+		checkpoint.Int(&s.writes),
+		checkpoint.Int(&s.reads),
+		checkpoint.Map(&s.fs.frsm, checkpoint.WordCodec[uint32](), frsmCodec),
+		checkpoint.Uint(&s.fs.nextFRSM),
+	}
+}
 
-// SnapshotState implements sandbox.StateCheckpointer.
-func (s *Server) SnapshotState(w *checkpoint.Writer) {
-	w.Bool(s.cotpConnected)
-	w.Bool(s.sessionOpen)
-	w.Bool(s.associated)
-
+// snapshotValues writes every attribute value, domains and items in sorted
+// name order so the encoding is canonical.
+func (s *Server) snapshotValues(w *checkpoint.Writer) {
 	doms := make([]string, 0, len(s.domains))
 	for d := range s.domains {
 		doms = append(doms, d)
@@ -42,46 +51,11 @@ func (s *Server) SnapshotState(w *checkpoint.Writer) {
 			w.Blob(items[n].value)
 		}
 	}
-
-	keys := make([]string, 0, len(s.nvls))
-	for k := range s.nvls {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.String(k)
-		w.Int(len(s.nvls[k]))
-		for _, m := range s.nvls[k] {
-			w.String(m)
-		}
-	}
-
-	w.Uvarint(uint64(s.invokeID))
-	w.Int(s.writes)
-	w.Int(s.reads)
-
-	ids := make([]int, 0, len(s.fs.frsm))
-	for id := range s.fs.frsm {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	w.Int(len(ids))
-	for _, id := range ids {
-		e := s.fs.frsm[uint32(id)]
-		w.Uvarint(uint64(id))
-		w.String(e.name)
-		w.Int(e.pos)
-	}
-	w.Uvarint(uint64(s.fs.nextFRSM))
 }
 
-// RestoreState implements sandbox.StateCheckpointer.
-func (s *Server) RestoreState(r *checkpoint.Reader) error {
-	s.cotpConnected = r.Bool()
-	s.sessionOpen = r.Bool()
-	s.associated = r.Bool()
-
+// restoreValues overwrites attribute values in place; a checkpoint naming a
+// domain or attribute the live model lacks is refused.
+func (s *Server) restoreValues(r *checkpoint.Reader) error {
 	nd := r.Count()
 	for i := 0; i < nd && r.Err() == nil; i++ {
 		d := r.String()
@@ -103,57 +77,14 @@ func (s *Server) RestoreState(r *checkpoint.Reader) error {
 			if !found {
 				return fmt.Errorf("iec61850: checkpoint names unknown attribute %s/%s", d, n)
 			}
-			attr.value = append([]byte(nil), v...)
+			attr.value = v
 		}
 	}
-
-	nk := r.Count()
-	s.nvls = make(map[string][]string, nk)
-	for i := 0; i < nk && r.Err() == nil; i++ {
-		k := r.String()
-		nm := r.Count()
-		var members []string
-		for j := 0; j < nm && r.Err() == nil; j++ {
-			members = append(members, r.String())
-		}
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := s.nvls[k]; dup {
-			return fmt.Errorf("iec61850: duplicate variable list %q", k)
-		}
-		s.nvls[k] = members
-	}
-
-	inv := r.Uvarint()
-	if r.Err() == nil && inv > math.MaxUint32 {
-		return fmt.Errorf("iec61850: invoke id %d out of range", inv)
-	}
-	s.invokeID = uint32(inv)
-	s.writes = r.Int()
-	s.reads = r.Int()
-
-	nf := r.Count()
-	s.fs.frsm = make(map[uint32]*frsmEntry, nf)
-	for i := 0; i < nf && r.Err() == nil; i++ {
-		id := r.Uvarint()
-		name := r.String()
-		pos := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		if id > math.MaxUint32 {
-			return fmt.Errorf("iec61850: file state machine id %d out of range", id)
-		}
-		if _, dup := s.fs.frsm[uint32(id)]; dup {
-			return fmt.Errorf("iec61850: duplicate file state machine %d", id)
-		}
-		s.fs.frsm[uint32(id)] = &frsmEntry{name: name, pos: pos}
-	}
-	next := r.Uvarint()
-	if r.Err() == nil && next > math.MaxUint32 {
-		return fmt.Errorf("iec61850: next file state machine id %d out of range", next)
-	}
-	s.fs.nextFRSM = uint32(next)
 	return r.Err()
+}
+
+// frsmCodec is one open file-transfer state machine.
+var frsmCodec = checkpoint.Codec[*frsmEntry]{
+	Put: func(w *checkpoint.Writer, e *frsmEntry) { w.String(e.name); w.Int(e.pos) },
+	Get: func(r *checkpoint.Reader) *frsmEntry { return &frsmEntry{name: r.String(), pos: r.Int()} },
 }

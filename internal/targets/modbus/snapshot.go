@@ -1,99 +1,28 @@
 package modbus
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// This file is the libmodbus target's side of the campaign-checkpoint
-// seam (sandbox.StateCheckpointer). Everything a packet can mutate and a
-// later packet can observe is captured: the four data banks, the simulated
-// heap with its seeded-bug bookkeeping, the diagnostic flags, and the
-// file-record storage. Without it a warm-restarted campaign would fuzz a
-// factory-fresh server while the uninterrupted one fuzzes a worn
-// one — and state-dependent faults (the event-buffer use-after-free, the
-// diagnostics double-free) would fire differently.
-
-// SnapshotState implements sandbox.StateCheckpointer.
-func (s *Server) SnapshotState(w *checkpoint.Writer) {
-	for i := range s.coils {
-		w.Bool(s.coils[i])
+// StateFields implements sandbox.StateCheckpointer. Everything a packet can
+// mutate and a later packet can observe is listed: the four data banks, the
+// simulated heap with its seeded-bug bookkeeping, the diagnostic flags, and
+// the file-record storage. Without it a warm-restarted campaign would fuzz a
+// factory-fresh server while the uninterrupted one fuzzes a worn one — and
+// state-dependent faults (the event-buffer use-after-free, the diagnostics
+// double-free) would fire differently.
+func (s *Server) StateFields() []checkpoint.Field {
+	fields := []checkpoint.Field{
+		checkpoint.Bools(s.coils[:]),
+		checkpoint.Bools(s.discrete[:]),
+		checkpoint.Uints(s.holding[:]),
+		checkpoint.Uints(s.input[:]),
+		s.heap,
+		checkpoint.Uint(&s.eventBuf),
+		checkpoint.Bool(&s.eventsFreed),
+		checkpoint.Uint(&s.eventCount),
+		checkpoint.Bool(&s.listenOnly),
 	}
-	for i := range s.discrete {
-		w.Bool(s.discrete[i])
-	}
-	for i := range s.holding {
-		w.Uvarint(uint64(s.holding[i]))
-	}
-	for i := range s.input {
-		w.Uvarint(uint64(s.input[i]))
-	}
-	s.heap.Snapshot(w)
-	w.Uvarint(uint64(s.eventBuf))
-	w.Bool(s.eventsFreed)
-	w.Uvarint(uint64(s.eventCount))
-	w.Bool(s.listenOnly)
 	for f := range s.files {
-		for r := range s.files[f] {
-			w.Uvarint(uint64(s.files[f][r]))
-		}
+		fields = append(fields, checkpoint.Uints(s.files[f][:]))
 	}
-	w.Blob(s.lastResponse)
-}
-
-// RestoreState implements sandbox.StateCheckpointer.
-func (s *Server) RestoreState(r *checkpoint.Reader) error {
-	for i := range s.coils {
-		s.coils[i] = r.Bool()
-	}
-	for i := range s.discrete {
-		s.discrete[i] = r.Bool()
-	}
-	for i := range s.holding {
-		s.holding[i] = readU16(r, "holding register")
-	}
-	for i := range s.input {
-		s.input[i] = readU16(r, "input register")
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if err := s.heap.Restore(r); err != nil {
-		return err
-	}
-	eventBuf := r.Uvarint()
-	s.eventsFreed = r.Bool()
-	eventCount := r.Uvarint()
-	s.listenOnly = r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if eventBuf > 1<<32-1 || eventCount > 0xffff {
-		return fmt.Errorf("modbus: event state out of range")
-	}
-	s.eventBuf = uint32(eventBuf)
-	s.eventCount = uint16(eventCount)
-	for f := range s.files {
-		for rec := range s.files[f] {
-			s.files[f][rec] = readU16(r, "file record")
-		}
-	}
-	last := r.Blob()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	s.lastResponse = append([]byte(nil), last...)
-	return nil
-}
-
-// readU16 reads one uvarint and pins it to the 16-bit range, failing the
-// reader on overflow so a corrupt checkpoint is rejected, not truncated.
-func readU16(r *checkpoint.Reader, what string) uint16 {
-	v := r.Uvarint()
-	if r.Err() == nil && v > 0xffff {
-		r.Fail(fmt.Errorf("modbus: %s %d out of range", what, v))
-		return 0
-	}
-	return uint16(v)
+	return append(fields, checkpoint.Blob(&s.lastResponse))
 }
