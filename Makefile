@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare loc clean
+.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc clean
 
 ci: build vet lint test race docs-check api-check soak
 
@@ -53,9 +53,10 @@ docs-check:
 	$(GO) test -run 'TestDocs' .
 
 # Allocation-regression guard: the steady-state Peach* exec path must stay
-# within the per-exec allocation budget (see hotpath_test.go).
+# within the per-exec allocation budget, and File Fixup must allocate
+# nothing (see hotpath_test.go).
 alloc-guard:
-	$(GO) test -run 'TestSteadyStateExecAllocBudget' -v .
+	$(GO) test -run 'TestSteadyStateExecAllocBudget|TestApplyFixupsAllocFree' -v .
 
 # Public-API gate: the exported peachstar surface must match the golden
 # snapshot (api/peachstar.golden) and every exported symbol must carry a
@@ -67,14 +68,16 @@ api-check:
 api-snapshot:
 	$(GO) run ./cmd/apicheck -update
 
-# Short native-fuzz smoke runs over the crack/generate round-trip targets
-# and every decoder built on the checkpoint codec — sequences, virgin
-# deltas, fleetnet frames, campaign checkpoints (truncated, corrupt, and
-# non-minimal-varint inputs must be rejected with errors, never panics).
+# Short native-fuzz smoke runs over the crack/generate round-trip targets,
+# the fixup plan against its string-resolving reference, and every decoder
+# built on the checkpoint codec — sequences, virgin deltas, fleetnet frames,
+# campaign checkpoints (truncated, corrupt, and non-minimal-varint inputs
+# must be rejected with errors, never panics).
 fuzz:
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrack$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzGenerate$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrackSeedCorpusBytes$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/targets -fuzz 'FuzzFixupPlan$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/coverage -fuzz 'FuzzVirginDelta$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
@@ -90,6 +93,15 @@ bench:
 #   make bench-compare BASE=path/to/earlier-results
 bench-compare: bench
 	$(GO) run ./cmd/bench -compare $(BASE) .bench_build/results.json
+
+# A CPU profile without writing a harness: one Fig. 4 panel of the named
+# target under the profiler, then the top of the cumulative view.
+#   make profile TARGET=Libiec61850   (Libmodbus, IEC104, Lib60870, Libiccp, Opendnp3)
+TARGET ?= Libmodbus
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkFig4$(TARGET)$$' -cpuprofile .bench_build/cpu.prof -o .bench_build/repro.test .
+	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/repro.test .bench_build/cpu.prof
 
 # Non-test Go lines outside the benchmark — the tracked size metric.
 loc:

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datamodel"
 	"repro/internal/targets"
 
+	_ "repro/internal/targets/iec61850"
 	_ "repro/internal/targets/modbus"
 )
 
@@ -70,5 +72,33 @@ func TestSteadyStateExecAllocBudget(t *testing.T) {
 	if perExec > allocGuardBudget {
 		t.Fatalf("steady-state hot path allocates %.2f objects/exec, budget is %.1f — the arena/scratch work has regressed",
 			perExec, allocGuardBudget)
+	}
+}
+
+// TestApplyFixupsAllocFree: File Fixup runs on every seed the engine emits,
+// so after one warm-up call (which compiles nothing — NewModel did — but
+// may grow the pooled scratch) ApplyFixups and VerifyFixups allocate nothing,
+// measured on the deepest model of the deepest target.
+func TestApplyFixupsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	tgt, err := targets.New("libiec61850")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deepest *datamodel.Node
+	var model *datamodel.Model
+	for _, m := range tgt.Models() {
+		if inst := m.Generate(); deepest == nil || len(inst.Leaves(nil)) > len(deepest.Leaves(nil)) {
+			deepest, model = inst, m
+		}
+	}
+	model.ApplyFixups(deepest)
+	if n := testing.AllocsPerRun(200, func() { model.ApplyFixups(deepest) }); n != 0 {
+		t.Fatalf("ApplyFixups on %s allocates %.1f objects per call", model.Name, n)
+	}
+	if n := testing.AllocsPerRun(200, func() { model.VerifyFixups(deepest) }); n != 0 {
+		t.Fatalf("VerifyFixups on %s allocates %.1f objects per call", model.Name, n)
 	}
 }

@@ -104,6 +104,12 @@ func (k RelKind) String() string {
 // quantity before storing (e.g. IEC104's APCI length excludes the first two
 // header bytes: Adjust = -2 on a size-of spanning them would not apply, but
 // a +N adjustment covers "length includes the length field itself" cases).
+//
+// Of binds by name, per instance, to the first chunk in document order that
+// carries it — Node.Find's rule. Every element of an Array therefore measures
+// the first element's field, and a name that only an untaken Choice
+// alternative carries binds to nothing, which leaves the relation field as
+// it is.
 type Relation struct {
 	Kind   RelKind
 	Of     string // name of the measured chunk
@@ -149,7 +155,10 @@ func (k FixKind) String() string {
 
 // Fixup declares that a chunk's bytes are a checksum computed over the
 // serialized bytes of the Over chunks, in declaration order (Fig. 1's
-// Crc32Fixup).
+// Crc32Fixup). Each Over name binds as Relation.Of does: to its first
+// occurrence in the instance, and to nothing — covering no bytes — when the
+// instance has none. A Number carries the sum's low Width bytes in its byte
+// order; a Blob carries it big-endian in its last 8 bytes, zeros before.
 type Fixup struct {
 	Kind FixKind
 	Over []string
@@ -202,6 +211,13 @@ type Chunk struct {
 	// concurrent read). Empty until then; RuleSignature recomputes on the
 	// fly for chunks used outside a validated model.
 	sig string
+
+	// The chunk's part of its model's fixup plan (Model.compilePlan): slots
+	// into the per-call first-occurrence table, 0 = none. slot is the
+	// chunk's own, set when a relation or fixup names it; relSlot is
+	// Rel.Of's; fixSlots are Fix.Over's, in order.
+	slot, relSlot int32
+	fixSlots      []int32
 }
 
 // Model is a named data model: the root is implicitly a Block over Fields.
@@ -209,13 +225,24 @@ type Chunk struct {
 // packet type (§III: M_1 … M_n, typically one per opcode value).
 //
 // Models are used via pointer and must not be copied by value (the cached
-// root holds a sync.Once), nor have Fields mutated after first use.
+// root, plan and default instance each hold a sync.Once), nor have Fields
+// mutated after first use.
+// A chunk belongs to one model: the model's fixup plan is stored on it.
 type Model struct {
 	Name   string
 	Fields []*Chunk
 
 	rootOnce  sync.Once
 	rootChunk *Chunk
+
+	// planOnce guards compilePlan; slots is the plan's slot count.
+	planOnce sync.Once
+	slots    int
+
+	// defaultOnce guards buildDefault; defaultInst is the shared, read-only
+	// default instance GenerateInto clones.
+	defaultOnce sync.Once
+	defaultInst *Node
 }
 
 // root wraps the model's fields as a synthetic Block so tree algorithms can
@@ -229,30 +256,23 @@ func (m *Model) root() *Chunk {
 }
 
 // Validate checks structural well-formedness: widths in range, children
-// present where required, relation/fixup references resolvable, unique
-// names among leaves that are referenced. It also precomputes every chunk's
-// donor-rule signature, making RuleSignature allocation-free afterwards.
+// present where required, every relation/fixup reference carried by some
+// chunk of the model. Names need not be unique: a reference binds, per
+// instance, to the first chunk in document order that carries the name (see
+// Relation). It also precomputes every chunk's donor-rule signature, making
+// RuleSignature allocation-free afterwards, and compiles the fixup plan
+// (once: validating a model again only re-checks it).
 func (m *Model) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("datamodel: model has no name")
 	}
 	names := map[string]bool{}
-	var collect func(c *Chunk) error
-	collect = func(c *Chunk) error {
-		if c.Name != "" {
-			names[c.Name] = true
-		}
-		for _, ch := range c.Children {
-			if err := collect(ch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, f := range m.Fields {
-		if err := collect(f); err != nil {
-			return err
-		}
+		f.each(func(c *Chunk) {
+			if c.Name != "" {
+				names[c.Name] = true
+			}
+		})
 	}
 	var walk func(c *Chunk) error
 	walk = func(c *Chunk) error {
@@ -314,29 +334,19 @@ func (m *Model) Validate() error {
 		}
 		return nil
 	}
-	return walk(m.root())
+	if err := walk(m.root()); err != nil {
+		return err
+	}
+	m.planOnce.Do(m.compilePlan)
+	return nil
 }
 
-// find returns the first chunk with the given name, in document order.
-func (m *Model) find(name string) *Chunk {
-	var rec func(c *Chunk) *Chunk
-	rec = func(c *Chunk) *Chunk {
-		if c.Name == name {
-			return c
-		}
-		for _, ch := range c.Children {
-			if got := rec(ch); got != nil {
-				return got
-			}
-		}
-		return nil
+// each calls f on c and every chunk below it, in document order.
+func (c *Chunk) each(f func(*Chunk)) {
+	f(c)
+	for _, ch := range c.Children {
+		ch.each(f)
 	}
-	for _, f := range m.Fields {
-		if got := rec(f); got != nil {
-			return got
-		}
-	}
-	return nil
 }
 
 // Opcode returns the value of the first token Number in the model, which by

@@ -110,12 +110,8 @@ func (p *cracker) parseAt(c *Chunk, off, end int) (*Node, int, error) {
 			return nil, 0, crackErr("number %q: %d not in legal set", c.Name, v)
 		}
 		n := &Node{Chunk: c}
-		if c.Width <= len(n.store) {
-			n.Data = n.store[:c.Width]
-			copy(n.Data, raw)
-		} else {
-			n.Data = append([]byte(nil), raw...)
-		}
+		n.Data = n.store[:c.Width]
+		copy(n.Data, raw)
 		p.recordRelation(c, v)
 		return n, off + c.Width, nil
 

@@ -11,12 +11,20 @@ func (m *Model) Generate() *Node { return m.GenerateInto(nil) }
 
 // GenerateInto is Generate drawing all nodes, child slices and leaf bytes
 // from the arena (nil means the heap) — the engine's per-iteration path.
+// The default instance is a pure function of the model, so it is built and
+// fixed up once, on first use, and every call clones it.
 //
 //peachstar:hotpath
 func (m *Model) GenerateInto(a *Arena) *Node {
-	n := generateChunk(a, m.root(), nil)
-	m.ApplyFixups(n)
-	return n
+	m.defaultOnce.Do(m.buildDefault)
+	return m.defaultInst.CloneInto(a)
+}
+
+// buildDefault generates the heap-backed default instance GenerateInto
+// clones; nothing writes to it afterwards.
+func (m *Model) buildDefault() {
+	m.defaultInst = generateChunk(nil, m.root(), nil)
+	m.ApplyFixups(m.defaultInst)
 }
 
 // GenerateRandom instantiates the model with randomized leaf content:
@@ -52,12 +60,8 @@ func generateChunk(a *Arena, c *Chunk, r *rng.RNG) *Node {
 				v = r.Uint64() & widthMask(c.Width)
 			}
 		}
-		if c.Width <= len(n.store) {
-			n.Data = n.store[:c.Width]
-			putUint(n.Data, v, c.Endian)
-		} else {
-			n.Data = encodeUint(v, c.Width, c.Endian)
-		}
+		n.Data = n.store[:c.Width]
+		putUint(n.Data, v, c.Endian)
 	case String, Blob:
 		n.Data = defaultPayload(a, c, r)
 	case Block:

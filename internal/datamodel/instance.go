@@ -1,7 +1,6 @@
 package datamodel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -124,12 +123,7 @@ func (n *Node) SetUint(v uint64) {
 	if n.Chunk.Kind != Number {
 		panic(fmt.Sprintf("datamodel: SetUint on %s node %q", n.Chunk.Kind, n.Chunk.Name))
 	}
-	w := n.Chunk.Width
-	if w > len(n.store) {
-		n.Data = encodeUint(v, w, n.Chunk.Endian)
-		return
-	}
-	n.Data = n.store[:w]
+	n.Data = n.store[:n.Chunk.Width]
 	putUint(n.Data, v, n.Chunk.Endian)
 }
 
@@ -171,22 +165,8 @@ func (n *Node) describe(b *strings.Builder) {
 	b.WriteByte('}')
 }
 
-// encodeUint renders v as width bytes in the given byte order.
-func encodeUint(v uint64, width int, e Endian) []byte {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], v)
-	out := make([]byte, width)
-	copy(out, tmp[8-width:])
-	if e == Little {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-	return out
-}
-
-// putUint encodes v's low len(dst) bytes into dst in the given byte order —
-// the in-place form of encodeUint for pre-sized destinations (≤ 8 bytes).
+// putUint encodes v's low len(dst) bytes into dst (≤ 8 bytes) in the given
+// byte order.
 func putUint(dst []byte, v uint64, e Endian) {
 	if e == Big {
 		for i := len(dst) - 1; i >= 0; i-- {
@@ -201,7 +181,7 @@ func putUint(dst []byte, v uint64, e Endian) {
 	}
 }
 
-// decodeUint is the inverse of encodeUint.
+// decodeUint is the inverse of putUint.
 func decodeUint(data []byte, e Endian) uint64 {
 	var v uint64
 	if e == Big {
