@@ -53,7 +53,8 @@ docs-check:
 	$(GO) test -run 'TestDocs' .
 
 # Allocation-regression guard: the steady-state Peach* exec path must stay
-# within the per-exec allocation budget, and File Fixup must allocate
+# within the per-exec allocation budget (0.75 allocs/exec), and File Fixup —
+# on a tree, and as the engine's flat copy → fixup → render — must allocate
 # nothing (see hotpath_test.go).
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateExecAllocBudget|TestApplyFixupsAllocFree' -v .

@@ -9,7 +9,11 @@ import (
 	"repro/internal/targets"
 	"repro/peachstar"
 
+	_ "repro/internal/targets/cs101"
+	_ "repro/internal/targets/dnp3"
+	_ "repro/internal/targets/iccp"
 	_ "repro/internal/targets/iec104"
+	_ "repro/internal/targets/iec61850"
 	_ "repro/internal/targets/modbus"
 )
 
@@ -48,17 +52,23 @@ func fingerprintStats(s core.Stats) string {
 // adaptiveOffGolden is the serial engine's fingerprint after 30000
 // executions at seed 1, per target (see TestAdaptiveOffGolden).
 var adaptiveOffGolden = map[string]string{
-	"libmodbus": "iters=28927 execs=30000 paths=110 semExecs=1660 semPaths=14 edges=180 crashes=2 hangs=0 corpus=290",
-	"IEC104":    "iters=28831 execs=30000 paths=67 semExecs=1758 semPaths=17 edges=79 crashes=0 hangs=0 corpus=212",
+	"libmodbus":   "iters=28927 execs=30000 paths=110 semExecs=1660 semPaths=14 edges=180 crashes=2 hangs=0 corpus=290",
+	"IEC104":      "iters=28831 execs=30000 paths=67 semExecs=1758 semPaths=17 edges=79 crashes=0 hangs=0 corpus=212",
+	"libiec61850": "iters=29025 execs=30000 paths=122 semExecs=1479 semPaths=8 edges=176 crashes=0 hangs=0 corpus=834",
+	"lib60870":    "iters=29085 execs=30000 paths=65 semExecs=1453 semPaths=10 edges=74 crashes=3 hangs=0 corpus=377",
+	"libiccp":     "iters=29323 execs=30000 paths=51 semExecs=1042 semPaths=1 edges=67 crashes=4 hangs=0 corpus=165",
+	"opendnp3":    "iters=28101 execs=30000 paths=152 semExecs=2852 semPaths=36 edges=194 crashes=0 hangs=0 corpus=356",
 }
 
 // TestAdaptiveOffGolden pins the backward-compatibility half of the
 // scheduler contract: with Config.Adaptive off, a campaign is bit-for-bit
-// identical to the pre-scheduler engine. The fingerprints above were
-// recorded on the commit immediately before the scheduler landed; if this
-// test fails, the default path's RNG stream or decision order changed —
-// that is a compatibility break with every historical campaign, not a
-// golden value to refresh casually.
+// identical to the pre-scheduler engine. The libmodbus and IEC104
+// fingerprints above were recorded on the commit immediately before the
+// scheduler landed, the other four on the last commit whose engine still
+// cloned and walked instance trees per exec (they agree with the first two
+// about that engine); if this test fails, the default path's RNG stream or
+// decision order changed — that is a compatibility break with every
+// historical campaign, not a golden value to refresh casually.
 func TestAdaptiveOffGolden(t *testing.T) {
 	for target, golden := range adaptiveOffGolden {
 		eng := newSerialEngine(t, target, 1, false)

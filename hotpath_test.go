@@ -70,15 +70,18 @@ func TestSteadyStateExecAllocBudget(t *testing.T) {
 	perExec := float64(after.Mallocs-before.Mallocs) / float64(execs)
 	t.Logf("steady state: %.2f allocs/exec over %d execs", perExec, execs)
 	if perExec > allocGuardBudget {
-		t.Fatalf("steady-state hot path allocates %.2f objects/exec, budget is %.1f — the arena/scratch work has regressed",
+		t.Fatalf("steady-state hot path allocates %.2f objects/exec, budget is %.2f — the arena/scratch work has regressed",
 			perExec, allocGuardBudget)
 	}
 }
 
 // TestApplyFixupsAllocFree: File Fixup runs on every seed the engine emits,
 // so after one warm-up call (which compiles nothing — NewModel did — but
-// may grow the pooled scratch) ApplyFixups and VerifyFixups allocate nothing,
-// measured on the deepest model of the deepest target.
+// may grow the pooled scratch and the arena slabs) neither entry point
+// allocates: the tree one (ApplyFixups and VerifyFixups flatten into pooled
+// scratch) nor the engine's per-exec one (copy the leaf table out of the
+// arena, fix it up, render it), measured on the deepest model of the deepest
+// target.
 func TestApplyFixupsAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -100,5 +103,18 @@ func TestApplyFixupsAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { model.VerifyFixups(deepest) }); n != 0 {
 		t.Fatalf("VerifyFixups on %s allocates %.1f objects per call", model.Name, n)
+	}
+	var arena datamodel.Arena
+	var work datamodel.Flat
+	src := model.DefaultFlat()
+	perExec := func() {
+		arena.Reset()
+		work.CopyFrom(src, &arena)
+		work.ApplyFixups()
+		work.Render(&arena)
+	}
+	perExec() // overflows the empty slabs; the next Reset grows them
+	if n := testing.AllocsPerRun(200, perExec); n != 0 {
+		t.Fatalf("flat copy → fixup → render on %s allocates %.1f objects per call", model.Name, n)
 	}
 }

@@ -2,8 +2,8 @@
 // engine's determinism, hot-path, and checkpoint invariants at compile time.
 //
 // The repository's core contracts — bit-for-bit campaign determinism, fixed
-// RNG draw counts through internal/rng, a ≤1 alloc/exec steady-state hot
-// path, atomics-only publication of fleet statistics, and complete
+// RNG draw counts through internal/rng, a ≤0.75 allocs/exec steady-state
+// hot path, atomics-only publication of fleet statistics, and complete
 // Snapshot/Restore coverage of every checkpointed field — were historically
 // guarded only by runtime golden tests that fire *after* a violation ships.
 // This package turns each of those runtime guards into a build-time check:
@@ -57,7 +57,7 @@
 //	//peachstar:hotpath
 //	    Marks the function for the hotalloc analyzer. Applied to the
 //	    per-exec loop: Engine.Step and its generation/mutation callees,
-//	    coverage MergeTracer/PathHash, datamodel GenerateInto/arena paths,
+//	    coverage MergeTracer, datamodel flat-instance/arena paths,
 //	    and mutator Pick*/Mutate.
 //
 //	//peachstar:nondeterministic <reason>

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
+	"repro/internal/datamodel"
 	"repro/internal/executor"
 	"repro/internal/session"
 )
@@ -239,7 +240,7 @@ func (e *Engine) snapshot(w *checkpoint.Writer) {
 		w.String(name)
 		w.Int(len(q))
 		for i := range q {
-			w.Blob(q[i].ins.Bytes())
+			w.Blob(q[i].ins.Render(nil))
 			w.Int(q[i].depth)
 			edgeList.Put(w, q[i].edges)
 			w.U64(q[i].score)
@@ -348,11 +349,13 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 			// pinned the models, so this normally succeeds; an entry that
 			// no longer cracks is dropped — a lost mutation base, not an
 			// error.
-			ins, err := e.cfg.Models[mi].Crack(data)
+			m := e.cfg.Models[mi]
+			ins, err := m.Crack(data)
 			if err != nil {
 				continue
 			}
-			e.valuable[name] = append(e.valuable[name], valuableSeed{ins: ins, depth: depth, edges: edges, score: score})
+			flat := m.Flatten(new(datamodel.Flat), ins)
+			e.valuable[name] = append(e.valuable[name], valuableSeed{ins: flat, depth: depth, edges: edges, score: score})
 		}
 	}
 

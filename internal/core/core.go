@@ -181,15 +181,16 @@ type Engine struct {
 	pending         [][]byte //peachstar:nosnap in-flight batch is discarded at a checkpoint; restore resets it
 	pendingSemantic bool     //peachstar:nosnap provenance of the discarded in-flight batch
 	// Hot-path scratch state, reset once per generation round: the arena
-	// backs every transient instance tree and rendered seed; leaves,
-	// cands and saved are reused slices for the per-iteration walks;
-	// dedup is the per-batch duplicate filter. Everything that outlives
-	// an iteration (corpus, crash bank, valuable queue) copies out.
-	arena  datamodel.Arena   //peachstar:nosnap per-round scratch slab, reset at round start
-	leaves []*datamodel.Node //peachstar:nosnap per-iteration walk scratch
-	cands  [][]corpus.Puzzle //peachstar:nosnap per-iteration walk scratch
-	saved  [][]byte          //peachstar:nosnap per-iteration walk scratch
-	dedup  map[string]bool   //peachstar:nosnap per-batch filter; restore resets it
+	// backs every transient instance and rendered seed; work is the
+	// round's working instance (a flat copy of the skeleton); cands and
+	// saved are reused slices for the per-iteration loops; dedup is the
+	// per-batch duplicate filter. Everything that outlives an iteration
+	// (corpus, crash bank, valuable queue) copies out.
+	arena datamodel.Arena   //peachstar:nosnap per-round scratch slab, reset at round start
+	work  datamodel.Flat    //peachstar:nosnap per-round working instance
+	cands [][]corpus.Puzzle //peachstar:nosnap per-iteration walk scratch
+	saved [][]byte          //peachstar:nosnap per-iteration walk scratch
+	dedup map[string]bool   //peachstar:nosnap per-batch filter; restore resets it
 	// valuable holds the retained coverage-increasing instances per
 	// model — the feedback-selected bases for "mutation on existing
 	// chunks" (§II). Bounded per model; older entries are evicted.
@@ -469,7 +470,7 @@ func (e *Engine) execute(seed []byte) {
 func (e *Engine) observe(seed []byte, res *sandbox.Result) bool {
 	switch res.Outcome {
 	case sandbox.Crash:
-		e.crashes.ReportSequenceSteps(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, res.PathSig)
+		e.crashes.ReportSequenceSteps(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, e.exec.Tracer().PathHash())
 	case sandbox.Hang:
 		e.crashes.ReportHangDetail(res.HangSteps, seed)
 	}

@@ -20,7 +20,7 @@ const valuablePerModel = 32
 // trace and a cached rarity score over it (refreshed periodically from the
 // campaign's hit counters); both stay nil/0 otherwise.
 type valuableSeed struct {
-	ins   *datamodel.Node
+	ins   *datamodel.Flat
 	depth int
 	edges []uint16
 	score uint64
@@ -45,7 +45,10 @@ func (e *Engine) crackValuable(seed []byte, depth int) {
 		if err != nil {
 			continue // line 6: LEGAL failed
 		}
-		q := append(e.valuable[m.Name], valuableSeed{ins: ins, depth: depth, edges: edges})
+		// Retained flat: skeleton copies the leaf table per execution, so
+		// the one tree walk is paid here, once.
+		flat := m.Flatten(new(datamodel.Flat), ins)
+		q := append(e.valuable[m.Name], valuableSeed{ins: flat, depth: depth, edges: edges})
 		if len(q) > valuablePerModel {
 			q = q[1:]
 		}
@@ -66,7 +69,7 @@ func (e *Engine) crackValuable(seed []byte, depth int) {
 // the adaptive scheduler: one draw weighted by cached edge rarity, so
 // seeds touching rarely-reached program states become the preferred bases
 // (falling back to the tournament until the first rarity refresh).
-func (e *Engine) pickValuable(q []valuableSeed) *datamodel.Node {
+func (e *Engine) pickValuable(q []valuableSeed) *datamodel.Flat {
 	if e.sched.on {
 		if ins := e.pickValuableRare(q); ins != nil {
 			return ins

@@ -91,7 +91,7 @@ func (e *Engine) chunkAwareMutate(base []byte) ([]byte, bool) {
 			}
 			leaf.Data = rng.Pick(e.r, donors).Data // read-only alias; fixups never write donatable leaves
 			m.ApplyFixups(ins)
-			return e.render(ins), true
+			return ins.AppendTo(e.arena.Buffer(ins.Len())), true
 		}
 		return nil, false // cracked but nothing donatable
 	}

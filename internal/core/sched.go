@@ -332,7 +332,7 @@ func (e *Engine) refreshScores() {
 // rarity score, consuming exactly one RNG value. It returns nil when no
 // scores have been computed yet (before the first refresh), and the
 // caller falls back to the uniform depth tournament.
-func (e *Engine) pickValuableRare(q []valuableSeed) *datamodel.Node {
+func (e *Engine) pickValuableRare(q []valuableSeed) *datamodel.Flat {
 	var total uint64
 	for i := range q {
 		total += q[i].score

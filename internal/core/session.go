@@ -351,9 +351,9 @@ func (e *Engine) genStepPayload(mi int) []byte {
 		e.sched.beginRound(mi)
 	}
 	if e.r.Bool() {
-		inst := m.GenerateInto(&e.arena)
-		m.ApplyFixups(inst)
-		return e.render(inst)
+		// The default instance is fixed up once, when built, and File
+		// Fixup is idempotent: its shared leaf table renders as it is.
+		return m.DefaultFlat().Render(&e.arena)
 	}
 	return e.baselineGenerate(m)
 }

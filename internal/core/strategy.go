@@ -19,14 +19,6 @@ func (s *virginState) Merge(raw []byte) bool               { return s.v.Merge(ra
 func (s *virginState) MergeTracer(t *coverage.Tracer) bool { return s.v.MergeTracer(t) }
 func (s *virginState) Edges() int                          { return s.v.Edges() }
 
-// render serializes the working instance into an arena-backed buffer
-// pre-sized by Len — the zero-allocation JOINT. The seed lives until the
-// next arena reset (the following generation round); every consumer that
-// retains longer (crash bank, corpus, mutation queue) copies.
-func (e *Engine) render(inst *datamodel.Node) []byte {
-	return inst.AppendTo(e.arena.Buffer(inst.Len()))
-}
-
 // baselineGenerate implements Algorithm 1's per-iteration body for one
 // model: ANALYZE the chunks, GENERATE with Peach's inherent mutators, JOINT
 // in declared order. Like Peach, one test case perturbs a small number of
@@ -36,36 +28,40 @@ func (e *Engine) render(inst *datamodel.Node) []byte {
 // output, with a small probability of being left stale, matching Peach
 // mutators that target integrity fields themselves.
 func (e *Engine) baselineGenerate(m *datamodel.Model) []byte {
-	inst := e.skeleton(m)
-	e.leaves = inst.Leaves(e.leaves[:0])
+	e.skeleton(m)
 	// Mutate 1..3 leaves, geometrically biased toward 1.
 	k := 1
 	for k < 3 && e.r.Chance(3) {
 		k++
 	}
 	for ; k > 0; k-- {
-		e.mutateLeaf(rng.Pick(e.r, e.leaves))
+		e.mutateLeaf(rng.Pick(e.r, e.work.Leaves))
 	}
 	if !e.r.Chance(8) {
-		m.ApplyFixups(inst)
+		e.work.ApplyFixups()
 	}
-	return e.render(inst)
+	return e.work.Render(&e.arena)
 }
 
 // skeleton picks the structural starting point for generation: the default
 // instance, occasionally a structurally randomized one (random choice
 // alternatives, array counts, field draws), or — once feedback has
 // retained some — a coverage-selected valuable instance of this model
-// ("mutation on existing chunks", §II, guided by §IV-B's feedback). All
-// skeletons are arena-backed: they live exactly one generation round.
-func (e *Engine) skeleton(m *datamodel.Model) *datamodel.Node {
+// ("mutation on existing chunks", §II, guided by §IV-B's feedback). The
+// skeleton lands in e.work, arena-backed: it lives exactly one generation
+// round. The default and valuable instances are flattened once, when built
+// or retained, and only their leaf tables are copied here; a randomized one
+// is a fresh tree and is flattened as it is made.
+func (e *Engine) skeleton(m *datamodel.Model) {
 	if q := e.valuable[m.Name]; len(q) > 0 && e.r.Chance(4) {
-		return e.pickValuable(q).CloneInto(&e.arena)
+		e.work.CopyFrom(e.pickValuable(q), &e.arena)
+		return
 	}
 	if e.r.Chance(8) {
-		return m.GenerateRandomInto(&e.arena, e.r)
+		m.GenerateRandomFlat(&e.work, &e.arena, e.r)
+		return
 	}
-	return m.GenerateInto(&e.arena)
+	e.work.CopyFrom(m.DefaultFlat(), &e.arena)
 }
 
 // mutateLeaf rewrites one leaf's bytes with a selected applicable mutator —
@@ -92,12 +88,12 @@ func (e *Engine) semanticGenerate(m *datamodel.Model) {
 	// default instance or a coverage-selected valuable one — never the
 	// fully randomized skeleton, whose scrambled framing would waste the
 	// whole batch.
-	skeleton := m.GenerateInto(&e.arena)
+	skeleton := m.DefaultFlat()
 	if q := e.valuable[m.Name]; len(q) > 0 && e.r.Bool() {
-		skeleton = e.pickValuable(q).CloneInto(&e.arena)
+		skeleton = e.pickValuable(q)
 	}
-	e.leaves = skeleton.Leaves(e.leaves[:0])
-	leaves := e.leaves
+	e.work.CopyFrom(skeleton, &e.arena)
+	leaves := e.work.Leaves
 
 	// Candidate donors per position (GETDONOR, Algorithm 3 line 10). The
 	// cross-model filter writes into engine-owned per-position scratch
@@ -143,27 +139,27 @@ func (e *Engine) semanticGenerate(m *datamodel.Model) {
 	}
 	clear(e.dedup)
 	if product <= e.cfg.MaxBatch {
-		e.enumerateBatch(m, skeleton, leaves, candidates)
+		e.enumerateBatch(leaves, candidates)
 	} else {
-		e.sampleBatch(m, skeleton, leaves, candidates)
+		e.sampleBatch(leaves, candidates)
 	}
 }
 
 // enumerateBatch is the literal recursion of Algorithm 3: every candidate
 // combination becomes one seed. The skeleton's own content participates as
 // one candidate per position, so fresh chunks mix with donated ones. Donor
-// bytes are aliased, not copied, into the working tree: puzzles are
+// bytes are aliased, not copied, into the working instance: puzzles are
 // immutable once stored and the fixup pass never writes through a donatable
 // leaf (Donatable excludes relation/fixup/token chunks), so the alias is
 // read-only for its whole lifetime.
-func (e *Engine) enumerateBatch(m *datamodel.Model, skeleton *datamodel.Node, leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
+func (e *Engine) enumerateBatch(leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
 	var construct func(pos int)
 	construct = func(pos int) {
 		if len(e.pending) >= e.cfg.MaxBatch {
 			return
 		}
 		if pos == len(leaves) { // EQUAL(CurPos, Size+1)
-			e.appendSeed(m, skeleton)
+			e.appendSeed()
 			return
 		}
 		leaf := leaves[pos]
@@ -187,7 +183,7 @@ func (e *Engine) enumerateBatch(m *datamodel.Model, skeleton *datamodel.Node, le
 // content. Batches stay small and diverse.
 const sampleBatchSize = 3
 
-func (e *Engine) sampleBatch(m *datamodel.Model, skeleton *datamodel.Node, leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
+func (e *Engine) sampleBatch(leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
 	for k := 0; k < sampleBatchSize && len(e.pending) < e.cfg.MaxBatch; k++ {
 		e.saved = e.saved[:0]
 		for i, leaf := range leaves {
@@ -203,32 +199,27 @@ func (e *Engine) sampleBatch(m *datamodel.Model, skeleton *datamodel.Node, leave
 				e.mutateLeaf(leaf)
 			}
 		}
-		e.appendSeed(m, skeleton)
+		e.appendSeed()
 		for i, leaf := range leaves {
 			leaf.Data = e.saved[i]
 		}
 	}
 }
 
-// appendSeed finishes the working instance and appends it to the pending
-// batch unless the batch already contains an identical packet. The
-// map[string]bool lookup over string(seed) does not allocate; only genuinely
-// new seeds pay for a key.
-func (e *Engine) appendSeed(m *datamodel.Model, inst *datamodel.Node) {
-	seed := e.finishSeed(m, inst)
+// appendSeed finishes the working instance — File Fixup unless ablated:
+// donated chunks may have changed sizes, so size-of fields and checksums
+// must be re-established for the packet to stay legal — renders it, and
+// appends it to the pending batch unless the batch already contains an
+// identical packet. The map[string]bool lookup over string(seed) does not
+// allocate; only genuinely new seeds pay for a key.
+func (e *Engine) appendSeed() {
+	if !e.cfg.DisableFixup {
+		e.work.ApplyFixups()
+	}
+	seed := e.work.Render(&e.arena)
 	if e.dedup[string(seed)] {
 		return
 	}
 	e.dedup[string(seed)] = true
 	e.pending = append(e.pending, seed)
-}
-
-// finishSeed renders the working instance to bytes, applying File Fixup
-// unless ablated: donated chunks may have changed sizes, so size-of fields
-// and checksums must be re-established for the packet to stay legal.
-func (e *Engine) finishSeed(m *datamodel.Model, inst *datamodel.Node) []byte {
-	if !e.cfg.DisableFixup {
-		m.ApplyFixups(inst)
-	}
-	return e.render(inst)
 }

@@ -77,6 +77,24 @@ func (a *Arena) Node() *Node {
 	return n
 }
 
+// Nodes returns n zeroed nodes in one contiguous block — a flat instance's
+// leaf table (Flat.CopyFrom) — that live until the next Reset.
+//
+//peachstar:hotpath
+func (a *Arena) Nodes(n int) []Node {
+	if a == nil || a.nodeOff+n > len(a.nodes) {
+		if a != nil {
+			a.nodeMiss += n
+		}
+		//peachstar:allocok slab-exhaustion fallback; misses are counted and the next Reset grows the slab
+		return make([]Node, n)
+	}
+	s := a.nodes[a.nodeOff : a.nodeOff+n : a.nodeOff+n]
+	a.nodeOff += n
+	clear(s)
+	return s
+}
+
 // Children returns a zero-length child slice with capacity n. Appending
 // beyond n reallocates onto the heap, which is safe — merely unarenaed.
 //

@@ -213,9 +213,9 @@ type Chunk struct {
 	sig string
 
 	// The chunk's part of its model's fixup plan (Model.compilePlan): slots
-	// into the per-call first-occurrence table, 0 = none. slot is the
-	// chunk's own, set when a relation or fixup names it; relSlot is
-	// Rel.Of's; fixSlots are Fix.Over's, in order.
+	// into an instance's first-occurrence table (shape.spans), 0 = none.
+	// slot is the chunk's own, set when a relation or fixup names it;
+	// relSlot is Rel.Of's; fixSlots are Fix.Over's, in order.
 	slot, relSlot int32
 	fixSlots      []int32
 }
@@ -240,9 +240,10 @@ type Model struct {
 	slots    int
 
 	// defaultOnce guards buildDefault; defaultInst is the shared, read-only
-	// default instance GenerateInto clones.
+	// default instance GenerateInto clones, defaultFlat its flat form.
 	defaultOnce sync.Once
 	defaultInst *Node
+	defaultFlat Flat
 }
 
 // root wraps the model's fields as a synthetic Block so tree algorithms can

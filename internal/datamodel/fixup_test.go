@@ -49,6 +49,31 @@ func TestBlobFixupWiderThan8(t *testing.T) {
 	}
 }
 
+// TestFlatCopyOwnsFixupBytes: a flat copy aliases its source's leaf bytes,
+// and a Blob checksum field is the one leaf File Fixup writes in place — so
+// the copy must own that field's bytes, or fixing up a mutated copy would
+// rewrite the checksum of the shared source under every other worker.
+func TestFlatCopyOwnsFixupBytes(t *testing.T) {
+	m := NewModel("m",
+		Bytes("payload", 4, []byte{1, 2, 3, 4}),
+		Bytes("sum", 12, nil).WithFix(CRC32IEEE, "payload"),
+	)
+	src := m.DefaultFlat()
+	before := src.Render(nil)
+	for _, a := range []*Arena{nil, {}} {
+		var cp Flat
+		cp.CopyFrom(src, a)
+		cp.Leaves[0].Data = []byte{9, 9, 9, 9, 9}
+		cp.ApplyFixups()
+		if !cp.VerifyFixups() || bytes.Equal(cp.Leaves[1].Data, src.Leaves[1].Data) {
+			t.Fatalf("copy not fixed up: sum %x", cp.Leaves[1].Data)
+		}
+		if after := src.Render(nil); !bytes.Equal(after, before) || !src.VerifyFixups() {
+			t.Fatalf("fixing up the copy wrote through to its source: %x → %x", before, after)
+		}
+	}
+}
+
 // TestRelationBindsFirstOccurrence pins the binding rule the engine and its
 // goldens rely on: a relation or fixup name binds, per instance, to the
 // first chunk in document order carrying it. Names are not required to be

@@ -20,11 +20,19 @@ func (m *Model) GenerateInto(a *Arena) *Node {
 	return m.defaultInst.CloneInto(a)
 }
 
+// DefaultFlat returns the flat form of the default instance, fixed up: a
+// pure function of the model, built on first use and shared read-only — the
+// engine copies it per execution, or renders it as it is.
+func (m *Model) DefaultFlat() *Flat {
+	m.defaultOnce.Do(m.buildDefault)
+	return &m.defaultFlat
+}
+
 // buildDefault generates the heap-backed default instance GenerateInto
-// clones; nothing writes to it afterwards.
+// clones and DefaultFlat flattens; nothing writes to it afterwards.
 func (m *Model) buildDefault() {
 	m.defaultInst = generateChunk(nil, m.root(), nil)
-	m.ApplyFixups(m.defaultInst)
+	m.Flatten(&m.defaultFlat, m.defaultInst).ApplyFixups()
 }
 
 // GenerateRandom instantiates the model with randomized leaf content:
@@ -33,14 +41,16 @@ func (m *Model) buildDefault() {
 // small count. Tokens keep their defaults — they define the packet type.
 // Fixups are applied, so the output is structurally legal. This is the
 // "random generation" mutator class of §II.
-func (m *Model) GenerateRandom(r *rng.RNG) *Node { return m.GenerateRandomInto(nil, r) }
+func (m *Model) GenerateRandom(r *rng.RNG) *Node { return m.GenerateRandomFlat(new(Flat), nil, r) }
 
-// GenerateRandomInto is GenerateRandom backed by the arena (nil = heap).
+// GenerateRandomFlat is GenerateRandom backed by the arena (nil = heap) and
+// leaving the instance's flat form in f — the one walk File Fixup needs
+// anyway, so the engine's randomized skeleton costs no second one.
 //
 //peachstar:hotpath
-func (m *Model) GenerateRandomInto(a *Arena, r *rng.RNG) *Node {
+func (m *Model) GenerateRandomFlat(f *Flat, a *Arena, r *rng.RNG) *Node {
 	n := generateChunk(a, m.root(), r)
-	m.ApplyFixups(n)
+	m.Flatten(f, n).ApplyFixups()
 	return n
 }
 

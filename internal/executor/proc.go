@@ -221,9 +221,7 @@ func (p *Proc) Run(packet []byte) (sandbox.Result, error) {
 		return sandbox.Result{}, err
 	}
 	p.journal = append(p.journal, append([]byte(nil), packet...))
-	res := p.exchange(packet)
-	res.PathSig = p.tracer.PathHash()
-	return res, nil
+	return p.exchange(packet), nil
 }
 
 // BeginSession marks a protocol-session boundary: the connection is

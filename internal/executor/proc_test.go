@@ -117,14 +117,15 @@ func TestProcBasicExchange(t *testing.T) {
 	if read.Outcome != sandbox.OK {
 		t.Fatalf("read outcome = %v, want OK", read.Outcome)
 	}
-	if read.PathSig == 0 || p.Tracer().CountEdges() == 0 {
+	readSig := p.Tracer().PathHash()
+	if readSig == 0 || p.Tracer().CountEdges() == 0 {
 		t.Fatal("response produced no coverage signal")
 	}
 	write := mustRun(t, p, pktWrite)
 	if write.Outcome != sandbox.OK {
 		t.Fatalf("write outcome = %v, want OK", write.Outcome)
 	}
-	if write.PathSig == read.PathSig {
+	if p.Tracer().PathHash() == readSig {
 		t.Fatal("distinct response shapes produced identical path signatures")
 	}
 	if p.Restarts() != 0 {

@@ -44,9 +44,10 @@ func (o Outcome) String() string {
 	}
 }
 
-// Result is the supervisor's view of one execution: what happened, the
-// fault details when it crashed, and the coverage snapshot hash used for
-// path-signature triage.
+// Result is the supervisor's view of one execution: what happened and the
+// fault details when it crashed. The execution's coverage stays in the
+// backend's tracer until the next Run; the engine hashes it into a crash's
+// path signature (Tracer.PathHash) only when there is a crash to triage.
 //
 // Result is also the return type of the pluggable execution backends in
 // internal/executor; the fields below the fault are filled only by backends
@@ -55,7 +56,6 @@ func (o Outcome) String() string {
 type Result struct {
 	Outcome Outcome
 	Fault   *mem.Fault // non-nil iff Outcome == Crash
-	PathSig uint64     // coverage.Hash of the execution's map
 	// HangSteps is the budget the hanging execution exhausted: the step
 	// budget for an in-process target, the watchdog timeout in
 	// milliseconds for a supervised process. 0 unless Outcome == Hang.
@@ -125,9 +125,6 @@ func (r *Runner) Target() Target { return r.target }
 func (r *Runner) Run(packet []byte) (res Result) {
 	r.tracer.Reset()
 	defer func() {
-		// PathHash walks only the lines this execution dirtied; the value
-		// is identical to coverage.Hash over the full map.
-		res.PathSig = r.tracer.PathHash()
 		rec := recover()
 		if rec == nil {
 			return

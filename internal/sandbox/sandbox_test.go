@@ -44,7 +44,7 @@ func TestRunOK(t *testing.T) {
 	if res.Outcome != OK || res.Fault != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.PathSig == 0 {
+	if r.Tracer().PathHash() == 0 {
 		t.Fatal("path signature should be non-zero for a non-empty map")
 	}
 }
@@ -107,13 +107,15 @@ func TestRunnerRecoversAcrossRuns(t *testing.T) {
 
 func TestPathSigSameForSameTrace(t *testing.T) {
 	r := NewRunner(&scriptTarget{mode: "ok"})
-	a := r.Run([]byte{1})
-	b := r.Run([]byte{2})
-	if a.PathSig != b.PathSig {
+	sig := func(pkt []byte) uint64 {
+		r.Run(pkt)
+		return r.Tracer().PathHash()
+	}
+	a, b := sig([]byte{1}), sig([]byte{2})
+	if a != b {
 		t.Fatal("identical traces should produce identical path signatures")
 	}
-	c := r.Run(nil) // takes the short path: only Hit(1)
-	if c.PathSig == a.PathSig {
+	if c := sig(nil); c == a { // takes the short path: only Hit(1)
 		t.Fatal("different traces should (almost surely) differ in signature")
 	}
 }

@@ -15,7 +15,10 @@ import (
 // plan: the string-resolving File Fixup the plan replaced, same algorithm but
 // written against the exported API only, so it can sit here, where all six
 // targets' model sets are importable without a cycle. The plan must produce
-// the same bytes and the same verdicts on every instance, odd ones included.
+// the same bytes and the same verdicts on every instance, odd ones included,
+// through both of its entry points: the tree one (Model.ApplyFixups) and the
+// engine's flat one (Flatten once, then per packet CopyFrom → leaf edits →
+// Flat.ApplyFixups → Render).
 
 func refWidthMask(width int) uint64 {
 	if width >= 8 {
@@ -244,18 +247,43 @@ func oracleModels(tb testing.TB) []*datamodel.Model {
 
 var oracleSuite = mutator.Suite()
 
+// oracleDonor stands for a corpus puzzle: the engine aliases donor bytes into
+// a leaf without copying, so nothing downstream may write through them.
+var oracleDonor = []byte{0xd0, 0x0d, 0xfe, 0xed, 0x01}
+
+// structural reports whether the op changes the tree's shape (perturb) or
+// only leaf content (perturbLeaves).
+func structural(op byte) bool { return op&7 >= 6 }
+
 // perturb damages the instance the way one op byte says: the low bits pick
 // the action, the rest the node it lands on.
 func perturb(r *rng.RNG, root *datamodel.Node, op byte) {
-	leaves := root.Leaves(nil)
+	switch op & 7 {
+	case 6: // swap a block for its own bytes re-cracked against its chunk
+		graft(root, int(op>>3))
+	case 7: // drop or duplicate an array element
+		resizeArray(root, int(op>>3))
+	default:
+		perturbLeaves(r, root.Leaves(nil), op)
+	}
+}
+
+// perturbLeaves is perturb's content half — everything the engine does to an
+// instance between picking a skeleton and File Fixup — on a leaf table: a
+// tree's, or a flat copy's.
+func perturbLeaves(r *rng.RNG, leaves []*datamodel.Node, op byte) {
 	if len(leaves) == 0 {
 		return
 	}
 	leaf := leaves[int(op>>3)%len(leaves)]
 	switch op & 7 {
-	case 0, 1, 2: // the engine's mutateLeaf
+	case 0, 1: // the engine's mutateLeaf
 		if m := mutator.Pick(r, oracleSuite, leaf.Chunk); m != nil {
 			leaf.Data = m.Mutate(r, leaf.Chunk, leaf.Data, nil)
+		}
+	case 2: // a donor aliased into a donatable leaf
+		if leaf.Chunk.Rel == nil && leaf.Chunk.Fix == nil {
+			leaf.Data = oracleDonor[:1+int(op>>3)%len(oracleDonor)]
 		}
 	case 3, 4, 5: // resize a relation or fixup field away from its width
 		var fields []*datamodel.Node
@@ -273,10 +301,6 @@ func perturb(r *rng.RNG, root *datamodel.Node, op byte) {
 		for i := range f.Data {
 			f.Data[i] = r.Byte()
 		}
-	case 6: // swap a block for its own bytes re-cracked against its chunk
-		graft(root, int(op>>3))
-	case 7: // drop or duplicate an array element
-		resizeArray(root, int(op>>3))
 	}
 }
 
@@ -354,26 +378,88 @@ func checkAgainstReference(tb testing.TB, m *datamodel.Model, inst *datamodel.No
 	}
 }
 
+var oracleArena datamodel.Arena
+
+// checkFlatAgainstReference holds the engine's path to the same reference:
+// base is flattened once, as a retained instance is; a copy of the leaf
+// table takes the content ops, is fixed up and rendered, and must give the
+// reference's verdicts and bytes for a clone of base that took the same ops.
+// Neither base nor the donor bytes may change under it.
+func checkFlatAgainstReference(tb testing.TB, m *datamodel.Model, base *datamodel.Node, seed uint64, ops []byte, what string) {
+	tb.Helper()
+	var src, cp datamodel.Flat
+	m.Flatten(&src, base)
+	before, donor := base.Bytes(), bytes.Clone(oracleDonor)
+	oracleArena.Reset()
+	cp.CopyFrom(&src, &oracleArena)
+	ref := base.Clone()
+	refLeaves := ref.Leaves(nil)
+	ra, rb := rng.New(seed), rng.New(seed)
+	for _, op := range ops {
+		perturbLeaves(ra, cp.Leaves, op)
+		perturbLeaves(rb, refLeaves, op)
+	}
+	edited := ref.Bytes()
+	if got, want := cp.VerifyFixups(), referenceVerifyFixups(ref); got != want {
+		tb.Fatalf("%s/%s: flat VerifyFixups = %v, reference %v (pkt %x)", m.Name, what, got, want, edited)
+	}
+	cp.ApplyFixups()
+	referenceApplyFixups(ref)
+	got, want := cp.Render(&oracleArena), ref.Bytes()
+	if !bytes.Equal(got, want) {
+		tb.Fatalf("%s/%s: flat ApplyFixups on %x\n  flat      %x\n  reference %x", m.Name, what, edited, got, want)
+	}
+	if a, b := cp.VerifyFixups(), referenceVerifyFixups(ref); a != b {
+		tb.Fatalf("%s/%s: after flat fixups VerifyFixups = %v, reference %v (pkt %x)", m.Name, what, a, b, got)
+	}
+	cp.ApplyFixups()
+	if again := cp.Render(nil); !bytes.Equal(again, got) {
+		tb.Fatalf("%s/%s: flat ApplyFixups twice %x, once %x", m.Name, what, again, got)
+	}
+	if after := base.Bytes(); !bytes.Equal(after, before) || !bytes.Equal(oracleDonor, donor) {
+		tb.Fatalf("%s/%s: fixing up a flat copy wrote through: source %x → %x, donor %x → %x",
+			m.Name, what, before, after, donor, oracleDonor)
+	}
+}
+
 // TestFixupPlanMatchesReference is the differential oracle over every
 // target's models and the shapes: default and random instances, as generated
-// and after one to three perturbations of each kind.
+// and after one to three perturbations of each kind. The flat path takes the
+// same instances: a structural perturbation lands on the tree before it is
+// flattened, a content one on the copied leaf table.
 func TestFixupPlanMatchesReference(t *testing.T) {
 	random := 200
 	if testing.Short() {
 		random = 20
 	}
 	for mi, m := range oracleModels(t) {
+		checkFlatAgainstReference(t, m, m.Generate(), 0, nil, "default")
 		checkAgainstReference(t, m, m.Generate(), "default")
 		r := rng.New(uint64(mi) + 1)
 		for i := 0; i < random; i++ {
 			base := m.GenerateRandom(r)
+			checkFlatAgainstReference(t, m, base, 0, nil, fmt.Sprintf("random %d", i))
 			checkAgainstReference(t, m, base.Clone(), fmt.Sprintf("random %d", i))
 			for action := byte(0); action < 8; action++ {
-				inst := base.Clone()
+				what := fmt.Sprintf("random %d action %d", i, action)
+				inst, flatBase := base.Clone(), base.Clone()
+				var ops []byte
 				for k := r.Range(1, 3); k > 0; k-- {
-					perturb(r, inst, byte(r.Intn(32))<<3|action)
+					ops = append(ops, byte(r.Intn(32))<<3|action)
 				}
-				checkAgainstReference(t, m, inst, fmt.Sprintf("random %d action %d", i, action))
+				seed := r.Uint64()
+				ra := rng.New(seed)
+				for _, op := range ops {
+					perturb(ra, inst, op)
+				}
+				if structural(action) {
+					for _, op := range ops {
+						perturb(nil, flatBase, op)
+					}
+					ops = nil
+				}
+				checkFlatAgainstReference(t, m, flatBase, seed, ops, what)
+				checkAgainstReference(t, m, inst, what)
 			}
 		}
 	}
@@ -395,9 +481,19 @@ func FuzzFixupPlan(f *testing.F) {
 		if len(ops) > 16 {
 			ops = ops[:16]
 		}
+		// The flat path takes the structural ops on the tree it flattens
+		// and the content ops on its copy of the leaf table.
+		flatBase := inst.Clone()
+		var content []byte
 		for _, op := range ops {
 			perturb(r, inst, op)
+			if structural(op) {
+				perturb(nil, flatBase, op)
+			} else {
+				content = append(content, op)
+			}
 		}
+		checkFlatAgainstReference(t, m, flatBase, seed, content, "fuzz")
 		checkAgainstReference(t, m, inst, "fuzz")
 	})
 }

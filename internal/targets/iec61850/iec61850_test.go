@@ -269,9 +269,10 @@ func TestGetNameListDomainScopeReachesListing(t *testing.T) {
 	s := New()
 	r := sandbox.NewRunner(s)
 	associate(t, r)
-	a := r.Run(modelByName(t, "GetNameListVariables").pkt)
-	b := r.Run(modelByName(t, "GetNameListDomains").pkt)
-	if a.PathSig == b.PathSig {
+	r.Run(modelByName(t, "GetNameListVariables").pkt)
+	a := r.Tracer().PathHash()
+	r.Run(modelByName(t, "GetNameListDomains").pkt)
+	if b := r.Tracer().PathHash(); a == b {
 		t.Fatal("domain and vmd scopes traced identically; domain listing not reached")
 	}
 }
