@@ -1,15 +1,15 @@
 # CI entry points for the Peach* reproduction. `make ci` is the full gate;
 # the individual targets are what it runs. `make check` is the fast
 # pre-commit gate: build + vet + lint + race + the hot-path allocation
-# guard + the docs gate.
+# guard + the docs, API and size gates.
 
 GO ?= go
 
-.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc clean
+.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
 
-ci: build vet lint test race docs-check api-check soak
+ci: build vet lint test race docs-check api-check loc-check soak
 
-check: build vet lint race alloc-guard docs-check api-check
+check: build vet lint race alloc-guard docs-check api-check loc-check
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,15 @@ profile:
 # Non-test Go lines outside the benchmark — the tracked size metric.
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^cmd/bench/' | xargs cat | wc -l
+
+# Size gate: the tracked metric may not exceed the figure committed in the
+# one-line LOC file. Growing it is a deliberate, reviewed act — regenerate
+# with `make loc > LOC` and read the diff in the commit, like api-snapshot.
+loc-check:
+	@n=$$($(MAKE) -s --no-print-directory loc); max=$$(cat LOC); \
+	if [ "$$n" -gt "$$max" ]; then \
+		echo "loc-check: $$n non-test lines, LOC allows $$max (shrink the change, or regenerate deliberately: make loc > LOC)"; exit 1; \
+	fi; echo "loc-check: $$n <= $$max"
 
 clean:
 	$(GO) clean -testcache

@@ -1,8 +1,6 @@
 // Command peachlint is the multichecker for the repository's five
 // project-specific analyzers (detsource, rnggate, hotalloc, snapfields,
-// atomicmix — see internal/analysis). It runs in two modes:
-//
-// Standalone, the `make lint` entry point:
+// atomicmix — see internal/analysis), the `make lint` entry point:
 //
 //	peachlint ./...
 //
@@ -10,51 +8,17 @@
 // the build cache's export data, fully offline), runs every analyzer, prints
 // findings as file:line:col: analyzer: message, and exits 1 if there are
 // any.
-//
-// Vet-tool, the cmd/go unitchecker protocol:
-//
-//	go vet -vettool=$(which peachlint) ./...
-//
-// cmd/go invokes the tool once per package with a JSON config file argument
-// (and with -V=full for the cache-busting version handshake); peachlint
-// type-checks the unit from the config's file lists, writes the (empty)
-// facts file cmd/go expects, and reports findings as vet JSON.
 package main
 
 import (
-	"encoding/gob"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		// cmd/go's vet-tool version handshake: the printed id keys the
-		// build cache. The analyzers' behaviour is pinned by this string;
-		// bump it when diagnostics change.
-		fmt.Printf("peachlint version peachlint-v1\n")
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		// cmd/go asks which tool flags exist before deciding what to pass;
-		// peachlint takes none beyond the protocol itself.
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		if err := runVetUnit(os.Args[1]); err != nil {
-			fmt.Fprintf(os.Stderr, "peachlint: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: peachlint [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.Analyzers() {
@@ -83,110 +47,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "peachlint: %d finding(s)\n", total)
 		os.Exit(1)
 	}
-}
-
-// vetConfig is the JSON unit description cmd/go hands a vet tool; the field
-// set mirrors x/tools' unitchecker.Config (only the fields peachlint needs
-// are decoded).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetDiagnostic is one finding in cmd/go's vet JSON output format.
-type vetDiagnostic struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// runVetUnit analyzes one compilation unit described by a vet .cfg file.
-func runVetUnit(cfgPath string) error {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		return err
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return fmt.Errorf("parsing %s: %v", cfgPath, err)
-	}
-
-	// cmd/go requires the facts file to exist even though peachlint's
-	// analyzers exchange no facts.
-	if cfg.VetxOutput != "" {
-		f, err := os.Create(cfg.VetxOutput)
-		if err != nil {
-			return err
-		}
-		if err := gob.NewEncoder(f).Encode([]string{}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if cfg.VetxOnly {
-		return nil
-	}
-
-	// cmd/go also hands over the test variants of each package; peachlint
-	// checks shipped code only (the runtime suites own the tests), so test
-	// files are dropped and a test-only unit is vacuously clean.
-	shipped := cfg.GoFiles[:0]
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			shipped = append(shipped, f)
-		}
-	}
-	cfg.GoFiles = shipped
-	if len(cfg.GoFiles) == 0 {
-		return nil
-	}
-
-	pkg, err := analysis.LoadVetUnit(analysis.VetUnit{
-		ImportPath:  cfg.ImportPath,
-		Dir:         cfg.Dir,
-		GoFiles:     cfg.GoFiles,
-		ImportMap:   cfg.ImportMap,
-		PackageFile: cfg.PackageFile,
-	})
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return nil
-		}
-		return err
-	}
-	findings := analysis.RunPackage(pkg, analysis.Analyzers())
-	if len(findings) == 0 {
-		return nil
-	}
-	// Vet JSON: {"<importpath>": {"<analyzer>": [diagnostics]}}.
-	byAnalyzer := map[string][]vetDiagnostic{}
-	for _, f := range findings {
-		byAnalyzer[f.Analyzer] = append(byAnalyzer[f.Analyzer], vetDiagnostic{
-			Posn:    positionString(f.Pos),
-			Message: f.Message,
-		})
-	}
-	out := map[string]map[string][]vetDiagnostic{cfg.ImportPath: byAnalyzer}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(out); err != nil {
-		return err
-	}
-	os.Exit(2) // diagnostics found: the unitchecker exit convention
-	return nil
-}
-
-func positionString(p token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -17,27 +16,6 @@ func buildPeachlint(t *testing.T) string {
 		t.Fatalf("building peachlint: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestVetToolProtocol drives peachlint through cmd/go's vet-tool protocol
-// end to end — the -V=full version handshake, per-unit .cfg analysis and
-// facts-file writes — against packages that must vet clean.
-func TestVetToolProtocol(t *testing.T) {
-	bin := buildPeachlint(t)
-
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full handshake: %v", err)
-	}
-	if !strings.HasPrefix(string(out), "peachlint version ") {
-		t.Fatalf("-V=full output %q does not follow the vet handshake convention", out)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "repro/internal/rng", "repro/internal/checkpoint", "repro/internal/mutator")
-	vet.Dir = "../.."
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool=peachlint: %v\n%s", err, out)
-	}
 }
 
 // TestStandaloneClean runs the standalone driver over a package that must

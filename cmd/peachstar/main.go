@@ -56,7 +56,7 @@ func main() {
 		mesh       = flag.String("mesh", "", "join a hub-less mesh fleet, accepting peers on this host:port (mesh node)")
 		peers      = flag.String("peers", "", "comma-separated bootstrap peer addresses (with -mesh; one live address is enough)")
 		advertise  = flag.String("advertise", "", "externally dialable address peers should reach this node at (with -mesh; default: the bound -mesh address)")
-		syncEvery  = flag.Int("sync-every", 1024, "executions between fleet syncs (with -connect or -mesh)")
+		syncEvery  = flag.Int("sync-every", 1024, "executions between fleet syncs (with -serve, -connect or -mesh)")
 		seedStream = flag.Int("seed-stream", 0, "RNG stream offset for this node's workers; give each leaf a disjoint range")
 		adaptive   = flag.Bool("adaptive", false, "enable the adaptive scheduler (learned mutator weights, rarity-weighted seeds, corpus distillation)")
 		sessions   = flag.Bool("sessions", false, "fuzz stateful message sequences through the target's session state machine instead of independent packets (target must publish a state model)")
@@ -169,7 +169,8 @@ func main() {
 			os.Exit(2)
 		}
 		defer hub.Close()
-		fmt.Printf("serving fleet sync on %s\n", hub.Addr())
+		attach = append(attach, hub.Attachment())
+		fmt.Printf("serving fleet sync on %s (publishing every %d execs)\n", hub.Addr(), *syncEvery)
 	}
 	var leaf *peachstar.SyncLeaf
 	if *connect != "" {

@@ -29,7 +29,7 @@ import (
 // magic values among the legal sets, so the generator reaches the crash
 // and hang paths within a small budget.
 func toyModel() *peachstar.Model {
-	return peachstar.NewModel("ToyModbus",
+	m, err := peachstar.NewModel("ToyModbus",
 		peachstar.Num("txn", 2, 1),
 		peachstar.Num("proto", 2, 0).AsToken(),
 		peachstar.Num("length", 2, 0).WithRel(peachstar.SizeOf, "tail", 0),
@@ -56,6 +56,10 @@ func toyModel() *peachstar.Model {
 			),
 		),
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return m
 }
 
 // buildServer compiles the toy server into a temp dir and returns the

@@ -217,8 +217,8 @@ func (p *Pass) Suppressed(pos token.Pos) bool {
 // RunPackage runs the analyzers over one loaded package and returns the
 // surviving findings (suppressed diagnostics dropped, directive parse
 // errors included) sorted by position. It is the single entry point shared
-// by cmd/peachlint, the vet-tool mode, the analysistest harness, and the
-// root self-application test.
+// by cmd/peachlint, the analysistest harness, and the root
+// self-application test.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 	dirs := parseDirectives(pkg.Fset, pkg.Files)
 	var out []Finding

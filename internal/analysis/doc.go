@@ -93,8 +93,5 @@
 // `go list -export` (type-checking against the build cache's export data,
 // fully offline) and runs all five analyzers; `make lint` wires it into
 // `make check` and `make ci`, and the root TestLintSelfClean keeps the
-// self-application in the ordinary test suite. The same binary also speaks
-// the cmd/go vet tool protocol (it accepts a vet .cfg file and the
-// -V=full version handshake), so it can run as
-// `go vet -vettool=$(which peachlint) ./...`.
+// self-application in the ordinary test suite.
 package analysis

@@ -140,39 +140,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// VetUnit describes one compilation unit as handed to a vet tool by
-// cmd/go: explicit file lists and maps from import path to export-data
-// file, no `go list` round trip needed.
-type VetUnit struct {
-	ImportPath  string
-	Dir         string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-}
-
-// LoadVetUnit type-checks a vet compilation unit against the export data
-// cmd/go already built for its dependencies.
-func LoadVetUnit(u VetUnit) (*Package, error) {
-	exports := map[string]string{}
-	for path, file := range u.PackageFile {
-		exports[path] = file
-	}
-	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		if real, ok := u.ImportMap[path]; ok {
-			path = real
-		}
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	return typeCheck(fset, imp, u.ImportPath, u.Dir, u.GoFiles)
-}
-
 // LoadDir loads a single directory of Go files as the package importPath,
 // resolving its imports with `go list -export`. It exists for the
 // analysistest harness: testdata packages live outside the module's package

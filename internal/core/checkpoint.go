@@ -214,7 +214,7 @@ func (e *Engine) snapshot(w *checkpoint.Writer) {
 	w.Int(e.semPaths)
 	w.Int(e.baseExecs)
 	w.Int(e.basePaths)
-	e.virgin.v.Snapshot(w)
+	e.virgin.Snapshot(w)
 	e.corp.Snapshot(w)
 	e.crashes.Snapshot(w)
 
@@ -304,7 +304,7 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 	// stored count net of the live backend's current figure.
 	e.restartsAccum = restarts - (e.execRestarts() - e.restartsAccum)
 
-	if err := e.virgin.v.Restore(r); err != nil {
+	if err := e.virgin.Restore(r); err != nil {
 		return err
 	}
 	if err := e.corp.Restore(r); err != nil {

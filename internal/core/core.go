@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/corpus"
+	"repro/internal/coverage"
 	"repro/internal/crash"
 	"repro/internal/datamodel"
 	"repro/internal/executor"
@@ -171,7 +172,7 @@ type Engine struct {
 	// TargetRestarts survives the session restoring the in-process
 	// backend.
 	restartsAccum int
-	virgin        *virginState
+	virgin        *coverage.Virgin
 	corp          *corpus.Corpus
 	crashes       *crash.Bank
 	muts          []mutator.Mutator //peachstar:nosnap mutator suite is construction wiring
@@ -236,7 +237,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		r:        rng.New(cfg.Seed),
 		exec:     ex,
-		virgin:   newVirginState(),
+		virgin:   coverage.NewVirgin(),
 		corp:     corpus.New(cfg.CorpusPerSig),
 		crashes:  crash.NewBank(),
 		muts:     mutator.Suite(),
@@ -470,9 +471,9 @@ func (e *Engine) execute(seed []byte) {
 func (e *Engine) observe(seed []byte, res *sandbox.Result) bool {
 	switch res.Outcome {
 	case sandbox.Crash:
-		e.crashes.ReportSequenceSteps(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, e.exec.Tracer().PathHash())
+		e.crashes.Report(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, e.exec.Tracer().PathHash())
 	case sandbox.Hang:
-		e.crashes.ReportHangDetail(res.HangSteps, seed)
+		e.crashes.ReportHang(res.HangSteps, seed)
 	}
 	// Valuable-seed identification (§IV-B): did this execution reach a
 	// new program state? The merge walks only the tracer lines this

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/datamodel"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // This file implements the paper's second future-work direction (§VII):
 // "customize our work into other generation- or mutation-based fuzzers".
@@ -98,12 +95,8 @@ func (e *Engine) chunkAwareMutate(base []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// havoc applies 1..8 random byte-level operations, the AFL havoc stage.
-func havoc(r *rng.RNG, base []byte) []byte {
-	return havocInto(r, nil, base)
-}
-
-// havocInto is havoc writing into a reusable scratch buffer (the engine
+// havocInto applies 1..8 random byte-level operations, the AFL havoc
+// stage, to a copy of base built in a reusable scratch buffer (the engine
 // passes arena-backed scratch so the steady-state path stays allocation
 // free).
 func havocInto(r *rng.RNG, dst, base []byte) []byte {
@@ -156,5 +149,3 @@ func (e *Engine) mutationRetain(seed []byte) {
 func (e *Engine) isMutationStrategy() bool {
 	return e.cfg.Strategy == StrategyMutation || e.cfg.Strategy == StrategyMutationStar
 }
-
-var _ = datamodel.Variable // the chunk-aware stage builds on datamodel

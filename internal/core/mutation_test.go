@@ -70,7 +70,7 @@ func TestHavocAlwaysChangesOrKeepsValid(t *testing.T) {
 	base := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	changed := 0
 	for i := 0; i < 200; i++ {
-		out := havoc(r, base)
+		out := havocInto(r, nil, base)
 		if !bytes.Equal(out, base) {
 			changed++
 		}
@@ -91,7 +91,7 @@ func TestHavocAlwaysChangesOrKeepsValid(t *testing.T) {
 
 func TestHavocEmptyBase(t *testing.T) {
 	r := rng.New(6)
-	out := havoc(r, nil)
+	out := havocInto(r, nil, nil)
 	if len(out) == 0 {
 		t.Fatal("havoc on empty base should synthesize bytes")
 	}

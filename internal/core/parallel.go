@@ -132,8 +132,8 @@ type workerPeer struct {
 func (p *workerPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashes *crash.Bank) error {
 	w := p.w
 	atomic.StoreInt64(&p.execsPub, int64(w.stats.Execs))
-	virgin.MergeVirgin(w.virgin.v)
-	w.virgin.v.MergeVirgin(virgin)
+	virgin.MergeVirgin(w.virgin)
+	w.virgin.MergeVirgin(virgin)
 	_, p.pushed = corp.MergeJournal(w.corp, p.pushed)
 	w.corp.AdvancePeer(p.selfID, p.pushed)
 	w.corp.CompactJournal()
@@ -391,7 +391,7 @@ func (f *Fleet) Stats() Stats {
 	st := f.state
 	st.mu.Lock()
 	for _, w := range f.workers {
-		st.virgin.MergeVirgin(w.virgin.v)
+		st.virgin.MergeVirgin(w.virgin)
 		st.corp.MergeFrom(w.corp)
 	}
 	s.Edges = st.virgin.Edges()

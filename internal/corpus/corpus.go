@@ -35,7 +35,7 @@ type Corpus struct {
 	//peachstar:nosnap dedup set is rebuilt by Restore from the restored store
 	seen     map[string]bool // dedup key: signature + "\x00" + data
 	puzzles  int             //peachstar:nosnap recounted by Restore while rebuilding the store
-	inserted int
+	inserted int             // accepted Add calls, evictions included; part of the checkpoint image
 	// journal is the list of accepted puzzles in acceptance order. Sync
 	// peers remember how far into a corpus's journal they have read
 	// (JournalLen) and exchange only the tail (MergeJournal), making a
@@ -388,10 +388,6 @@ func (c *Corpus) CompactJournal() int {
 
 // Len returns the number of stored puzzles.
 func (c *Corpus) Len() int { return c.puzzles }
-
-// Inserted returns the total number of accepted Add calls, including
-// puzzles that were later evicted — a campaign statistic.
-func (c *Corpus) Inserted() int { return c.inserted }
 
 // Empty reports whether the corpus holds no puzzles — the engine's signal
 // that the semantic-aware strategy is not yet available (§IV-A: "Initially,

@@ -108,8 +108,8 @@ func TestEvictionBound(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if c.Inserted() != 10 {
-		t.Fatalf("Inserted = %d", c.Inserted())
+	if c.inserted != 10 {
+		t.Fatalf("inserted = %d", c.inserted)
 	}
 	// An evicted puzzle may be re-added (its dedup key was forgotten).
 	if !c.Add(puzzle(sig, "00", "m")) {

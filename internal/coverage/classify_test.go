@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// TestClassifyWordVariantsMatchBucket pins both word classifiers — the wide
-// 16-bit-LUT one and the compact 128-entry one — to the scalar bucket
-// reference, byte-exhaustively in every lane position and over random
-// words. This is the equivalence that lets the benchmarks pick whichever
-// variant is faster without a semantic question.
+// TestClassifyWordVariantsMatchBucket pins the word classifier to the
+// scalar bucket reference, byte-exhaustively in every lane position and
+// over random words.
 func TestClassifyWordVariantsMatchBucket(t *testing.T) {
 	ref := func(w uint64) uint64 {
 		var out uint64
@@ -24,9 +22,6 @@ func TestClassifyWordVariantsMatchBucket(t *testing.T) {
 			if got, want := classifyWord(w), ref(w); got != want {
 				t.Fatalf("classifyWord(%#x) = %#x, want %#x", w, got, want)
 			}
-			if got, want := classifyWordCompact(w), ref(w); got != want {
-				t.Fatalf("classifyWordCompact(%#x) = %#x, want %#x", w, got, want)
-			}
 		}
 	}
 	r := rand.New(rand.NewSource(1))
@@ -36,15 +31,11 @@ func TestClassifyWordVariantsMatchBucket(t *testing.T) {
 		if got := classifyWord(w); got != want {
 			t.Fatalf("classifyWord(%#x) = %#x, want %#x", w, got, want)
 		}
-		if got := classifyWordCompact(w); got != want {
-			t.Fatalf("classifyWordCompact(%#x) = %#x, want %#x", w, got, want)
-		}
 	}
 }
 
-// The classifier benchmarks feed both variants the same mixed word stream
-// (sparse low counts, the occasional saturated byte) so the choice between
-// them is made on measurements, not taste:
+// The classifier benchmark feeds a mixed word stream (sparse low counts,
+// the occasional saturated byte):
 //
 //	go test ./internal/coverage -bench 'BenchmarkClassifyWord' -run XXX
 
@@ -75,14 +66,6 @@ func BenchmarkClassifyWordWide(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {
 		acc ^= classifyWord(classifyWords[i&4095])
-	}
-	classifySink = acc
-}
-
-func BenchmarkClassifyWordCompact(b *testing.B) {
-	var acc uint64
-	for i := 0; i < b.N; i++ {
-		acc ^= classifyWordCompact(classifyWords[i&4095])
 	}
 	classifySink = acc
 }

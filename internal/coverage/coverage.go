@@ -16,7 +16,7 @@
 //
 // # Hot path
 //
-// Every consumer of a coverage map (Merge, WouldMerge, Hash, Classify,
+// Every consumer of a coverage map (Merge, MergeTracer, PathHash,
 // CountEdges) views it as a sequence of 64-bit words and skips zero words
 // outright — the maps are sparse (a protocol execution lights a few hundred
 // edges out of 65536), so the scan touches roughly 1/64th of the map's
@@ -99,8 +99,11 @@ func (t *Tracer) Reset() {
 	t.prev = 0
 }
 
-// PathHash is Hash over the tracer's live map, walking only dirty lines.
-// The value is identical to Hash(t.Raw()): zero bytes never contribute, and
+// PathHash returns a 64-bit FNV-1a hash of the bucketed form of the
+// tracer's live map, walking only dirty lines. Two executions with equal
+// hashes exercised the same bucketed edge set; the crash triager uses this
+// as a cheap execution-path signature. The value is identical to the
+// byte-at-a-time definition over t.Raw(): zero bytes never contribute, and
 // dirty lines are visited in ascending order.
 func (t *Tracer) PathHash() uint64 {
 	const (
@@ -243,68 +246,15 @@ func init() {
 	}
 }
 
-// classLUT128 is the compact alternative to classLUT: bucket over the 7
-// low bits only. Counters with the high bit set always bucket to 128,
-// which is exactly the high bit itself, so classifyWordCompact handles
-// them with bit arithmetic and the table shrinks from 128 KiB to two
-// cache lines. The equivalence test pins both classifiers to bucket().
-var classLUT128 [128]byte
-
-func init() {
-	for i := range classLUT128 {
-		classLUT128[i] = bucket(byte(i))
-	}
-}
-
-// classifyWord buckets all eight counters of a map word at once. It uses
-// the wide 16-bit LUT: four table loads per word beat the compact
-// 128-entry variant's eight loads plus mask arithmetic in the microbench
-// (BenchmarkClassifyWord*, roughly 3x per word when last measured); the
-// end-to-end view is cmd/bench's coverage.merge_ns.
-// The two are pinned equivalent by TestClassifyWordVariantsMatchBucket,
-// so a cache-pressured platform can swap the body for
-// classifyWordCompact without a semantic question.
+// classifyWord buckets all eight counters of a map word at once through
+// the 16-bit LUT, four table loads per word; pinned to bucket() by
+// TestClassifyWordVariantsMatchBucket, measured end to end by cmd/bench's
+// coverage.merge_ns.
 func classifyWord(w uint64) uint64 {
 	return uint64(classLUT[uint16(w)]) |
 		uint64(classLUT[uint16(w>>16)])<<16 |
 		uint64(classLUT[uint16(w>>32)])<<32 |
 		uint64(classLUT[uint16(w>>48)])<<48
-}
-
-// classifyWordCompact buckets all eight counters of a map word through the
-// 128-entry table. Counters >= 128 bucket to 0x80 — their own high bit —
-// so the word's high bits pass through directly and the low 7 bits of
-// those bytes are masked to index 0 (bucket 0) before the table loads:
-// (h>>7)*0x7f spreads each byte's high bit into a 0x7f mask with no
-// cross-byte carries.
-func classifyWordCompact(w uint64) uint64 {
-	const hiBits = 0x8080808080808080
-	h := w & hiBits
-	lw := (w &^ hiBits) &^ ((h >> 7) * 0x7f)
-	return h |
-		uint64(classLUT128[byte(lw)]) |
-		uint64(classLUT128[byte(lw>>8)])<<8 |
-		uint64(classLUT128[byte(lw>>16)])<<16 |
-		uint64(classLUT128[byte(lw>>24)])<<24 |
-		uint64(classLUT128[byte(lw>>32)])<<32 |
-		uint64(classLUT128[byte(lw>>40)])<<40 |
-		uint64(classLUT128[byte(lw>>48)])<<48 |
-		uint64(classLUT128[byte(lw>>56)])<<56
-}
-
-// Classify rewrites a raw coverage map in place into bucketed form.
-func Classify(m []byte) {
-	i := 0
-	for ; i+8 <= len(m); i += 8 {
-		w := binary.LittleEndian.Uint64(m[i : i+8])
-		if w == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint64(m[i:i+8], classifyWord(w))
-	}
-	for ; i < len(m); i++ {
-		m[i] = bucket(m[i])
-	}
 }
 
 // Virgin tracks which bucketed edge states have ever been observed across a
@@ -430,29 +380,6 @@ func (v *Virgin) MergeVirgin(o *Virgin) bool {
 	return changed
 }
 
-// WouldMerge reports whether Merge would return true, without mutating the
-// accumulator. Used by tests and by the harness to probe coverage levels.
-func (v *Virgin) WouldMerge(raw []byte) bool {
-	seen := v.seen[:]
-	i := 0
-	for ; i+8 <= len(raw); i += 8 {
-		w := binary.LittleEndian.Uint64(raw[i : i+8])
-		if w == 0 {
-			continue
-		}
-		sw := binary.LittleEndian.Uint64(seen[i : i+8])
-		if classifyWord(w)&^sw != 0 {
-			return true
-		}
-	}
-	for ; i < len(raw); i++ {
-		if c := raw[i]; c != 0 && seen[i]&bucket(c) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Edges returns the number of distinct edges observed so far, a coarse
 // campaign-level coverage measure used by the speed-to-coverage experiment.
 func (v *Virgin) Edges() int { return v.edges }
@@ -461,45 +388,4 @@ func (v *Virgin) Edges() int { return v.edges }
 func (v *Virgin) Reset() {
 	v.seen = [MapSize]byte{}
 	v.edges = 0
-}
-
-// Hash returns a 64-bit FNV-1a hash of the bucketed form of a raw map. Two
-// inputs with equal hashes exercised the same bucketed edge set; the crash
-// triager uses this as a cheap execution-path signature. Zero bytes never
-// contribute, so the word-level zero skip leaves the value identical to the
-// byte-at-a-time definition.
-func Hash(raw []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	var h uint64 = offset
-	i := 0
-	for ; i+8 <= len(raw); i += 8 {
-		w := binary.LittleEndian.Uint64(raw[i : i+8])
-		if w == 0 {
-			continue
-		}
-		for b := 0; b < 64; b += 8 {
-			c := byte(w >> b)
-			if c == 0 {
-				continue
-			}
-			h ^= uint64(i + b/8)
-			h *= prime
-			h ^= uint64(bucket(c))
-			h *= prime
-		}
-	}
-	for ; i < len(raw); i++ {
-		c := raw[i]
-		if c == 0 {
-			continue
-		}
-		h ^= uint64(i)
-		h *= prime
-		h ^= uint64(bucket(c))
-		h *= prime
-	}
-	return h
 }

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -114,37 +115,37 @@ func TestVirginMergeDetectsNewBuckets(t *testing.T) {
 	}
 }
 
-func TestWouldMergeDoesNotMutate(t *testing.T) {
-	v := NewVirgin()
-	m := make([]byte, MapSize)
-	m[5] = 1
-	if !v.WouldMerge(m) {
-		t.Fatal("WouldMerge should report true for a fresh edge")
+// tracerOf loads a raw map into a tracer the way Hit would have: counters
+// set, touched lines marked dirty.
+func tracerOf(raw []byte) *Tracer {
+	tr := NewTracer()
+	for i, c := range raw {
+		if c != 0 {
+			tr.buf[i] = c
+			tr.dirty[i>>(dirtyShift+6)] |= 1 << ((i >> dirtyShift) & 63)
+		}
 	}
-	if !v.WouldMerge(m) {
-		t.Fatal("WouldMerge must not record anything")
-	}
-	if v.Edges() != 0 {
-		t.Fatal("WouldMerge mutated the accumulator")
-	}
+	return tr
 }
+
+func pathHash(raw []byte) uint64 { return tracerOf(raw).PathHash() }
 
 func TestHashDistinguishesBuckets(t *testing.T) {
 	a := make([]byte, MapSize)
 	b := make([]byte, MapSize)
 	a[9] = 1
 	b[9] = 3
-	if Hash(a) == Hash(b) {
+	if pathHash(a) == pathHash(b) {
 		t.Fatal("different buckets should hash differently")
 	}
 	b[9] = 1
-	if Hash(a) != Hash(b) {
+	if pathHash(a) != pathHash(b) {
 		t.Fatal("equal maps should hash equally")
 	}
 	// Same bucket, different raw count: hashes must agree.
 	b[9] = 2
 	a[9] = 2
-	if Hash(a) != Hash(b) {
+	if pathHash(a) != pathHash(b) {
 		t.Fatal("same map, same hash")
 	}
 }
@@ -154,18 +155,14 @@ func TestHashBucketInsensitiveWithinBucket(t *testing.T) {
 	b := make([]byte, MapSize)
 	a[42] = 4
 	b[42] = 7 // both bucket 8
-	if Hash(a) != Hash(b) {
+	if pathHash(a) != pathHash(b) {
 		t.Fatal("raw counts in the same bucket must hash equally")
 	}
 }
 
 func TestClassifyInPlace(t *testing.T) {
-	m := make([]byte, MapSize)
-	m[0] = 5
-	m[1] = 200
-	Classify(m)
-	if m[0] != 8 || m[1] != 128 {
-		t.Fatalf("Classify gave %d,%d want 8,128", m[0], m[1])
+	if w := classifyWord(5 | 200<<8); byte(w) != 8 || byte(w>>8) != 128 || w>>16 != 0 {
+		t.Fatalf("classifyWord gave %#x, want lanes 8,128", w)
 	}
 }
 
@@ -215,7 +212,7 @@ func TestRegionSpread(t *testing.T) {
 }
 
 func TestVirginMergeProperty(t *testing.T) {
-	// Property: after Merge(m) returns, WouldMerge(m) is false.
+	// Property: after Merge(m) returns, merging m again finds nothing new.
 	f := func(idxs []uint16, vals []byte) bool {
 		v := NewVirgin()
 		m := make([]byte, MapSize)
@@ -225,7 +222,7 @@ func TestVirginMergeProperty(t *testing.T) {
 			}
 		}
 		v.Merge(m)
-		return !v.WouldMerge(m)
+		return !v.Merge(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -276,7 +273,7 @@ func TestMergeVirginUnion(t *testing.T) {
 		t.Fatal("second merge must be a no-op")
 	}
 	// a now subsumes both executions.
-	if a.WouldMerge(raw1) || a.WouldMerge(raw2) {
+	if a.Merge(raw1) || a.Merge(raw2) {
 		t.Fatal("union should cover both source maps")
 	}
 	// b is untouched.
@@ -309,7 +306,7 @@ func TestMergeVirginBucketGranularity(t *testing.T) {
 // full counter range. Bit-for-bit equality here is what guarantees campaign
 // determinism across the rewrite.
 
-// refVirgin is the byte-at-a-time Merge/WouldMerge/edge accounting.
+// refVirgin is the byte-at-a-time Merge/edge accounting.
 type refVirgin struct {
 	seen  [MapSize]byte
 	edges int
@@ -401,20 +398,9 @@ func TestMergeMatchesByteReference(t *testing.T) {
 	}
 }
 
-func TestWouldMergeMatchesMerge(t *testing.T) {
-	v := NewVirgin()
-	for mi, m := range testMaps() {
-		probe := *v // WouldMerge must predict Merge on a copy
-		if got, want := v.WouldMerge(m), probe.Merge(m); got != want {
-			t.Fatalf("map %d: WouldMerge = %v, Merge = %v", mi, got, want)
-		}
-		v.Merge(m)
-	}
-}
-
 func TestHashMatchesByteReference(t *testing.T) {
 	for mi, m := range testMaps() {
-		if got, want := Hash(m), refHash(m); got != want {
+		if got, want := tracerOf(m).PathHash(), refHash(m); got != want {
 			t.Fatalf("map %d: Hash = %#x, reference = %#x", mi, got, want)
 		}
 	}
@@ -422,14 +408,12 @@ func TestHashMatchesByteReference(t *testing.T) {
 
 func TestClassifyMatchesBucket(t *testing.T) {
 	for mi, m := range testMaps() {
-		want := make([]byte, len(m))
-		for i, c := range m {
-			want[i] = bucket(c)
-		}
-		Classify(m)
-		for i := range m {
-			if m[i] != want[i] {
-				t.Fatalf("map %d: Classify[%d] = %d, want %d", mi, i, m[i], want[i])
+		for i := 0; i < len(m); i += 8 {
+			w := classifyWord(binary.LittleEndian.Uint64(m[i : i+8]))
+			for b := 0; b < 8; b++ {
+				if got, want := byte(w>>(8*b)), bucket(m[i+b]); got != want {
+					t.Fatalf("map %d: classified[%d] = %d, want %d", mi, i+b, got, want)
+				}
 			}
 		}
 	}
@@ -494,8 +478,8 @@ func TestMergeTracerMatchesMergeRaw(t *testing.T) {
 func TestPathHashMatchesHashRaw(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		tr := hitTracer(30+round*60, uint64(round+7))
-		if got, want := tr.PathHash(), Hash(tr.Raw()); got != want {
-			t.Fatalf("round %d: PathHash = %#x, Hash = %#x", round, got, want)
+		if got, want := tr.PathHash(), refHash(tr.Raw()); got != want {
+			t.Fatalf("round %d: PathHash = %#x, reference = %#x", round, got, want)
 		}
 	}
 }
@@ -513,7 +497,7 @@ func TestSparseResetClearsEverything(t *testing.T) {
 			t.Fatal("dirty index not cleared by Reset")
 		}
 	}
-	if tr.PathHash() != Hash(tr.Raw()) {
+	if tr.PathHash() != refHash(tr.Raw()) {
 		t.Fatal("empty tracer hash mismatch")
 	}
 	// The tracer must be fully reusable after a sparse reset.
@@ -545,10 +529,10 @@ func BenchmarkMergeSparse(b *testing.B) {
 }
 
 func BenchmarkHashSparse(b *testing.B) {
-	m := sparseMap()
+	tr := tracerOf(sparseMap())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Hash(m)
+		tr.PathHash()
 	}
 }
 

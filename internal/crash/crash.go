@@ -83,9 +83,6 @@ func RecordKey(r *Record) string {
 	return string(r.Kind) + "@" + r.Site
 }
 
-// recordKey is the package-internal spelling of RecordKey.
-func recordKey(r *Record) string { return RecordKey(r) }
-
 // Bank accumulates unique crash records across a campaign. All methods are
 // safe for concurrent use: parallel campaign workers report into their own
 // banks while a monitor may snapshot records, and the shard runner merges
@@ -104,25 +101,14 @@ func NewBank() *Bank {
 }
 
 // Report records one crashing execution. It returns true when the fault is
-// new (a previously unseen unique vulnerability).
-func (b *Bank) Report(f *mem.Fault, packet []byte, execIndex int, pathSig uint64) bool {
-	return b.ReportSequence(f, packet, nil, execIndex, pathSig)
-}
-
-// ReportSequence is Report for a fault found by a supervised target
-// process: seq, when non-nil, is the replayable reproducer journal (the
-// packet sequence since the process last started, packet last). The
-// sequence travels with the record that owns the example packet: the first
+// new (a previously unseen unique vulnerability). seq, when non-nil, is the
+// replayable reproducer journal (the packet sequence since the target last
+// started, packet last), and starts lists the indices into seq where a
+// protocol session began, so the stored reproducer replays with the same
+// session structure the fuzzer drove (Record.SeqStarts). The sequence
+// travels with the record that owns the example packet: the first
 // observation of the fault keeps its journal, later duplicates only count.
-func (b *Bank) ReportSequence(f *mem.Fault, packet []byte, seq [][]byte, execIndex int, pathSig uint64) bool {
-	return b.ReportSequenceSteps(f, packet, seq, nil, execIndex, pathSig)
-}
-
-// ReportSequenceSteps is ReportSequence carrying session boundaries:
-// starts lists the indices into seq where a protocol session began, so
-// the stored reproducer replays with the same session structure the
-// fuzzer drove (Record.SeqStarts).
-func (b *Bank) ReportSequenceSteps(f *mem.Fault, packet []byte, seq [][]byte, starts []int, execIndex int, pathSig uint64) bool {
+func (b *Bank) Report(f *mem.Fault, packet []byte, seq [][]byte, starts []int, execIndex int, pathSig uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	k := Key(f)
@@ -160,21 +146,12 @@ func copySequence(seq [][]byte) [][]byte {
 	return out
 }
 
-// ReportHang counts a hanging execution with no context — the legacy entry
-// point, kept for callers that have nothing more to say. Prefer
-// ReportHangDetail.
-func (b *Bank) ReportHang() {
-	b.mu.Lock()
-	b.hangs++
-	b.mu.Unlock()
-}
-
-// ReportHangDetail counts a hanging execution and files its triage
+// ReportHang counts a hanging execution and files its triage
 // context: the exhausted budget (steps or watchdog milliseconds) and the
 // offending packet, classed by its HangPrefixLen-byte prefix. At most
 // maxHangClasses distinct classes are retained; the hang tally is always
 // exact.
-func (b *Bank) ReportHangDetail(budget int, packet []byte) {
+func (b *Bank) ReportHang(budget int, packet []byte) {
 	prefix := packet
 	if len(prefix) > HangPrefixLen {
 		prefix = prefix[:HangPrefixLen]
@@ -282,7 +259,7 @@ func (b *Bank) MergeFrom(o *Bank) int {
 	}
 	added := 0
 	for _, r := range recs {
-		k := recordKey(r)
+		k := RecordKey(r)
 		if have, ok := b.byKey[k]; ok {
 			have.Count += r.Count
 			if r.FirstExec < have.FirstExec {
@@ -309,7 +286,7 @@ func (b *Bank) MergeFrom(o *Bank) int {
 func (b *Bank) Absorb(r *Record) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	k := recordKey(r)
+	k := RecordKey(r)
 	if have, ok := b.byKey[k]; ok {
 		if r.Count > have.Count {
 			have.Count = r.Count
@@ -325,18 +302,6 @@ func (b *Bank) Absorb(r *Record) bool {
 	cp.Example = append([]byte(nil), r.Example...)
 	b.byKey[k] = &cp
 	return true
-}
-
-// CountByKind tallies unique faults per kind — the "Vulnerability Type /
-// Number" columns of Table I.
-func (b *Bank) CountByKind() map[mem.FaultKind]int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := map[mem.FaultKind]int{}
-	for _, r := range b.byKey {
-		out[r.Kind]++
-	}
-	return out
 }
 
 // String renders a one-line summary.

@@ -9,10 +9,10 @@ import (
 func TestReportDedups(t *testing.T) {
 	b := NewBank()
 	f := &mem.Fault{Kind: mem.SEGV, Site: "cs101.getCOT"}
-	if !b.Report(f, []byte{1}, 10, 111) {
+	if !b.Report(f, []byte{1}, nil, nil, 10, 111) {
 		t.Fatal("first report should be new")
 	}
-	if b.Report(f, []byte{2}, 20, 222) {
+	if b.Report(f, []byte{2}, nil, nil, 20, 222) {
 		t.Fatal("same site+kind should dedup")
 	}
 	if b.Unique() != 1 {
@@ -26,8 +26,8 @@ func TestReportDedups(t *testing.T) {
 
 func TestDifferentKindSameSiteIsDistinct(t *testing.T) {
 	b := NewBank()
-	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "x"}, nil, 1, 0)
-	b.Report(&mem.Fault{Kind: mem.HeapUseAfterFree, Site: "x"}, nil, 2, 0)
+	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "x"}, nil, nil, nil, 1, 0)
+	b.Report(&mem.Fault{Kind: mem.HeapUseAfterFree, Site: "x"}, nil, nil, nil, 2, 0)
 	if b.Unique() != 2 {
 		t.Fatalf("unique = %d, want 2", b.Unique())
 	}
@@ -35,29 +35,18 @@ func TestDifferentKindSameSiteIsDistinct(t *testing.T) {
 
 func TestRecordsOrderedByDiscovery(t *testing.T) {
 	b := NewBank()
-	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "later"}, nil, 50, 0)
-	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "earlier"}, nil, 5, 0)
+	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "later"}, nil, nil, nil, 50, 0)
+	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "earlier"}, nil, nil, nil, 5, 0)
 	recs := b.Records()
 	if recs[0].Site != "earlier" || recs[1].Site != "later" {
 		t.Fatal("records not ordered by first discovery")
 	}
 }
 
-func TestCountByKind(t *testing.T) {
-	b := NewBank()
-	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "a"}, nil, 1, 0)
-	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "b"}, nil, 2, 0)
-	b.Report(&mem.Fault{Kind: mem.HeapBufferOverflow, Site: "c"}, nil, 3, 0)
-	counts := b.CountByKind()
-	if counts[mem.SEGV] != 2 || counts[mem.HeapBufferOverflow] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 func TestHangsCounted(t *testing.T) {
 	b := NewBank()
-	b.ReportHang()
-	b.ReportHang()
+	b.ReportHang(0, nil)
+	b.ReportHang(0, nil)
 	if b.Hangs() != 2 || b.Unique() != 0 {
 		t.Fatalf("hangs = %d unique = %d", b.Hangs(), b.Unique())
 	}
@@ -66,7 +55,7 @@ func TestHangsCounted(t *testing.T) {
 func TestExampleCopied(t *testing.T) {
 	b := NewBank()
 	pkt := []byte{1, 2, 3}
-	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "s"}, pkt, 1, 0)
+	b.Report(&mem.Fault{Kind: mem.SEGV, Site: "s"}, pkt, nil, nil, 1, 0)
 	pkt[0] = 99
 	if b.Records()[0].Example[0] == 99 {
 		t.Fatal("bank aliases caller packet")
@@ -84,11 +73,11 @@ func TestMergeFromDedupsAcrossBanks(t *testing.T) {
 	a, b := NewBank(), NewBank()
 	f1 := &mem.Fault{Kind: mem.HeapBufferOverflow, Site: "parse"}
 	f2 := &mem.Fault{Kind: mem.SEGV, Site: "dispatch"}
-	a.Report(f1, []byte{1}, 10, 0xA)
-	a.Report(f1, []byte{2}, 11, 0xA)
-	b.Report(f1, []byte{3}, 4, 0xB)
-	b.Report(f2, []byte{4}, 9, 0xC)
-	b.ReportHang()
+	a.Report(f1, []byte{1}, nil, nil, 10, 0xA)
+	a.Report(f1, []byte{2}, nil, nil, 11, 0xA)
+	b.Report(f1, []byte{3}, nil, nil, 4, 0xB)
+	b.Report(f2, []byte{4}, nil, nil, 9, 0xC)
+	b.ReportHang(0, nil)
 
 	if got := a.MergeFrom(b); got != 1 {
 		t.Fatalf("merge added %d new faults, want 1", got)
@@ -118,16 +107,15 @@ func TestConcurrentReportAndSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			b.Report(&mem.Fault{Kind: mem.SEGV, Site: "s"}, []byte{byte(i)}, i, 1)
+			b.Report(&mem.Fault{Kind: mem.SEGV, Site: "s"}, []byte{byte(i)}, nil, nil, i, 1)
 			if i%3 == 0 {
-				b.ReportHang()
+				b.ReportHang(0, nil)
 			}
 		}
 	}()
 	for i := 0; i < 100; i++ {
 		_ = b.Records()
 		_ = b.Unique()
-		_ = b.CountByKind()
 	}
 	<-done
 	if b.Unique() != 1 {

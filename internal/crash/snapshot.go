@@ -95,7 +95,7 @@ func (b *Bank) Restore(r *checkpoint.Reader) error {
 		if r.Err() != nil {
 			break
 		}
-		k := recordKey(rec)
+		k := RecordKey(rec)
 		if _, dup := b.byKey[k]; dup {
 			return fmt.Errorf("crash: duplicate record %q", k)
 		}

@@ -325,12 +325,14 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestLinearizeDefaultOrder: the default instance's leaves, in document
+// order, are the linear model M_L of Fig. 2(a).
 func TestLinearizeDefaultOrder(t *testing.T) {
 	m := figure1Model()
-	lin := m.LinearizeDefault()
+	lin := m.Generate().Leaves(nil)
 	names := make([]string, len(lin))
-	for i, c := range lin {
-		names[i] = c.Name
+	for i, n := range lin {
+		names[i] = n.Chunk.Name
 	}
 	want := []string{"ID", "Size", "CompressionCode", "SampleRate", "ExtraData", "CRC"}
 	if len(names) != len(want) {

@@ -5,41 +5,6 @@ import (
 	"strings"
 )
 
-// Linearize flattens the model tree into the linear model M_L of §III /
-// Fig. 2(a): the leaf construction rules in wire order. Choice nodes
-// contribute one linearization per alternative combination; to keep the
-// result finite and aligned with how the engine uses it (one concrete
-// packet shape at a time), LinearizeDefault picks the first alternative of
-// every choice and a single array element, matching Generate.
-func (m *Model) LinearizeDefault() []*Chunk {
-	var out []*Chunk
-	var rec func(c *Chunk)
-	rec = func(c *Chunk) {
-		switch c.Kind {
-		case Number, String, Blob:
-			out = append(out, c)
-		case Block:
-			for _, ch := range c.Children {
-				rec(ch)
-			}
-		case Choice:
-			rec(c.Children[0])
-		case Array:
-			rec(c.Children[0])
-		}
-	}
-	rec(m.root())
-	return out
-}
-
-// LinearizeInstance flattens an instance tree into (rule, data) pairs in
-// wire order. Unlike LinearizeDefault this follows the shape the instance
-// actually took: the chosen alternative of each choice and every array
-// element.
-func LinearizeInstance(root *Node) []*Node {
-	return root.Leaves(nil)
-}
-
 // RuleSignature computes the construction-rule identity of a chunk: two
 // chunks with equal signatures "conform to similar/same construction rules"
 // in the sense of §III, making their instantiations interchangeable donor

@@ -24,10 +24,10 @@ const (
 	// DefaultSpawnTimeout bounds the liveness probe: how long a freshly
 	// spawned target has to start accepting connections.
 	DefaultSpawnTimeout = 10 * time.Second
-	// DefaultSpawnRetries is how many times one Run will respawn a target
-	// that dies or never answers its liveness probe before giving the
-	// campaign up as unrecoverable.
-	DefaultSpawnRetries = 3
+	// spawnRetries is how many times one Run will respawn a target that
+	// dies or never answers its liveness probe before giving the campaign
+	// up as unrecoverable.
+	spawnRetries = 3
 	// DefaultMaxJournal caps the reproducer journal. When a target has
 	// processed this many packets since its last restart, the executor
 	// restarts it preventively: the journal re-anchors at a fresh process
@@ -60,8 +60,6 @@ type ProcConfig struct {
 	// SpawnTimeout bounds the post-spawn liveness probe
 	// (0 = DefaultSpawnTimeout).
 	SpawnTimeout time.Duration
-	// SpawnRetries is the respawn budget per Run (0 = DefaultSpawnRetries).
-	SpawnRetries int
 	// MaxJournal caps the reproducer journal; reaching it triggers a
 	// preventive restart (0 = DefaultMaxJournal).
 	MaxJournal int
@@ -151,9 +149,6 @@ func NewProc(cfg ProcConfig) (*Proc, error) {
 	}
 	if cfg.SpawnTimeout <= 0 {
 		cfg.SpawnTimeout = DefaultSpawnTimeout
-	}
-	if cfg.SpawnRetries <= 0 {
-		cfg.SpawnRetries = DefaultSpawnRetries
 	}
 	if cfg.MaxJournal <= 0 {
 		cfg.MaxJournal = DefaultMaxJournal
@@ -281,7 +276,7 @@ func (p *Proc) ensureTarget() error {
 		p.stopTarget()
 	}
 	var lastErr error
-	for attempt := 0; attempt < p.cfg.SpawnRetries; attempt++ {
+	for attempt := 0; attempt < spawnRetries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(p.bk.Delay(50*time.Millisecond, time.Second, attempt-1))
 		}
@@ -297,7 +292,7 @@ func (p *Proc) ensureTarget() error {
 		return nil
 	}
 	return fmt.Errorf("executor: target unrecoverable after %d spawn attempts: %w",
-		p.cfg.SpawnRetries, lastErr)
+		spawnRetries, lastErr)
 }
 
 // startProcess spawns the target in its own process group (so the watchdog
@@ -672,18 +667,14 @@ func isTimeout(err error) bool {
 	return ok && ne.Timeout()
 }
 
-// Replay drives a fresh instance of the configured target through the
-// packet sequence — a captured reproducer — and returns the result of the
-// packet that terminated the replay (the first crash or hang), or an OK
+// ReplaySession drives a fresh instance of the configured target through
+// the packet sequence — a captured reproducer — and returns the result of
+// the packet that terminated the replay (the first crash or hang), or an OK
 // result if the target survived the whole sequence. The target instance
 // is private to the call; the configured Addr must be free (replay after
-// closing the capturing executor, or configure a different port).
-func Replay(cfg ProcConfig, seq [][]byte) (sandbox.Result, error) {
-	return ReplaySession(cfg, seq, nil)
-}
-
-// ReplaySession is Replay honoring recorded session boundaries
-// (crash.Record.SeqStarts): at each boundary index the replay calls
+// closing the capturing executor, or configure a different port). It
+// honors recorded session boundaries (crash.Record.SeqStarts, nil for
+// none): at each boundary index the replay calls
 // BeginSession, re-running the session's handshake steps against fresh
 // per-connection server state — activation flags and sequence numbers
 // regenerate on the server exactly as they did during capture — instead

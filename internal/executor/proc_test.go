@@ -227,7 +227,7 @@ func TestProcExternalKill(t *testing.T) {
 	// Replay: a fresh target survives the sequence — external kills are
 	// not reproducible from inputs, and the verdict must say so.
 	cfg := testConfig(t)
-	rep, err := Replay(cfg, res.Repro)
+	rep, err := ReplaySession(cfg, res.Repro, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestProcReplayDeterminism(t *testing.T) {
 	}
 	p.Close() // free the port for the replay instance
 	cfg := testConfig(t)
-	rep, err := Replay(cfg, res.Repro)
+	rep, err := ReplaySession(cfg, res.Repro, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

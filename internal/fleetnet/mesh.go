@@ -14,10 +14,10 @@ import (
 	"repro/internal/datamodel"
 )
 
-// DefaultMaxUplinks bounds a mesh node's outbound sessions when
-// MeshConfig.MaxUplinks is zero. Convergence only needs the topology
+// maxUplinks bounds a mesh node's outbound sessions; static peers are
+// dialed first when the cap bites. Convergence only needs the topology
 // connected; past a point more links buy redundancy, not reach.
-const DefaultMaxUplinks = 16
+const maxUplinks = 16
 
 // meshPeerFails is how many consecutive failed sync attempts a *learned*
 // peer survives before the node forgets its address. Static peers are
@@ -29,10 +29,10 @@ const DefaultMaxUplinks = 16
 // lockstep when it returns.
 const meshPeerFails = 8
 
-// DefaultMeshDialTimeout bounds a mesh uplink's TCP connect when
-// MeshConfig.DialTimeout is zero. Deliberately much tighter than the frame
-// Timeout: a blackholed peer (host down, SYN dropped) must not stall the
-// node's whole sync round — and with it the fuzzing loop — for 30s.
+// DefaultMeshDialTimeout bounds a mesh uplink's TCP connect. Deliberately
+// much tighter than the frame Timeout: a blackholed peer (host down, SYN
+// dropped) must not stall the node's whole sync round — and with it the
+// fuzzing loop — for 30s.
 const DefaultMeshDialTimeout = 2 * time.Second
 
 // MeshConfig parameterizes a Mesh node.
@@ -62,14 +62,8 @@ type MeshConfig struct {
 	// For fixed topologies — rings, lines — where the experiment is the
 	// shape.
 	StaticOnly bool
-	// MaxUplinks caps concurrent outbound sessions (0 = DefaultMaxUplinks).
-	// Static peers are dialed first when the cap bites.
-	MaxUplinks int
 	// Timeout bounds each frame read/write (0 = 30s).
 	Timeout time.Duration
-	// DialTimeout bounds each uplink's TCP connect
-	// (0 = DefaultMeshDialTimeout).
-	DialTimeout time.Duration
 	// Logf receives lifecycle messages (nil = no logging).
 	Logf func(format string, args ...any)
 }
@@ -148,12 +142,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.NodeID == "" {
 		host, _ := os.Hostname()
 		cfg.NodeID = fmt.Sprintf("%s/%d/%d", host, os.Getpid(), atomic.AddUint32(&leafSeq, 1))
-	}
-	if cfg.MaxUplinks <= 0 {
-		cfg.MaxUplinks = DefaultMaxUplinks
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultMeshDialTimeout
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -279,7 +267,7 @@ func (m *Mesh) ensureUplinks() {
 	}
 	advertise := m.advertise
 	m.mu.Unlock()
-	// Static peers first: when MaxUplinks bites, operator-configured links
+	// Static peers first: when maxUplinks bites, operator-configured links
 	// must never be starved by alphabetically-earlier learned addresses.
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].static != want[j].static {
@@ -295,7 +283,7 @@ func (m *Mesh) ensureUplinks() {
 		if !c.static && inbound[c.addr] {
 			continue
 		}
-		if len(m.uplinks) >= m.cfg.MaxUplinks {
+		if len(m.uplinks) >= maxUplinks {
 			break
 		}
 		leaf, err := NewLeaf(LeafConfig{
@@ -305,7 +293,7 @@ func (m *Mesh) ensureUplinks() {
 			Models:      m.cfg.Models,
 			NodeID:      m.cfg.NodeID,
 			Timeout:     m.cfg.Timeout,
-			DialTimeout: m.cfg.DialTimeout,
+			DialTimeout: DefaultMeshDialTimeout,
 			Logf:        m.cfg.Logf,
 			Advertise:   advertise,
 			KnownPeers:  m.knownPeers,

@@ -99,10 +99,6 @@ func Shuffle[T any](r *RNG, xs []T) {
 	}
 }
 
-// Fork derives an independent generator from the current stream, for handing
-// to a sub-component without correlating its draws with the parent's.
-func (r *RNG) Fork() *RNG { return New(r.Uint64()) }
-
 // State returns the generator's internal state words, the campaign-checkpoint
 // seam: restoring them with SetState resumes the stream exactly where it was,
 // so a warm-restarted worker continues the draw sequence it was killed in the

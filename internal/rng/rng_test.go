@@ -123,15 +123,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	r := New(5)
-	f1 := r.Fork()
-	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("forked streams should differ")
-	}
-}
-
 func TestChanceAlwaysWithOne(t *testing.T) {
 	r := New(6)
 	for i := 0; i < 100; i++ {

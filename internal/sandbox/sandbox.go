@@ -4,10 +4,11 @@
 // In the paper, the target is a separate instrumented process and crashes or
 // hangs are observed by the fuzzer supervisor (Algorithm 1, RUNTARGET /
 // CRASH / HANG). Here the target is an in-process Go reimplementation, so
-// the sandbox's job is to (a) reset per-execution state, (b) recover from
-// panics — both simulated memory faults from internal/mem and native Go
-// runtime errors, which correspond to the SEGV class — and (c) enforce a
-// step budget that turns runaway parsing loops into hang reports.
+// the sandbox's job is to (a) reset per-execution state and (b) recover
+// from panics — both simulated memory faults from internal/mem and native
+// Go runtime errors, which correspond to the SEGV class. It never reports a
+// hang: no in-process target can wedge, so the Hang outcome belongs to the
+// process executor's watchdog (internal/executor).
 package sandbox
 
 import (
@@ -51,14 +52,14 @@ func (o Outcome) String() string {
 //
 // Result is also the return type of the pluggable execution backends in
 // internal/executor; the fields below the fault are filled only by backends
-// that can supply them (the in-process sandbox reports HangSteps, the
-// process executor additionally journals Repro).
+// that can supply them (the process executor reports HangSteps and
+// journals Repro).
 type Result struct {
 	Outcome Outcome
 	Fault   *mem.Fault // non-nil iff Outcome == Crash
-	// HangSteps is the budget the hanging execution exhausted: the step
-	// budget for an in-process target, the watchdog timeout in
-	// milliseconds for a supervised process. 0 unless Outcome == Hang.
+	// HangSteps is the budget the hanging execution exhausted: the
+	// watchdog timeout in milliseconds for a supervised process. 0 unless
+	// Outcome == Hang.
 	HangSteps int
 	// Repro, when non-nil, is the exact packet sequence (oldest first,
 	// the current packet last) that drove the target from a fresh start
@@ -138,10 +139,6 @@ func (r *Runner) Run(packet []byte) (res Result) {
 			// correspond to the SEGV class in Table I; the site
 			// is the panicking frame.
 			res.Fault = &mem.Fault{Kind: mem.SEGV, Site: panicSite()}
-		case *hangError:
-			res.Outcome = Hang
-			res.Fault = nil
-			res.HangSteps = f.budget
 		default:
 			res.Fault = &mem.Fault{Kind: mem.SEGV, Site: fmt.Sprint(rec)}
 		}
@@ -179,31 +176,4 @@ func isInfra(fn string) bool {
 		}
 	}
 	return false
-}
-
-// hangError is the panic payload used by Budget to abort an execution that
-// exceeded its step budget. It carries the exhausted budget so the hang
-// record can report how much work the execution was allowed before the
-// supervisor gave up on it.
-type hangError struct{ budget int }
-
-func (*hangError) Error() string { return "sandbox: step budget exhausted" }
-
-// Budget is a step counter a target threads through its parsing loops to
-// make hangs detectable. Tick panics once the budget is exhausted; the
-// sandbox classifies that panic as a Hang carrying the exhausted budget.
-type Budget struct {
-	left int
-	size int
-}
-
-// NewBudget returns a budget of n steps.
-func NewBudget(n int) *Budget { return &Budget{left: n, size: n} }
-
-// Tick consumes one step, aborting the execution when none remain.
-func (b *Budget) Tick() {
-	b.left--
-	if b.left < 0 {
-		panic(&hangError{budget: b.size})
-	}
 }

@@ -28,11 +28,6 @@ func (s *scriptTarget) Handle(t *coverage.Tracer, packet []byte) {
 	case "native":
 		var p []byte
 		_ = p[5] // index out of range
-	case "hang":
-		b := NewBudget(100)
-		for {
-			b.Tick()
-		}
 	case "strpanic":
 		panic("custom condition")
 	}
@@ -74,17 +69,6 @@ func TestRunNativeFault(t *testing.T) {
 	}
 }
 
-func TestRunHang(t *testing.T) {
-	r := NewRunner(&scriptTarget{mode: "hang"})
-	res := r.Run(nil)
-	if res.Outcome != Hang {
-		t.Fatalf("outcome = %v, want hang", res.Outcome)
-	}
-	if res.Fault != nil {
-		t.Fatalf("hang should carry no fault, got %+v", res.Fault)
-	}
-}
-
 func TestRunStringPanic(t *testing.T) {
 	r := NewRunner(&scriptTarget{mode: "strpanic"})
 	res := r.Run(nil)
@@ -118,19 +102,6 @@ func TestPathSigSameForSameTrace(t *testing.T) {
 	if c := sig(nil); c == a { // takes the short path: only Hit(1)
 		t.Fatal("different traces should (almost surely) differ in signature")
 	}
-}
-
-func TestBudgetAllowsExactlyN(t *testing.T) {
-	b := NewBudget(3)
-	for i := 0; i < 3; i++ {
-		b.Tick()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("4th tick should panic")
-		}
-	}()
-	b.Tick()
 }
 
 func TestOutcomeString(t *testing.T) {

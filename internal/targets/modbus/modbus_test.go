@@ -290,10 +290,10 @@ func TestCoverageDiffersByFunction(t *testing.T) {
 	s := New()
 	tr := coverage.NewTracer()
 	s.Handle(tr, frame([]byte{0x03, 0x00, 0x00, 0x00, 0x01}))
-	sig1 := coverage.Hash(tr.Raw())
+	sig1 := tr.PathHash()
 	tr.Reset()
 	s.Handle(tr, frame([]byte{0x01, 0x00, 0x00, 0x00, 0x01}))
-	sig2 := coverage.Hash(tr.Raw())
+	sig2 := tr.PathHash()
 	if sig1 == sig2 {
 		t.Fatal("different function codes should trace differently")
 	}

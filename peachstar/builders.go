@@ -65,9 +65,16 @@ func Rep(name string, element *Chunk, maxCount int) *Chunk {
 	return datamodel.Rep(name, element, maxCount)
 }
 
-// NewModel assembles and validates a model, panicking on malformed
-// definitions.
-func NewModel(name string, fields ...*Chunk) *Model { return datamodel.NewModel(name, fields...) }
+// NewModel assembles and validates a model. A malformed definition — a
+// relation or fixup naming a chunk the model does not have, say — is an
+// error, not a panic: user models are input.
+func NewModel(name string, fields ...*Chunk) (*Model, error) {
+	m := &Model{Name: name, Fields: fields}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // RuleSignature computes a chunk's construction-rule identity — the donor
 // compatibility key of the puzzle corpus (§III's chunk similarity).

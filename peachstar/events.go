@@ -111,9 +111,10 @@ type StateEvent struct {
 
 func (StateEvent) event() {}
 
-// SyncWindowEvent reports one remote sync exchange of a leaf or mesh
-// attachment: the push/pull round trip that merges this campaign's
-// discoveries with the rest of the fleet. Err is nil on success; a failed
+// SyncWindowEvent reports one sync window of an attachment: a leaf's or
+// mesh node's push/pull round trip that merges this campaign's
+// discoveries with the rest of the fleet, or a hub's ("hub") local flush
+// into the state its leaves exchange with. Err is nil on success; a failed
 // exchange is not fatal (the campaign keeps fuzzing and the next window
 // retries), so errors surface here rather than ending the run.
 type SyncWindowEvent struct {

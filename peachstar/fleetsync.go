@@ -10,6 +10,7 @@ package peachstar
 import (
 	"context"
 
+	"repro/internal/core"
 	"repro/internal/fleetnet"
 )
 
@@ -18,14 +19,16 @@ import (
 // campaign's shared state, and receive everything the campaign (and its
 // other leaves) know in return.
 type SyncServer struct {
-	hub *fleetnet.Hub
+	hub   *fleetnet.Hub
+	fleet *core.Fleet
 }
 
 // ServeSync starts serving this campaign's shared state to remote leaves
 // on addr (host:port; ":0" picks a free port — see Addr). The hub accepts
-// in the background; the campaign may keep fuzzing concurrently, remote
-// and local discoveries converge through the same merge path. Close the
-// returned server to stop accepting.
+// in the background; the campaign may keep fuzzing concurrently — pass the
+// server's Attachment to its sessions, whose sync windows are what publish
+// the campaign's own discoveries to the leaves and fold theirs back into
+// its workers. Close the returned server to stop accepting.
 func (c *Campaign) ServeSync(addr string) (*SyncServer, error) {
 	return c.serveSync(context.Background(), addr)
 }
@@ -46,11 +49,27 @@ func (c *Campaign) serveSync(ctx context.Context, addr string) (*SyncServer, err
 	if err := hub.ListenAndServeContext(ctx, addr); err != nil {
 		return nil, err
 	}
-	return &SyncServer{hub: hub}, nil
+	return &SyncServer{hub: hub, fleet: c.fleet}, nil
 }
 
 // Addr returns the bound listen address.
 func (s *SyncServer) Addr() string { return s.hub.Addr() }
+
+// Attachment adapts a live sync server into a session attachment: the
+// session publishes the campaign's discoveries to the server's leaves
+// (and folds theirs back) at the configured cadence but does not own it:
+// it stays open when the session ends, so one hub can span several
+// sessions (fuzz phases, relay phases) on the same campaign.
+func (s *SyncServer) Attachment() Attachment { return s.attachment(nil) }
+
+// attachment is the server as a session drives it. A hub's leaves exchange
+// with the shared state on the accept loop's goroutines, so its sync is
+// only the local flush: publish the workers' discoveries, fold the
+// leaves' back out.
+func (s *SyncServer) attachment(closer func() error) *attachment {
+	flush := func(context.Context) error { s.fleet.SyncAll(); return nil }
+	return &attachment{kind: "hub", addr: s.Addr(), sync: flush, close: closer}
+}
 
 // RemoteStats reports the hub's view of its leaves: total remote
 // executions and hangs (absolute figures from each leaf's latest sync,
@@ -96,6 +115,15 @@ func (c *Campaign) DialSync(addr string) (*SyncLeaf, error) {
 // the fleet's. Safe to call between sessions; returns the transport
 // error, if any, after resetting the session for the next attempt.
 func (l *SyncLeaf) Sync() error { return l.leaf.Sync() }
+
+// Attachment adapts a live leaf uplink into a session attachment: the
+// session syncs it at the configured cadence but does not close it, so
+// the caller keeps the handle (FleetStats, Connected) across sessions.
+func (l *SyncLeaf) Attachment() Attachment { return l.attachment(nil) }
+
+func (l *SyncLeaf) attachment(closer func() error) *attachment {
+	return &attachment{kind: "leaf", addr: l.leaf.Addr(), sync: l.leaf.SyncContext, close: closer}
+}
 
 // FleetStats returns the fleet-wide figures from the latest hub reply —
 // total executions the hub knows of, distinct edges in the hub's union

@@ -1,6 +1,7 @@
 package peachstar
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -82,5 +83,62 @@ func TestDialSyncRejectsHubLessAddress(t *testing.T) {
 	}
 	if c.Stats().Execs < 512 {
 		t.Fatal("campaign lost progress over a failed sync")
+	}
+}
+
+// TestHubAttachmentPublishesLocalWork: a one-worker fleet never syncs by
+// itself, so it is the hub attachment's sync that publishes a serving
+// campaign's discoveries into the shared state its leaves pull from — for
+// a session-owned hub and a borrowed one alike. A fresh leaf's first
+// exchange must receive all of it, and what the leaf then pushes must be
+// in the hub campaign's figures after its next window.
+func TestHubAttachmentPublishesLocalWork(t *testing.T) {
+	for _, owned := range []bool{true, false} {
+		t.Run(fmt.Sprintf("owned=%v", owned), func(t *testing.T) {
+			hubCampaign := newSyncCampaign(t, 0)
+			if owned {
+				// The session's own hub closes with it; a second server on
+				// the campaign then shows a leaf what that session published.
+				runExecs(t, hubCampaign, 4000, WithHub("127.0.0.1:0"))
+			}
+			srv, err := hubCampaign.ServeSync("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if !owned {
+				runExecs(t, hubCampaign, 4000, srv.Attachment())
+			}
+
+			leafCampaign := newSyncCampaign(t, 1)
+			leaf, err := leafCampaign.DialSync(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leaf.Close()
+			if err := leaf.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			_, fedges, _, _ := leaf.FleetStats()
+			got, want := leafCampaign.Stats().Edges, hubCampaign.Stats().Edges
+			if want == 0 || fedges != want || got != want {
+				t.Fatalf("hub campaign has %d edges, its shared state served %d, the leaf holds %d", want, fedges, got)
+			}
+
+			runExecs(t, leafCampaign, 6000, leaf.Attachment())
+			pushed := leafCampaign.Stats()
+			if pushed.UniqueCrashes == 0 {
+				t.Fatal("leaf found no crash; budget too small for this assertion")
+			}
+			runExecs(t, hubCampaign, hubCampaign.Execs()+256, srv.Attachment())
+			if err := leaf.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			hs, ls := hubCampaign.Stats(), leafCampaign.Stats()
+			if hs.UniqueCrashes < pushed.UniqueCrashes || hs.CorpusPuzzles < pushed.CorpusPuzzles || hs.Edges != ls.Edges {
+				t.Fatalf("leaf pushed %d crashes, %d puzzles; hub campaign has %d, %d; edges hub %d, leaf %d",
+					pushed.UniqueCrashes, pushed.CorpusPuzzles, hs.UniqueCrashes, hs.CorpusPuzzles, hs.Edges, ls.Edges)
+			}
+		})
 	}
 }

@@ -74,6 +74,15 @@ func (m *MeshNode) AddPeer(addr string) { m.mesh.AddPeer(addr) }
 // returned for logging.
 func (m *MeshNode) Sync() error { return m.mesh.Sync() }
 
+// Attachment adapts a live mesh node into a session attachment: the
+// session runs the node's sync rounds but does not close it, so the
+// caller keeps the handle (Addr, PeerStats, AddPeer) across sessions.
+func (m *MeshNode) Attachment() Attachment { return m.attachment(nil) }
+
+func (m *MeshNode) attachment(closer func() error) *attachment {
+	return &attachment{kind: "mesh", addr: m.Addr(), sync: m.mesh.SyncContext, close: closer}
+}
+
 // PeerStats reports the node's connectivity: connected uplinks, connected
 // inbound peer sessions, and how many peer addresses it knows.
 func (m *MeshNode) PeerStats() (uplinks, inbound, known int) {

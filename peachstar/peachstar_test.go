@@ -113,7 +113,7 @@ func TestModelsOverride(t *testing.T) {
 }
 
 func TestBuildersRoundTrip(t *testing.T) {
-	m := NewModel("demo",
+	m, err := NewModel("demo",
 		Num("op", 1, 9).AsToken(),
 		Num("len", 2, 0).WithRel(SizeOf, "body", 0),
 		Blk("body",
@@ -125,6 +125,9 @@ func TestBuildersRoundTrip(t *testing.T) {
 		),
 		Num("crc", 4, 0).WithFix(CRC32IEEE, "op", "len", "body"),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pkt := m.Generate().Bytes()
 	if _, err := m.Crack(pkt); err != nil {
 		t.Fatalf("facade-built model round trip: %v", err)
@@ -132,6 +135,15 @@ func TestBuildersRoundTrip(t *testing.T) {
 	sig := RuleSignature(Num("addr", 2, 0))
 	if !strings.Contains(sig, "addr") {
 		t.Fatalf("signature = %q", sig)
+	}
+}
+
+// TestNewModelRejectsDanglingRelation: a malformed user model is an error
+// from the library, never a panic.
+func TestNewModelRejectsDanglingRelation(t *testing.T) {
+	m, err := NewModel("bad", Num("len", 2, 0).WithRel(SizeOf, "nowhere", 0), Bytes("body", 2, nil))
+	if err == nil || m != nil {
+		t.Fatalf("NewModel = (%v, %v), want an error for a relation of a missing chunk", m, err)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 // DefaultSyncEvery is the default number of local executions between
-// remote sync windows of an attached (leaf or mesh) campaign: four merge
+// sync windows of an attached (hub, leaf or mesh) campaign: four merge
 // windows' worth.
 const DefaultSyncEvery = 4 * core.DefaultMergeEvery
 
@@ -120,150 +120,74 @@ type RunConfig struct {
 // SyncServer, SyncLeaf or MeshNode via its Attachment method.
 type Attachment interface {
 	// attach binds the attachment to the campaign under the session's
-	// context and returns its runtime half.
-	attach(ctx context.Context, c *Campaign) (runAttachment, error)
+	// context and returns what the session loop drives.
+	attach(ctx context.Context, c *Campaign) (*attachment, error)
 }
 
-// runAttachment is the runtime half of an Attachment: what the session
-// loop actually drives.
-type runAttachment interface {
-	kind() string                   // "hub" | "leaf" | "mesh", for events
-	addr() string                   // remote (leaf) or serving (hub/mesh) address
-	active() bool                   // participates in the sync cadence (hubs are passive)
-	sync(ctx context.Context) error // one remote merge window
-	close() error                   // session-end cleanup; no-op when borrowed
+// attachment is the one shape every attachment takes inside a session.
+// One rule makes one shape enough: every attachment has a sync, and every
+// sync begins by flushing the campaign's workers through the shared state
+// (Fleet.SyncAll) — a one-worker fleet never does that by itself.
+type attachment struct {
+	kind  string                      // "hub" | "leaf" | "mesh", for events
+	addr  string                      // remote (leaf) or serving (hub/mesh) address
+	sync  func(context.Context) error // one sync window
+	close func() error                // session-end cleanup; nil when the handle is borrowed
 }
+
+// attach makes a prebuilt attachment its own Attachment: what the
+// handles' Attachment methods return.
+func (a *attachment) attach(context.Context, *Campaign) (*attachment, error) { return a, nil }
+
+// attachFunc is an Attachment that opens its handle when the session
+// starts: what WithHub, WithLeaf and WithMesh return.
+type attachFunc func(context.Context, *Campaign) (*attachment, error)
+
+func (f attachFunc) attach(ctx context.Context, c *Campaign) (*attachment, error) { return f(ctx, c) }
 
 // WithHub returns an attachment that serves the campaign's shared state
 // to remote leaves on addr (host:port, ":0" picks a free port) for the
-// lifetime of the session. The hub accepts and exchanges in the
-// background; canceling the session's context tears every peer
-// connection down promptly.
-func WithHub(addr string) Attachment { return hubSpec{listen: addr} }
+// lifetime of the session, publishing the campaign's own discoveries into
+// it — and folding the leaves' back out — every RunConfig.SyncEvery
+// executions. The hub accepts and exchanges in the background; canceling
+// the session's context tears every peer connection down promptly.
+func WithHub(addr string) Attachment {
+	return attachFunc(func(ctx context.Context, c *Campaign) (*attachment, error) {
+		srv, err := c.serveSync(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		return srv.attachment(srv.Close), nil
+	})
+}
 
 // WithLeaf returns an attachment that uplinks the campaign to the fleet
 // hub at addr, pushing local discoveries and pulling the fleet's every
 // RunConfig.SyncEvery executions. Connection loss only pauses exchange —
 // the campaign keeps fuzzing and later windows redial. The uplink closes
 // with the session.
-func WithLeaf(addr string) Attachment { return leafSpec{addr: addr} }
+func WithLeaf(addr string) Attachment {
+	return attachFunc(func(_ context.Context, c *Campaign) (*attachment, error) {
+		leaf, err := c.DialSync(addr)
+		if err != nil {
+			return nil, err
+		}
+		return leaf.attachment(leaf.Close), nil
+	})
+}
 
 // WithMesh returns an attachment that makes the campaign a node of a
 // hub-less mesh fleet for the lifetime of the session, accepting peers
 // on opts.Listen and keeping uplinks to every known peer, with one merge
 // round per RunConfig.SyncEvery executions.
-func WithMesh(opts MeshOptions) Attachment { return meshSpec{opts: opts} }
-
-// hubSpec builds a session-owned hub.
-type hubSpec struct{ listen string }
-
-func (s hubSpec) attach(ctx context.Context, c *Campaign) (runAttachment, error) {
-	srv, err := c.serveSync(ctx, s.listen)
-	if err != nil {
-		return nil, err
-	}
-	return &hubRun{srv: srv, owned: true}, nil
-}
-
-// leafSpec builds a session-owned leaf uplink.
-type leafSpec struct{ addr string }
-
-func (s leafSpec) attach(_ context.Context, c *Campaign) (runAttachment, error) {
-	leaf, err := c.DialSync(s.addr)
-	if err != nil {
-		return nil, err
-	}
-	return &leafRun{l: leaf, remote: s.addr, owned: true}, nil
-}
-
-// meshSpec builds a session-owned mesh node.
-type meshSpec struct{ opts MeshOptions }
-
-func (s meshSpec) attach(_ context.Context, c *Campaign) (runAttachment, error) {
-	node, err := c.JoinMesh(s.opts)
-	if err != nil {
-		return nil, err
-	}
-	return &meshRun{m: node, owned: true}, nil
-}
-
-// hubRun is a hub attachment at runtime: passive (remote leaves sync
-// themselves through the accept loop), it only needs closing.
-type hubRun struct {
-	srv   *SyncServer
-	owned bool
-}
-
-func (h *hubRun) kind() string               { return "hub" }
-func (h *hubRun) addr() string               { return h.srv.Addr() }
-func (h *hubRun) active() bool               { return false }
-func (h *hubRun) sync(context.Context) error { return nil }
-func (h *hubRun) close() error {
-	if !h.owned {
-		return nil
-	}
-	return h.srv.Close()
-}
-
-// leafRun is a leaf attachment at runtime.
-type leafRun struct {
-	l      *SyncLeaf
-	remote string
-	owned  bool
-}
-
-func (l *leafRun) kind() string                   { return "leaf" }
-func (l *leafRun) addr() string                   { return l.remote }
-func (l *leafRun) active() bool                   { return true }
-func (l *leafRun) sync(ctx context.Context) error { return l.l.leaf.SyncContext(ctx) }
-func (l *leafRun) close() error {
-	if !l.owned {
-		return nil
-	}
-	return l.l.Close()
-}
-
-// meshRun is a mesh attachment at runtime.
-type meshRun struct {
-	m     *MeshNode
-	owned bool
-}
-
-func (m *meshRun) kind() string                   { return "mesh" }
-func (m *meshRun) addr() string                   { return m.m.Addr() }
-func (m *meshRun) active() bool                   { return true }
-func (m *meshRun) sync(ctx context.Context) error { return m.m.mesh.SyncContext(ctx) }
-func (m *meshRun) close() error {
-	if !m.owned {
-		return nil
-	}
-	return m.m.Close()
-}
-
-// Attachment adapts a live sync server into a session attachment. The
-// session serves through it but does not own it: it stays open when the
-// session ends, so one hub can span several sessions (fuzz phases,
-// relay phases) on the same campaign.
-func (s *SyncServer) Attachment() Attachment { return borrowedAttachment{a: &hubRun{srv: s}} }
-
-// Attachment adapts a live leaf uplink into a session attachment: the
-// session syncs it at the configured cadence but does not close it, so
-// the caller keeps the handle (FleetStats, Connected) across sessions.
-func (l *SyncLeaf) Attachment() Attachment {
-	return borrowedAttachment{a: &leafRun{l: l, remote: l.leaf.Addr()}}
-}
-
-// Attachment adapts a live mesh node into a session attachment: the
-// session runs the node's sync rounds but does not close it, so the
-// caller keeps the handle (Addr, PeerStats, AddPeer) across sessions.
-func (m *MeshNode) Attachment() Attachment { return borrowedAttachment{a: &meshRun{m: m}} }
-
-// borrowedAttachment wraps a prebuilt runAttachment whose lifecycle the
-// caller owns.
-type borrowedAttachment struct{ a runAttachment }
-
-func (b borrowedAttachment) attach(context.Context, *Campaign) (runAttachment, error) {
-	return b.a, nil
+func WithMesh(opts MeshOptions) Attachment {
+	return attachFunc(func(_ context.Context, c *Campaign) (*attachment, error) {
+		node, err := c.JoinMesh(opts)
+		if err != nil {
+			return nil, err
+		}
+		return node.attachment(node.Close), nil
+	})
 }
 
 // Run is one live campaign session started by Campaign.Start: a handle to
@@ -287,8 +211,7 @@ type Run struct {
 	// context's error.
 	ctxStopped int32
 
-	atts    []runAttachment
-	syncers []runAttachment
+	atts []*attachment
 
 	// exec is the session-owned execution backend swapped into the fleet
 	// for this session (nil for default in-process sessions); prevExec is
@@ -366,28 +289,18 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if cfg.StatsEvery < 0 {
 		r.statsNext = int64(^uint64(0) >> 2) // periodic stats disabled
 	}
+	fail := func(err error) (*Run, error) {
+		r.release()
+		return nil, err
+	}
 	for _, a := range cfg.Attach {
 		att, err := a.attach(ctx, c)
 		if err != nil {
-			for _, prev := range r.atts {
-				prev.close()
-			}
-			atomic.StoreInt32(&c.running, 0)
-			return nil, err
+			return fail(err)
 		}
 		r.atts = append(r.atts, att)
-		if att.active() {
-			r.syncers = append(r.syncers, att)
-		}
 	}
 	if cfg.Exec != nil {
-		fail := func(err error) (*Run, error) {
-			for _, prev := range r.atts {
-				prev.close()
-			}
-			atomic.StoreInt32(&c.running, 0)
-			return nil, err
-		}
 		ex, err := cfg.Exec.build(c)
 		if err != nil {
 			return fail(err)
@@ -447,49 +360,84 @@ func (r *Run) Events() <-chan Event { return r.events }
 // Campaign.Stats after Wait.
 func (r *Run) Snapshot() Stats { return r.c.fleet.StatsApprox() }
 
-// loop is the session driver, on its own goroutine.
-func (r *Run) loop() {
-	defer func() {
-		if r.exec != nil {
-			// Restore the displaced backend (clearing any sticky backend
-			// error with it) and tear the session's own down — for a
-			// process backend that kills the supervised target.
-			r.c.fleet.SwapExecutor(r.prevExec)
-			r.exec.Close()
-		}
-		for _, a := range r.atts {
+// release gives back what Start acquired: the displaced execution backend
+// is restored (clearing any sticky backend error) and the session's own
+// closed (a process backend kills its target), owned attachments are
+// closed, and the campaign's session slot is freed.
+func (r *Run) release() {
+	if r.exec != nil {
+		r.c.fleet.SwapExecutor(r.prevExec)
+		r.exec.Close()
+	}
+	for _, a := range r.atts {
+		if a.close != nil {
 			a.close()
 		}
-		atomic.StoreInt32(&r.c.running, 0)
+	}
+	atomic.StoreInt32(&r.c.running, 0)
+}
+
+// loop is the session driver, on its own goroutine — the one loop every
+// session runs, whatever is attached: advance one window, take a durable
+// checkpoint if one is due, sync every attachment, until the budget is
+// spent or the session is stopped. The window is the nearest of the
+// budget, the next sync (when anything is attached) and the next
+// checkpoint (when a path is set), so a bare session is exactly one Drive
+// call. A graceful end gets a final flush — its error is the session
+// result — and a final checkpoint. Failures inside the loop surface as
+// events and the next window retries. Checkpoints are taken between Drive
+// calls, when every worker is quiescent: each is a consistent cut of the
+// whole fleet.
+func (r *Run) loop() {
+	defer func() {
+		r.release()
 		close(r.done)
 	}()
-	if r.ctx.Done() != nil {
-		go func() {
-			select {
-			case <-r.ctx.Done():
-				r.stopForContext()
-			case <-r.done:
-			}
-		}()
-	}
+	defer context.AfterFunc(r.ctx, r.stopForContext)()
 
+	fleet := r.c.fleet
+	ckpt := r.cfg.CheckpointPath != ""
+	nextCkpt := 0
+	for !r.spent() {
+		window := core.Budget{Execs: r.cfg.Execs, Deadline: r.cfg.Deadline}
+		if len(r.atts) > 0 {
+			window.Execs = nearest(window.Execs, fleet.Execs()+r.cfg.SyncEvery)
+		}
+		if ckpt {
+			nextCkpt = (fleet.Execs()/r.cfg.CheckpointEvery + 1) * r.cfg.CheckpointEvery
+			window.Execs = nearest(window.Execs, nextCkpt)
+		}
+		if !r.advance(window) {
+			break // ended mid-window: straight to the tail
+		}
+		// A relay's workers never run, so its checkpoint is due every
+		// round: it preserves what the relay absorbed from its peers.
+		if ckpt && (r.cfg.RelayOnly || fleet.Execs() >= nextCkpt) {
+			r.checkpointNow()
+		}
+		r.syncAll()
+		if r.cfg.RelayOnly {
+			r.report() // idle workers fire no window hook
+		}
+	}
 	var syncErr error
-	switch {
-	case r.cfg.RelayOnly:
-		syncErr = r.relayLoop()
-	case len(r.syncers) == 0 && r.cfg.CheckpointPath == "":
-		r.c.fleet.Drive(r.stop, core.Budget{Execs: r.cfg.Execs, Deadline: r.cfg.Deadline}, r.windowHook)
-	default:
-		syncErr = r.syncedLoop()
+	if r.ctx.Err() != nil {
+		// A flush against a dead context cannot succeed. Claim the stop:
+		// this exit may see the cancellation before the watcher does.
+		r.stopForContext()
+	} else {
+		syncErr = r.syncAll()
+		if ckpt {
+			r.checkpointNow()
+		}
 	}
 
-	r.c.fleet.PublishStats()
-	r.emit(StatsEvent{Stats: r.c.fleet.StatsApprox(), Elapsed: time.Since(r.start)})
+	r.report()
 	close(r.events)
 	// An unrecoverable execution-backend failure trumps everything: the
 	// session ended because fuzzing became impossible, and Wait must say
 	// so. Read before the deferred executor restore clears it.
-	if eerr := r.c.fleet.ExecError(); eerr != nil {
+	if eerr := fleet.ExecError(); eerr != nil {
 		r.err = eerr
 		return
 	}
@@ -497,20 +445,62 @@ func (r *Run) loop() {
 	// cancellation is what ended the session: a cancel that lands after
 	// the budget is already spent does not turn a completed run into a
 	// failed one.
-	if atomic.LoadInt32(&r.ctxStopped) == 1 && !r.budgetDone() {
+	if atomic.LoadInt32(&r.ctxStopped) == 1 && !r.spent() {
 		r.err = r.ctx.Err()
 		return
 	}
 	r.err = syncErr
 }
 
+// nearest is the smaller of two exec targets, 0 meaning "no bound".
+func nearest(a, b int) int {
+	if a == 0 || b < a {
+		return b
+	}
+	return a
+}
+
+// advance runs one window — a Drive to the window's exec target, or for a
+// RelayOnly session (which executes nothing) a sleep of RelayEvery cut
+// short by the deadline — and reports whether the session goes on: false
+// when Stop, the context, or an unrecoverable execution backend ended it
+// meanwhile.
+func (r *Run) advance(window core.Budget) bool {
+	if !r.cfg.RelayOnly {
+		r.c.fleet.Drive(r.stop, window, r.windowHook)
+	} else {
+		wait := r.cfg.RelayEvery
+		if !window.Deadline.IsZero() {
+			wait = min(wait, time.Until(window.Deadline))
+		}
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-r.stop:
+		case <-t.C:
+		}
+	}
+	select {
+	case <-r.stop:
+		return false
+	default:
+		return r.ctx.Err() == nil && r.c.fleet.ExecError() == nil
+	}
+}
+
+// report settles the published counters and emits a StatsEvent. Called
+// between windows, when the fleet is quiescent.
+func (r *Run) report() {
+	r.c.fleet.PublishStats()
+	r.emit(StatsEvent{Stats: r.c.fleet.StatsApprox(), Elapsed: time.Since(r.start)})
+}
+
 // stopForContext claims the session stop on behalf of the canceled
 // context — Wait will then report the context's error. It is a no-op
 // when a graceful Stop already ended the session (that Stop keeps its
 // "Wait returns nil" contract). Called by the context watcher, and by
-// any loop exit that observes the cancellation directly: the watcher
-// goroutine may not have been scheduled yet, and the cancellation must
-// not be mistaken for a clean finish.
+// the loop's tail, which may run before the watcher is scheduled and must
+// not mistake the cancellation for a clean finish.
 func (r *Run) stopForContext() {
 	r.stopOnce.Do(func() {
 		atomic.StoreInt32(&r.ctxStopped, 1)
@@ -518,149 +508,27 @@ func (r *Run) stopForContext() {
 	})
 }
 
-// budgetDone reports whether the session's own budget is spent — the
-// exec target reached or the deadline passed. Called at session end,
-// when the fleet is quiescent.
-func (r *Run) budgetDone() bool {
-	if r.cfg.Execs > 0 && r.c.fleet.Execs() >= r.cfg.Execs {
-		return true
-	}
-	if !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline) {
-		return true
-	}
-	return false
-}
-
-// syncedLoop drives an attached or checkpointing session: fuzz one
-// window's worth of executions, then exchange with every active
-// attachment and take any due durable checkpoint, until the budget is
-// spent or the session is stopped; a final flush settles the remote state
-// (and its error is the session result) and a final
-// checkpoint captures the session's last window. Exchange and checkpoint
-// failures inside the loop surface as events and the campaign keeps
-// fuzzing — the next window retries. Checkpoints are taken between Drive
-// calls, when every worker is quiescent, which is what makes each one a
-// consistent cut of the whole fleet.
-func (r *Run) syncedLoop() error {
-	fleet := r.c.fleet
-	ckpt := r.cfg.CheckpointPath != ""
-	nextCkpt := 0
-	if ckpt {
-		nextCkpt = (fleet.Execs()/r.cfg.CheckpointEvery + 1) * r.cfg.CheckpointEvery
-	}
-	for !r.spent() {
-		window := core.Budget{Execs: fleet.Execs() + r.cfg.SyncEvery, Deadline: r.cfg.Deadline}
-		if ckpt && nextCkpt < window.Execs {
-			window.Execs = nextCkpt
-		}
-		if r.cfg.Execs > 0 && window.Execs > r.cfg.Execs {
-			window.Execs = r.cfg.Execs
-		}
-		fleet.Drive(r.stop, window, r.windowHook)
-		if r.ctx.Err() != nil {
-			// Canceled mid-window: don't run the exchange against a dead
-			// context just to emit one canceled SyncWindowEvent per
-			// attachment. Claim the stop first — this exit may observe
-			// the cancellation before the watcher goroutine does.
-			r.stopForContext()
-			return nil
-		}
-		if ckpt && fleet.Execs() >= nextCkpt {
-			r.checkpointNow()
-			nextCkpt = (fleet.Execs()/r.cfg.CheckpointEvery + 1) * r.cfg.CheckpointEvery
-		}
-		r.syncAll()
-	}
-	if r.ctx.Err() != nil {
-		// A flush against a dead context cannot succeed — skip it whether
-		// the cancellation or a graceful Stop ended the session; loop()
-		// decides the reported outcome from who stopped it.
-		r.stopForContext()
-		return nil
-	}
-	err := r.syncAll()
-	if ckpt {
-		r.checkpointNow()
-	}
-	return err
-}
-
-// relayLoop serves attachments without fuzzing: one sync-and-report round
-// per RelayEvery tick until the session is stopped or its deadline
-// passes. Like syncedLoop, a graceful end gets a final flush — a relay
-// stopped right after absorbing a peer's push must hand it onward before
-// shutting down — while a context cancellation skips it.
-func (r *Run) relayLoop() error {
-	tick := time.NewTicker(r.cfg.RelayEvery)
-	defer tick.Stop()
-	// The deadline gets its own wake-up: a relay sleeping out a long
-	// RelayEvery period must still stop at the configured wall-clock
-	// instant, not at the next tick after it.
-	var deadlineCh <-chan time.Time
-	if !r.cfg.Deadline.IsZero() {
-		deadline := time.NewTimer(time.Until(r.cfg.Deadline))
-		defer deadline.Stop()
-		deadlineCh = deadline.C
-	}
-	var lastErr error
-	for {
-		if r.spent() {
-			if r.ctx.Err() == nil {
-				lastErr = r.syncAll() // final flush on a graceful end
-				if r.cfg.CheckpointPath != "" {
-					r.checkpointNow()
-				}
-			}
-			return lastErr // a cancellation outcome is decided by loop()
-		}
-		select {
-		case <-r.stop:
-			continue // re-check spent and return
-		case <-deadlineCh:
-			continue // re-check spent and return
-		case <-tick.C:
-			lastErr = r.syncAll()
-			if r.cfg.CheckpointPath != "" {
-				// A relay's workers never run, so the fleet is always
-				// quiescent here; the checkpoint preserves what the relay
-				// absorbed from its peers.
-				r.checkpointNow()
-			}
-			r.c.fleet.PublishStats()
-			r.emit(StatsEvent{Stats: r.c.fleet.StatsApprox(), Elapsed: time.Since(r.start)})
-		}
-	}
-}
-
-// spent reports whether the session should end: stopped, exec budget
-// reached, or deadline passed. Called between windows on the session
-// goroutine only.
+// spent reports whether the session's own budget is spent — the exec
+// target reached or the deadline passed. Called on the session goroutine
+// between windows, when the fleet is quiescent.
 func (r *Run) spent() bool {
-	select {
-	case <-r.stop:
-		return true
-	default:
-	}
 	if r.cfg.Execs > 0 && r.c.fleet.Execs() >= r.cfg.Execs {
 		return true
 	}
-	if !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline) {
-		return true
-	}
-	return false
+	return !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline)
 }
 
-// syncAll runs one remote window on every active attachment, emitting a
+// syncAll runs one sync window on every attachment, emitting a
 // SyncWindowEvent per exchange, and returns the first error (the
 // mesh/leaf convention).
 func (r *Run) syncAll() error {
 	var firstErr error
-	for _, a := range r.syncers {
+	for _, a := range r.atts {
 		began := time.Now()
 		err := a.sync(r.ctx)
 		r.emit(SyncWindowEvent{
-			Attachment: a.kind(),
-			Addr:       a.addr(),
+			Attachment: a.kind,
+			Addr:       a.addr,
 			Execs:      r.c.fleet.ExecsApprox(),
 			Elapsed:    time.Since(began),
 			Err:        err,

@@ -19,8 +19,8 @@ import (
 // soakModel mirrors the realtarget example's toy-Modbus model: the planted
 // fault magic values sit among the legal sets so the campaign reaches the
 // crash and hang paths within the soak budget.
-func soakModel() *peachstar.Model {
-	return peachstar.NewModel("SoakModbus",
+func soakModel(t *testing.T) *peachstar.Model {
+	m, err := peachstar.NewModel("SoakModbus",
 		peachstar.Num("txn", 2, 1),
 		peachstar.Num("proto", 2, 0).AsToken(),
 		peachstar.Num("length", 2, 0).WithRel(peachstar.SizeOf, "tail", 0),
@@ -45,6 +45,10 @@ func soakModel() *peachstar.Model {
 			),
 		),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // findPid locates the spawned toy server by scanning /proc for its unique
@@ -101,7 +105,7 @@ func TestSoakRealTarget(t *testing.T) {
 	}
 	campaign, err := peachstar.NewCampaign(peachstar.Options{
 		Target:   target,
-		Models:   []*peachstar.Model{soakModel()},
+		Models:   []*peachstar.Model{soakModel(t)},
 		Strategy: peachstar.PeachStar,
 		Seed:     1,
 	})
