@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -357,8 +358,9 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 
 // TestRunConfigCheckpointPath drives the in-session half: a session with
 // CheckpointPath set writes periodic checkpoints at merge-window
-// boundaries plus a final one, reports them as CheckpointEvents, and the
-// file warm-restarts a fresh campaign.
+// boundaries plus a final one, reports each as a CheckpointEvent before
+// the stream closes, and — with no waiting beyond Wait — the file
+// warm-restarts a fresh campaign to the finished one's state.
 func TestRunConfigCheckpointPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "live.ckpt")
 	c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
@@ -370,7 +372,7 @@ func TestRunConfigCheckpointPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := 0
+	var execs []int
 	for ev := range run.Events() {
 		if ck, ok := ev.(peachstar.CheckpointEvent); ok {
 			if ck.Err != nil {
@@ -379,16 +381,21 @@ func TestRunConfigCheckpointPath(t *testing.T) {
 			if ck.Path != path || ck.Bytes == 0 {
 				t.Errorf("malformed checkpoint event: %+v", ck)
 			}
-			events++
+			execs = append(execs, ck.Execs)
 		}
 	}
 	if err := run.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// 6000 execs at a 2048 cadence: checkpoints at 2048, 4096, and the
-	// final one after the last window.
-	if events < 3 {
-		t.Fatalf("saw %d checkpoint events, want >= 3", events)
+	// final one after the last window, in snapshot order.
+	if len(execs) != 3 || execs[0] < 2048 || execs[1] < 4096 || execs[2] != c.Execs() {
+		t.Fatalf("checkpoint events at execs %v, want [2048 4096 %d]", execs, c.Execs())
+	}
+	for i := 1; i < len(execs); i++ {
+		if execs[i] <= execs[i-1] {
+			t.Fatalf("checkpoint execs not strictly increasing: %v", execs)
+		}
 	}
 
 	restored := newCheckpointCampaign(t, "libmodbus", 1, false, false)
@@ -399,6 +406,113 @@ func TestRunConfigCheckpointPath(t *testing.T) {
 	// lost: the restored campaign has the session's full exec count.
 	if got, want := restored.Stats(), c.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("final checkpoint does not capture the session's end state:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCheckpointWriterTeardown runs the background checkpoint writer
+// nearly always busy (a checkpoint every 64 execs) and ends the session
+// mid-run — once with Stop, once by canceling the context. Either way
+// the writer is joined before Wait returns: no goroutine outlives the
+// session, no temp file is left beside the checkpoint, and the file
+// restores (after a Stop, to the finished campaign's exact state).
+func TestCheckpointWriterTeardown(t *testing.T) {
+	for _, viaCancel := range []bool{false, true} {
+		name := map[bool]string{false: "stop", true: "cancel"}[viaCancel]
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "busy.ckpt")
+			c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			before := runtime.NumGoroutine()
+			run, err := c.Start(ctx, peachstar.RunConfig{
+				CheckpointPath:  path,
+				CheckpointEvery: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			written := 0
+			for ev := range run.Events() {
+				ck, ok := ev.(peachstar.CheckpointEvent)
+				if !ok {
+					continue
+				}
+				if ck.Err != nil {
+					t.Errorf("checkpoint at %d execs failed: %v", ck.Execs, ck.Err)
+				}
+				if written++; written == 8 {
+					if viaCancel {
+						cancel()
+					} else {
+						run.Stop()
+					}
+				}
+			}
+			err = run.Wait()
+			if viaCancel && err != context.Canceled {
+				t.Fatalf("Wait after cancel = %v, want context.Canceled", err)
+			}
+			if !viaCancel && err != nil {
+				t.Fatalf("Wait after Stop = %v", err)
+			}
+			// The context watcher may still be returning from its
+			// callback; everything the session started is already gone.
+			for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after Wait, %d before Start", n, before)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) > 0 {
+				t.Errorf("temp files left behind: %v", tmps)
+			}
+			restored := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+			if err := restored.RestoreCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			// A cancel skips the final checkpoint; a Stop takes it.
+			if viaCancel {
+				return
+			}
+			if got, want := restored.Stats(), c.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("final checkpoint after Stop does not capture the end state:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointWriteFailureNotFatal: a checkpoint path the writer cannot
+// create fails every write, and each failure surfaces as a
+// CheckpointEvent error while the session fuzzes on to its budget.
+func TestCheckpointWriteFailureNotFatal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "dir.ckpt")
+	c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+	run, err := c.Start(context.Background(), peachstar.RunConfig{
+		Execs:           3000,
+		CheckpointPath:  path,
+		CheckpointEvery: 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for ev := range run.Events() {
+		if ck, ok := ev.(peachstar.CheckpointEvent); ok {
+			if ck.Err == nil {
+				t.Errorf("checkpoint at %d execs into a missing directory succeeded", ck.Execs)
+			}
+			events++
+		}
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatalf("Wait = %v, want nil: a failed checkpoint write is not a session error", err)
+	}
+	if c.Execs() < 3000 {
+		t.Fatalf("session stopped at %d execs, before its 3000-exec budget", c.Execs())
+	}
+	if want := 3000/512 + 1; events != want {
+		t.Fatalf("saw %d checkpoint events, want %d", events, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,34 +22,40 @@ import (
 // target name and every chunk's name, kind, and construction-rule
 // signature in tree order.
 func ModelDigest(target string, models []*datamodel.Model) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		h ^= 0xff // field separator
-		h *= prime
-	}
-	var walk func(c *datamodel.Chunk)
-	walk = func(c *datamodel.Chunk) {
-		mix(c.Name)
-		mix(fmt.Sprintf("%d", c.Kind))
-		mix(datamodel.RuleSignature(c))
-		for _, ch := range c.Children {
-			walk(ch)
-		}
-	}
-	mix(target)
+	h := mixDigest(digestOffset, target)
 	for _, m := range models {
-		mix(m.Name)
+		h = mixDigest(h, m.Name)
 		for _, c := range m.Fields {
-			walk(c)
+			h = walkDigest(h, c)
 		}
+	}
+	return h
+}
+
+// FNV-1a parameters of ModelDigest.
+const (
+	digestOffset = 14695981039346656037
+	digestPrime  = 1099511628211
+)
+
+// mixDigest folds one field into the digest, then a field separator.
+func mixDigest(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= digestPrime
+	}
+	h ^= 0xff
+	h *= digestPrime
+	return h
+}
+
+// walkDigest folds c's name, kind and rule signature, then its children.
+func walkDigest(h uint64, c *datamodel.Chunk) uint64 {
+	h = mixDigest(h, c.Name)
+	h = mixDigest(h, strconv.Itoa(int(c.Kind)))
+	h = mixDigest(h, datamodel.RuleSignature(c))
+	for _, ch := range c.Children {
+		h = walkDigest(h, ch)
 	}
 	return h
 }

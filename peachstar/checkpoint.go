@@ -4,7 +4,8 @@ package peachstar
 // blocking Campaign.Checkpoint / Campaign.RestoreCheckpoint pair for
 // quiescent campaigns, and the periodic in-session checkpointing that
 // RunConfig.CheckpointPath switches on (driven from the session loop at
-// merge-window boundaries, reported as CheckpointEvents).
+// merge-window boundaries, written by one background writer per session
+// and reported as CheckpointEvents).
 //
 // A checkpoint file is one atomic snapshot of the whole campaign — fleet
 // counters, union coverage, corpus with its sync journal, crash bank with
@@ -24,21 +25,12 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/fleetnet"
 )
 
 // DefaultCheckpointEvery is the default number of fleet executions between
 // durable checkpoints of a session with RunConfig.CheckpointPath set:
 // sixteen merge windows' worth.
 const DefaultCheckpointEvery = 16 * core.DefaultMergeEvery
-
-// modelDigest is the campaign's rule-signature digest — the identity a
-// checkpoint is sealed under and validated against on restore. It is the
-// same digest the fleet sync protocol pins, so "restorable from" and
-// "syncable with" are one compatibility notion.
-func (c *Campaign) modelDigest() uint64 {
-	return fleetnet.ModelDigest(c.cfg.Target.(Target).Name(), c.cfg.Models)
-}
 
 // Checkpoint writes the campaign's full state to path, crash-safely
 // (atomic temp-file-and-rename replace). The campaign must be quiescent:
@@ -49,7 +41,7 @@ func (c *Campaign) Checkpoint(path string) error {
 		return fmt.Errorf("peachstar: cannot checkpoint: campaign has a session in flight")
 	}
 	defer atomic.StoreInt32(&c.running, 0)
-	return checkpoint.WriteFileAtomic(path, c.fleet.Checkpoint(c.modelDigest()))
+	return checkpoint.WriteFileAtomic(path, c.fleet.Checkpoint(c.digest))
 }
 
 // RestoreCheckpoint overwrites the campaign's state with a checkpoint file
@@ -76,23 +68,46 @@ func (c *Campaign) RestoreCheckpoint(path string) error {
 		return fmt.Errorf("peachstar: cannot restore: campaign has a session in flight")
 	}
 	defer atomic.StoreInt32(&c.running, 0)
-	return c.fleet.RestoreCheckpoint(data, c.modelDigest())
+	return c.fleet.RestoreCheckpoint(data, c.digest)
 }
 
-// checkpointNow takes one durable checkpoint from the session loop and
-// reports it as a CheckpointEvent. Called only between Drive windows (or
-// from a relay's tick), when the fleet's workers are quiescent; a write
-// failure is an event, not a session error — the campaign keeps fuzzing
-// and the next checkpoint retries.
+// ckptImage is one sealed checkpoint image on its way from the session
+// loop to the session's checkpoint writer.
+type ckptImage struct {
+	data  []byte
+	execs int           // fleet execution count the image captures
+	snap  time.Duration // how long the snapshot took
+}
+
+// checkpointNow takes one checkpoint image from the session loop and hands
+// it to the session's writer (see writeCheckpoints). Called only between
+// Drive windows (or from a relay's tick), when the fleet's workers are
+// quiescent, so the image is a consistent cut. The hand-off is unbuffered:
+// while the previous image is still being written the loop waits here, so
+// at most one write is in flight and none is ever skipped.
 func (r *Run) checkpointNow() {
 	began := time.Now()
-	data := r.c.fleet.Checkpoint(r.c.modelDigest())
-	err := checkpoint.WriteFileAtomic(r.cfg.CheckpointPath, data)
-	r.emit(CheckpointEvent{
-		Path:    r.cfg.CheckpointPath,
-		Execs:   r.c.fleet.Execs(),
-		Bytes:   len(data),
-		Elapsed: time.Since(began),
-		Err:     err,
-	})
+	data := r.c.fleet.Checkpoint(r.c.digest)
+	r.ckpts <- ckptImage{data: data, execs: r.c.fleet.Execs(), snap: time.Since(began)}
+}
+
+// writeCheckpoints is the session's checkpoint writer, on its own
+// goroutine: it writes each image atomically (temp file, fsync, rename)
+// and reports it as a CheckpointEvent while the loop fuzzes the next
+// window. It returns when the loop closes the channel. A write failure is
+// an event, not a session error — the campaign keeps fuzzing and the next
+// checkpoint retries.
+func (r *Run) writeCheckpoints() {
+	defer close(r.ckptsDone)
+	for img := range r.ckpts {
+		began := time.Now()
+		err := checkpoint.WriteFileAtomic(r.cfg.CheckpointPath, img.data)
+		r.emit(CheckpointEvent{
+			Path:    r.cfg.CheckpointPath,
+			Execs:   img.execs,
+			Bytes:   len(img.data),
+			Elapsed: img.snap + time.Since(began),
+			Err:     err,
+		})
+	}
 }

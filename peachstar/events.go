@@ -118,11 +118,11 @@ func (StateEvent) event() {}
 // exchange is not fatal (the campaign keeps fuzzing and the next window
 // retries), so errors surface here rather than ending the run.
 type SyncWindowEvent struct {
-	// Attachment names the attachment kind: "leaf" or "mesh".
+	// Attachment names the attachment kind: "hub", "leaf" or "mesh".
 	Attachment string
 	// Addr is the attachment's remote address (the hub address for a
-	// leaf; the node's own accept address for a mesh, whose exchanges
-	// fan out to every linked peer).
+	// leaf; the node's own accept address for a hub, or for a mesh, whose
+	// exchanges fan out to every linked peer).
 	Addr string
 	// Execs is the campaign's local execution count when the window ran.
 	Execs int
@@ -136,7 +136,10 @@ func (SyncWindowEvent) event() {}
 
 // CheckpointEvent reports one durable campaign checkpoint of a session
 // with RunConfig.CheckpointPath set: the atomic write of the campaign's
-// full state taken at a quiescent merge-window boundary. Err is nil on
+// full state taken at a quiescent merge-window boundary. The write
+// overlaps the next window, so the event is emitted when the write
+// finishes and may arrive after coverage and crash events of later
+// windows; Execs still names the cut the file holds. Err is nil on
 // success; a failed write is not fatal (the campaign keeps fuzzing and
 // the next checkpoint retries), so errors surface here rather than
 // ending the run.
@@ -147,7 +150,8 @@ type CheckpointEvent struct {
 	Execs int
 	// Bytes is the checkpoint's encoded size.
 	Bytes int
-	// Elapsed is the snapshot-and-write duration.
+	// Elapsed is the snapshot-and-write duration (not counting any wait
+	// for the previous write to finish).
 	Elapsed time.Duration
 	// Err is the write error, nil on success.
 	Err error

@@ -39,6 +39,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/crash"
 	"repro/internal/datamodel"
+	"repro/internal/fleetnet"
 	"repro/internal/pit"
 	"repro/internal/sandbox"
 	"repro/internal/session"
@@ -209,6 +210,11 @@ type Campaign struct {
 	fleet *core.Fleet
 	// running guards the one-session-at-a-time invariant of Start.
 	running int32
+	// digest is the campaign's rule-signature digest, computed once: the
+	// identity every checkpoint is sealed under and validated against on
+	// restore. It is the digest the fleet sync protocol pins, so
+	// "restorable from" and "syncable with" are one compatibility notion.
+	digest uint64
 }
 
 // NewCampaign validates options and prepares a campaign.
@@ -256,7 +262,7 @@ func NewCampaign(opts Options) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Campaign{cfg: cfg, fleet: fleet}, nil
+	return &Campaign{cfg: cfg, fleet: fleet, digest: fleetnet.ModelDigest(opts.Target.Name(), models)}, nil
 }
 
 // targetFactory resolves how extra workers obtain fresh target instances:

@@ -53,8 +53,8 @@ type RunConfig struct {
 	// Duration, when positive and Deadline is zero, is a relative
 	// deadline of Start-time + Duration.
 	Duration time.Duration
-	// SyncEvery is the number of local executions between remote sync
-	// windows when the session has leaf or mesh attachments
+	// SyncEvery is the number of local executions between sync windows
+	// when the session has attachments — hub, leaf or mesh
 	// (0 = DefaultSyncEvery). Ignored without attachments.
 	SyncEvery int
 	// StatsEvery is the number of fleet executions between StatsEvents
@@ -104,9 +104,12 @@ type RunConfig struct {
 	// CheckpointPath, when non-empty, makes the session write a durable
 	// campaign checkpoint to this file every CheckpointEvery executions,
 	// after the final window, and (for a relay) every relay round — each
-	// write an atomic replace, reported as a CheckpointEvent. A later
-	// campaign built with the same options resumes from the file with
-	// Campaign.RestoreCheckpoint (or peachstar -resume).
+	// write an atomic replace, reported as a CheckpointEvent. The state is
+	// captured between windows; the write itself runs in the background,
+	// overlapping the next window (the session waits only if the previous
+	// write is still in flight), and the final write is on disk before
+	// Wait returns. A later campaign built with the same options resumes
+	// from the file with Campaign.RestoreCheckpoint (or peachstar -resume).
 	CheckpointPath string
 	// CheckpointEvery is the number of fleet executions between durable
 	// checkpoints (0 = DefaultCheckpointEvery). Ignored without
@@ -212,6 +215,12 @@ type Run struct {
 	ctxStopped int32
 
 	atts []*attachment
+
+	// ckpts hands checkpoint images to the session's writer goroutine,
+	// which closes ckptsDone when it has written the last one; both nil
+	// without RunConfig.CheckpointPath.
+	ckpts     chan ckptImage
+	ckptsDone chan struct{}
 
 	// exec is the session-owned execution backend swapped into the fleet
 	// for this session (nil for default in-process sessions); prevExec is
@@ -387,7 +396,9 @@ func (r *Run) release() {
 // result — and a final checkpoint. Failures inside the loop surface as
 // events and the next window retries. Checkpoints are taken between Drive
 // calls, when every worker is quiescent: each is a consistent cut of the
-// whole fleet.
+// whole fleet. Writing one to disk is the session's checkpoint writer's
+// job, overlapping the next window; the loop joins the writer before it
+// closes the event stream.
 func (r *Run) loop() {
 	defer func() {
 		r.release()
@@ -397,6 +408,10 @@ func (r *Run) loop() {
 
 	fleet := r.c.fleet
 	ckpt := r.cfg.CheckpointPath != ""
+	if ckpt {
+		r.ckpts, r.ckptsDone = make(chan ckptImage), make(chan struct{})
+		go r.writeCheckpoints()
+	}
 	nextCkpt := 0
 	for !r.spent() {
 		window := core.Budget{Execs: r.cfg.Execs, Deadline: r.cfg.Deadline}
@@ -430,6 +445,12 @@ func (r *Run) loop() {
 		if ckpt {
 			r.checkpointNow()
 		}
+	}
+	if ckpt {
+		// Join the writer on every exit path: the last image is on disk
+		// and its event on the stream before the stream closes.
+		close(r.ckpts)
+		<-r.ckptsDone
 	}
 
 	r.report()
