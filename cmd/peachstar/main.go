@@ -156,54 +156,39 @@ func main() {
 		}
 	}
 
-	// Attachments: a hub and a mesh node are created as campaign-level
-	// handles (they span the fuzzing session and the serve phase after
-	// it); the leaf handle additionally feeds fleet-wide figures into the
-	// progress lines.
+	// The sync node — hub, leaf or mesh — is a campaign-level handle: it
+	// spans the fuzzing session and the serve phase after it, and feeds
+	// its peer and fleet figures into the progress lines.
+	var node *peachstar.SyncNode
+	var banner string
+	var peerList []string
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peerList = append(peerList, p)
+		}
+	}
+	switch {
+	case *serve != "":
+		if node, err = campaign.ServeSync(*serve); err == nil {
+			banner = fmt.Sprintf("serving fleet sync on %s (publishing every %d execs)", node.Addr(), *syncEvery)
+		}
+	case *connect != "":
+		node, err = campaign.DialSync(*connect)
+		banner = fmt.Sprintf("syncing with fleet hub at %s (every %d execs)", *connect, *syncEvery)
+	case *mesh != "":
+		if node, err = campaign.JoinMesh(peachstar.MeshOptions{Listen: *mesh, Peers: peerList, Advertise: *advertise}); err == nil {
+			banner = fmt.Sprintf("mesh node on %s (%d bootstrap peers, syncing every %d execs)", node.Addr(), len(peerList), *syncEvery)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var attach []peachstar.Attachment
-	var hub *peachstar.SyncServer
-	if *serve != "" {
-		hub, err = campaign.ServeSync(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer hub.Close()
-		attach = append(attach, hub.Attachment())
-		fmt.Printf("serving fleet sync on %s (publishing every %d execs)\n", hub.Addr(), *syncEvery)
-	}
-	var leaf *peachstar.SyncLeaf
-	if *connect != "" {
-		leaf, err = campaign.DialSync(*connect)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer leaf.Close()
-		attach = append(attach, leaf.Attachment())
-		fmt.Printf("syncing with fleet hub at %s (every %d execs)\n", *connect, *syncEvery)
-	}
-	var mnode *peachstar.MeshNode
-	if *mesh != "" {
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		mnode, err = campaign.JoinMesh(peachstar.MeshOptions{
-			Listen:    *mesh,
-			Peers:     peerList,
-			Advertise: *advertise,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer mnode.Close()
-		attach = append(attach, mnode.Attachment())
-		fmt.Printf("mesh node on %s (%d bootstrap peers, syncing every %d execs)\n",
-			mnode.Addr(), len(peerList), *syncEvery)
+	if node != nil {
+		defer node.Close()
+		attach = append(attach, node.Attachment())
+		fmt.Println(banner)
 	}
 
 	// SIGINT → graceful Stop of whichever session is live — and no
@@ -307,18 +292,18 @@ func main() {
 					case <-r.Done():
 						return
 					case <-t.C:
-						printStatsLine(r.Snapshot(), leaf, mnode, hub, start)
+						printStatsLine(r.Snapshot(), node, start)
 					}
 				}
 			}()
 		}
-		printEvents(r, leaf, mnode, hub, start)
+		printEvents(r, node, start)
 		if err := r.Wait(); err != nil {
 			fmt.Fprintf(os.Stderr, "session ended with: %v\n", err)
 		}
 	}
 
-	if (hub != nil || mnode != nil) && keepServing() {
+	if node != nil && node.Addr() != "" && keepServing() {
 		// Hub and mesh nodes outlive their own budget: keep serving (and,
 		// for a mesh node, relaying between peers) until interrupted. A
 		// node with -execs 0 is a pure relay.
@@ -334,7 +319,7 @@ func main() {
 			os.Exit(2)
 		}
 		if beginPhase(r) {
-			printEvents(r, leaf, mnode, hub, start)
+			printEvents(r, node, start)
 		}
 		if err := r.Wait(); err != nil {
 			fmt.Fprintf(os.Stderr, "serve session ended with: %v\n", err)
@@ -372,11 +357,11 @@ func main() {
 // printEvents consumes one session's event stream to the terminal: a
 // progress line per StatsEvent, a discovery line per crash, sync failures
 // as they happen. It returns when the session ends and the stream closes.
-func printEvents(r *peachstar.Run, leaf *peachstar.SyncLeaf, mnode *peachstar.MeshNode, hub *peachstar.SyncServer, start time.Time) {
+func printEvents(r *peachstar.Run, node *peachstar.SyncNode, start time.Time) {
 	for ev := range r.Events() {
 		switch ev := ev.(type) {
 		case peachstar.StatsEvent:
-			printStatsLine(ev.Stats, leaf, mnode, hub, start)
+			printStatsLine(ev.Stats, node, start)
 		case peachstar.CrashEvent:
 			fmt.Printf("%8.1fs  NEW CRASH: %s at %s (worker %d)\n  packet: %x\n",
 				time.Since(start).Seconds(), ev.Record.Kind, ev.Record.Site, ev.Worker, ev.Record.Example)
@@ -398,24 +383,21 @@ func printEvents(r *peachstar.Run, leaf *peachstar.SyncLeaf, mnode *peachstar.Me
 	}
 }
 
-// printStatsLine renders one progress line from a snapshot, with the
-// fleet-, mesh-, or hub-side figures appended when those handles exist.
-func printStatsLine(s peachstar.Stats, leaf *peachstar.SyncLeaf, mnode *peachstar.MeshNode, hub *peachstar.SyncServer, start time.Time) {
+// printStatsLine renders one progress line from a snapshot, with the sync
+// node's figures appended when there is one: its links (connected
+// uplinks, connected inbound peers, known peers), the executions inbound
+// peers reported, and — once an uplink has had a reply — the fleet-wide
+// figures of the node at its other end.
+func printStatsLine(s peachstar.Stats, node *peachstar.SyncNode, start time.Time) {
 	line := fmt.Sprintf("%8.1fs  execs %8d  paths %5d  edges %5d  crashes %3d  corpus %5d",
 		time.Since(start).Seconds(), s.Execs, s.Paths, s.Edges, s.UniqueCrashes, s.CorpusPuzzles)
-	if leaf != nil {
-		if fexecs, fedges, nodes, ok := leaf.FleetStats(); ok {
-			line += fmt.Sprintf("  | fleet execs %8d  edges %5d  leaves %2d", fexecs, fedges, nodes)
+	if node != nil {
+		uplinks, inbound, known := node.PeerStats()
+		rexecs, _, _ := node.RemoteStats()
+		line += fmt.Sprintf("  | links %d up/%d in of %d known, +%d remote execs", uplinks, inbound, known, rexecs)
+		if fexecs, fedges, leaves, ok := node.FleetStats(); ok {
+			line += fmt.Sprintf("  | fleet execs %8d  edges %5d  leaves %2d", fexecs, fedges, leaves)
 		}
-	}
-	if mnode != nil {
-		uplinks, inbound, known := mnode.PeerStats()
-		line += fmt.Sprintf("  | mesh %d up/%d in of %d known, +%d remote execs",
-			uplinks, inbound, known, mnode.RemoteExecs())
-	}
-	if hub != nil {
-		rexecs, _, connected := hub.RemoteStats()
-		line += fmt.Sprintf("  | +%d remote execs, %d leaves", rexecs, connected)
 	}
 	fmt.Println(line)
 }

@@ -73,7 +73,7 @@ func main() {
 	type node struct {
 		name     string
 		campaign *peachstar.Campaign
-		leaf     *peachstar.SyncLeaf
+		leaf     *peachstar.SyncNode
 	}
 	var leaves []*node
 	var wg sync.WaitGroup

@@ -34,7 +34,7 @@ func main() {
 	type node struct {
 		name     string
 		campaign *peachstar.Campaign
-		mesh     *peachstar.MeshNode
+		mesh     *peachstar.SyncNode
 	}
 	var nodes []*node
 	var seedAddr string

@@ -128,37 +128,18 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 	}
 
 	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startNode(t, Config{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
 
 	fleets := []*core.Fleet{newConvFleet(t, seed, 1, 0), newConvFleet(t, seed, 1, 1)}
-	leaves := make([]*Leaf, len(fleets))
+	leaves := make([]testLeaf, len(fleets))
 	for i, f := range fleets {
-		leaf, err := NewLeaf(LeafConfig{
-			Fleet:  f,
-			Addr:   hub.Addr(),
-			Target: "conv",
-			Models: convModels(),
-			NodeID: []string{"leaf-a", "leaf-b"}[i],
-			Logf:   t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer leaf.Close()
-		leaves[i] = leaf
+		leaves[i] = newLeaf(t, Config{Target: "conv", Models: convModels(), NodeID: []string{"leaf-a", "leaf-b"}[i], Logf: t.Logf}, f, hub.Addr())
 	}
 
 	var wg sync.WaitGroup
 	for _, l := range leaves {
 		wg.Add(1)
-		go func(l *Leaf) {
+		go func(l testLeaf) {
 			defer wg.Done()
 			if err := driveSynced(l.cfg.Fleet, l.Sync, budget/2, 512); err != nil {
 				t.Errorf("%v", err)
@@ -218,7 +199,7 @@ func TestSingleLeafTransportLossless(t *testing.T) {
 			next = budget
 		}
 		control.Run(next)
-		// Leaf.Sync flushes twice per window (before and after the wire
+		// A leaf's Sync flushes twice per window (before and after the wire
 		// exchange); mirror it exactly.
 		control.SyncAll()
 		control.SyncAll()

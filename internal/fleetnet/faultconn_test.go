@@ -164,14 +164,7 @@ func (p *faultProxy) acceptLoop() {
 func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 	const budget = 3000
 	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startNode(t, Config{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
 	proxy := newFaultProxy(t, hub.Addr())
 	proxy.plan.chunk.Store(3)
 	proxy.plan.latency.Store(int64(100 * time.Microsecond))
@@ -179,20 +172,9 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 	fleets := []*core.Fleet{newConvFleet(t, 41, 1, 0), newConvFleet(t, 41, 1, 1)}
 	var wg sync.WaitGroup
 	for i, f := range fleets {
-		leaf, err := NewLeaf(LeafConfig{
-			Fleet:  f,
-			Addr:   proxy.Addr(),
-			Target: "conv",
-			Models: convModels(),
-			NodeID: []string{"deg-a", "deg-b"}[i],
-			Logf:   t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer leaf.Close()
+		leaf := newLeaf(t, Config{Target: "conv", Models: convModels(), NodeID: []string{"deg-a", "deg-b"}[i], Logf: t.Logf}, f, proxy.Addr())
 		wg.Add(1)
-		go func(l *Leaf) {
+		go func(l testLeaf) {
 			defer wg.Done()
 			if err := driveSynced(l.cfg.Fleet, l.Sync, budget, 512); err != nil {
 				t.Errorf("leaf run over degraded link: %v", err)
@@ -213,29 +195,11 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 // last clean sync lands.
 func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startNode(t, Config{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
 	proxy := newFaultProxy(t, hub.Addr())
 
 	fleet := newConvFleet(t, 43, 1, 0)
-	leaf, err := NewLeaf(LeafConfig{
-		Fleet:  fleet,
-		Addr:   proxy.Addr(),
-		Target: "conv",
-		Models: convModels(),
-		NodeID: "reset-leaf",
-		Logf:   t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
+	leaf := newLeaf(t, Config{Target: "conv", Models: convModels(), NodeID: "reset-leaf", Logf: t.Logf}, fleet, proxy.Addr())
 
 	syncErrs, syncOKs := 0, 0
 	for window := 1; window <= 8; window++ {
@@ -278,30 +242,11 @@ func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 // campaign; once the stall clears, the next sync recovers the session.
 func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
 	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startNode(t, Config{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
 	proxy := newFaultProxy(t, hub.Addr())
 
 	fleet := newConvFleet(t, 47, 1, 0)
-	leaf, err := NewLeaf(LeafConfig{
-		Fleet:   fleet,
-		Addr:    proxy.Addr(),
-		Target:  "conv",
-		Models:  convModels(),
-		NodeID:  "stall-leaf",
-		Timeout: 300 * time.Millisecond,
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
+	leaf := newLeaf(t, Config{Target: "conv", Models: convModels(), NodeID: "stall-leaf", Timeout: 300 * time.Millisecond, Logf: t.Logf}, fleet, proxy.Addr())
 
 	fleet.Run(500)
 	if err := leaf.Sync(); err != nil {
@@ -310,7 +255,7 @@ func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
 
 	proxy.plan.stall.Store(true)
 	start := time.Now()
-	err = leaf.Sync()
+	err := leaf.Sync()
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("sync against a stalled peer succeeded")
@@ -353,7 +298,8 @@ func TestConcurrentMeshOverFaultyLink(t *testing.T) {
 	proxy.plan.chunk.Store(5)
 	proxy.plan.latency.Store(int64(50 * time.Microsecond))
 
-	a, err := NewMesh(MeshConfig{
+	a, err := NewNode(Config{
+		State:     fleetA.State(),
 		Fleet:     fleetA,
 		Target:    "conv",
 		Models:    convModels(),
@@ -369,7 +315,8 @@ func TestConcurrentMeshOverFaultyLink(t *testing.T) {
 	}
 	defer a.Close()
 
-	b, err := NewMesh(MeshConfig{
+	b := startNode(t, Config{
+		State:      fleetB.State(),
 		Fleet:      fleetB,
 		Target:     "conv",
 		Models:     convModels(),
@@ -378,13 +325,6 @@ func TestConcurrentMeshOverFaultyLink(t *testing.T) {
 		StaticOnly: true,
 		Logf:       t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
 
 	for round := 1; round <= 10; round++ {
 		fleetA.Run(round * 300)
@@ -408,7 +348,7 @@ func TestConcurrentMeshOverFaultyLink(t *testing.T) {
 	// B is the link's only dialer, so only A accumulates inbound figures;
 	// B's window into A's work is the ack stream, checked through the
 	// fleets' converged union maps.
-	if got := a.RemoteExecs(); got < fleetB.Execs() {
+	if got, _, _ := a.RemoteStats(); got < fleetB.Execs() {
 		t.Fatalf("mesh-a saw %d remote execs, want ≥ %d (B's total)", got, fleetB.Execs())
 	}
 	ea, eb := fleetA.Stats().Edges, fleetB.Stats().Edges

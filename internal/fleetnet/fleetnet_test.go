@@ -66,17 +66,48 @@ func newLocalFleet(t *testing.T, seed uint64) *core.Fleet {
 	return f
 }
 
-func startHub(t *testing.T, state *core.SyncState, models []*datamodel.Model) *Hub {
+// startHub builds a hub-shaped node — it listens and has no peers — over
+// a standalone state.
+func startHub(t *testing.T, state *core.SyncState, models []*datamodel.Model) *Node {
 	t.Helper()
-	hub, err := NewHub(HubConfig{State: state, Target: "libmodbus", Models: models, Logf: t.Logf})
+	return startNode(t, Config{State: state, Target: "libmodbus", Models: models, Logf: t.Logf})
+}
+
+// startNode builds a node from cfg and starts its accept loop on loopback.
+func startNode(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
+	if err := n.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { hub.Close() })
-	return hub
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// testLeaf is a leaf-shaped node with its one uplink in reach, so tests
+// can drive and inspect the link directly.
+type testLeaf struct {
+	*Node
+	*uplink
+}
+
+// Connected reports whether the leaf's session is established.
+func (l testLeaf) Connected() bool { return l.conn != nil }
+
+// newLeaf builds a leaf-shaped node from cfg: fleet with one static
+// uplink to addr and no listener.
+func newLeaf(t *testing.T, cfg Config, fleet *core.Fleet, addr string) testLeaf {
+	t.Helper()
+	cfg.State, cfg.Fleet, cfg.Peers, cfg.StaticOnly = fleet.State(), fleet, []string{addr}, true
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return testLeaf{n, n.uplinks[addr]}
 }
 
 // driveSynced is the suite's window/sync alternation (what the public
@@ -92,21 +123,9 @@ func driveSynced(fleet *core.Fleet, exchange func() error, budget, every int) er
 	return exchange()
 }
 
-func newTestLeaf(t *testing.T, fleet *core.Fleet, tgt targets.Target, addr, id string) *Leaf {
+func newTestLeaf(t *testing.T, fleet *core.Fleet, tgt targets.Target, addr, id string) testLeaf {
 	t.Helper()
-	leaf, err := NewLeaf(LeafConfig{
-		Fleet:  fleet,
-		Addr:   addr,
-		Target: "libmodbus",
-		Models: tgt.Models(),
-		NodeID: id,
-		Logf:   t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { leaf.Close() })
-	return leaf
+	return newLeaf(t, Config{Target: "libmodbus", Models: tgt.Models(), NodeID: id, Logf: t.Logf}, fleet, addr)
 }
 
 // TestLoopbackRealTargetSettles runs the hub + two leaves over the real
@@ -125,9 +144,9 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 	leafB := newTestLeaf(t, fleetB, tgtB, hub.Addr(), "leaf-b")
 
 	var wg sync.WaitGroup
-	for _, l := range []*Leaf{leafA, leafB} {
+	for _, l := range []testLeaf{leafA, leafB} {
 		wg.Add(1)
-		go func(l *Leaf) {
+		go func(l testLeaf) {
 			defer wg.Done()
 			if err := driveSynced(l.cfg.Fleet, l.Sync, budget/2, 1024); err != nil {
 				t.Errorf("%v", err)
@@ -135,7 +154,7 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
-	for _, l := range []*Leaf{leafA, leafB} {
+	for _, l := range []testLeaf{leafA, leafB} {
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +229,7 @@ func TestHubRestartOnSameState(t *testing.T) {
 	}
 	hub.Close()
 
-	hub2, err := NewHub(HubConfig{State: state, Target: "libmodbus", Models: tgt.Models(), Logf: t.Logf})
+	hub2, err := NewNode(Config{State: state, Target: "libmodbus", Models: tgt.Models(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,23 +261,13 @@ func TestHandshakeRejectsMismatchedCampaigns(t *testing.T) {
 	fleet, tgt := newLeafFleet(t, 1, 0)
 	hub := startHub(t, state, tgt.Models())
 
-	wrongTarget, err := NewLeaf(LeafConfig{
-		Fleet: fleet, Addr: hub.Addr(), Target: "IEC104", Models: tgt.Models(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrongTarget := newLeaf(t, Config{Target: "IEC104", Models: tgt.Models()}, fleet, hub.Addr())
 	if err := wrongTarget.Sync(); err == nil {
 		t.Fatal("hub accepted a leaf fuzzing a different target")
 	}
 
 	altModels := []*datamodel.Model{{Name: "bogus", Fields: []*datamodel.Chunk{datamodel.Num("x", 1, 0)}}}
-	wrongModels, err := NewLeaf(LeafConfig{
-		Fleet: fleet, Addr: hub.Addr(), Target: "libmodbus", Models: altModels,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrongModels := newLeaf(t, Config{Target: "libmodbus", Models: altModels}, fleet, hub.Addr())
 	if err := wrongModels.Sync(); err == nil {
 		t.Fatal("hub accepted a leaf with mismatched data models")
 	}
@@ -386,7 +395,7 @@ func TestHubRestartWithLostState(t *testing.T) {
 
 	// Restart with lost state: fresh SyncState, empty journal.
 	freshState := core.NewSyncState(0)
-	hub2, err := NewHub(HubConfig{State: freshState, Target: "libmodbus", Models: tgt.Models(), Logf: t.Logf})
+	hub2, err := NewNode(Config{State: freshState, Target: "libmodbus", Models: tgt.Models(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,13 +260,13 @@ func TestHostileCountsRejected(t *testing.T) {
 	if err := writeFrame(conn, frameHello, hello.encode()); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err := readFrame(conn); err != nil || typ != frameHelloAck {
+	if typ, _, err := readFrame(conn, maxFrame); err != nil || typ != frameHelloAck {
 		t.Fatalf("handshake reply: type %d, %v", typ, err)
 	}
 	if err := writeFrame(conn, frameSync, hostileSync(0, 1<<63, 17)); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(conn, maxFrame)
 	if err != nil || typ != frameError {
 		t.Fatalf("reply to the hostile sync: type %d, %v; want an error frame", typ, err)
 	}

@@ -17,11 +17,12 @@ import (
 // the reconnect race on remoteLeaf.connected, the dead resumeCursor wire
 // field, and all-or-nothing echo suppression in the uplink.
 
-// connCount is a test-only window into the hub's live connection set.
-func (h *Hub) connCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.conns)
+// connCount is a test-only window into the node's live inbound
+// connection set.
+func (n *Node) connCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.conns)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

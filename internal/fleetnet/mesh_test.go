@@ -9,9 +9,10 @@ import (
 
 // newConvMesh builds one mesh node over a 1-worker conformance-target
 // fleet, listening on loopback.
-func newConvMesh(t *testing.T, fleet *core.Fleet, id string, static bool, peers ...string) *Mesh {
+func newConvMesh(t *testing.T, fleet *core.Fleet, id string, static bool, peers ...string) *Node {
 	t.Helper()
-	m, err := NewMesh(MeshConfig{
+	return startNode(t, Config{
+		State:      fleet.State(),
 		Fleet:      fleet,
 		Target:     "conv",
 		Models:     convModels(),
@@ -20,24 +21,16 @@ func newConvMesh(t *testing.T, fleet *core.Fleet, id string, static bool, peers 
 		StaticOnly: static,
 		Logf:       t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m
 }
 
 // runMeshes drives each node to its exec budget on its own goroutine —
 // the per-node driving loop a real deployment runs — and waits for all.
-func runMeshes(t *testing.T, window int, nodes map[*Mesh]int) {
+func runMeshes(t *testing.T, window int, nodes map[*Node]int) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for m, budget := range nodes {
 		wg.Add(1)
-		go func(m *Mesh, budget int) {
+		go func(m *Node, budget int) {
 			defer wg.Done()
 			if err := driveSynced(m.cfg.Fleet, m.Sync, budget, window); err != nil {
 				t.Logf("mesh %s final sync: %v", m.cfg.NodeID, err)
@@ -52,7 +45,7 @@ func runMeshes(t *testing.T, window int, nodes map[*Mesh]int) {
 // are tolerated like the mesh itself tolerates them (a dead address may
 // still be churning out of the peer books); the convergence assertions are
 // the real check.
-func settle(t *testing.T, nodes ...*Mesh) {
+func settle(t *testing.T, nodes ...*Node) {
 	t.Helper()
 	for round := 0; round < 3; round++ {
 		for _, m := range nodes {
@@ -97,7 +90,7 @@ func TestMeshThreeNodeConvergesToRunParallel(t *testing.T) {
 	nodeC := newConvMesh(t, fleetC, "node-c", false, nodeA.Addr())
 
 	// Phase 1: all three nodes fuzz concurrently.
-	runMeshes(t, window, map[*Mesh]int{nodeA: slice, nodeB: slice, nodeC: slice})
+	runMeshes(t, window, map[*Node]int{nodeA: slice, nodeB: slice, nodeC: slice})
 
 	// Partition: node C dies. Its synced work survives in its peers; the
 	// remaining links keep the campaign converging.
@@ -105,7 +98,7 @@ func TestMeshThreeNodeConvergesToRunParallel(t *testing.T) {
 
 	// Phase 2: the survivors keep fuzzing (their links to C fail and are
 	// tolerated).
-	runMeshes(t, window, map[*Mesh]int{nodeA: 2 * slice, nodeB: 2 * slice})
+	runMeshes(t, window, map[*Node]int{nodeA: 2 * slice, nodeB: 2 * slice})
 
 	// Heal: a replacement node re-runs stream 2 from scratch on a fresh
 	// fleet and bootstraps back into the mesh from the same seed address.
@@ -114,7 +107,7 @@ func TestMeshThreeNodeConvergesToRunParallel(t *testing.T) {
 
 	// Phase 3: all three again; C2 spends the killed node's remaining
 	// budget plus a make-up slice for the work lost with C's local state.
-	runMeshes(t, window, map[*Mesh]int{nodeA: 3 * slice, nodeB: 3 * slice, nodeC2: 2 * slice})
+	runMeshes(t, window, map[*Node]int{nodeA: 3 * slice, nodeB: 3 * slice, nodeC2: 2 * slice})
 	settle(t, nodeA, nodeB, nodeC2)
 
 	fleets := map[string]*core.Fleet{"node-a": fleetA, "node-b": fleetB, "node-c2": fleetC2}
@@ -161,7 +154,7 @@ func TestMeshRingTopologyConverges(t *testing.T) {
 	nodeB.AddPeer(nodeC.Addr())
 	nodeC.AddPeer(nodeA.Addr())
 
-	runMeshes(t, window, map[*Mesh]int{nodeA: budget, nodeB: budget, nodeC: budget})
+	runMeshes(t, window, map[*Node]int{nodeA: budget, nodeB: budget, nodeC: budget})
 	settle(t, nodeA, nodeB, nodeC)
 
 	edges := fleetA.Stats().Edges
@@ -173,7 +166,7 @@ func TestMeshRingTopologyConverges(t *testing.T) {
 			t.Errorf("%s edges = %d, ring-a edges = %d: ring did not converge", id, got, edges)
 		}
 	}
-	for _, m := range []*Mesh{nodeA, nodeB, nodeC} {
+	for _, m := range []*Node{nodeA, nodeB, nodeC} {
 		if uplinks, _, _ := m.PeerStats(); uplinks != 1 {
 			t.Errorf("%s keeps %d uplinks in StaticOnly ring, want exactly 1", m.cfg.NodeID, uplinks)
 		}

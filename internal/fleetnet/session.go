@@ -8,9 +8,9 @@ import (
 
 // peerSession is the per-peer sync bookkeeping one node keeps about one
 // remote: everything needed to turn full-state exchange into deltas. The
-// protocol is symmetric — a hub connection, a leaf uplink, and both ends of
-// a mesh link keep exactly the same three pieces of state — so it lives in
-// one struct used by both directions:
+// protocol is symmetric — an inbound connection and an uplink, whatever
+// the shapes of the nodes at either end, keep exactly the same three
+// pieces of state — so it lives in one struct used by both directions:
 //
 //   - shadow: the coverage the remote is known to hold (what we sent plus
 //     what it sent us); outgoing bitmap deltas are computed against it.

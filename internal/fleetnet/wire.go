@@ -7,17 +7,19 @@
 // this package only adds framing, transport, topology, and reconnect
 // handling.
 //
-// Two topologies share one session protocol:
+// One node type, Node, speaks one session protocol: an optional accept
+// loop serving inbound peers, plus uplinks to the peers in its book. Each
+// link keeps its own peerSession (shadow bitmap, journal cursors, crash
+// watermarks) — a vector of cursors per node, one per peer. A topology is
+// a choice of shapes:
 //
-//   - hub/leaf: a Hub serves one campaign's shared state
-//     (core.SyncState); Leaf nodes running local fleets dial it and sync
-//     every N executions.
-//   - mesh: every Mesh node runs the hub accept loop *and* leaf-style
-//     uplinks to its peer set, so the fleet has no designated hub. Each
-//     link keeps its own peerSession (shadow bitmap, journal cursors,
-//     crash watermarks) — a vector of cursors per node, one per peer —
-//     and the handshake exchanges peer addresses, so one seed address
-//     bootstraps a whole mesh.
+//   - hub: a node that listens and has no peers, serving one campaign's
+//     shared state (core.SyncState);
+//   - leaf: a node with one static peer and no listener, running a local
+//     fleet that syncs with its hub every N executions;
+//   - mesh node: both, so the fleet has no designated hub. The handshake
+//     exchanges peer addresses, so one seed address bootstraps a whole
+//     mesh.
 //
 // # Wire protocol
 //
@@ -68,6 +70,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ProtocolVersion is the one protocol version this build speaks; see the
@@ -86,6 +89,16 @@ const magic = "PSFN"
 // this repository produces while still rejecting nonsense lengths from a
 // corrupt stream.
 const maxFrame = 64 << 20
+
+// maxHandshake bounds a hello or helloAck payload. The acceptor reads the
+// hello before it knows who the peer is, so the bound sits far below
+// maxFrame; a maxPeerAddrs-long book of maximal host:port addresses still
+// fits.
+const maxHandshake = 1 << 20
+
+// readChunk is the first allocation for a frame payload; larger payloads
+// grow by doubling as their bytes arrive.
+const readChunk = 64 << 10
 
 // Frame types.
 const (
@@ -108,19 +121,30 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, returning its type and payload.
-func readFrame(r io.Reader) (byte, []byte, error) {
+// readFrame reads one frame of at most limit bytes, returning its type and
+// payload. The buffer grows with the bytes actually received, not with
+// the length the peer announced: a peer that claims a huge frame and then
+// stalls holds at most readChunk bytes of this node's memory.
+func readFrame(r io.Reader, limit int) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("fleetnet: frame length %d out of range", n)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size == 0 || size > uint32(limit) {
+		return 0, nil, fmt.Errorf("fleetnet: frame length %d out of range", size)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	n := int(size)
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return 0, nil, err
+		}
+		buf = buf[:end]
 	}
 	return buf[0], buf[1:], nil
 }

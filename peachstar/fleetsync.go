@@ -1,96 +1,70 @@
 package peachstar
 
-// This file is the public face of the distributed fleet transport
-// (internal/fleetnet): a campaign can serve its shared state to remote
-// leaves (ServeSync) or attach itself as a leaf of a remote hub
-// (DialSync). See ARCHITECTURE.md for the wire protocol and the
-// convergence guarantees, and the README "Distributed campaigns" section
-// for operational semantics.
+// This file is the public face of the fleet sync transport
+// (internal/fleetnet): one SyncNode handle in three shapes. A campaign can
+// serve its shared state to remote leaves (ServeSync: a hub), uplink to a
+// hub (DialSync: a leaf), or join a hub-less mesh whose nodes both accept
+// peers and uplink to them, so the fleet survives the loss of any single
+// node (JoinMesh). See ARCHITECTURE.md "Cross-host: fleetnet" and "Mesh
+// topology" for the wire protocol and the convergence guarantees, and the
+// README "Distributed campaigns" and "Mesh campaigns" sections for
+// operational semantics.
 
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/fleetnet"
 )
 
-// SyncServer is a running fleet-sync hub bound to one campaign: remote
-// leaves that connect merge their coverage, puzzles, and crashes into the
-// campaign's shared state, and receive everything the campaign (and its
-// other leaves) know in return.
-type SyncServer struct {
-	hub   *fleetnet.Hub
-	fleet *core.Fleet
+// MeshOptions configures a campaign's sync node: what JoinMesh takes, and
+// what ServeSync and DialSync fill in for their shapes.
+type MeshOptions struct {
+	// Listen is the accept-loop address (host:port; ":0" picks a free
+	// port — see SyncNode.Addr). Empty: the node accepts nothing and only
+	// dials its peers.
+	Listen string
+	// Peers are the bootstrap peer addresses. One live address is enough
+	// to join an existing mesh: the handshake peer exchange supplies the
+	// rest. Empty for the first node of a new mesh.
+	Peers []string
+	// Advertise is the address other nodes should dial to reach this
+	// node. Defaults to the bound listener address, which is right when
+	// Listen names a routable interface; override it when the bind
+	// address is not what peers can dial (":7712", NAT, containers).
+	Advertise string
+	// StaticOnly restricts uplinks to the configured Peers — learned
+	// addresses are relayed onward but not dialed — for fixed topologies
+	// (rings, lines) where the shape is the experiment. With no Peers it
+	// makes a hub, which learns, dials and relays no address at all.
+	StaticOnly bool
 }
+
+// SyncNode is one campaign's membership in a sync fleet. Remote and local
+// discoveries converge through the same merge path whatever its shape: a
+// hub (ServeSync) accepts leaves, a leaf (DialSync) uplinks to a hub, a
+// mesh node (JoinMesh) does both.
+type SyncNode struct {
+	node *fleetnet.Node
+	kind string // "hub" | "leaf" | "mesh", for SyncWindowEvent
+}
+
+// SyncServer is the hub-shaped SyncNode's earlier name, kept for callers
+// that still spell it.
+type SyncServer = SyncNode
 
 // ServeSync starts serving this campaign's shared state to remote leaves
 // on addr (host:port; ":0" picks a free port — see Addr). The hub accepts
 // in the background; the campaign may keep fuzzing concurrently — pass the
-// server's Attachment to its sessions, whose sync windows are what publish
+// node's Attachment to its sessions, whose sync windows are what publish
 // the campaign's own discoveries to the leaves and fold theirs back into
-// its workers. Close the returned server to stop accepting.
-func (c *Campaign) ServeSync(addr string) (*SyncServer, error) {
-	return c.serveSync(context.Background(), addr)
-}
-
-// serveSync is ServeSync scoped to a context (the session driver's path,
-// so a canceled session tears its hub attachment down promptly): ctx
-// cancellation closes the hub, listener and peer connections included.
-func (c *Campaign) serveSync(ctx context.Context, addr string) (*SyncServer, error) {
-	hub, err := fleetnet.NewHub(fleetnet.HubConfig{
-		State:      c.fleet.State(),
-		Target:     c.cfg.Target.(Target).Name(),
-		Models:     c.cfg.Models,
-		LocalExecs: c.fleet.ExecsApprox,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := hub.ListenAndServeContext(ctx, addr); err != nil {
-		return nil, err
-	}
-	return &SyncServer{hub: hub, fleet: c.fleet}, nil
-}
-
-// Addr returns the bound listen address.
-func (s *SyncServer) Addr() string { return s.hub.Addr() }
-
-// Attachment adapts a live sync server into a session attachment: the
-// session publishes the campaign's discoveries to the server's leaves
-// (and folds theirs back) at the configured cadence but does not own it:
-// it stays open when the session ends, so one hub can span several
-// sessions (fuzz phases, relay phases) on the same campaign.
-func (s *SyncServer) Attachment() Attachment { return s.attachment(nil) }
-
-// attachment is the server as a session drives it. A hub's leaves exchange
-// with the shared state on the accept loop's goroutines, so its sync is
-// only the local flush: publish the workers' discoveries, fold the
-// leaves' back out.
-func (s *SyncServer) attachment(closer func() error) *attachment {
-	flush := func(context.Context) error { s.fleet.SyncAll(); return nil }
-	return &attachment{kind: "hub", addr: s.Addr(), sync: flush, close: closer}
-}
-
-// RemoteStats reports the hub's view of its leaves: total remote
-// executions and hangs (absolute figures from each leaf's latest sync,
-// surviving disconnects), and how many leaves are connected right now.
-func (s *SyncServer) RemoteStats() (execs, hangs, connected int) {
-	return s.hub.RemoteStats()
-}
-
-// Close stops accepting and disconnects all leaves. State already merged
-// stays in the campaign; leaves keep fuzzing locally and will resume if a
-// new server is started on the campaign (or any campaign sharing its
-// state) at the same address.
-func (s *SyncServer) Close() error { return s.hub.Close() }
-
-// SyncLeaf attaches one campaign to a remote hub as a fleet leaf.
-type SyncLeaf struct {
-	leaf *fleetnet.Leaf
+// its workers. Close the returned node to stop accepting. A hub never
+// dials: it ignores the peer addresses connecting nodes announce.
+func (c *Campaign) ServeSync(addr string) (*SyncNode, error) {
+	return c.join(context.Background(), "hub", MeshOptions{Listen: addr, StaticOnly: true})
 }
 
 // DialSync prepares this campaign to sync with the hub at addr. Drive the
-// campaign with Start and the returned leaf's Attachment in
+// campaign with Start and the returned node's Attachment in
 // RunConfig.Attach (or let the session own the uplink: WithLeaf). No
 // connection is made until the first sync window, and a lost connection
 // only pauses exchange — the campaign keeps fuzzing and the next window
@@ -98,42 +72,80 @@ type SyncLeaf struct {
 //
 // Give each leaf of a fleet a distinct Options.SeedStream so no two hosts
 // fuzz the same RNG streams of the shared campaign seed.
-func (c *Campaign) DialSync(addr string) (*SyncLeaf, error) {
-	leaf, err := fleetnet.NewLeaf(fleetnet.LeafConfig{
-		Fleet:  c.fleet,
-		Addr:   addr,
-		Target: c.cfg.Target.(Target).Name(),
-		Models: c.cfg.Models,
+func (c *Campaign) DialSync(addr string) (*SyncNode, error) {
+	return c.join(context.Background(), "leaf", MeshOptions{Peers: []string{addr}, StaticOnly: true})
+}
+
+// JoinMesh makes this campaign a mesh node: it starts accepting peer
+// connections on opts.Listen and will keep uplinks to every known peer.
+// Drive the campaign with Start and the returned node's Attachment in
+// RunConfig.Attach (or let the session own the node: WithMesh); there is
+// one session per link instead of one hub holding them all.
+//
+// Give each node of a mesh a distinct Options.SeedStream so no two hosts
+// fuzz the same RNG streams of the shared campaign seed.
+func (c *Campaign) JoinMesh(opts MeshOptions) (*SyncNode, error) {
+	return c.join(context.Background(), "mesh", opts)
+}
+
+// join builds the node every constructor and session attachment shares.
+// It listens (when opts.Listen is set) under ctx: a canceled session stops
+// the accept loop and drops every inbound peer promptly.
+func (c *Campaign) join(ctx context.Context, kind string, opts MeshOptions) (*SyncNode, error) {
+	node, err := fleetnet.NewNode(fleetnet.Config{
+		State:      c.fleet.State(),
+		Fleet:      c.fleet,
+		Target:     c.cfg.Target.(Target).Name(),
+		Models:     c.cfg.Models,
+		Advertise:  opts.Advertise,
+		Peers:      opts.Peers,
+		StaticOnly: opts.StaticOnly,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SyncLeaf{leaf: leaf}, nil
+	if opts.Listen != "" {
+		if err := node.ListenAndServeContext(ctx, opts.Listen); err != nil {
+			node.Close()
+			return nil, err
+		}
+	}
+	return &SyncNode{node: node, kind: kind}, nil
 }
 
-// Sync runs one merge window with the hub: push local discoveries, pull
-// the fleet's. Safe to call between sessions; returns the transport
-// error, if any, after resetting the session for the next attempt.
-func (l *SyncLeaf) Sync() error { return l.leaf.Sync() }
+// Addr returns the node's bound accept-loop address ("" for a leaf, which
+// does not listen).
+func (n *SyncNode) Addr() string { return n.node.Addr() }
 
-// Attachment adapts a live leaf uplink into a session attachment: the
-// session syncs it at the configured cadence but does not close it, so
-// the caller keeps the handle (FleetStats, Connected) across sessions.
-func (l *SyncLeaf) Attachment() Attachment { return l.attachment(nil) }
+// Sync runs one sync round by hand: flush the campaign's workers, exchange
+// with every uplink (a hub has none: its leaves exchange on the accept
+// loop), flush again. Safe to call between sessions; a failed link resets
+// only its own session, and the first error is returned for logging.
+func (n *SyncNode) Sync() error { return n.node.Sync() }
 
-func (l *SyncLeaf) attachment(closer func() error) *attachment {
-	return &attachment{kind: "leaf", addr: l.leaf.Addr(), sync: l.leaf.SyncContext, close: closer}
-}
+// Attachment adapts the live node into a session attachment: the session
+// runs its sync rounds at the configured cadence but does not close it, so
+// the caller keeps the handle across sessions — one hub can span several
+// sessions (fuzz phases, relay phases) on the same campaign.
+func (n *SyncNode) Attachment() Attachment { return n }
 
-// FleetStats returns the fleet-wide figures from the latest hub reply —
-// total executions the hub knows of, distinct edges in the hub's union
-// map, connected leaves — and whether a reply has arrived yet.
-func (l *SyncLeaf) FleetStats() (execs, edges, leaves int, ok bool) {
-	return l.leaf.FleetStats()
-}
+// RemoteStats reports what inbound peers have told this node: their total
+// executions and hangs (absolute figures from each peer's latest sync,
+// surviving disconnects), and how many are connected right now.
+func (n *SyncNode) RemoteStats() (execs, hangs, connected int) { return n.node.RemoteStats() }
 
-// Connected reports whether a hub session is currently established.
-func (l *SyncLeaf) Connected() bool { return l.leaf.Connected() }
+// FleetStats returns the fleet-wide figures from the latest reply over an
+// uplink — total executions the remote knows of, distinct edges in its
+// union map, its connected peers — and whether a reply has arrived yet.
+func (n *SyncNode) FleetStats() (execs, edges, leaves int, ok bool) { return n.node.FleetStats() }
 
-// Close drops the hub session. The campaign and its results are untouched.
-func (l *SyncLeaf) Close() error { return l.leaf.Close() }
+// PeerStats reports the node's connectivity: connected uplinks, connected
+// inbound peer sessions, and how many peer addresses it knows.
+func (n *SyncNode) PeerStats() (uplinks, inbound, known int) { return n.node.PeerStats() }
+
+// Close leaves the fleet: uplinks close, the accept loop stops and inbound
+// peers are dropped. The campaign and everything already merged stay
+// intact; peers keep converging over their remaining links and resume
+// when a node on the campaign (or any campaign sharing its state) comes
+// back at the same address.
+func (n *SyncNode) Close() error { return n.node.Close() }

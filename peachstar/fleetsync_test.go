@@ -45,7 +45,7 @@ func TestServeAndDialSync(t *testing.T) {
 
 	runExecs(t, hubCampaign, 8000)
 	runExecs(t, leafCampaign, 8000, leaf.Attachment())
-	if !leaf.Connected() {
+	if uplinks, _, _ := leaf.PeerStats(); uplinks != 1 {
 		t.Fatal("leaf should hold a session after an attached run")
 	}
 	// One more hub-side flush so the hub campaign's workers pull what the

@@ -27,7 +27,7 @@ func TestJoinMeshLoopback(t *testing.T) {
 	runExecs(t, campA, 6000, nodeA.Attachment())
 	// Settlement: one more window each so the last finisher's material
 	// reaches the other node.
-	for _, n := range []*MeshNode{nodeB, nodeA} {
+	for _, n := range []*SyncNode{nodeB, nodeA} {
 		if err := n.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -37,8 +37,8 @@ func TestJoinMeshLoopback(t *testing.T) {
 	if sa.Edges == 0 || sa.Edges != sb.Edges {
 		t.Fatalf("mesh did not settle: node A %d edges, node B %d", sa.Edges, sb.Edges)
 	}
-	if nodeA.RemoteExecs() < 6000 {
-		t.Fatalf("node A heard of %d remote execs, want >= 6000", nodeA.RemoteExecs())
+	if rexecs, _, _ := nodeA.RemoteStats(); rexecs < 6000 {
+		t.Fatalf("node A heard of %d remote execs, want >= 6000", rexecs)
 	}
 	_, inbound, _ := nodeA.PeerStats()
 	uplinks, _, known := nodeB.PeerStats()

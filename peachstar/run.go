@@ -69,7 +69,7 @@ type RunConfig struct {
 	// Attach lists the session's sync attachments, composably: serve
 	// this campaign to remote leaves (WithHub), uplink it to a hub
 	// (WithLeaf), mesh it with peers (WithMesh) — or drive an existing
-	// SyncServer/SyncLeaf/MeshNode handle through its Attachment method.
+	// SyncNode handle through its Attachment method.
 	// Attachments created by WithHub/WithLeaf/WithMesh belong to the
 	// session and are closed when it ends; borrowed handles are left
 	// open for their owner.
@@ -120,78 +120,59 @@ type RunConfig struct {
 // Attachment composes a fleet transport into a session: something a run
 // serves, dials, or exchanges state with at its sync cadence. Build them
 // with WithHub, WithLeaf or WithMesh (session-owned), or borrow a live
-// SyncServer, SyncLeaf or MeshNode via its Attachment method.
+// SyncNode via its Attachment method.
 type Attachment interface {
 	// attach binds the attachment to the campaign under the session's
-	// context and returns what the session loop drives.
-	attach(ctx context.Context, c *Campaign) (*attachment, error)
+	// context. It returns the node the session loop drives — every window
+	// is one of the node's sync rounds, which begins by flushing the
+	// campaign's workers through the shared state (Fleet.SyncAll), as a
+	// one-worker fleet never does by itself — and whether the session owns
+	// the node and closes it when it ends.
+	attach(ctx context.Context, c *Campaign) (n *SyncNode, owned bool, err error)
 }
 
-// attachment is the one shape every attachment takes inside a session.
-// One rule makes one shape enough: every attachment has a sync, and every
-// sync begins by flushing the campaign's workers through the shared state
-// (Fleet.SyncAll) — a one-worker fleet never does that by itself.
-type attachment struct {
-	kind  string                      // "hub" | "leaf" | "mesh", for events
-	addr  string                      // remote (leaf) or serving (hub/mesh) address
-	sync  func(context.Context) error // one sync window
-	close func() error                // session-end cleanup; nil when the handle is borrowed
+// attach makes a live node a borrowed Attachment: what
+// SyncNode.Attachment returns.
+func (n *SyncNode) attach(context.Context, *Campaign) (*SyncNode, bool, error) { return n, false, nil }
+
+// joined is an Attachment whose node of one shape the session opens when
+// it starts, under the session's context, and closes when it ends: what
+// WithHub, WithLeaf and WithMesh return.
+type joined struct {
+	kind string
+	opts MeshOptions
 }
 
-// attach makes a prebuilt attachment its own Attachment: what the
-// handles' Attachment methods return.
-func (a *attachment) attach(context.Context, *Campaign) (*attachment, error) { return a, nil }
-
-// attachFunc is an Attachment that opens its handle when the session
-// starts: what WithHub, WithLeaf and WithMesh return.
-type attachFunc func(context.Context, *Campaign) (*attachment, error)
-
-func (f attachFunc) attach(ctx context.Context, c *Campaign) (*attachment, error) { return f(ctx, c) }
+func (j joined) attach(ctx context.Context, c *Campaign) (*SyncNode, bool, error) {
+	n, err := c.join(ctx, j.kind, j.opts)
+	return n, true, err
+}
 
 // WithHub returns an attachment that serves the campaign's shared state
 // to remote leaves on addr (host:port, ":0" picks a free port) for the
 // lifetime of the session, publishing the campaign's own discoveries into
 // it — and folding the leaves' back out — every RunConfig.SyncEvery
-// executions. The hub accepts and exchanges in the background; canceling
-// the session's context tears every peer connection down promptly.
+// executions. The hub accepts and exchanges in the background.
 func WithHub(addr string) Attachment {
-	return attachFunc(func(ctx context.Context, c *Campaign) (*attachment, error) {
-		srv, err := c.serveSync(ctx, addr)
-		if err != nil {
-			return nil, err
-		}
-		return srv.attachment(srv.Close), nil
-	})
+	return joined{"hub", MeshOptions{Listen: addr, StaticOnly: true}}
 }
 
 // WithLeaf returns an attachment that uplinks the campaign to the fleet
 // hub at addr, pushing local discoveries and pulling the fleet's every
 // RunConfig.SyncEvery executions. Connection loss only pauses exchange —
-// the campaign keeps fuzzing and later windows redial. The uplink closes
-// with the session.
+// the campaign keeps fuzzing and later windows redial.
 func WithLeaf(addr string) Attachment {
-	return attachFunc(func(_ context.Context, c *Campaign) (*attachment, error) {
-		leaf, err := c.DialSync(addr)
-		if err != nil {
-			return nil, err
-		}
-		return leaf.attachment(leaf.Close), nil
-	})
+	return joined{"leaf", MeshOptions{Peers: []string{addr}, StaticOnly: true}}
 }
 
 // WithMesh returns an attachment that makes the campaign a node of a
 // hub-less mesh fleet for the lifetime of the session, accepting peers
 // on opts.Listen and keeping uplinks to every known peer, with one merge
 // round per RunConfig.SyncEvery executions.
-func WithMesh(opts MeshOptions) Attachment {
-	return attachFunc(func(_ context.Context, c *Campaign) (*attachment, error) {
-		node, err := c.JoinMesh(opts)
-		if err != nil {
-			return nil, err
-		}
-		return node.attachment(node.Close), nil
-	})
-}
+//
+// The node of every With* attachment closes with the session, and a
+// canceled session context tears its inbound connections down promptly.
+func WithMesh(opts MeshOptions) Attachment { return joined{"mesh", opts} }
 
 // Run is one live campaign session started by Campaign.Start: a handle to
 // wait on (Wait, Done), stop (Stop), and observe (Snapshot, Events)
@@ -214,7 +195,7 @@ type Run struct {
 	// context's error.
 	ctxStopped int32
 
-	atts []*attachment
+	atts, owned []*SyncNode // owned: the nodes the session opened and closes
 
 	// ckpts hands checkpoint images to the session's writer goroutine,
 	// which closes ckptsDone when it has written the last one; both nil
@@ -303,11 +284,14 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 		return nil, err
 	}
 	for _, a := range cfg.Attach {
-		att, err := a.attach(ctx, c)
+		n, owned, err := a.attach(ctx, c)
 		if err != nil {
 			return fail(err)
 		}
-		r.atts = append(r.atts, att)
+		r.atts = append(r.atts, n)
+		if owned {
+			r.owned = append(r.owned, n)
+		}
 	}
 	if cfg.Exec != nil {
 		ex, err := cfg.Exec.build(c)
@@ -378,10 +362,8 @@ func (r *Run) release() {
 		r.c.fleet.SwapExecutor(r.prevExec)
 		r.exec.Close()
 	}
-	for _, a := range r.atts {
-		if a.close != nil {
-			a.close()
-		}
+	for _, n := range r.owned {
+		n.Close()
 	}
 	atomic.StoreInt32(&r.c.running, 0)
 }
@@ -544,12 +526,12 @@ func (r *Run) spent() bool {
 // mesh/leaf convention).
 func (r *Run) syncAll() error {
 	var firstErr error
-	for _, a := range r.atts {
+	for _, n := range r.atts {
 		began := time.Now()
-		err := a.sync(r.ctx)
+		err := n.node.SyncContext(r.ctx)
 		r.emit(SyncWindowEvent{
-			Attachment: a.kind,
-			Addr:       a.addr,
+			Attachment: n.kind,
+			Addr:       n.node.Endpoint(),
 			Execs:      r.c.fleet.ExecsApprox(),
 			Elapsed:    time.Since(began),
 			Err:        err,
