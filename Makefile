@@ -17,10 +17,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (see internal/analysis): detsource,
-# rnggate, hotalloc, snapfields and atomicmix over every package. The
-# suite also self-applies inside `go test` (TestLintSelfClean), so a
-# violation turns both lint and test red.
+# Project-specific static analysis (see internal/analysis): detsource and
+# rnggate over every package — the determinism rules no golden can be
+# trusted to catch. The suite also self-applies inside `go test`
+# (TestLintSelfClean), so a violation turns both lint and test red.
 lint:
 	$(GO) run ./cmd/peachlint ./...
 
@@ -52,12 +52,15 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) test -run 'TestDocs' .
 
-# Allocation-regression guard: the steady-state Peach* exec path must stay
-# within the per-exec allocation budget (0.75 allocs/exec), and File Fixup —
-# on a tree, and as the engine's flat copy → fixup → render — must allocate
-# nothing (see hotpath_test.go).
+# Allocation-regression guard, the gate that keeps the per-exec path
+# allocation-lean: the steady-state Peach*, session and adaptive exec paths
+# must stay within their per-exec budgets, File Fixup — on a tree, and as
+# the engine's flat copy → fixup → render — must allocate nothing (see
+# hotpath_test.go), and the warm semantic generation round must stay within
+# its per-round budget (internal/core's sched_test.go).
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateExecAllocBudget|TestApplyFixupsAllocFree' -v .
+	$(GO) test -run 'TestSemanticGenerateSteadyStateAllocs' -v ./internal/core
 
 # Public-API gate: the exported peachstar surface must match the golden
 # snapshot (api/peachstar.golden) and every exported symbol must carry a

@@ -70,18 +70,26 @@ func runCampaign(tb testing.TB, c *peachstar.Campaign, execs int) {
 // identical byte string (coverage words, corpus journal, crash bank,
 // scheduler tables, session state, RNG positions — any layer that loses
 // or reorders state breaks the byte equality), and the restored campaign
-// must report identical Stats.
+// must report identical Stats. The per-case budgets put state in the
+// image that a 20000-exec campaign has already decayed or not yet made:
+// the early case checkpoints while both generation arms' decaying yield
+// counters (Engine.basePaths, semPaths) are still nonzero, and the
+// distilled case runs past the adaptive scheduler's first corpus
+// distillation (every 32768 execs), so its distillation count is too.
 func TestCheckpointRoundTripGolden(t *testing.T) {
 	cases := []struct {
 		name               string
 		target             string
 		workers            int
 		adaptive, sessions bool
+		execs              int
 	}{
-		{"serial", "libmodbus", 1, false, false},
-		{"adaptive", "libmodbus", 1, true, false},
-		{"sessions-adaptive", "IEC104", 1, true, true},
-		{"fleet", "libmodbus", 4, true, false},
+		{"serial", "libmodbus", 1, false, false, 20000},
+		{"early", "libmodbus", 1, false, false, 2000},
+		{"adaptive", "libmodbus", 1, true, false, 20000},
+		{"adaptive-distilled", "libmodbus", 1, true, false, 40000},
+		{"sessions-adaptive", "IEC104", 1, true, true, 20000},
+		{"fleet", "libmodbus", 4, true, false, 20000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,7 +97,7 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 			first, second := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
 
 			orig := newCheckpointCampaign(t, tc.target, tc.workers, tc.adaptive, tc.sessions)
-			runCampaign(t, orig, 20000)
+			runCampaign(t, orig, tc.execs)
 			if err := orig.Checkpoint(first); err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,6 @@
-// Command peachlint is the multichecker for the repository's five
-// project-specific analyzers (detsource, rnggate, hotalloc, snapfields,
-// atomicmix — see internal/analysis), the `make lint` entry point:
+// Command peachlint is the multichecker for the repository's two
+// project-specific analyzers (detsource and rnggate — see
+// internal/analysis), the `make lint` entry point:
 //
 //	peachlint ./...
 //

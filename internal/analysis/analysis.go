@@ -18,10 +18,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Suppress is the directive kind (e.g. "nondeterministic") that
-	// suppresses this analyzer's diagnostics when placed on or directly
-	// above the offending line. Empty means no line-level escape hatch.
-	Suppress string
 	// Run reports diagnostics for one type-checked package.
 	Run func(*Pass)
 }
@@ -39,8 +35,8 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos. Diagnostics suppressed by the
-// analyzer's escape-hatch directive are dropped by the driver.
+// Reportf records a diagnostic at pos. Diagnostics suppressed by a
+// //peachstar:nondeterministic directive are dropped by the driver.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
@@ -64,151 +60,71 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Directive kinds understood by the suite. See the package documentation
-// for semantics.
-const (
-	DirHotpath          = "hotpath"
-	DirNondeterministic = "nondeterministic"
-	DirAllocOK          = "allocok"
-	DirNoSnap           = "nosnap"
-	DirNonatomic        = "nonatomic"
-)
+// DirNondeterministic is the one directive kind the suite understands: the
+// escape hatch for detsource and rnggate. See the package documentation.
+const DirNondeterministic = "nondeterministic"
 
-// directiveReasonRequired says whether a directive kind must carry a
-// free-text reason. Suppressions always do; hotpath is an annotation, not
-// an excuse.
-var directiveReasonRequired = map[string]bool{
-	DirHotpath:          false,
-	DirNondeterministic: true,
-	DirAllocOK:          true,
-	DirNoSnap:           true,
-	DirNonatomic:        true,
-}
-
-// directive is one parsed //peachstar: comment.
-type directive struct {
-	kind   string
-	reason string
-	pos    token.Pos
-	line   int // line of the comment itself
-}
-
-// directiveIndex holds every directive in a package, keyed by file line for
-// suppression lookups.
+// directiveIndex records where a package's well-formed directives sit, for
+// suppression lookups, and its malformed ones as diagnostics.
 type directiveIndex struct {
-	fset *token.FileSet
-	// byFileLine maps filename -> line -> directives on that line.
-	byFileLine map[string]map[int][]directive
-	errs       []Diagnostic
+	// lines maps filename -> line -> whether a directive is on that line.
+	lines map[string]map[int]bool
+	errs  []Diagnostic
 }
 
-const directivePrefix = "peachstar:"
+const directivePrefix = "//peachstar:"
 
 // parseDirectives scans every comment in the files for //peachstar:
 // directives, recording malformed ones as diagnostics so a typo can never
-// silently disable a check.
+// silently disable a check — and a stale annotation for a retired kind
+// cannot linger.
 func parseDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
-	idx := &directiveIndex{fset: fset, byFileLine: map[string]map[int][]directive{}}
+	idx := &directiveIndex{lines: map[string]map[int]bool{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//"+directivePrefix)
+				text, ok := strings.CutPrefix(c.Text, directivePrefix)
 				if !ok {
 					continue
 				}
 				kind, reason, _ := strings.Cut(strings.TrimSpace(text), " ")
-				reason = strings.TrimSpace(reason)
-				need, known := directiveReasonRequired[kind]
 				switch {
-				case !known:
+				case kind != DirNondeterministic:
 					idx.errs = append(idx.errs, Diagnostic{c.Pos(), fmt.Sprintf(
-						"unknown directive //peachstar:%s (known: hotpath, nondeterministic, allocok, nosnap, nonatomic)", kind)})
+						"unknown directive //peachstar:%s (known: %s)", kind, DirNondeterministic)})
 					continue
-				case need && reason == "":
+				case strings.TrimSpace(reason) == "":
 					idx.errs = append(idx.errs, Diagnostic{c.Pos(), fmt.Sprintf(
 						"//peachstar:%s requires a reason", kind)})
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				lines := idx.byFileLine[pos.Filename]
-				if lines == nil {
-					lines = map[int][]directive{}
-					idx.byFileLine[pos.Filename] = lines
+				if idx.lines[pos.Filename] == nil {
+					idx.lines[pos.Filename] = map[int]bool{}
 				}
-				lines[pos.Line] = append(lines[pos.Line], directive{kind, reason, c.Pos(), pos.Line})
+				idx.lines[pos.Filename][pos.Line] = true
 			}
 		}
 	}
 	return idx
 }
 
-// at reports whether a directive of the given kind sits on line or the line
-// above it in pos's file.
-func (idx *directiveIndex) at(kind string, pos token.Pos) bool {
-	p := idx.fset.Position(pos)
-	lines := idx.byFileLine[p.Filename]
-	for _, d := range lines[p.Line] {
-		if d.kind == kind {
-			return true
-		}
+// Suppressed reports whether a well-formed directive covers pos: on the
+// same line, the line above, or the doc comment of the enclosing function
+// declaration.
+func (p *Pass) Suppressed(pos token.Pos) bool {
+	at := p.Fset.Position(pos)
+	lines := p.dirs.lines[at.Filename]
+	if lines[at.Line] || lines[at.Line-1] {
+		return true
 	}
-	for _, d := range lines[p.Line-1] {
-		if d.kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncHasDirective reports whether fn's doc comment carries the directive
-// kind (e.g. //peachstar:hotpath marking a function for hotalloc).
-func (p *Pass) FuncHasDirective(fn *ast.FuncDecl, kind string) bool {
-	if fn.Doc == nil {
+	fn := enclosingFunc(p.Files, pos)
+	if fn == nil || fn.Doc == nil {
 		return false
 	}
 	for _, c := range fn.Doc.List {
-		if strings.HasPrefix(c.Text, "//"+directivePrefix+kind) {
+		if lines[p.Fset.Position(c.Pos()).Line] {
 			return true
-		}
-	}
-	return false
-}
-
-// FieldHasDirective reports whether a struct field's doc or trailing line
-// comment carries the directive kind (used by snapfields for nosnap).
-func (p *Pass) FieldHasDirective(field *ast.Field, kind string) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, "//"+directivePrefix+kind) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Suppressed reports whether the pass's escape-hatch directive covers pos,
-// either on the same line, the line above, or on the doc comment of the
-// enclosing function declaration.
-func (p *Pass) Suppressed(pos token.Pos) bool {
-	kind := p.Analyzer.Suppress
-	if kind == "" {
-		return false
-	}
-	if p.dirs.at(kind, pos) {
-		return true
-	}
-	for _, f := range p.Files {
-		if f.Pos() <= pos && pos < f.End() {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if ok && fn.Pos() <= pos && pos < fn.End() {
-					return p.FuncHasDirective(fn, kind)
-				}
-			}
 		}
 	}
 	return false
@@ -309,23 +225,4 @@ func enclosingFunc(files []*ast.File, pos token.Pos) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// receiverBaseType returns the named base type of a method receiver
-// expression (stripping pointers and generics), or "".
-func receiverBaseType(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return ""
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if ix, ok := t.(*ast.IndexExpr); ok {
-		t = ix.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }

@@ -106,20 +106,9 @@ func TestRnggateSeedingLayer(t *testing.T) {
 	runTestdata(t, "rnggate_seed", "repro/cmd/seedtool", []*Analyzer{NewRnggate(SeedingPackages)})
 }
 
-func TestHotalloc(t *testing.T) {
-	runTestdata(t, "hotalloc", "repro/internal/hotdemo", []*Analyzer{Hotalloc})
-}
-
-func TestSnapfields(t *testing.T) {
-	runTestdata(t, "snapfields", "repro/internal/snapdemo", []*Analyzer{Snapfields})
-}
-
-func TestAtomicmix(t *testing.T) {
-	runTestdata(t, "atomicmix", "repro/internal/atomdemo", []*Analyzer{Atomicmix})
-}
-
 // TestDirectiveErrors checks that malformed //peachstar: directives are
-// findings in their own right — a typo can never silently disable a check.
+// findings in their own right — a typo can never silently disable a check,
+// and an annotation of a retired kind (hotpath) is reported, not ignored.
 func TestDirectiveErrors(t *testing.T) {
 	pkg, err := LoadDir("../..", "testdata/src/directive", "repro/internal/dirdemo")
 	if err != nil {
@@ -134,10 +123,10 @@ func TestDirectiveErrors(t *testing.T) {
 			t.Errorf("finding attributed to %q, want \"directive\"", f.Analyzer)
 		}
 	}
-	if !strings.Contains(findings[0].Message, "unknown directive //peachstar:hotpth") {
+	if !strings.Contains(findings[0].Message, "unknown directive //peachstar:hotpath (known: nondeterministic)") {
 		t.Errorf("first finding should flag the unknown kind, got: %s", findings[0].Message)
 	}
-	if !strings.Contains(findings[1].Message, "//peachstar:nosnap requires a reason") {
+	if !strings.Contains(findings[1].Message, "//peachstar:nondeterministic requires a reason") {
 		t.Errorf("second finding should flag the missing reason, got: %s", findings[1].Message)
 	}
 }

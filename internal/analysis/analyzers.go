@@ -60,8 +60,5 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewDetsource(DeterministicPackages),
 		NewRnggate(SeedingPackages),
-		Hotalloc,
-		Snapfields,
-		Atomicmix,
 	}
 }

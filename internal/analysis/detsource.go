@@ -14,9 +14,8 @@ import (
 // explicit //peachstar:nondeterministic <reason>.
 func NewDetsource(deterministic []string) *Analyzer {
 	a := &Analyzer{
-		Name:     "detsource",
-		Doc:      "forbid wall-clock, stdlib rand, and order-dependent map iteration in deterministic packages",
-		Suppress: DirNondeterministic,
+		Name: "detsource",
+		Doc:  "forbid wall-clock, stdlib rand, and order-dependent map iteration in deterministic packages",
 	}
 	a.Run = func(pass *Pass) {
 		if !matchPath(deterministic, pass.Pkg.Path()) {

@@ -16,9 +16,8 @@ const rngPackage = "repro/internal/rng"
 // leaf package minting a private generator with its own seed.
 func NewRnggate(seeding []string) *Analyzer {
 	a := &Analyzer{
-		Name:     "rnggate",
-		Doc:      "randomness must flow through internal/rng stream handles created at the seeding layers",
-		Suppress: DirNondeterministic,
+		Name: "rnggate",
+		Doc:  "randomness must flow through internal/rng stream handles created at the seeding layers",
 	}
 	a.Run = func(pass *Pass) {
 		path := pass.Pkg.Path()

@@ -2,8 +2,8 @@
 // surface as a finding rather than silently disabling a check.
 package dirdemo
 
-//peachstar:hotpth misspelled kind
-func typo() {}
+//peachstar:hotpath
+func retiredKind() {}
 
-//peachstar:nosnap
+//peachstar:nondeterministic
 func missingReason() {}

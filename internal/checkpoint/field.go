@@ -38,8 +38,8 @@ func RestoreFields(r *Reader, fields []Field) error {
 }
 
 type funcField struct {
-	snapshot func(*Writer)       //peachstar:nosnap one half of the codec itself, not state
-	restore  func(*Reader) error //peachstar:nosnap one half of the codec itself, not state
+	snapshot func(*Writer)       // one half of the codec itself, not state
+	restore  func(*Reader) error // one half of the codec itself, not state
 }
 
 func (f funcField) Snapshot(w *Writer)      { f.snapshot(w) }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/datamodel"
@@ -185,7 +184,7 @@ func (f *Fleet) RestoreCheckpoint(data []byte, digest uint64) error {
 		p := f.peers[i]
 		p.pushed, p.pulled, p.crashesSeen = pm[i].pushed, pm[i].pulled, pm[i].crashesSeen
 		if w.sched.on {
-			atomic.StoreInt32(&f.adaptive, 1)
+			f.adaptive.Store(true)
 		}
 	}
 	// Settle the published counters so StatsApprox and ExecsApprox are

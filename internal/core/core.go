@@ -162,10 +162,10 @@ type Stats struct {
 
 // Engine is one fuzzing campaign.
 type Engine struct {
-	cfg  Config //peachstar:nosnap construction-time config; a restored campaign keeps its own
+	cfg  Config // construction-time config; a restored campaign keeps its own
 	r    *rng.RNG
 	exec executor.Executor
-	//peachstar:nosnap backend health is runtime state, not campaign state; restore clears it
+	// Backend health is runtime state, not campaign state; restore clears it.
 	execErr error // first unrecoverable backend failure; sticky
 	// restartsAccum carries the target-restart counts of previous
 	// executors across SwapExecutor boundaries, so a campaign's
@@ -175,23 +175,23 @@ type Engine struct {
 	virgin        *coverage.Virgin
 	corp          *corpus.Corpus
 	crashes       *crash.Bank
-	muts          []mutator.Mutator //peachstar:nosnap mutator suite is construction wiring
+	muts          []mutator.Mutator // mutator suite is construction wiring
 	stats         Stats
 	// pending holds seeds generated but not yet executed (Algorithm 3
 	// produces batches); pendingSemantic records their provenance.
-	pending         [][]byte //peachstar:nosnap in-flight batch is discarded at a checkpoint; restore resets it
-	pendingSemantic bool     //peachstar:nosnap provenance of the discarded in-flight batch
+	pending         [][]byte // in-flight batch is discarded at a checkpoint; restore resets it
+	pendingSemantic bool     // provenance of the discarded in-flight batch
 	// Hot-path scratch state, reset once per generation round: the arena
 	// backs every transient instance and rendered seed; work is the
 	// round's working instance (a flat copy of the skeleton); cands and
 	// saved are reused slices for the per-iteration loops; dedup is the
 	// per-batch duplicate filter. Everything that outlives an iteration
 	// (corpus, crash bank, valuable queue) copies out.
-	arena datamodel.Arena   //peachstar:nosnap per-round scratch slab, reset at round start
-	work  datamodel.Flat    //peachstar:nosnap per-round working instance
-	cands [][]corpus.Puzzle //peachstar:nosnap per-iteration walk scratch
-	saved [][]byte          //peachstar:nosnap per-iteration walk scratch
-	dedup map[string]bool   //peachstar:nosnap per-batch filter; restore resets it
+	arena datamodel.Arena   // per-round scratch slab, reset at round start
+	work  datamodel.Flat    // per-round working instance
+	cands [][]corpus.Puzzle // per-iteration walk scratch
+	saved [][]byte          // per-iteration walk scratch
+	dedup map[string]bool   // per-batch filter; restore resets it
 	// valuable holds the retained coverage-increasing instances per
 	// model — the feedback-selected bases for "mutation on existing
 	// chunks" (§II). Bounded per model; older entries are evicted.
@@ -203,7 +203,7 @@ type Engine struct {
 	// donorScr holds per-position donor scratch for semantic generation,
 	// reused across rounds so CrossModelDonorsInto filtering stays
 	// alloc-free on the hot path.
-	donorScr [][]corpus.Puzzle //peachstar:nosnap reusable donor scratch, regrown on demand
+	donorScr [][]corpus.Puzzle // reusable donor scratch, regrown on demand
 	// mut is the byte-level state of the mutation strategies (§VII
 	// future-work extension).
 	mut mutationState
@@ -321,8 +321,6 @@ func (e *Engine) Corpus() *corpus.Corpus { return e.corp }
 // Step runs one iteration of the outer loop (Algorithm 1 lines 3-12):
 // generate seed(s) under the configured strategy, execute them, process
 // feedback. It returns the number of executions performed.
-//
-//peachstar:hotpath
 func (e *Engine) Step() int {
 	if e.sess != nil {
 		return e.stepSession()
@@ -466,8 +464,6 @@ func (e *Engine) execute(seed []byte) {
 // seed is valuable, credit the scheduler, and crack a valuable seed into
 // the corpus. It reports whether the seed was valuable so the caller can do
 // its mode-specific retention.
-//
-//peachstar:hotpath
 func (e *Engine) observe(seed []byte, res *sandbox.Result) bool {
 	switch res.Outcome {
 	case sandbox.Crash:

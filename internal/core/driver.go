@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/crash"
@@ -221,15 +220,15 @@ func (f *Fleet) syncWindow(i int) (edges, corpusLen int) {
 // atomics.
 func (f *Fleet) publishCounters(i int) {
 	p, w := f.peers[i], f.workers[i]
-	atomic.StoreInt64(&p.execsPub, int64(w.stats.Execs))
-	atomic.StoreInt64(&p.pathsPub, int64(w.stats.Paths))
-	atomic.StoreInt64(&p.itersPub, int64(w.stats.Iterations))
-	atomic.StoreInt64(&p.semExecsPub, int64(w.stats.SemanticExecs))
-	atomic.StoreInt64(&p.semPathsPub, int64(w.stats.SemanticPaths))
-	atomic.StoreInt64(&p.restartsPub, int64(w.execRestarts()))
+	p.execsPub.Store(int64(w.stats.Execs))
+	p.pathsPub.Store(int64(w.stats.Paths))
+	p.itersPub.Store(int64(w.stats.Iterations))
+	p.semExecsPub.Store(int64(w.stats.SemanticExecs))
+	p.semPathsPub.Store(int64(w.stats.SemanticPaths))
+	p.restartsPub.Store(int64(w.execRestarts()))
 	if w.sess != nil {
-		atomic.StoreInt64(&p.seqsPub, int64(w.stats.Sequences))
-		atomic.StoreInt64(&p.statesPub, int64(w.sess.reachedN))
+		p.seqsPub.Store(int64(w.stats.Sequences))
+		p.statesPub.Store(int64(w.sess.reachedN))
 	}
 	if w.sched.on {
 		for mi := range p.mutTrialsPub {
@@ -238,10 +237,10 @@ func (f *Fleet) publishCounters(i int) {
 				t += w.sched.trialsAll[m][mi]
 				h += w.sched.hitsAll[m][mi]
 			}
-			atomic.StoreInt64(&p.mutTrialsPub[mi], int64(t))
-			atomic.StoreInt64(&p.mutHitsPub[mi], int64(h))
+			p.mutTrialsPub[mi].Store(int64(t))
+			p.mutHitsPub[mi].Store(int64(h))
 		}
-		atomic.StoreInt64(&p.distillsPub, int64(w.sched.distills))
+		p.distillsPub.Store(int64(w.sched.distills))
 	}
 }
 
@@ -251,7 +250,7 @@ func (f *Fleet) publishCounters(i int) {
 func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 	p, w := f.peers[i], f.workers[i]
 	f.publishCounters(i)
-	atomic.StoreInt64(&f.pubCorpus, int64(corpusLen))
+	f.pubCorpus.Store(int64(corpusLen))
 	delta := f.publishEdges(edges)
 	if hook == nil {
 		return
@@ -266,7 +265,7 @@ func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 		Worker:      i,
 		WorkerExecs: w.stats.Execs,
 		FleetExecs:  f.ExecsApprox(),
-		Edges:       int(atomic.LoadInt64(&f.pubEdges)),
+		Edges:       int(f.pubEdges.Load()),
 		NewEdges:    delta,
 		NewCrashes:  newRecs,
 		Distills:    w.takeDistills(),
@@ -279,11 +278,11 @@ func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 // returns how many edges this publication added.
 func (f *Fleet) publishEdges(edges int) (delta int) {
 	for {
-		old := atomic.LoadInt64(&f.pubEdges)
+		old := f.pubEdges.Load()
 		if int64(edges) <= old {
 			return 0
 		}
-		if atomic.CompareAndSwapInt64(&f.pubEdges, old, int64(edges)) {
+		if f.pubEdges.CompareAndSwap(old, int64(edges)) {
 			return edges - int(old)
 		}
 	}
@@ -306,12 +305,12 @@ func (f *Fleet) PublishStats() {
 		// whichever view knows more.
 		edges, corpusLen := f.serialFigures()
 		f.publishEdges(edges)
-		atomic.StoreInt64(&f.pubCorpus, int64(corpusLen))
+		f.pubCorpus.Store(int64(corpusLen))
 		return
 	}
 	edges, corpusLen := f.state.Figures()
 	f.publishEdges(edges)
-	atomic.StoreInt64(&f.pubCorpus, int64(corpusLen))
+	f.pubCorpus.Store(int64(corpusLen))
 }
 
 // StatsApprox is the concurrent-safe campaign snapshot: safe to call from
@@ -338,19 +337,19 @@ func (f *Fleet) PublishStats() {
 func (f *Fleet) StatsApprox() Stats {
 	var s Stats
 	for _, p := range f.peers {
-		s.Execs += int(atomic.LoadInt64(&p.execsPub))
-		s.Paths += int(atomic.LoadInt64(&p.pathsPub))
-		s.Iterations += int(atomic.LoadInt64(&p.itersPub))
-		s.SemanticExecs += int(atomic.LoadInt64(&p.semExecsPub))
-		s.SemanticPaths += int(atomic.LoadInt64(&p.semPathsPub))
-		s.TargetRestarts += int(atomic.LoadInt64(&p.restartsPub))
-		s.Sequences += int(atomic.LoadInt64(&p.seqsPub))
-		if n := int(atomic.LoadInt64(&p.statesPub)); n > s.StatesReached {
+		s.Execs += int(p.execsPub.Load())
+		s.Paths += int(p.pathsPub.Load())
+		s.Iterations += int(p.itersPub.Load())
+		s.SemanticExecs += int(p.semExecsPub.Load())
+		s.SemanticPaths += int(p.semPathsPub.Load())
+		s.TargetRestarts += int(p.restartsPub.Load())
+		s.Sequences += int(p.seqsPub.Load())
+		if n := int(p.statesPub.Load()); n > s.StatesReached {
 			s.StatesReached = n
 		}
 	}
-	s.Edges = int(atomic.LoadInt64(&f.pubEdges))
-	s.CorpusPuzzles = int(atomic.LoadInt64(&f.pubCorpus))
+	s.Edges = int(f.pubEdges.Load())
+	s.CorpusPuzzles = int(f.pubCorpus.Load())
 	if f.Adaptive() {
 		ms := make([]MutatorStat, len(f.workers[0].muts))
 		for i, m := range f.workers[0].muts {
@@ -358,10 +357,10 @@ func (f *Fleet) StatsApprox() Stats {
 		}
 		for _, p := range f.peers {
 			for i := range ms {
-				ms[i].Trials += uint64(atomic.LoadInt64(&p.mutTrialsPub[i]))
-				ms[i].Hits += uint64(atomic.LoadInt64(&p.mutHitsPub[i]))
+				ms[i].Trials += uint64(p.mutTrialsPub[i].Load())
+				ms[i].Hits += uint64(p.mutHitsPub[i].Load())
 			}
-			s.Distills += int(atomic.LoadInt64(&p.distillsPub))
+			s.Distills += int(p.distillsPub.Load())
 		}
 		s.MutatorStats = ms
 	}

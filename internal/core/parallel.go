@@ -69,12 +69,12 @@ type Fleet struct {
 	// refreshed at every merge window (see driver.go); with the workers'
 	// published counters they are what StatsApprox reads while a Drive is
 	// in flight.
-	pubEdges  int64
-	pubCorpus int64
-	// adaptive is 1 when the workers run the adaptive scheduler; atomic so
-	// StatsApprox can gate on it from any goroutine after a mid-campaign
+	pubEdges  atomic.Int64
+	pubCorpus atomic.Int64
+	// adaptive is set when the workers run the adaptive scheduler; atomic
+	// so StatsApprox can gate on it from any goroutine after a mid-campaign
 	// EnableAdaptive.
-	adaptive int32
+	adaptive atomic.Bool
 }
 
 // workerPeer adapts one worker engine to the SyncPeer merge path. It holds
@@ -95,15 +95,15 @@ type workerPeer struct {
 	// window, published atomically so concurrent observers (a fleetnet
 	// node building acks on handler goroutines) can read fleet progress
 	// without touching the workers' live counters. See Fleet.ExecsApprox.
-	execsPub int64
+	execsPub atomic.Int64
 	// The remaining published counters feed Fleet.StatsApprox the same
 	// way: stored by the worker at each window boundary, loaded by any
 	// goroutine.
-	pathsPub    int64
-	itersPub    int64
-	semExecsPub int64
-	semPathsPub int64
-	restartsPub int64
+	pathsPub    atomic.Int64
+	itersPub    atomic.Int64
+	semExecsPub atomic.Int64
+	semPathsPub atomic.Int64
+	restartsPub atomic.Int64
 	// crashesSeen is the driver's per-worker crash watermark: how many of
 	// this worker's unique records previous windows already reported
 	// through the WindowHook. Touched only by the worker's own goroutine.
@@ -113,13 +113,13 @@ type workerPeer struct {
 	// the distillation count) the same way as the counters above. The
 	// slices are always allocated so a mid-campaign EnableAdaptive needs
 	// no resizing; they stay zero when the scheduler is off.
-	mutTrialsPub []int64
-	mutHitsPub   []int64
-	distillsPub  int64
+	mutTrialsPub []atomic.Int64
+	mutHitsPub   []atomic.Int64
+	distillsPub  atomic.Int64
 	// seqsPub/statesPub publish the worker's session-fuzzing counters
 	// (sequences driven, states reached); zero when sessions are off.
-	seqsPub   int64
-	statesPub int64
+	seqsPub   atomic.Int64
+	statesPub atomic.Int64
 }
 
 // Exchange is the local half of the merge protocol (invoked under the
@@ -131,7 +131,7 @@ type workerPeer struct {
 // window the consumed journal prefixes are compacted away on both sides.
 func (p *workerPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashes *crash.Bank) error {
 	w := p.w
-	atomic.StoreInt64(&p.execsPub, int64(w.stats.Execs))
+	p.execsPub.Store(int64(w.stats.Execs))
 	virgin.MergeVirgin(w.virgin)
 	w.virgin.MergeVirgin(virgin)
 	_, p.pushed = corp.MergeJournal(w.corp, p.pushed)
@@ -186,12 +186,12 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 			w:            eng,
 			selfID:       eng.corp.RegisterPeer(0),
 			sharedID:     f.state.corp.RegisterPeer(0),
-			mutTrialsPub: make([]int64, len(eng.muts)),
-			mutHitsPub:   make([]int64, len(eng.muts)),
+			mutTrialsPub: make([]atomic.Int64, len(eng.muts)),
+			mutHitsPub:   make([]atomic.Int64, len(eng.muts)),
 		})
 	}
 	if cfg.Adaptive {
-		atomic.StoreInt32(&f.adaptive, 1)
+		f.adaptive.Store(true)
 	}
 	return f, nil
 }
@@ -205,12 +205,12 @@ func (f *Fleet) EnableAdaptive() {
 	for _, w := range f.workers {
 		w.enableAdaptive()
 	}
-	atomic.StoreInt32(&f.adaptive, 1)
+	f.adaptive.Store(true)
 }
 
 // Adaptive reports whether the fleet's workers run the adaptive scheduler.
 // Safe to call from any goroutine.
-func (f *Fleet) Adaptive() bool { return atomic.LoadInt32(&f.adaptive) == 1 }
+func (f *Fleet) Adaptive() bool { return f.adaptive.Load() }
 
 // State exposes the fleet's shared campaign state, the attachment point for
 // the network transport: a fleetnet hub serves it to remote leaves, a
@@ -279,7 +279,7 @@ func (f *Fleet) Execs() int {
 func (f *Fleet) ExecsApprox() int {
 	total := 0
 	for _, p := range f.peers {
-		total += int(atomic.LoadInt64(&p.execsPub))
+		total += int(p.execsPub.Load())
 	}
 	return total
 }
@@ -288,7 +288,7 @@ func (f *Fleet) ExecsApprox() int {
 // workers are quiescent (end of Drive).
 func (f *Fleet) publishExecs() {
 	for i, w := range f.workers {
-		atomic.StoreInt64(&f.peers[i].execsPub, int64(w.stats.Execs))
+		f.peers[i].execsPub.Store(int64(w.stats.Execs))
 	}
 }
 

@@ -142,7 +142,7 @@ type contributor struct {
 // scheduler is the engine-owned adaptive state. The zero value is the
 // disabled scheduler; enable builds the counter tables.
 type scheduler struct {
-	on bool //peachstar:nosnap recorded by the Engine checkpoint envelope, not the scheduler codec
+	on bool // recorded by the Engine checkpoint envelope, not the scheduler codec
 
 	// Operator accounting, [model][mutator]. trials/hits drive the
 	// weights and decay; trialsAll/hitsAll are the monotonic reporting
@@ -152,14 +152,13 @@ type scheduler struct {
 	weights            [][]uint32 // nil per model until past warmup → uniform
 	recalcIn           []uint32
 	totalTrials        []uint64
-	//peachstar:nosnap recompute scratch, rewritten by every refresh
-	yields []float64 // recompute scratch
+	yields             []float64 // recompute scratch, rewritten by every refresh
 
 	// curModel is the model of the generation round in flight; roundMuts
 	// are the mutator indices applied while generating it — the credit
 	// set if an execution of the round proves valuable.
-	curModel  int   //peachstar:nosnap round-in-flight credit state; restore resets it
-	roundMuts []int //peachstar:nosnap round-in-flight credit state; restore resets it
+	curModel  int   // round-in-flight credit state; restore resets it
+	roundMuts []int // round-in-flight credit state; restore resets it
 
 	// Rarity sidecar and refresh countdown.
 	hitCounts *coverage.HitCounts

@@ -89,10 +89,10 @@ type retainedSeq struct {
 // sessionCore is the engine's session-fuzzing state; nil unless
 // Config.Session is set.
 type sessionCore struct {
-	sm *session.StateModel //peachstar:nosnap state-machine wiring from Config.Session
+	sm *session.StateModel // state-machine wiring from Config.Session
 	// actModel maps (state, action) to the index of the action's data
-	// model in Config.Models, resolved once at construction.
-	//peachstar:nosnap construction wiring, re-resolved from Config
+	// model in Config.Models, resolved once at construction (not
+	// checkpointed: a restore re-resolves it from Config).
 	actModel [][]int
 
 	// Per-state accounting: messages sent from each state, edges
@@ -100,14 +100,13 @@ type sessionCore struct {
 	stateSent  []uint64
 	stateEdges []int
 	reached    []bool
-	reachedN   int //peachstar:nosnap derived from reached; recounted on restore
+	reachedN   int // derived from reached; recounted on restore
 	// pendingStates queues first-reach events for the driver's window
 	// hook, drained like the scheduler's pending distills.
 	pendingStates []StateInfo
 	// prevEdges is the union edge count the last attribution saw; re-read
 	// at every sequence start so edges merged in from fleet peers between
 	// iterations are never attributed to a local state.
-	//peachstar:nosnap re-read at every sequence start
 	prevEdges int
 
 	// seqs is the retained valuable-sequence queue (deep copies; oldest
@@ -120,7 +119,7 @@ type sessionCore struct {
 	// hit when any step of the iteration proves valuable.
 	opTrials [seqOpChoices]uint64
 	opHits   [seqOpChoices]uint64
-	opRound  int //peachstar:nosnap per-iteration credit context; restore resets it
+	opRound  int // per-iteration credit context; restore resets it
 
 	// Per-iteration scratch: the working sequence, and per-step credit
 	// context — which model each step's payload was generated for this
@@ -128,11 +127,10 @@ type sessionCore struct {
 	// mutators were applied, so the scheduler's per-execution credit
 	// assignment sees exactly the round that produced the step it
 	// observes.
-	cur       session.Sequence //peachstar:nosnap per-iteration working sequence; restore resets it
-	stepModel []int            //peachstar:nosnap per-iteration credit context
-	stepMuts  [][]int          //peachstar:nosnap per-iteration credit context
+	cur       session.Sequence // per-iteration working sequence; restore resets it
+	stepModel []int            // per-iteration credit context
+	stepMuts  [][]int          // per-iteration credit context
 	// encScratch reuses the encode buffer for corpus sequence entries.
-	//peachstar:nosnap reusable encode buffer
 	encScratch []byte
 }
 

@@ -32,9 +32,9 @@ type Puzzle struct {
 type Corpus struct {
 	perSig int
 	bySig  map[string][]Puzzle
-	//peachstar:nosnap dedup set is rebuilt by Restore from the restored store
+	// Dedup set is rebuilt by Restore from the restored store.
 	seen     map[string]bool // dedup key: signature + "\x00" + data
-	puzzles  int             //peachstar:nosnap recounted by Restore while rebuilding the store
+	puzzles  int             // recounted by Restore while rebuilding the store
 	inserted int             // accepted Add calls, evictions included; part of the checkpoint image
 	// journal is the list of accepted puzzles in acceptance order. Sync
 	// peers remember how far into a corpus's journal they have read

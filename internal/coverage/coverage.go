@@ -262,7 +262,7 @@ func classifyWord(w uint64) uint64 {
 // execution light any bit that has never been lit before?
 type Virgin struct {
 	seen [MapSize]byte // OR of all bucketed maps observed so far
-	//peachstar:nosnap derived from seen; recomputed on restore
+	// Derived from seen; recomputed on restore.
 	edges int // distinct edges with any bucket seen
 }
 
@@ -319,8 +319,6 @@ func (v *Virgin) Merge(raw []byte) bool {
 // MergeTracer is Merge over a tracer's live map, walking only the lines the
 // execution touched — the per-execution feedback step of the engine. It is
 // observationally identical to Merge(t.Raw()).
-//
-//peachstar:hotpath
 func (v *Virgin) MergeTracer(t *Tracer) bool {
 	valuable := false
 	seen := v.seen[:]

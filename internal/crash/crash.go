@@ -91,7 +91,7 @@ type Bank struct {
 	mu        sync.Mutex
 	byKey     map[string]*Record
 	hangs     int
-	hangByKey map[string]*HangRecord //peachstar:nosnap dedup index; rebuilt by Restore from hangOrder
+	hangByKey map[string]*HangRecord // dedup index; rebuilt by Restore from hangOrder
 	hangOrder []*HangRecord
 }
 

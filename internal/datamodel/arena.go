@@ -61,14 +61,12 @@ func grown(have, miss int) int {
 }
 
 // Node returns a zeroed node that lives until the next Reset.
-//
-//peachstar:hotpath
 func (a *Arena) Node() *Node {
 	if a == nil || a.nodeOff == len(a.nodes) {
 		if a != nil {
 			a.nodeMiss++
 		}
-		//peachstar:allocok slab-exhaustion fallback; misses are counted and the next Reset grows the slab
+		// Slab-exhaustion fallback; misses are counted and the next Reset grows the slab.
 		return &Node{}
 	}
 	n := &a.nodes[a.nodeOff]
@@ -79,14 +77,12 @@ func (a *Arena) Node() *Node {
 
 // Nodes returns n zeroed nodes in one contiguous block — a flat instance's
 // leaf table (Flat.CopyFrom) — that live until the next Reset.
-//
-//peachstar:hotpath
 func (a *Arena) Nodes(n int) []Node {
 	if a == nil || a.nodeOff+n > len(a.nodes) {
 		if a != nil {
 			a.nodeMiss += n
 		}
-		//peachstar:allocok slab-exhaustion fallback; misses are counted and the next Reset grows the slab
+		// Slab-exhaustion fallback; misses are counted and the next Reset grows the slab.
 		return make([]Node, n)
 	}
 	s := a.nodes[a.nodeOff : a.nodeOff+n : a.nodeOff+n]
@@ -97,8 +93,6 @@ func (a *Arena) Nodes(n int) []Node {
 
 // Children returns a zero-length child slice with capacity n. Appending
 // beyond n reallocates onto the heap, which is safe — merely unarenaed.
-//
-//peachstar:hotpath
 func (a *Arena) Children(n int) []*Node {
 	if a == nil || a.ptrOff+n > len(a.ptrs) {
 		if a != nil {
@@ -112,8 +106,6 @@ func (a *Arena) Children(n int) []*Node {
 }
 
 // Bytes returns a zeroed byte slice of length n.
-//
-//peachstar:hotpath
 func (a *Arena) Bytes(n int) []byte {
 	b := a.Buffer(n)[:n]
 	clear(b)
@@ -122,8 +114,6 @@ func (a *Arena) Bytes(n int) []byte {
 
 // Buffer returns a zero-length byte slice with capacity n, for callers that
 // overwrite every byte (seed rendering via Node.AppendTo).
-//
-//peachstar:hotpath
 func (a *Arena) Buffer(n int) []byte {
 	if a == nil || a.bufOff+n > len(a.buf) {
 		if a != nil {

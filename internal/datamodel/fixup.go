@@ -118,8 +118,6 @@ func crc16(tab *[256]uint16, crc uint16, data []byte) uint16 {
 // CRC16ModbusSum computes the Modbus RTU CRC: polynomial 0x8005 reflected
 // (0xA001), initial value 0xFFFF, no final XOR. The Modbus spec transmits
 // it little-endian.
-//
-//peachstar:hotpath
 func CRC16ModbusSum(data []byte) uint16 {
 	return crc16(&crc16ModbusTab, 0xFFFF, data)
 }
@@ -127,8 +125,6 @@ func CRC16ModbusSum(data []byte) uint16 {
 // CRC16DNPSum computes the DNP3 data-link CRC: polynomial 0x3D65 reflected
 // (0xA6BC), initial value 0, complemented output. DNP3 transmits it
 // little-endian after each data block.
-//
-//peachstar:hotpath
 func CRC16DNPSum(data []byte) uint16 {
 	return ^crc16(&crc16DNPTab, 0, data)
 }

@@ -46,13 +46,11 @@ type span struct {
 // Flatten walks the instance once, makes f its flat form and returns f.
 // f.Leaves point into the tree: writing through them (ApplyFixups) writes
 // the tree.
-//
-//peachstar:hotpath
 func (m *Model) Flatten(f *Flat, root *Node) *Flat {
 	m.planOnce.Do(m.compilePlan)
 	s := &f.own
 	if cap(s.spans) <= m.slots {
-		//peachstar:allocok first flatten of a model with more slots than any before it; the grown table is reused
+		// First flatten of a model with more slots than any before it; the grown table is reused.
 		s.spans = make([]span, m.slots+1)
 	}
 	s.spans = s.spans[:m.slots+1]
@@ -64,8 +62,6 @@ func (m *Model) Flatten(f *Flat, root *Node) *Flat {
 }
 
 // flatten is Flatten's recursive walk.
-//
-//peachstar:hotpath
 func (f *Flat) flatten(n *Node) {
 	c := n.Chunk
 	var sp *span
@@ -97,8 +93,6 @@ func (f *Flat) flatten(n *Node) {
 // mutators and donors repoint Data, SetUint writes the copy's inline store,
 // and the one in-place write File Fixup makes — a Blob checksum field — gets
 // its own bytes here.
-//
-//peachstar:hotpath
 func (f *Flat) CopyFrom(src *Flat, a *Arena) {
 	block := a.Nodes(len(src.Leaves))
 	f.Leaves = f.Leaves[:0]
@@ -116,8 +110,6 @@ func (f *Flat) CopyFrom(src *Flat, a *Arena) {
 }
 
 // size is the serialized length of Leaves[lo:hi].
-//
-//peachstar:hotpath
 func (f *Flat) size(lo, hi int32) (total int) {
 	for _, n := range f.Leaves[lo:hi] {
 		total += len(n.Data)
@@ -128,8 +120,6 @@ func (f *Flat) size(lo, hi int32) (total int) {
 // Render returns the instance's wire bytes — JOINT as one loop over the
 // leaves — in a buffer drawn from the arena (nil means the heap) and sized
 // beforehand, so it lives until the next Arena.Reset.
-//
-//peachstar:hotpath
 func (f *Flat) Render(a *Arena) []byte {
 	dst := a.Buffer(f.size(0, int32(len(f.Leaves))))
 	for _, n := range f.Leaves {
@@ -153,8 +143,6 @@ func (f *Flat) Render(a *Arena) []byte {
 // case a second pass re-measures everything against the settled lengths.
 // Checksums go last, in document order, because they cover final bytes —
 // including the relation fields and any earlier checksum.
-//
-//peachstar:hotpath
 func (f *Flat) ApplyFixups() {
 	if f.setRelations() {
 		f.setRelations()
@@ -173,8 +161,6 @@ func (f *Flat) ApplyFixups() {
 
 // setRelations stores every bound relation's value in its field and reports
 // whether doing so changed any field's length.
-//
-//peachstar:hotpath
 func (f *Flat) setRelations() (resized bool) {
 	for _, i := range f.shape.rels {
 		n := f.Leaves[i]
@@ -189,8 +175,6 @@ func (f *Flat) setRelations() (resized bool) {
 // relationValue measures what relation field c should hold. ok is false when
 // the measured chunk is absent from the instance, which leaves the field
 // alone.
-//
-//peachstar:hotpath
 func (f *Flat) relationValue(c *Chunk) (v uint64, ok bool) {
 	sp := f.shape.spans[c.relSlot]
 	if !sp.bound {
@@ -214,8 +198,6 @@ func (f *Flat) relationValue(c *Chunk) (v uint64, ok bool) {
 
 // checksum computes fixup field c's checksum over the serialized bytes of
 // the chunks it covers, in declaration order; absent chunks cover nothing.
-//
-//peachstar:hotpath
 func (f *Flat) checksum(c *Chunk) uint64 {
 	buf := f.buf[:0]
 	for _, slot := range c.fixSlots {
@@ -270,8 +252,6 @@ func (f *Flat) release() {
 
 // ApplyFixups is Flat.ApplyFixups on an instance tree: flatten into pooled
 // scratch, run the same loops.
-//
-//peachstar:hotpath
 func (m *Model) ApplyFixups(root *Node) {
 	f := m.Flatten(flatPool.Get().(*Flat), root)
 	f.ApplyFixups()

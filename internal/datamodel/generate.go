@@ -13,8 +13,6 @@ func (m *Model) Generate() *Node { return m.GenerateInto(nil) }
 // from the arena (nil means the heap) — the engine's per-iteration path.
 // The default instance is a pure function of the model, so it is built and
 // fixed up once, on first use, and every call clones it.
-//
-//peachstar:hotpath
 func (m *Model) GenerateInto(a *Arena) *Node {
 	m.defaultOnce.Do(m.buildDefault)
 	return m.defaultInst.CloneInto(a)
@@ -46,8 +44,6 @@ func (m *Model) GenerateRandom(r *rng.RNG) *Node { return m.GenerateRandomFlat(n
 // GenerateRandomFlat is GenerateRandom backed by the arena (nil = heap) and
 // leaving the instance's flat form in f — the one walk File Fixup needs
 // anyway, so the engine's randomized skeleton costs no second one.
-//
-//peachstar:hotpath
 func (m *Model) GenerateRandomFlat(f *Flat, a *Arena, r *rng.RNG) *Node {
 	n := generateChunk(a, m.root(), r)
 	m.Flatten(f, n).ApplyFixups()

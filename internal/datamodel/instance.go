@@ -38,8 +38,6 @@ func (n *Node) Bytes() []byte {
 // AppendTo appends the subtree's wire bytes to dst and returns it — the
 // allocation-free JOINT: callers render into a reused or pre-sized buffer
 // (see Len) instead of paying the per-level append cascade Bytes once did.
-//
-//peachstar:hotpath
 func (n *Node) AppendTo(dst []byte) []byte {
 	if n.IsLeaf() {
 		return append(dst, n.Data...)
@@ -70,8 +68,6 @@ func (n *Node) Clone() *Node { return n.CloneInto(nil) }
 // bytes from the arena (nil means the heap). Short leaf payloads land in
 // the clone's inline store. The clone shares nothing with the original, so
 // arena-backed clones of retained instances are safe to mutate and discard.
-//
-//peachstar:hotpath
 func (n *Node) CloneInto(a *Arena) *Node {
 	out := a.Node()
 	out.Chunk = n.Chunk

@@ -144,7 +144,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.NodeID == "" {
 		host, _ := os.Hostname()
-		cfg.NodeID = fmt.Sprintf("%s/%d/%d", host, os.Getpid(), atomic.AddUint32(&nodeSeq, 1))
+		cfg.NodeID = fmt.Sprintf("%s/%d/%d", host, os.Getpid(), nodeSeq.Add(1))
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -172,7 +172,7 @@ func NewNode(cfg Config) (*Node, error) {
 
 // nodeSeq disambiguates default node ids for several nodes in one process
 // (the loopback examples and tests).
-var nodeSeq uint32
+var nodeSeq atomic.Uint32
 
 // ListenAndServeContext is ListenAndServe scoped to a context: when ctx is
 // canceled the accept side closes — the listener stops accepting and every

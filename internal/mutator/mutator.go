@@ -249,8 +249,6 @@ func Suite() []Mutator {
 // indexed in place rather than materialized, so Pick is allocation-free on
 // the per-leaf hot path; the single Intn draw over the same count keeps the
 // RNG stream identical to the materializing implementation.
-//
-//peachstar:hotpath
 func Pick(r *rng.RNG, suite []Mutator, c *datamodel.Chunk) Mutator {
 	apt := 0
 	for _, m := range suite {
@@ -292,8 +290,6 @@ func Pick(r *rng.RNG, suite []Mutator, c *datamodel.Chunk) Mutator {
 // unless every applicable weight is 0, which falls back to a uniform draw
 // over the applicable set so the call still consumes one value and returns
 // a mutator.
-//
-//peachstar:hotpath
 func PickWeighted(r *rng.RNG, suite []Mutator, c *datamodel.Chunk, weights []uint32) (Mutator, int) {
 	var total uint64
 	apt := 0

@@ -45,7 +45,7 @@ const (
 
 // Slave is the instrumented lib60870 CS101 slave core.
 type Slave struct {
-	id []coverage.BlockID //peachstar:nosnap immutable block identity wired at construction
+	id []coverage.BlockID // immutable block identity wired at construction
 
 	linkReset bool
 	fcb       bool // frame count bit tracking

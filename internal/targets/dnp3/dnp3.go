@@ -50,7 +50,7 @@ const (
 
 // Outstation is the instrumented opendnp3 outstation core.
 type Outstation struct {
-	id []coverage.BlockID //peachstar:nosnap immutable block identity wired at construction
+	id []coverage.BlockID // immutable block identity wired at construction
 
 	addr     uint16
 	seq      byte // expected transport sequence

@@ -58,7 +58,7 @@ const valueBufSize = 32
 
 // Server is the instrumented ICCP server core.
 type Server struct {
-	id []coverage.BlockID //peachstar:nosnap immutable block identity wired at construction
+	id []coverage.BlockID // immutable block identity wired at construction
 
 	cotpConnected bool
 	associated    bool

@@ -28,7 +28,7 @@ const (
 
 // Slave is the instrumented IEC104 station core.
 type Slave struct {
-	id []coverage.BlockID //peachstar:nosnap immutable block identity wired at construction
+	id []coverage.BlockID // immutable block identity wired at construction
 
 	started  bool // STARTDT received
 	vr, vs   uint16

@@ -37,7 +37,7 @@ type attribute struct {
 
 // Server is the instrumented libiec61850 MMS server core.
 type Server struct {
-	id []coverage.BlockID //peachstar:nosnap immutable block identity wired at construction
+	id []coverage.BlockID // immutable block identity wired at construction
 
 	cotpConnected bool
 	sessionOpen   bool

@@ -65,7 +65,7 @@ const (
 
 // Server is the instrumented libmodbus server core.
 type Server struct {
-	id []coverage.BlockID //peachstar:nosnap immutable block identity wired at construction
+	id []coverage.BlockID // immutable block identity wired at construction
 
 	coils    [nbCoils]bool
 	discrete [nbDiscrete]bool

@@ -20,7 +20,6 @@ package peachstar
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -37,10 +36,10 @@ const DefaultCheckpointEvery = 16 * core.DefaultMergeEvery
 // checkpointing while a session is in flight is an error. For periodic
 // checkpoints during a run, set RunConfig.CheckpointPath instead.
 func (c *Campaign) Checkpoint(path string) error {
-	if !atomic.CompareAndSwapInt32(&c.running, 0, 1) {
+	if !c.running.CompareAndSwap(false, true) {
 		return fmt.Errorf("peachstar: cannot checkpoint: campaign has a session in flight")
 	}
-	defer atomic.StoreInt32(&c.running, 0)
+	defer c.running.Store(false)
 	return checkpoint.WriteFileAtomic(path, c.fleet.Checkpoint(c.digest))
 }
 
@@ -64,10 +63,10 @@ func (c *Campaign) RestoreCheckpoint(path string) error {
 	if err != nil {
 		return err
 	}
-	if !atomic.CompareAndSwapInt32(&c.running, 0, 1) {
+	if !c.running.CompareAndSwap(false, true) {
 		return fmt.Errorf("peachstar: cannot restore: campaign has a session in flight")
 	}
-	defer atomic.StoreInt32(&c.running, 0)
+	defer c.running.Store(false)
 	return c.fleet.RestoreCheckpoint(data, c.digest)
 }
 

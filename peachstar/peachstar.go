@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -209,7 +210,7 @@ type Campaign struct {
 	cfg   core.Config
 	fleet *core.Fleet
 	// running guards the one-session-at-a-time invariant of Start.
-	running int32
+	running atomic.Bool
 	// digest is the campaign's rule-signature digest, computed once: the
 	// identity every checkpoint is sealed under and validated against on
 	// restore. It is the digest the fleet sync protocol pins, so

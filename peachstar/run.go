@@ -190,10 +190,10 @@ type Run struct {
 	// emitMu serializes producers of the event channel so buffer
 	// eviction can re-queue crash events atomically (see emit).
 	emitMu sync.Mutex
-	// ctxStopped records (0/1) that the context — not the budget or a
+	// ctxStopped records that the context — not the budget or a
 	// graceful Stop — ended the session; only then does Wait surface the
 	// context's error.
-	ctxStopped int32
+	ctxStopped atomic.Bool
 
 	atts, owned []*SyncNode // owned: the nodes the session opened and closes
 
@@ -211,7 +211,7 @@ type Run struct {
 
 	// statsNext is the next fleet-exec threshold that emits a StatsEvent
 	// (atomic: window hooks race on it across workers).
-	statsNext int64
+	statsNext atomic.Int64
 
 	// crashMu guards crashSeen, the fleet-level crash deduplication for
 	// CrashEvents (workers may find the same fault independently).
@@ -239,7 +239,7 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !atomic.CompareAndSwapInt32(&c.running, 0, 1) {
+	if !c.running.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("peachstar: campaign already has a session in flight")
 	}
 	if cfg.Deadline.IsZero() && cfg.Duration > 0 {
@@ -273,11 +273,11 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		events:    make(chan Event, cfg.EventBuffer),
-		statsNext: int64(cfg.StatsEvery),
 		crashSeen: make(map[string]bool),
 	}
+	r.statsNext.Store(int64(cfg.StatsEvery))
 	if cfg.StatsEvery < 0 {
-		r.statsNext = int64(^uint64(0) >> 2) // periodic stats disabled
+		r.statsNext.Store(int64(^uint64(0) >> 2)) // periodic stats disabled
 	}
 	fail := func(err error) (*Run, error) {
 		r.release()
@@ -365,7 +365,7 @@ func (r *Run) release() {
 	for _, n := range r.owned {
 		n.Close()
 	}
-	atomic.StoreInt32(&r.c.running, 0)
+	r.c.running.Store(false)
 }
 
 // loop is the session driver, on its own goroutine — the one loop every
@@ -448,7 +448,7 @@ func (r *Run) loop() {
 	// cancellation is what ended the session: a cancel that lands after
 	// the budget is already spent does not turn a completed run into a
 	// failed one.
-	if atomic.LoadInt32(&r.ctxStopped) == 1 && !r.spent() {
+	if r.ctxStopped.Load() && !r.spent() {
 		r.err = r.ctx.Err()
 		return
 	}
@@ -506,7 +506,7 @@ func (r *Run) report() {
 // not mistake the cancellation for a clean finish.
 func (r *Run) stopForContext() {
 	r.stopOnce.Do(func() {
-		atomic.StoreInt32(&r.ctxStopped, 1)
+		r.ctxStopped.Store(true)
 		close(r.stop)
 	})
 }
@@ -576,14 +576,14 @@ func (r *Run) windowHook(w core.WindowInfo) {
 		return
 	}
 	for {
-		next := atomic.LoadInt64(&r.statsNext)
+		next := r.statsNext.Load()
 		if int64(w.FleetExecs) < next {
 			return
 		}
 		// Jump past the current count so a burst of windows yields one
 		// event, not a backlog.
 		target := (int64(w.FleetExecs)/every + 1) * every
-		if atomic.CompareAndSwapInt64(&r.statsNext, next, target) {
+		if r.statsNext.CompareAndSwap(next, target) {
 			r.emit(StatsEvent{Stats: r.c.fleet.StatsApprox(), Elapsed: time.Since(r.start)})
 			return
 		}
