@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: ci check build vet lint test race soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
+.PHONY: ci check build vet lint test race race-sync soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
 
-ci: build vet lint test race docs-check api-check loc-check soak
+ci: build vet lint test race race-sync docs-check api-check loc-check soak
 
-check: build vet lint race alloc-guard docs-check api-check loc-check
+check: build vet lint race race-sync alloc-guard docs-check api-check loc-check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ test:
 # Every package under the race detector (about a minute).
 race:
 	$(GO) test -race ./...
+
+# The pipelined sync round under the race detector, many times over: a
+# leaf's exchange runs beside the next window and is joined by the next
+# boundary, a Close or a Sync, and one -race pass can miss an interleaving.
+race-sync:
+	$(GO) test -race -count=20 -run 'TestSingleLeafTransportLossless|TestCloseJoinsRoundInFlight' ./internal/fleetnet
+	$(GO) test -race -count=20 -run 'TestLeafWindowOverlapsExchange|TestHubAttachmentPublishesLocalWork|TestServeAndDialSync|TestJoinMeshLoopback|TestStartStopDuringMeshSync|TestStartCancelMeshPromptness' ./peachstar
 
 # Chaos soak over the real-target execution backend: a timed campaign
 # against the bundled toy Modbus server while a chaos goroutine SIGKILLs

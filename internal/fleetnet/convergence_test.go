@@ -1,6 +1,8 @@
 package fleetnet
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -186,37 +188,62 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 // neutrality: one leaf syncing with a hub that has no other input must be
 // bit-for-bit identical to the same fleet driven without any networking —
 // pushing your own state and pulling it back is a no-op. This is the
-// distributed extension of the workers=1 ≡ serial guarantee.
+// distributed extension of the workers=1 ≡ serial guarantee, for the
+// synchronous round (Sync: a flush before and after the wire exchange)
+// and the pipelined one the session loop drives (Begin flushes once and
+// the exchange overlaps the next window, joined by Await; a final Sync).
 func TestSingleLeafTransportLossless(t *testing.T) {
 	const (
 		budget = 30000
 		window = 256
 	)
-	control, _ := newLeafFleet(t, 99, 0)
-	for control.Execs() < budget {
-		next := control.Execs() + window
-		if next > budget {
-			next = budget
-		}
-		control.Run(next)
-		// A leaf's Sync flushes twice per window (before and after the wire
-		// exchange); mirror it exactly.
-		control.SyncAll()
-		control.SyncAll()
-	}
-	control.SyncAll()
-	control.SyncAll()
+	for _, tc := range []struct {
+		name string
+		// flushes is how many SyncAll calls mirror one window's round.
+		flushes int
+		drive   func(fleet *core.Fleet, leaf testLeaf, hub *core.SyncState) error
+	}{
+		{"sync", 2, func(fleet *core.Fleet, leaf testLeaf, _ *core.SyncState) error {
+			return driveSynced(fleet, leaf.Sync, budget, window)
+		}},
+		{"pipelined", 1, func(fleet *core.Fleet, leaf testLeaf, hub *core.SyncState) error {
+			for fleet.Execs() < budget {
+				fleet.Drive(nil, core.Budget{Execs: min(fleet.Execs()+window, budget)}, nil)
+				leaf.Await()
+				leaf.Begin(context.Background())
+			}
+			leaf.Await()
+			// The last round began after the last window: its push carried
+			// everything the leaf found.
+			if got, want := hub.Edges(), fleet.Stats().Edges; got != want {
+				return fmt.Errorf("hub holds %d edges after the last round, the leaf found %d", got, want)
+			}
+			return leaf.Sync()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			control, _ := newLeafFleet(t, 99, 0)
+			for control.Execs() < budget {
+				control.Run(min(control.Execs()+window, budget))
+				for i := 0; i < tc.flushes; i++ {
+					control.SyncAll()
+				}
+			}
+			control.SyncAll()
+			control.SyncAll()
 
-	state := core.NewSyncState(0)
-	fleet, tgt := newLeafFleet(t, 99, 0)
-	hub := startHub(t, state, tgt.Models())
-	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-lossless")
-	if err := driveSynced(fleet, leaf.Sync, budget, window); err != nil {
-		t.Fatal(err)
-	}
+			state := core.NewSyncState(0)
+			fleet, tgt := newLeafFleet(t, 99, 0)
+			hub := startHub(t, state, tgt.Models())
+			leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-lossless")
+			if err := tc.drive(fleet, leaf, state); err != nil {
+				t.Fatal(err)
+			}
 
-	cs, ls := control.Stats(), fleet.Stats()
-	if !reflect.DeepEqual(cs, ls) {
-		t.Fatalf("networked single leaf diverged:\ncontrol %+v\nleaf    %+v", cs, ls)
+			cs, ls := control.Stats(), fleet.Stats()
+			if !reflect.DeepEqual(cs, ls) {
+				t.Fatalf("networked single leaf diverged:\ncontrol %+v\nleaf    %+v", cs, ls)
+			}
+		})
 	}
 }

@@ -227,7 +227,7 @@ func TestNoEchoOfAbsorbedPuzzlesUnderInterleave(t *testing.T) {
 	if err := leaf.dial(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	req := leaf.buildPush()
+	req := leaf.buildPush(captureFigures(fleet))
 	local := corpus.Puzzle{Signature: "local-sig", Data: []byte{1, 2, 3, 4}, Model: "m"}
 	injectPuzzle(fleet.State(), local)
 	ack, err := leaf.roundTrip(context.Background(), req)

@@ -2,6 +2,7 @@ package fleetnet
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -116,6 +117,27 @@ func TestNodeBacksOffDeadUplink(t *testing.T) {
 		if round == 12 {
 			t.Fatal("uplink did not exchange within 12 rounds of the peer's return")
 		}
+	}
+}
+
+// TestCloseJoinsRoundInFlight: Close right after Begin joins the round
+// before it tears the uplinks down — without the join the two share the
+// uplink, which -race reports — and a Sync after Close revives the link.
+func TestCloseJoinsRoundInFlight(t *testing.T) {
+	hub := startNode(t, Config{State: core.NewSyncState(0), Target: "conv", Models: convModels(), Logf: t.Logf})
+	fleet := newConvFleet(t, 61, 1, 0)
+	leaf := newLeaf(t, Config{Target: "conv", Models: convModels(), NodeID: "close-leaf", Logf: t.Logf}, fleet, hub.Addr())
+	fleet.Run(512)
+	leaf.Begin(context.Background())
+	leaf.Close()
+	if _, inFlight := leaf.Await(); inFlight {
+		t.Fatal("Close left the round in flight")
+	}
+	if up, _, _ := leaf.PeerStats(); up != 0 {
+		t.Fatalf("%d uplinks connected after Close", up)
+	}
+	if err := leaf.Sync(); err != nil {
+		t.Fatalf("Sync after Close = %v, want the link revived", err)
 	}
 }
 

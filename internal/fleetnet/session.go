@@ -24,7 +24,7 @@ import (
 //     known to hold, so crash records are only re-sent when they grow.
 //
 // All fields are owned by the goroutine driving the link (the hub handler
-// or the uplink's driving loop); methods that touch the shared state must
+// or the node's sync round); methods that touch the shared state must
 // be called under the SyncState lock (inside an Exchange).
 type peerSession struct {
 	shadow *coverage.Virgin

@@ -14,9 +14,10 @@ import (
 
 // uplink is one outbound link of a node: the connection, the peerSession
 // that makes deltas deltas, and the link's retry accounting. Its methods
-// run on the node's driving goroutine. Disconnects are tolerated: the next
-// round redials and resumes — the cursor into the remote journal survives
-// locally, and everything re-pushed merges idempotently on the remote.
+// run on whichever goroutine owns the node's uplinks (see Node).
+// Disconnects are tolerated: the next round redials and resumes — the
+// cursor into the remote journal survives locally, and everything
+// re-pushed merges idempotently on the remote.
 type uplink struct {
 	n      *Node
 	addr   string
@@ -49,7 +50,7 @@ func (n *Node) newUplink(addr string, static bool) *uplink {
 // re-pushes from scratch; all exchanged state merges idempotently). A
 // cancellation that lands mid-exchange interrupts the dial and any blocked
 // frame I/O promptly instead of waiting out the frame timeout.
-func (u *uplink) sync(ctx context.Context) error {
+func (u *uplink) sync(ctx context.Context, fig pushFigures) error {
 	if u.conn == nil {
 		if err := u.dial(ctx); err != nil {
 			return err
@@ -57,7 +58,7 @@ func (u *uplink) sync(ctx context.Context) error {
 	}
 	unwatch := watchContext(ctx, u.conn)
 	defer unwatch()
-	ack, err := u.roundTrip(ctx, u.buildPush())
+	ack, err := u.roundTrip(ctx, u.buildPush(fig))
 	if err == nil {
 		err = u.applyAck(ack)
 	}
@@ -73,18 +74,28 @@ func (u *uplink) sync(ctx context.Context) error {
 	return nil
 }
 
-// buildPush assembles one push frame: everything the remote is not known
-// to hold. The deltas are built under the state lock; network I/O stays
-// outside it.
-func (u *uplink) buildPush() *syncFrame {
-	fleet := u.n.cfg.Fleet
+// pushFigures is what a push reports of the local fleet, captured at
+// quiescence (Node.Begin): a round overlapping a window never reads it.
+type pushFigures struct {
+	execs, hangs int
+	crashes      []*crash.Record
+}
+
+func captureFigures(f *core.Fleet) pushFigures {
+	bank := f.Crashes()
+	return pushFigures{execs: f.Execs(), hangs: bank.Hangs(), crashes: bank.Records()}
+}
+
+// buildPush assembles one push frame: the captured figures and everything
+// the remote is not known to hold. The deltas are built under the state
+// lock; network I/O stays outside it.
+func (u *uplink) buildPush(fig pushFigures) *syncFrame {
 	req := &syncFrame{
-		execs:  uint64(fleet.Execs()),
-		cursor: u.session.remoteCursor,
+		execs:   uint64(fig.execs),
+		hangs:   uint64(fig.hangs),
+		cursor:  u.session.remoteCursor,
+		crashes: u.session.crashDelta(fig.crashes),
 	}
-	bank := fleet.Crashes()
-	req.hangs = uint64(bank.Hangs())
-	req.crashes = u.session.crashDelta(bank.Records())
 	u.n.cfg.State.Exchange(core.ExchangeFunc(func(virgin *coverage.Virgin, corp *corpus.Corpus, _ *crash.Bank) error {
 		// A Close released the journal registration so a dead link never
 		// pins compaction; a sync after Close is a revival, so re-register

@@ -114,7 +114,9 @@ func (StateEvent) event() {}
 // SyncWindowEvent reports one sync window of an attachment: a leaf's or
 // mesh node's push/pull round trip that merges this campaign's
 // discoveries with the rest of the fleet, or a hub's ("hub") local flush
-// into the state its leaves exchange with. Err is nil on success; a failed
+// into the state its leaves exchange with. A round's exchange overlaps the
+// next window, so its event arrives at the next window boundary (the final
+// round's before the stream closes). Err is nil on success; a failed
 // exchange is not fatal (the campaign keeps fuzzing and the next window
 // retries), so errors surface here rather than ending the run.
 type SyncWindowEvent struct {
@@ -124,9 +126,10 @@ type SyncWindowEvent struct {
 	// leaf; the node's own accept address for a hub, or for a mesh, whose
 	// exchanges fan out to every linked peer).
 	Addr string
-	// Execs is the campaign's local execution count when the window ran.
+	// Execs is the campaign's local execution count when the round began.
 	Execs int
-	// Elapsed is the exchange's duration.
+	// Elapsed is the round's own duration — the flush and the exchange —
+	// not the window it overlapped.
 	Elapsed time.Duration
 	// Err is the exchange error, nil on success.
 	Err error

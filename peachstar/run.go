@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/executor"
+	"repro/internal/fleetnet"
 )
 
 // DefaultSyncEvery is the default number of local executions between
@@ -55,7 +56,8 @@ type RunConfig struct {
 	Duration time.Duration
 	// SyncEvery is the number of local executions between sync windows
 	// when the session has attachments — hub, leaf or mesh
-	// (0 = DefaultSyncEvery). Ignored without attachments.
+	// (0 = DefaultSyncEvery). Remote material reaches the workers one
+	// window after its exchange. Ignored without attachments.
 	SyncEvery int
 	// StatsEvery is the number of fleet executions between StatsEvents
 	// on the event stream (0 = DefaultStatsEvery; negative disables
@@ -369,18 +371,18 @@ func (r *Run) release() {
 }
 
 // loop is the session driver, on its own goroutine — the one loop every
-// session runs, whatever is attached: advance one window, take a durable
-// checkpoint if one is due, sync every attachment, until the budget is
-// spent or the session is stopped. The window is the nearest of the
-// budget, the next sync (when anything is attached) and the next
-// checkpoint (when a path is set), so a bare session is exactly one Drive
-// call. A graceful end gets a final flush — its error is the session
-// result — and a final checkpoint. Failures inside the loop surface as
-// events and the next window retries. Checkpoints are taken between Drive
-// calls, when every worker is quiescent: each is a consistent cut of the
-// whole fleet. Writing one to disk is the session's checkpoint writer's
-// job, overlapping the next window; the loop joins the writer before it
-// closes the event stream.
+// session runs, whatever is attached: advance window k, join every
+// attachment's round k−1 (emitting its SyncWindowEvent), take a durable
+// checkpoint if one is due, begin round k — whose exchange overlaps window
+// k+1 — until the budget is spent or the session is stopped. The window is
+// the nearest of the budget, the next sync (when anything is attached) and
+// the next checkpoint (when a path is set), so a bare session is exactly
+// one Drive call. The tail joins the last round; a graceful end then gets
+// one synchronous round — its error is the session result — and a final
+// checkpoint. Failures inside the loop surface as events and the next
+// window retries. Each checkpoint is a cut of the quiescent fleet with no
+// round in flight, written by the session's checkpoint writer while the
+// next window fuzzes; the loop joins the writer before closing events.
 func (r *Run) loop() {
 	defer func() {
 		r.release()
@@ -407,16 +409,20 @@ func (r *Run) loop() {
 		if !r.advance(window) {
 			break // ended mid-window: straight to the tail
 		}
+		r.awaitAll()
 		// A relay's workers never run, so its checkpoint is due every
 		// round: it preserves what the relay absorbed from its peers.
 		if ckpt && (r.cfg.RelayOnly || fleet.Execs() >= nextCkpt) {
 			r.checkpointNow()
 		}
-		r.syncAll()
+		for _, n := range r.atts {
+			n.node.Begin(r.ctx)
+		}
 		if r.cfg.RelayOnly {
 			r.report() // idle workers fire no window hook
 		}
 	}
+	r.awaitAll()
 	var syncErr error
 	if r.ctx.Err() != nil {
 		// A flush against a dead context cannot succeed. Claim the stop:
@@ -521,26 +527,34 @@ func (r *Run) spent() bool {
 	return !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline)
 }
 
-// syncAll runs one sync window on every attachment, emitting a
-// SyncWindowEvent per exchange, and returns the first error (the
-// mesh/leaf convention).
+// awaitAll joins each attachment's round in flight, emitting its event.
+func (r *Run) awaitAll() {
+	for _, n := range r.atts {
+		if res, ok := n.node.Await(); ok {
+			r.emitWindow(n, res)
+		}
+	}
+}
+
+// syncAll runs one synchronous sync round on every attachment, emitting a
+// SyncWindowEvent per round, and returns the first error (the mesh/leaf
+// convention).
 func (r *Run) syncAll() error {
 	var firstErr error
 	for _, n := range r.atts {
-		began := time.Now()
+		began, execs := time.Now(), r.c.fleet.Execs()
 		err := n.node.SyncContext(r.ctx)
-		r.emit(SyncWindowEvent{
-			Attachment: n.kind,
-			Addr:       n.node.Endpoint(),
-			Execs:      r.c.fleet.ExecsApprox(),
-			Elapsed:    time.Since(began),
-			Err:        err,
-		})
+		r.emitWindow(n, fleetnet.Round{Execs: execs, Elapsed: time.Since(began), Err: err})
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// emitWindow reports one attachment's round on the event stream.
+func (r *Run) emitWindow(n *SyncNode, res fleetnet.Round) {
+	r.emit(SyncWindowEvent{Attachment: n.kind, Addr: n.node.Endpoint(), Execs: res.Execs, Elapsed: res.Elapsed, Err: res.Err})
 }
 
 // windowHook is the driver's per-merge-window observer, called on worker
