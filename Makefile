@@ -14,8 +14,11 @@ check: build vet lint race race-sync alloc-guard docs-check api-check loc-check
 build:
 	$(GO) build ./...
 
+# The second pass type-checks every package, tests included, with a 32-bit
+# int, keeping the word-size independence the checkpoint format claims.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 # Project-specific static analysis (see internal/analysis): detsource and
 # rnggate over every package — the determinism rules no golden can be
@@ -63,11 +66,13 @@ docs-check:
 # allocation-lean: the steady-state Peach*, session and adaptive exec paths
 # must stay within their per-exec budgets, File Fixup — on a tree, and as
 # the engine's flat copy → fixup → render — must allocate nothing (see
-# hotpath_test.go), and the warm semantic generation round must stay within
-# its per-round budget (internal/core's sched_test.go).
+# hotpath_test.go), the warm semantic generation round must stay within
+# its per-round budget (internal/core's sched_test.go), and a model that
+# rejects a valuable seed must cost the crack path no allocation
+# (internal/core's crack_equiv_test.go).
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateExecAllocBudget|TestApplyFixupsAllocFree' -v .
-	$(GO) test -run 'TestSemanticGenerateSteadyStateAllocs' -v ./internal/core
+	$(GO) test -run 'TestSemanticGenerateSteadyStateAllocs|TestCrackRejectAllocFree' -v ./internal/core
 
 # Public-API gate: the exported peachstar surface must match the golden
 # snapshot (api/peachstar.golden) and every exported symbol must carry a

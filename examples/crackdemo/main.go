@@ -50,7 +50,7 @@ func main() {
 	for _, m := range models {
 		ins, err := m.Crack(packet)
 		if err != nil {
-			fmt.Printf("  %-18s rejected\n", m.Name)
+			fmt.Printf("  %-18s rejected: %v\n", m.Name, err)
 			continue
 		}
 		fmt.Printf("  %-18s LEGAL -> %s\n", m.Name, ins)

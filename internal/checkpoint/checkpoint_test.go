@@ -316,7 +316,7 @@ func (s *fieldState) fields() []Field {
 func TestFieldsRoundTrip(t *testing.T) {
 	orig := &fieldState{
 		flag: true, flags: [3]bool{true, false, true}, seq: 255, addr: 65535,
-		signed: [2]int16{-1, -32768}, analog: [2]int32{-2, 1 << 30}, wide: 1<<32 - 1, n: 1 << 40, clock: ^uint64(0),
+		signed: [2]int16{-1, -32768}, analog: [2]int32{-2, 1 << 30}, wide: 1<<32 - 1, n: 1<<31 - 1, clock: ^uint64(0),
 		last: []byte{1, 2, 3}, bank: [4]byte{9, 8, 7, 6},
 		table:   map[string][]byte{"b": {2}, "a": nil, "c": {3, 3}},
 		classes: map[uint8]uint8{200: 1, 3: 2},
@@ -330,7 +330,7 @@ func TestFieldsRoundTrip(t *testing.T) {
 	for _, b := range orig.flags {
 		want.Bool(b)
 	}
-	for _, v := range []uint64{255, 65535, 0xffff, 0x8000, 0xfffffffe, 1 << 30, 1<<32 - 1, 1 << 40} {
+	for _, v := range []uint64{255, 65535, 0xffff, 0x8000, 0xfffffffe, 1 << 30, 1<<32 - 1, 1<<31 - 1} {
 		want.Uvarint(v)
 	}
 	want.U64(^uint64(0))

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/datamodel"
 	"repro/internal/executor"
 	"repro/internal/session"
 )
@@ -348,13 +347,10 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 			// pinned the models, so this normally succeeds; an entry that
 			// no longer cracks is dropped — a lost mutation base, not an
 			// error.
-			m := e.cfg.Models[mi]
-			ins, err := m.Crack(data)
-			if err != nil {
+			if !e.crk.Crack(e.cfg.Models[mi], data) {
 				continue
 			}
-			flat := m.Flatten(new(datamodel.Flat), ins)
-			e.valuable[name] = append(e.valuable[name], valuableSeed{ins: flat, depth: depth, edges: edges, score: score})
+			e.valuable[name] = append(e.valuable[name], valuableSeed{ins: e.crk.Flat().Clone(), depth: depth, edges: edges, score: score})
 		}
 	}
 

@@ -192,6 +192,7 @@ type Engine struct {
 	cands [][]corpus.Puzzle // per-iteration walk scratch
 	saved [][]byte          // per-iteration walk scratch
 	dedup map[string]bool   // per-batch filter; restore resets it
+	crk   datamodel.Cracker // Algorithm 2 scratch, refilled by every crack
 	// valuable holds the retained coverage-increasing instances per
 	// model — the feedback-selected bases for "mutation on existing
 	// chunks" (§II). Bounded per model; older entries are evicted.

@@ -251,12 +251,16 @@ func TestSemanticGenerateRespectsMaxBatch(t *testing.T) {
 
 func TestCollectPuzzlesDFSOrder(t *testing.T) {
 	// Algorithm 2: the puzzle of an interior node is the ordered
-	// concatenation of its children's puzzles.
+	// concatenation of its children's puzzles, and parents come after
+	// their children — the root's puzzle, the whole packet, comes last.
 	m := toyModels()[0]
 	inst := m.Generate()
 	e := newEngine(t, StrategyPeachStar, 9)
-	got := collectPuzzles(e.corp, m.Name, inst)
-	if string(got) != string(inst.Bytes()) {
+	if !e.crk.Crack(m, inst.Bytes()) {
+		t.Fatal(e.crk.Err())
+	}
+	e.addPuzzles(m.Name, nil)
+	if _, got := e.crk.Puzzle(e.crk.Puzzles() - 1); string(got) != string(inst.Bytes()) {
 		t.Fatal("root puzzle must equal the full packet bytes")
 	}
 	// Payload leaf puzzle must be present in the corpus.
@@ -266,15 +270,24 @@ func TestCollectPuzzlesDFSOrder(t *testing.T) {
 	}
 }
 
+// rootSignature is the structural signature the cracker gives a packet's
+// whole instance — the last puzzle it logs.
+func rootSignature(t *testing.T, m *datamodel.Model) string {
+	t.Helper()
+	var p datamodel.Cracker
+	if !p.Crack(m, m.Generate().Bytes()) {
+		t.Fatal(p.Err())
+	}
+	sig, _ := p.Puzzle(p.Puzzles() - 1)
+	return string(sig)
+}
+
 func TestNodeSignatureComposition(t *testing.T) {
-	m := toyModels()[0]
-	inst := m.Generate()
-	sig := nodeSignature(inst)
+	sig := rootSignature(t, toyModels()[0])
 	if sig == "" || sig[:4] != "blk(" {
 		t.Fatalf("signature = %q", sig)
 	}
-	inst2 := toyModels()[1].Generate()
-	if nodeSignature(inst2) == sig {
+	if rootSignature(t, toyModels()[1]) == sig {
 		t.Fatal("different token values must split block signatures")
 	}
 }

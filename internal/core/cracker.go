@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/corpus"
 	"repro/internal/datamodel"
 	"repro/internal/rng"
 )
@@ -27,10 +26,9 @@ type valuableSeed struct {
 }
 
 // crackValuable implements Algorithm 2: try to crack the valuable seed with
-// every data model; for each model whose parse is legal, DFS the
-// instantiation tree and add every sub-tree puzzle to the corpus. The
-// instance is also retained per model as a feedback-selected base for
-// "mutation on existing chunks".
+// every data model; for each model whose parse is legal, add every sub-tree
+// puzzle of the instance to the corpus. The instance is also retained per
+// model as a feedback-selected base for "mutation on existing chunks".
 func (e *Engine) crackValuable(seed []byte, depth int) {
 	// Under the adaptive scheduler, capture the trace's edge list once —
 	// shared by every model's retained entry and by the distillation
@@ -41,23 +39,16 @@ func (e *Engine) crackValuable(seed []byte, depth int) {
 		edges = e.exec.Tracer().AppendEdges(make([]uint16, 0, depth))
 	}
 	for _, m := range e.cfg.Models { // line 4: for M in S_M
-		ins, err := m.Crack(seed) // line 5: PARSE
-		if err != nil {
-			continue // line 6: LEGAL failed
+		if !e.crk.Crack(m, seed) { // lines 5-6: PARSE, LEGAL
+			continue
 		}
-		// Retained flat: skeleton copies the leaf table per execution, so
-		// the one tree walk is paid here, once.
-		flat := m.Flatten(new(datamodel.Flat), ins)
-		q := append(e.valuable[m.Name], valuableSeed{ins: flat, depth: depth, edges: edges})
+		// Retained flat: skeleton copies the leaf table per execution.
+		q := append(e.valuable[m.Name], valuableSeed{ins: e.crk.Flat().Clone(), depth: depth, edges: edges})
 		if len(q) > valuablePerModel {
 			q = q[1:]
 		}
 		e.valuable[m.Name] = q
-		if e.sched.on {
-			_, refs = collectPuzzlesTracked(e.corp, m.Name, ins, refs)
-		} else {
-			collectPuzzles(e.corp, m.Name, ins) // lines 8-18: DFS
-		}
+		refs = e.addPuzzles(m.Name, refs) // lines 8-18: DFS
 	}
 	if e.sched.on {
 		e.sched.trackContributor(edges, refs)
@@ -84,47 +75,26 @@ func (e *Engine) pickValuable(q []valuableSeed) *datamodel.Flat {
 	return best.ins
 }
 
-// collectPuzzles is the DFS procedure of Algorithm 2: the puzzle of a leaf
-// is its own content; the puzzle of an interior node is the in-order
-// concatenation of its children's puzzles. Every sub-tree contributes one
-// puzzle to the corpus.
+// addPuzzles is the DFS procedure of Algorithm 2 over the instance the
+// cracker just accepted: the puzzle of a leaf is its own content, the
+// puzzle of an interior node the in-order concatenation of its children's,
+// and every sub-tree contributes one, children before parents.
 //
 // Leaf puzzles are stored under the leaf's construction-rule signature so
 // they can donate to same-rule chunks of other models (Algorithm 3). An
-// interior node's puzzle is stored under its structural signature (see
-// nodeSignature); such block-level puzzles can donate whole sub-structures.
-func collectPuzzles(corp *corpus.Corpus, model string, n *datamodel.Node) []byte {
-	if n.IsLeaf() {
-		corp.AddNode(model, n)
-		return n.Data
-	}
-	var puzzle []byte
-	for _, c := range n.Children {
-		puzzle = append(puzzle, collectPuzzles(corp, model, c)...) // JOINT
-	}
-	corp.Add(corpus.Puzzle{
-		Signature: nodeSignature(n),
-		Data:      append([]byte(nil), puzzle...),
-		Model:     model,
-	})
-	return puzzle
-}
-
-// nodeSignature computes the structural construction-rule signature of an
-// instance sub-tree: leaves contribute their chunk's rule signature,
-// interior nodes the ordered composition of their children's. Two sub-trees
-// with equal signatures instantiate interchangeable rule sequences — the
-// whole-block analogue of §III's chunk similarity.
-func nodeSignature(n *datamodel.Node) string {
-	if n.IsLeaf() {
-		return datamodel.RuleSignature(n.Chunk)
-	}
-	sig := "blk("
-	for i, c := range n.Children {
-		if i > 0 {
-			sig += ","
+// interior node's puzzle is stored under its structural signature — "blk("
+// + its children's signatures, comma-joined, + ")": two sub-trees with
+// equal signatures instantiate interchangeable rule sequences, so such
+// block-level puzzles can donate whole sub-structures.
+//
+// Under the adaptive scheduler the refs of the puzzles actually added are
+// appended to refs, for the distillation tracker.
+func (e *Engine) addPuzzles(model string, refs []puzzleRef) []puzzleRef {
+	for i := 0; i < e.crk.Puzzles(); i++ {
+		sig, data := e.crk.Puzzle(i)
+		if p, added := e.corp.AddCopy(sig, data, model); added && e.sched.on {
+			refs = append(refs, puzzleRef{sig: p.Signature, data: p.Data})
 		}
-		sig += nodeSignature(c)
 	}
-	return sig + ")"
+	return refs
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/rng"
+import (
+	"slices"
+
+	"repro/internal/rng"
+)
 
 // This file implements the paper's second future-work direction (§VII):
 // "customize our work into other generation- or mutation-based fuzzers".
@@ -75,11 +79,11 @@ func (e *Engine) mutationGenerate() []byte {
 // packet. ok is false when no model cracks the seed or no donor fits.
 func (e *Engine) chunkAwareMutate(base []byte) ([]byte, bool) {
 	for _, m := range e.cfg.Models {
-		ins, err := m.Crack(base)
-		if err != nil {
+		if !e.crk.Crack(m, base) {
 			continue
 		}
-		leaves := ins.Leaves(nil)
+		e.work.CopyFrom(e.crk.Flat(), &e.arena)
+		leaves := slices.Clone(e.work.Leaves)
 		rng.Shuffle(e.r, leaves)
 		for _, leaf := range leaves {
 			donors := e.corp.CrossModelDonors(leaf.Chunk, m.Name)
@@ -87,8 +91,8 @@ func (e *Engine) chunkAwareMutate(base []byte) ([]byte, bool) {
 				continue
 			}
 			leaf.Data = rng.Pick(e.r, donors).Data // read-only alias; fixups never write donatable leaves
-			m.ApplyFixups(ins)
-			return ins.AppendTo(e.arena.Buffer(ins.Len())), true
+			e.work.ApplyFixups()
+			return e.work.Render(&e.arena), true
 		}
 		return nil, false // cracked but nothing donatable
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/datamodel"
 	"repro/internal/mutator"
@@ -472,26 +471,4 @@ func (e *Engine) pickMutator(c *datamodel.Chunk) mutator.Mutator {
 		e.sched.recordTrial(idx)
 	}
 	return mut
-}
-
-// collectPuzzlesTracked is collectPuzzles recording the refs of the
-// puzzles actually added, for the distillation tracker.
-func collectPuzzlesTracked(corp *corpus.Corpus, model string, n *datamodel.Node, refs []puzzleRef) ([]byte, []puzzleRef) {
-	if n.IsLeaf() {
-		if corp.AddNode(model, n) {
-			refs = append(refs, puzzleRef{sig: datamodel.RuleSignature(n.Chunk), data: n.Data})
-		}
-		return n.Data, refs
-	}
-	var puzzle []byte
-	for _, c := range n.Children {
-		var sub []byte
-		sub, refs = collectPuzzlesTracked(corp, model, c, refs)
-		puzzle = append(puzzle, sub...) // JOINT
-	}
-	data := append([]byte(nil), puzzle...)
-	if corp.Add(corpus.Puzzle{Signature: nodeSignature(n), Data: data, Model: model}) {
-		refs = append(refs, puzzleRef{sig: nodeSignature(n), data: data})
-	}
-	return puzzle, refs
 }

@@ -7,6 +7,7 @@
 package corpus
 
 import (
+	"bytes"
 	"sort"
 
 	"repro/internal/datamodel"
@@ -54,6 +55,9 @@ type Corpus struct {
 	// peerCursors holds, per registered sync peer, the absolute journal
 	// index that peer has consumed up to. -1 marks a dropped peer slot.
 	peerCursors []int
+	// key is the dedup-key scratch: a lookup builds the key here, so only
+	// inserting one allocates it.
+	key []byte
 }
 
 // DefaultPerSignature bounds stored puzzles per construction rule. The
@@ -80,15 +84,47 @@ func dedupKey(sig string, data []byte) string {
 	return sig + "\x00" + string(data)
 }
 
+// seek builds the dedup key of (sig, data) in the scratch and reports
+// whether the corpus holds it — a lookup that allocates nothing.
+func (c *Corpus) seek(sig string, data []byte) bool {
+	c.key = append(append(append(c.key[:0], sig...), 0), data...)
+	return c.seen[string(c.key)]
+}
+
 // Add stores one puzzle, returning true if it was new. Exact duplicates
 // (same rule, same bytes) are dropped — repeated donation of identical
 // content is the "meaningless repetition" the paper wants ruled out.
 func (c *Corpus) Add(p Puzzle) bool {
-	key := dedupKey(p.Signature, p.Data)
-	if c.seen[key] {
+	if c.seek(p.Signature, p.Data) {
 		return false
 	}
-	c.seen[key] = true
+	c.insert(p)
+	return true
+}
+
+// AddCopy is Add for a puzzle whose signature and bytes are borrowed — a
+// cracker's scratch and the packet. A duplicate costs one lookup and no
+// allocation. A new puzzle gets its own copy of the bytes and shares the
+// signature string its rule's stored puzzles already hold. It returns the
+// stored puzzle.
+func (c *Corpus) AddCopy(sig, data []byte, model string) (Puzzle, bool) {
+	c.key = append(append(append(c.key[:0], sig...), 0), data...)
+	if c.seen[string(c.key)] {
+		return Puzzle{}, false
+	}
+	name := string(sig)
+	if list := c.bySig[string(sig)]; len(list) > 0 {
+		name = list[0].Signature
+	}
+	p := Puzzle{Signature: name, Data: bytes.Clone(data), Model: model}
+	c.insert(p)
+	return p, true
+}
+
+// insert stores p, whose dedup key the scratch holds, evicting the oldest
+// puzzle of its signature when the signature is full.
+func (c *Corpus) insert(p Puzzle) {
+	c.seen[string(c.key)] = true
 	c.inserted++
 	list := c.bySig[p.Signature]
 	if len(list) >= c.perSig {
@@ -103,7 +139,6 @@ func (c *Corpus) Add(p Puzzle) bool {
 	c.bySig[p.Signature] = append(list, p)
 	c.puzzles++
 	c.journal = append(c.journal, p)
-	return true
 }
 
 // AddNode cracks-and-stores convenience: stores the instantiation of one
@@ -183,8 +218,7 @@ func (c *Corpus) CrossModelDonorsInto(dst []Puzzle, chunk *datamodel.Chunk, mode
 // key was forgotten with it); replaying it twice dedups the second copy, so
 // replay stays idempotent.
 func (c *Corpus) Remove(sig string, data []byte) bool {
-	key := dedupKey(sig, data)
-	if !c.seen[key] {
+	if !c.seek(sig, data) {
 		return false
 	}
 	list := c.bySig[sig]
@@ -199,7 +233,7 @@ func (c *Corpus) Remove(sig string, data []byte) bool {
 		} else {
 			c.bySig[sig] = list[:len(list)-1]
 		}
-		delete(c.seen, key)
+		delete(c.seen, dedupKey(sig, data))
 		c.puzzles--
 		return true
 	}
@@ -234,11 +268,10 @@ func (c *Corpus) MergeFrom(o *Corpus) int {
 // addNoEvict stores one puzzle only when it is unseen and its signature has
 // spare capacity.
 func (c *Corpus) addNoEvict(p Puzzle) bool {
-	key := dedupKey(p.Signature, p.Data)
-	if c.seen[key] || len(c.bySig[p.Signature]) >= c.perSig {
+	if c.seek(p.Signature, p.Data) || len(c.bySig[p.Signature]) >= c.perSig {
 		return false
 	}
-	c.seen[key] = true
+	c.seen[string(c.key)] = true
 	c.inserted++
 	c.bySig[p.Signature] = append(c.bySig[p.Signature], p)
 	c.puzzles++

@@ -3,7 +3,9 @@ package corpus
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datamodel"
 )
@@ -270,5 +272,42 @@ func TestMergedPuzzlesPropagateThroughJournal(t *testing.T) {
 	c.MergeJournal(b, 0)
 	if c.Len() != 1 {
 		t.Fatalf("puzzle did not propagate: c has %d", c.Len())
+	}
+}
+
+// TestAddCopyBorrows: AddCopy stores its own copy of borrowed bytes, shares
+// one signature string per rule, dedups and evicts exactly as Add does, and
+// a rediscovered duplicate — through AddCopy or Add — allocates nothing.
+func TestAddCopyBorrows(t *testing.T) {
+	c, ref := New(2), New(2)
+	scratch := []byte("sig-a")
+	data := []byte{1, 2}
+	first, ok := c.AddCopy(scratch, data, "m")
+	if !ok || first.Signature != "sig-a" || !bytes.Equal(first.Data, data) {
+		t.Fatalf("AddCopy = %+v, %v", first, ok)
+	}
+	ref.Add(puzzle("sig-a", "\x01\x02", "m"))
+	scratch[0], data[0] = 'X', 9 // the caller reuses its scratch
+	if got := c.bySig["sig-a"][0]; got.Signature != "sig-a" || got.Data[0] != 1 {
+		t.Fatalf("stored puzzle aliases the caller's scratch: %+v", got)
+	}
+	for i, d := range []string{"\x01\x02", "b", "c", "\x01\x02"} { // a dup, two more (one evicts), the evicted one again
+		_, got := c.AddCopy([]byte("sig-a"), []byte(d), "m")
+		if want := ref.Add(puzzle("sig-a", d, "m")); got != want {
+			t.Fatalf("add %d (%q): AddCopy %v, Add %v", i, d, got, want)
+		}
+	}
+	if !reflect.DeepEqual(c.journal, ref.journal) || !reflect.DeepEqual(c.bySig, ref.bySig) {
+		t.Fatalf("AddCopy store %+v differs from Add's %+v", c.bySig, ref.bySig)
+	}
+	if list := c.bySig["sig-a"]; len(list) != 2 || unsafe.StringData(list[0].Signature) != unsafe.StringData(list[1].Signature) {
+		t.Fatalf("puzzles of one rule should share one signature string: %+v", list)
+	}
+	dup := c.bySig["sig-a"][1]
+	if n := testing.AllocsPerRun(100, func() { c.AddCopy([]byte("sig-a"), dup.Data, "m") }); n != 0 {
+		t.Fatalf("duplicate AddCopy allocates %.1f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Add(dup) }); n != 0 {
+		t.Fatalf("duplicate Add allocates %.1f times", n)
 	}
 }

@@ -3,6 +3,7 @@ package datamodel
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -404,5 +405,43 @@ func TestNodeStringFormat(t *testing.T) {
 	s := m.Generate().String()
 	if s != "t{a=7 b=abcd}" {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestCrackErrorNamesPosition: a rejection surfaced by Model.Crack wraps
+// ErrCrack and says where the packet went wrong — the model, the chunk
+// being parsed and its byte offset — whether the parse ran short, a
+// checksum failed or no choice alternative matched (the first
+// alternative's reason is the one given).
+func TestCrackErrorNamesPosition(t *testing.T) {
+	m := figure1Model()
+	pkt := m.Generate().Bytes()
+	corrupt := bytes.Clone(pkt)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	alt := NewModel("alt",
+		Alt("body",
+			Blk("a", Num("opA", 1, 1).AsToken(), Num("va", 2, 0)),
+			Blk("b", Num("opB", 1, 2).AsToken(), Num("vb", 1, 0)),
+		),
+	)
+	for _, c := range []struct {
+		m    *Model
+		pkt  []byte
+		want []string
+	}{
+		{m, pkt[:len(pkt)-1], []string{"model M", `Number "CRC"`, "offset 12", "need 4 bytes"}},
+		{m, corrupt, []string{"model M", `Number "CRC"`, "offset 12", "does not verify"}},
+		{m, append(bytes.Clone(pkt), 0), []string{"model M", "16", "1 trailing bytes"}},
+		{alt, []byte{9, 9}, []string{"model alt", `Number "opA"`, "offset 0", "token is 9, want 1"}},
+	} {
+		_, err := c.m.Crack(c.pkt)
+		if !errors.Is(err, ErrCrack) {
+			t.Fatalf("%s on %x: err = %v, want ErrCrack", c.m.Name, c.pkt, err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s on %x: %q does not say %q", c.m.Name, c.pkt, err, w)
+			}
+		}
 	}
 }

@@ -8,16 +8,16 @@ import "sync"
 // leaves, alias donor bytes into them, File Fixup, JOINT — touches leaf
 // content only, so it runs as flat loops over Leaves and never walks a tree.
 //
-// A Flat is used through a pointer. One built by Flatten that nothing writes
-// to afterwards (a model's default instance, a retained valuable instance)
-// may be shared read-only across workers; CopyFrom gives a worker its own
-// writable copy per execution.
+// A Flat is used through a pointer. One built by Flatten or Clone that
+// nothing writes to afterwards (a model's default instance, a retained
+// valuable instance) may be shared read-only across workers; CopyFrom gives
+// a worker its own writable copy per execution.
 type Flat struct {
 	// Leaves are the instance's leaf nodes in document order. Callers may
 	// repoint a leaf's Data; the slice itself belongs to the Flat.
 	Leaves []*Node
-	// shape is the one in force: &own after Flatten, the source's — shared,
-	// never written — after CopyFrom.
+	// shape is the one in force: &own after Flatten or Clone, the
+	// source's — shared, never written — after CopyFrom.
 	shape *shape
 	own   shape
 	buf   []byte // serialization of the chunks one checksum covers
@@ -215,11 +215,15 @@ func (f *Flat) checksum(c *Chunk) uint64 {
 // checksum of the bytes it covers, and whether every size/count/offset
 // relation holds — the conditions ApplyFixups establishes, checked through
 // the same plan and bindings.
-func (f *Flat) VerifyFixups() bool {
+func (f *Flat) VerifyFixups() bool { return f.violation() < 0 }
+
+// violation returns the index of the first leaf VerifyFixups rejects —
+// relations first, then checksums, each in document order — or -1.
+func (f *Flat) violation() int {
 	for _, i := range f.shape.rels {
 		n := f.Leaves[i]
 		if v, ok := f.relationValue(n.Chunk); ok && n.Uint() != v {
-			return false
+			return int(i)
 		}
 	}
 	for _, i := range f.shape.fixes {
@@ -227,13 +231,49 @@ func (f *Flat) VerifyFixups() bool {
 		sum := f.checksum(n.Chunk)
 		if n.Chunk.Kind == Number {
 			if n.Uint() != sum&widthMask(len(n.Data)) {
-				return false
+				return int(i)
 			}
 		} else if !sumMatches(n.Data, sum) {
-			return false
+			return int(i)
 		}
 	}
-	return true
+	return -1
+}
+
+// Clone returns a copy of f that shares nothing with it — leaf nodes, leaf
+// bytes and shape are its own — for retaining an instance whose source is
+// scratch (a Cracker's). Number leaves keep their bytes inline; the others
+// share one buffer, each capped at its own length.
+func (f *Flat) Clone() *Flat {
+	g := &Flat{Leaves: make([]*Node, len(f.Leaves))}
+	nodes := make([]Node, len(f.Leaves))
+	var buf []byte
+	for _, s := range f.Leaves {
+		if !s.inline() {
+			buf = append(buf, s.Data...)
+		}
+	}
+	off := 0
+	for i, s := range f.Leaves {
+		n := &nodes[i]
+		n.Chunk = s.Chunk
+		switch k := len(s.Data); {
+		case s.inline():
+			n.Data = n.store[:k]
+			copy(n.Data, s.Data)
+		case k > 0:
+			n.Data = buf[off : off+k : off+k]
+			off += k
+		}
+		g.Leaves[i] = n
+	}
+	g.own = shape{
+		spans: append([]span(nil), f.shape.spans...),
+		rels:  append([]int32(nil), f.shape.rels...),
+		fixes: append([]int32(nil), f.shape.fixes...),
+	}
+	g.shape = &g.own
+	return g
 }
 
 // flatPool holds the scratch Flats of the tree entry points. One cannot live

@@ -34,8 +34,10 @@ func fuzzModels() []*Model {
 // invariants of Algorithm 2 under hostile input: cracking never panics, and
 // any packet the cracker accepts re-serializes to exactly the bytes it
 // consumed (otherwise puzzles collected from it would misrepresent the wire
-// content). Applying fixups to a cracked instance must also never panic —
-// the engine does exactly that to every valuable seed.
+// content) — as a tree, and as the flat form the engine's Cracker keeps,
+// scratch and retained, whose last puzzle is the whole packet. Applying
+// fixups to a cracked instance must also never panic — the engine does
+// exactly that to every valuable seed.
 func FuzzCrack(f *testing.F) {
 	for _, m := range fuzzModels() {
 		f.Add(m.Generate().Bytes())
@@ -43,13 +45,26 @@ func FuzzCrack(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x10, 0x00, 0x01, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Cracker
 		for _, m := range fuzzModels() {
 			ins, err := m.Crack(data)
+			if ok := p.Crack(m, data); ok != (err == nil) {
+				t.Fatalf("%s: Cracker says %v, Crack says %v on %x", m.Name, ok, err, data)
+			}
 			if err != nil {
 				continue
 			}
 			if got := ins.Bytes(); !bytes.Equal(got, data) {
 				t.Fatalf("%s: crack accepted %x but re-serializes to %x", m.Name, data, got)
+			}
+			if got := p.Flat().Render(nil); !bytes.Equal(got, data) {
+				t.Fatalf("%s: crack accepted %x but its flat form renders %x", m.Name, data, got)
+			}
+			if got := p.Flat().Clone().Render(nil); !bytes.Equal(got, data) {
+				t.Fatalf("%s: crack accepted %x but its retained flat form renders %x", m.Name, data, got)
+			}
+			if _, root := p.Puzzle(p.Puzzles() - 1); !bytes.Equal(root, data) {
+				t.Fatalf("%s: crack accepted %x but its root puzzle is %x", m.Name, data, root)
 			}
 			m.ApplyFixups(ins)
 			if got := len(ins.Bytes()); got == 0 && len(data) > 0 {
