@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: ci check build vet lint test race race-sync soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
+.PHONY: ci check build vet lint test test-386 race race-sync soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
 
-ci: build vet lint test race race-sync docs-check api-check loc-check soak
+ci: build vet lint test test-386 race race-sync docs-check api-check loc-check soak
 
-check: build vet lint race race-sync alloc-guard docs-check api-check loc-check
+check: build vet lint test-386 race race-sync alloc-guard docs-check api-check loc-check
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The codec tests with a 32-bit int: every package whose state is in a
+# checkpoint, then the byte-identity and warm-restart pins, so the format
+# and its width checks hold on both word sizes (vet only type-checks 386).
+test-386:
+	GOARCH=386 $(GO) test ./internal/checkpoint ./internal/corpus ./internal/coverage ./internal/crash ./internal/core
+	GOARCH=386 $(GO) test -run 'TestCheckpoint(BytesStable|RoundTripGolden|WarmRestartContinuesExactly)' .
 
 # Every package under the race detector (about a minute).
 race:

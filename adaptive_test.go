@@ -2,7 +2,12 @@ package repro
 
 import (
 	"fmt"
+	"os"
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -121,4 +126,127 @@ func TestAdaptiveReproducibleRealTarget(t *testing.T) {
 	if len(sa.MutatorStats) == 0 {
 		t.Fatal("adaptive run reported no mutator stats")
 	}
+}
+
+// TestAdaptivePanel is the measurement behind keeping the adaptive
+// scheduler (skipped unless PEACHSTAR_PANEL=1; about 2 min on 2 vCPUs):
+// serial Peach* engines, seeds 1–20, adaptive off and on, 1 M execs each,
+// edges sampled every 1 000 execs, on the six targets plus IEC104 in
+// session mode. Per target and side it logs the median [IQR] of edges at
+// 300 k and 1 M execs, of the k-execs each run takes to reach the goal —
+// the lowest final edge count among the target's 40 runs — and of unique
+// crashes. The stated rule: an effect beyond the IQR on any target keeps
+// the scheduler.
+//
+//	PEACHSTAR_PANEL=1 go test -run TestAdaptivePanel -v -timeout 30m .
+func TestAdaptivePanel(t *testing.T) {
+	if os.Getenv("PEACHSTAR_PANEL") != "1" {
+		t.Skip("set PEACHSTAR_PANEL=1 to run the adaptive on/off panel")
+	}
+	const seeds, samples, every = 20, 1000, 1000
+	type run struct {
+		edges   []int // edges after every `every` execs
+		crashes int
+	}
+	type job struct {
+		row, side, seed int
+	}
+	rows := []struct {
+		name, target string
+		sessions     bool
+	}{
+		{"opendnp3", "opendnp3", false},
+		{"libiec61850", "libiec61850", false},
+		{"IEC104 sessions", "IEC104", true},
+		{"IEC104", "IEC104", false},
+		{"libiccp", "libiccp", false},
+		{"libmodbus", "libmodbus", false},
+		{"lib60870", "lib60870", false},
+	}
+	runs := make([][2][seeds]run, len(rows))
+	jobs := make(chan job)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				tgt, err := targets.New(rows[j.row].target)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				cfg := core.Config{
+					Models:   tgt.Models(),
+					Target:   tgt,
+					Strategy: core.StrategyPeachStar,
+					Seed:     uint64(j.seed + 1),
+					Adaptive: j.side == 1,
+				}
+				if rows[j.row].sessions {
+					cfg.Session = tgt.(targets.SessionTarget).StateModel()
+				}
+				eng, err := core.New(cfg)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				r := &runs[j.row][j.side][j.seed]
+				for k := 1; k <= samples; k++ {
+					eng.Run(k * every)
+					r.edges = append(r.edges, eng.Stats().Edges)
+				}
+				r.crashes = eng.Stats().UniqueCrashes
+			}
+		}()
+	}
+	for row := range rows {
+		for side := 0; side < 2; side++ {
+			for seed := 0; seed < seeds; seed++ {
+				jobs <- job{row, side, seed}
+			}
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// cell is "median [q1–q3]" of xs: the quartiles are the order
+	// statistics at n/4 and 3n/4.
+	cell := func(xs []float64) string {
+		sort.Float64s(xs)
+		n := len(xs)
+		return fmt.Sprintf("%v [%v–%v]", (xs[(n-1)/2]+xs[n/2])/2, xs[n/4], xs[3*n/4])
+	}
+	var b strings.Builder
+	b.WriteString("\n| Target | edges @ 300 k | edges @ 1 M | k-execs to goal | unique crashes |\n|---|---|---|---|---|\n")
+	for row, rr := range runs {
+		goal := -1
+		for side := range rr {
+			for _, r := range rr[side] {
+				if last := r.edges[samples-1]; goal < 0 || last < goal {
+					goal = last
+				}
+			}
+		}
+		var cols [4][2]string
+		for side := range rr {
+			var at300, at1M, toGoal, crashes []float64
+			for _, r := range rr[side] {
+				at300 = append(at300, float64(r.edges[300*1000/every-1]))
+				at1M = append(at1M, float64(r.edges[samples-1]))
+				k := sort.SearchInts(r.edges, goal) + 1 // edges never fall
+				toGoal = append(toGoal, float64(k*every/1000))
+				crashes = append(crashes, float64(r.crashes))
+			}
+			for c, xs := range [][]float64{at300, at1M, toGoal, crashes} {
+				cols[c][side] = cell(xs)
+			}
+		}
+		fmt.Fprintf(&b, "| %s | %s → %s | %s → %s | %s → %s | %s → %s |\n", rows[row].name,
+			cols[0][0], cols[0][1], cols[1][0], cols[1][1], cols[2][0], cols[2][1], cols[3][0], cols[3][1])
+	}
+	t.Log(b.String())
 }

@@ -524,12 +524,20 @@ func TestCheckpointWriteFailureNotFatal(t *testing.T) {
 	}
 }
 
-// fuzzFleet is the shared restore target of FuzzCheckpointDecode: one
-// small fleet per fuzz process, restored over and over from hostile
-// bytes. Reuse across inputs is deliberate — a failed restore leaves
-// partial state, and the next input must still decode without panicking.
-var fuzzFleet struct {
+// fuzzFleets are the shared restore targets of FuzzCheckpointDecode, one
+// small fleet per seed image: a libmodbus single-packet fleet, and an
+// IEC104 fleet with sessions and the adaptive scheduler, whose image seeds
+// the session section (state counts, retained sequences through
+// session.Decode, the sequence-operator tables). Each is restored over and
+// over from hostile bytes. Reuse across inputs is deliberate — a failed
+// restore leaves partial state, and the next input must still decode
+// without panicking.
+var fuzzFleets struct {
 	once   sync.Once
+	fleets []fuzzFleet
+}
+
+type fuzzFleet struct {
 	fleet  *core.Fleet
 	digest uint64
 	seed   []byte
@@ -541,51 +549,67 @@ var fuzzFleet struct {
 // inputs. Errors are the expected outcome; panics and hangs are the bugs.
 func FuzzCheckpointDecode(f *testing.F) {
 	setup := func(tb testing.TB) {
-		fuzzFleet.once.Do(func() {
-			tgt, err := targets.New("libmodbus")
-			if err != nil {
-				tb.Fatal(err)
+		fuzzFleets.once.Do(func() {
+			for _, tc := range []struct {
+				target   string
+				sessions bool
+			}{{"libmodbus", false}, {"IEC104", true}} {
+				tgt, err := targets.New(tc.target)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				cfg := core.Config{
+					Models:   tgt.Models(),
+					Target:   tgt,
+					Strategy: core.StrategyPeachStar,
+					Seed:     1,
+					Adaptive: true,
+				}
+				if tc.sessions {
+					cfg.Session = tgt.(targets.SessionTarget).StateModel()
+				}
+				fleet, err := core.NewFleet(cfg, core.ParallelConfig{Workers: 1})
+				if err != nil {
+					tb.Fatal(err)
+				}
+				fleet.Drive(nil, core.Budget{Execs: 3000}, nil)
+				digest := fleetnet.ModelDigest(tc.target, tgt.Models())
+				seed := fleet.Checkpoint(digest)
+				if err := fleet.RestoreCheckpoint(seed, digest); err != nil {
+					tb.Fatalf("%s: the seed image does not restore: %v", tc.target, err)
+				}
+				fuzzFleets.fleets = append(fuzzFleets.fleets, fuzzFleet{fleet, digest, seed})
 			}
-			fleet, err := core.NewFleet(core.Config{
-				Models:   tgt.Models(),
-				Target:   tgt,
-				Strategy: core.StrategyPeachStar,
-				Seed:     1,
-				Adaptive: true,
-			}, core.ParallelConfig{Workers: 1})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			fleet.Drive(nil, core.Budget{Execs: 3000}, nil)
-			fuzzFleet.fleet = fleet
-			fuzzFleet.digest = fleetnet.ModelDigest("libmodbus", tgt.Models())
-			fuzzFleet.seed = fleet.Checkpoint(fuzzFleet.digest)
 		})
 	}
 	setup(f)
 
-	good := fuzzFleet.seed
-	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("PSCK"))
-	f.Add(good[:len(good)/2])
-	f.Add(good[:len(good)-1])
-	// Non-minimal varint: 0x80 0x00 spliced after the header.
-	nonMin := append([]byte(nil), good[:13]...)
-	nonMin = append(nonMin, 0x80, 0x00)
-	nonMin = append(nonMin, good[13:]...)
-	f.Add(nonMin)
-	for _, i := range []int{0, 4, 5, 13, len(good) / 2, len(good) - 2} {
-		mut := append([]byte(nil), good...)
-		mut[i] ^= 0x81
-		f.Add(mut)
+	for _, ff := range fuzzFleets.fleets {
+		good := ff.seed
+		f.Add(good)
+		f.Add(good[:len(good)/2])
+		f.Add(good[:len(good)-1])
+		// Non-minimal varint: 0x80 0x00 spliced after the header.
+		nonMin := append([]byte(nil), good[:13]...)
+		nonMin = append(nonMin, 0x80, 0x00)
+		nonMin = append(nonMin, good[13:]...)
+		f.Add(nonMin)
+		for _, i := range []int{0, 4, 5, 13, len(good) / 2, len(good) - 2} {
+			mut := append([]byte(nil), good...)
+			mut[i] ^= 0x81
+			f.Add(mut)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		setup(t)
-		// Outcome is unspecified (garbage usually errors, the seed input
-		// succeeds); what the fuzz pins is no panic, no unbounded
-		// allocation, no hang.
-		_ = fuzzFleet.fleet.RestoreCheckpoint(data, fuzzFleet.digest)
+		// Outcome is unspecified (garbage usually errors, a seed image
+		// restores into its own fleet); what the fuzz pins is no panic, no
+		// unbounded allocation, no hang.
+		for _, ff := range fuzzFleets.fleets {
+			_ = ff.fleet.RestoreCheckpoint(data, ff.digest)
+		}
 	})
 }

@@ -168,10 +168,11 @@ func (r *Reader) U16() uint16 { return uint16(r.bits(16)) }
 // U32 reads one uvarint pinned to 32 bits.
 func (r *Reader) U32() uint32 { return uint32(r.bits(32)) }
 
-// Int reads one non-negative integer.
+// Int reads one non-negative integer, rejecting a value wider than the
+// platform's int.
 func (r *Reader) Int() int {
 	v := r.Uvarint()
-	if r.err == nil && v > uint64(math.MaxInt64) {
+	if r.err == nil && v > math.MaxInt {
 		r.fail("integer %d overflows int", v)
 		return 0
 	}

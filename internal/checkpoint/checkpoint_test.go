@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -71,6 +74,7 @@ func TestReaderRejects(t *testing.T) {
 		{"empty varint", nil, func(r *Reader) { r.Uvarint() }, "bad varint"},
 		{"varint overflows 64 bits", bytes.Repeat([]byte{0xFF}, 11), func(r *Reader) { r.Uvarint() }, "bad varint"},
 		{"int overflow", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, func(r *Reader) { r.Int() }, "overflows int"},
+		{"int wider than the platform's", binary.AppendUvarint(nil, math.MaxInt+1), func(r *Reader) { r.Int() }, "overflows int"},
 		{"u8 overflow", []byte{0x80, 0x02}, func(r *Reader) { r.U8() }, "value 256 overflows 8 bits"},
 		{"u16 overflow", []byte{0xF0, 0xA2, 0x04}, func(r *Reader) { r.U16() }, "value 70000 overflows 16 bits"},
 		{"u32 overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x10}, func(r *Reader) { r.U32() }, "overflows 32 bits"},
@@ -309,6 +313,113 @@ func (s *fieldState) fields() []Field {
 	}
 }
 
+// layerState is a layer-shaped struct covering the table and record
+// constructors: two parallel slices, an optional row, a cursor into a
+// queue, and a list of records.
+type layerState struct {
+	sent  []uint64
+	seen  []bool
+	row   []uint32
+	queue [][]byte
+	cur   int
+	items []item
+}
+
+type item struct {
+	name string
+	hits uint64
+}
+
+func (s *layerState) fields() []Field {
+	return []Field{
+		Dim(len(s.sent), "rows"),
+		Rows(len(s.sent), func(i int) []Field { return []Field{Uint(&s.sent[i]), Bool(&s.seen[i])} }),
+		Optional(func() bool { return s.row != nil }, func(on bool) error {
+			s.row = nil
+			if on {
+				s.row = make([]uint32, 2)
+			}
+			return nil
+		}, func() []Field { return []Field{Uints(s.row)} }),
+		Value(&s.queue, ListCodec(BlobCodec)),
+		Bounded(&s.cur, func() int { return len(s.queue) }, "cursor"),
+		Value(&s.items, ListCodec(Record(func(it *item) []Field {
+			return []Field{Value(&it.name, StringCodec), Uint(&it.hits)}
+		}))),
+	}
+}
+
+// TestLayerFieldsRoundTrip: Rows interleaves parallel slices element by
+// element, Optional writes its presence byte before the part, and Record
+// walks one element's fields — all matching the hand-written layout, and
+// restoring to the identical bytes.
+func TestLayerFieldsRoundTrip(t *testing.T) {
+	orig := &layerState{
+		sent: []uint64{1 << 40, 7}, seen: []bool{true, false}, row: []uint32{1 << 31, 2},
+		queue: [][]byte{{1}, {2, 3}}, cur: 2, items: []item{{"a", 1 << 63}, {"b", 0}},
+	}
+	var w Writer
+	SnapshotFields(&w, orig.fields())
+
+	var want Writer
+	want.Int(2)
+	want.Uvarint(1 << 40)
+	want.Bool(true)
+	want.Uvarint(7)
+	want.Bool(false)
+	want.Bool(true)
+	want.Uvarint(1 << 31)
+	want.Uvarint(2)
+	want.Int(2)
+	want.Blob([]byte{1})
+	want.Blob([]byte{2, 3})
+	want.Int(2)
+	want.Int(2)
+	want.String("a")
+	want.Uvarint(1 << 63)
+	want.String("b")
+	want.Uvarint(0)
+	if !bytes.Equal(w.Data(), want.Data()) {
+		t.Fatalf("field list wrote\n %x\nwant the hand-written layout\n %x", w.Data(), want.Data())
+	}
+
+	got := &layerState{sent: make([]uint64, 2), seen: make([]bool, 2), row: []uint32{9}}
+	if err := RestoreFields(NewReader(w.Data()), got.fields()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, orig) {
+		t.Fatalf("restored %+v, want %+v", got, orig)
+	}
+	orig.row = nil
+	w = Writer{}
+	SnapshotFields(&w, orig.fields())
+	if err := RestoreFields(NewReader(w.Data()), got.fields()); err != nil || got.row != nil {
+		t.Fatalf("an absent optional part restored to %v (err %v), want nil", got.row, err)
+	}
+}
+
+// TestScalarFieldsAllocFree: declaring a scalar field allocates nothing, so
+// a layer that rebuilds its field list at every checkpoint pays only for
+// the list itself.
+func TestScalarFieldsAllocFree(t *testing.T) {
+	var (
+		b    bool
+		n    int
+		u    uint64
+		word uint32
+		sink Field
+	)
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink = Bool(&b)
+		sink = Int(&n)
+		sink = U64(&u)
+		sink = Uint(&word)
+	}); allocs != 0 {
+		t.Fatalf("declaring four scalar fields allocated %v times, want 0", allocs)
+	}
+	_ = sink
+}
+
 // TestFieldsRoundTrip: a field list restores exactly what it wrote —
 // signed words through their bit patterns, maps through sorted keys — and
 // re-snapshots to the identical bytes, which match the hand-written
@@ -393,6 +504,10 @@ func TestFieldsReject(t *testing.T) {
 		{"map key repeats", enc(func(w *Writer) { w.Int(2); w.String("a"); w.Blob(nil); w.String("a"); w.Blob(nil) }), Map(&table, StringCodec, BlobCodec), "does not ascend"},
 		{"map keys out of order", enc(func(w *Writer) { w.Int(2); w.String("b"); w.Blob(nil); w.String("a"); w.Blob(nil) }), Map(&table, StringCodec, BlobCodec), "does not ascend"},
 		{"map count beyond input", enc(func(w *Writer) { w.Int(9) }), Map(&table, StringCodec, BlobCodec), "count 9 exceeds"},
+		{"dimension other than the live one", enc(func(w *Writer) { w.Int(3) }), Dim(4, "rows"), "3 rows stored, 4 live"},
+		{"bounded int above its bound", enc(func(w *Writer) { w.Int(5) }), Bounded(new(int), func() int { return 4 }, "cursor"), "cursor 5 exceeds 4"},
+		{"optional part refused", enc(func(w *Writer) { w.Bool(true) }), Optional(nil, func(bool) error { return errors.New("no part") }, nil), "no part"},
+		{"record field over-wide", enc(func(w *Writer) { w.Int(1); w.Uvarint(1 << 8) }), Value(new([]uint8), ListCodec(Record(func(p *uint8) []Field { return []Field{Uint(p)} }))), "overflows 8 bits"},
 	} {
 		err := RestoreFields(NewReader(tc.data), []Field{tc.field})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

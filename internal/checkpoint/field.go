@@ -63,24 +63,20 @@ type Codec[T any] struct {
 var (
 	BoolCodec   = Codec[bool]{(*Writer).Bool, (*Reader).Bool}
 	IntCodec    = Codec[int]{(*Writer).Int, (*Reader).Int}
-	U64Codec    = Codec[uint64]{(*Writer).U64, (*Reader).U64}
 	BlobCodec   = Codec[[]byte]{(*Writer).Blob, (*Reader).Blob}
 	StringCodec = Codec[string]{(*Writer).String, (*Reader).String}
 )
 
-// Word is an integer of at most 32 bits. Signed words are stored as their
-// unsigned bit pattern.
+// Word is a fixed-width integer stored as a uvarint. Signed words are
+// stored as their unsigned bit pattern.
 type Word interface {
-	~uint8 | ~uint16 | ~uint32 | ~int16 | ~int32
+	~uint8 | ~uint16 | ~uint32 | ~uint64 | ~int16 | ~int32
 }
 
 // WordCodec is the uvarint codec of T: the read side pins the value to T's
 // width, so a stored value that does not fit is rejected, not truncated.
 func WordCodec[T Word]() Codec[T] {
-	var n uint
-	for x := T(1); x != 0; x <<= 1 { // the set bit falls off after T's width
-		n++
-	}
+	n := width[T]()
 	mask := uint64(1)<<n - 1
 	return Codec[T]{
 		func(w *Writer, v T) { w.Uvarint(uint64(v) & mask) },
@@ -103,6 +99,30 @@ func ListCodec[T any](c Codec[T]) Codec[[]T] {
 				l = append(l, c.Get(r))
 			}
 			return l
+		},
+	}
+}
+
+// Record is the codec of a struct declared as the ordered fields of one
+// value: both directions walk the same list, so an element's write and
+// read cannot disagree. A field's restore error fails the reader. The
+// list is built once, over one scratch element that every Put and Get
+// goes through, so a record costs no allocation of its own — and the
+// codec must not be shared between goroutines: build it where it is
+// walked.
+func Record[T any](fields func(*T) []Field) Codec[T] {
+	var cur T
+	fs := fields(&cur)
+	return Codec[T]{
+		func(w *Writer, v T) {
+			cur = v
+			SnapshotFields(w, fs)
+		},
+		func(r *Reader) T {
+			var zero T
+			cur = zero
+			r.Fail(RestoreFields(r, fs))
+			return cur
 		},
 	}
 }
@@ -160,23 +180,49 @@ func Map[K cmp.Ordered, V any](p *map[K]V, kc Codec[K], vc Codec[V]) Field {
 	})
 }
 
+// width is T's width in bits.
+func width[T Word]() (n uint) {
+	for x := T(1); x != 0; x <<= 4 { // the set bit falls off after T's width
+		n += 4
+	}
+	return n
+}
+
+// The scalar fields are one pointer wide, so declaring one allocates
+// nothing: a field list rebuilt at every walk costs only its slice.
+type (
+	boolField         struct{ p *bool }
+	intField          struct{ p *int }
+	u64Field          struct{ p *uint64 }
+	wordField[T Word] struct{ p *T }
+)
+
+func (f boolField) Snapshot(w *Writer)         { w.Bool(*f.p) }
+func (f boolField) Restore(r *Reader) error    { *f.p = r.Bool(); return r.Err() }
+func (f intField) Snapshot(w *Writer)          { w.Int(*f.p) }
+func (f intField) Restore(r *Reader) error     { *f.p = r.Int(); return r.Err() }
+func (f u64Field) Snapshot(w *Writer)          { w.U64(*f.p) }
+func (f u64Field) Restore(r *Reader) error     { *f.p = r.U64(); return r.Err() }
+func (f wordField[T]) Snapshot(w *Writer)      { w.Uvarint(uint64(*f.p) & (uint64(1)<<width[T]() - 1)) }
+func (f wordField[T]) Restore(r *Reader) error { *f.p = T(r.bits(width[T]())); return r.Err() }
+
 // Bool is one canonical boolean byte.
-func Bool(p *bool) Field { return Value(p, BoolCodec) }
+func Bool(p *bool) Field { return boolField{p} }
 
 // Bools is a fixed-length run of boolean bytes.
 func Bools(p []bool) Field { return Slice(p, BoolCodec) }
 
 // Int is one non-negative int.
-func Int(p *int) Field { return Value(p, IntCodec) }
+func Int(p *int) Field { return intField{p} }
 
 // U64 is one fixed-width 64-bit value.
-func U64(p *uint64) Field { return Value(p, U64Codec) }
+func U64(p *uint64) Field { return u64Field{p} }
 
 // Blob is one length-prefixed byte string of any length.
 func Blob(p *[]byte) Field { return Value(p, BlobCodec) }
 
 // Uint is one width-pinned uvarint.
-func Uint[T Word](p *T) Field { return Value(p, WordCodec[T]()) }
+func Uint[T Word](p *T) Field { return wordField[T]{p} }
 
 // Uints is a fixed-length run of width-pinned uvarints.
 func Uints[T Word](p []T) Field { return Slice(p, WordCodec[T]()) }
@@ -190,6 +236,70 @@ func FixedBlob(p []byte) Field {
 			return fmt.Errorf("checkpoint: blob of %d bytes, bank holds %d", len(b), len(p))
 		}
 		copy(p, b)
+		return r.Err()
+	})
+}
+
+// Dim is one dimension of the owner's live structure (a table's row count,
+// a state machine's size): it writes n, and restore rejects any other
+// stored value, naming what in the error.
+func Dim(n int, what string) Field {
+	return Func(func(w *Writer) { w.Int(n) }, func(r *Reader) error {
+		if got := r.Int(); r.Err() == nil && got != n {
+			return fmt.Errorf("checkpoint: %d %s stored, %d live", got, what, n)
+		}
+		return r.Err()
+	})
+}
+
+// Rows is n records stored one after another, record i being the fields
+// row(i) declares — parallel slices interleaved element by element. No
+// count prefix: n is the owner's (a Dim before it stores it).
+func Rows(n int, row func(i int) []Field) Field {
+	return Func(func(w *Writer) {
+		for i := 0; i < n; i++ {
+			SnapshotFields(w, row(i))
+		}
+	}, func(r *Reader) error {
+		for i := 0; i < n; i++ {
+			if err := RestoreFields(r, row(i)); err != nil {
+				return err
+			}
+		}
+		return r.Err()
+	})
+}
+
+// Optional is a presence byte followed, when it is set, by the fields of
+// one optional part. On snapshot, on reports whether the part exists. On
+// restore, open is told what the byte said before anything else is read,
+// so it can build the part, clear it, or refuse it.
+func Optional(on func() bool, open func(present bool) error, fields func() []Field) Field {
+	return Func(func(w *Writer) {
+		present := on()
+		w.Bool(present)
+		if present {
+			SnapshotFields(w, fields())
+		}
+	}, func(r *Reader) error {
+		present := r.Bool()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if err := open(present); err != nil || !present {
+			return err
+		}
+		return RestoreFields(r, fields())
+	})
+}
+
+// Bounded is one int that restore rejects above max(), evaluated once the
+// fields before it are restored (a cursor into a restored queue).
+func Bounded(p *int, max func() int, what string) Field {
+	return Func(func(w *Writer) { w.Int(*p) }, func(r *Reader) error {
+		if *p = r.Int(); r.Err() == nil && *p > max() {
+			return fmt.Errorf("checkpoint: %s %d exceeds %d", what, *p, max())
+		}
 		return r.Err()
 	})
 }

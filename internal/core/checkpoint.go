@@ -5,17 +5,19 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
+	"repro/internal/corpus"
+	"repro/internal/datamodel"
 	"repro/internal/executor"
 	"repro/internal/session"
 )
 
-// This file composes the per-layer Snapshot/Restore seams into one durable
-// fleet checkpoint: the shared campaign state (union virgin map, shared
-// corpus with journal and peer cursors, relay crash bank), the fleet's
-// merge-protocol cursors, and every worker engine's full state — RNG
-// stream position, campaign counters, coverage, corpus, crash bank,
-// mutation queue, retained valuable seeds, adaptive-scheduler tables, and
-// session-fuzzing state.
+// This file declares the durable fleet checkpoint: the shared campaign
+// state, the fleet's merge cursors, and every worker engine's full state.
+// Each layer declares its state once, as an ordered []checkpoint.Field
+// (Fleet.sections, Engine.fields, scheduler.fields, sessionCore.fields),
+// and Checkpoint and RestoreCheckpoint both walk that declaration, so the
+// two directions cannot disagree. Next to each list a comment names what it
+// leaves out and why.
 //
 // Checkpoints are taken at merge-window boundaries only: Checkpoint and
 // RestoreCheckpoint have the same concurrency contract as Stats — the
@@ -23,13 +25,6 @@ import (
 // snapshot a consistent cut with no worker stream perturbed: between Drive
 // calls every pending batch is empty, every scheduler round is closed, and
 // the workers' RNG states are exactly "about to generate the next round".
-//
-// What is deliberately NOT restored from a worker section: the arena and
-// its per-round scratch (dead between steps by construction), the sticky
-// backend error (the restored campaign runs a fresh backend), and the
-// per-batch dedup filter. Retained valuable instances ARE restored — their
-// rendered bytes are re-cracked against the (digest-pinned) models — so a
-// warm restart keeps its mutation bases instead of re-learning them.
 
 // edgeList is a counted list of 16-bit coverage-map indices.
 var edgeList = checkpoint.ListCodec(checkpoint.WordCodec[uint16]())
@@ -45,41 +40,98 @@ const (
 	secWorker       = 5
 )
 
+// section is one framed region of the fleet checkpoint: its ID, the fields
+// its body declares, and what restore does once they are read.
+type section struct {
+	id       uint64
+	fields   []checkpoint.Field
+	restored func()
+}
+
+// sections declares the fleet checkpoint in envelope order. The meta
+// section is the worker count and each worker's merge cursors; a
+// workerPeer's engine and journal registrations are left out (NewFleet
+// makes them in worker order, so restored cursors land on the same slots),
+// and so are its published counters (PublishStats re-derives them).
+//
+// Restore drops the shared corpus's cursor slots beyond the fleet's own
+// workers: they belonged to network peers of the previous incarnation, and
+// dead cursors must not pin journal compaction. A peer that reconnects
+// re-registers, and its out-of-range resume mark lands in the full-replay
+// sync fallback — which is how a hub or mesh fleet heals around a restored
+// node. A worker's journal has one consumer, the fleet; its further slots
+// are stale too.
+func (f *Fleet) sections() []section {
+	st := f.state
+	secs := []section{
+		{id: secFleetMeta, fields: []checkpoint.Field{
+			checkpoint.Dim(len(f.workers), "workers"),
+			checkpoint.Rows(len(f.peers), func(i int) []checkpoint.Field {
+				p := f.peers[i]
+				return []checkpoint.Field{checkpoint.Int(&p.pushed), checkpoint.Int(&p.pulled), checkpoint.Int(&p.crashesSeen)}
+			}),
+		}},
+		{id: secSharedVirgin, fields: []checkpoint.Field{st.virgin}},
+		{id: secSharedCorpus, fields: []checkpoint.Field{st.corp}, restored: func() { dropPeersFrom(st.corp, len(f.workers)) }},
+		{id: secSharedCrash, fields: []checkpoint.Field{st.crashes}},
+	}
+	for _, w := range f.workers {
+		w := w
+		secs = append(secs, section{id: secWorker, fields: w.fields(), restored: func() {
+			dropPeersFrom(w.corp, 1)
+			w.resetTransient()
+			if w.sched.on {
+				f.adaptive.Store(true)
+			}
+		}})
+	}
+	return secs
+}
+
+// dropPeersFrom drops every peer cursor slot of c from id on.
+func dropPeersFrom(c *corpus.Corpus, id int) {
+	for ; id < c.Peers(); id++ {
+		c.DropPeer(id)
+	}
+}
+
+// walk calls fn on every section index in order, stopping at the first
+// error. The shared sections are walked under one hold of the SyncState
+// lock: a consistent cut of what network peers touch between windows.
+func (f *Fleet) walk(n int, fn func(i int) error) error {
+	run := func(from, to int) (err error) {
+		for i := from; i < to && err == nil; i++ {
+			err = fn(i)
+		}
+		return err
+	}
+	err := run(0, secSharedVirgin-1)
+	if err == nil {
+		f.state.mu.Lock()
+		err = run(secSharedVirgin-1, secWorker-1)
+		f.state.mu.Unlock()
+	}
+	if err == nil {
+		err = run(secWorker-1, n)
+	}
+	return err
+}
+
 // Checkpoint serializes the fleet's full campaign state into a canonical
 // checkpoint envelope stamped with the campaign's model digest. Must not
 // be called while a Drive is in flight; at quiescence the encoding is a
 // pure function of campaign state, so checkpoint → restore → checkpoint
 // reproduces the identical byte string.
 func (f *Fleet) Checkpoint(digest uint64) []byte {
-	var meta checkpoint.Writer
-	meta.Int(len(f.workers))
-	for _, p := range f.peers {
-		meta.Int(p.pushed)
-		meta.Int(p.pulled)
-		meta.Int(p.crashesSeen)
-	}
-	sections := make([]checkpoint.Section, 0, 4+len(f.workers))
-	sections = append(sections, checkpoint.Section{ID: secFleetMeta, Body: meta.Data()})
-
-	var wv, wc, wb checkpoint.Writer
-	st := f.state
-	st.mu.Lock()
-	st.virgin.Snapshot(&wv)
-	st.corp.Snapshot(&wc)
-	st.crashes.Snapshot(&wb)
-	st.mu.Unlock()
-	sections = append(sections,
-		checkpoint.Section{ID: secSharedVirgin, Body: wv.Data()},
-		checkpoint.Section{ID: secSharedCorpus, Body: wc.Data()},
-		checkpoint.Section{ID: secSharedCrash, Body: wb.Data()},
-	)
-
-	for _, w := range f.workers {
-		var ww checkpoint.Writer
-		w.snapshot(&ww)
-		sections = append(sections, checkpoint.Section{ID: secWorker, Body: ww.Data()})
-	}
-	return checkpoint.Seal(digest, sections)
+	secs := f.sections()
+	out := make([]checkpoint.Section, len(secs))
+	_ = f.walk(len(secs), func(i int) error {
+		var w checkpoint.Writer
+		checkpoint.SnapshotFields(&w, secs[i].fields)
+		out[i] = checkpoint.Section{ID: secs[i].id, Body: w.Data()}
+		return nil
+	})
+	return checkpoint.Seal(digest, out)
 }
 
 // RestoreCheckpoint overwrites the fleet's campaign state with a
@@ -88,103 +140,39 @@ func (f *Fleet) Checkpoint(digest uint64) []byte {
 // different data models is refused), and the worker count must match the
 // fleet's. Must not be called while a Drive is in flight; on error the
 // fleet may be partially overwritten and must be discarded.
-//
-// Peer-cursor healing: cursor slots of the shared corpus beyond the
-// fleet's own workers belonged to network peers of the previous
-// incarnation. They are dropped so dead cursors never pin journal
-// compaction; when those peers reconnect they re-register, and their
-// out-of-range resume marks land in the existing full-replay sync
-// fallback — which is how a whole hub or mesh fleet heals around a
-// restored node.
 func (f *Fleet) RestoreCheckpoint(data []byte, digest uint64) error {
-	d, sections, err := checkpoint.Open(data)
+	d, got, err := checkpoint.Open(data)
 	if err != nil {
 		return err
 	}
 	if d != digest {
 		return fmt.Errorf("core: checkpoint model digest %#x does not match campaign %#x", d, digest)
 	}
-	want := 4 + len(f.workers)
-	if len(sections) != want {
-		return fmt.Errorf("core: checkpoint has %d sections, fleet of %d workers needs %d", len(sections), len(f.workers), want)
+	secs := f.sections()
+	if len(got) != len(secs) {
+		return fmt.Errorf("core: checkpoint has %d sections, fleet of %d workers needs %d", len(got), len(f.workers), len(secs))
 	}
-	for i, id := range []uint64{secFleetMeta, secSharedVirgin, secSharedCorpus, secSharedCrash} {
-		if sections[i].ID != id {
-			return fmt.Errorf("core: checkpoint section %d has id %d, want %d", i, sections[i].ID, id)
+	for i, s := range secs {
+		if got[i].ID != s.id {
+			return fmt.Errorf("core: checkpoint section %d has id %d, want %d", i, got[i].ID, s.id)
 		}
 	}
-	for i := 4; i < len(sections); i++ {
-		if sections[i].ID != secWorker {
-			return fmt.Errorf("core: checkpoint section %d has id %d, want worker section %d", i, sections[i].ID, secWorker)
+	err = f.walk(len(secs), func(i int) error {
+		r := checkpoint.NewReader(got[i].Body)
+		err := checkpoint.RestoreFields(r, secs[i].fields)
+		if err == nil {
+			err = r.Finish()
 		}
-	}
-
-	meta := checkpoint.NewReader(sections[0].Body)
-	if n := meta.Int(); meta.Err() == nil && n != len(f.workers) {
-		return fmt.Errorf("core: checkpoint holds %d workers, fleet has %d", n, len(f.workers))
-	}
-	type peerMeta struct{ pushed, pulled, crashesSeen int }
-	pm := make([]peerMeta, len(f.peers))
-	for i := range pm {
-		pm[i] = peerMeta{pushed: meta.Int(), pulled: meta.Int(), crashesSeen: meta.Int()}
-	}
-	if err := meta.Finish(); err != nil {
+		if err != nil && secs[i].id == secWorker {
+			return fmt.Errorf("core: worker %d: %w", i-(secWorker-1), err)
+		}
+		if err == nil && secs[i].restored != nil {
+			secs[i].restored()
+		}
 		return err
-	}
-
-	st := f.state
-	st.mu.Lock()
-	err = func() error {
-		r := checkpoint.NewReader(sections[1].Body)
-		if err := st.virgin.Restore(r); err != nil {
-			return err
-		}
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		r = checkpoint.NewReader(sections[2].Body)
-		if err := st.corp.Restore(r); err != nil {
-			return err
-		}
-		if err := r.Finish(); err != nil {
-			return err
-		}
-		// Drop cursor slots of the previous incarnation's network peers;
-		// the fleet's own workers keep slots 0..workers-1 (registration
-		// order in NewFleet is worker order, so restored cursors land on
-		// the same slots).
-		for id := len(f.workers); id < st.corp.Peers(); id++ {
-			st.corp.DropPeer(id)
-		}
-		r = checkpoint.NewReader(sections[3].Body)
-		if err := st.crashes.Restore(r); err != nil {
-			return err
-		}
-		return r.Finish()
-	}()
-	st.mu.Unlock()
+	})
 	if err != nil {
 		return err
-	}
-
-	for i, w := range f.workers {
-		r := checkpoint.NewReader(sections[4+i].Body)
-		if err := w.restore(r); err != nil {
-			return fmt.Errorf("core: worker %d: %w", i, err)
-		}
-		if err := r.Finish(); err != nil {
-			return fmt.Errorf("core: worker %d: %w", i, err)
-		}
-		// The fleet is the lone registered consumer of a worker's journal;
-		// any further restored slots are stale.
-		for id := 1; id < w.corp.Peers(); id++ {
-			w.corp.DropPeer(id)
-		}
-		p := f.peers[i]
-		p.pushed, p.pulled, p.crashesSeen = pm[i].pushed, pm[i].pulled, pm[i].crashesSeen
-		if w.sched.on {
-			f.adaptive.Store(true)
-		}
 	}
 	// Settle the published counters so StatsApprox and ExecsApprox are
 	// exact immediately after the restore.
@@ -192,186 +180,155 @@ func (f *Fleet) RestoreCheckpoint(data []byte, digest uint64) error {
 	return nil
 }
 
-// snapshot writes one worker engine's full state. The engine must be
-// quiescent: between Steps the pending batch is empty and every scratch
-// structure is dead, so only durable state is written.
-func (e *Engine) snapshot(w *checkpoint.Writer) {
-	st := e.r.State()
-	w.U64(st[0])
-	w.U64(st[1])
-	w.U64(st[2])
-	w.U64(st[3])
-	w.Int(e.stats.Iterations)
-	w.Int(e.stats.Execs)
-	w.Int(e.stats.Paths)
-	w.Int(e.stats.SemanticExecs)
-	w.Int(e.stats.SemanticPaths)
-	w.Int(e.stats.Sequences)
-	w.Int(e.execRestarts())
-	w.Int(e.semExecs)
-	w.Int(e.semPaths)
-	w.Int(e.baseExecs)
-	w.Int(e.basePaths)
-	e.virgin.Snapshot(w)
-	e.corp.Snapshot(w)
-	e.crashes.Snapshot(w)
-
-	w.Int(len(e.mut.queue))
-	for _, s := range e.mut.queue {
-		w.Blob(s)
-	}
-	w.Int(e.mut.dryRun)
-
-	// Retained valuable instances, in sorted model-name order: each entry
-	// is stored as its rendered bytes (re-cracked on restore) plus the
-	// trace metadata that drives base selection.
-	names := make([]string, 0, len(e.valuable))
-	for name, q := range e.valuable {
-		if len(q) > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	w.Int(len(names))
-	for _, name := range names {
-		q := e.valuable[name]
-		w.String(name)
-		w.Int(len(q))
-		for i := range q {
-			w.Blob(q[i].ins.Render(nil))
-			w.Int(q[i].depth)
-			edgeList.Put(w, q[i].edges)
-			w.U64(q[i].score)
-		}
-	}
-
-	w.Bool(e.sched.on)
-	if e.sched.on {
-		e.sched.snapshot(w)
-	}
-	w.Bool(e.sess != nil)
-	if e.sess != nil {
-		e.sess.snapshot(w)
-	}
-
-	// Target layer: long-lived target state (register banks, simulated
-	// heap wear) when the backend can capture it. Blob-framed so the
-	// worker section stays decodable around an opaque target dump.
-	var tw checkpoint.Writer
-	captured := false
-	if sc, ok := e.exec.(executor.StateCheckpointer); ok {
-		captured = sc.SnapshotState(&tw)
-	}
-	w.Bool(captured)
-	if captured {
-		w.Blob(tw.Data())
+// fields declares one worker engine's durable state in checkpoint order.
+// Left out:
+//   - pending, pendingSemantic: the in-flight batch, empty between steps;
+//   - dedup: the per-batch duplicate filter;
+//   - execErr: the sticky backend error (a restored campaign runs a fresh
+//     backend);
+//   - arena, work, cands, saved, donorScr, crk: per-round and per-crack
+//     scratch, dead between steps;
+//   - cfg, exec, muts: construction wiring.
+//
+// resetTransient resets the first three. restartsAccum is stored folded
+// into the campaign's restart total.
+func (e *Engine) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Func(func(w *checkpoint.Writer) {
+			for _, v := range e.r.State() {
+				w.U64(v)
+			}
+		}, func(r *checkpoint.Reader) error {
+			if st := [4]uint64{r.U64(), r.U64(), r.U64(), r.U64()}; r.Err() == nil {
+				return e.r.SetState(st)
+			}
+			return r.Err()
+		}),
+		checkpoint.Int(&e.stats.Iterations), checkpoint.Int(&e.stats.Execs), checkpoint.Int(&e.stats.Paths),
+		checkpoint.Int(&e.stats.SemanticExecs), checkpoint.Int(&e.stats.SemanticPaths), checkpoint.Int(&e.stats.Sequences),
+		checkpoint.Func(func(w *checkpoint.Writer) { w.Int(e.execRestarts()) }, func(r *checkpoint.Reader) error {
+			// Future execRestarts() must read the stored total plus whatever
+			// the live backend restarts from here on.
+			if n := r.Int(); r.Err() == nil {
+				e.restartsAccum = n - (e.execRestarts() - e.restartsAccum)
+			}
+			return r.Err()
+		}),
+		checkpoint.Int(&e.semExecs), checkpoint.Int(&e.semPaths), checkpoint.Int(&e.baseExecs), checkpoint.Int(&e.basePaths),
+		e.virgin, e.corp, e.crashes,
+		checkpoint.Value(&e.mut.queue, checkpoint.ListCodec(checkpoint.BlobCodec)),
+		checkpoint.Bounded(&e.mut.dryRun, func() int { return len(e.mut.queue) }, "mutation dry-run cursor"),
+		e.valuableField(),
+		// Scheduler state enables the scheduler if the engine was built
+		// without it: the checkpointed campaign's semantics win.
+		checkpoint.Optional(func() bool { return e.sched.on }, func(on bool) error {
+			if on {
+				e.enableAdaptive()
+			}
+			return nil
+		}, e.sched.fields),
+		// Session state needs a session-configured engine: the state
+		// machine itself is config, not checkpoint.
+		checkpoint.Optional(func() bool { return e.sess != nil }, func(on bool) error {
+			if on && e.sess == nil {
+				return fmt.Errorf("core: checkpoint carries session state but campaign has no state model")
+			}
+			return nil
+		}, func() []checkpoint.Field { return e.sess.fields() }),
+		e.targetField(),
 	}
 }
 
-// restore overwrites the engine's durable state with a snapshot-produced
-// dump and resets every transient: pending batch, dedup filter, sticky
-// backend error. A snapshot with scheduler state enables the scheduler if
-// the engine was built without it (the checkpointed campaign's semantics
-// win); a snapshot carrying session state requires a session-configured
-// engine, since the state machine itself is config, not checkpoint.
-func (e *Engine) restore(r *checkpoint.Reader) error {
-	var st [4]uint64
-	st[0], st[1], st[2], st[3] = r.U64(), r.U64(), r.U64(), r.U64()
-	if r.Err() != nil {
-		return r.Err()
+// resetTransient clears what the engine, scheduler and session
+// declarations leave out, after a restore.
+func (e *Engine) resetTransient() {
+	e.pending = e.pending[:0]
+	e.pendingSemantic = false
+	e.dedup = make(map[string]bool)
+	e.execErr = nil
+	if e.sched.on {
+		e.sched.curModel = -1
+		e.sched.roundMuts = e.sched.roundMuts[:0]
 	}
-	if err := e.r.SetState(st); err != nil {
-		return err
+	if s := e.sess; s != nil {
+		s.opRound = -1
+		s.prevEdges = 0
+		s.cur.Steps = s.cur.Steps[:0]
 	}
-	e.stats.Iterations = r.Int()
-	e.stats.Execs = r.Int()
-	e.stats.Paths = r.Int()
-	e.stats.SemanticExecs = r.Int()
-	e.stats.SemanticPaths = r.Int()
-	e.stats.Sequences = r.Int()
-	restarts := r.Int()
-	e.semExecs = r.Int()
-	e.semPaths = r.Int()
-	e.baseExecs = r.Int()
-	e.basePaths = r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	// Future execRestarts() must read the stored total plus whatever the
-	// live backend restarts from here on, so the accumulator absorbs the
-	// stored count net of the live backend's current figure.
-	e.restartsAccum = restarts - (e.execRestarts() - e.restartsAccum)
+}
 
-	if err := e.virgin.Restore(r); err != nil {
-		return err
-	}
-	if err := e.corp.Restore(r); err != nil {
-		return err
-	}
-	if err := e.crashes.Restore(r); err != nil {
-		return err
-	}
-
-	nq := r.Count()
-	e.mut.queue = nil
-	for i := 0; i < nq && r.Err() == nil; i++ {
-		e.mut.queue = append(e.mut.queue, r.Blob())
-	}
-	e.mut.dryRun = r.Int()
-	if r.Err() == nil && e.mut.dryRun > len(e.mut.queue) {
-		return fmt.Errorf("core: mutation dry-run cursor %d beyond queue of %d", e.mut.dryRun, len(e.mut.queue))
-	}
-
-	models := make(map[string]int, len(e.cfg.Models))
-	for i, m := range e.cfg.Models {
-		models[m.Name] = i
-	}
-	e.valuable = make(map[string][]valuableSeed)
-	nn := r.Count()
-	for i := 0; i < nn && r.Err() == nil; i++ {
-		name := r.String()
-		nv := r.Count()
-		mi, known := models[name]
-		if r.Err() == nil && nv > valuablePerModel+1 {
-			return fmt.Errorf("core: %d retained seeds for model %q exceeds bound", nv, name)
+// valuableField is the retained valuable instances in sorted model-name
+// order; a model with none writes no entry. A seed is its rendered bytes
+// plus the trace metadata that drives base selection. Restore re-cracks
+// the bytes against the digest-pinned model; a seed that no longer cracks,
+// or whose model is unknown, is dropped — a lost mutation base, not an
+// error.
+func (e *Engine) valuableField() checkpoint.Field {
+	var model *datamodel.Model // restore: the model of the list being read
+	seeds := checkpoint.ListCodec(checkpoint.Record(func(v *valuableSeed) []checkpoint.Field {
+		return []checkpoint.Field{
+			checkpoint.Func(func(w *checkpoint.Writer) { w.Blob(v.ins.Render(nil)) }, func(r *checkpoint.Reader) error {
+				if data := r.Blob(); r.Err() == nil && model != nil && e.crk.Crack(model, data) {
+					v.ins = e.crk.Flat().Clone()
+				}
+				return r.Err()
+			}),
+			checkpoint.Int(&v.depth), checkpoint.Value(&v.edges, edgeList), checkpoint.U64(&v.score),
 		}
-		for j := 0; j < nv && r.Err() == nil; j++ {
-			data := r.Blob()
-			depth := r.Int()
-			edges := edgeList.Get(r)
-			score := r.U64()
-			if r.Err() != nil || !known {
-				continue
+	}))
+	return checkpoint.Func(func(w *checkpoint.Writer) {
+		names := make([]string, 0, len(e.valuable))
+		for name, q := range e.valuable {
+			if len(q) > 0 {
+				names = append(names, name)
 			}
-			// Re-crack the rendered instance against its model. The digest
-			// pinned the models, so this normally succeeds; an entry that
-			// no longer cracks is dropped — a lost mutation base, not an
-			// error.
-			if !e.crk.Crack(e.cfg.Models[mi], data) {
-				continue
+		}
+		sort.Strings(names)
+		w.Int(len(names))
+		for _, name := range names {
+			w.String(name)
+			seeds.Put(w, e.valuable[name])
+		}
+	}, func(r *checkpoint.Reader) error {
+		e.valuable = make(map[string][]valuableSeed)
+		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+			name := r.String()
+			model = nil
+			for _, m := range e.cfg.Models {
+				if m.Name == name {
+					model = m
+				}
 			}
-			e.valuable[name] = append(e.valuable[name], valuableSeed{ins: e.crk.Flat().Clone(), depth: depth, edges: edges, score: score})
+			q := seeds.Get(r)
+			if r.Err() == nil && len(q) > valuablePerModel+1 {
+				return fmt.Errorf("core: %d retained seeds for model %q exceeds bound", len(q), name)
+			}
+			for _, v := range q {
+				if v.ins != nil {
+					e.valuable[name] = append(e.valuable[name], v)
+				}
+			}
 		}
-	}
+		return r.Err()
+	})
+}
 
-	if r.Bool() {
-		if !e.sched.on {
-			e.enableAdaptive()
+// targetField is the long-lived target state (register banks, simulated
+// heap wear) when the backend can capture it: a presence byte, then the
+// dump blob-framed so the worker section stays decodable around it.
+func (e *Engine) targetField() checkpoint.Field {
+	return checkpoint.Func(func(w *checkpoint.Writer) {
+		var tw checkpoint.Writer
+		sc, ok := e.exec.(executor.StateCheckpointer)
+		captured := ok && sc.SnapshotState(&tw)
+		if w.Bool(captured); captured {
+			w.Blob(tw.Data())
 		}
-		if err := e.sched.restore(r, len(e.cfg.Models), len(e.muts)); err != nil {
-			return err
+	}, func(r *checkpoint.Reader) error {
+		if !r.Bool() {
+			return r.Err()
 		}
-	}
-	if r.Bool() {
-		if e.sess == nil {
-			return fmt.Errorf("core: checkpoint carries session state but campaign has no state model")
-		}
-		if err := e.sess.restore(r); err != nil {
-			return err
-		}
-	}
-	if r.Bool() {
-		body := r.Blob()
+		tr := checkpoint.NewReader(r.Blob())
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -379,217 +336,102 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 		if !ok {
 			return fmt.Errorf("core: checkpoint carries target state but the backend cannot restore it")
 		}
-		tr := checkpoint.NewReader(body)
 		if err := sc.RestoreState(tr); err != nil {
 			return err
 		}
-		if err := tr.Finish(); err != nil {
-			return err
-		}
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-
-	e.pending = e.pending[:0]
-	e.pendingSemantic = false
-	e.dedup = make(map[string]bool)
-	e.execErr = nil
-	return nil
+		return tr.Finish()
+	})
 }
 
-// snapshot writes the adaptive scheduler's state: the per-(model,mutator)
-// trial/hit grids (live decayed and lifetime), the weight rows (nil during
-// a model's warmup), the rarity sidecar, the cadence countdowns, and the
-// distillation tracker. The round-in-flight fields (curModel, roundMuts)
-// are dead between steps and are not written.
-func (s *scheduler) snapshot(w *checkpoint.Writer) {
+// fields declares the adaptive scheduler's state; enableAdaptive has sized
+// the tables, and the stored dimensions must match them. Per model: the
+// (model, mutator) cells interleaved — decayed trials and hits, lifetime
+// trials and hits — then the recompute countdown, the trial total and the
+// weight row (absent during warmup). Then the rarity sidecar, the cadence
+// countdowns and the distillation tracker. Left out: on (the engine's
+// presence byte), yields (recompute scratch), and curModel/roundMuts (the
+// round in flight, closed between steps; resetTransient resets them).
+func (s *scheduler) fields() []checkpoint.Field {
 	nm, nmut := len(s.trials), len(s.yields)
-	w.Int(nm)
-	w.Int(nmut)
-	for mi := 0; mi < nm; mi++ {
-		for i := 0; i < nmut; i++ {
-			w.Uvarint(uint64(s.trials[mi][i]))
-			w.Uvarint(uint64(s.hits[mi][i]))
-			w.Uvarint(s.trialsAll[mi][i])
-			w.Uvarint(s.hitsAll[mi][i])
-		}
-		w.Uvarint(uint64(s.recalcIn[mi]))
-		w.Uvarint(s.totalTrials[mi])
-		w.Bool(s.weights[mi] != nil)
-		if s.weights[mi] != nil {
-			for i := 0; i < nmut; i++ {
-				w.Uvarint(uint64(s.weights[mi][i]))
+	return []checkpoint.Field{
+		checkpoint.Dim(nm, "scheduler models"),
+		checkpoint.Dim(nmut, "scheduler mutators"),
+		checkpoint.Rows(nm, func(mi int) []checkpoint.Field {
+			return []checkpoint.Field{
+				checkpoint.Rows(nmut, func(i int) []checkpoint.Field {
+					return []checkpoint.Field{checkpoint.Uint(&s.trials[mi][i]), checkpoint.Uint(&s.hits[mi][i]),
+						checkpoint.Uint(&s.trialsAll[mi][i]), checkpoint.Uint(&s.hitsAll[mi][i])}
+				}),
+				checkpoint.Uint(&s.recalcIn[mi]),
+				checkpoint.Uint(&s.totalTrials[mi]),
+				checkpoint.Optional(func() bool { return s.weights[mi] != nil }, func(on bool) error {
+					s.weights[mi] = nil
+					if on {
+						s.weights[mi] = make([]uint32, nmut)
+					}
+					return nil
+				}, func() []checkpoint.Field { return []checkpoint.Field{checkpoint.Uints(s.weights[mi])} }),
 			}
-		}
-	}
-	s.hitCounts.Snapshot(w)
-	w.Int(s.scoreIn)
-	w.Int(s.distillIn)
-	w.Int(s.distills)
-	w.Int(len(s.contribs))
-	for _, c := range s.contribs {
-		edgeList.Put(w, c.edges)
-		w.Int(len(c.puzzles))
-		for _, p := range c.puzzles {
-			w.String(p.sig)
-			w.Blob(p.data)
-		}
-	}
-	w.Int(len(s.pending))
-	for _, d := range s.pending {
-		w.Int(d.Exec)
-		w.Int(d.SeedsKept)
-		w.Int(d.SeedsDropped)
-		w.Int(d.PuzzlesDropped)
-		w.Int(d.Edges)
+		}),
+		s.hitCounts,
+		checkpoint.Int(&s.scoreIn), checkpoint.Int(&s.distillIn), checkpoint.Int(&s.distills),
+		checkpoint.Value(&s.contribs, checkpoint.ListCodec(checkpoint.Record(func(c *contributor) []checkpoint.Field {
+			return []checkpoint.Field{checkpoint.Value(&c.edges, edgeList), checkpoint.Value(&c.puzzles, puzzleRefs())}
+		}))),
+		checkpoint.Value(&s.pending, checkpoint.ListCodec(checkpoint.Record(func(d *DistillInfo) []checkpoint.Field {
+			return []checkpoint.Field{checkpoint.Int(&d.Exec), checkpoint.Int(&d.SeedsKept), checkpoint.Int(&d.SeedsDropped),
+				checkpoint.Int(&d.PuzzlesDropped), checkpoint.Int(&d.Edges)}
+		}))),
 	}
 }
 
-// restore overwrites the scheduler's state (the tables must already be
-// sized by enableAdaptive). The stored dimensions must match the engine's
-// model and mutator counts.
-func (s *scheduler) restore(r *checkpoint.Reader, nm, nmut int) error {
-	gotNM, gotNMut := r.Int(), r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if gotNM != nm || gotNMut != nmut {
-		return fmt.Errorf("core: scheduler tables are %dx%d, campaign is %dx%d", gotNM, gotNMut, nm, nmut)
-	}
-	for mi := 0; mi < nm && r.Err() == nil; mi++ {
-		for i := 0; i < nmut; i++ {
-			s.trials[mi][i] = uint32(r.Uvarint())
-			s.hits[mi][i] = uint32(r.Uvarint())
-			s.trialsAll[mi][i] = r.Uvarint()
-			s.hitsAll[mi][i] = r.Uvarint()
-		}
-		s.recalcIn[mi] = uint32(r.Uvarint())
-		s.totalTrials[mi] = r.Uvarint()
-		if r.Bool() {
-			row := make([]uint32, nmut)
-			for i := 0; i < nmut; i++ {
-				row[i] = uint32(r.Uvarint())
-			}
-			s.weights[mi] = row
-		} else {
-			s.weights[mi] = nil
-		}
-	}
-	s.curModel = -1
-	s.roundMuts = s.roundMuts[:0]
-	if err := s.hitCounts.Restore(r); err != nil {
-		return err
-	}
-	s.scoreIn = r.Int()
-	s.distillIn = r.Int()
-	s.distills = r.Int()
-	nc := r.Count()
-	s.contribs = nil
-	for i := 0; i < nc && r.Err() == nil; i++ {
-		c := contributor{edges: edgeList.Get(r)}
-		np := r.Count()
-		for j := 0; j < np && r.Err() == nil; j++ {
-			c.puzzles = append(c.puzzles, puzzleRef{sig: r.String(), data: r.Blob()})
-		}
-		if r.Err() == nil {
-			s.contribs = append(s.contribs, c)
-		}
-	}
-	nd := r.Count()
-	s.pending = nil
-	for i := 0; i < nd && r.Err() == nil; i++ {
-		s.pending = append(s.pending, DistillInfo{
-			Exec:           r.Int(),
-			SeedsKept:      r.Int(),
-			SeedsDropped:   r.Int(),
-			PuzzlesDropped: r.Int(),
-			Edges:          r.Int(),
-		})
-	}
-	return r.Err()
+// puzzleRefs is a contributor's list of the corpus puzzles its crack
+// added. Like every Record codec it is built where it is walked.
+func puzzleRefs() checkpoint.Codec[[]puzzleRef] {
+	return checkpoint.ListCodec(checkpoint.Record(func(p *puzzleRef) []checkpoint.Field {
+		return []checkpoint.Field{checkpoint.Value(&p.sig, checkpoint.StringCodec), checkpoint.Blob(&p.data)}
+	}))
 }
 
-// snapshot writes the session-fuzzing state: per-state accounting, the
-// first-reach event queue, the retained valuable sequences (through the
-// canonical sequence codec), and the sequence-operator tables. Per-step
-// scratch (cur, stepModel, stepMuts) is dead between iterations and is not
-// written.
-func (s *sessionCore) snapshot(w *checkpoint.Writer) {
-	w.Int(len(s.stateSent))
-	for i := range s.stateSent {
-		w.Uvarint(s.stateSent[i])
-		w.Int(s.stateEdges[i])
-		w.Bool(s.reached[i])
-	}
-	w.Int(len(s.pendingStates))
-	for _, ps := range s.pendingStates {
-		w.String(ps.State)
-		w.Int(ps.Exec)
-	}
-	w.Int(len(s.seqs))
-	for _, rs := range s.seqs {
-		w.Blob(session.Encode(nil, rs.seq))
-		w.Int(rs.endState)
-	}
-	w.Int(seqOpChoices)
-	for i := 0; i < seqOpChoices; i++ {
-		w.Uvarint(s.opTrials[i])
-		w.Uvarint(s.opHits[i])
+// fields declares the session-fuzzing state: per-state accounting
+// interleaved by state (messages sent, edges attributed, reached), the
+// first-reach event queue, the retained valuable sequences (canonical
+// encodings, each ending in a state of the machine), and the
+// sequence-operator tables interleaved by operator; the state and operator
+// counts must match the live ones. Left out: sm and actModel (wiring from
+// Config), encScratch, and the per-iteration context — opRound, prevEdges
+// and cur (resetTransient resets them), stepModel and stepMuts (regrown
+// every round).
+func (s *sessionCore) fields() []checkpoint.Field {
+	ns := len(s.sm.States)
+	return []checkpoint.Field{
+		checkpoint.Dim(ns, "session states"),
+		checkpoint.Rows(ns, func(i int) []checkpoint.Field {
+			return []checkpoint.Field{checkpoint.Uint(&s.stateSent[i]), checkpoint.Int(&s.stateEdges[i]), checkpoint.Bool(&s.reached[i])}
+		}),
+		checkpoint.Value(&s.pendingStates, checkpoint.ListCodec(checkpoint.Record(func(si *StateInfo) []checkpoint.Field {
+			return []checkpoint.Field{checkpoint.Value(&si.State, checkpoint.StringCodec), checkpoint.Int(&si.Exec)}
+		}))),
+		checkpoint.Value(&s.seqs, checkpoint.ListCodec(checkpoint.Record(func(rs *retainedSeq) []checkpoint.Field {
+			return []checkpoint.Field{checkpoint.Value(&rs.seq, sequenceCodec),
+				checkpoint.Bounded(&rs.endState, func() int { return ns - 1 }, "retained sequence end state")}
+		}))),
+		checkpoint.Dim(seqOpChoices, "sequence operators"),
+		checkpoint.Rows(seqOpChoices, func(i int) []checkpoint.Field {
+			return []checkpoint.Field{checkpoint.Uint(&s.opTrials[i]), checkpoint.Uint(&s.opHits[i])}
+		}),
 	}
 }
 
-// restore overwrites the session state. The stored state count must match
-// the configured state machine's, and every retained sequence must decode
-// through the canonical sequence codec.
-func (s *sessionCore) restore(r *checkpoint.Reader) error {
-	ns := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if ns != len(s.sm.States) {
-		return fmt.Errorf("core: checkpoint has %d session states, model %q has %d", ns, s.sm.Name, len(s.sm.States))
-	}
-	s.reachedN = 0
-	for i := 0; i < ns && r.Err() == nil; i++ {
-		s.stateSent[i] = r.Uvarint()
-		s.stateEdges[i] = r.Int()
-		s.reached[i] = r.Bool()
-		if s.reached[i] {
-			s.reachedN++
-		}
-	}
-	np := r.Count()
-	s.pendingStates = nil
-	for i := 0; i < np && r.Err() == nil; i++ {
-		s.pendingStates = append(s.pendingStates, StateInfo{State: r.String(), Exec: r.Int()})
-	}
-	nq := r.Count()
-	s.seqs = nil
-	for i := 0; i < nq && r.Err() == nil; i++ {
-		enc := r.Blob()
-		end := r.Int()
-		if r.Err() != nil {
-			break
-		}
-		seq, err := session.Decode(enc)
+// sequenceCodec stores a sequence as its canonical encoding, blob-framed;
+// an encoding session.Decode rejects fails the restore.
+var sequenceCodec = checkpoint.Codec[session.Sequence]{
+	Put: func(w *checkpoint.Writer, seq session.Sequence) { w.Blob(session.Encode(nil, seq)) },
+	Get: func(r *checkpoint.Reader) session.Sequence {
+		seq, err := session.Decode(r.Blob())
 		if err != nil {
-			return fmt.Errorf("core: retained sequence %d: %w", i, err)
+			r.Fail(fmt.Errorf("core: retained sequence: %w", err))
 		}
-		if end < 0 || end >= len(s.sm.States) {
-			return fmt.Errorf("core: retained sequence %d ends in state %d of %d", i, end, len(s.sm.States))
-		}
-		s.seqs = append(s.seqs, retainedSeq{seq: seq, endState: end})
-	}
-	if n := r.Int(); r.Err() == nil && n != seqOpChoices {
-		return fmt.Errorf("core: checkpoint has %d sequence operators, engine has %d", n, seqOpChoices)
-	}
-	for i := 0; i < seqOpChoices && r.Err() == nil; i++ {
-		s.opTrials[i] = r.Uvarint()
-		s.opHits[i] = r.Uvarint()
-	}
-	s.opRound = -1
-	s.prevEdges = 0
-	s.cur.Steps = s.cur.Steps[:0]
-	return r.Err()
+		return seq
+	},
 }

@@ -162,10 +162,9 @@ type Stats struct {
 
 // Engine is one fuzzing campaign.
 type Engine struct {
-	cfg  Config // construction-time config; a restored campaign keeps its own
-	r    *rng.RNG
-	exec executor.Executor
-	// Backend health is runtime state, not campaign state; restore clears it.
+	cfg     Config
+	r       *rng.RNG
+	exec    executor.Executor
 	execErr error // first unrecoverable backend failure; sticky
 	// restartsAccum carries the target-restart counts of previous
 	// executors across SwapExecutor boundaries, so a campaign's
@@ -175,12 +174,12 @@ type Engine struct {
 	virgin        *coverage.Virgin
 	corp          *corpus.Corpus
 	crashes       *crash.Bank
-	muts          []mutator.Mutator // mutator suite is construction wiring
+	muts          []mutator.Mutator
 	stats         Stats
 	// pending holds seeds generated but not yet executed (Algorithm 3
 	// produces batches); pendingSemantic records their provenance.
-	pending         [][]byte // in-flight batch is discarded at a checkpoint; restore resets it
-	pendingSemantic bool     // provenance of the discarded in-flight batch
+	pending         [][]byte
+	pendingSemantic bool
 	// Hot-path scratch state, reset once per generation round: the arena
 	// backs every transient instance and rendered seed; work is the
 	// round's working instance (a flat copy of the skeleton); cands and
@@ -191,7 +190,7 @@ type Engine struct {
 	work  datamodel.Flat    // per-round working instance
 	cands [][]corpus.Puzzle // per-iteration walk scratch
 	saved [][]byte          // per-iteration walk scratch
-	dedup map[string]bool   // per-batch filter; restore resets it
+	dedup map[string]bool   // per-batch filter
 	crk   datamodel.Cracker // Algorithm 2 scratch, refilled by every crack
 	// valuable holds the retained coverage-increasing instances per
 	// model — the feedback-selected bases for "mutation on existing
@@ -270,7 +269,7 @@ func (e *Engine) Stats() Stats {
 		s.MutatorStats = e.mutatorStats()
 	}
 	if e.sess != nil {
-		s.StatesReached = e.sess.reachedN
+		s.StatesReached = e.sess.reachedCount()
 		s.StateCoverage = e.sess.stateCoverage()
 		s.SeqOpStats = e.sess.seqOpStats()
 	}

@@ -228,7 +228,7 @@ func (f *Fleet) publishCounters(i int) {
 	p.restartsPub.Store(int64(w.execRestarts()))
 	if w.sess != nil {
 		p.seqsPub.Store(int64(w.stats.Sequences))
-		p.statesPub.Store(int64(w.sess.reachedN))
+		p.statesPub.Store(int64(w.sess.reachedCount()))
 	}
 	if w.sched.on {
 		for mi := range p.mutTrialsPub {

@@ -141,7 +141,7 @@ type contributor struct {
 // scheduler is the engine-owned adaptive state. The zero value is the
 // disabled scheduler; enable builds the counter tables.
 type scheduler struct {
-	on bool // recorded by the Engine checkpoint envelope, not the scheduler codec
+	on bool // the engine declaration's presence byte, not a scheduler field
 
 	// Operator accounting, [model][mutator]. trials/hits drive the
 	// weights and decay; trialsAll/hitsAll are the monotonic reporting
@@ -156,8 +156,8 @@ type scheduler struct {
 	// curModel is the model of the generation round in flight; roundMuts
 	// are the mutator indices applied while generating it — the credit
 	// set if an execution of the round proves valuable.
-	curModel  int   // round-in-flight credit state; restore resets it
-	roundMuts []int // round-in-flight credit state; restore resets it
+	curModel  int
+	roundMuts []int
 
 	// Rarity sidecar and refresh countdown.
 	hitCounts *coverage.HitCounts

@@ -91,8 +91,7 @@ type retainedSeq struct {
 type sessionCore struct {
 	sm *session.StateModel // state-machine wiring from Config.Session
 	// actModel maps (state, action) to the index of the action's data
-	// model in Config.Models, resolved once at construction (not
-	// checkpointed: a restore re-resolves it from Config).
+	// model in Config.Models, resolved once at construction.
 	actModel [][]int
 
 	// Per-state accounting: messages sent from each state, edges
@@ -100,7 +99,6 @@ type sessionCore struct {
 	stateSent  []uint64
 	stateEdges []int
 	reached    []bool
-	reachedN   int // derived from reached; recounted on restore
 	// pendingStates queues first-reach events for the driver's window
 	// hook, drained like the scheduler's pending distills.
 	pendingStates []StateInfo
@@ -119,7 +117,7 @@ type sessionCore struct {
 	// hit when any step of the iteration proves valuable.
 	opTrials [seqOpChoices]uint64
 	opHits   [seqOpChoices]uint64
-	opRound  int // per-iteration credit context; restore resets it
+	opRound  int
 
 	// Per-iteration scratch: the working sequence, and per-step credit
 	// context — which model each step's payload was generated for this
@@ -127,9 +125,9 @@ type sessionCore struct {
 	// mutators were applied, so the scheduler's per-execution credit
 	// assignment sees exactly the round that produced the step it
 	// observes.
-	cur       session.Sequence // per-iteration working sequence; restore resets it
-	stepModel []int            // per-iteration credit context
-	stepMuts  [][]int          // per-iteration credit context
+	cur       session.Sequence
+	stepModel []int
+	stepMuts  [][]int
 	// encScratch reuses the encode buffer for corpus sequence entries.
 	encScratch []byte
 }
@@ -479,7 +477,6 @@ func (s *sessionCore) noteSent(state, exec int) {
 	s.stateSent[state]++
 	if !s.reached[state] {
 		s.reached[state] = true
-		s.reachedN++
 		s.pendingStates = append(s.pendingStates, StateInfo{State: s.sm.States[state].Name, Exec: exec})
 	}
 }
@@ -509,6 +506,17 @@ func (e *Engine) takeNewStates() []StateInfo {
 	out := e.sess.pendingStates
 	e.sess.pendingStates = nil
 	return out
+}
+
+// reachedCount is how many states the campaign has sent a message from.
+func (s *sessionCore) reachedCount() int {
+	n := 0
+	for _, r := range s.reached {
+		if r {
+			n++
+		}
+	}
+	return n
 }
 
 // stateCoverage builds the per-state accounting snapshot.

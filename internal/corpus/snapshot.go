@@ -44,7 +44,7 @@ func (c *Corpus) Snapshot(w *checkpoint.Writer) {
 	for _, cur := range c.peerCursors {
 		// -1 (dropped slot) encodes as 0, live cursor n as n+1 — keeps
 		// every value in uvarint range.
-		w.Uvarint(uint64(cur + 1))
+		w.Int(cur + 1)
 	}
 }
 
@@ -114,11 +114,10 @@ func (c *Corpus) Restore(r *checkpoint.Reader) error {
 
 	np := r.Count()
 	for i := 0; i < np && r.Err() == nil; i++ {
-		v := r.Uvarint()
+		cur := r.Int() - 1
 		if r.Err() != nil {
 			break
 		}
-		cur := int(v) - 1
 		if cur > c.JournalLen() {
 			return fmt.Errorf("corpus: peer cursor %d beyond journal length %d", cur, c.JournalLen())
 		}
