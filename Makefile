@@ -44,9 +44,12 @@ race:
 # The pipelined sync round under the race detector, many times over: a
 # leaf's exchange runs beside the next window and is joined by the next
 # boundary, a Close or a Sync, and one -race pass can miss an interleaving.
+# The Snapshot tests ride along: each worker publishes its progress record
+# under a lock that any goroutine may take (they add about 30 s on a
+# 2-vCPU Xeon).
 race-sync:
 	$(GO) test -race -count=20 -run 'TestSingleLeafTransportLossless|TestCloseJoinsRoundInFlight' ./internal/fleetnet
-	$(GO) test -race -count=20 -run 'TestLeafWindowOverlapsExchange|TestHubAttachmentPublishesLocalWork|TestServeAndDialSync|TestJoinMeshLoopback|TestStartStopDuringMeshSync|TestStartCancelMeshPromptness' ./peachstar
+	$(GO) test -race -count=20 -run 'TestLeafWindowOverlapsExchange|TestHubAttachmentPublishesLocalWork|TestServeAndDialSync|TestJoinMeshLoopback|TestStartStopDuringMeshSync|TestStartCancelMeshPromptness|TestStartSnapshotDuringRun|TestSnapshotMatchesStatsAfterWait' ./peachstar
 
 # Chaos soak over the real-target execution backend: a timed campaign
 # against the bundled toy Modbus server while a chaos goroutine SIGKILLs

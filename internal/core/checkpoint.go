@@ -52,7 +52,7 @@ type section struct {
 // section is the worker count and each worker's merge cursors; a
 // workerPeer's engine and journal registrations are left out (NewFleet
 // makes them in worker order, so restored cursors land on the same slots),
-// and so are its published counters (PublishStats re-derives them).
+// and so is its published record (PublishStats re-derives it).
 //
 // Restore drops the shared corpus's cursor slots beyond the fleet's own
 // workers: they belonged to network peers of the previous incarnation, and
@@ -80,9 +80,6 @@ func (f *Fleet) sections() []section {
 		secs = append(secs, section{id: secWorker, fields: w.fields(), restored: func() {
 			dropPeersFrom(w.corp, 1)
 			w.resetTransient()
-			if w.sched.on {
-				f.adaptive.Store(true)
-			}
 		}})
 	}
 	return secs
@@ -174,8 +171,8 @@ func (f *Fleet) RestoreCheckpoint(data []byte, digest uint64) error {
 	if err != nil {
 		return err
 	}
-	// Settle the published counters so StatsApprox and ExecsApprox are
-	// exact immediately after the restore.
+	// Settle the published records and union figures so StatsApprox and
+	// ExecsApprox are exact immediately after the restore.
 	f.PublishStats()
 	return nil
 }

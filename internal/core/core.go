@@ -160,6 +160,44 @@ type Stats struct {
 	SeqOpStats []MutatorStat
 }
 
+// add sums one worker's record r into the fleet figures s: counters add,
+// and the per-operator and per-state slices add element-wise (copied on
+// first use, so s never aliases a record). StatesReached is recounted from
+// the summed StateCoverage: a state any worker sent from is reached.
+// Edges, CorpusPuzzles and the crash figures are unions, not sums; the
+// fleet sets them (Fleet.StatsApprox).
+func (s *Stats) add(r *Stats) {
+	s.Iterations += r.Iterations
+	s.Execs += r.Execs
+	s.Paths += r.Paths
+	s.SemanticExecs += r.SemanticExecs
+	s.SemanticPaths += r.SemanticPaths
+	s.TargetRestarts += r.TargetRestarts
+	s.Distills += r.Distills
+	s.Sequences += r.Sequences
+	addOp := func(s, r *MutatorStat) { s.Trials += r.Trials; s.Hits += r.Hits }
+	s.MutatorStats = addEach(s.MutatorStats, r.MutatorStats, addOp)
+	s.SeqOpStats = addEach(s.SeqOpStats, r.SeqOpStats, addOp)
+	s.StateCoverage = addEach(s.StateCoverage, r.StateCoverage, func(s, r *StateCoverage) { s.Sent += r.Sent; s.Edges += r.Edges })
+	s.StatesReached = 0
+	for _, sc := range s.StateCoverage {
+		if sc.Sent > 0 {
+			s.StatesReached++
+		}
+	}
+}
+
+// addEach adds r into sum element-wise, or copies r while sum is nil.
+func addEach[T any](sum, r []T, add func(s, r *T)) []T {
+	if sum == nil {
+		return append(sum, r...)
+	}
+	for i := range r {
+		add(&sum[i], &r[i])
+	}
+	return sum
+}
+
 // Engine is one fuzzing campaign.
 type Engine struct {
 	cfg     Config
@@ -259,22 +297,31 @@ func New(cfg Config) (*Engine, error) {
 
 // Stats returns the current campaign snapshot.
 func (e *Engine) Stats() Stats {
-	s := e.stats
+	var s Stats
+	e.statsInto(&s)
+	return s
+}
+
+// statsInto writes the engine's campaign snapshot into s, reusing s's
+// slices: the one place an engine's counters become a Stats, and what a
+// fleet worker republishes every merge window without allocating.
+func (e *Engine) statsInto(s *Stats) {
+	ms, sc, so := s.MutatorStats[:0], s.StateCoverage[:0], s.SeqOpStats[:0]
+	*s = e.stats
 	s.Edges = e.virgin.Edges()
 	s.UniqueCrashes = e.crashes.Unique()
 	s.Hangs = e.crashes.Hangs()
 	s.CorpusPuzzles = e.corp.Len()
 	if e.sched.on {
 		s.Distills = e.sched.distills
-		s.MutatorStats = e.mutatorStats()
+		s.MutatorStats = e.mutatorStats(ms)
 	}
 	if e.sess != nil {
 		s.StatesReached = e.sess.reachedCount()
-		s.StateCoverage = e.sess.stateCoverage()
-		s.SeqOpStats = e.sess.seqOpStats()
+		s.StateCoverage = e.sess.stateCoverage(sc)
+		s.SeqOpStats = e.sess.seqOpStats(so)
 	}
 	s.TargetRestarts = e.execRestarts()
-	return s
 }
 
 // execRestarts is the campaign-lifetime target-restart count: restarts

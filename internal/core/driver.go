@@ -40,7 +40,7 @@ type WindowInfo struct {
 	Worker int
 	// WorkerExecs is that worker's own execution count.
 	WorkerExecs int
-	// FleetExecs is the fleet total as of the workers' published counters
+	// FleetExecs is the fleet total as of the workers' published records
 	// (the ExecsApprox figure: exact at quiescence, lagging live workers
 	// by at most one merge window).
 	FleetExecs int
@@ -96,9 +96,10 @@ func stopped(stop <-chan struct{}) bool {
 //
 // Drive must not be called concurrently with itself or any other
 // fleet-advancing method; Stats and Execs must wait for it to return
-// (StatsApprox and ExecsApprox are the concurrent-safe observers).
+// (StatsApprox and ExecsApprox are the concurrent-safe observers). Its
+// return publishes the quiescent fleet (PublishStats).
 func (f *Fleet) Drive(stop <-chan struct{}, b Budget, hook WindowHook) {
-	defer f.publishExecs()
+	defer f.PublishStats()
 	// remaining is the exec budget still to spend, sharded across the
 	// workers in driveWorker; -1 means no exec bound. The sentinel must
 	// not be 0: a spent budget legitimately leaves 0 and the workers must
@@ -124,11 +125,11 @@ func (f *Fleet) Drive(stop <-chan struct{}, b Budget, hook WindowHook) {
 
 // driveWorker is the window loop, run once per worker: fuzz a merge window
 // (checking the deadline before every step when one is set), exchange with
-// the shared state, publish counters, report to the hook, then re-check
-// the exec target, the deadline, and the stop channel. The worker's exec
-// target is its even share of remaining (the first remaining%n workers
-// take one extra) on top of what it has already run; a worker whose share
-// is zero returns without fuzzing or syncing.
+// the shared state, publish the worker's record, report to the hook, then
+// re-check the exec target, the deadline, and the stop channel. The
+// worker's exec target is its even share of remaining (the first
+// remaining%n workers take one extra) on top of what it has already run;
+// a worker whose share is zero returns without fuzzing or syncing.
 //
 // A one-worker fleet skips the exchange: it performs no sync operations at
 // all — that is what keeps it bit-for-bit identical to the serial engine —
@@ -191,15 +192,8 @@ func (f *Fleet) driveWorker(stop <-chan struct{}, i, remaining int, deadline tim
 // on a serving single-worker campaign include remote material.
 func (f *Fleet) serialFigures() (edges, corpusLen int) {
 	w := f.workers[0]
-	edges, corpusLen = w.virgin.Edges(), w.corp.Len()
 	se, sl := f.state.Figures()
-	if se > edges {
-		edges = se
-	}
-	if sl > corpusLen {
-		corpusLen = sl
-	}
-	return edges, corpusLen
+	return max(w.virgin.Edges(), se), max(w.corp.Len(), sl)
 }
 
 // syncWindow runs worker i's merge window against the shared state and
@@ -216,40 +210,22 @@ func (f *Fleet) syncWindow(i int) (edges, corpusLen int) {
 	return edges, corpusLen
 }
 
-// publishCounters stores worker i's own counters into its published
-// atomics.
-func (f *Fleet) publishCounters(i int) {
-	p, w := f.peers[i], f.workers[i]
-	p.execsPub.Store(int64(w.stats.Execs))
-	p.pathsPub.Store(int64(w.stats.Paths))
-	p.itersPub.Store(int64(w.stats.Iterations))
-	p.semExecsPub.Store(int64(w.stats.SemanticExecs))
-	p.semPathsPub.Store(int64(w.stats.SemanticPaths))
-	p.restartsPub.Store(int64(w.execRestarts()))
-	if w.sess != nil {
-		p.seqsPub.Store(int64(w.stats.Sequences))
-		p.statesPub.Store(int64(w.sess.reachedCount()))
-	}
-	if w.sched.on {
-		for mi := range p.mutTrialsPub {
-			var t, h uint64
-			for m := range w.sched.trialsAll {
-				t += w.sched.trialsAll[m][mi]
-				h += w.sched.hitsAll[m][mi]
-			}
-			p.mutTrialsPub[mi].Store(int64(t))
-			p.mutHitsPub[mi].Store(int64(h))
-		}
-		p.distillsPub.Store(int64(w.sched.distills))
-	}
+// publish rewrites worker i's published record from its engine — at a
+// window end on the worker's goroutine, and at a flush or a quiescent
+// point on the caller's.
+func (f *Fleet) publish(i int) {
+	p := f.peers[i]
+	p.mu.Lock()
+	p.w.statsInto(&p.pub)
+	p.mu.Unlock()
 }
 
-// publishWindow stores worker i's counters and the fleet-level union
-// figures into the published atomics (the race-safe StatsApprox inputs),
-// then delivers the window to the hook.
+// publishWindow publishes worker i's record and the fleet-level union
+// figures (the race-safe StatsApprox inputs), then delivers the window to
+// the hook.
 func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 	p, w := f.peers[i], f.workers[i]
-	f.publishCounters(i)
+	f.publish(i)
 	f.pubCorpus.Store(int64(corpusLen))
 	delta := f.publishEdges(edges)
 	if hook == nil {
@@ -274,8 +250,9 @@ func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 }
 
 // publishEdges raises the published union edge count to edges (it never
-// lowers it — workers publish concurrently and coverage only grows) and
-// returns how many edges this publication added.
+// lowers it — workers publish concurrently and coverage only grows; only
+// PublishStats, at quiescence, stores a lower figure) and returns how many
+// edges this publication added.
 func (f *Fleet) publishEdges(edges int) (delta int) {
 	for {
 		old := f.pubEdges.Load()
@@ -288,82 +265,49 @@ func (f *Fleet) publishEdges(edges int) (delta int) {
 	}
 }
 
-// PublishStats refreshes every published counter while the fleet is
-// quiescent (no Drive in flight): worker counters become exact, and the
-// union edge and corpus figures are taken from the lone worker (serial
-// fleets never sync, so the worker is the union) or from the shared state
-// (which every worker's final window synced into). Drivers call it after
-// Drive returns so StatsApprox, and with it Run.Snapshot and the final
-// StatsEvent, settle to exact values without the merge work of Stats.
+// PublishStats refreshes every published figure while the fleet is
+// quiescent (no Drive in flight): every worker's record, and the union
+// edge and corpus figures — taken from the lone worker (serial fleets
+// never sync, so the worker is the union) or from the shared state (which
+// every worker's final window synced into). The union figures are stored,
+// not raised: at quiescence they are exact, including after a restore
+// rolled the campaign back. Drive's return, Stats and RestoreCheckpoint
+// call it; so do drivers between windows, which is how Run.Snapshot and
+// the final StatsEvent settle to Stats.
 func (f *Fleet) PublishStats() {
-	for i := range f.workers {
-		f.publishCounters(i)
+	for i := range f.peers {
+		f.publish(i)
 	}
+	var edges, corpusLen int
 	if len(f.workers) == 1 {
 		// A relay fleet (a hub that executes nothing) accumulates remote
 		// state its idle worker never pulled; serialFigures reports
 		// whichever view knows more.
-		edges, corpusLen := f.serialFigures()
-		f.publishEdges(edges)
-		f.pubCorpus.Store(int64(corpusLen))
-		return
+		edges, corpusLen = f.serialFigures()
+	} else {
+		edges, corpusLen = f.state.Figures()
 	}
-	edges, corpusLen := f.state.Figures()
-	f.publishEdges(edges)
+	f.pubEdges.Store(int64(edges))
 	f.pubCorpus.Store(int64(corpusLen))
 }
 
-// StatsApprox is the concurrent-safe campaign snapshot: safe to call from
-// any goroutine while Drive is in flight, at the price of precision.
-//
-// Which counters are exact and which approximate:
-//
-//   - Execs, Paths, Iterations, SemanticExecs, SemanticPaths: read from
-//     the workers' published counters — as of each worker's latest merge
-//     window, so they lag a live fleet by at most one window and are
-//     exact whenever the fleet is idle (after PublishStats).
-//   - Edges, CorpusPuzzles: the published union figures, same
-//     one-window lag.
-//   - Sequences, StatesReached: published session counters, same lag;
-//     StatesReached is the max over workers (an approximation of the
-//     union — exact for the common single-worker session campaign). The
-//     full per-state breakdown (StateCoverage, SeqOpStats) is only in
-//     the exact Stats.
-//   - UniqueCrashes, Hangs: exact at all times — crash banks are
-//     internally locked, so Crashes() is safe concurrently.
-//
-// Stats remains the exact merge-everything snapshot, and remains unsafe
-// to call while the fleet runs.
+// StatsApprox is the concurrent-safe campaign snapshot, safe to call from
+// any goroutine while Drive is in flight: the sum of the workers'
+// published records (Stats.add), with the published union Edges and
+// CorpusPuzzles and the crash figures of the merged bank (crash banks
+// are internally locked, so those are exact at all times). While a fleet
+// runs, each record is as of its worker's latest merge window, so the
+// figures lag by at most one window; at quiescence, after PublishStats,
+// StatsApprox equals Stats.
 func (f *Fleet) StatsApprox() Stats {
 	var s Stats
 	for _, p := range f.peers {
-		s.Execs += int(p.execsPub.Load())
-		s.Paths += int(p.pathsPub.Load())
-		s.Iterations += int(p.itersPub.Load())
-		s.SemanticExecs += int(p.semExecsPub.Load())
-		s.SemanticPaths += int(p.semPathsPub.Load())
-		s.TargetRestarts += int(p.restartsPub.Load())
-		s.Sequences += int(p.seqsPub.Load())
-		if n := int(p.statesPub.Load()); n > s.StatesReached {
-			s.StatesReached = n
-		}
+		p.mu.Lock()
+		s.add(&p.pub)
+		p.mu.Unlock()
 	}
 	s.Edges = int(f.pubEdges.Load())
 	s.CorpusPuzzles = int(f.pubCorpus.Load())
-	if f.Adaptive() {
-		ms := make([]MutatorStat, len(f.workers[0].muts))
-		for i, m := range f.workers[0].muts {
-			ms[i].Name = m.Name()
-		}
-		for _, p := range f.peers {
-			for i := range ms {
-				ms[i].Trials += uint64(p.mutTrialsPub[i].Load())
-				ms[i].Hits += uint64(p.mutHitsPub[i].Load())
-			}
-			s.Distills += int(p.distillsPub.Load())
-		}
-		s.MutatorStats = ms
-	}
 	bank := f.Crashes()
 	s.UniqueCrashes = bank.Unique()
 	s.Hangs = bank.Hangs()

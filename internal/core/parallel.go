@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/corpus"
@@ -54,7 +55,7 @@ type ParallelConfig struct {
 // single-worker Drive performs no sync operations.
 //
 // Drive blocks until the budget is spent; Stats, Crashes and Corpus must
-// not be called concurrently with it.
+// not be called concurrently with it (StatsApprox and ExecsApprox may).
 type Fleet struct {
 	workers []*Engine
 	peers   []*workerPeer
@@ -66,15 +67,11 @@ type Fleet struct {
 	// the workers' next pull folds them out.
 	state *SyncState
 	// pubEdges and pubCorpus are the fleet-level published union figures,
-	// refreshed at every merge window (see driver.go); with the workers'
-	// published counters they are what StatsApprox reads while a Drive is
-	// in flight.
+	// raised at every merge window (see driver.go) and stored at
+	// quiescence by PublishStats; with the workers' published records they
+	// are what StatsApprox reads.
 	pubEdges  atomic.Int64
 	pubCorpus atomic.Int64
-	// adaptive is set when the workers run the adaptive scheduler; atomic
-	// so StatsApprox can gate on it from any goroutine after a mid-campaign
-	// EnableAdaptive.
-	adaptive atomic.Bool
 }
 
 // workerPeer adapts one worker engine to the SyncPeer merge path. It holds
@@ -91,35 +88,16 @@ type workerPeer struct {
 	// both feed journal compaction.
 	selfID   int
 	sharedID int
-	// execsPub is the worker's execution count as of its latest sync
-	// window, published atomically so concurrent observers (a fleetnet
-	// node building acks on handler goroutines) can read fleet progress
-	// without touching the workers' live counters. See Fleet.ExecsApprox.
-	execsPub atomic.Int64
-	// The remaining published counters feed Fleet.StatsApprox the same
-	// way: stored by the worker at each window boundary, loaded by any
-	// goroutine.
-	pathsPub    atomic.Int64
-	itersPub    atomic.Int64
-	semExecsPub atomic.Int64
-	semPathsPub atomic.Int64
-	restartsPub atomic.Int64
 	// crashesSeen is the driver's per-worker crash watermark: how many of
 	// this worker's unique records previous windows already reported
 	// through the WindowHook. Touched only by the worker's own goroutine.
 	crashesSeen int
-	// mutTrialsPub/mutHitsPub/distillsPub publish the worker's adaptive
-	// scheduler accounting (suite-indexed lifetime trials and hits, and
-	// the distillation count) the same way as the counters above. The
-	// slices are always allocated so a mid-campaign EnableAdaptive needs
-	// no resizing; they stay zero when the scheduler is off.
-	mutTrialsPub []atomic.Int64
-	mutHitsPub   []atomic.Int64
-	distillsPub  atomic.Int64
-	// seqsPub/statesPub publish the worker's session-fuzzing counters
-	// (sequences driven, states reached); zero when sessions are off.
-	seqsPub   atomic.Int64
-	statesPub atomic.Int64
+	// pub is the worker's published progress record, rewritten by
+	// Fleet.publish at each window end, flush and quiescent point, and
+	// read by any goroutine through StatsApprox and ExecsApprox; mu
+	// guards it.
+	mu  sync.Mutex
+	pub Stats
 }
 
 // Exchange is the local half of the merge protocol (invoked under the
@@ -131,7 +109,6 @@ type workerPeer struct {
 // window the consumed journal prefixes are compacted away on both sides.
 func (p *workerPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashes *crash.Bank) error {
 	w := p.w
-	p.execsPub.Store(int64(w.stats.Execs))
 	virgin.MergeVirgin(w.virgin)
 	w.virgin.MergeVirgin(virgin)
 	_, p.pushed = corp.MergeJournal(w.corp, p.pushed)
@@ -183,15 +160,10 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 		}
 		f.workers = append(f.workers, eng)
 		f.peers = append(f.peers, &workerPeer{
-			w:            eng,
-			selfID:       eng.corp.RegisterPeer(0),
-			sharedID:     f.state.corp.RegisterPeer(0),
-			mutTrialsPub: make([]atomic.Int64, len(eng.muts)),
-			mutHitsPub:   make([]atomic.Int64, len(eng.muts)),
+			w:        eng,
+			selfID:   eng.corp.RegisterPeer(0),
+			sharedID: f.state.corp.RegisterPeer(0),
 		})
-	}
-	if cfg.Adaptive {
-		f.adaptive.Store(true)
 	}
 	return f, nil
 }
@@ -205,12 +177,7 @@ func (f *Fleet) EnableAdaptive() {
 	for _, w := range f.workers {
 		w.enableAdaptive()
 	}
-	f.adaptive.Store(true)
 }
-
-// Adaptive reports whether the fleet's workers run the adaptive scheduler.
-// Safe to call from any goroutine.
-func (f *Fleet) Adaptive() bool { return f.adaptive.Load() }
 
 // State exposes the fleet's shared campaign state, the attachment point for
 // the network transport: a fleetnet hub serves it to remote leaves, a
@@ -226,8 +193,9 @@ func (f *Fleet) State() *SyncState { return f.state }
 // serial engine, so the flush must be explicit. Must not be called while
 // a Drive is in flight.
 func (f *Fleet) SyncAll() {
-	for _, p := range f.peers {
+	for i, p := range f.peers {
 		f.state.Exchange(p)
+		f.publish(i)
 	}
 }
 
@@ -259,9 +227,8 @@ func (f *Fleet) ExecError() error {
 }
 
 // Execs returns the total executions performed so far — the budget
-// arithmetic accessor. Unlike Stats it merges nothing, so driving loops can
-// call it every slice without touching the shared state. Like Stats it must
-// not race with Drive; concurrent observers use ExecsApprox.
+// arithmetic accessor, reading the workers' live counters. Like Stats it
+// must not race with Drive; concurrent observers use ExecsApprox.
 func (f *Fleet) Execs() int {
 	total := 0
 	for _, w := range f.workers {
@@ -271,31 +238,20 @@ func (f *Fleet) Execs() int {
 }
 
 // ExecsApprox returns the fleet's total executions as of each worker's
-// latest merge window. Unlike Execs it is safe to call from any goroutine
-// while a Drive is in flight — a fleetnet hub or mesh node reports local
-// progress to remote peers from connection-handler goroutines through it.
-// The figure lags the live counters by at most one merge window and is
-// exact whenever the fleet is idle.
+// latest published record. Unlike Execs it is safe to call from any
+// goroutine while a Drive is in flight — a fleetnet hub or mesh node
+// reports local progress to remote peers from connection-handler
+// goroutines through it. The figure lags the live counters by at most one
+// merge window and is exact whenever the fleet is idle.
 func (f *Fleet) ExecsApprox() int {
 	total := 0
 	for _, p := range f.peers {
-		total += int(p.execsPub.Load())
+		p.mu.Lock()
+		total += p.pub.Execs
+		p.mu.Unlock()
 	}
 	return total
 }
-
-// publishExecs refreshes every worker's published counter; called when the
-// workers are quiescent (end of Drive).
-func (f *Fleet) publishExecs() {
-	for i, w := range f.workers {
-		f.peers[i].execsPub.Store(int64(w.stats.Execs))
-	}
-}
-
-// Step performs one iteration on worker 0 and returns how many executions it
-// spent — the fine-grained sampling hook the harness uses. For multi-worker
-// fleets it advances only worker 0; use Run to drive the whole fleet.
-func (f *Fleet) Step() int { return f.workers[0].Step() }
 
 // Run fuzzes until at least execBudget total executions have been performed,
 // sharding the remaining budget evenly across the workers. It may be called
@@ -309,98 +265,25 @@ func (f *Fleet) Run(execBudget int) {
 	f.Drive(nil, Budget{Execs: execBudget}, nil)
 }
 
-// Stats aggregates the campaign snapshot across workers: execution and path
-// counters are summed, coverage is the size of the merged union map, crash
-// figures come from the merged bank, and the corpus size is the shared
-// corpus after folding every worker in. For a single-worker fleet it is
-// exactly the engine's snapshot.
+// Stats is the campaign snapshot at quiescence: PublishStats, then the
+// StatsApprox sum of the fresh records. Execution and path counters are
+// summed over workers and crash figures come from the merged bank. Edges
+// and CorpusPuzzles are the shared state's union figures: every worker's
+// final window synced into it, so reading them merges nothing and Stats
+// writes nothing but the published records. A one-worker fleet never syncs
+// on its own, so its figures are max(worker, shared state) — the worker's
+// own until an attachment or a hand SyncAll fills the state, and the union
+// after every attached session's tail flush. For a single worker on an
+// untouched state it is exactly the engine's snapshot.
 //
 // Summed Paths counts each worker's locally-valuable executions: a path two
 // workers discover concurrently within one merge window is counted twice
 // (after a sync the pull deduplicates future discoveries). Edges comes from
-// the merged union and never double-counts — prefer it when comparing runs
-// at different worker counts.
+// the union and never double-counts — prefer it when comparing runs at
+// different worker counts.
 func (f *Fleet) Stats() Stats {
-	// The single-worker shortcut reads the engine directly — but only
-	// while the shared state is untouched. Once anything has been merged
-	// in (a network hub's remote material, an explicit SyncAll), the
-	// union path below is the truthful snapshot: an aggregator hub that
-	// executes nothing itself must still report the fleet's edges,
-	// corpus, and crashes.
-	if len(f.workers) == 1 && f.state.empty() {
-		return f.workers[0].Stats()
-	}
-	var s Stats
-	for _, w := range f.workers {
-		ws := w.stats
-		s.Iterations += ws.Iterations
-		s.Execs += ws.Execs
-		s.Paths += ws.Paths
-		s.SemanticExecs += ws.SemanticExecs
-		s.SemanticPaths += ws.SemanticPaths
-		s.Sequences += ws.Sequences
-		s.TargetRestarts += w.execRestarts()
-	}
-	for _, w := range f.workers {
-		if w.sess == nil {
-			continue
-		}
-		// Element-wise merge over the shared StateModel order; states
-		// reached is the union (a state any worker exercised is reached).
-		sc := w.sess.stateCoverage()
-		if s.StateCoverage == nil {
-			s.StateCoverage = sc
-		} else {
-			for j := range sc {
-				s.StateCoverage[j].Sent += sc[j].Sent
-				s.StateCoverage[j].Edges += sc[j].Edges
-			}
-		}
-		so := w.sess.seqOpStats()
-		if s.SeqOpStats == nil {
-			s.SeqOpStats = so
-		} else {
-			for j := range so {
-				s.SeqOpStats[j].Trials += so[j].Trials
-				s.SeqOpStats[j].Hits += so[j].Hits
-			}
-		}
-	}
-	for j := range s.StateCoverage {
-		if s.StateCoverage[j].Sent > 0 {
-			s.StatesReached++
-		}
-	}
-	if f.Adaptive() {
-		for _, w := range f.workers {
-			if !w.sched.on {
-				continue
-			}
-			s.Distills += w.sched.distills
-			ms := w.mutatorStats()
-			if s.MutatorStats == nil {
-				s.MutatorStats = ms
-				continue
-			}
-			for j := range ms {
-				s.MutatorStats[j].Trials += ms[j].Trials
-				s.MutatorStats[j].Hits += ms[j].Hits
-			}
-		}
-	}
-	st := f.state
-	st.mu.Lock()
-	for _, w := range f.workers {
-		st.virgin.MergeVirgin(w.virgin)
-		st.corp.MergeFrom(w.corp)
-	}
-	s.Edges = st.virgin.Edges()
-	s.CorpusPuzzles = st.corp.Len()
-	st.mu.Unlock()
-	bank := f.Crashes()
-	s.UniqueCrashes = bank.Unique()
-	s.Hangs = bank.Hangs()
-	return s
+	f.PublishStats()
+	return f.StatsApprox()
 }
 
 // Crashes merges the workers' crash banks — plus any records that arrived

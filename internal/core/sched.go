@@ -446,15 +446,16 @@ func (e *Engine) takeDistills() []DistillInfo {
 	return out
 }
 
-// mutatorStats aggregates the lifetime operator accounting over models.
-func (e *Engine) mutatorStats() []MutatorStat {
-	out := make([]MutatorStat, len(e.muts))
+// mutatorStats appends the lifetime operator accounting, aggregated over
+// models, to out.
+func (e *Engine) mutatorStats(out []MutatorStat) []MutatorStat {
 	for i, m := range e.muts {
-		out[i].Name = m.Name()
+		st := MutatorStat{Name: m.Name()}
 		for mi := range e.sched.trialsAll {
-			out[i].Trials += e.sched.trialsAll[mi][i]
-			out[i].Hits += e.sched.hitsAll[mi][i]
+			st.Trials += e.sched.trialsAll[mi][i]
+			st.Hits += e.sched.hitsAll[mi][i]
 		}
+		out = append(out, st)
 	}
 	return out
 }

@@ -519,24 +519,22 @@ func (s *sessionCore) reachedCount() int {
 	return n
 }
 
-// stateCoverage builds the per-state accounting snapshot.
-func (s *sessionCore) stateCoverage() []StateCoverage {
-	out := make([]StateCoverage, len(s.sm.States))
+// stateCoverage appends the per-state accounting to out.
+func (s *sessionCore) stateCoverage(out []StateCoverage) []StateCoverage {
 	for i := range s.sm.States {
-		out[i] = StateCoverage{
+		out = append(out, StateCoverage{
 			State: s.sm.States[i].Name,
 			Sent:  s.stateSent[i],
 			Edges: s.stateEdges[i],
-		}
+		})
 	}
 	return out
 }
 
-// seqOpStats builds the sequence-operator accounting snapshot.
-func (s *sessionCore) seqOpStats() []MutatorStat {
-	out := make([]MutatorStat, seqOpChoices)
-	for i := range out {
-		out[i] = MutatorStat{Name: seqOpName(i), Trials: s.opTrials[i], Hits: s.opHits[i]}
+// seqOpStats appends the sequence-operator accounting to out.
+func (s *sessionCore) seqOpStats(out []MutatorStat) []MutatorStat {
+	for i := 0; i < seqOpChoices; i++ {
+		out = append(out, MutatorStat{Name: seqOpName(i), Trials: s.opTrials[i], Hits: s.opHits[i]})
 	}
 	return out
 }

@@ -67,15 +67,6 @@ func (s *SyncState) Exchange(p SyncPeer) error {
 	return p.Exchange(s.virgin, s.corp, s.crashes)
 }
 
-// empty reports whether nothing has ever been merged into the state — true
-// for a fleet that has never synced (the serial single-worker path) and
-// false as soon as any local flush or remote exchange lands.
-func (s *SyncState) empty() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.virgin.Edges() == 0 && s.corp.Empty() && s.crashes.Unique() == 0 && s.crashes.Hangs() == 0
-}
-
 // Edges returns the number of distinct coverage edges in the shared union
 // map — the worker-count- and host-count-independent campaign metric.
 func (s *SyncState) Edges() int {

@@ -31,13 +31,11 @@ type Event interface {
 
 // StatsEvent is a periodic campaign progress snapshot, emitted every
 // RunConfig.StatsEvery executions (and once more, final, as the stream
-// closes). Stats carries the approximate concurrent-safe counters of
-// Run.Snapshot: execution and path counters as of each worker's latest
-// merge window, crash figures exact; the final event is taken after the
-// fleet has quiesced and is exact.
+// closes). Stats is a Run.Snapshot: the workers' records as of their
+// latest merge windows. The final event is taken after the fleet has
+// quiesced and equals Campaign.Stats after Wait.
 type StatsEvent struct {
-	// Stats is the snapshot; see Run.Snapshot for which counters are
-	// exact and which lag by up to one merge window.
+	// Stats is the snapshot; see Run.Snapshot for how far it can lag.
 	Stats Stats
 	// Elapsed is the wall-clock time since Start.
 	Elapsed time.Duration

@@ -293,25 +293,23 @@ func targetFactory(opts Options) func() sandbox.Target {
 // Workers returns the campaign's parallelism.
 func (c *Campaign) Workers() int { return c.fleet.Workers() }
 
-// Execs returns the total executions performed so far, without the merge
-// work a full Stats snapshot does — for budget arithmetic in driving loops.
+// Execs returns the total executions performed so far, without building a
+// full Stats snapshot — for budget arithmetic in driving loops.
 func (c *Campaign) Execs() int { return c.fleet.Execs() }
 
-// Step performs one engine iteration and returns how many executions it
-// spent — the granularity used for paths-over-time sampling. On a parallel
-// campaign it advances only the first worker; use Start to drive the whole
-// fleet.
-func (c *Campaign) Step() int { return c.fleet.Step() }
-
-// Stats returns the current progress snapshot, aggregated across workers.
+// Stats returns the current progress snapshot, aggregated across workers:
+// counters summed, Edges and CorpusPuzzles the fleet's union, crash
+// figures from the deduplicated bank. Reading it changes nothing a served
+// campaign ships to its peers. On a one-worker campaign whose shared state
+// an attachment or a restore has filled, Edges and CorpusPuzzles are the
+// larger of the worker's and the shared state's (an attached session's
+// final flush makes both the union). Must not be called while a session
+// runs; once Wait returns it equals Run.Snapshot.
 func (c *Campaign) Stats() Stats { return c.fleet.Stats() }
 
 // Crashes returns the unique faults found so far, in discovery order,
 // deduplicated across workers.
 func (c *Campaign) Crashes() []*CrashRecord { return c.fleet.Crashes().Records() }
-
-// CorpusSize returns the number of puzzles currently stored.
-func (c *Campaign) CorpusSize() int { return c.fleet.Corpus().Len() }
 
 // CorpusSignatures lists the construction-rule signatures present in the
 // puzzle corpus — a view into what packet cracking has learned.

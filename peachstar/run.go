@@ -79,13 +79,9 @@ type RunConfig struct {
 	// RelayOnly makes the session execute nothing itself: the workers
 	// stay idle while the session serves its attachments — accepting
 	// hub or mesh peers and relaying fleet state between them every
-	// RelayEvery — until the context ends, Stop is called, or the
+	// DefaultRelayEvery — until the context ends, Stop is called, or the
 	// deadline passes. For aggregator hubs and pure mesh relays.
 	RelayOnly bool
-	// RelayEvery is the wall-clock cadence of a RelayOnly session's
-	// sync-and-report rounds (0 = DefaultRelayEvery). Ignored unless
-	// RelayOnly is set.
-	RelayEvery time.Duration
 	// Adaptive switches the campaign's adaptive scheduler on before the
 	// session starts (see Options.Adaptive) — for enabling it on a later
 	// session of a campaign built without it. Enabling is permanent for
@@ -256,9 +252,6 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = DefaultEventBuffer
 	}
-	if cfg.RelayEvery <= 0 {
-		cfg.RelayEvery = DefaultRelayEvery
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
@@ -346,13 +339,11 @@ func (r *Run) Done() <-chan struct{} { return r.done }
 func (r *Run) Events() <-chan Event { return r.events }
 
 // Snapshot returns the campaign's progress without stopping it — safe to
-// call from any goroutine at any time. Counters are approximate while
-// the fleet runs: executions, paths and iteration counts are as of each
-// worker's latest merge window (at most one window behind), and the edge
-// and corpus figures are the fleet union as of the latest window; crash
-// and hang counts are exact at all times. Once the session is done the
-// snapshot is exact. For the exact-but-blocking alternative, use
-// Campaign.Stats after Wait.
+// call from any goroutine at any time. It sums the record each worker
+// publishes at the end of every merge window, so while the fleet runs
+// every figure but the crash and hang counts (exact at all times) is as of
+// each worker's latest window, at most one window behind. Once Wait
+// returns it equals Campaign.Stats, field for field.
 func (r *Run) Snapshot() Stats { return r.c.fleet.StatsApprox() }
 
 // release gives back what Start acquired: the displaced execution backend
@@ -470,15 +461,15 @@ func nearest(a, b int) int {
 }
 
 // advance runs one window — a Drive to the window's exec target, or for a
-// RelayOnly session (which executes nothing) a sleep of RelayEvery cut
-// short by the deadline — and reports whether the session goes on: false
-// when Stop, the context, or an unrecoverable execution backend ended it
-// meanwhile.
+// RelayOnly session (which executes nothing) a sleep of DefaultRelayEvery
+// cut short by the deadline — and reports whether the session goes on:
+// false when Stop, the context, or an unrecoverable execution backend
+// ended it meanwhile.
 func (r *Run) advance(window core.Budget) bool {
 	if !r.cfg.RelayOnly {
 		r.c.fleet.Drive(r.stop, window, r.windowHook)
 	} else {
-		wait := r.cfg.RelayEvery
+		wait := DefaultRelayEvery
 		if !window.Deadline.IsZero() {
 			wait = min(wait, time.Until(window.Deadline))
 		}
@@ -497,7 +488,7 @@ func (r *Run) advance(window core.Budget) bool {
 	}
 }
 
-// report settles the published counters and emits a StatsEvent. Called
+// report settles the published records and emits a StatsEvent. Called
 // between windows, when the fleet is quiescent.
 func (r *Run) report() {
 	r.c.fleet.PublishStats()

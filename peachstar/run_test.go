@@ -3,6 +3,7 @@ package peachstar
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -277,5 +278,61 @@ func TestStartSnapshotDuringRun(t *testing.T) {
 	if snap.Execs != exact.Execs || snap.Edges != exact.Edges ||
 		snap.UniqueCrashes != exact.UniqueCrashes || snap.CorpusPuzzles != exact.CorpusPuzzles {
 		t.Fatalf("post-run Snapshot %+v != exact Stats %+v", snap, exact)
+	}
+}
+
+// TestSnapshotMatchesStatsAfterWait: once Wait returns, Snapshot, the
+// final StatsEvent and Campaign.Stats are one figure — every field, the
+// per-state and per-operator breakdowns included — whatever the worker
+// count, scheduler, session mode or attachment.
+func TestSnapshotMatchesStatsAfterWait(t *testing.T) {
+	iec104 := func() Target {
+		tgt, err := NewTarget("IEC104")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tgt
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		warm  int // execs run before the checked session
+		relay bool
+	}{
+		{name: "serial", opts: Options{Strategy: PeachStar, Seed: 5}},
+		{name: "workers=2/adaptive", opts: Options{Strategy: PeachStar, Seed: 5, Workers: 2, Adaptive: true}},
+		{name: "sessions/workers=1/adaptive", opts: Options{Target: iec104(), Strategy: PeachStar, Seed: 5, Sessions: true, Adaptive: true}},
+		{name: "sessions/workers=2/adaptive", opts: Options{Target: iec104(), Strategy: PeachStar, Seed: 5, Workers: 2, Sessions: true, Adaptive: true}},
+		{name: "relay-hub", opts: Options{Strategy: PeachStar, Seed: 5}, warm: 4000, relay: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCampaign(t, tc.opts)
+			cfg := RunConfig{Execs: 8000, StatsEvery: 1024}
+			if tc.relay {
+				runExecs(t, c, tc.warm)
+				cfg = RunConfig{RelayOnly: true, Duration: 50 * time.Millisecond, Attach: []Attachment{WithHub("127.0.0.1:0")}}
+			}
+			r, err := c.Start(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, _, _, _ := collectEvents(r)
+			if err := r.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if len(stats) == 0 {
+				t.Fatal("no StatsEvent")
+			}
+			final, snap, exact := stats[len(stats)-1].Stats, r.Snapshot(), c.Stats()
+			if !reflect.DeepEqual(snap, exact) {
+				t.Errorf("Snapshot %+v != Stats %+v", snap, exact)
+			}
+			if !reflect.DeepEqual(final, exact) {
+				t.Errorf("final StatsEvent %+v != Stats %+v", final, exact)
+			}
+			if exact.Edges == 0 {
+				t.Error("campaign covered nothing")
+			}
+		})
 	}
 }
