@@ -41,15 +41,18 @@ test-386:
 race:
 	$(GO) test -race ./...
 
-# The pipelined sync round under the race detector, many times over: a
-# leaf's exchange runs beside the next window and is joined by the next
-# boundary, a Close or a Sync, and one -race pass can miss an interleaving.
-# The Snapshot tests ride along: each worker publishes its progress record
-# under a lock that any goroutine may take (they add about 30 s on a
-# 2-vCPU Xeon).
+# The session's boundary jobs under the race detector, many times over: a
+# leaf's exchange and a checkpoint write each run beside the next window
+# and are joined by the next boundary or the tail, and one -race pass can
+# miss an interleaving. The root package's checkpoint-job tests (teardown
+# with a write always in flight, and a leaf session with both jobs in
+# flight) add about 15 s on a 2-vCPU Xeon. The Snapshot tests ride
+# along: each worker publishes its progress record under a lock that any
+# goroutine may take (they add about 30 s).
 race-sync:
-	$(GO) test -race -count=20 -run 'TestSingleLeafTransportLossless|TestCloseJoinsRoundInFlight' ./internal/fleetnet
+	$(GO) test -race -count=20 -run 'TestSingleLeafTransportLossless|TestSyncAfterCloseRevivesUplink' ./internal/fleetnet
 	$(GO) test -race -count=20 -run 'TestLeafWindowOverlapsExchange|TestHubAttachmentPublishesLocalWork|TestServeAndDialSync|TestJoinMeshLoopback|TestStartStopDuringMeshSync|TestStartCancelMeshPromptness|TestStartSnapshotDuringRun|TestSnapshotMatchesStatsAfterWait' ./peachstar
+	$(GO) test -race -count=20 -run 'TestCheckpointWriterTeardown|TestCheckpointLeafSession' .
 
 # Chaos soak over the real-target execution backend: a timed campaign
 # against the bundled toy Modbus server while a chaos goroutine SIGKILLs

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -417,10 +418,10 @@ func TestRunConfigCheckpointPath(t *testing.T) {
 	}
 }
 
-// TestCheckpointWriterTeardown runs the background checkpoint writer
-// nearly always busy (a checkpoint every 64 execs) and ends the session
-// mid-run — once with Stop, once by canceling the context. Either way
-// the writer is joined before Wait returns: no goroutine outlives the
+// TestCheckpointWriterTeardown keeps a checkpoint write nearly always in
+// flight (a checkpoint every 64 execs) and ends the session mid-run —
+// once with Stop, once by canceling the context. Either way the last
+// write is joined before Wait returns: no goroutine outlives the
 // session, no temp file is left beside the checkpoint, and the file
 // restores (after a Stop, to the finished campaign's exact state).
 func TestCheckpointWriterTeardown(t *testing.T) {
@@ -487,6 +488,100 @@ func TestCheckpointWriterTeardown(t *testing.T) {
 				t.Fatalf("final checkpoint after Stop does not capture the end state:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestCheckpointLeafSession runs both kinds of boundary job at once: a
+// leaf session syncs four times per checkpoint, so a round's exchange and
+// a checkpoint write are in flight together. Every write succeeds, none is
+// skipped, the final image holds the session's end state, and nothing the
+// session started outlives it.
+func TestCheckpointLeafSession(t *testing.T) {
+	const execs, every = 6000, 1024
+	hub, err := newCheckpointCampaign(t, "libmodbus", 1, false, false).ServeSync("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	path := filepath.Join(t.TempDir(), "leaf.ckpt")
+	c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+	before := runtime.NumGoroutine()
+	run, err := c.Start(context.Background(), peachstar.RunConfig{
+		Execs:           execs,
+		SyncEvery:       every / 4,
+		CheckpointPath:  path,
+		CheckpointEvery: every,
+		Attach:          []peachstar.Attachment{peachstar.WithLeaf(hub.Addr())},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, rounds := 0, 0
+	for ev := range run.Events() {
+		switch ev := ev.(type) {
+		case peachstar.CheckpointEvent:
+			if ev.Err != nil {
+				t.Errorf("checkpoint at %d execs failed: %v", ev.Execs, ev.Err)
+			}
+			written++
+		case peachstar.SyncWindowEvent:
+			rounds++
+		}
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if written < execs/every || rounds < execs/(every/4) {
+		t.Fatalf("%d checkpoints and %d sync rounds in %d execs, want at least %d and %d", written, rounds, execs, execs/every, execs/(every/4))
+	}
+	restored := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+	if err := restored.RestoreCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Stats(), c.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final checkpoint does not capture the session's end state:\n got %+v\nwant %+v", got, want)
+	}
+	// The hub drops the link once the leaf hangs up.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Wait, %d before Start", n, before)
+	}
+}
+
+// TestCheckpointRelaySession: a RelayOnly hub session executes nothing,
+// so its checkpoint is due every relay round; a session shorter than one
+// round writes that round's checkpoint and the final one.
+func TestCheckpointRelaySession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "relay.ckpt")
+	c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+	run, err := c.Start(context.Background(), peachstar.RunConfig{
+		RelayOnly:      true,
+		Duration:       50 * time.Millisecond,
+		CheckpointPath: path,
+		Attach:         []peachstar.Attachment{peachstar.WithHub("127.0.0.1:0")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := 0
+	for ev := range run.Events() {
+		if ck, ok := ev.(peachstar.CheckpointEvent); ok {
+			if ck.Err != nil {
+				t.Errorf("relay checkpoint failed: %v", ck.Err)
+			}
+			written++
+		}
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if written != 2 {
+		t.Fatalf("relay session wrote %d checkpoints, want its round's and the final one", written)
+	}
+	if err := newCheckpointCampaign(t, "libmodbus", 1, false, false).RestoreCheckpoint(path); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,13 +9,13 @@
 // Every integer is a minimally-encoded unsigned varint (non-minimal
 // encodings are rejected, so decoding is canonical — every accepted buffer
 // re-encodes to itself byte for byte) unless a field is declared fixed-width;
-// width-pinned reads (U8/U16/U32/Int) reject a value that does not fit its
-// field instead of truncating it; lengths and element counts are validated
-// against the remaining input before any allocation, so decode-time memory
-// is bounded by the bytes received, not by what they claim; and trailing
-// bytes are an error. Canonical encoding is what makes the round-trip golden
-// test possible: snapshot → restore → snapshot must reproduce the identical
-// byte string.
+// width-pinned reads (U32, Int and word fields) reject a value that does
+// not fit its field instead of truncating it; lengths and element counts
+// are validated against the remaining input before any allocation, so
+// decode-time memory is bounded by the bytes received, not by what they
+// claim; and trailing bytes are an error. Canonical encoding is what makes
+// the round-trip golden test possible: snapshot → restore → snapshot must
+// reproduce the identical byte string.
 //
 // Decoding never panics on hostile input: the Reader carries a sticky
 // error, every accessor degrades to a zero value once it is set, and the
@@ -158,12 +158,6 @@ func (r *Reader) bits(n uint) uint64 {
 	}
 	return v
 }
-
-// U8 reads one uvarint pinned to 8 bits.
-func (r *Reader) U8() uint8 { return uint8(r.bits(8)) }
-
-// U16 reads one uvarint pinned to 16 bits.
-func (r *Reader) U16() uint16 { return uint16(r.bits(16)) }
 
 // U32 reads one uvarint pinned to 32 bits.
 func (r *Reader) U32() uint32 { return uint32(r.bits(32)) }

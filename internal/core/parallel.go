@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -168,17 +170,6 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// EnableAdaptive switches every worker's adaptive scheduler on (see
-// sched.go); idempotent, and a no-op for campaigns built with
-// Config.Adaptive. Must not be called while a Drive is in flight. Enabling
-// mid-campaign is permanent: seeds retained before the switch carry no
-// edge lists and are scored minimally until re-discovered.
-func (f *Fleet) EnableAdaptive() {
-	for _, w := range f.workers {
-		w.enableAdaptive()
-	}
-}
-
 // State exposes the fleet's shared campaign state, the attachment point for
 // the network transport: a fleetnet hub serves it to remote leaves, a
 // fleetnet leaf exchanges it with its hub. Anything merged into the state
@@ -315,17 +306,16 @@ func (f *Fleet) Crashes() *crash.Bank {
 	return bank
 }
 
-// Corpus returns the shared campaign corpus after folding in every worker's
-// local puzzles.
-func (f *Fleet) Corpus() *corpus.Corpus {
-	if len(f.workers) == 1 && f.state.CorpusLen() == 0 {
-		return f.workers[0].Corpus()
-	}
-	st := f.state
-	st.mu.Lock()
+// CorpusSignatures returns the rule signatures of every worker's corpus
+// and the shared corpus, sorted and deduplicated. Reading them changes
+// nothing a checkpoint stores or a peer receives.
+func (f *Fleet) CorpusSignatures() []string {
+	f.state.mu.Lock()
+	sigs := f.state.corp.Signatures()
+	f.state.mu.Unlock()
 	for _, w := range f.workers {
-		st.corp.MergeFrom(w.corp)
+		sigs = append(sigs, w.corp.Signatures()...)
 	}
-	st.mu.Unlock()
-	return st.corp
+	sort.Strings(sigs)
+	return slices.Compact(sigs)
 }

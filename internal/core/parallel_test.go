@@ -50,7 +50,7 @@ func TestParallelWorkers1MatchesSerial(t *testing.T) {
 			t.Fatalf("crash %d differs: serial %+v, fleet %+v", i, sr[i], fr[i])
 		}
 	}
-	if got, want := fleet.Corpus().Len(), serial.Corpus().Len(); got != want {
+	if got, want := fleet.Stats().CorpusPuzzles, serial.Corpus().Len(); got != want {
 		t.Fatalf("fleet(1) corpus = %d puzzles, serial = %d", got, want)
 	}
 }
@@ -207,8 +207,7 @@ func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 
 // TestJournalSyncMatchesFullMerge: a fleet whose sync windows exchange
 // journal deltas must end with the same shared corpus a full MergeFrom walk
-// would produce (MergeFrom over the final worker states is what Stats and
-// Corpus still use).
+// would produce.
 func TestJournalSyncMatchesFullMerge(t *testing.T) {
 	f := newFleet(t, 3, 128, 11)
 	f.Run(4000)
@@ -217,7 +216,7 @@ func TestJournalSyncMatchesFullMerge(t *testing.T) {
 	for _, w := range f.workers {
 		full.MergeFrom(w.corp)
 	}
-	got := f.Corpus()
+	got := f.state.corp
 	if got.Len() == 0 {
 		t.Skip("campaign found no puzzles under this seed")
 	}
@@ -267,9 +266,8 @@ func TestSyncAllFlushesSingleWorkerFleet(t *testing.T) {
 	if got, want := f.state.Edges(), f.workers[0].virgin.Edges(); got != want {
 		t.Fatalf("shared edges after SyncAll = %d, worker knows %d", got, want)
 	}
-	if f.state.CorpusLen() != f.workers[0].corp.Len() {
-		t.Fatalf("shared corpus = %d puzzles, worker has %d",
-			f.state.CorpusLen(), f.workers[0].corp.Len())
+	if _, got := f.state.Figures(); got != f.workers[0].corp.Len() {
+		t.Fatalf("shared corpus = %d puzzles, worker has %d", got, f.workers[0].corp.Len())
 	}
 }
 

@@ -83,13 +83,6 @@ func (s *SyncState) Figures() (edges, corpusLen int) {
 	return s.virgin.Edges(), s.corp.Len()
 }
 
-// CorpusLen returns the number of puzzles in the shared corpus.
-func (s *SyncState) CorpusLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.corp.Len()
-}
-
 // CrashRecords snapshots the crash records that have arrived from remote
 // peers (local workers keep their own banks; Fleet.Crashes folds both).
 func (s *SyncState) CrashRecords() []*crash.Record {

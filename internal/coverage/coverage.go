@@ -135,11 +135,6 @@ func (t *Tracer) PathHash() uint64 {
 	return h
 }
 
-// ResetEdge clears only the previous-location register. Targets call this at
-// the top of a packet-handling entry point so that edges do not leak across
-// independent packets when the map itself is being accumulated.
-func (t *Tracer) ResetEdge() { t.prev = 0 }
-
 // Snapshot copies the current coverage map. The copy is bucketed lazily by
 // the consumer; raw hit counts are preserved here. Only dirty lines are
 // copied — the untouched remainder of the map is provably zero (Hit is the

@@ -56,16 +56,6 @@ func TestResetClearsMapAndPrev(t *testing.T) {
 	}
 }
 
-func TestResetEdgeOnlyClearsPrev(t *testing.T) {
-	tr := NewTracer()
-	tr.Hit(7)
-	tr.ResetEdge()
-	tr.Hit(7)
-	if tr.Raw()[7] != 2 {
-		t.Fatalf("map[7] = %d, want 2 (accumulated across ResetEdge)", tr.Raw()[7])
-	}
-}
-
 func TestBucketBoundaries(t *testing.T) {
 	cases := []struct{ in, want byte }{
 		{0, 0}, {1, 1}, {2, 2}, {3, 4}, {4, 8}, {7, 8}, {8, 16},

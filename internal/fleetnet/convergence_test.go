@@ -173,7 +173,7 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 		}
 	}
 	// The exchanged corpora must agree on the rule signatures learned.
-	sigsA, sigsB := fleets[0].Corpus().Signatures(), fleets[1].Corpus().Signatures()
+	sigsA, sigsB := fleets[0].CorpusSignatures(), fleets[1].CorpusSignatures()
 	if len(sigsA) != len(sigsB) {
 		t.Fatalf("leaf corpora diverged: %d vs %d signatures", len(sigsA), len(sigsB))
 	}
@@ -190,8 +190,9 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 // pushing your own state and pulling it back is a no-op. This is the
 // distributed extension of the workers=1 ≡ serial guarantee, for the
 // synchronous round (Sync: a flush before and after the wire exchange)
-// and the pipelined one the session loop drives (Begin flushes once and
-// the exchange overlaps the next window, joined by Await; a final Sync).
+// and the pipelined one the session loop drives (Capture flushes once and
+// its exchange overlaps the next window, joined before the next Capture;
+// a final Sync).
 func TestSingleLeafTransportLossless(t *testing.T) {
 	const (
 		budget = 30000
@@ -207,12 +208,16 @@ func TestSingleLeafTransportLossless(t *testing.T) {
 			return driveSynced(fleet, leaf.Sync, budget, window)
 		}},
 		{"pipelined", 1, func(fleet *core.Fleet, leaf testLeaf, hub *core.SyncState) error {
+			done := make(chan struct{})
+			close(done)
 			for fleet.Execs() < budget {
 				fleet.Drive(nil, core.Budget{Execs: min(fleet.Execs()+window, budget)}, nil)
-				leaf.Await()
-				leaf.Begin(context.Background())
+				<-done
+				exchange := leaf.Capture(context.Background())
+				done = make(chan struct{})
+				go func() { exchange(); close(done) }()
 			}
-			leaf.Await()
+			<-done
 			// The last round began after the last window: its push carried
 			// everything the leaf found.
 			if got, want := hub.Edges(), fleet.Stats().Edges; got != want {

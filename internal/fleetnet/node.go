@@ -89,13 +89,14 @@ type Config struct {
 // vector of cursors, one per link, so any node can vanish and the
 // remaining links keep the campaign converging.
 //
-// Sync, SyncContext, Begin, Await and Close belong to the fleet's driving
-// goroutine, between core.Fleet.Drive windows; a round's exchange runs on
-// a goroutine of its own, touching only the shared state (under its lock),
-// until Await, Close or the next round joins it. The accept loop and its
-// handlers run in the background; Addr, RemoteStats, PeerStats and
-// FleetStats are safe from any goroutine. The campaign loop itself lives
-// in the public session driver, peachstar.Campaign.Start.
+// Sync, SyncContext, Capture and Close belong to the fleet's driving
+// goroutine, between core.Fleet.Drive windows. The exchange Capture
+// returns may run on any goroutine, touching only the shared state (under
+// its lock); the caller must let it finish before the next Capture, Sync
+// or Close. The accept loop and its handlers run in the background; Addr,
+// RemoteStats, PeerStats and FleetStats are safe from any goroutine. The
+// campaign loop itself lives in the public session driver,
+// peachstar.Campaign.Start.
 type Node struct {
 	cfg    Config
 	digest uint64
@@ -121,14 +122,13 @@ type Node struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	// Owned by the round in flight, else by the driving goroutine: the
+	// Owned by the exchange in flight, else by the driving goroutine: the
 	// uplinks, the redial jitter (seeded from the node ID, so each node
 	// jitters its own way yet reproduces its schedule across runs), and the
 	// cumulative sync-frame traffic over every uplink.
 	uplinks          map[string]*uplink
 	bk               *backoff.Policy
 	txBytes, rxBytes int
-	inflight         chan Round // the driving goroutine's: the round in flight until Await
 }
 
 // NewNode validates the configuration and prepares the node: every static
@@ -245,9 +245,8 @@ func (n *Node) Addr() string {
 // The fleet and everything already merged stay intact, and a later Sync
 // revives the uplinks: they re-register (falling back to a full journal
 // replay if their tail was compacted away) and redial with their resume
-// cursors. A round in flight is joined first. Safe to call more than once.
+// cursors. Safe to call more than once.
 func (n *Node) Close() error {
-	n.Await()
 	for _, u := range n.uplinks {
 		u.close()
 	}
@@ -316,7 +315,8 @@ func (n *Node) FleetStats() (execs, edges, leaves int, ok bool) {
 // Traffic returns the cumulative bytes this node has sent and received in
 // sync frames over its uplinks (headers included, handshakes excluded) —
 // the measurement behind cmd/bench's fleetnet.bytes_per_window. Unlike
-// the other figures it belongs to the driving goroutine: valid after Await.
+// the other figures it belongs to the driving goroutine: valid when no
+// exchange is in flight.
 func (n *Node) Traffic() (tx, rx int) { return n.txBytes, n.rxBytes }
 
 // AddPeer adds one address to the peer book as a static peer (dialed from
@@ -459,24 +459,23 @@ func (n *Node) tendUplinks() {
 // Sync runs one sync round under a background context; see SyncContext.
 func (n *Node) Sync() error { return n.SyncContext(context.Background()) }
 
-// SyncContext runs Begin's round synchronously — the exchange in place —
-// and, when any uplink exchanged, flushes again so the workers see the
-// remote material at once. Inbound sessions sync on the accept loop, so a
-// hub's round is the first flush alone: it publishes the workers to the
-// peers that pull from it. The fleet must not be running.
+// SyncContext runs Capture's round in place and, when any uplink
+// exchanged, flushes again so the workers see the remote material at once.
+// Inbound sessions sync on the accept loop, so a hub's round is the first
+// flush alone: it publishes the workers to the peers that pull from it.
+// The fleet must not be running.
 func (n *Node) SyncContext(ctx context.Context) error {
-	n.begin(ctx, false)
-	r, _ := n.Await()
+	r := n.Capture(ctx)()
 	if r.Exchanged {
 		n.cfg.Fleet.SyncAll()
 	}
 	return r.Err
 }
 
-// Round is one sync round's outcome, as Await reports it: the fleet's
-// executions when it began, its own duration (flush and exchange, not the
-// window it overlapped), whether any uplink exchanged (the replies wait in
-// the shared state for the next flush), and its first link error.
+// Round is one sync round's outcome: the fleet's executions at capture,
+// its own duration (flush and exchange, not the window it overlapped),
+// whether any uplink exchanged (the replies wait in the shared state for
+// the next flush), and its first link error.
 type Round struct {
 	Execs     int
 	Elapsed   time.Duration
@@ -484,12 +483,13 @@ type Round struct {
 	Err       error
 }
 
-// Begin starts one sync round and returns while its exchange runs. It
-// joins any round in flight, flushes the local workers and captures what
-// a push reports of the fleet — so the fleet must not be running — then,
-// on a goroutine that touches only the shared state, under its lock,
-// exchanges deltas over every due uplink in address order, dialing known
-// peers that lack one. The fleet may be driven again at once.
+// Capture runs the quiescent half of one sync round — it flushes the
+// local workers and captures what a push reports of the fleet, so the
+// fleet must not be running — and returns the wire half, which exchanges
+// deltas over every due uplink in address order, dialing known peers that
+// lack one. The wire half touches only the shared state (under its lock),
+// so it may run beside the next window; the caller runs it to completion
+// before the node's next Capture, Sync or Close.
 //
 // A failed link resets its session and redials with capped exponential
 // backoff and jitter — the first redial is immediate — and a learned peer
@@ -497,40 +497,17 @@ type Round struct {
 // uplink sitting a round out counts with its last error. Cancellation
 // interrupts the link in flight (dial included) and ends the round with
 // the context's error. A node without a Fleet has nothing to flush or dial.
-func (n *Node) Begin(ctx context.Context) { n.begin(ctx, true) }
-
-// begin is Begin; a synchronous round (!async) exchanges in place.
-func (n *Node) begin(ctx context.Context, async bool) {
-	n.Await()
+func (n *Node) Capture(ctx context.Context) func() Round {
 	began := time.Now()
-	done := make(chan Round, 1)
-	n.inflight = done
 	if err := ctx.Err(); err != nil || n.cfg.Fleet == nil {
-		done <- Round{Err: err}
-		return
+		return func() Round { return Round{Err: err} }
 	}
 	n.cfg.Fleet.SyncAll()
 	fig := captureFigures(n.cfg.Fleet)
-	exchange := func() {
+	return func() Round {
 		exchanged, err := n.exchange(ctx, fig)
-		done <- Round{Execs: fig.execs, Elapsed: time.Since(began), Exchanged: exchanged, Err: err}
+		return Round{Execs: fig.execs, Elapsed: time.Since(began), Exchanged: exchanged, Err: err}
 	}
-	if async {
-		go exchange()
-	} else {
-		exchange()
-	}
-}
-
-// Await joins the round in flight and reports it; ok is false when no
-// round was in flight.
-func (n *Node) Await() (r Round, ok bool) {
-	if n.inflight == nil {
-		return Round{}, false
-	}
-	r = <-n.inflight
-	n.inflight = nil
-	return r, true
 }
 
 // exchange is a round's wire half: tend the uplinks, sync each due one,

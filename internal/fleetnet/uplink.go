@@ -75,7 +75,7 @@ func (u *uplink) sync(ctx context.Context, fig pushFigures) error {
 }
 
 // pushFigures is what a push reports of the local fleet, captured at
-// quiescence (Node.Begin): a round overlapping a window never reads it.
+// quiescence (Node.Capture): a round overlapping a window never reads it.
 type pushFigures struct {
 	execs, hangs int
 	crashes      []*crash.Record

@@ -4,8 +4,8 @@ package peachstar
 // blocking Campaign.Checkpoint / Campaign.RestoreCheckpoint pair for
 // quiescent campaigns, and the periodic in-session checkpointing that
 // RunConfig.CheckpointPath switches on (driven from the session loop at
-// merge-window boundaries, written by one background writer per session
-// and reported as CheckpointEvents).
+// merge-window boundaries, written beside the next window by the
+// session's checkpoint job and reported as CheckpointEvents).
 //
 // A checkpoint file is one atomic snapshot of the whole campaign — fleet
 // counters, union coverage, corpus with its sync journal, crash bank with
@@ -70,42 +70,23 @@ func (c *Campaign) RestoreCheckpoint(path string) error {
 	return c.fleet.RestoreCheckpoint(data, c.digest)
 }
 
-// ckptImage is one sealed checkpoint image on its way from the session
-// loop to the session's checkpoint writer.
-type ckptImage struct {
-	data  []byte
-	execs int           // fleet execution count the image captures
-	snap  time.Duration // how long the snapshot took
-}
-
-// checkpointNow takes one checkpoint image from the session loop and hands
-// it to the session's writer (see writeCheckpoints). Called only between
-// Drive windows (or from a relay's tick), when the fleet's workers are
-// quiescent, so the image is a consistent cut. The hand-off is unbuffered:
-// while the previous image is still being written the loop waits here, so
-// at most one write is in flight and none is ever skipped.
-func (r *Run) checkpointNow() {
+// captureCheckpoint is the session's checkpoint job capture (see job):
+// a sealed image of the quiescent fleet. Its finish writes the image
+// atomically (temp file, fsync, rename) and reports it as a
+// CheckpointEvent. A write failure is an event, not a session error — the
+// campaign keeps fuzzing and the next checkpoint retries.
+func (r *Run) captureCheckpoint() func() {
 	began := time.Now()
 	data := r.c.fleet.Checkpoint(r.c.digest)
-	r.ckpts <- ckptImage{data: data, execs: r.c.fleet.Execs(), snap: time.Since(began)}
-}
-
-// writeCheckpoints is the session's checkpoint writer, on its own
-// goroutine: it writes each image atomically (temp file, fsync, rename)
-// and reports it as a CheckpointEvent while the loop fuzzes the next
-// window. It returns when the loop closes the channel. A write failure is
-// an event, not a session error — the campaign keeps fuzzing and the next
-// checkpoint retries.
-func (r *Run) writeCheckpoints() {
-	defer close(r.ckptsDone)
-	for img := range r.ckpts {
+	execs, snap := r.c.fleet.Execs(), time.Since(began)
+	return func() {
 		began := time.Now()
-		err := checkpoint.WriteFileAtomic(r.cfg.CheckpointPath, img.data)
+		err := checkpoint.WriteFileAtomic(r.cfg.CheckpointPath, data)
 		r.emit(CheckpointEvent{
 			Path:    r.cfg.CheckpointPath,
-			Execs:   img.execs,
-			Bytes:   len(img.data),
-			Elapsed: img.snap + time.Since(began),
+			Execs:   execs,
+			Bytes:   len(data),
+			Elapsed: snap + time.Since(began),
 			Err:     err,
 		})
 	}

@@ -74,7 +74,7 @@ type CrashEvent struct {
 func (CrashEvent) event() {}
 
 // DistillEvent reports one corpus distillation of an adaptive campaign
-// (Options.Adaptive / RunConfig.Adaptive): a worker computed the greedy
+// (Options.Adaptive): a worker computed the greedy
 // minimal covering set over its tracked valuable seeds' edge sets and
 // pruned the puzzles of the seeds outside the cover. Emitted at the end
 // of the merge window in which the distillation ran.
@@ -113,8 +113,9 @@ func (StateEvent) event() {}
 // mesh node's push/pull round trip that merges this campaign's
 // discoveries with the rest of the fleet, or a hub's ("hub") local flush
 // into the state its leaves exchange with. A round's exchange overlaps the
-// next window, so its event arrives at the next window boundary (the final
-// round's before the stream closes). Err is nil on success; a failed
+// next window, so its event is emitted when the exchange finishes and may
+// arrive after events of that window (the final round's arrives before the
+// stream closes). Err is nil on success; a failed
 // exchange is not fatal (the campaign keeps fuzzing and the next window
 // retries), so errors surface here rather than ending the run.
 type SyncWindowEvent struct {
@@ -124,7 +125,8 @@ type SyncWindowEvent struct {
 	// leaf; the node's own accept address for a hub, or for a mesh, whose
 	// exchanges fan out to every linked peer).
 	Addr string
-	// Execs is the campaign's local execution count when the round began.
+	// Execs is the campaign's local execution count when the round was
+	// captured.
 	Execs int
 	// Elapsed is the round's own duration — the flush and the exchange —
 	// not the window it overlapped.

@@ -312,8 +312,9 @@ func (c *Campaign) Stats() Stats { return c.fleet.Stats() }
 func (c *Campaign) Crashes() []*CrashRecord { return c.fleet.Crashes().Records() }
 
 // CorpusSignatures lists the construction-rule signatures present in the
-// puzzle corpus — a view into what packet cracking has learned.
-func (c *Campaign) CorpusSignatures() []string { return c.fleet.Corpus().Signatures() }
+// puzzle corpus — a view into what packet cracking has learned. Reading
+// them changes nothing a checkpoint stores or a peer receives.
+func (c *Campaign) CorpusSignatures() []string { return c.fleet.CorpusSignatures() }
 
 // NewTarget instantiates one of the registered protocol targets by its
 // project name: "libmodbus", "IEC104", "libiec61850", "lib60870",

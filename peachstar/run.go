@@ -47,12 +47,9 @@ type RunConfig struct {
 	// campaign with a second session reuses the same scale). 0 means no
 	// execution bound.
 	Execs int
-	// Deadline, when non-zero, stops the session at that wall-clock
-	// instant, checked before every engine step (so the session lands on
-	// it within one engine iteration, not one merge window).
-	Deadline time.Time
-	// Duration, when positive and Deadline is zero, is a relative
-	// deadline of Start-time + Duration.
+	// Duration, when positive, stops the session that long after Start,
+	// checked before every engine step (so the session lands on its
+	// deadline within one engine iteration, not one merge window).
 	Duration time.Duration
 	// SyncEvery is the number of local executions between sync windows
 	// when the session has attachments — hub, leaf or mesh
@@ -82,12 +79,6 @@ type RunConfig struct {
 	// DefaultRelayEvery — until the context ends, Stop is called, or the
 	// deadline passes. For aggregator hubs and pure mesh relays.
 	RelayOnly bool
-	// Adaptive switches the campaign's adaptive scheduler on before the
-	// session starts (see Options.Adaptive) — for enabling it on a later
-	// session of a campaign built without it. Enabling is permanent for
-	// the campaign; false leaves the campaign's current mode unchanged
-	// (it never switches the scheduler back off).
-	Adaptive bool
 	// Exec selects the session's execution backend: nil (the default)
 	// fuzzes the campaign's in-process target exactly as always, while
 	// WithProcTarget spawns and supervises a real server process for the
@@ -105,9 +96,10 @@ type RunConfig struct {
 	// write an atomic replace, reported as a CheckpointEvent. The state is
 	// captured between windows; the write itself runs in the background,
 	// overlapping the next window (the session waits only if the previous
-	// write is still in flight), and the final write is on disk before
-	// Wait returns. A later campaign built with the same options resumes
-	// from the file with Campaign.RestoreCheckpoint (or peachstar -resume).
+	// write is still in flight at the next checkpoint), and the final write
+	// is on disk before Wait returns. A later campaign built with the same
+	// options resumes from the file with Campaign.RestoreCheckpoint (or
+	// peachstar -resume).
 	CheckpointPath string
 	// CheckpointEvery is the number of fleet executions between durable
 	// checkpoints (0 = DefaultCheckpointEvery). Ignored without
@@ -180,6 +172,8 @@ type Run struct {
 	cfg   RunConfig
 	ctx   context.Context
 	start time.Time
+	// deadline is Start-time + RunConfig.Duration, zero without one.
+	deadline time.Time
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -194,12 +188,6 @@ type Run struct {
 	ctxStopped atomic.Bool
 
 	atts, owned []*SyncNode // owned: the nodes the session opened and closes
-
-	// ckpts hands checkpoint images to the session's writer goroutine,
-	// which closes ckptsDone when it has written the last one; both nil
-	// without RunConfig.CheckpointPath.
-	ckpts     chan ckptImage
-	ckptsDone chan struct{}
 
 	// exec is the session-owned execution backend swapped into the fleet
 	// for this session (nil for default in-process sessions); prevExec is
@@ -240,9 +228,6 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if !c.running.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("peachstar: campaign already has a session in flight")
 	}
-	if cfg.Deadline.IsZero() && cfg.Duration > 0 {
-		cfg.Deadline = time.Now().Add(cfg.Duration)
-	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = DefaultSyncEvery
 	}
@@ -255,11 +240,6 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
-	if cfg.Adaptive {
-		// Safe here: the one-session invariant holds (CAS above) and the
-		// fleet is quiescent until loop() starts driving it.
-		c.fleet.EnableAdaptive()
-	}
 	r := &Run{
 		c:         c,
 		cfg:       cfg,
@@ -269,6 +249,9 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 		done:      make(chan struct{}),
 		events:    make(chan Event, cfg.EventBuffer),
 		crashSeen: make(map[string]bool),
+	}
+	if cfg.Duration > 0 {
+		r.deadline = r.start.Add(cfg.Duration)
 	}
 	r.statsNext.Store(int64(cfg.StatsEvery))
 	if cfg.StatsEvery < 0 {
@@ -361,19 +344,55 @@ func (r *Run) release() {
 	r.c.running.Store(false)
 }
 
+// job is one piece of a session's boundary work: the durable checkpoint,
+// or one attachment's sync round. Its capture runs on the session
+// goroutine at a window boundary, while the fleet is quiescent, and
+// returns its finish, which runs on a goroutine of its own beside the next
+// window and emits the job's event.
+//
+// The join rule, the only one: a job joins its own previous run before it
+// captures again; a checkpoint's capture first joins every round, so its
+// cut sees no exchange in flight; and the tail joins every job before the
+// event stream closes.
+type job struct {
+	capture func() (finish func())
+	done    chan struct{} // closed when the run in flight finishes; nil when none is
+}
+
+// run joins the job's previous run, captures, and starts the finish.
+func (j *job) run() {
+	j.join()
+	finish := j.capture()
+	done := make(chan struct{})
+	j.done = done
+	go func() { defer close(done); finish() }()
+}
+
+// join waits for the job's run in flight, if any.
+func (j *job) join() {
+	if j.done != nil {
+		<-j.done
+		j.done = nil
+	}
+}
+
+// joinAll joins every job's run in flight.
+func joinAll(jobs []*job) {
+	for _, j := range jobs {
+		j.join()
+	}
+}
+
 // loop is the session driver, on its own goroutine — the one loop every
-// session runs, whatever is attached: advance window k, join every
-// attachment's round k−1 (emitting its SyncWindowEvent), take a durable
-// checkpoint if one is due, begin round k — whose exchange overlaps window
-// k+1 — until the budget is spent or the session is stopped. The window is
-// the nearest of the budget, the next sync (when anything is attached) and
-// the next checkpoint (when a path is set), so a bare session is exactly
-// one Drive call. The tail joins the last round; a graceful end then gets
-// one synchronous round — its error is the session result — and a final
-// checkpoint. Failures inside the loop surface as events and the next
-// window retries. Each checkpoint is a cut of the quiescent fleet with no
-// round in flight, written by the session's checkpoint writer while the
-// next window fuzzes; the loop joins the writer before closing events.
+// session runs, whatever is attached: advance a window, run the checkpoint
+// job if one is due, run every attachment's round job, until the budget is
+// spent or the session is stopped. The window is the nearest of the
+// budget, the next sync (when anything is attached) and the next
+// checkpoint (when a path is set), so a bare session is exactly one Drive
+// call. The tail joins the rounds; a graceful end then gets one
+// synchronous round — its error is the session result — and a final
+// checkpoint, joined before the events close. Failures inside the loop
+// surface as events and the next window retries.
 func (r *Run) loop() {
 	defer func() {
 		r.release()
@@ -382,38 +401,43 @@ func (r *Run) loop() {
 	defer context.AfterFunc(r.ctx, r.stopForContext)()
 
 	fleet := r.c.fleet
-	ckpt := r.cfg.CheckpointPath != ""
-	if ckpt {
-		r.ckpts, r.ckptsDone = make(chan ckptImage), make(chan struct{})
-		go r.writeCheckpoints()
+	jobs := make([]*job, len(r.atts))
+	for i, n := range r.atts {
+		jobs[i] = r.roundJob(n)
+	}
+	rounds := jobs // excludes the checkpoint job appended below
+	var ckpt *job
+	if r.cfg.CheckpointPath != "" {
+		ckpt = &job{capture: r.captureCheckpoint}
+		jobs = append(jobs, ckpt)
 	}
 	nextCkpt := 0
 	for !r.spent() {
-		window := core.Budget{Execs: r.cfg.Execs, Deadline: r.cfg.Deadline}
+		window := core.Budget{Execs: r.cfg.Execs, Deadline: r.deadline}
 		if len(r.atts) > 0 {
 			window.Execs = nearest(window.Execs, fleet.Execs()+r.cfg.SyncEvery)
 		}
-		if ckpt {
+		if ckpt != nil {
 			nextCkpt = (fleet.Execs()/r.cfg.CheckpointEvery + 1) * r.cfg.CheckpointEvery
 			window.Execs = nearest(window.Execs, nextCkpt)
 		}
 		if !r.advance(window) {
 			break // ended mid-window: straight to the tail
 		}
-		r.awaitAll()
 		// A relay's workers never run, so its checkpoint is due every
 		// round: it preserves what the relay absorbed from its peers.
-		if ckpt && (r.cfg.RelayOnly || fleet.Execs() >= nextCkpt) {
-			r.checkpointNow()
+		if ckpt != nil && (r.cfg.RelayOnly || fleet.Execs() >= nextCkpt) {
+			joinAll(rounds)
+			ckpt.run()
 		}
-		for _, n := range r.atts {
-			n.node.Begin(r.ctx)
+		for _, j := range rounds {
+			j.run()
 		}
 		if r.cfg.RelayOnly {
 			r.report() // idle workers fire no window hook
 		}
 	}
-	r.awaitAll()
+	joinAll(rounds)
 	var syncErr error
 	if r.ctx.Err() != nil {
 		// A flush against a dead context cannot succeed. Claim the stop:
@@ -421,16 +445,11 @@ func (r *Run) loop() {
 		r.stopForContext()
 	} else {
 		syncErr = r.syncAll()
-		if ckpt {
-			r.checkpointNow()
+		if ckpt != nil {
+			ckpt.run()
 		}
 	}
-	if ckpt {
-		// Join the writer on every exit path: the last image is on disk
-		// and its event on the stream before the stream closes.
-		close(r.ckpts)
-		<-r.ckptsDone
-	}
+	joinAll(jobs)
 
 	r.report()
 	close(r.events)
@@ -515,16 +534,17 @@ func (r *Run) spent() bool {
 	if r.cfg.Execs > 0 && r.c.fleet.Execs() >= r.cfg.Execs {
 		return true
 	}
-	return !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline)
+	return !r.deadline.IsZero() && !time.Now().Before(r.deadline)
 }
 
-// awaitAll joins each attachment's round in flight, emitting its event.
-func (r *Run) awaitAll() {
-	for _, n := range r.atts {
-		if res, ok := n.node.Await(); ok {
-			r.emitWindow(n, res)
-		}
-	}
+// roundJob is attachment n's sync round as a job: its capture flushes the
+// workers and captures the push figures (fleetnet.Node.Capture), and its
+// finish exchanges and emits the SyncWindowEvent.
+func (r *Run) roundJob(n *SyncNode) *job {
+	return &job{capture: func() func() {
+		exchange := n.node.Capture(r.ctx)
+		return func() { r.emitWindow(n, exchange()) }
+	}}
 }
 
 // syncAll runs one synchronous sync round on every attachment, emitting a

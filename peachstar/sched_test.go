@@ -2,6 +2,7 @@ package peachstar
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -75,39 +76,35 @@ func TestAdaptiveOffNoSchedulerSurface(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRunConfigUpgrade: RunConfig.Adaptive switches an existing
-// campaign's scheduler on at session start — and the upgrade is sticky for
-// later sessions, as documented.
-func TestAdaptiveRunConfigUpgrade(t *testing.T) {
-	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 9})
-	r, err := c.Start(context.Background(), RunConfig{Execs: 6000, Adaptive: true, EventBuffer: 1024})
-	if err != nil {
-		t.Fatal(err)
+// TestAdaptiveStatePersistsAcrossSessions: an adaptive campaign's
+// scheduler state carries into its next session — two sessions end with
+// the scheduler tables of one session to the same budget.
+func TestAdaptiveStatePersistsAcrossSessions(t *testing.T) {
+	split := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 9, Adaptive: true})
+	whole := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 9, Adaptive: true})
+	for _, step := range []struct {
+		c     *Campaign
+		execs int
+	}{{split, 6000}, {split, 12000}, {whole, 12000}} {
+		r, err := step.c.Start(context.Background(), RunConfig{Execs: step.execs, EventBuffer: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range r.Events() {
+		}
+		if err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for range r.Events() {
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Stats().MutatorStats) == 0 {
-		t.Fatal("RunConfig.Adaptive did not enable the scheduler")
-	}
-
-	// A follow-up session without the flag keeps the scheduler on.
-	r, err = c.Start(context.Background(), RunConfig{Execs: 12000, EventBuffer: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range r.Events() {
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	got, want := split.Stats().MutatorStats, whole.Stats().MutatorStats
 	var trials uint64
-	for _, ms := range c.Stats().MutatorStats {
+	for _, ms := range got {
 		trials += ms.Trials
 	}
 	if trials == 0 {
-		t.Fatal("scheduler state did not persist across sessions")
+		t.Fatal("the adaptive scheduler ran no trials")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scheduler state did not persist across sessions:\nsplit %+v\nwhole %+v", got, want)
 	}
 }
