@@ -16,8 +16,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/executor"
 	"repro/internal/fleetnet"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 	"repro/peachstar"
 
@@ -197,7 +197,7 @@ func TestCheckpointOverWidthRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := tgt.(sandbox.StateCheckpointer)
+			sc := tgt.(executor.StateCheckpointer)
 			var w checkpoint.Writer
 			checkpoint.SnapshotFields(&w, sc.StateFields())
 			good := w.Data()
@@ -264,7 +264,7 @@ func TestCheckpointWarmRestartContinuesExactly(t *testing.T) {
 
 // TestCheckpointAllTargetsWarmRestart sweeps every registered in-process
 // target through the interrupted-versus-straight comparison. Exactness here
-// requires the target layer of the seam (sandbox.StateCheckpointer): each
+// requires the target layer of the seam (executor.StateCheckpointer): each
 // target's long-lived state — register banks, simulated heap wear,
 // activation flags, file-transfer machines — must resume with the campaign,
 // or state-dependent faults fire differently after the restore.
@@ -323,6 +323,63 @@ func TestCheckpointWorkerMismatch(t *testing.T) {
 	serial := newCheckpointCampaign(t, "libmodbus", 1, false, false)
 	if err := serial.RestoreCheckpoint(path); err == nil {
 		t.Fatal("restoring a 2-worker checkpoint into a serial campaign succeeded")
+	}
+}
+
+// statelessTarget hides a target's StateFields: it embeds only the
+// targets.Target interface, so its name and models — and with them the
+// checkpoint's model digest — match the target it wraps.
+type statelessTarget struct{ targets.Target }
+
+// TestCheckpointTargetStateRefused: a checkpoint that carries target state
+// must not restore into a campaign whose target cannot absorb it, or the
+// warm restart would silently lose the continuation guarantee. A stateless
+// campaign's own image (presence byte 0) still round-trips.
+func TestCheckpointTargetStateRefused(t *testing.T) {
+	dir := t.TempDir()
+	newStateless := func() *peachstar.Campaign {
+		tgt, err := peachstar.NewTarget("libmodbus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := peachstar.NewCampaign(peachstar.Options{Target: statelessTarget{tgt}, Strategy: peachstar.PeachStar, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	withState := filepath.Join(dir, "stateful.ckpt")
+	stateful := newCheckpointCampaign(t, "libmodbus", 1, false, false)
+	runCampaign(t, stateful, 2000)
+	if err := stateful.Checkpoint(withState); err != nil {
+		t.Fatal(err)
+	}
+	err := newStateless().RestoreCheckpoint(withState)
+	if err == nil || !strings.Contains(err.Error(), "cannot restore") {
+		t.Fatalf("restoring target state into a stateless target: err = %v, want a cannot-restore refusal", err)
+	}
+
+	first, second := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
+	orig := newStateless()
+	runCampaign(t, orig, 2000)
+	if err := orig.Checkpoint(first); err != nil {
+		t.Fatal(err)
+	}
+	restored := newStateless()
+	if err := restored.RestoreCheckpoint(first); err != nil {
+		t.Fatalf("a stateless campaign's own checkpoint does not restore: %v", err)
+	}
+	if err := restored.Checkpoint(second); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(first)
+	b, _ := os.ReadFile(second)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("stateless round trip differs (%d vs %d bytes)", len(a), len(b))
+	}
+	if got, want := restored.Stats(), orig.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored stats diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -63,7 +63,7 @@ func main() {
 		ckptPath   = flag.String("checkpoint", "", "write a durable campaign checkpoint to this file during the run (atomic replace each time; warm-restart with -resume)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "executions between durable checkpoints (with -checkpoint; 0: default)")
 		resume     = flag.Bool("resume", false, "warm-restart: restore campaign state from the -checkpoint file before fuzzing (missing file: cold start)")
-		execCmd    = flag.String("exec-cmd", "", "spawn this command as the real fuzz target and drive it over the network ({addr} expands to -exec-addr); packets go to the process instead of the in-process sandbox")
+		execCmd    = flag.String("exec-cmd", "", "spawn this command as the real fuzz target and drive it over the network ({addr} expands to -exec-addr); packets go to the process instead of the in-process runner")
 		execAddr   = flag.String("exec-addr", "", "host:port the spawned target serves on (required with -exec-cmd)")
 		execNet    = flag.String("exec-net", "tcp", "transport to the spawned target: tcp | udp (with -exec-cmd)")
 		execTO     = flag.Duration("exec-timeout", 200*time.Millisecond, "watchdog budget per exchange with the spawned target; an unresponsive target is recorded as a hang and restarted (with -exec-cmd)")

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bufio"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -229,5 +230,84 @@ func TestDocsCitationsResolve(t *testing.T) {
 		for _, cg := range f.Comments {
 			check(path, fset.Position(cg.Pos()).String(), cg.Text(), citedMake)
 		}
+	}
+}
+
+// The names that exist only for cmd/bench, which the benchmark freezes:
+// the sandbox package, fleetnet's hub/leaf constructors (compat.go) and
+// peachstar's SyncServer alias. Each package's shim names, by package.
+var benchShims = map[string][]string{
+	"repro/internal/fleetnet": {"Hub", "Leaf", "HubConfig", "LeafConfig", "NewHub", "NewLeaf"},
+	"repro/peachstar":         {"SyncServer"},
+}
+
+// TestDocsShimsOnlyForBench: no Go file outside cmd/bench/ imports
+// internal/sandbox or uses a compatibility name of fleetnet or peachstar
+// (benchShims) — qualified from another package, or unqualified inside
+// the package itself — apart from the shim's own definition.
+func TestDocsShimsOnlyForBench(t *testing.T) {
+	files, _ := repoFiles(t)
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if !strings.HasSuffix(path, ".go") || strings.HasPrefix(path, "cmd/bench/") || path == "internal/fleetnet/compat.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shim := map[string]map[string]bool{} // local package name → shim names
+		addShims := func(local, pkg string) {
+			shim[local] = map[string]bool{}
+			for _, n := range benchShims[pkg] {
+				shim[local][n] = true
+			}
+		}
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if p == "repro/internal/sandbox" {
+				t.Errorf("%s imports %s, which exists only for cmd/bench", path, p)
+			}
+			if benchShims[p] != nil {
+				local := p[strings.LastIndex(p, "/")+1:]
+				if im.Name != nil {
+					local = im.Name.Name
+				}
+				addShims(local, p)
+			}
+		}
+		// Inside the shim's own package the names appear unqualified.
+		for p := range benchShims {
+			if dir := strings.TrimPrefix(p, "repro/"); filepath.ToSlash(filepath.Dir(path)) == dir && f.Name.Name == filepath.Base(dir) {
+				addShims("", p)
+			}
+		}
+		exempt := map[*ast.Ident]bool{} // selectors, field names and keys, and the shim declarations
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				exempt[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && shim[x.Name][n.Sel.Name] {
+					t.Errorf("%s: %s.%s exists only for cmd/bench", fset.Position(n.Pos()), x.Name, n.Sel.Name)
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					exempt[id] = true
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					exempt[id] = true
+				}
+			case *ast.TypeSpec:
+				if n.Assign.IsValid() && shim[""][n.Name.Name] {
+					exempt[n.Name] = true // the alias's own definition
+				}
+			case *ast.Ident:
+				if shim[""][n.Name] && !exempt[n] {
+					t.Errorf("%s: %s exists only for cmd/bench", fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
 	}
 }

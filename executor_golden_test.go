@@ -11,7 +11,7 @@ import (
 )
 
 // TestExecutorInProcGolden pins the executor-seam half of the execution
-// backend contract: routing the sandbox through an explicit InProc
+// backend contract: routing the target through an explicit InProc
 // executor (Config.Executor) is bit-for-bit identical to the default path
 // (Config.Target alone) — the refactor that introduced the seam moved the
 // call, not the behavior. The golden string is the same one

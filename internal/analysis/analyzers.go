@@ -5,10 +5,12 @@ import "strings"
 // DeterministicPackages is the default set of import paths whose code must
 // be bit-for-bit deterministic: everything between the RNG and the emitted
 // frames. A trailing "/..." entry covers a subtree (the in-process protocol
-// targets). fleetnet (network timing), executor (real processes), backoff
-// (wall-clock delays) and the session-orchestration layer are deliberately
-// outside the set — their nondeterminism is confined by the merge-window
-// design, not absent.
+// targets). executor is in it for the in-process runner; its process
+// backend reads the wall clock through one directive-marked helper that
+// only sets spawn and watchdog deadlines. fleetnet (network timing),
+// backoff (wall-clock delays) and the session-orchestration layer are
+// deliberately outside the set — their nondeterminism is confined by the
+// merge-window design, not absent.
 var DeterministicPackages = []string{
 	"repro/internal/core",
 	"repro/internal/mutator",
@@ -20,7 +22,7 @@ var DeterministicPackages = []string{
 	"repro/internal/checkpoint",
 	"repro/internal/mem",
 	"repro/internal/rng",
-	"repro/internal/sandbox",
+	"repro/internal/executor",
 	"repro/internal/pit",
 	"repro/internal/targets/...",
 }

@@ -113,9 +113,6 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the number of undecoded bytes.
-func (r *Reader) Remaining() int { return len(r.data) }
-
 // fail records the first decode error.
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {

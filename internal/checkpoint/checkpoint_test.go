@@ -114,12 +114,12 @@ func TestReaderErrorIsSticky(t *testing.T) {
 	r.Fail(first)
 	r.Fail(errors.New("second failure must not replace the first"))
 	r.Fail(nil)
-	before := r.Remaining()
+	before := len(r.data)
 	if u, i, c, h, b, s, f := r.Uvarint(), r.Int(), r.Count(), r.U64(), r.Blob(), r.String(), r.Bool(); u != 0 || i != 0 || c != 0 || h != 0 || b != nil || s != "" || f {
 		t.Fatalf("accessors after Fail returned (%d %d %d %d %x %q %v), want zero values", u, i, c, h, b, s, f)
 	}
-	if r.Remaining() != before {
-		t.Fatalf("accessors consumed %d bytes after Fail", before-r.Remaining())
+	if len(r.data) != before {
+		t.Fatalf("accessors consumed %d bytes after Fail", before-len(r.data))
 	}
 	if r.Err() != first || r.Finish() != first {
 		t.Fatalf("Err = %v, Finish = %v, want the first failure", r.Err(), r.Finish())
@@ -128,8 +128,8 @@ func TestReaderErrorIsSticky(t *testing.T) {
 	// The codec's own errors are sticky the same way.
 	r = NewReader([]byte{0x80, 0x00, 0x01})
 	r.Uvarint()
-	if got := r.Uvarint(); got != 0 || r.Remaining() != 3 {
-		t.Fatalf("read past a bad varint: got %d, %d bytes remaining", got, r.Remaining())
+	if got := r.Uvarint(); got != 0 || len(r.data) != 3 {
+		t.Fatalf("read past a bad varint: got %d, %d bytes remaining", got, len(r.data))
 	}
 }
 
@@ -396,6 +396,9 @@ func TestLayerFieldsRoundTrip(t *testing.T) {
 	}
 }
 
+// label is a named string type, as a String field may carry.
+type label string
+
 // TestScalarFieldsAllocFree: declaring a scalar field allocates nothing, so
 // a layer that rebuilds its field list at every checkpoint pays only for
 // the list itself.
@@ -405,6 +408,7 @@ func TestScalarFieldsAllocFree(t *testing.T) {
 		n    int
 		u    uint64
 		word uint32
+		kind label
 		sink Field
 	)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -412,8 +416,9 @@ func TestScalarFieldsAllocFree(t *testing.T) {
 		sink = Int(&n)
 		sink = U64(&u)
 		sink = Uint(&word)
+		sink = String(&kind)
 	}); allocs != 0 {
-		t.Fatalf("declaring four scalar fields allocated %v times, want 0", allocs)
+		t.Fatalf("declaring five scalar fields allocated %v times, want 0", allocs)
 	}
 	_ = sink
 }

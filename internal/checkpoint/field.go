@@ -191,20 +191,23 @@ func width[T Word]() (n uint) {
 // The scalar fields are one pointer wide, so declaring one allocates
 // nothing: a field list rebuilt at every walk costs only its slice.
 type (
-	boolField         struct{ p *bool }
-	intField          struct{ p *int }
-	u64Field          struct{ p *uint64 }
-	wordField[T Word] struct{ p *T }
+	boolField              struct{ p *bool }
+	intField               struct{ p *int }
+	u64Field               struct{ p *uint64 }
+	wordField[T Word]      struct{ p *T }
+	stringField[T ~string] struct{ p *T }
 )
 
-func (f boolField) Snapshot(w *Writer)         { w.Bool(*f.p) }
-func (f boolField) Restore(r *Reader) error    { *f.p = r.Bool(); return r.Err() }
-func (f intField) Snapshot(w *Writer)          { w.Int(*f.p) }
-func (f intField) Restore(r *Reader) error     { *f.p = r.Int(); return r.Err() }
-func (f u64Field) Snapshot(w *Writer)          { w.U64(*f.p) }
-func (f u64Field) Restore(r *Reader) error     { *f.p = r.U64(); return r.Err() }
-func (f wordField[T]) Snapshot(w *Writer)      { w.Uvarint(uint64(*f.p) & (uint64(1)<<width[T]() - 1)) }
-func (f wordField[T]) Restore(r *Reader) error { *f.p = T(r.bits(width[T]())); return r.Err() }
+func (f boolField) Snapshot(w *Writer)           { w.Bool(*f.p) }
+func (f boolField) Restore(r *Reader) error      { *f.p = r.Bool(); return r.Err() }
+func (f intField) Snapshot(w *Writer)            { w.Int(*f.p) }
+func (f intField) Restore(r *Reader) error       { *f.p = r.Int(); return r.Err() }
+func (f u64Field) Snapshot(w *Writer)            { w.U64(*f.p) }
+func (f u64Field) Restore(r *Reader) error       { *f.p = r.U64(); return r.Err() }
+func (f wordField[T]) Snapshot(w *Writer)        { w.Uvarint(uint64(*f.p) & (uint64(1)<<width[T]() - 1)) }
+func (f wordField[T]) Restore(r *Reader) error   { *f.p = T(r.bits(width[T]())); return r.Err() }
+func (f stringField[T]) Snapshot(w *Writer)      { w.String(string(*f.p)) }
+func (f stringField[T]) Restore(r *Reader) error { *f.p = T(r.String()); return r.Err() }
 
 // Bool is one canonical boolean byte.
 func Bool(p *bool) Field { return boolField{p} }
@@ -220,6 +223,9 @@ func U64(p *uint64) Field { return u64Field{p} }
 
 // Blob is one length-prefixed byte string of any length.
 func Blob(p *[]byte) Field { return Value(p, BlobCodec) }
+
+// String is one length-prefixed string, of any string type.
+func String[T ~string](p *T) Field { return stringField[T]{p} }
 
 // Uint is one width-pinned uvarint.
 func Uint[T Word](p *T) Field { return wordField[T]{p} }

@@ -311,14 +311,21 @@ func (e *Engine) valuableField() checkpoint.Field {
 }
 
 // targetField is the long-lived target state (register banks, simulated
-// heap wear) when the backend can capture it: a presence byte, then the
-// dump blob-framed so the worker section stays decodable around it.
+// heap wear) when the backend can capture it (executor.StateCheckpointer):
+// a presence byte, then the target's fields blob-framed so the worker
+// section stays decodable around them.
 func (e *Engine) targetField() checkpoint.Field {
+	state := func() []checkpoint.Field {
+		if sc, ok := e.exec.(executor.StateCheckpointer); ok {
+			return sc.StateFields()
+		}
+		return nil
+	}
 	return checkpoint.Func(func(w *checkpoint.Writer) {
-		var tw checkpoint.Writer
-		sc, ok := e.exec.(executor.StateCheckpointer)
-		captured := ok && sc.SnapshotState(&tw)
-		if w.Bool(captured); captured {
+		fields := state()
+		if w.Bool(fields != nil); fields != nil {
+			var tw checkpoint.Writer
+			checkpoint.SnapshotFields(&tw, fields)
 			w.Blob(tw.Data())
 		}
 	}, func(r *checkpoint.Reader) error {
@@ -329,11 +336,11 @@ func (e *Engine) targetField() checkpoint.Field {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		sc, ok := e.exec.(executor.StateCheckpointer)
-		if !ok {
-			return fmt.Errorf("core: checkpoint carries target state but the backend cannot restore it")
+		fields := state()
+		if fields == nil {
+			return fmt.Errorf("core: checkpoint carries target state but the target cannot restore it")
 		}
-		if err := sc.RestoreState(tr); err != nil {
+		if err := checkpoint.RestoreFields(tr, fields); err != nil {
 			return err
 		}
 		return tr.Finish()

@@ -20,7 +20,6 @@ import (
 	"repro/internal/executor"
 	"repro/internal/mutator"
 	"repro/internal/rng"
-	"repro/internal/sandbox"
 	"repro/internal/session"
 )
 
@@ -60,14 +59,13 @@ type Config struct {
 	// specification (EXTRACTDATAMODEL of Algorithms 1 and 2).
 	Models []*datamodel.Model
 	// Target is the instrumented protocol program under test.
-	Target sandbox.Target
+	Target executor.Target
 	// Executor, when non-nil, overrides the execution backend: the engine
 	// runs every generated seed through it instead of building an
-	// in-process sandbox over Target. The engine borrows the executor (the
+	// in-process executor over Target. The engine borrows the executor (the
 	// caller that built it closes it) and reads coverage from its Tracer.
 	// When nil — the default every existing campaign uses — the engine
-	// wraps Target in the in-process backend, which is bit-for-bit
-	// identical to the pre-interface sandbox path.
+	// wraps Target in executor.NewInProc.
 	Executor executor.Executor
 	// Strategy selects Peach or Peach*.
 	Strategy Strategy
@@ -511,11 +509,11 @@ func (e *Engine) execute(seed []byte) {
 // seed is valuable, credit the scheduler, and crack a valuable seed into
 // the corpus. It reports whether the seed was valuable so the caller can do
 // its mode-specific retention.
-func (e *Engine) observe(seed []byte, res *sandbox.Result) bool {
+func (e *Engine) observe(seed []byte, res *executor.Result) bool {
 	switch res.Outcome {
-	case sandbox.Crash:
+	case executor.Crash:
 		e.crashes.Report(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, e.exec.Tracer().PathHash())
-	case sandbox.Hang:
+	case executor.Hang:
 		e.crashes.ReportHang(res.HangSteps, seed)
 	}
 	// Valuable-seed identification (§IV-B): did this execution reach a

@@ -91,7 +91,7 @@ func crackPackets(r *rng.RNG, models []*datamodel.Model) [][]byte {
 			if i == 0 {
 				pkt = m.Generate().Bytes()
 			} else {
-				pkt = m.GenerateRandom(r).Bytes()
+				pkt = m.GenerateRandomFlat(new(datamodel.Flat), nil, r).Bytes()
 			}
 			pkts = append(pkts, pkt)
 			for k := 0; k < 4; k++ {

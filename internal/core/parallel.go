@@ -12,13 +12,12 @@ import (
 	"repro/internal/crash"
 	"repro/internal/executor"
 	"repro/internal/rng"
-	"repro/internal/sandbox"
 )
 
 // This file implements the sharded campaign runner: one fuzzing campaign
 // split across N worker engines. Each worker owns the full serial machinery
 // — its own RNG stream (split from the campaign seed), its own target
-// instance and sandbox, its own coverage accumulator, puzzle corpus and
+// instance and executor, its own coverage accumulator, puzzle corpus and
 // crash bank — and runs the unmodified serial loop. Workers meet only at
 // coarse-grained sync points: every MergeEvery executions a worker publishes
 // its coverage and puzzles into the shared campaign state and folds the
@@ -40,7 +39,7 @@ type ParallelConfig struct {
 	// the first (which uses Config.Target). Required when Workers > 1:
 	// targets are stateful servers and must not be shared across
 	// goroutines.
-	NewTarget func() sandbox.Target
+	NewTarget func() executor.Target
 	// MergeEvery is the per-worker execution count between shared-state
 	// syncs (0 = DefaultMergeEvery).
 	MergeEvery int

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 )
 
 func newFleet(t *testing.T, workers, budgetPerSync int, seed uint64) *Fleet {
@@ -18,7 +18,7 @@ func newFleet(t *testing.T, workers, budgetPerSync int, seed uint64) *Fleet {
 		Seed:     seed,
 	}, ParallelConfig{
 		Workers:    workers,
-		NewTarget:  func() sandbox.Target { return newToyTarget() },
+		NewTarget:  func() executor.Target { return newToyTarget() },
 		MergeEvery: budgetPerSync,
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datamodel"
 	"repro/internal/executor"
-	"repro/internal/sandbox"
 	"repro/internal/session"
 )
 
@@ -425,7 +424,7 @@ func (e *Engine) executeSequence() int {
 			}
 			break
 		}
-		if res.Outcome == sandbox.Crash && res.Repro == nil {
+		if res.Outcome == executor.Crash && res.Repro == nil {
 			// In-process backends report no journal; the executed
 			// prefix *is* the reproducer, one session from the top.
 			res.Repro = make([][]byte, 0, i+1)
@@ -458,7 +457,7 @@ func (e *Engine) executeSequence() int {
 			s.prevEdges = cur
 			e.retainSequence(i)
 		}
-		if res.Outcome != sandbox.OK {
+		if res.Outcome != executor.OK {
 			break
 		}
 	}

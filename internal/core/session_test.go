@@ -1,13 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/datamodel"
+	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 	"repro/internal/session"
 )
 
@@ -225,10 +227,10 @@ func TestSessionSequencesEnterCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus sequence does not decode: %v", err)
 		}
-		if err := sm.Valid(seq); err != nil {
+		if err := legalWalk(sm, seq); err != nil {
 			t.Fatalf("corpus sequence is not a legal walk: %v", err)
 		}
-		if !corpus.IsSeqSignature(p.Signature) {
+		if p.Signature != corpus.SeqSignature(sm.Name) {
 			t.Fatalf("sequence stored under non-reserved signature %q", p.Signature)
 		}
 	}
@@ -236,7 +238,7 @@ func TestSessionSequencesEnterCorpus(t *testing.T) {
 	for _, m := range toySessionModels() {
 		for _, leaf := range m.GenerateInto(&datamodel.Arena{}).Leaves(nil) {
 			for _, d := range e.Corpus().Donors(leaf.Chunk) {
-				if corpus.IsSeqSignature(d.Signature) {
+				if strings.HasPrefix(d.Signature, corpus.SeqSignature("")) {
 					t.Fatal("sequence entry leaked into donor list")
 				}
 			}
@@ -255,7 +257,7 @@ func TestSessionFleetStats(t *testing.T) {
 		Session:  toyStateModel(),
 	}, ParallelConfig{
 		Workers:   2,
-		NewTarget: func() sandbox.Target { return newToySessionTarget() },
+		NewTarget: func() executor.Target { return newToySessionTarget() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,4 +281,21 @@ func TestSessionFleetStats(t *testing.T) {
 	if approx.Sequences == 0 || approx.StatesReached == 0 {
 		t.Fatalf("StatsApprox session counters empty: %+v", approx)
 	}
+}
+
+// legalWalk reports whether s is a walk of sm from its initial state: every
+// step's indices in range and sent from the state the walk is in.
+func legalWalk(sm *session.StateModel, s session.Sequence) error {
+	cur := sm.Initial
+	for i, st := range s.Steps {
+		if st.State != cur || st.State < 0 || st.State >= len(sm.States) {
+			return fmt.Errorf("step %d sent from state %d, walk is in state %d", i, st.State, cur)
+		}
+		acts := sm.States[st.State].Actions
+		if st.Action < 0 || st.Action >= len(acts) {
+			return fmt.Errorf("step %d action %d out of range for state %d", i, st.Action, st.State)
+		}
+		cur = acts[st.Action].Next
+	}
+	return nil
 }

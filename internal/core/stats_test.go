@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/coverage"
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 	"repro/internal/targets"
 )
 
@@ -27,7 +27,7 @@ func newTargetFleet(t *testing.T, name string, workers int, seed uint64) *Fleet 
 		Target:   tgt,
 		Strategy: StrategyPeachStar,
 		Seed:     seed,
-	}, ParallelConfig{Workers: workers, NewTarget: func() sandbox.Target { return newTarget() }})
+	}, ParallelConfig{Workers: workers, NewTarget: func() executor.Target { return newTarget() }})
 	if err != nil {
 		t.Fatal(err)
 	}

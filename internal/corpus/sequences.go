@@ -1,7 +1,5 @@
 package corpus
 
-import "strings"
-
 // Sequences ride the corpus as ordinary puzzles under a reserved
 // signature namespace, so the whole journal/sync/compaction machinery
 // (and the fleetnet wire format) carries them with zero new plumbing: a
@@ -15,10 +13,6 @@ const seqSigPrefix = "seq\x00"
 // SeqSignature returns the corpus signature under which the named state
 // model's sequences are stored.
 func SeqSignature(stateModel string) string { return seqSigPrefix + stateModel }
-
-// IsSeqSignature reports whether sig is in the reserved sequence
-// namespace (any state model).
-func IsSeqSignature(sig string) bool { return strings.HasPrefix(sig, seqSigPrefix) }
 
 // AddSequence stores one encoded sequence for the named state model,
 // returning true if it was new. Exact duplicates dedup; the per-signature

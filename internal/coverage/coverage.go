@@ -16,7 +16,7 @@
 //
 // # Hot path
 //
-// Every consumer of a coverage map (Merge, MergeTracer, PathHash,
+// Every consumer of a coverage map (MergeTracer, PathHash, AppendEdges,
 // CountEdges) views it as a sequence of 64-bit words and skips zero words
 // outright — the maps are sparse (a protocol execution lights a few hundred
 // edges out of 65536), so the scan touches roughly 1/64th of the map's
@@ -57,8 +57,8 @@ const (
 // per-execution consumers scan only the lines this execution touched.
 //
 // A Tracer is not safe for concurrent use; each fuzzing worker owns one.
-// Code must mutate the map only through Hit — writing through Raw would
-// bypass the dirty index.
+// Code must mutate the map only through Hit, which keeps the dirty
+// index.
 type Tracer struct {
 	buf   [MapSize]byte
 	dirty [dirtyWords]uint64
@@ -103,7 +103,7 @@ func (t *Tracer) Reset() {
 // tracer's live map, walking only dirty lines. Two executions with equal
 // hashes exercised the same bucketed edge set; the crash triager uses this
 // as a cheap execution-path signature. The value is identical to the
-// byte-at-a-time definition over t.Raw(): zero bytes never contribute, and
+// byte-at-a-time definition over the whole map: zero bytes never contribute, and
 // dirty lines are visited in ascending order.
 func (t *Tracer) PathHash() uint64 {
 	const (
@@ -152,10 +152,6 @@ func (t *Tracer) Snapshot() []byte {
 	}
 	return out
 }
-
-// Raw exposes the live map for zero-copy consumers such as Virgin.Merge.
-// Callers must not retain the slice across Reset.
-func (t *Tracer) Raw() []byte { return t.buf[:] }
 
 // AppendEdges appends the indices of the edges (non-zero bytes) lit in the
 // current map to dst and returns it, walking only dirty lines in ascending
@@ -264,56 +260,17 @@ type Virgin struct {
 // NewVirgin returns an empty campaign-coverage accumulator.
 func NewVirgin() *Virgin { return &Virgin{} }
 
-// Merge folds one execution's raw map into the accumulator. It returns true
-// if the execution is "valuable": it produced at least one (edge, bucket)
-// pair never seen before. The input map is read, not modified.
+// MergeTracer folds one execution's map into the accumulator, walking only
+// the lines the execution touched — the per-execution feedback step of the
+// engine. It returns true if the execution is "valuable": it produced at
+// least one (edge, bucket) pair never seen before. The tracer is read, not
+// modified.
 //
 // Bucket values are single bits, so "bucket b unseen at edge i" is exactly
 // "b &^ seen[i] != 0", which vectorizes over eight edges per word; only
 // words carrying novelty (rare in steady state) fall back to per-byte work
-// for the edge counter.
-func (v *Virgin) Merge(raw []byte) bool {
-	valuable := false
-	seen := v.seen[:]
-	i := 0
-	for ; i+8 <= len(raw); i += 8 {
-		w := binary.LittleEndian.Uint64(raw[i : i+8])
-		if w == 0 {
-			continue
-		}
-		sw := binary.LittleEndian.Uint64(seen[i : i+8])
-		novel := classifyWord(w) &^ sw
-		if novel == 0 {
-			continue
-		}
-		valuable = true
-		for b := 0; b < 64; b += 8 {
-			if byte(sw>>b) == 0 && byte(novel>>b) != 0 {
-				v.edges++
-			}
-		}
-		binary.LittleEndian.PutUint64(seen[i:i+8], sw|novel)
-	}
-	for ; i < len(raw); i++ {
-		c := raw[i]
-		if c == 0 {
-			continue
-		}
-		b := bucket(c)
-		if seen[i]&b == 0 {
-			if seen[i] == 0 {
-				v.edges++
-			}
-			seen[i] |= b
-			valuable = true
-		}
-	}
-	return valuable
-}
-
-// MergeTracer is Merge over a tracer's live map, walking only the lines the
-// execution touched — the per-execution feedback step of the engine. It is
-// observationally identical to Merge(t.Raw()).
+// for the edge counter. The whole-map Merge its tests hold it to lives in
+// merge_test.go.
 func (v *Virgin) MergeTracer(t *Tracer) bool {
 	valuable := false
 	seen := v.seen[:]

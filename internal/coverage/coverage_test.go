@@ -10,13 +10,13 @@ func TestHitUpdatesEdgeCounter(t *testing.T) {
 	tr := NewTracer()
 	tr.Hit(0x1234)
 	// prev starts at 0, so the first edge index is 0x1234 ^ 0.
-	if got := tr.Raw()[0x1234]; got != 1 {
+	if got := tr.buf[:][0x1234]; got != 1 {
 		t.Fatalf("edge counter = %d, want 1", got)
 	}
 	// prev should now be 0x1234 >> 1.
 	tr.Hit(0x1234)
 	idx := 0x1234 ^ (0x1234 >> 1)
-	if got := tr.Raw()[idx]; got != 1 {
+	if got := tr.buf[:][idx]; got != 1 {
 		t.Fatalf("second edge counter = %d, want 1", got)
 	}
 }
@@ -36,8 +36,8 @@ func TestHitMatchesPaperScheme(t *testing.T) {
 		tr.Hit(cur)
 	}
 	for i := range want {
-		if tr.Raw()[i] != want[i] {
-			t.Fatalf("map[%d] = %d, want %d", i, tr.Raw()[i], want[i])
+		if tr.buf[:][i] != want[i] {
+			t.Fatalf("map[%d] = %d, want %d", i, tr.buf[:][i], want[i])
 		}
 	}
 }
@@ -51,7 +51,7 @@ func TestResetClearsMapAndPrev(t *testing.T) {
 		t.Fatalf("edges after reset = %d, want 0", tr.CountEdges())
 	}
 	tr.Hit(7)
-	if tr.Raw()[7] != 1 {
+	if tr.buf[:][7] != 1 {
 		t.Fatal("prev register not cleared by Reset")
 	}
 }
@@ -417,7 +417,7 @@ func TestCountEdgesMatchesByteReference(t *testing.T) {
 		tr.Hit(BlockID(state >> 48))
 	}
 	want := 0
-	for _, c := range tr.Raw() {
+	for _, c := range tr.buf[:] {
 		if c != 0 {
 			want++
 		}
@@ -453,7 +453,7 @@ func TestMergeTracerMatchesMergeRaw(t *testing.T) {
 	a, b := NewVirgin(), NewVirgin()
 	for round := 0; round < 10; round++ {
 		tr := hitTracer(50+round*40, uint64(round+1))
-		if got, want := a.MergeTracer(tr), b.Merge(tr.Raw()); got != want {
+		if got, want := a.MergeTracer(tr), b.Merge(tr.buf[:]); got != want {
 			t.Fatalf("round %d: MergeTracer = %v, Merge = %v", round, got, want)
 		}
 		if a.Edges() != b.Edges() {
@@ -468,7 +468,7 @@ func TestMergeTracerMatchesMergeRaw(t *testing.T) {
 func TestPathHashMatchesHashRaw(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		tr := hitTracer(30+round*60, uint64(round+7))
-		if got, want := tr.PathHash(), refHash(tr.Raw()); got != want {
+		if got, want := tr.PathHash(), refHash(tr.buf[:]); got != want {
 			t.Fatalf("round %d: PathHash = %#x, reference = %#x", round, got, want)
 		}
 	}
@@ -477,7 +477,7 @@ func TestPathHashMatchesHashRaw(t *testing.T) {
 func TestSparseResetClearsEverything(t *testing.T) {
 	tr := hitTracer(400, 99)
 	tr.Reset()
-	for i, c := range tr.Raw() {
+	for i, c := range tr.buf[:] {
 		if c != 0 {
 			t.Fatalf("map[%d] = %d after Reset", i, c)
 		}
@@ -487,12 +487,12 @@ func TestSparseResetClearsEverything(t *testing.T) {
 			t.Fatal("dirty index not cleared by Reset")
 		}
 	}
-	if tr.PathHash() != refHash(tr.Raw()) {
+	if tr.PathHash() != refHash(tr.buf[:]) {
 		t.Fatal("empty tracer hash mismatch")
 	}
 	// The tracer must be fully reusable after a sparse reset.
 	tr.Hit(7)
-	if tr.Raw()[7] != 1 || tr.CountEdges() != 1 {
+	if tr.buf[:][7] != 1 || tr.CountEdges() != 1 {
 		t.Fatal("tracer unusable after sparse Reset")
 	}
 }

@@ -10,7 +10,7 @@ func TestSnapshotMatchesFullCopy(t *testing.T) {
 	check := func(tr *Tracer, what string) {
 		t.Helper()
 		got := tr.Snapshot()
-		want := append([]byte(nil), tr.Raw()...)
+		want := append([]byte(nil), tr.buf[:]...)
 		if len(got) != MapSize {
 			t.Fatalf("%s: snapshot length %d, want %d", what, len(got), MapSize)
 		}
@@ -51,12 +51,12 @@ func TestAppendEdgesMatchesRaw(t *testing.T) {
 		}
 		inList := make(map[uint16]bool, len(edges))
 		for _, e := range edges {
-			if tr.Raw()[e] == 0 {
+			if tr.buf[:][e] == 0 {
 				t.Fatalf("round %d: appended edge %#x is zero in the map", round, e)
 			}
 			inList[e] = true
 		}
-		for i, c := range tr.Raw() {
+		for i, c := range tr.buf[:] {
 			if c != 0 && !inList[uint16(i)] {
 				t.Fatalf("round %d: lit edge %#x missing from the list", round, i)
 			}
@@ -94,7 +94,7 @@ func TestHitCountsAccumulate(t *testing.T) {
 	}
 	for i := 0; i < MapSize; i++ {
 		want := uint32(0)
-		if tr.Raw()[i] != 0 {
+		if tr.buf[:][i] != 0 {
 			want = 2 // one per execution, not per raw hit
 		}
 		if got := h.Count(uint16(i)); got != want {
@@ -122,7 +122,7 @@ func TestHitCountsSaturate(t *testing.T) {
 	tr := NewTracer()
 	tr.Hit(100)
 	var edge uint16
-	for i, c := range tr.Raw() {
+	for i, c := range tr.buf[:] {
 		if c != 0 {
 			edge = uint16(i)
 		}

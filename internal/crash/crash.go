@@ -48,11 +48,10 @@ type Record struct {
 // HangRecord is one class of hanging execution, keyed by the offending
 // packet's prefix: the context a hang report needs to be triaged — how much
 // budget the execution was allowed before the supervisor classified it as
-// hung (the sandbox's step budget, or the process executor's watchdog
-// timeout in milliseconds), and the input that drove it there.
+// hung (the process executor's watchdog timeout in milliseconds; in-process
+// executions never hang), and the input that drove it there.
 type HangRecord struct {
-	// Budget is the exhausted allowance: steps for in-process targets,
-	// watchdog milliseconds for supervised processes.
+	// Budget is the exhausted allowance, in watchdog milliseconds.
 	Budget int
 	// Prefix is the offending packet's first HangPrefixLen bytes.
 	Prefix []byte

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/mem"
 )
 
 // This file is the crash bank's side of the campaign-checkpoint seam.
@@ -15,6 +14,16 @@ import (
 // Reproducer journals (Sequence/SeqStarts) travel with their records: a
 // warm-restarted campaign can still replay every banked crash against a
 // fresh target.
+
+// Fields lists the record's fault identity and counts in encoding order:
+// a checkpointed record's head and a fleet sync frame's whole record. The
+// reproducer (Sequence, SeqStarts) is not among them.
+func (r *Record) Fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.String(&r.Kind), checkpoint.String(&r.Site), checkpoint.Blob(&r.Example),
+		checkpoint.Int(&r.Count), checkpoint.Int(&r.FirstExec), checkpoint.U64(&r.PathSig),
+	}
+}
 
 // Snapshot writes the bank's full state through the checkpoint codec.
 func (b *Bank) Snapshot(w *checkpoint.Writer) {
@@ -28,12 +37,7 @@ func (b *Bank) Snapshot(w *checkpoint.Writer) {
 	w.Int(len(keys))
 	for _, k := range keys {
 		r := b.byKey[k]
-		w.String(string(r.Kind))
-		w.String(r.Site)
-		w.Blob(r.Example)
-		w.Int(r.Count)
-		w.Int(r.FirstExec)
-		w.U64(r.PathSig)
+		checkpoint.SnapshotFields(w, r.Fields())
 		// A nil Sequence (in-process fault; single-packet reproducer) is
 		// semantically distinct from an empty one, so its presence gets an
 		// explicit marker.
@@ -71,12 +75,9 @@ func (b *Bank) Restore(r *checkpoint.Reader) error {
 	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		rec := &Record{}
-		rec.Kind = mem.FaultKind(r.String())
-		rec.Site = r.String()
-		rec.Example = r.Blob()
-		rec.Count = r.Int()
-		rec.FirstExec = r.Int()
-		rec.PathSig = r.U64()
+		if err := checkpoint.RestoreFields(r, rec.Fields()); err != nil {
+			return err
+		}
 		if r.Bool() {
 			ns := r.Count()
 			rec.Sequence = make([][]byte, 0, ns)

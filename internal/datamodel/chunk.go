@@ -349,22 +349,3 @@ func (c *Chunk) each(f func(*Chunk)) {
 		ch.each(f)
 	}
 }
-
-// Opcode returns the value of the first token Number in the model, which by
-// the convention of §III identifies the packet type. ok is false when the
-// model has no token.
-func (m *Model) Opcode() (val uint64, ok bool) {
-	var rec func(c *Chunk) (uint64, bool)
-	rec = func(c *Chunk) (uint64, bool) {
-		if c.Kind == Number && c.Token {
-			return c.Default, true
-		}
-		for _, ch := range c.Children {
-			if v, ok := rec(ch); ok {
-				return v, true
-			}
-		}
-		return 0, false
-	}
-	return rec(m.root())
-}

@@ -35,32 +35,18 @@ var ErrCrack = errors.New("datamodel: crack failed")
 // Crack is Cracker.Crack with the tree built as well; the engine, which
 // wants only the flat form and the puzzles, uses a Cracker directly.
 func (m *Model) Crack(packet []byte) (*Node, error) {
-	return crackTree(m, m.root(), packet)
-}
-
-// CrackChunk parses data against a single chunk subtree, consuming all of
-// it, with no fixup verification: a block-level puzzle re-parsed as the
-// structure of the chunk it would replace, so interior relations inside
-// such a graft stay meaningful. Relations resolve through the plan of the
-// chunk's model, which any Validate, Generate or fixup call compiles.
-func CrackChunk(c *Chunk, data []byte) (*Node, error) {
-	return crackTree(nil, c, data)
-}
-
-// crackerPool holds the Crackers of the tree entry points, which may run
-// concurrently on one model; a pooled one keeps its grown tables.
-var crackerPool = sync.Pool{New: func() any { return new(Cracker) }}
-
-// crackTree is Crack and CrackChunk: the tree, or the rejection's message.
-func crackTree(m *Model, root *Chunk, packet []byte) (*Node, error) {
 	p := crackerPool.Get().(*Cracker)
 	defer crackerPool.Put(p)
-	n, ok := p.run(m, root, packet, true)
+	n, ok := p.run(m, packet, true)
 	if !ok {
 		return nil, p.Err()
 	}
 	return n, nil
 }
+
+// crackerPool holds the Crackers of Model.Crack, which may run
+// concurrently on one model; a pooled one keeps its grown tables.
+var crackerPool = sync.Pool{New: func() any { return new(Cracker) }}
 
 // Cracker is the reusable state of Algorithm 2's PARSE and LEGAL steps. One
 // parse fills a leaf table, the slot spans of the fixup plan and a log of
@@ -74,9 +60,8 @@ func crackTree(m *Model, root *Chunk, packet []byte) (*Node, error) {
 // The zero value is ready to use. A Cracker is not safe for concurrent use;
 // each engine owns one.
 type Cracker struct {
-	model *Model // nil under CrackChunk
-	root  *Chunk
-	data  []byte // the packet, borrowed
+	root *Chunk // the model's root
+	data []byte // the packet, borrowed
 	// tree asks for the instance tree too; own is then a heap copy of the
 	// packet its String and Blob leaves alias, made at the first of them.
 	tree bool
@@ -162,7 +147,7 @@ type failure struct {
 // holds until the next call. packet is borrowed until then and never
 // written.
 func (p *Cracker) Crack(m *Model, packet []byte) bool {
-	_, ok := p.run(m, m.root(), packet, false)
+	_, ok := p.run(m, packet, false)
 	return ok
 }
 
@@ -198,24 +183,14 @@ func (p *Cracker) Err() error {
 	if f.why < failIntegrity {
 		why = fmt.Sprintf(why, f.a, f.b)
 	}
-	where := "model " + p.root.Name
-	if p.model == nil {
-		where = "chunk " + p.root.Name
-	}
-	return fmt.Errorf("%w: %s: %s %q at offset %d: %s", ErrCrack, where, f.c.Kind, f.c.Name, f.off, why)
+	return fmt.Errorf("%w: model %s: %s %q at offset %d: %s", ErrCrack, p.root.Name, f.c.Kind, f.c.Name, f.off, why)
 }
 
-// run cracks packet against root — m's root, or a bare chunk when m is nil,
-// which skips fixup verification — returning the tree when tree is set.
-func (p *Cracker) run(m *Model, root *Chunk, packet []byte, tree bool) (*Node, bool) {
-	slots := 0
-	if m != nil {
-		m.planOnce.Do(m.compilePlan)
-		slots = m.slots
-	} else {
-		root.each(func(c *Chunk) { slots = max(slots, int(c.slot)) })
-	}
-	p.model, p.root, p.data, p.tree, p.own = m, root, packet, tree, nil
+// run cracks packet against m, returning the tree when tree is set.
+func (p *Cracker) run(m *Model, packet []byte, tree bool) (*Node, bool) {
+	m.planOnce.Do(m.compilePlan)
+	slots, root := m.slots, m.root()
+	p.root, p.data, p.tree, p.own = root, packet, tree, nil
 	p.leaves, p.rels, p.bound, p.sig, p.log = p.leaves[:0], p.rels[:0], p.bound[:0], p.sig[:0], p.log[:0]
 	p.fail = failure{}
 	spans := p.flat.own.spans
@@ -233,15 +208,13 @@ func (p *Cracker) run(m *Model, root *Chunk, packet []byte, tree bool) (*Node, b
 		p.failAt(failTrailing, root, next, uint64(len(packet)-next), 0)
 		return nil, false
 	}
-	if m != nil {
-		// Integrity check: a packet whose checksums do not verify is not
-		// a legal instance (Peach's cracker validates fixups the same way).
-		p.fillFlat()
-		if i := p.flat.violation(); i >= 0 {
-			l := p.leaves[i]
-			p.failAt(failIntegrity, l.c, l.off, 0, 0)
-			return nil, false
-		}
+	// Integrity check: a packet whose checksums do not verify is not a
+	// legal instance (Peach's cracker validates fixups the same way).
+	p.fillFlat()
+	if i := p.flat.violation(); i >= 0 {
+		l := p.leaves[i]
+		p.failAt(failIntegrity, l.c, l.off, 0, 0)
+		return nil, false
 	}
 	p.fail = failure{} // a greedy array's last, failed element left its reason
 	return n, true

@@ -295,7 +295,7 @@ func TestGenerateRandomIsLegal(t *testing.T) {
 	m := figure1Model()
 	r := rng.New(1)
 	for i := 0; i < 50; i++ {
-		n := m.GenerateRandom(r)
+		n := m.GenerateRandomFlat(new(Flat), nil, r)
 		if !m.VerifyFixups(n) {
 			t.Fatal("random instance must verify fixups")
 		}
@@ -309,7 +309,7 @@ func TestGenerateRandomRespectsLegalSet(t *testing.T) {
 	m := NewModel("t", Num("code", 1, 1).WithLegal(1, 3, 5))
 	r := rng.New(2)
 	for i := 0; i < 100; i++ {
-		v := m.GenerateRandom(r).Find("code").Uint()
+		v := m.GenerateRandomFlat(new(Flat), nil, r).Find("code").Uint()
 		if v != 1 && v != 3 && v != 5 {
 			t.Fatalf("illegal generated value %d", v)
 		}
@@ -376,18 +376,6 @@ func TestRuleSignatureInterchangeability(t *testing.T) {
 	}
 	if !Donatable(Bytes("payload", 4, nil)) {
 		t.Fatal("plain blobs are donatable")
-	}
-}
-
-func TestOpcodeExtraction(t *testing.T) {
-	m := NewModel("t", Num("hdr", 1, 0), Num("fc", 1, 6).AsToken(), Num("x", 1, 0))
-	v, ok := m.Opcode()
-	if !ok || v != 6 {
-		t.Fatalf("opcode = %d,%v", v, ok)
-	}
-	m2 := NewModel("t2", Num("a", 1, 0))
-	if _, ok := m2.Opcode(); ok {
-		t.Fatal("model without token should report no opcode")
 	}
 }
 

@@ -121,7 +121,7 @@ func TestRelationBindsFirstOccurrence(t *testing.T) {
 	}
 	r := rng.New(1)
 	for n.Find("b-body") == nil {
-		n = alt.GenerateRandom(r)
+		n = alt.GenerateRandomFlat(new(Flat), nil, r)
 	}
 	if got, want := n.Find("len").Uint(), uint64(n.Find("b-body").Len()); got != want {
 		t.Fatalf("with the alternative taken len = %d, want %d", got, want)

@@ -88,7 +88,7 @@ func FuzzGenerate(f *testing.F) {
 		models := fuzzModels()
 		m := models[int(which)%len(models)]
 		r := rng.New(seed)
-		ins := m.GenerateRandom(r)
+		ins := m.GenerateRandomFlat(new(Flat), nil, r)
 		m.ApplyFixups(ins)
 		pkt := ins.Bytes()
 		if !m.VerifyFixups(ins) {
@@ -117,7 +117,7 @@ func FuzzCrackSeedCorpusBytes(f *testing.F) {
 		models := fuzzModels()
 		m := models[int(seed)%len(models)]
 		r := rng.New(seed)
-		ins := m.GenerateRandom(r)
+		ins := m.GenerateRandomFlat(new(Flat), nil, r)
 		m.ApplyFixups(ins)
 		pkt := ins.Bytes()
 		if len(pkt) == 0 {

@@ -33,17 +33,15 @@ func (m *Model) buildDefault() {
 	m.Flatten(&m.defaultFlat, m.defaultInst).ApplyFixups()
 }
 
-// GenerateRandom instantiates the model with randomized leaf content:
+// GenerateRandomFlat instantiates the model with randomized leaf content:
 // numbers draw from their legal set (or uniformly), variable-size fields
 // draw a size in range, choices pick a random alternative, arrays a random
 // small count. Tokens keep their defaults — they define the packet type.
 // Fixups are applied, so the output is structurally legal. This is the
-// "random generation" mutator class of §II.
-func (m *Model) GenerateRandom(r *rng.RNG) *Node { return m.GenerateRandomFlat(new(Flat), nil, r) }
-
-// GenerateRandomFlat is GenerateRandom backed by the arena (nil = heap) and
-// leaving the instance's flat form in f — the one walk File Fixup needs
-// anyway, so the engine's randomized skeleton costs no second one.
+// "random generation" mutator class of §II. Nodes come from the arena
+// (nil = heap), and the instance's flat form is left in f — the one walk
+// File Fixup needs anyway, so the engine's randomized skeleton costs no
+// second one.
 func (m *Model) GenerateRandomFlat(f *Flat, a *Arena, r *rng.RNG) *Node {
 	n := generateChunk(a, m.root(), r)
 	m.Flatten(f, n).ApplyFixups()

@@ -32,7 +32,7 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, which uint8) bool {
 		m := models[int(which)%len(models)]
 		r := rng.New(seed)
-		inst := m.GenerateRandom(r)
+		inst := m.GenerateRandomFlat(new(Flat), nil, r)
 		pkt := inst.Bytes()
 		got, err := m.Crack(pkt)
 		if err != nil {
@@ -51,7 +51,7 @@ func TestFixupIdempotent(t *testing.T) {
 	m := figure1Model()
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := m.GenerateRandom(r)
+		n := m.GenerateRandomFlat(new(Flat), nil, r)
 		once := n.Bytes()
 		m.ApplyFixups(n)
 		return bytes.Equal(once, n.Bytes())
@@ -67,7 +67,7 @@ func TestFixupRepairsArbitraryMutation(t *testing.T) {
 	m := figure1Model()
 	f := func(seed uint64, junk uint32) bool {
 		r := rng.New(seed)
-		n := m.GenerateRandom(r)
+		n := m.GenerateRandomFlat(new(Flat), nil, r)
 		// Corrupt a payload leaf, then repair.
 		n.Find("SampleRate").SetUint(uint64(junk))
 		m.ApplyFixups(n)
@@ -121,7 +121,7 @@ func TestCRCLinearityProperty(t *testing.T) {
 func TestLenMatchesBytes(t *testing.T) {
 	m := figure1Model()
 	f := func(seed uint64) bool {
-		n := m.GenerateRandom(rng.New(seed))
+		n := m.GenerateRandomFlat(new(Flat), nil, rng.New(seed))
 		return n.Len() == len(n.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -1,15 +1,16 @@
-// Package executor defines the pluggable execution backend behind the
-// fuzzing engine: the one seam through which a generated packet becomes an
-// observed outcome.
+// Package executor is the execution backend behind the fuzzing engine: the
+// one seam through which a generated packet becomes an observed outcome.
 //
 // The paper's fuzzer supervises a *separate instrumented server process*
 // (Algorithm 1: RUNTARGET, with CRASH and HANG observed by the
-// supervisor); this repository's targets have historically been in-process
-// Go reimplementations run under internal/sandbox. This package makes the
-// choice explicit:
+// supervisor). This package has two tiers of that supervisor:
 //
-//   - InProc wraps the sandbox runner unchanged — the fast, bit-for-bit
-//     deterministic conformance tier every existing campaign runs on.
+//   - InProc runs an in-process Go reimplementation of the target: it
+//     resets the tracer, calls the target's handler and recovers its
+//     faults — simulated memory violations from internal/mem and native
+//     Go runtime errors, the SEGV class. It never reports a hang: no
+//     in-process target can wedge. It is the fast, bit-for-bit
+//     deterministic conformance tier every default campaign runs on.
 //   - Proc spawns and supervises a real server process, drives it over
 //     TCP or UDP, detects crashes from connection resets and exit
 //     statuses, classifies unresponsive targets as hangs with a watchdog,
@@ -22,12 +23,63 @@
 package executor
 
 import (
-	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/coverage"
-	"repro/internal/sandbox"
+	"repro/internal/mem"
 )
+
+// Outcome classifies one target execution.
+type Outcome int
+
+// Execution outcomes. OK covers both accepted and cleanly-rejected packets;
+// the distinction the fuzzer cares about is carried by the coverage map.
+const (
+	OK Outcome = iota
+	Crash
+	Hang
+)
+
+// String returns the conventional lowercase name of the outcome.
+func (o Outcome) String() string {
+	switch o {
+	case OK:
+		return "ok"
+	case Crash:
+		return "crash"
+	case Hang:
+		return "hang"
+	default:
+		return fmt.Sprintf("outcome(%d)", int(o))
+	}
+}
+
+// Result is the supervisor's view of one execution: what happened and the
+// fault details when it crashed. The execution's coverage stays in the
+// backend's tracer until the next Run; the engine hashes it into a crash's
+// path signature (Tracer.PathHash) only when there is a crash to triage.
+// The fields below the fault are filled only by the process backend.
+type Result struct {
+	Outcome Outcome
+	Fault   *mem.Fault // non-nil iff Outcome == Crash
+	// HangSteps is the budget the hanging execution exhausted: the
+	// watchdog timeout in milliseconds for a supervised process. 0 unless
+	// Outcome == Hang.
+	HangSteps int
+	// Repro, when non-nil, is the exact packet sequence (oldest first,
+	// the current packet last) that drove the target from a fresh start
+	// to this crash or hang — the replayable reproducer captured by the
+	// process executor. Always nil for in-process executions, whose
+	// targets are reset around every packet.
+	Repro [][]byte
+	// ReproStarts, when Repro is non-nil, lists the indices into Repro
+	// where a protocol session began (SessionExecutor boundaries). Empty
+	// when the journal spans a single implicit session.
+	ReproStarts []int
+}
 
 // Executor runs one generated packet against the target and classifies the
 // outcome. Implementations own a coverage tracer that, after each Run,
@@ -41,7 +93,7 @@ import (
 // owns one.
 type Executor interface {
 	// Run executes one packet and classifies what happened.
-	Run(packet []byte) (sandbox.Result, error)
+	Run(packet []byte) (Result, error)
 	// Tracer exposes the coverage map of the most recent Run.
 	Tracer() *coverage.Tracer
 	// Close releases the backend (kills a supervised process, closes its
@@ -55,7 +107,7 @@ type Executor interface {
 // whatever carries per-session target state — the in-process backend
 // asks the target to clear its session fields, the process backend drops
 // and re-establishes its connection — and records the boundary in its
-// reproducer journal (sandbox.Result.ReproStarts). Executors that do not
+// reproducer journal (Result.ReproStarts). Executors that do not
 // implement it are driven sequence-blind, which is still correct: the
 // sequence just runs into whatever state the target was left in.
 type SessionExecutor interface {
@@ -64,21 +116,32 @@ type SessionExecutor interface {
 	BeginSession() error
 }
 
-// StateCheckpointer is the optional interface of executors whose backend
-// holds durable target state a campaign checkpoint can capture — the
-// target layer of the checkpoint seam. The in-process backend implements
-// it by walking the target's field list (sandbox.StateCheckpointer); the
-// process backend does not: a real target's memory cannot be serialized,
-// so a warm-restarted process campaign resumes against a freshly started
-// target, exactly as it would after any supervised restart.
+// Target is an in-process program under test: a packet handler that
+// reports coverage through the given tracer. Concrete protocol targets
+// live in internal/targets and implement the richer targets.Target
+// interface, which embeds this one.
+type Target interface {
+	// Handle processes one protocol packet. It may panic with *mem.Fault
+	// (simulated memory violation) or any runtime error (native fault);
+	// InProc recovers both.
+	Handle(t *coverage.Tracer, packet []byte)
+}
+
+// StateCheckpointer is the optional interface of targets whose long-lived
+// state (register banks, simulated heap wear, activation flags) a campaign
+// checkpoint can capture — the target layer of the checkpoint seam.
+// Targets that implement it make warm restarts exact: the restored
+// campaign resumes against the same target state the interrupted one had
+// accumulated, not a fresh instance. InProc forwards it. Targets without
+// it — including every real target process, whose memory the fuzzer cannot
+// serialize — start fresh after a restore, which is the same contract a
+// real-target campaign has after any supervised restart.
 type StateCheckpointer interface {
-	// SnapshotState writes the backend's target state, reporting whether
-	// anything was written (false when the concrete target has no
-	// capturable state).
-	SnapshotState(w *checkpoint.Writer) bool
-	// RestoreState overwrites the target state with a
-	// SnapshotState-produced dump.
-	RestoreState(r *checkpoint.Reader) error
+	// StateFields lists the target's durable state once, in encoding
+	// order; each field both writes itself into a checkpoint and
+	// restores itself from one, so the two directions cannot drift. Nil
+	// means there is no state to capture.
+	StateFields() []checkpoint.Field
 }
 
 // SessionResetter is the optional interface of in-process targets that
@@ -89,63 +152,94 @@ type SessionResetter interface {
 	ResetSession()
 }
 
-// InProc is the in-process execution backend: the sandbox runner behind
-// the Executor interface. It adds nothing and changes nothing — a campaign
-// on an InProc executor is bit-for-bit identical to one built before the
-// interface existed, which the golden-fingerprint tests pin.
+// InProc is the in-process execution backend: one target instance and the
+// tracer its executions report into.
 type InProc struct {
-	r *sandbox.Runner
+	target Target
+	tracer *coverage.Tracer
 }
 
 // NewInProc returns an in-process executor over the given target.
-func NewInProc(t sandbox.Target) *InProc {
-	return &InProc{r: sandbox.NewRunner(t)}
+func NewInProc(t Target) *InProc {
+	return &InProc{target: t, tracer: coverage.NewTracer()}
 }
 
-// Run executes one packet in the sandbox. The error is always nil: the
-// sandbox converts every abnormal termination into a classified Result.
-func (x *InProc) Run(packet []byte) (sandbox.Result, error) {
-	return x.r.Run(packet), nil
+// Run executes one packet, returning the classified result. The tracer is
+// reset before the execution, so after Run returns the tracer holds exactly
+// this execution's coverage. The error is always nil: every abnormal
+// termination becomes a Crash result.
+func (x *InProc) Run(packet []byte) (res Result, err error) {
+	x.tracer.Reset()
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			return
+		}
+		res.Outcome = Crash
+		switch f := rec.(type) {
+		case *mem.Fault:
+			res.Fault = f
+		case runtime.Error:
+			// Native Go faults (index out of range, nil deref)
+			// correspond to the SEGV class in Table I; the site
+			// is the panicking frame.
+			res.Fault = &mem.Fault{Kind: mem.SEGV, Site: panicSite()}
+		default:
+			res.Fault = &mem.Fault{Kind: mem.SEGV, Site: fmt.Sprint(rec)}
+		}
+	}()
+	x.target.Handle(x.tracer, packet)
+	return Result{Outcome: OK}, nil
 }
 
-// Tracer exposes the sandbox runner's coverage tracer.
-func (x *InProc) Tracer() *coverage.Tracer { return x.r.Tracer() }
+// Tracer exposes the coverage map of the most recent Run.
+func (x *InProc) Tracer() *coverage.Tracer { return x.tracer }
 
 // Close is a no-op: in-process targets have no resources beyond the
 // campaign's own memory.
 func (x *InProc) Close() error { return nil }
 
-// SnapshotState writes the target's durable state through the checkpoint
-// codec when the target knows how to capture it (sandbox.StateCheckpointer),
-// reporting whether anything was written. Targets without capturable state
-// contribute nothing to a campaign checkpoint.
-func (x *InProc) SnapshotState(w *checkpoint.Writer) bool {
-	t, ok := x.r.Target().(sandbox.StateCheckpointer)
-	if !ok {
-		return false
+// StateFields forwards the target's field list (StateCheckpointer), or
+// nil when the target has no capturable state.
+func (x *InProc) StateFields() []checkpoint.Field {
+	if t, ok := x.target.(StateCheckpointer); ok {
+		return t.StateFields()
 	}
-	checkpoint.SnapshotFields(w, t.StateFields())
-	return true
-}
-
-// RestoreState overwrites the target's state with a SnapshotState-produced
-// dump. It fails when the target cannot restore state: a checkpoint that
-// carries target state must land on a backend that can absorb it, or the
-// warm restart would silently lose the continuation guarantee.
-func (x *InProc) RestoreState(r *checkpoint.Reader) error {
-	t, ok := x.r.Target().(sandbox.StateCheckpointer)
-	if !ok {
-		return errors.New("executor: checkpoint carries target state but the target cannot restore it")
-	}
-	return checkpoint.RestoreFields(r, t.StateFields())
+	return nil
 }
 
 // BeginSession asks the target to reset its per-session state, when it
 // knows how (SessionResetter); targets without session state need
 // nothing reset. Never fails.
 func (x *InProc) BeginSession() error {
-	if t, ok := x.r.Target().(SessionResetter); ok {
+	if t, ok := x.target.(SessionResetter); ok {
 		t.ResetSession()
 	}
 	return nil
+}
+
+// panicSite walks the stack to find the first frame outside this package
+// and the runtime, giving a stable dedup key for native faults. The key is
+// the function name without a line number: one vulnerable check commonly
+// manifests at several adjacent fault PCs (a slice expression and the index
+// next to it), and ASan-style unique-bug counting — what the paper's
+// Table I reports — treats those as one bug.
+func panicSite() string {
+	var pcs [32]uintptr
+	n := runtime.Callers(4, pcs[:])
+	frames := runtime.CallersFrames(pcs[:n])
+	for {
+		f, more := frames.Next()
+		if f.Function != "" && !isInfra(f.Function) {
+			return f.Function
+		}
+		if !more {
+			break
+		}
+	}
+	return "unknown"
+}
+
+func isInfra(fn string) bool {
+	return strings.HasPrefix(fn, "runtime.") || strings.HasPrefix(fn, "repro/internal/executor.")
 }

@@ -1,9 +1,13 @@
-package sandbox
+// The in-process runner's tests live outside the package: panicSite skips
+// every repro/internal/executor frame, so a fault planted in a target
+// declared inside the package would be attributed to the test harness.
+package executor_test
 
 import (
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/executor"
 	"repro/internal/mem"
 )
 
@@ -33,21 +37,29 @@ func (s *scriptTarget) Handle(t *coverage.Tracer, packet []byte) {
 	}
 }
 
+func run(t *testing.T, x *executor.InProc, packet []byte) executor.Result {
+	t.Helper()
+	res, err := x.Run(packet)
+	if err != nil {
+		t.Fatalf("InProc.Run error: %v", err)
+	}
+	return res
+}
+
 func TestRunOK(t *testing.T) {
-	r := NewRunner(&scriptTarget{mode: "ok"})
-	res := r.Run([]byte{1})
-	if res.Outcome != OK || res.Fault != nil {
+	x := executor.NewInProc(&scriptTarget{mode: "ok"})
+	res := run(t, x, []byte{1})
+	if res.Outcome != executor.OK || res.Fault != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if r.Tracer().PathHash() == 0 {
+	if x.Tracer().PathHash() == 0 {
 		t.Fatal("path signature should be non-zero for a non-empty map")
 	}
 }
 
 func TestRunMemFault(t *testing.T) {
-	r := NewRunner(&scriptTarget{mode: "memfault"})
-	res := r.Run(nil)
-	if res.Outcome != Crash {
+	res := run(t, executor.NewInProc(&scriptTarget{mode: "memfault"}), nil)
+	if res.Outcome != executor.Crash {
 		t.Fatalf("outcome = %v, want crash", res.Outcome)
 	}
 	if res.Fault == nil || res.Fault.Kind != mem.HeapUseAfterFree {
@@ -58,42 +70,43 @@ func TestRunMemFault(t *testing.T) {
 	}
 }
 
+// TestRunNativeFault requires the dedup key to be the faulting target
+// function itself — not a runtime or executor frame, and not a frame
+// further up the stack.
 func TestRunNativeFault(t *testing.T) {
-	r := NewRunner(&scriptTarget{mode: "native"})
-	res := r.Run(nil)
-	if res.Outcome != Crash || res.Fault == nil || res.Fault.Kind != mem.SEGV {
+	res := run(t, executor.NewInProc(&scriptTarget{mode: "native"}), nil)
+	if res.Outcome != executor.Crash || res.Fault == nil || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %+v fault = %+v", res, res.Fault)
 	}
-	if res.Fault.Site == "" || res.Fault.Site == "unknown" {
-		t.Fatalf("native fault site not resolved: %q", res.Fault.Site)
+	if want := "repro/internal/executor_test.(*scriptTarget).Handle"; res.Fault.Site != want {
+		t.Fatalf("native fault site = %q, want %q", res.Fault.Site, want)
 	}
 }
 
 func TestRunStringPanic(t *testing.T) {
-	r := NewRunner(&scriptTarget{mode: "strpanic"})
-	res := r.Run(nil)
-	if res.Outcome != Crash || res.Fault == nil || res.Fault.Kind != mem.SEGV {
+	res := run(t, executor.NewInProc(&scriptTarget{mode: "strpanic"}), nil)
+	if res.Outcome != executor.Crash || res.Fault == nil || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
 func TestRunnerRecoversAcrossRuns(t *testing.T) {
 	tgt := &scriptTarget{mode: "native"}
-	r := NewRunner(tgt)
-	if res := r.Run(nil); res.Outcome != Crash {
+	x := executor.NewInProc(tgt)
+	if res := run(t, x, nil); res.Outcome != executor.Crash {
 		t.Fatal("expected crash")
 	}
 	tgt.mode = "ok"
-	if res := r.Run([]byte{1}); res.Outcome != OK {
+	if res := run(t, x, []byte{1}); res.Outcome != executor.OK {
 		t.Fatal("runner should be reusable after a crash")
 	}
 }
 
 func TestPathSigSameForSameTrace(t *testing.T) {
-	r := NewRunner(&scriptTarget{mode: "ok"})
+	x := executor.NewInProc(&scriptTarget{mode: "ok"})
 	sig := func(pkt []byte) uint64 {
-		r.Run(pkt)
-		return r.Tracer().PathHash()
+		run(t, x, pkt)
+		return x.Tracer().PathHash()
 	}
 	a, b := sig([]byte{1}), sig([]byte{2})
 	if a != b {
@@ -105,10 +118,10 @@ func TestPathSigSameForSameTrace(t *testing.T) {
 }
 
 func TestOutcomeString(t *testing.T) {
-	if OK.String() != "ok" || Crash.String() != "crash" || Hang.String() != "hang" {
+	if executor.OK.String() != "ok" || executor.Crash.String() != "crash" || executor.Hang.String() != "hang" {
 		t.Fatal("outcome names wrong")
 	}
-	if Outcome(9).String() == "" {
+	if executor.Outcome(9).String() == "" {
 		t.Fatal("unknown outcome should still format")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/coverage"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 )
 
 // Defaults for ProcConfig's zero values.
@@ -173,11 +172,6 @@ func (p *Proc) Tracer() *coverage.Tracer { return p.tracer }
 // journal-cap restarts combined.
 func (p *Proc) Restarts() int { return p.restarts }
 
-// Drops returns how many connection drops were survived by reconnecting to
-// the still-live process (a server closing a connection it dislikes is not
-// a crash).
-func (p *Proc) Drops() int { return p.drops }
-
 // Pid returns the live target's process ID, or 0 when no process is up —
 // the hook chaos tests use to kill the target out from under the campaign.
 func (p *Proc) Pid() int {
@@ -196,13 +190,13 @@ func (p *Proc) Pid() int {
 // and classify the outcome. Crash and hang results carry the journal as a
 // replayable reproducer; the error return is reserved for an
 // unrecoverable backend (spawn retries exhausted, executor closed).
-func (p *Proc) Run(packet []byte) (sandbox.Result, error) {
+func (p *Proc) Run(packet []byte) (Result, error) {
 	p.tracer.Reset()
 	if p.closed {
-		return sandbox.Result{}, fmt.Errorf("executor: Run after Close")
+		return Result{}, fmt.Errorf("executor: Run after Close")
 	}
 	if p.broken != nil {
-		return sandbox.Result{}, p.broken
+		return Result{}, p.broken
 	}
 	if !p.sessions && len(p.journal) >= p.cfg.MaxJournal {
 		// Preventive restart: re-anchor the journal at a fresh process so
@@ -213,7 +207,7 @@ func (p *Proc) Run(packet []byte) (sandbox.Result, error) {
 	}
 	if err := p.ensureTarget(); err != nil {
 		p.broken = err
-		return sandbox.Result{}, err
+		return Result{}, err
 	}
 	p.journal = append(p.journal, append([]byte(nil), packet...))
 	return p.exchange(packet), nil
@@ -339,7 +333,7 @@ func (p *Proc) startProcess() error {
 // connect-retry with capped exponential backoff and jitter until the
 // server accepts, the process dies, or the spawn timeout expires.
 func (p *Proc) connectProbe() error {
-	deadline := time.Now().Add(p.cfg.SpawnTimeout)
+	deadline := fromNow(p.cfg.SpawnTimeout)
 	for attempt := 0; ; attempt++ {
 		if st, dead := p.exited(); dead {
 			return fmt.Errorf("executor: target died during liveness probe: %s", exitDesc(st))
@@ -352,7 +346,7 @@ func (p *Proc) connectProbe() error {
 			p.conn = c
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if fromNow(0).After(deadline) {
 			return fmt.Errorf("executor: liveness probe timed out after %v: %w", p.cfg.SpawnTimeout, err)
 		}
 		time.Sleep(p.bk.Delay(5*time.Millisecond, 250*time.Millisecond, attempt))
@@ -360,8 +354,8 @@ func (p *Proc) connectProbe() error {
 }
 
 // exchange performs one send+receive round and classifies the outcome.
-func (p *Proc) exchange(packet []byte) sandbox.Result {
-	deadline := time.Now().Add(p.cfg.ExecTimeout)
+func (p *Proc) exchange(packet []byte) Result {
+	deadline := fromNow(p.cfg.ExecTimeout)
 	p.conn.SetWriteDeadline(deadline)
 	if _, err := p.conn.Write(packet); err != nil {
 		if isTimeout(err) {
@@ -374,17 +368,17 @@ func (p *Proc) exchange(packet []byte) sandbox.Result {
 	n, err := p.conn.Read(p.buf)
 	if err == nil {
 		p.observe(p.buf[:n])
-		return sandbox.Result{Outcome: sandbox.OK}
+		return Result{Outcome: OK}
 	}
 	if isTimeout(err) {
 		if p.cfg.Net == "udp" {
 			// One silent resend: a lost datagram is not a hang.
-			p.conn.SetWriteDeadline(time.Now().Add(p.cfg.ExecTimeout))
+			p.conn.SetWriteDeadline(fromNow(p.cfg.ExecTimeout))
 			p.conn.Write(packet)
-			p.conn.SetReadDeadline(time.Now().Add(p.cfg.ExecTimeout))
+			p.conn.SetReadDeadline(fromNow(p.cfg.ExecTimeout))
 			if n, rerr := p.conn.Read(p.buf); rerr == nil {
 				p.observe(p.buf[:n])
-				return sandbox.Result{Outcome: sandbox.OK}
+				return Result{Outcome: OK}
 			}
 		}
 		if st, dead := p.exited(); dead {
@@ -403,7 +397,7 @@ func (p *Proc) exchange(packet []byte) sandbox.Result {
 // reconnect is tried before waiting out any exit grace: servers that shed
 // connections on malformed input do it constantly, and the fast path must
 // cost one dial, not a death-grace per drop.
-func (p *Proc) connFailure(cause error, packet []byte) sandbox.Result {
+func (p *Proc) connFailure(cause error, packet []byte) Result {
 	if st, dead := p.exited(); dead {
 		return p.crashResult(st)
 	}
@@ -422,7 +416,7 @@ func (p *Proc) connFailure(cause error, packet []byte) sandbox.Result {
 			p.drops++
 			p.cfg.Logf("executor: survived connection drop (%v); reconnected", cause)
 			p.tracer.Hit(p.blocks[blkDrop])
-			return sandbox.Result{Outcome: sandbox.OK}
+			return Result{Outcome: OK}
 		}
 		return p.hangResult()
 	}
@@ -443,7 +437,7 @@ func (p *Proc) connFailure(cause error, packet []byte) sandbox.Result {
 			// session state; walk it back to where the sequence was.
 			p.reestablish()
 		}
-		return sandbox.Result{Outcome: sandbox.OK}
+		return Result{Outcome: OK}
 	}
 	// Unreachable: a reset usually races the supervisor's view of the
 	// death by a scheduler tick, so afford the exit status a grace to
@@ -486,7 +480,7 @@ func (p *Proc) reestablish() {
 		return
 	}
 	prefix := p.journal[p.sessStart:end]
-	deadline := time.Now().Add(p.cfg.ExecTimeout)
+	deadline := fromNow(p.cfg.ExecTimeout)
 	for _, pkt := range prefix {
 		p.conn.SetWriteDeadline(deadline)
 		if _, err := p.conn.Write(pkt); err != nil {
@@ -502,12 +496,12 @@ func (p *Proc) reestablish() {
 
 // crashResult classifies a dead target from its exit status and packages
 // the reproducer. The next Run respawns.
-func (p *Proc) crashResult(st *os.ProcessState) sandbox.Result {
+func (p *Proc) crashResult(st *os.ProcessState) Result {
 	repro, starts := p.takeJournal()
 	p.stopTarget()
 	p.cfg.Logf("executor: target crashed (%s); %d-packet reproducer captured", exitDesc(st), len(repro))
-	return sandbox.Result{
-		Outcome:     sandbox.Crash,
+	return Result{
+		Outcome:     Crash,
 		Fault:       classifyExit(st),
 		Repro:       repro,
 		ReproStarts: starts,
@@ -518,12 +512,12 @@ func (p *Proc) crashResult(st *os.ProcessState) sandbox.Result {
 // whole process group is killed and the hang is reported with the watchdog
 // budget (in milliseconds) and the reproducer journal. The next Run
 // respawns.
-func (p *Proc) hangResult() sandbox.Result {
+func (p *Proc) hangResult() Result {
 	repro, starts := p.takeJournal()
 	p.stopTarget()
 	p.cfg.Logf("executor: watchdog fired after %v; process group killed", p.cfg.ExecTimeout)
-	return sandbox.Result{
-		Outcome:     sandbox.Hang,
+	return Result{
+		Outcome:     Hang,
 		HangSteps:   int(p.cfg.ExecTimeout / time.Millisecond),
 		Repro:       repro,
 		ReproStarts: starts,
@@ -661,6 +655,14 @@ func exitDesc(st *os.ProcessState) string {
 	return st.String()
 }
 
+// fromNow is the package's one wall-clock read: the instant d from now.
+// It sets spawn and watchdog deadlines only; whether one expired decides a
+// Hang or a retry of a real process, whose campaigns are not replayable
+// anyway, and no clock value reaches fuzzing state.
+//
+//peachstar:nondeterministic spawn and watchdog deadlines, never fuzzing state
+func fromNow(d time.Duration) time.Time { return time.Now().Add(d) }
+
 // isTimeout reports whether a network error is a deadline expiry.
 func isTimeout(err error) bool {
 	ne, ok := err.(net.Error)
@@ -679,17 +681,17 @@ func isTimeout(err error) bool {
 // per-connection server state — activation flags and sequence numbers
 // regenerate on the server exactly as they did during capture — instead
 // of pushing every packet byte-blind down one long-lived connection.
-func ReplaySession(cfg ProcConfig, seq [][]byte, starts []int) (sandbox.Result, error) {
+func ReplaySession(cfg ProcConfig, seq [][]byte, starts []int) (Result, error) {
 	p, err := NewProc(cfg)
 	if err != nil {
-		return sandbox.Result{}, err
+		return Result{}, err
 	}
 	defer p.Close()
 	si := 0
 	for i, pkt := range seq {
 		if si < len(starts) && starts[si] <= i {
 			if err := p.BeginSession(); err != nil {
-				return sandbox.Result{}, err
+				return Result{}, err
 			}
 			for si < len(starts) && starts[si] <= i {
 				si++
@@ -697,11 +699,11 @@ func ReplaySession(cfg ProcConfig, seq [][]byte, starts []int) (sandbox.Result, 
 		}
 		res, err := p.Run(pkt)
 		if err != nil {
-			return sandbox.Result{}, err
+			return Result{}, err
 		}
-		if res.Outcome != sandbox.OK {
+		if res.Outcome != OK {
 			return res, nil
 		}
 	}
-	return sandbox.Result{Outcome: sandbox.OK}, nil
+	return Result{Outcome: OK}, nil
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 )
 
 // The acceptance tests drive the bundled toy Modbus-TCP server
@@ -100,7 +99,7 @@ var (
 	pktHang     = mbap(0x41, 0xDE)                // vendor fc + magic → busy loop
 )
 
-func mustRun(t *testing.T, p *Proc, pkt []byte) sandbox.Result {
+func mustRun(t *testing.T, p *Proc, pkt []byte) Result {
 	t.Helper()
 	res, err := p.Run(pkt)
 	if err != nil {
@@ -114,7 +113,7 @@ func mustRun(t *testing.T, p *Proc, pkt []byte) sandbox.Result {
 func TestProcBasicExchange(t *testing.T) {
 	p := newTestProc(t)
 	read := mustRun(t, p, pktRead)
-	if read.Outcome != sandbox.OK {
+	if read.Outcome != OK {
 		t.Fatalf("read outcome = %v, want OK", read.Outcome)
 	}
 	readSig := p.Tracer().PathHash()
@@ -122,7 +121,7 @@ func TestProcBasicExchange(t *testing.T) {
 		t.Fatal("response produced no coverage signal")
 	}
 	write := mustRun(t, p, pktWrite)
-	if write.Outcome != sandbox.OK {
+	if write.Outcome != OK {
 		t.Fatalf("write outcome = %v, want OK", write.Outcome)
 	}
 	if p.Tracer().PathHash() == readSig {
@@ -140,7 +139,7 @@ func TestProcCrashDetection(t *testing.T) {
 	p := newTestProc(t)
 	mustRun(t, p, pktRead) // journal context before the fault
 	res := mustRun(t, p, pktCrashLow)
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != Crash {
 		t.Fatalf("outcome = %v, want Crash", res.Outcome)
 	}
 	if res.Fault == nil || res.Fault.Kind != mem.ProcExit || res.Fault.Site != "exit:41" {
@@ -150,7 +149,7 @@ func TestProcCrashDetection(t *testing.T) {
 		t.Fatalf("reproducer has %d packets, want 2 (context + trigger)", len(res.Repro))
 	}
 	// The campaign continues: next Run respawns.
-	if ok := mustRun(t, p, pktRead); ok.Outcome != sandbox.OK {
+	if ok := mustRun(t, p, pktRead); ok.Outcome != OK {
 		t.Fatalf("post-crash outcome = %v, want OK", ok.Outcome)
 	}
 	if p.Restarts() != 1 {
@@ -174,7 +173,7 @@ func TestProcWatchdogHang(t *testing.T) {
 	mustRun(t, p, pktRead)
 	pidBefore := p.Pid()
 	res := mustRun(t, p, pktHang)
-	if res.Outcome != sandbox.Hang {
+	if res.Outcome != Hang {
 		t.Fatalf("outcome = %v, want Hang", res.Outcome)
 	}
 	if res.HangSteps != 150 {
@@ -191,7 +190,7 @@ func TestProcWatchdogHang(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if ok := mustRun(t, p, pktRead); ok.Outcome != sandbox.OK {
+	if ok := mustRun(t, p, pktRead); ok.Outcome != OK {
 		t.Fatalf("post-hang outcome = %v, want OK", ok.Outcome)
 	}
 	if p.Restarts() != 1 {
@@ -215,13 +214,13 @@ func TestProcExternalKill(t *testing.T) {
 	}
 	// The next exchange observes the death.
 	res := mustRun(t, p, pktWrite)
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != Crash {
 		t.Fatalf("outcome = %v, want Crash", res.Outcome)
 	}
 	if res.Fault.Kind != mem.ProcSignal || res.Fault.Site != "signal:killed" {
 		t.Fatalf("fault = %+v, want proc-signal at signal:killed", res.Fault)
 	}
-	if ok := mustRun(t, p, pktRead); ok.Outcome != sandbox.OK {
+	if ok := mustRun(t, p, pktRead); ok.Outcome != OK {
 		t.Fatalf("post-kill outcome = %v, want OK", ok.Outcome)
 	}
 	// Replay: a fresh target survives the sequence — external kills are
@@ -231,7 +230,7 @@ func TestProcExternalKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != sandbox.OK {
+	if rep.Outcome != OK {
 		t.Fatalf("replay of externally-killed sequence = %v, want OK", rep.Outcome)
 	}
 }
@@ -247,7 +246,7 @@ func TestProcDroppedConnection(t *testing.T) {
 	malformed := mbap(3, 0, 0, 0, 4)
 	binary.BigEndian.PutUint16(malformed[4:6], 0)
 	res := mustRun(t, p, malformed)
-	if res.Outcome != sandbox.OK {
+	if res.Outcome != OK {
 		t.Fatalf("outcome = %v, want OK (survived drop)", res.Outcome)
 	}
 	if p.Drops() != 1 {
@@ -256,7 +255,7 @@ func TestProcDroppedConnection(t *testing.T) {
 	if p.Restarts() != 0 {
 		t.Fatalf("Restarts = %d, want 0 — a dropped connection is not a crash", p.Restarts())
 	}
-	if ok := mustRun(t, p, pktWrite); ok.Outcome != sandbox.OK {
+	if ok := mustRun(t, p, pktWrite); ok.Outcome != OK {
 		t.Fatalf("post-drop outcome = %v, want OK", ok.Outcome)
 	}
 }
@@ -269,7 +268,7 @@ func TestProcReplayDeterminism(t *testing.T) {
 	mustRun(t, p, pktRead)
 	mustRun(t, p, pktWrite)
 	res := mustRun(t, p, pktCrashHi)
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != Crash {
 		t.Fatalf("outcome = %v, want Crash", res.Outcome)
 	}
 	p.Close() // free the port for the replay instance
@@ -278,7 +277,7 @@ func TestProcReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != sandbox.Crash {
+	if rep.Outcome != Crash {
 		t.Fatalf("replay outcome = %v, want Crash", rep.Outcome)
 	}
 	if rep.Fault.Kind != res.Fault.Kind || rep.Fault.Site != res.Fault.Site {
@@ -298,7 +297,7 @@ func TestProcJournalCap(t *testing.T) {
 	}
 	defer p.Close()
 	for i := 0; i < 20; i++ {
-		if res := mustRun(t, p, pktRead); res.Outcome != sandbox.OK {
+		if res := mustRun(t, p, pktRead); res.Outcome != OK {
 			t.Fatalf("exec %d: outcome = %v, want OK", i, res.Outcome)
 		}
 	}
@@ -306,7 +305,7 @@ func TestProcJournalCap(t *testing.T) {
 		t.Fatalf("Restarts = %d, want 2 (20 execs / cap 8)", p.Restarts())
 	}
 	res := mustRun(t, p, pktCrashLow)
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != Crash {
 		t.Fatalf("outcome = %v, want Crash", res.Outcome)
 	}
 	if len(res.Repro) > cfg.MaxJournal {
@@ -345,11 +344,11 @@ func TestProcUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if res := mustRun(t, p, pktRead); res.Outcome != sandbox.OK {
+	if res := mustRun(t, p, pktRead); res.Outcome != OK {
 		t.Fatalf("udp read outcome = %v, want OK", res.Outcome)
 	}
 	res := mustRun(t, p, pktCrashLow)
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != Crash {
 		t.Fatalf("udp crash outcome = %v, want Crash", res.Outcome)
 	}
 	if res.Fault.Site != "exit:41" {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 )
 
 // These tests drive the toy stateful IEC-104-style server
@@ -50,12 +49,12 @@ func TestSessionProcDeepFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pkt := range [][]byte{pktStartDT, pktI0, pktI1} {
-		if res := mustRun(t, p, pkt); res.Outcome != sandbox.OK {
+		if res := mustRun(t, p, pkt); res.Outcome != OK {
 			t.Fatalf("prefix outcome = %v, want OK", res.Outcome)
 		}
 	}
 	res := mustRun(t, p, pktCmd)
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != Crash {
 		t.Fatalf("outcome = %v, want Crash", res.Outcome)
 	}
 	if res.Fault.Kind != mem.ProcExit || res.Fault.Site != "exit:3" {
@@ -89,7 +88,7 @@ func TestSessionBoundaryResetsServerState(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := mustRun(t, p, pktCmd)
-	if res.Outcome != sandbox.OK {
+	if res.Outcome != OK {
 		t.Fatalf("post-boundary command = %v, want OK (fresh session state)", res.Outcome)
 	}
 	if p.Restarts() != 0 {
@@ -114,7 +113,7 @@ func TestSessionDropReestablishesPrefix(t *testing.T) {
 	mustRun(t, p, pktStartDT)
 	mustRun(t, p, pktI0)
 	// Injected drop: the server closes the connection without dying.
-	if res := mustRun(t, p, pktDrop); res.Outcome != sandbox.OK {
+	if res := mustRun(t, p, pktDrop); res.Outcome != OK {
 		t.Fatalf("drop outcome = %v, want OK (survived)", res.Outcome)
 	}
 	if p.Drops() != 1 || p.Restarts() != 0 {
@@ -125,7 +124,7 @@ func TestSessionDropReestablishesPrefix(t *testing.T) {
 	// accepted (server vr back at 1) for the command to fire the fault.
 	mustRun(t, p, pktI1)
 	res := mustRun(t, p, pktCmd)
-	if res.Outcome != sandbox.Crash || res.Fault.Site != "exit:3" {
+	if res.Outcome != Crash || res.Fault.Site != "exit:3" {
 		t.Fatalf("post-drop sequence did not reach the fault: %+v", res)
 	}
 	if len(res.Repro) != 5 {
@@ -140,7 +139,7 @@ func TestSessionDropReestablishesPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != sandbox.Crash {
+	if rep.Outcome != Crash {
 		t.Fatalf("replay outcome = %v, want Crash", rep.Outcome)
 	}
 	if rep.Fault.Kind != res.Fault.Kind || rep.Fault.Site != res.Fault.Site {
@@ -161,7 +160,7 @@ func TestSessionReplayBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != sandbox.OK {
+	if rep.Outcome != OK {
 		t.Fatalf("boundary-honoring replay = %v, want OK", rep.Outcome)
 	}
 	// Byte-blind (boundary-free) replay of the same packets crashes: the
@@ -170,7 +169,7 @@ func TestSessionReplayBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != sandbox.Crash {
+	if rep.Outcome != Crash {
 		t.Fatalf("byte-blind replay = %v, want Crash (state carried over)", rep.Outcome)
 	}
 }
@@ -191,7 +190,7 @@ func TestSessionJournalCapAtBoundary(t *testing.T) {
 	}
 	// 6 packets on one session: exceeds the cap, must not restart.
 	for i := 0; i < 6; i++ {
-		if res := mustRun(t, p, pktStartDT); res.Outcome != sandbox.OK {
+		if res := mustRun(t, p, pktStartDT); res.Outcome != OK {
 			t.Fatalf("exec %d: %v", i, res.Outcome)
 		}
 	}
@@ -202,7 +201,7 @@ func TestSessionJournalCapAtBoundary(t *testing.T) {
 	if err := p.BeginSession(); err != nil {
 		t.Fatal(err)
 	}
-	if res := mustRun(t, p, pktStartDT); res.Outcome != sandbox.OK {
+	if res := mustRun(t, p, pktStartDT); res.Outcome != OK {
 		t.Fatalf("post-boundary exec: %v", res.Outcome)
 	}
 	if p.Restarts() != 1 {

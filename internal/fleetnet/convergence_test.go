@@ -10,8 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/datamodel"
+	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 )
 
 // convTarget is the conformance target for the distributed-vs-local
@@ -101,7 +101,7 @@ func newConvFleet(t *testing.T, seed uint64, workers, stream int) *core.Fleet {
 	}, core.ParallelConfig{
 		Workers:    workers,
 		SeedStream: stream,
-		NewTarget:  func() sandbox.Target { return newConvTarget() },
+		NewTarget:  func() executor.Target { return newConvTarget() },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/crash"
 	"repro/internal/datamodel"
+	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 
 	_ "repro/internal/targets/modbus"
@@ -52,7 +52,7 @@ func newLocalFleet(t *testing.T, seed uint64) *core.Fleet {
 		Seed:     seed,
 	}, core.ParallelConfig{
 		Workers: 2,
-		NewTarget: func() sandbox.Target {
+		NewTarget: func() executor.Target {
 			t2, err := targets.New("libmodbus")
 			if err != nil {
 				panic(err)

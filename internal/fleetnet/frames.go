@@ -6,14 +6,37 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/corpus"
 	"repro/internal/crash"
-	"repro/internal/mem"
 )
 
-// This file defines the typed view of each frame payload and its
-// encode/decode pair over the repo's one binary codec (internal/checkpoint):
-// canonical varints, counts and lengths bounded by the bytes actually
-// received, width-checked integers, trailing bytes refused. Decoded strings
-// and blobs are copied out of the frame buffer.
+// This file defines the typed view of each frame payload, declared once as
+// the ordered field list that the generic encode and decode both walk, over
+// the repo's one binary codec (internal/checkpoint): canonical varints,
+// counts and lengths bounded by the bytes actually received, width-checked
+// integers, trailing bytes refused. Decoded strings and blobs are copied
+// out of the frame buffer.
+
+// frame is a payload declared as its fields in wire order.
+type frame interface{ fields() []checkpoint.Field }
+
+// encode writes a frame's fields.
+func encode(f frame) []byte {
+	var w checkpoint.Writer
+	checkpoint.SnapshotFields(&w, f.fields())
+	return w.Data()
+}
+
+// decode reads a whole payload as a frame of type F.
+func decode[F any, P interface {
+	*F
+	frame
+}](payload []byte) (*F, error) {
+	f := P(new(F))
+	r := checkpoint.NewReader(payload)
+	if err := checkpoint.RestoreFields(r, f.fields()); err != nil {
+		return nil, err
+	}
+	return (*F)(f), r.Finish()
+}
 
 // helloFrame opens a session (dialer → acceptor).
 type helloFrame struct {
@@ -34,33 +57,22 @@ type helloFrame struct {
 	peers     []string
 }
 
-func (f *helloFrame) encode() []byte {
-	var w checkpoint.Writer
-	w.Uvarint(f.version)
-	w.String(f.nodeID)
-	w.String(f.target)
-	w.U64(f.digest)
-	w.Int(f.resumeCursor)
-	w.String(f.advertise)
-	addrList.Put(&w, f.peers)
-	return append([]byte(magic), w.Data()...)
+func (f *helloFrame) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Uint(&f.version), checkpoint.String(&f.nodeID), checkpoint.String(&f.target),
+		checkpoint.U64(&f.digest), checkpoint.Int(&f.resumeCursor), checkpoint.String(&f.advertise),
+		checkpoint.Value(&f.peers, addrList),
+	}
 }
+
+// encode prefixes the hello's fields with the magic.
+func (f *helloFrame) encode() []byte { return append([]byte(magic), encode(f)...) }
 
 func decodeHello(payload []byte) (*helloFrame, error) {
 	if len(payload) < len(magic) || string(payload[:len(magic)]) != magic {
 		return nil, fmt.Errorf("fleetnet: bad magic (not a fleetnet client)")
 	}
-	r := checkpoint.NewReader(payload[len(magic):])
-	f := &helloFrame{
-		version:      r.Uvarint(),
-		nodeID:       r.String(),
-		target:       r.String(),
-		digest:       r.U64(),
-		resumeCursor: r.Int(),
-		advertise:    r.String(),
-		peers:        readAddrs(r),
-	}
-	return f, r.Finish()
+	return decode[helloFrame](payload[len(magic):])
 }
 
 // helloAckFrame accepts a session (acceptor → dialer).
@@ -73,38 +85,35 @@ type helloAckFrame struct {
 	peers []string
 }
 
-func (f *helloAckFrame) encode() []byte {
-	var w checkpoint.Writer
-	w.Uvarint(f.version)
-	w.U64(f.digest)
-	w.String(f.hubID)
-	addrList.Put(&w, f.peers)
-	return w.Data()
+func (f *helloAckFrame) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Uint(&f.version), checkpoint.U64(&f.digest), checkpoint.String(&f.hubID),
+		checkpoint.Value(&f.peers, addrList),
+	}
 }
 
-func decodeHelloAck(payload []byte) (*helloAckFrame, error) {
-	r := checkpoint.NewReader(payload)
-	f := &helloAckFrame{version: r.Uvarint(), digest: r.U64(), hubID: r.String(), peers: readAddrs(r)}
-	return f, r.Finish()
-}
+func (f *helloAckFrame) encode() []byte { return encode(f) }
+
+func decodeHelloAck(payload []byte) (*helloAckFrame, error) { return decode[helloAckFrame](payload) }
 
 // maxPeerAddrs bounds a peer-exchange list; any sane mesh is orders of
 // magnitude smaller, so a bigger count means a corrupt frame.
 const maxPeerAddrs = 1024
 
-// addrList writes the peer-address lists of the peer exchange; readAddrs
-// reads them, refusing an implausible count before reading any entry.
-var addrList = checkpoint.ListCodec(checkpoint.StringCodec)
-
-func readAddrs(r *checkpoint.Reader) (addrs []string) {
-	n := r.Count()
-	if n > maxPeerAddrs {
-		r.Fail(fmt.Errorf("fleetnet: implausible peer count %d", n))
-	}
-	for len(addrs) < n && r.Err() == nil {
-		addrs = append(addrs, r.String())
-	}
-	return addrs
+// addrList is the peer-address list of the peer exchange; reading it
+// refuses an implausible count before reading any entry.
+var addrList = checkpoint.Codec[[]string]{
+	Put: checkpoint.ListCodec(checkpoint.StringCodec).Put,
+	Get: func(r *checkpoint.Reader) (addrs []string) {
+		n := r.Count()
+		if n > maxPeerAddrs {
+			r.Fail(fmt.Errorf("fleetnet: implausible peer count %d", n))
+		}
+		for len(addrs) < n && r.Err() == nil {
+			addrs = append(addrs, r.String())
+		}
+		return addrs
+	},
 }
 
 // puzzleList is the corpus delta shared by both sync directions.
@@ -119,27 +128,16 @@ var puzzleList = checkpoint.ListCodec(checkpoint.Codec[corpus.Puzzle]{
 	},
 })
 
-// crashList is the crash-record delta shared by both sync directions.
+// crashList is the crash-record delta shared by both sync directions: each
+// record's identity and counts (crash.Record.Fields), no reproducer.
 // Counts are read with Int: a peer-supplied count of 2^63 or more is a
 // malformed frame, never a negative number in the shared bank.
 var crashList = checkpoint.ListCodec(checkpoint.Codec[*crash.Record]{
-	Put: func(w *checkpoint.Writer, rec *crash.Record) {
-		w.String(string(rec.Kind))
-		w.String(rec.Site)
-		w.Blob(rec.Example)
-		w.Int(rec.Count)
-		w.Int(rec.FirstExec)
-		w.U64(rec.PathSig)
-	},
+	Put: func(w *checkpoint.Writer, rec *crash.Record) { checkpoint.SnapshotFields(w, rec.Fields()) },
 	Get: func(r *checkpoint.Reader) *crash.Record {
-		return &crash.Record{
-			Kind:      mem.FaultKind(r.String()),
-			Site:      r.String(),
-			Example:   r.Blob(),
-			Count:     r.Int(),
-			FirstExec: r.Int(),
-			PathSig:   r.U64(),
-		}
+		rec := new(crash.Record)
+		r.Fail(checkpoint.RestoreFields(r, rec.Fields()))
+		return rec
 	},
 })
 
@@ -152,29 +150,16 @@ type syncFrame struct {
 	crashes      []*crash.Record
 }
 
-func (f *syncFrame) encode() []byte {
-	var w checkpoint.Writer
-	w.Uvarint(f.execs)
-	w.Uvarint(f.hangs)
-	w.Int(f.cursor)
-	w.Blob(f.virginDelta)
-	puzzleList.Put(&w, f.puzzles)
-	crashList.Put(&w, f.crashes)
-	return w.Data()
+func (f *syncFrame) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Uint(&f.execs), checkpoint.Uint(&f.hangs), checkpoint.Int(&f.cursor),
+		checkpoint.Blob(&f.virginDelta), checkpoint.Value(&f.puzzles, puzzleList), checkpoint.Value(&f.crashes, crashList),
+	}
 }
 
-func decodeSync(payload []byte) (*syncFrame, error) {
-	r := checkpoint.NewReader(payload)
-	f := &syncFrame{
-		execs:       r.Uvarint(),
-		hangs:       r.Uvarint(),
-		cursor:      r.Int(),
-		virginDelta: r.Blob(),
-		puzzles:     puzzleList.Get(r),
-		crashes:     crashList.Get(r),
-	}
-	return f, r.Finish()
-}
+func (f *syncFrame) encode() []byte { return encode(f) }
+
+func decodeSync(payload []byte) (*syncFrame, error) { return decode[syncFrame](payload) }
 
 // syncAckFrame is the acceptor's reply to one sync.
 type syncAckFrame struct {
@@ -189,31 +174,16 @@ type syncAckFrame struct {
 	fleetExecs, fleetEdges, leaves uint64
 }
 
-func (f *syncAckFrame) encode() []byte {
-	var w checkpoint.Writer
-	w.Blob(f.virginDelta)
-	puzzleList.Put(&w, f.puzzles)
-	crashList.Put(&w, f.crashes)
-	w.Int(f.newCursor)
-	w.Uvarint(f.fleetExecs)
-	w.Uvarint(f.fleetEdges)
-	w.Uvarint(f.leaves)
-	return w.Data()
+func (f *syncAckFrame) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Blob(&f.virginDelta), checkpoint.Value(&f.puzzles, puzzleList), checkpoint.Value(&f.crashes, crashList),
+		checkpoint.Int(&f.newCursor), checkpoint.Uint(&f.fleetExecs), checkpoint.Uint(&f.fleetEdges), checkpoint.Uint(&f.leaves),
+	}
 }
 
-func decodeSyncAck(payload []byte) (*syncAckFrame, error) {
-	r := checkpoint.NewReader(payload)
-	f := &syncAckFrame{
-		virginDelta: r.Blob(),
-		puzzles:     puzzleList.Get(r),
-		crashes:     crashList.Get(r),
-		newCursor:   r.Int(),
-		fleetExecs:  r.Uvarint(),
-		fleetEdges:  r.Uvarint(),
-		leaves:      r.Uvarint(),
-	}
-	return f, r.Finish()
-}
+func (f *syncAckFrame) encode() []byte { return encode(f) }
+
+func decodeSyncAck(payload []byte) (*syncAckFrame, error) { return decode[syncAckFrame](payload) }
 
 // errorFrame encodes an error frame's payload: the human-readable reason.
 func errorFrame(msg string) []byte {

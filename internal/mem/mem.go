@@ -7,7 +7,7 @@
 // bug paths goes through this package instead: an explicit heap with
 // Alloc/Free/Load/Store whose safety checks report the same fault classes
 // ASan would. Faults are reported by panicking with a *Fault value, which
-// the sandbox converts into a crash record — mirroring how an ASan abort
+// executor.InProc converts into a crash record — mirroring how an ASan abort
 // surfaces to the fuzzer.
 package mem
 
@@ -71,7 +71,7 @@ type chunk struct {
 // are placed with red zones between them so that small overflows land in
 // detectable territory rather than in a neighbouring allocation.
 //
-// A Heap is not safe for concurrent use; each sandboxed execution owns one.
+// A Heap is not safe for concurrent use; each in-process execution owns one.
 type Heap struct {
 	next   uint32
 	chunks []chunk

@@ -48,9 +48,8 @@ func TestParseSample(t *testing.T) {
 	if m.Name != "ReadHoldingRegisters" {
 		t.Fatalf("name = %s", m.Name)
 	}
-	op, ok := m.Opcode()
-	if !ok || op != 3 {
-		t.Fatalf("opcode = %d,%v", op, ok)
+	if fc := m.Fields[0]; !fc.Token || fc.Default != 3 {
+		t.Fatalf("opcode field = %+v, want token 3", fc)
 	}
 	// Generated instance must be internally consistent and re-crackable.
 	n := m.Generate()

@@ -1,6 +1,7 @@
 package pit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,13 +42,17 @@ func TestParseDocumentStateModel(t *testing.T) {
 	if sm.Name != "Session" || sm.MaxSteps != 6 {
 		t.Fatalf("got %q maxSteps=%d", sm.Name, sm.MaxSteps)
 	}
-	if sm.Initial != sm.StateIndex("stopped") {
+	names := make([]string, len(sm.States))
+	for i, st := range sm.States {
+		names[i] = st.Name
+	}
+	if !reflect.DeepEqual(names, []string{"stopped", "started"}) {
+		t.Fatalf("states = %q, want stopped, started", names)
+	}
+	if sm.Initial != 0 {
 		t.Fatalf("initial = %d, want stopped", sm.Initial)
 	}
-	started := sm.StateIndex("started")
-	if started < 0 {
-		t.Fatalf("no started state")
-	}
+	started := 1
 	acts := sm.States[sm.Initial].Actions
 	if len(acts) != 1 || acts[0].Model != "StartDT" || acts[0].Next != started {
 		t.Fatalf("stopped actions wrong: %+v", acts)

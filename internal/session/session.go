@@ -60,16 +60,6 @@ func (sm *StateModel) WalkCap() int {
 	return DefaultMaxSteps
 }
 
-// StateIndex returns the index of the named state, or -1.
-func (sm *StateModel) StateIndex(name string) int {
-	for i := range sm.States {
-		if sm.States[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Validate checks structural sanity: at least one state, indices in
 // range, unique state names, every action naming a non-empty model, and
 // at least one action somewhere (a machine that can never send a message
@@ -142,33 +132,12 @@ func (s Sequence) Clone() Sequence {
 	return Sequence{Steps: cp}
 }
 
-// Valid reports whether the sequence is a legal walk of sm from its
-// initial state: every step's (State, Action) indices in range, each
-// step sent from the state the walk is actually in.
-func (sm *StateModel) Valid(s Sequence) error {
-	cur := sm.Initial
-	for i, st := range s.Steps {
-		if st.State != cur {
-			return fmt.Errorf("session: step %d sent from state %d, walk is in state %d", i, st.State, cur)
-		}
-		if st.State < 0 || st.State >= len(sm.States) {
-			return fmt.Errorf("session: step %d state %d out of range", i, st.State)
-		}
-		acts := sm.States[st.State].Actions
-		if st.Action < 0 || st.Action >= len(acts) {
-			return fmt.Errorf("session: step %d action %d out of range for state %d", i, st.Action, st.State)
-		}
-		cur = acts[st.Action].Next
-	}
-	return nil
-}
-
 // Repair rewrites the sequence in place into a legal walk of sm. It
 // walks from the initial state; each step keeps its *intent* (the data
 // model its original action sent) and is re-anchored onto the first
 // action of the current state that sends the same model. Steps whose
 // intent has no counterpart in the current state — or whose indices are
-// out of range — are dropped. The result always satisfies Valid.
+// out of range — are dropped. The result is always a legal walk.
 func (sm *StateModel) Repair(s *Sequence) {
 	cur := sm.Initial
 	kept := s.Steps[:0]

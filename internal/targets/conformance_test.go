@@ -5,8 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datamodel"
+	"repro/internal/executor"
 	"repro/internal/rng"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 )
 
@@ -53,12 +54,12 @@ func TestConformanceAllTargets(t *testing.T) {
 
 			// Every model's fixed-up default instance must be a packet
 			// the server processes without faulting.
-			runner := sandbox.NewRunner(tgt)
+			runner := executor.NewInProc(tgt)
 			for _, m := range models {
 				inst := m.Generate()
 				m.ApplyFixups(inst)
 				pkt := inst.Bytes()
-				if res := runner.Run(pkt); res.Outcome == sandbox.Crash {
+				if res, _ := runner.Run(pkt); res.Outcome == executor.Crash {
 					t.Fatalf("default %s packet crashes the fresh server: %v (pkt %x)",
 						m.Name, res.Fault, pkt)
 				}
@@ -68,12 +69,12 @@ func TestConformanceAllTargets(t *testing.T) {
 			// fresh instance (statefulness may reject later ones; the
 			// first must parse).
 			fresh, _ := targets.New(tc.name)
-			runner = sandbox.NewRunner(fresh)
+			runner = executor.NewInProc(fresh)
 			r := rng.New(99)
 			m := models[0]
-			inst := m.GenerateRandom(r)
+			inst := m.GenerateRandomFlat(new(datamodel.Flat), nil, r)
 			m.ApplyFixups(inst)
-			if res := runner.Run(inst.Bytes()); res.Outcome == sandbox.Crash {
+			if res, _ := runner.Run(inst.Bytes()); res.Outcome == executor.Crash {
 				t.Fatalf("random valid %s packet crashes the fresh server: %v", m.Name, res.Fault)
 			}
 

@@ -11,7 +11,7 @@
 //
 //  1. CS101_ASDU_getCOT reads asdu[2] without verifying the ASDU length —
 //     the literal bug of the paper's Listing 1/2, reproduced as an
-//     unchecked slice index (a native Go fault the sandbox classifies as
+//     unchecked slice index (a native Go fault executor.InProc classifies as
 //     SEGV, matching the ASan report).
 //  2. CS101_ASDU_getCA reads the two common-address octets without a
 //     length check, reachable when the header is truncated one field

@@ -3,8 +3,8 @@ package cs101
 import (
 	"testing"
 
+	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 )
 
@@ -27,7 +27,7 @@ func varFrameRaw(asdu []byte) []byte {
 }
 
 // resetLink brings the slave's link up.
-func resetLink(r *sandbox.Runner) {
+func resetLink(r *executor.InProc) {
 	r.Run(fixedFrame(fcResetRemoteLink))
 }
 
@@ -52,10 +52,10 @@ func TestModelsSelfConsistent(t *testing.T) {
 
 func TestDefaultInstancesSafeAfterReset(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	for _, m := range CS101Models() {
-		if res := r.Run(m.Generate().Bytes()); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(m.Generate().Bytes()); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -63,7 +63,7 @@ func TestDefaultInstancesSafeAfterReset(t *testing.T) {
 
 func TestLinkStateMachine(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	if s.LinkReset() {
 		t.Fatal("link should start down")
 	}
@@ -85,7 +85,7 @@ func TestLinkStateMachine(t *testing.T) {
 
 func TestFixedFrameValidation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	bad := fixedFrame(fcResetRemoteLink)
 	bad[3]++ // break checksum
 	r.Run(bad)
@@ -93,14 +93,14 @@ func TestFixedFrameValidation(t *testing.T) {
 		t.Fatal("bad checksum accepted")
 	}
 	short := []byte{0x10, 0x40, 0x01, 0x41}
-	if res := r.Run(short); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(short); res.Outcome != executor.OK {
 		t.Fatal("short fixed frame crashed")
 	}
 }
 
 func TestVariableFrameValidation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	asdu := []byte{typeMSpNa, 1, 6, 0, 1, 0, 0x02, 0x00, 0x00, 0x01}
 	good := varFrameRaw(asdu)
@@ -131,10 +131,10 @@ func TestVariableFrameValidation(t *testing.T) {
 // SEGV (experiment E10).
 func TestGetCOTCrash(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
-	res := r.Run(varFrameRaw([]byte{typeMSpNa, 1})) // 2-byte ASDU
-	if res.Outcome != sandbox.Crash {
+	res, _ := r.Run(varFrameRaw([]byte{typeMSpNa, 1})) // 2-byte ASDU
+	if res.Outcome != executor.Crash {
 		t.Fatal("truncated ASDU should crash in getCOT")
 	}
 	if res.Fault.Kind != mem.SEGV {
@@ -144,23 +144,23 @@ func TestGetCOTCrash(t *testing.T) {
 
 func TestGetCACrash(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	// 4-byte ASDU: getCOT survives, getCA reads offsets 4-5 and faults.
-	res := r.Run(varFrameRaw([]byte{typeMSpNa, 1, 6, 0}))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.SEGV {
+	res, _ := r.Run(varFrameRaw([]byte{typeMSpNa, 1, 6, 0}))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %+v fault = %+v", res.Outcome, res.Fault)
 	}
 }
 
 func TestSetpointCountCrash(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	// VSQ claims 5 objects, only one carried.
 	asdu := []byte{typeCSeNb, 5, 6, 0, 1, 0, 0x04, 0x00, 0x00, 0x64, 0x00, 0x00}
-	res := r.Run(varFrameRaw(asdu))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.SEGV {
+	res, _ := r.Run(varFrameRaw(asdu))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %+v fault = %+v", res.Outcome, res.Fault)
 	}
 }
@@ -175,10 +175,10 @@ func TestThreeDistinctSEGVSites(t *testing.T) {
 		{typeCSeNb, 5, 6, 0, 1, 0, 0x04, 0x00, 0x00, 0x64, 0x00, 0x00},
 	} {
 		s := New()
-		r := sandbox.NewRunner(s)
+		r := executor.NewInProc(s)
 		resetLink(r)
-		res := r.Run(varFrameRaw(asdu))
-		if res.Outcome != sandbox.Crash {
+		res, _ := r.Run(varFrameRaw(asdu))
+		if res.Outcome != executor.Crash {
 			t.Fatalf("asdu %x did not crash", asdu)
 		}
 		sites[res.Fault.Site] = true
@@ -190,18 +190,18 @@ func TestThreeDistinctSEGVSites(t *testing.T) {
 
 func TestUnknownTypeRejectedBeforeHeaderReads(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	// Unknown type id with a short ASDU must NOT crash: the type check
 	// precedes the unchecked header reads.
-	if res := r.Run(varFrameRaw([]byte{0x7F, 1})); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(varFrameRaw([]byte{0x7F, 1})); res.Outcome != executor.OK {
 		t.Fatalf("unknown type crashed: %v", res.Fault)
 	}
 }
 
 func TestScaledValuesStored(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	asdu := []byte{typeMMeNb, 1, 3, 0, 1, 0, 0x05, 0x00, 0x00, 0x2C, 0x01, 0x00}
 	r.Run(varFrameRaw(asdu))
@@ -212,10 +212,10 @@ func TestScaledValuesStored(t *testing.T) {
 
 func TestSetpointValidPath(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	asdu := []byte{typeCSeNb, 1, 6, 0, 1, 0, 0x06, 0x00, 0x00, 0x0A, 0x00, 0x00}
-	if res := r.Run(varFrameRaw(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(varFrameRaw(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("valid setpoint crashed: %v", res.Fault)
 	}
 	if s.setpoints[6] != 10 {
@@ -248,7 +248,7 @@ func TestRawModelCracksFineFrames(t *testing.T) {
 
 func TestCOTRecorded(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	asdu := []byte{typeCIcNa, 1, 6, 0, 1, 0, 0x00, 0x00, 0x00, 0x14}
 	r.Run(varFrameRaw(asdu))

@@ -3,15 +3,15 @@ package cs101
 import (
 	"testing"
 
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 )
 
 func TestBitstrings(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	asdu := []byte{typeMBoNa, 1, 3, 0, 1, 0, 0x05, 0x00, 0x00, 0xEF, 0xBE, 0xAD, 0xDE, 0x00}
-	if res := r.Run(varFrameRaw(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(varFrameRaw(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("bitstring crashed: %v", res.Fault)
 	}
 	if s.bitext.bitstrings[5] != 0xDEADBEEF {
@@ -19,14 +19,14 @@ func TestBitstrings(t *testing.T) {
 	}
 	// Count beyond body: checked path, no crash.
 	asdu = []byte{typeMBoNa, 9, 3, 0, 1, 0, 0x05, 0x00, 0x00}
-	if res := r.Run(varFrameRaw(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(varFrameRaw(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("short bitstring crashed: %v", res.Fault)
 	}
 }
 
 func TestDoubleCommandCS101(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	asdu := []byte{typeCDcNa, 1, 6, 0, 1, 0, 0x06, 0x00, 0x00, 0x02}
 	r.Run(varFrameRaw(asdu))
@@ -43,11 +43,11 @@ func TestDoubleCommandCS101(t *testing.T) {
 
 func TestSetpointNormalized(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	// value 0x4000, QOS execute.
 	asdu := []byte{typeCSeNa, 1, 6, 0, 1, 0, 0x07, 0x00, 0x00, 0x00, 0x40, 0x00}
-	if res := r.Run(varFrameRaw(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(varFrameRaw(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("normalized setpoint crashed: %v", res.Fault)
 	}
 	if s.bitext.normalized[7] != 0x4000 {
@@ -55,14 +55,14 @@ func TestSetpointNormalized(t *testing.T) {
 	}
 	// Unlike the seeded scaled variant, truncation here is SAFE.
 	asdu = []byte{typeCSeNa, 5, 6, 0, 1, 0, 0x07, 0x00, 0x00}
-	if res := r.Run(varFrameRaw(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(varFrameRaw(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("short normalized setpoint crashed: %v", res.Fault)
 	}
 }
 
 func TestParameterActivation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	r.Run(varFrameRaw([]byte{typePAcNa, 1, 6, 0, 1, 0, 0x08, 0x00, 0x00, 0x01}))
 	if !s.bitext.paramsActive[8] {
@@ -81,14 +81,14 @@ func TestParameterActivation(t *testing.T) {
 
 func TestExtendedModelsSelfConsistent(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	resetLink(r)
 	for _, m := range CS101Models() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}

@@ -2,7 +2,7 @@ package cs101
 
 import "repro/internal/checkpoint"
 
-// StateFields implements sandbox.StateCheckpointer: link state, the
+// StateFields implements executor.StateCheckpointer: link state, the
 // frame-count bit, the point and value banks, and the extended-type banks.
 func (s *Slave) StateFields() []checkpoint.Field {
 	return []checkpoint.Field{

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datamodel"
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 	"repro/internal/targets"
 )
 
@@ -48,13 +48,13 @@ func TestRegistered(t *testing.T) {
 
 func TestModelsSelfConsistent(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	for _, m := range DNP3Models() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -78,7 +78,7 @@ func TestModelFramesAreLinkValid(t *testing.T) {
 
 func TestBadCRCDropped(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	pkt := buildFrame(app(afColdRestart))
 	pkt[8] ^= 0xFF // header CRC
 	r.Run(pkt)
@@ -100,7 +100,7 @@ func TestBadCRCDropped(t *testing.T) {
 
 func TestAddressFiltering(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	user := app(afColdRestart)
 	hdr := []byte{0x05, 0x64, byte(len(user) + 5), 0xC4, 99, 0, 1, 0} // wrong dest
 	crc := datamodel.CRC16DNPSum(hdr)
@@ -116,7 +116,7 @@ func TestAddressFiltering(t *testing.T) {
 
 func TestTransportRequiresFirFin(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	user := app(afColdRestart)
 	user[0] = 0x40 // FIR only
 	r.Run(buildFrame(user))
@@ -127,10 +127,10 @@ func TestTransportRequiresFirFin(t *testing.T) {
 
 func TestWriteTime(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	pkt := buildFrame(app(afWrite, grTime, 1, 0x07, 1, 0x10, 0x32, 0x54, 0x76, 0x98, 0x00))
-	res := r.Run(pkt)
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(pkt)
+	if res.Outcome != executor.OK {
 		t.Fatalf("write crashed: %v", res.Fault)
 	}
 	if o.Clock() != 0x0098765432_10 {
@@ -140,7 +140,7 @@ func TestWriteTime(t *testing.T) {
 
 func TestSelectBeforeOperate(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	crob := []byte{grCROB, 1, 0x17, 1, 3, 0x01, 1, 100, 0, 0, 0, 0, 0, 0, 0, 0}
 	// Operate without select: refused.
 	r.Run(buildFrame(app(afOperate, crob...)))
@@ -164,7 +164,7 @@ func TestSelectBeforeOperate(t *testing.T) {
 
 func TestDirectOperateSkipsSelect(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	crob := []byte{grCROB, 1, 0x17, 1, 5, 0x01, 1, 100, 0, 0, 0, 0, 0, 0, 0, 0}
 	r.Run(buildFrame(app(afDirectOperate, crob...)))
 	if !o.Output(5) {
@@ -174,7 +174,7 @@ func TestDirectOperateSkipsSelect(t *testing.T) {
 
 func TestInvalidControlCode(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	crob := []byte{grCROB, 1, 0x17, 1, 2, 0x0F, 1, 100, 0, 0, 0, 0, 0, 0, 0, 0}
 	r.Run(buildFrame(app(afDirectOperate, crob...)))
 	if o.Output(2) {
@@ -184,7 +184,7 @@ func TestInvalidControlCode(t *testing.T) {
 
 func TestReadRequests(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	for _, objs := range [][]byte{
 		{grClassData, 1, 0x06},
 		{grClassData, 2, 0x06},
@@ -194,7 +194,7 @@ func TestReadRequests(t *testing.T) {
 		{grBinaryInput, 1, 0x00, 0, 200}, // range beyond bank, clamped
 		{grTime, 1, 0x06},
 	} {
-		if res := r.Run(buildFrame(app(afRead, objs...))); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(buildFrame(app(afRead, objs...))); res.Outcome != executor.OK {
 			t.Fatalf("read %x crashed: %v", objs, res.Fault)
 		}
 	}
@@ -202,7 +202,7 @@ func TestReadRequests(t *testing.T) {
 
 func TestMalformedRequestsSafe(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	for _, pkt := range [][]byte{
 		nil,
 		{0x05},
@@ -218,7 +218,7 @@ func TestMalformedRequestsSafe(t *testing.T) {
 		buildFrame(app(afSelect, grCROB, 1, 0x17, 1, 3)),      // short CROB
 		buildFrame(app(0x7F)),                                 // unknown function
 	} {
-		if res := r.Run(pkt); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(pkt); res.Outcome != executor.OK {
 			t.Fatalf("malformed frame crashed: %x -> %v", pkt, res.Fault)
 		}
 	}
@@ -226,7 +226,7 @@ func TestMalformedRequestsSafe(t *testing.T) {
 
 func TestUnsolicitedMask(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	r.Run(buildFrame(app(afEnableUnsol, grClassData, 2, 0x06)))
 	if !o.unsolEnabled[1] {
 		t.Fatal("enable unsolicited class 1 failed")
@@ -243,9 +243,9 @@ func TestCROBModelMatchesHandBuilt(t *testing.T) {
 		t.Fatalf("model order changed: %s", m.Name)
 	}
 	o := New()
-	r := sandbox.NewRunner(o)
-	res := r.Run(m.Generate().Bytes())
-	if res.Outcome != sandbox.OK {
+	r := executor.NewInProc(o)
+	res, _ := r.Run(m.Generate().Bytes())
+	if res.Outcome != executor.OK {
 		t.Fatalf("generated CROB crashed: %v", res.Fault)
 	}
 	if !o.Output(0) {

@@ -3,14 +3,14 @@ package dnp3
 import (
 	"testing"
 
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 )
 
 func TestFreezeCounters(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
-	res := r.Run(buildFrame(app(afFreeze, grCounter, 1, 0x00, 2, 5)))
-	if res.Outcome != sandbox.OK {
+	r := executor.NewInProc(o)
+	res, _ := r.Run(buildFrame(app(afFreeze, grCounter, 1, 0x00, 2, 5)))
+	if res.Outcome != executor.OK {
 		t.Fatalf("freeze crashed: %v", res.Fault)
 	}
 	for i := 2; i <= 5; i++ {
@@ -25,7 +25,7 @@ func TestFreezeCounters(t *testing.T) {
 
 func TestFreezeAndClear(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	r.Run(buildFrame(app(afFreezeClear, grCounter, 1, 0x06)))
 	for i := range o.counters {
 		if o.counters[i] != 0 {
@@ -39,7 +39,7 @@ func TestFreezeAndClear(t *testing.T) {
 
 func TestFreezeWrongGroupIgnored(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	r.Run(buildFrame(app(afFreeze, grBinaryInput, 1, 0x06)))
 	for i := range o.ext.frozen {
 		if o.ext.frozen[i] != 0 {
@@ -50,10 +50,10 @@ func TestFreezeWrongGroupIgnored(t *testing.T) {
 
 func TestWriteOctetString(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	// g110v3 (3-byte string), qualifier 0x17, count 1, index 4, "abc".
-	res := r.Run(buildFrame(app(afWrite, grOctetString, 3, 0x17, 1, 4, 'a', 'b', 'c')))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(buildFrame(app(afWrite, grOctetString, 3, 0x17, 1, 4, 'a', 'b', 'c')))
+	if res.Outcome != executor.OK {
 		t.Fatalf("octet write crashed: %v", res.Fault)
 	}
 	if string(o.ext.octet[4]) != "abc" {
@@ -73,7 +73,7 @@ func TestWriteOctetString(t *testing.T) {
 
 func TestClearRestartIIN(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	if !o.ext.deviceRestart {
 		t.Fatal("fresh outstation should flag device restart")
 	}
@@ -85,7 +85,7 @@ func TestClearRestartIIN(t *testing.T) {
 
 func TestAssignClass(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	// Assign class 2 (g60v2) to binary inputs and counters.
 	objs := []byte{
 		grClassData, 2, 0x06,
@@ -98,7 +98,7 @@ func TestAssignClass(t *testing.T) {
 	}
 	// Bad class header variation ignored.
 	o2 := New()
-	r2 := sandbox.NewRunner(o2)
+	r2 := executor.NewInProc(o2)
 	r2.Run(buildFrame(app(afAssignClass, grClassData, 9, 0x06, grBinaryInput, 0, 0x06)))
 	if len(o2.ext.classAssign) != 0 {
 		t.Fatal("invalid class accepted")
@@ -107,23 +107,23 @@ func TestAssignClass(t *testing.T) {
 
 func TestReadFrozenCounters(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	r.Run(buildFrame(app(afFreeze, grCounter, 1, 0x06)))
-	res := r.Run(buildFrame(app(afRead, grFrozenCounter, 1, 0x06)))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(buildFrame(app(afRead, grFrozenCounter, 1, 0x06)))
+	if res.Outcome != executor.OK {
 		t.Fatalf("frozen read crashed: %v", res.Fault)
 	}
 }
 
 func TestExtendedModelsRoundTrip(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	for _, m := range DNP3Models() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -131,7 +131,7 @@ func TestExtendedModelsRoundTrip(t *testing.T) {
 
 func TestWriteOctetStringModelEffective(t *testing.T) {
 	o := New()
-	r := sandbox.NewRunner(o)
+	r := executor.NewInProc(o)
 	for _, m := range DNP3Models() {
 		if m.Name != "WriteOctetString" {
 			continue

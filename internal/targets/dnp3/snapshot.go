@@ -2,7 +2,7 @@ package dnp3
 
 import "repro/internal/checkpoint"
 
-// StateFields implements sandbox.StateCheckpointer: transport and
+// StateFields implements executor.StateCheckpointer: transport and
 // application sequence state, the point banks, the select-before-operate
 // latch, and the extended-type state including the octet-string store and
 // class assignments.

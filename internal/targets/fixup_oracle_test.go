@@ -257,10 +257,10 @@ func structural(op byte) bool { return op&7 >= 6 }
 
 // perturb damages the instance the way one op byte says: the low bits pick
 // the action, the rest the node it lands on.
-func perturb(r *rng.RNG, root *datamodel.Node, op byte) {
+func perturb(r *rng.RNG, m *datamodel.Model, root *datamodel.Node, op byte) {
 	switch op & 7 {
-	case 6: // swap a block for its own bytes re-cracked against its chunk
-		graft(root, int(op>>3))
+	case 6: // swap a block for its chunk's subtree in the default instance
+		graft(m, root, int(op>>3))
 	case 7: // drop or duplicate an array element
 		resizeArray(root, int(op>>3))
 	default:
@@ -315,15 +315,25 @@ func interior(n *datamodel.Node, out [][2]*datamodel.Node) [][2]*datamodel.Node 
 	return out
 }
 
-func graft(root *datamodel.Node, pick int) {
+// graft replaces one interior node with the first node of the same chunk in
+// the model's default instance: a subtree built apart from the rest of the
+// instance, whose array counts, choice picks and sizes may differ from the
+// one it replaces.
+func graft(m *datamodel.Model, root *datamodel.Node, pick int) {
 	pairs := interior(root, nil)
 	if len(pairs) == 0 {
 		return
 	}
 	parent, old := pairs[pick%len(pairs)][0], pairs[pick%len(pairs)][1]
-	sub, err := datamodel.CrackChunk(old.Chunk, old.Bytes())
-	if err != nil {
-		return // a damaged subtree need not re-crack
+	var sub *datamodel.Node
+	for _, p := range interior(m.Generate(), nil) {
+		if p[1].Chunk == old.Chunk {
+			sub = p[1]
+			break
+		}
+	}
+	if sub == nil {
+		return // the default instance has no such block (an empty array)
 	}
 	for i, c := range parent.Children {
 		if c == old {
@@ -437,7 +447,7 @@ func TestFixupPlanMatchesReference(t *testing.T) {
 		checkAgainstReference(t, m, m.Generate(), "default")
 		r := rng.New(uint64(mi) + 1)
 		for i := 0; i < random; i++ {
-			base := m.GenerateRandom(r)
+			base := m.GenerateRandomFlat(new(datamodel.Flat), nil, r)
 			checkFlatAgainstReference(t, m, base, 0, nil, fmt.Sprintf("random %d", i))
 			checkAgainstReference(t, m, base.Clone(), fmt.Sprintf("random %d", i))
 			for action := byte(0); action < 8; action++ {
@@ -450,11 +460,11 @@ func TestFixupPlanMatchesReference(t *testing.T) {
 				seed := r.Uint64()
 				ra := rng.New(seed)
 				for _, op := range ops {
-					perturb(ra, inst, op)
+					perturb(ra, m, inst, op)
 				}
 				if structural(action) {
 					for _, op := range ops {
-						perturb(nil, flatBase, op)
+						perturb(nil, m, flatBase, op)
 					}
 					ops = nil
 				}
@@ -476,7 +486,7 @@ func FuzzFixupPlan(f *testing.F) {
 		r := rng.New(seed)
 		inst := m.Generate()
 		if seed&1 == 1 {
-			inst = m.GenerateRandom(r)
+			inst = m.GenerateRandomFlat(new(datamodel.Flat), nil, r)
 		}
 		if len(ops) > 16 {
 			ops = ops[:16]
@@ -486,9 +496,9 @@ func FuzzFixupPlan(f *testing.F) {
 		flatBase := inst.Clone()
 		var content []byte
 		for _, op := range ops {
-			perturb(r, inst, op)
+			perturb(r, m, inst, op)
 			if structural(op) {
-				perturb(nil, flatBase, op)
+				perturb(nil, m, flatBase, op)
 			} else {
 				content = append(content, op)
 			}

@@ -3,8 +3,8 @@ package iccp
 import (
 	"testing"
 
+	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 )
 
@@ -42,7 +42,7 @@ func confirmedPDU(svc byte, rest ...byte) []byte {
 }
 
 // associate brings a fresh server to the associated state.
-func associate(r *sandbox.Runner) {
+func associate(r *executor.InProc) {
 	r.Run(connect)
 	r.Run(initiatePDU("CLI"))
 }
@@ -71,7 +71,7 @@ func TestModelsSelfConsistent(t *testing.T) {
 
 func TestAssociationLifecycle(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	// Data before COTP connect: dropped.
 	r.Run(dt(mmsPDU(tagInitiate, []byte{0x00, 0x01, 0x04, 0x00, 0x00})))
 	if s.Associated() {
@@ -90,7 +90,7 @@ func TestAssociationLifecycle(t *testing.T) {
 
 func TestInitiateValidation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(connect)
 	// Wrong protocol version.
 	body := []byte{0x00, 0x09, 0x04, 0x00, 0x03, 'A', 'B', 'C'}
@@ -108,7 +108,7 @@ func TestInitiateValidation(t *testing.T) {
 
 func TestConfirmedRequiresAssociation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(connect)
 	r.Run(confirmedPDU(svcRead, 3, 'a', 'b', 'c'))
 	// No crash, no effect: the read bug is unreachable pre-association.
@@ -119,41 +119,41 @@ func TestConfirmedRequiresAssociation(t *testing.T) {
 
 func TestSeededSEGVInitiate(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(connect)
 	// apLen=16 but only 2 AP bytes present.
 	body := []byte{0x00, 0x01, 0x04, 0x00, 16, 'A', 'B'}
-	res := r.Run(dt(mmsPDU(tagInitiate, body)))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.SEGV {
+	res, _ := r.Run(dt(mmsPDU(tagInitiate, body)))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %v fault = %+v", res.Outcome, res.Fault)
 	}
 }
 
 func TestSeededSEGVRead(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
 	// nameLen=20 with a 3-byte name.
-	res := r.Run(confirmedPDU(svcRead, 20, 'a', 'b', 'c'))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.SEGV {
+	res, _ := r.Run(confirmedPDU(svcRead, 20, 'a', 'b', 'c'))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %v fault = %+v", res.Outcome, res.Fault)
 	}
 }
 
 func TestSeededSEGVNamedList(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
 	// count=4 with a single 4-byte element.
-	res := r.Run(confirmedPDU(svcDefineNamedList, 4, 0x30, 0, 0, 1))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.SEGV {
+	res, _ := r.Run(confirmedPDU(svcDefineNamedList, 4, 0x30, 0, 0, 1))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.SEGV {
 		t.Fatalf("res = %v fault = %+v", res.Outcome, res.Fault)
 	}
 }
 
 func TestSeededHeapOverflowWrite(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
 	name := "Bilateral_Table_ID"
 	rest := []byte{byte(len(name))}
@@ -161,8 +161,8 @@ func TestSeededHeapOverflowWrite(t *testing.T) {
 	value := make([]byte, 40) // > 32-byte server buffer
 	rest = append(rest, byte(len(value)))
 	rest = append(rest, value...)
-	res := r.Run(confirmedPDU(svcWrite, rest...))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.HeapBufferOverflow {
+	res, _ := r.Run(confirmedPDU(svcWrite, rest...))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.HeapBufferOverflow {
 		t.Fatalf("res = %v fault = %+v", res.Outcome, res.Fault)
 	}
 }
@@ -184,10 +184,10 @@ func TestFourDistinctFaultSites(t *testing.T) {
 	crashers = append(crashers, confirmedPDU(svcWrite, w...))
 	for _, pkt := range crashers {
 		s := New()
-		r := sandbox.NewRunner(s)
+		r := executor.NewInProc(s)
 		associate(r)
-		res := r.Run(pkt)
-		if res.Outcome != sandbox.Crash {
+		res, _ := r.Run(pkt)
+		if res.Outcome != executor.Crash {
 			t.Fatalf("packet %x did not crash", pkt)
 		}
 		switch res.Fault.Kind {
@@ -206,13 +206,13 @@ func TestFourDistinctFaultSites(t *testing.T) {
 
 func TestWriteValidPath(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
 	name := "DSConditions_Detect"
 	rest := []byte{byte(len(name))}
 	rest = append(rest, name...)
 	rest = append(rest, 2, 0xAA, 0xBB)
-	if res := r.Run(confirmedPDU(svcWrite, rest...)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(confirmedPDU(svcWrite, rest...)); res.Outcome != executor.OK {
 		t.Fatalf("valid write crashed: %v", res.Fault)
 	}
 	v := s.TableValue(name)
@@ -223,20 +223,20 @@ func TestWriteValidPath(t *testing.T) {
 
 func TestWriteUnknownVariable(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
 	rest := []byte{3, 'x', 'y', 'z', 1, 0x01}
-	if res := r.Run(confirmedPDU(svcWrite, rest...)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(confirmedPDU(svcWrite, rest...)); res.Outcome != executor.OK {
 		t.Fatalf("unknown-name write crashed: %v", res.Fault)
 	}
 }
 
 func TestDefineTransferSetValid(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
-	res := r.Run(confirmedPDU(svcDefineNamedList, 2, 0x30, 0, 0, 1, 0x30, 0, 0, 2))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(confirmedPDU(svcDefineNamedList, 2, 0x30, 0, 0, 1, 0x30, 0, 0, 2))
+	if res.Outcome != executor.OK {
 		t.Fatalf("valid transfer set crashed: %v", res.Fault)
 	}
 	if s.TransferSets() != 1 {
@@ -246,7 +246,7 @@ func TestDefineTransferSetValid(t *testing.T) {
 
 func TestGetNameListScopes(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(r)
 	for _, rest := range [][]byte{
 		{0},
@@ -255,7 +255,7 @@ func TestGetNameListScopes(t *testing.T) {
 		{9},
 		{1, 9, 'a'}, // domain length beyond payload: checked path
 	} {
-		if res := r.Run(confirmedPDU(svcGetNameList, rest...)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(confirmedPDU(svcGetNameList, rest...)); res.Outcome != executor.OK {
 			t.Fatalf("get-name-list %x crashed: %v", rest, res.Fault)
 		}
 	}
@@ -263,7 +263,7 @@ func TestGetNameListScopes(t *testing.T) {
 
 func TestMalformedFramingSafe(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(connect)
 	for _, pkt := range [][]byte{
 		nil,
@@ -277,7 +277,7 @@ func TestMalformedFramingSafe(t *testing.T) {
 		dt(mmsPDU(tagConfirmed, []byte{0x00})), // confirmed too short
 		dt(mmsPDU(0x55, []byte{1, 2, 3})),      // unknown tag
 	} {
-		if res := r.Run(pkt); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(pkt); res.Outcome != executor.OK {
 			t.Fatalf("malformed packet crashed: %x -> %v", pkt, res.Fault)
 		}
 	}
@@ -287,10 +287,10 @@ func TestModelDefaultsReachDeepServices(t *testing.T) {
 	// Replaying each model's default instance in order must reach the
 	// associated state and exercise every service without crashing.
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	models := ICCPModels()
 	for _, m := range models {
-		if res := r.Run(m.Generate().Bytes()); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(m.Generate().Bytes()); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}

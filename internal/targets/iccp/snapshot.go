@@ -2,7 +2,7 @@ package iccp
 
 import "repro/internal/checkpoint"
 
-// StateFields implements sandbox.StateCheckpointer: the connection-stack
+// StateFields implements executor.StateCheckpointer: the connection-stack
 // flags, the simulated heap, the bilateral table, and the transfer-set
 // accounting.
 func (s *Server) StateFields() []checkpoint.Field {

@@ -3,15 +3,15 @@ package iec104
 import (
 	"testing"
 
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 )
 
 func TestDoublePoints(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	asdu := []byte{typeMDpNa, 1, 3, 0, 1, 0, 0x04, 0x00, 0x00, 0x02}
-	if res := r.Run(iFrameFor(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(iFrameFor(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("double point crashed: %v", res.Fault)
 	}
 	if s.ext.doublePoints[4] != 2 {
@@ -27,11 +27,11 @@ func TestDoublePoints(t *testing.T) {
 
 func TestShortFloats(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	// 1.0f = 0x3F800000, little-endian on the wire.
 	asdu := []byte{typeMMeNc, 1, 3, 0, 1, 0, 0x05, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3F, 0x00}
-	if res := r.Run(iFrameFor(asdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(iFrameFor(asdu)); res.Outcome != executor.OK {
 		t.Fatalf("short float crashed: %v", res.Fault)
 	}
 	if s.ext.floats[5] != 1.0 {
@@ -70,7 +70,7 @@ func TestFloatFromBits(t *testing.T) {
 
 func TestIntegratedTotals(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	asdu := []byte{typeMItNa, 1, 3, 0, 1, 0, 0x02, 0x00, 0x00, 0x2A, 0x00, 0x00, 0x00, 0x01}
 	r.Run(iFrameFor(asdu))
@@ -87,7 +87,7 @@ func TestIntegratedTotals(t *testing.T) {
 
 func TestDoubleCommand(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	// DCS=2 (on), COT=6.
 	asdu := []byte{typeCDcNa, 1, 6, 0, 1, 0, 0x07, 0x00, 0x00, 0x02}
@@ -111,7 +111,7 @@ func TestDoubleCommand(t *testing.T) {
 
 func TestReadAndTestCommands(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	for _, asdu := range [][]byte{
 		{typeCRdNa, 1, 5, 0, 1, 0, 0x01, 0x00, 0x00},    // read, COT 5
@@ -120,7 +120,7 @@ func TestReadAndTestCommands(t *testing.T) {
 		{typeCTsNa, 1, 6, 0, 1, 0, 0, 0, 0, 0x12, 0x34}, // bad pattern
 		{typeCTsNa, 1, 6, 0, 1, 0, 0, 0},                // truncated
 	} {
-		if res := r.Run(iFrameFor(asdu)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(iFrameFor(asdu)); res.Outcome != executor.OK {
 			t.Fatalf("command %x crashed: %v", asdu, res.Fault)
 		}
 	}
@@ -128,14 +128,14 @@ func TestReadAndTestCommands(t *testing.T) {
 
 func TestExtendedModelsSelfConsistent(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	for _, m := range IEC104Models() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -143,7 +143,7 @@ func TestExtendedModelsSelfConsistent(t *testing.T) {
 
 func TestExtendedMalformedSafe(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	for _, asdu := range [][]byte{
 		{typeMDpNa, 9, 3, 0, 1, 0, 0x04, 0x00, 0x00, 0x02}, // count beyond body
@@ -151,7 +151,7 @@ func TestExtendedMalformedSafe(t *testing.T) {
 		{typeMItNa, 9, 3, 0, 1, 0},                         // empty body
 		{typeCDcNa, 1, 6, 0, 1, 0},                         // no object
 	} {
-		if res := r.Run(iFrameFor(asdu)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(iFrameFor(asdu)); res.Outcome != executor.OK {
 			t.Fatalf("malformed %x crashed: %v", asdu, res.Fault)
 		}
 	}

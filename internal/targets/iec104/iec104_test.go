@@ -3,7 +3,7 @@ package iec104
 import (
 	"testing"
 
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 	"repro/internal/targets"
 )
 
@@ -37,13 +37,13 @@ func TestRegistered(t *testing.T) {
 
 func TestModelsSelfConsistent(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	for _, m := range IEC104Models() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -51,7 +51,7 @@ func TestModelsSelfConsistent(t *testing.T) {
 
 func TestStateMachine(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	if s.Started() {
 		t.Fatal("slave should start stopped")
 	}
@@ -67,7 +67,7 @@ func TestStateMachine(t *testing.T) {
 
 func TestIFrameDroppedWhenStopped(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	asdu := []byte{typeMSpNa, 1, 6, 0, 1, 0, 0x01, 0x00, 0x00, 0x01}
 	r.Run(iFrameFor(asdu))
 	if s.points[1] {
@@ -82,7 +82,7 @@ func TestIFrameDroppedWhenStopped(t *testing.T) {
 
 func TestMalformedFramesSafe(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	for _, pkt := range [][]byte{
 		nil,
@@ -93,7 +93,7 @@ func TestMalformedFramesSafe(t *testing.T) {
 		iFrameFor([]byte{1, 1, 6}),    // truncated ASDU header
 		iFrameFor([]byte{1, 9, 6, 0, 1, 0, 0x01}), // VSQ larger than body
 	} {
-		if res := r.Run(pkt); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(pkt); res.Outcome != executor.OK {
 			t.Fatalf("malformed frame crashed: %x -> %v", pkt, res.Fault)
 		}
 	}
@@ -101,7 +101,7 @@ func TestMalformedFramesSafe(t *testing.T) {
 
 func TestCommonAddressZeroRejected(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	asdu := []byte{typeMSpNa, 1, 6, 0, 0, 0, 0x01, 0x00, 0x00, 0x01}
 	r.Run(iFrameFor(asdu))
@@ -112,12 +112,12 @@ func TestCommonAddressZeroRejected(t *testing.T) {
 
 func TestSequenceEncodedPoints(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	// VSQ sequence bit + n=3, base IOA 5: values 1,0,1.
 	asdu := []byte{typeMSpNa, 0x83, 6, 0, 1, 0, 0x05, 0x00, 0x00, 0x01, 0x00, 0x01}
-	res := r.Run(iFrameFor(asdu))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(iFrameFor(asdu))
+	if res.Outcome != executor.OK {
 		t.Fatalf("crash: %v", res.Fault)
 	}
 	if !s.points[5] || s.points[6] || !s.points[7] {
@@ -127,7 +127,7 @@ func TestSequenceEncodedPoints(t *testing.T) {
 
 func TestMeasuredValues(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	asdu := []byte{typeMMeNa, 1, 3, 0, 1, 0, 0x02, 0x00, 0x00, 0x34, 0x12, 0x00}
 	r.Run(iFrameFor(asdu))
@@ -138,7 +138,7 @@ func TestMeasuredValues(t *testing.T) {
 
 func TestSingleCommand(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	// COT=6 act, IOA=3, SCO=1 (on, execute).
 	asdu := []byte{typeCScNa, 1, 6, 0, 1, 0, 0x03, 0x00, 0x00, 0x01}
@@ -162,10 +162,10 @@ func TestSingleCommand(t *testing.T) {
 
 func TestClockSyncValidation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	good := []byte{typeCCsNa, 1, 6, 0, 1, 0, 0, 0, 0, 0x00, 0x00, 0x1E, 0x0A, 0x0C, 0x06, 0x14}
-	if res := r.Run(iFrameFor(good)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(iFrameFor(good)); res.Outcome != executor.OK {
 		t.Fatalf("clock sync crashed: %v", res.Fault)
 	}
 }
@@ -174,13 +174,13 @@ func TestNoSeededCrashes(t *testing.T) {
 	// IEC104 carries no Table I bugs: hammer it with structured noise and
 	// expect zero crashes.
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(startDT)
 	for i := 0; i < 2000; i++ {
 		pkt := []byte{0x68, 0, byte(i), byte(i >> 3), byte(i >> 5), byte(i >> 7),
 			byte(i), byte(i >> 1), 6, 0, 1, 0, byte(i), 0, 0, byte(i)}
 		pkt[1] = byte(len(pkt) - 2)
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("unexpected crash on %x: %v", pkt, res.Fault)
 		}
 	}

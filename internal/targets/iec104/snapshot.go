@@ -7,7 +7,7 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// StateFields implements sandbox.StateCheckpointer: the activation flag,
+// StateFields implements executor.StateCheckpointer: the activation flag,
 // both sequence counters, the point and measurement banks, and the
 // extended-type banks. Session-scoped state is captured too — a checkpoint
 // is a cut of the whole campaign, mid-session wear included.

@@ -3,7 +3,7 @@ package iec61850
 import (
 	"testing"
 
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 )
 
 // fileService hand-encodes a confirmed request with a high-tag service.
@@ -24,10 +24,10 @@ func openBody(name string) []byte {
 
 func TestFileOpenReadClose(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
-	res := r.Run(fileService(1, 0xBF, 0x48, openBody("COMTRADE/R1.DAT")))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(fileService(1, 0xBF, 0x48, openBody("COMTRADE/R1.DAT")))
+	if res.Outcome != executor.OK {
 		t.Fatalf("fileOpen crashed: %v", res.Fault)
 	}
 	if s.OpenFiles() != 1 {
@@ -48,7 +48,7 @@ func TestFileOpenReadClose(t *testing.T) {
 
 func TestFileOpenValidation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for _, body := range [][]byte{
 		openBody("no-such-file"),
@@ -56,7 +56,7 @@ func TestFileOpenValidation(t *testing.T) {
 		openBody(""),              // empty body below fails GraphicString parse
 		{0xA0, 0x00},              // empty name sequence
 	} {
-		if res := r.Run(fileService(1, 0xBF, 0x48, body)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(fileService(1, 0xBF, 0x48, body)); res.Outcome != executor.OK {
 			t.Fatalf("fileOpen %x crashed: %v", body, res.Fault)
 		}
 	}
@@ -67,7 +67,7 @@ func TestFileOpenValidation(t *testing.T) {
 
 func TestFileOpenLimit(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for i := 0; i < frsmLimit+2; i++ {
 		r.Run(fileService(byte(i), 0xBF, 0x48, openBody("model.icd")))
@@ -79,21 +79,21 @@ func TestFileOpenLimit(t *testing.T) {
 
 func TestFileReadInvalidFRSM(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
-	if res := r.Run(fileService(1, 0xBF, 0x49, []byte{0x02, 0x01, 0x09})); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(fileService(1, 0xBF, 0x49, []byte{0x02, 0x01, 0x09})); res.Outcome != executor.OK {
 		t.Fatalf("invalid frsm read crashed: %v", res.Fault)
 	}
 }
 
 func TestFileDirectory(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
-	a := r.Run(fileService(1, 0xBF, 0x4D, openBody("COMTRADE")))
+	a, _ := r.Run(fileService(1, 0xBF, 0x4D, openBody("COMTRADE")))
 	aSig := r.Tracer().PathHash()
-	b := r.Run(fileService(2, 0xBF, 0x4D, openBody("NOPE")))
-	if a.Outcome != sandbox.OK || b.Outcome != sandbox.OK {
+	b, _ := r.Run(fileService(2, 0xBF, 0x4D, openBody("NOPE")))
+	if a.Outcome != executor.OK || b.Outcome != executor.OK {
 		t.Fatal("file directory crashed")
 	}
 	if aSig == r.Tracer().PathHash() {
@@ -103,7 +103,7 @@ func TestFileDirectory(t *testing.T) {
 
 func TestHighTagMalformedSafe(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	wrap := func(mms []byte) []byte {
 		spdu := append([]byte{0x01, 0x00, 0x01, 0x00}, mms...)
@@ -116,7 +116,7 @@ func TestHighTagMalformedSafe(t *testing.T) {
 		{0xA0, 0x05, 0x02, 0x01, 0x05, 0xBF, 0x48},       // high tag without length
 		{0xA0, 0x06, 0x02, 0x01, 0x05, 0xBF, 0x7F, 0x00}, // unknown file service
 	} {
-		if res := r.Run(wrap(mms)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(wrap(mms)); res.Outcome != executor.OK {
 			t.Fatalf("malformed high-tag PDU crashed: %x -> %v", mms, res.Fault)
 		}
 	}
@@ -124,14 +124,14 @@ func TestHighTagMalformedSafe(t *testing.T) {
 
 func TestFileModelsRoundTrip(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for _, m := range IEC61850Models() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -139,7 +139,7 @@ func TestFileModelsRoundTrip(t *testing.T) {
 
 func TestFileOpenModelEffective(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for _, m := range IEC61850Models() {
 		if m.Name != "FileOpen" {

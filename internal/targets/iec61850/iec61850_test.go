@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coverage"
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 	"repro/internal/targets"
 )
 
@@ -24,7 +24,7 @@ type packetGen struct{ pkt []byte }
 
 // associate drives a fresh server to the associated state via the model
 // defaults.
-func associate(t *testing.T, r *sandbox.Runner) {
+func associate(t *testing.T, r *executor.InProc) {
 	t.Helper()
 	r.Run(modelByName(t, "COTPConnect").pkt)
 	r.Run(modelByName(t, "SessionInitiate").pkt)
@@ -54,7 +54,7 @@ func TestModelsSelfConsistent(t *testing.T) {
 
 func TestAssociationViaModels(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	if s.Associated() {
 		t.Fatal("fresh server associated")
 	}
@@ -70,9 +70,9 @@ func TestAssociationViaModels(t *testing.T) {
 
 func TestAllModelDefaultsSafe(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	for _, m := range IEC61850Models() {
-		if res := r.Run(m.Generate().Bytes()); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(m.Generate().Bytes()); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}
@@ -80,7 +80,7 @@ func TestAllModelDefaultsSafe(t *testing.T) {
 
 func TestReadVariableCounts(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	r.Run(modelByName(t, "ReadVariable").pkt)
 	if s.Reads() != 1 {
@@ -95,7 +95,7 @@ func TestReadVariableCounts(t *testing.T) {
 
 func TestWriteVariable(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	r.Run(modelByName(t, "WriteVariable").pkt)
 	if s.Writes() != 1 {
@@ -109,7 +109,7 @@ func TestWriteVariable(t *testing.T) {
 
 func TestWriteReadOnlyRefused(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	// Build a write against a read-only attribute by patching the model
 	// default: reuse WriteVariable but point it at a ST attribute.
@@ -130,7 +130,7 @@ func TestWriteReadOnlyRefused(t *testing.T) {
 
 func TestWriteTypeMismatchRefused(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for _, m := range IEC61850Models() {
 		if m.Name != "WriteVariable" {
@@ -149,7 +149,7 @@ func TestWriteTypeMismatchRefused(t *testing.T) {
 
 func TestDefineAndDeleteNVL(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	base := s.NVLCount()
 	r.Run(modelByName(t, "DefineNVL").pkt)
@@ -169,7 +169,7 @@ func TestDefineAndDeleteNVL(t *testing.T) {
 
 func TestPreconfiguredNVLProtected(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for _, m := range IEC61850Models() {
 		if m.Name != "DeleteNVL" {
@@ -187,7 +187,7 @@ func TestPreconfiguredNVLProtected(t *testing.T) {
 
 func TestConfirmedRequiresAssociation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(modelByName(t, "COTPConnect").pkt)
 	// Jump straight to a read without initiate: dropped.
 	r.Run(modelByName(t, "ReadVariable").pkt)
@@ -198,7 +198,7 @@ func TestConfirmedRequiresAssociation(t *testing.T) {
 
 func TestSessionRequiredForData(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(modelByName(t, "COTPConnect").pkt)
 	// DATA SPDU before session CONNECT: dropped at the session layer.
 	r.Run(modelByName(t, "Identify").pkt)
@@ -209,7 +209,7 @@ func TestSessionRequiredForData(t *testing.T) {
 
 func TestBERLongFormLengths(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	tr := coverage.NewTracer()
 	// Hand-encode a confirmed identify with a 0x81 long-form length.
@@ -221,15 +221,15 @@ func TestBERLongFormLengths(t *testing.T) {
 	s.Handle(tr, pkt)
 	// No crash and the identify branch taken; verify via a fresh trace
 	// signature difference against a garbage long-form.
-	res := r.Run(pkt)
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(pkt)
+	if res.Outcome != executor.OK {
 		t.Fatalf("long-form identify crashed: %v", res.Fault)
 	}
 }
 
 func TestMalformedBERSafe(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	wrap := func(mms []byte) []byte {
 		spdu := append([]byte{0x01, 0x00, 0x01, 0x00}, mms...)
@@ -246,7 +246,7 @@ func TestMalformedBERSafe(t *testing.T) {
 		{0xA0, 0x04, 0x02, 0x02, 0x01, 0x05}, // invoke ok, missing service
 		{0xA0, 0x06, 0x02, 0x01, 0x05, 0xA4, 0x01, 0xFF}, // read with garbage spec
 	} {
-		if res := r.Run(wrap(mms)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(wrap(mms)); res.Outcome != executor.OK {
 			t.Fatalf("malformed MMS crashed: %x -> %v", mms, res.Fault)
 		}
 	}
@@ -254,10 +254,10 @@ func TestMalformedBERSafe(t *testing.T) {
 
 func TestGetNameListVariants(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for _, name := range []string{"GetNameListDomains", "GetNameListVariables", "Status", "Identify", "GetVarAttributes", "GetNVLAttributes"} {
-		if res := r.Run(modelByName(t, name).pkt); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(modelByName(t, name).pkt); res.Outcome != executor.OK {
 			t.Fatalf("%s crashed: %v", name, res.Fault)
 		}
 	}
@@ -267,7 +267,7 @@ func TestGetNameListDomainScopeReachesListing(t *testing.T) {
 	// The domain-scope model must take a different trace from the
 	// VMD-scope model — it walks the per-variable listing loop.
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	r.Run(modelByName(t, "GetNameListVariables").pkt)
 	a := r.Tracer().PathHash()
@@ -280,7 +280,7 @@ func TestGetNameListDomainScopeReachesListing(t *testing.T) {
 func TestNoSeededCrashesUnderNoise(t *testing.T) {
 	// libiec61850 has no Table I entries; structured noise must not crash.
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	associate(t, r)
 	for i := 0; i < 3000; i++ {
 		mms := []byte{0xA0, byte(i % 0x30), 0x02, 0x01, byte(i),
@@ -288,7 +288,7 @@ func TestNoSeededCrashesUnderNoise(t *testing.T) {
 		spdu := append([]byte{0x01, 0x00, 0x01, 0x00}, mms...)
 		cotp := append([]byte{2, 0xF0, 0x80}, spdu...)
 		pkt := append([]byte{0x03, 0x00, 0x00, byte(4 + len(cotp))}, cotp...)
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("noise crashed: %x -> %v", pkt, res.Fault)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// StateFields implements sandbox.StateCheckpointer. The IED model's
+// StateFields implements executor.StateCheckpointer. The IED model's
 // *structure* (domains, items, types) is construction-time configuration
 // pinned by the campaign digest; what a packet can mutate — attribute
 // values, named variable lists, the file-transfer state machines, the

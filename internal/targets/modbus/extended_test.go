@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datamodel"
-	"repro/internal/sandbox"
+	"repro/internal/executor"
 )
 
 // rtuFrame builds a valid RTU frame around a PDU.
@@ -16,9 +16,9 @@ func rtuFrame(slave byte, pdu []byte) []byte {
 
 func TestRTUFrameDispatch(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
-	res := r.Run(rtuFrame(1, []byte{0x06, 0x00, 0x40, 0xCA, 0xFE}))
-	if res.Outcome != sandbox.OK {
+	r := executor.NewInProc(s)
+	res, _ := r.Run(rtuFrame(1, []byte{0x06, 0x00, 0x40, 0xCA, 0xFE}))
+	if res.Outcome != executor.OK {
 		t.Fatalf("RTU write crashed: %v", res.Fault)
 	}
 	if s.holding[0x40] != 0xCAFE {
@@ -28,7 +28,7 @@ func TestRTUFrameDispatch(t *testing.T) {
 
 func TestRTUBadCRCDropped(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	pkt := rtuFrame(1, []byte{0x06, 0x00, 0x41, 0x11, 0x11})
 	pkt[len(pkt)-1] ^= 0xFF
 	r.Run(pkt)
@@ -39,7 +39,7 @@ func TestRTUBadCRCDropped(t *testing.T) {
 
 func TestRTUWrongSlaveDropped(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	// Slave 5 frames do not even reach the RTU discriminator (first
 	// byte > 1), and the MBAP path rejects them.
 	pkt := rtuFrame(5, []byte{0x06, 0x00, 0x42, 0x22, 0x22})
@@ -53,22 +53,22 @@ func TestRTUSharesServiceLayerWithTCP(t *testing.T) {
 	// The same UAF state machine is reachable over RTU — the shared
 	// dispatch of Fig. 2.
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	r.Run(rtuFrame(1, []byte{0x08, 0x00, 0x04, 0x00, 0x00})) // force listen-only
 	r.Run(rtuFrame(1, []byte{0x08, 0x00, 0x01, 0x00, 0x00})) // restart
-	res := r.Run(rtuFrame(1, []byte{0x08, 0x00, 0x00, 0x12, 0x34}))
-	if res.Outcome != sandbox.Crash {
+	res, _ := r.Run(rtuFrame(1, []byte{0x08, 0x00, 0x00, 0x12, 0x34}))
+	if res.Outcome != executor.Crash {
 		t.Fatal("UAF not reachable over the RTU path")
 	}
 }
 
 func TestReadFileRecord(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	// One sub-request: file 2, record 1, length 2.
 	pdu := []byte{fcReadFileRecord, 7, refTypeFileRecord, 0x00, 0x02, 0x00, 0x01, 0x00, 0x02}
-	res := r.Run(frame(pdu))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(frame(pdu))
+	if res.Outcome != executor.OK {
 		t.Fatalf("read file record crashed: %v", res.Fault)
 	}
 	resp := s.LastResponse()
@@ -83,7 +83,7 @@ func TestReadFileRecord(t *testing.T) {
 
 func TestReadFileRecordValidation(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	cases := [][]byte{
 		{fcReadFileRecord},                                                // truncated
 		{fcReadFileRecord, 6, 1, 2, 3, 4, 5, 6},                           // byteCount not multiple of 7
@@ -92,7 +92,7 @@ func TestReadFileRecordValidation(t *testing.T) {
 		{fcReadFileRecord, 7, refTypeFileRecord, 0x00, 0x01, 0, 30, 0, 9}, // rec+len beyond file
 	}
 	for _, pdu := range cases {
-		if res := r.Run(frame(pdu)); res.Outcome != sandbox.OK {
+		if res, _ := r.Run(frame(pdu)); res.Outcome != executor.OK {
 			t.Fatalf("malformed file-record request crashed: %x -> %v", pdu, res.Fault)
 		}
 	}
@@ -100,11 +100,11 @@ func TestReadFileRecordValidation(t *testing.T) {
 
 func TestWriteThenReadFileRecord(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	// Write two records to file 3 starting at record 4.
 	pdu := []byte{fcWriteFileRecord, 11, refTypeFileRecord, 0x00, 0x03, 0x00, 0x04, 0x00, 0x02,
 		0xAA, 0xBB, 0xCC, 0xDD}
-	if res := r.Run(frame(pdu)); res.Outcome != sandbox.OK {
+	if res, _ := r.Run(frame(pdu)); res.Outcome != executor.OK {
 		t.Fatalf("write file record crashed: %v", res.Fault)
 	}
 	if s.files[3][4] != 0xAABB || s.files[3][5] != 0xCCDD {
@@ -114,13 +114,13 @@ func TestWriteThenReadFileRecord(t *testing.T) {
 
 func TestReadFIFOQueue(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	s.holding[0x50] = 3 // depth
 	s.holding[0x51] = 0x0102
 	s.holding[0x52] = 0x0304
 	s.holding[0x53] = 0x0506
-	res := r.Run(frame([]byte{fcReadFIFOQueue, 0x00, 0x50}))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(frame([]byte{fcReadFIFOQueue, 0x00, 0x50}))
+	if res.Outcome != executor.OK {
 		t.Fatalf("fifo crashed: %v", res.Fault)
 	}
 	resp := s.LastResponse()
@@ -137,10 +137,10 @@ func TestReadFIFOQueue(t *testing.T) {
 
 func TestDeviceIdentification(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	// Stream access: basic objects.
-	res := r.Run(frame([]byte{fcEncapsulated, meiDeviceID, 0x01, 0x00}))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(frame([]byte{fcEncapsulated, meiDeviceID, 0x01, 0x00}))
+	if res.Outcome != executor.OK {
 		t.Fatalf("device id crashed: %v", res.Fault)
 	}
 	resp := s.LastResponse()
@@ -167,13 +167,13 @@ func TestDeviceIdentification(t *testing.T) {
 
 func TestExtendedModelsRoundTrip(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	for _, m := range ModbusModels() {
 		pkt := m.Generate().Bytes()
 		if _, err := m.Crack(pkt); err != nil {
 			t.Fatalf("model %s round trip: %v", m.Name, err)
 		}
-		if res := r.Run(pkt); res.Outcome == sandbox.Crash {
+		if res, _ := r.Run(pkt); res.Outcome == executor.Crash {
 			t.Fatalf("default %s crashed: %v", m.Name, res.Fault)
 		}
 	}

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/coverage"
 	"repro/internal/datamodel"
+	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 )
 
@@ -21,9 +21,10 @@ func frame(pdu []byte) []byte {
 	return out
 }
 
-func run(t *testing.T, s *Server, pkt []byte) sandbox.Result {
+func run(t *testing.T, s *Server, pkt []byte) executor.Result {
 	t.Helper()
-	return sandbox.NewRunner(s).Run(pkt)
+	res, _ := executor.NewInProc(s).Run(pkt)
+	return res
 }
 
 func TestRegistered(t *testing.T) {
@@ -41,11 +42,11 @@ func TestRegistered(t *testing.T) {
 
 func TestModelsGenerateAndHandleCleanly(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	for _, m := range ModbusModels() {
 		pkt := m.Generate().Bytes()
-		res := r.Run(pkt)
-		if res.Outcome == sandbox.Crash {
+		res, _ := r.Run(pkt)
+		if res.Outcome == executor.Crash {
 			t.Fatalf("default instance of %s crashed: %v", m.Name, res.Fault)
 		}
 		if _, err := m.Crack(pkt); err != nil {
@@ -65,7 +66,7 @@ func TestShortAndMalformedHeaders(t *testing.T) {
 		{0, 1, 0, 0, 0, 1, 0xFF, 3},  // length < 2 (length mismatch too)
 		frame([]byte{0x03, 0, 0, 0}), // truncated read PDU
 	} {
-		if res := run(t, s, pkt); res.Outcome != sandbox.OK {
+		if res := run(t, s, pkt); res.Outcome != executor.OK {
 			t.Fatalf("malformed header crashed: %x -> %v", pkt, res.Fault)
 		}
 	}
@@ -74,7 +75,7 @@ func TestShortAndMalformedHeaders(t *testing.T) {
 func TestReadHoldingRegisters(t *testing.T) {
 	s := New()
 	res := run(t, s, frame([]byte{0x03, 0x00, 0x01, 0x00, 0x02}))
-	if res.Outcome != sandbox.OK {
+	if res.Outcome != executor.OK {
 		t.Fatalf("read crashed: %v", res.Fault)
 	}
 	resp := s.LastResponse()
@@ -132,7 +133,7 @@ func TestWriteSingleRegister(t *testing.T) {
 func TestWriteMultipleRegisters(t *testing.T) {
 	s := New()
 	res := run(t, s, frame([]byte{0x10, 0x00, 0x30, 0x00, 0x02, 0x04, 0xDE, 0xAD, 0xBE, 0xEF}))
-	if res.Outcome != sandbox.OK {
+	if res.Outcome != executor.OK {
 		t.Fatalf("crash: %v", res.Fault)
 	}
 	if s.holding[0x30] != 0xDEAD || s.holding[0x31] != 0xBEEF {
@@ -178,20 +179,20 @@ func TestUnitFiltering(t *testing.T) {
 
 func TestSeededUAF(t *testing.T) {
 	s := New()
-	r := sandbox.NewRunner(s)
+	r := executor.NewInProc(s)
 	// Step 1: force listen-only (frees the event buffer).
-	res := r.Run(frame([]byte{0x08, 0x00, 0x04, 0x00, 0x00}))
-	if res.Outcome != sandbox.OK {
+	res, _ := r.Run(frame([]byte{0x08, 0x00, 0x04, 0x00, 0x00}))
+	if res.Outcome != executor.OK {
 		t.Fatalf("force listen-only crashed: %v", res.Fault)
 	}
 	// Step 2: restart comms to leave listen-only... which is the only fc
 	// processed. Then return query data reads the freed buffer.
-	res = r.Run(frame([]byte{0x08, 0x00, 0x01, 0x00, 0x00}))
-	if res.Outcome != sandbox.OK {
+	res, _ = r.Run(frame([]byte{0x08, 0x00, 0x01, 0x00, 0x00}))
+	if res.Outcome != executor.OK {
 		t.Fatalf("restart crashed: %v", res.Fault)
 	}
-	res = r.Run(frame([]byte{0x08, 0x00, 0x00, 0x12, 0x34}))
-	if res.Outcome != sandbox.Crash || res.Fault.Kind != mem.HeapUseAfterFree {
+	res, _ = r.Run(frame([]byte{0x08, 0x00, 0x00, 0x12, 0x34}))
+	if res.Outcome != executor.Crash || res.Fault.Kind != mem.HeapUseAfterFree {
 		t.Fatalf("expected UAF, got %+v fault=%+v", res.Outcome, res.Fault)
 	}
 }
@@ -201,7 +202,7 @@ func TestSeededSEGV(t *testing.T) {
 	// 0x17 with writeQty=0 and readQty beyond the mapping.
 	pdu := []byte{0x17, 0x02, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
 	res := run(t, s, frame(pdu))
-	if res.Outcome != sandbox.Crash {
+	if res.Outcome != executor.Crash {
 		t.Fatal("expected crash on unchecked fast path")
 	}
 	if res.Fault.Kind != mem.SEGV && res.Fault.Kind != mem.HeapBufferOverflow {
@@ -214,7 +215,7 @@ func TestRWMultipleValidPath(t *testing.T) {
 	s.holding[0] = 0xAA
 	pdu := []byte{0x17, 0x00, 0x00, 0x00, 0x01, 0x00, 0x10, 0x00, 0x01, 0x02, 0x55, 0x66}
 	res := run(t, s, frame(pdu))
-	if res.Outcome != sandbox.OK {
+	if res.Outcome != executor.OK {
 		t.Fatalf("valid 0x17 crashed: %v", res.Fault)
 	}
 	if s.holding[0x10] != 0x5566 {

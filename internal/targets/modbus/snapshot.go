@@ -2,7 +2,7 @@ package modbus
 
 import "repro/internal/checkpoint"
 
-// StateFields implements sandbox.StateCheckpointer. Everything a packet can
+// StateFields implements executor.StateCheckpointer. Everything a packet can
 // mutate and a later packet can observe is listed: the four data banks, the
 // simulated heap with its seeded-bug bookkeeping, the diagnostic flags, and
 // the file-record storage. Without it a warm-restarted campaign would fuzz a

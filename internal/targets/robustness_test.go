@@ -4,8 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/executor"
 	"repro/internal/rng"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 )
 
@@ -67,15 +67,15 @@ func TestCrackedBytesRoundTrip(t *testing.T) {
 }
 
 // TestHandleNeverHangs: every target must terminate on arbitrary packets —
-// the sandbox hang budget exists for defense, not for routine use.
+// the hang watchdog exists for defense, not for routine use.
 func TestHandleNeverHangs(t *testing.T) {
 	r := rng.New(88)
 	for _, name := range targets.Names() {
 		tgt, _ := targets.New(name)
-		runner := sandbox.NewRunner(tgt)
+		runner := executor.NewInProc(tgt)
 		for i := 0; i < 300; i++ {
 			pkt := r.Bytes(r.Range(0, 96))
-			if res := runner.Run(pkt); res.Outcome == sandbox.Hang {
+			if res, _ := runner.Run(pkt); res.Outcome == executor.Hang {
 				t.Fatalf("%s hung on %x", name, pkt)
 			}
 		}

@@ -27,8 +27,10 @@ type Target interface {
 	// model per packet type (§III).
 	Models() []*datamodel.Model
 	// Handle processes one protocol packet, reporting coverage through
-	// tr. It may panic with *mem.Fault or a runtime error; the sandbox
-	// recovers both.
+	// tr. It may panic with *mem.Fault or a runtime error;
+	// executor.InProc recovers both. A target opts into checkpointed
+	// state (executor.StateCheckpointer) and session resets
+	// (executor.SessionResetter) by implementing them too.
 	Handle(tr *coverage.Tracer, packet []byte)
 }
 

@@ -2,7 +2,7 @@ package peachstar
 
 // This file is the public face of the real-target execution backend
 // (internal/executor): session configuration that points a campaign at a
-// spawned server process instead of the in-process sandbox, and the
+// spawned server process instead of the in-process runner, and the
 // reproducer-replay helper that verifies a captured crash against a fresh
 // target instance.
 
@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/mem"
-	"repro/internal/sandbox"
 )
 
 // FaultKind classifies a unique fault (CrashRecord.Kind): the simulated
@@ -24,7 +23,7 @@ type FaultKind = mem.FaultKind
 // ExecBackend selects the execution backend of one session
 // (RunConfig.Exec): where a generated packet is actually run. Build one
 // with WithProcTarget or WithProcOptions; a nil ExecBackend means the
-// default in-process sandbox, which is bit-for-bit identical to every
+// default in-process runner, which is bit-for-bit identical to every
 // campaign that predates the backends.
 type ExecBackend interface {
 	// build materializes the backend for a campaign.
@@ -40,16 +39,6 @@ type ProcOptions struct {
 	// send+receive round may take before the target is declared hung and
 	// its process group is killed (0 = executor default, 200ms).
 	ExecTimeout time.Duration
-	// SpawnTimeout bounds how long a freshly spawned target has to start
-	// accepting connections (0 = executor default, 10s).
-	SpawnTimeout time.Duration
-	// MaxJournal caps the reproducer journal; reaching it restarts the
-	// target preventively so reproducers stay bounded and anchored at a
-	// fresh process state (0 = executor default, 512 packets).
-	MaxJournal int
-	// Seed seeds the connect-retry backoff jitter (0 = derived from the
-	// campaign seed).
-	Seed uint64
 	// TargetStderr, when non-nil, receives the target's stderr (crash
 	// banners); nil discards it.
 	TargetStderr *os.File
@@ -82,15 +71,12 @@ func WithProcTarget(cmd []string, addr string) ExecBackend {
 // WithProcOptions is WithProcTarget with explicit tuning.
 func WithProcOptions(cmd []string, addr string, opts ProcOptions) ExecBackend {
 	return procBackend{cfg: executor.ProcConfig{
-		Cmd:          cmd,
-		Addr:         addr,
-		Net:          opts.Net,
-		ExecTimeout:  opts.ExecTimeout,
-		SpawnTimeout: opts.SpawnTimeout,
-		MaxJournal:   opts.MaxJournal,
-		Seed:         opts.Seed,
-		Stderr:       opts.TargetStderr,
-		Logf:         opts.Logf,
+		Cmd:         cmd,
+		Addr:        addr,
+		Net:         opts.Net,
+		ExecTimeout: opts.ExecTimeout,
+		Stderr:      opts.TargetStderr,
+		Logf:        opts.Logf,
 	}}
 }
 
@@ -101,11 +87,9 @@ type procBackend struct {
 
 func (p procBackend) build(c *Campaign) (executor.Executor, error) {
 	cfg := p.cfg
-	if cfg.Seed == 0 {
-		// Jitter from the campaign seed, displaced so the retry stream
-		// never aliases the fuzzing streams.
-		cfg.Seed = c.cfg.Seed ^ 0x9e3779b97f4a7c15
-	}
+	// Jitter from the campaign seed, displaced so the retry stream never
+	// aliases the fuzzing streams.
+	cfg.Seed = c.cfg.Seed ^ 0x9e3779b97f4a7c15
 	return executor.NewProc(cfg)
 }
 
@@ -142,9 +126,7 @@ func ReplayCrash(b ExecBackend, rec *CrashRecord) (ReplayResult, error) {
 		return ReplayResult{}, fmt.Errorf("peachstar: record has no reproducer sequence")
 	}
 	cfg := pb.cfg
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
+	cfg.Seed = 1
 	// Honor recorded session boundaries: handshake steps re-run against
 	// fresh per-connection server state (sequence numbers regenerate)
 	// instead of a byte-blind replay down one connection.
@@ -153,7 +135,7 @@ func ReplayCrash(b ExecBackend, rec *CrashRecord) (ReplayResult, error) {
 		return ReplayResult{}, err
 	}
 	out := ReplayResult{Outcome: res.Outcome.String()}
-	if res.Outcome == sandbox.Crash && res.Fault != nil {
+	if res.Outcome == executor.Crash && res.Fault != nil {
 		out.Kind = res.Fault.Kind
 		out.Site = res.Fault.Site
 		out.Match = res.Fault.Kind == rec.Kind && res.Fault.Site == rec.Site

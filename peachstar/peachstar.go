@@ -40,9 +40,9 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/crash"
 	"repro/internal/datamodel"
+	"repro/internal/executor"
 	"repro/internal/fleetnet"
 	"repro/internal/pit"
-	"repro/internal/sandbox"
 	"repro/internal/session"
 	"repro/internal/targets"
 
@@ -156,9 +156,6 @@ type Options struct {
 	// Seed makes the campaign reproducible; equal options and seed give
 	// byte-identical campaigns.
 	Seed uint64
-	// MaxBatch bounds the per-iteration donor product materialization
-	// (0 = engine default).
-	MaxBatch int
 	// Workers shards the campaign across this many parallel worker
 	// engines. 0 and 1 both mean serial, which is bit-for-bit identical to
 	// a campaign created before this option existed. Each worker owns a
@@ -238,7 +235,7 @@ func NewCampaign(opts Options) (*Campaign, error) {
 	}
 	// The target factory is resolved only when extra workers actually need
 	// one, so serial campaigns never probe the registry.
-	var factory func() sandbox.Target
+	var factory func() executor.Target
 	if opts.Workers > 1 {
 		factory = targetFactory(opts)
 		if factory == nil {
@@ -251,7 +248,6 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		Target:   opts.Target,
 		Strategy: opts.Strategy,
 		Seed:     opts.Seed,
-		MaxBatch: opts.MaxBatch,
 		Adaptive: opts.Adaptive,
 		Session:  sm,
 	}
@@ -272,16 +268,16 @@ func NewCampaign(opts Options) (*Campaign, error) {
 // custom type that merely shares a registered name must not be silently
 // replaced by the registry target on workers 2..N, so it requires an
 // explicit factory. Returns nil when neither applies.
-func targetFactory(opts Options) func() sandbox.Target {
+func targetFactory(opts Options) func() executor.Target {
 	if f := opts.TargetFactory; f != nil {
-		return func() sandbox.Target { return f() }
+		return func() executor.Target { return f() }
 	}
 	name := opts.Target.Name()
 	probe, err := targets.New(name)
 	if err != nil || reflect.TypeOf(probe) != reflect.TypeOf(opts.Target) {
 		return nil
 	}
-	return func() sandbox.Target {
+	return func() executor.Target {
 		t, err := targets.New(name)
 		if err != nil {
 			panic(fmt.Sprintf("peachstar: target %q vanished from registry: %v", name, err))

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executor"
-	"repro/internal/sandbox"
 	"repro/internal/targets"
 
 	_ "repro/internal/targets/cs101"
@@ -24,7 +23,7 @@ type packetHasher struct {
 	sum uint64
 }
 
-func (h *packetHasher) Run(pkt []byte) (sandbox.Result, error) {
+func (h *packetHasher) Run(pkt []byte) (executor.Result, error) {
 	const prime = 1099511628211
 	h.sum = (h.sum ^ uint64(len(pkt))) * prime
 	for _, b := range pkt {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executor"
-	"repro/internal/sandbox"
 	"repro/internal/targets/iec104"
 )
 
@@ -28,9 +27,9 @@ const deepFaultSite = "iec104deep.command.deep"
 // fault by accident of shared memory.
 type perConnExec struct{ *executor.InProc }
 
-func (x perConnExec) Run(pkt []byte) (sandbox.Result, error) {
+func (x perConnExec) Run(pkt []byte) (executor.Result, error) {
 	if err := x.BeginSession(); err != nil {
-		return sandbox.Result{}, err
+		return executor.Result{}, err
 	}
 	return x.InProc.Run(pkt)
 }
