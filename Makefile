@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: ci check build vet lint test test-386 race race-sync soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
 
-ci: build vet lint test test-386 race race-sync docs-check api-check loc-check soak
+ci: build vet lint test test-386 race race-sync alloc-guard docs-check api-check loc-check soak
 
 check: build vet lint test-386 race race-sync alloc-guard docs-check api-check loc-check
 
@@ -98,7 +98,8 @@ api-snapshot:
 	$(GO) run ./cmd/apicheck -update
 
 # Short native-fuzz smoke runs over the crack/generate round-trip targets,
-# the fixup plan against its string-resolving reference, and every decoder
+# the fixup plan against its string-resolving reference, the engine's
+# one-walk coverage step against its definitions, and every decoder
 # built on the checkpoint codec — sequences, virgin deltas, fleetnet frames,
 # campaign checkpoints (truncated, corrupt, and non-minimal-varint inputs
 # must be rejected with errors, never panics).
@@ -109,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/targets -fuzz 'FuzzFixupPlan$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/coverage -fuzz 'FuzzVirginDelta$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/coverage -fuzz 'FuzzVirginConsume$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
 	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
 

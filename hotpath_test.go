@@ -37,8 +37,8 @@ func TestSteadyStateExecAllocBudget(t *testing.T) {
 		budget             float64 // allocs/exec; the comment gives the measured figure
 	}{
 		{"peachstar", "libmodbus", false, false, 0.75}, // 0.39
-		{"sessions", "IEC104", false, true, 0.75},      // 0.29
-		{"adaptive", "libmodbus", true, false, 1.0},    // 0.87
+		{"sessions", "IEC104", false, true, 0.75},      // 0.10
+		{"adaptive", "libmodbus", true, false, 1.0},    // 0.76
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCheckpointCampaign(t, tc.target, 1, tc.adaptive, tc.sessions)

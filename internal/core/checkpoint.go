@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -274,35 +275,37 @@ func (e *Engine) valuableField() checkpoint.Field {
 		}
 	}))
 	return checkpoint.Func(func(w *checkpoint.Writer) {
-		names := make([]string, 0, len(e.valuable))
-		for name, q := range e.valuable {
+		order := make([]int, 0, len(e.valuable))
+		for mi, q := range e.valuable {
 			if len(q) > 0 {
-				names = append(names, name)
+				order = append(order, mi)
 			}
 		}
-		sort.Strings(names)
-		w.Int(len(names))
-		for _, name := range names {
-			w.String(name)
-			seeds.Put(w, e.valuable[name])
+		sort.Slice(order, func(i, j int) bool { return e.cfg.Models[order[i]].Name < e.cfg.Models[order[j]].Name })
+		w.Int(len(order))
+		for _, mi := range order {
+			w.String(e.cfg.Models[mi].Name)
+			seeds.Put(w, e.valuable[mi])
 		}
 	}, func(r *checkpoint.Reader) error {
-		e.valuable = make(map[string][]valuableSeed)
+		e.valuable = make([][]valuableSeed, len(e.cfg.Models))
 		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 			name := r.String()
+			mi := slices.IndexFunc(e.cfg.Models, func(m *datamodel.Model) bool { return m.Name == name })
 			model = nil
-			for _, m := range e.cfg.Models {
-				if m.Name == name {
-					model = m
-				}
+			if mi >= 0 {
+				model = e.cfg.Models[mi]
 			}
 			q := seeds.Get(r)
 			if r.Err() == nil && len(q) > valuablePerModel+1 {
 				return fmt.Errorf("core: %d retained seeds for model %q exceeds bound", len(q), name)
 			}
+			if mi < 0 {
+				continue // a model this campaign lacks: its seeds are dropped
+			}
 			for _, v := range q {
 				if v.ins != nil {
-					e.valuable[name] = append(e.valuable[name], v)
+					e.valuable[mi] = append(e.valuable[mi], v)
 				}
 			}
 		}
@@ -353,8 +356,9 @@ func (e *Engine) targetField() checkpoint.Field {
 // trials and hits — then the recompute countdown, the trial total and the
 // weight row (absent during warmup). Then the rarity sidecar, the cadence
 // countdowns and the distillation tracker. Left out: on (the engine's
-// presence byte), yields (recompute scratch), and curModel/roundMuts (the
-// round in flight, closed between steps; resetTransient resets them).
+// presence byte), yields and traceEdges (scratch refilled before every
+// read), and curModel/roundMuts (the round in flight, closed between
+// steps; resetTransient resets them).
 func (s *scheduler) fields() []checkpoint.Field {
 	nm, nmut := len(s.trials), len(s.yields)
 	return []checkpoint.Field{
@@ -402,10 +406,11 @@ func puzzleRefs() checkpoint.Codec[[]puzzleRef] {
 // first-reach event queue, the retained valuable sequences (canonical
 // encodings, each ending in a state of the machine), and the
 // sequence-operator tables interleaved by operator; the state and operator
-// counts must match the live ones. Left out: sm and actModel (wiring from
-// Config), encScratch, and the per-iteration context — opRound, prevEdges
-// and cur (resetTransient resets them), stepModel and stepMuts (regrown
-// every round).
+// counts must match the live ones. Left out: sm, seqSig and actModel
+// (wiring from Config), encScratch and stateW (scratch), pool (a decode
+// cache that only misses against a restored corpus), and the
+// per-iteration context — opRound, prevEdges and cur (resetTransient
+// resets them), stepModel and stepMuts (regrown every round).
 func (s *sessionCore) fields() []checkpoint.Field {
 	ns := len(s.sm.States)
 	return []checkpoint.Field{

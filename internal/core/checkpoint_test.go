@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/datamodel"
 )
 
 // TestSchedulerRestoreRejectsOverWide: the scheduler's uint32 tables —
@@ -64,5 +65,41 @@ func TestSchedulerRestoreRejectsOverWide(t *testing.T) {
 				t.Fatalf("restore of %s = 2^32+5 returned %v, want a width overflow", tc.name, err)
 			}
 		})
+	}
+}
+
+// TestRestoreDropsUnknownModelSeeds: a checkpoint's valuable queue for a
+// model the restoring campaign lacks is read past and dropped, and every
+// other model's queue restores in full.
+func TestRestoreDropsUnknownModelSeeds(t *testing.T) {
+	const digest = 1
+	newFleet := func(models []*datamodel.Model) *Fleet {
+		f, err := NewFleet(Config{
+			Models:   models,
+			Target:   newToyTarget(),
+			Strategy: StrategyPeachStar,
+			Seed:     1,
+		}, ParallelConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	src := newFleet(toyModels())
+	src.Run(3000)
+	models := toyModels()
+	models[0].Name = "op9"
+	dst := newFleet(models)
+	if err := dst.RestoreCheckpoint(src.Checkpoint(digest), digest); err != nil {
+		t.Fatal(err)
+	}
+	want, got := src.workers[0].valuable, dst.workers[0].valuable
+	if len(want[0]) == 0 || len(got[0]) != 0 {
+		t.Fatalf("renamed model holds %d seeds after restore, want 0 (the checkpoint held %d)", len(got[0]), len(want[0]))
+	}
+	for mi := 1; mi < len(want); mi++ {
+		if len(got[mi]) != len(want[mi]) {
+			t.Errorf("model %d restored %d seeds, the checkpoint held %d", mi, len(got[mi]), len(want[mi]))
+		}
 	}
 }

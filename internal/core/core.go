@@ -210,7 +210,7 @@ type Engine struct {
 	virgin        *coverage.Virgin
 	corp          *corpus.Corpus
 	crashes       *crash.Bank
-	muts          []mutator.Mutator
+	muts          *mutator.Table // the suite, indexed by chunk kind
 	stats         Stats
 	// pending holds seeds generated but not yet executed (Algorithm 3
 	// produces batches); pendingSemantic records their provenance.
@@ -229,9 +229,10 @@ type Engine struct {
 	dedup map[string]bool   // per-batch filter
 	crk   datamodel.Cracker // Algorithm 2 scratch, refilled by every crack
 	// valuable holds the retained coverage-increasing instances per
-	// model — the feedback-selected bases for "mutation on existing
-	// chunks" (§II). Bounded per model; older entries are evicted.
-	valuable map[string][]valuableSeed
+	// model, indexed like cfg.Models — the feedback-selected bases for
+	// "mutation on existing chunks" (§II). Bounded per model; older
+	// entries are evicted.
+	valuable [][]valuableSeed
 	// Yield accounting for the adaptive semantic share: execs and
 	// valuable seeds per strategy arm.
 	semExecs, semPaths   int
@@ -257,10 +258,18 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Target == nil && cfg.Executor == nil {
 		return nil, fmt.Errorf("core: no target")
 	}
+	// Models are named uniquely: the valuable queues are indexed like
+	// cfg.Models and the checkpoint stores them by name, so two models
+	// named alike would restore into one queue.
+	names := make(map[string]bool, len(cfg.Models))
 	for _, m := range cfg.Models {
 		if err := m.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
+		if names[m.Name] {
+			return nil, fmt.Errorf("core: two data models named %q", m.Name)
+		}
+		names[m.Name] = true
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
@@ -276,8 +285,8 @@ func New(cfg Config) (*Engine, error) {
 		virgin:   coverage.NewVirgin(),
 		corp:     corpus.New(cfg.CorpusPerSig),
 		crashes:  crash.NewBank(),
-		muts:     mutator.Suite(),
-		valuable: make(map[string][]valuableSeed),
+		muts:     mutator.NewTable(mutator.Suite()),
+		valuable: make([][]valuableSeed, len(cfg.Models)),
 		dedup:    make(map[string]bool),
 	}
 	if cfg.Adaptive {
@@ -418,13 +427,12 @@ func (e *Engine) generate() {
 	// CHOOSE(S_M) — by index so the scheduler can attribute the round;
 	// consumes the identical RNG draw rng.Pick would (one Intn).
 	mi := e.r.Intn(len(e.cfg.Models))
-	m := e.cfg.Models[mi]
 	if e.sched.on {
 		e.sched.beginRound(mi)
 	}
 	e.pendingSemantic = false
 	if e.cfg.Strategy == StrategyPeachStar && !e.corp.Empty() && e.semanticTurn() {
-		e.semanticGenerate(m) // fills e.pending
+		e.semanticGenerate(mi) // fills e.pending
 		if len(e.pending) > 0 {
 			e.pendingSemantic = true
 			return
@@ -432,7 +440,7 @@ func (e *Engine) generate() {
 	}
 	// Baseline generation (Algorithm 1): one seed from the model's
 	// chunks via the inherent mutators.
-	e.pending = append(e.pending, e.baselineGenerate(m))
+	e.pending = append(e.pending, e.baselineGenerate(mi))
 }
 
 // semanticTurn decides whether this iteration uses semantic generation, by
@@ -514,14 +522,19 @@ func (e *Engine) observe(seed []byte, res *executor.Result) bool {
 	case executor.Crash:
 		e.crashes.Report(res.Fault, seed, res.Repro, res.ReproStarts, e.stats.Execs, e.exec.Tracer().PathHash())
 	case executor.Hang:
-		e.crashes.ReportHang(res.HangSteps, seed)
+		e.crashes.ReportHang(res.HangMillis, seed)
 	}
 	// Valuable-seed identification (§IV-B): did this execution reach a
-	// new program state? The merge walks only the tracer lines this
-	// execution dirtied. This decision is also the scheduler's credit
-	// assignment point: MergeTracer returning true is exactly "new edge
-	// or new hit bucket", the hit signal for the round's operators.
-	valuable := e.virgin.MergeTracer(e.exec.Tracer())
+	// new program state? One walk over the tracer lines this execution
+	// dirtied merges them into the campaign's map, counts the trace's
+	// edges and clears the tracer (the crash's PathHash above is the
+	// last read of the trace); under the adaptive scheduler the same walk
+	// feeds the rarity counters and collects the trace's edge list. This
+	// decision is also the scheduler's credit assignment point: a
+	// valuable verdict is exactly "new edge or new hit bucket", the hit
+	// signal for the round's operators.
+	valuable, depth, edges := e.virgin.Consume(e.exec.Tracer(), e.sched.hitCounts, e.sched.traceEdges[:0])
+	e.sched.traceEdges = edges
 	if e.sched.on {
 		e.observeExec(valuable)
 	}
@@ -531,7 +544,7 @@ func (e *Engine) observe(seed []byte, res *executor.Result) bool {
 	e.stats.Paths++
 	star := e.cfg.Strategy == StrategyPeachStar || e.cfg.Strategy == StrategyMutationStar
 	if star && !e.cfg.DisableCracker {
-		e.crackValuable(seed, e.exec.Tracer().CountEdges())
+		e.crackValuable(seed, depth)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/coverage"
@@ -107,6 +108,16 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Models: toyModels()}); err == nil {
 		t.Fatal("missing target should error")
+	}
+}
+
+// TestNewRejectsDuplicateModelNames: the valuable queues are indexed like
+// Config.Models and checkpointed by model name, so two models named alike
+// would share one name in the checkpoint and restore ambiguously.
+func TestNewRejectsDuplicateModelNames(t *testing.T) {
+	ms := append(toyModels(), toyModels()[1])
+	if _, err := New(Config{Models: ms, Target: newToyTarget()}); err == nil || !strings.Contains(err.Error(), `"op2"`) {
+		t.Fatalf("New with two models named op2: err = %v, want a duplicate-name error", err)
 	}
 }
 
@@ -243,7 +254,7 @@ func TestSemanticGenerateRespectsMaxBatch(t *testing.T) {
 		t.Skip("corpus did not populate under this seed")
 	}
 	e.pending = e.pending[:0]
-	e.semanticGenerate(e.cfg.Models[0])
+	e.semanticGenerate(0)
 	if len(e.pending) > 5 {
 		t.Fatalf("batch = %d, want <= 5", len(e.pending))
 	}

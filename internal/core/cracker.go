@@ -30,24 +30,25 @@ type valuableSeed struct {
 // puzzle of the instance to the corpus. The instance is also retained per
 // model as a feedback-selected base for "mutation on existing chunks".
 func (e *Engine) crackValuable(seed []byte, depth int) {
-	// Under the adaptive scheduler, capture the trace's edge list once —
-	// shared by every model's retained entry and by the distillation
-	// tracker — and record which corpus puzzles this seed's cracks added.
+	// Under the adaptive scheduler, copy the trace's edge list (collected
+	// by observe's walk) once — shared by every model's retained entry and
+	// by the distillation tracker — and record which corpus puzzles this
+	// seed's cracks added.
 	var edges []uint16
 	var refs []puzzleRef
 	if e.sched.on {
-		edges = e.exec.Tracer().AppendEdges(make([]uint16, 0, depth))
+		edges = append(make([]uint16, 0, depth), e.sched.traceEdges...)
 	}
-	for _, m := range e.cfg.Models { // line 4: for M in S_M
+	for mi, m := range e.cfg.Models { // line 4: for M in S_M
 		if !e.crk.Crack(m, seed) { // lines 5-6: PARSE, LEGAL
 			continue
 		}
 		// Retained flat: skeleton copies the leaf table per execution.
-		q := append(e.valuable[m.Name], valuableSeed{ins: e.crk.Flat().Clone(), depth: depth, edges: edges})
+		q := append(e.valuable[mi], valuableSeed{ins: e.crk.Flat().Clone(), depth: depth, edges: edges})
 		if len(q) > valuablePerModel {
 			q = q[1:]
 		}
-		e.valuable[m.Name] = q
+		e.valuable[mi] = q
 		refs = e.addPuzzles(m.Name, refs) // lines 8-18: DFS
 	}
 	if e.sched.on {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/coverage"
 	"repro/internal/datamodel"
 	"repro/internal/mutator"
@@ -15,11 +13,11 @@ import (
 //
 //  1. Operator scheduling (MOpt/AFL++-shaped): every mutator application is
 //     a trial credited to its (model, mutator) cell; when the execution it
-//     fed reaches a new program state — the existing Virgin.MergeTracer
-//     decision in Engine.execute, which is exactly "a never-seen edge or
-//     hit-bucket" — every mutator used in that generation round is credited
-//     a hit. Per-model weights are recomputed from the smoothed yields
-//     every schedRecalcEvery trials and fed into mutator.PickWeighted;
+//     fed reaches a new program state — the valuable verdict of
+//     Virgin.Consume in Engine.observe, which is exactly "a never-seen edge
+//     or hit-bucket" — every mutator used in that generation round is
+//     credited a hit. Per-model weights are recomputed from the smoothed
+//     yields every schedRecalcEvery trials and fed into Table.PickWeighted;
 //     until a model has schedWarmupTrials trials its draw stays uniform,
 //     and no operator ever drops below schedFloorWeight, so exploration
 //     never starves.
@@ -159,9 +157,11 @@ type scheduler struct {
 	curModel  int
 	roundMuts []int
 
-	// Rarity sidecar and refresh countdown.
-	hitCounts *coverage.HitCounts
-	scoreIn   int
+	// Rarity sidecar and refresh countdown; traceEdges is the edge list
+	// of the execution being observed, refilled by every Virgin.Consume.
+	hitCounts  *coverage.HitCounts
+	scoreIn    int
+	traceEdges []uint16
 
 	// Distillation tracker.
 	contribs  []contributor
@@ -177,7 +177,7 @@ func (e *Engine) enableAdaptive() {
 	if e.sched.on {
 		return
 	}
-	nm, nmut := len(e.cfg.Models), len(e.muts)
+	nm, nmut := len(e.cfg.Models), len(e.muts.Suite())
 	s := &e.sched
 	s.on = true
 	s.trials = make([][]uint32, nm)
@@ -277,13 +277,12 @@ func (s *scheduler) modelWeights() []uint32 {
 }
 
 // observeExec is the scheduler's per-execution feedback step, called at
-// the MergeTracer decision point of Engine.observe: accumulate the
-// execution's footprint into the rarity counters, credit the round's
-// operators when the execution proved valuable, and run the periodic
-// refresh and distillation countdowns.
+// the valuable decision point of Engine.observe, whose Virgin.Consume has
+// already counted the execution's footprint into the rarity counters:
+// credit the round's operators when the execution proved valuable, and
+// run the periodic refresh and distillation countdowns.
 func (e *Engine) observeExec(valuable bool) {
 	s := &e.sched
-	s.hitCounts.AccumulateTracer(e.exec.Tracer())
 	if valuable && s.curModel >= 0 {
 		for _, mut := range s.roundMuts {
 			s.hits[s.curModel][mut]++
@@ -307,13 +306,7 @@ func (e *Engine) observeExec(valuable bool) {
 // drift — acceptable: rarity orders change slowly, and the refresh keeps
 // the per-pick cost at one cumulative scan of a ≤32-entry queue.
 func (e *Engine) refreshScores() {
-	names := make([]string, 0, len(e.valuable))
-	for name := range e.valuable {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		q := e.valuable[name]
+	for _, q := range e.valuable {
 		for i := range q {
 			if len(q[i].edges) == 0 {
 				// A seed retained before the sidecar existed (scheduler
@@ -449,7 +442,7 @@ func (e *Engine) takeDistills() []DistillInfo {
 // mutatorStats appends the lifetime operator accounting, aggregated over
 // models, to out.
 func (e *Engine) mutatorStats(out []MutatorStat) []MutatorStat {
-	for i, m := range e.muts {
+	for i, m := range e.muts.Suite() {
 		st := MutatorStat{Name: m.Name()}
 		for mi := range e.sched.trialsAll {
 			st.Trials += e.sched.trialsAll[mi][i]
@@ -462,12 +455,13 @@ func (e *Engine) mutatorStats(out []MutatorStat) []MutatorStat {
 
 // pickMutator is the engine's single mutator draw site: the weighted
 // adaptive draw with trial credit when the scheduler is on, the original
-// uniform Pick — same call, same single RNG draw — when off.
+// uniform Pick — same mutator, same single RNG draw — when off. Both read
+// the suite's per-kind table.
 func (e *Engine) pickMutator(c *datamodel.Chunk) mutator.Mutator {
 	if !e.sched.on {
-		return mutator.Pick(e.r, e.muts, c)
+		return e.muts.Pick(e.r, c)
 	}
-	mut, idx := mutator.PickWeighted(e.r, e.muts, c, e.sched.modelWeights())
+	mut, idx := e.muts.PickWeighted(e.r, c, e.sched.modelWeights())
 	if mut != nil {
 		e.sched.recordTrial(idx)
 	}

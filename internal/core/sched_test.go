@@ -61,13 +61,13 @@ func TestAdaptiveMutatorAccounting(t *testing.T) {
 	e := newAdaptiveEngine(t, 3)
 	e.Run(20000)
 	stats := e.Stats().MutatorStats
-	if len(stats) != len(e.muts) {
-		t.Fatalf("%d mutator stats for %d mutators", len(stats), len(e.muts))
+	if len(stats) != len(e.muts.Suite()) {
+		t.Fatalf("%d mutator stats for %d mutators", len(stats), len(e.muts.Suite()))
 	}
 	var trials uint64
 	for i, st := range stats {
-		if st.Name != e.muts[i].Name() {
-			t.Fatalf("stat %d named %q, mutator is %q", i, st.Name, e.muts[i].Name())
+		if st.Name != e.muts.Suite()[i].Name() {
+			t.Fatalf("stat %d named %q, mutator is %q", i, st.Name, e.muts.Suite()[i].Name())
 		}
 		if st.Hits > st.Trials {
 			t.Fatalf("%s: %d hits out of %d trials", st.Name, st.Hits, st.Trials)
@@ -197,11 +197,10 @@ func TestSemanticGenerateSteadyStateAllocs(t *testing.T) {
 	if e.corp.Empty() {
 		t.Fatal("warmup produced no corpus; semantic rounds would be no-ops")
 	}
-	m := e.cfg.Models[0]
 	avg := testing.AllocsPerRun(200, func() {
 		e.arena.Reset()
 		e.pending = e.pending[:0]
-		e.semanticGenerate(m)
+		e.semanticGenerate(0)
 	})
 	t.Logf("semantic round: %.2f allocs", avg)
 	// Measures 2.0 on the toy target (batch-key retention); a per-leaf

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/corpus"
 	"repro/internal/datamodel"
 	"repro/internal/executor"
+	"repro/internal/rng"
 	"repro/internal/session"
 )
 
@@ -88,7 +90,8 @@ type retainedSeq struct {
 // sessionCore is the engine's session-fuzzing state; nil unless
 // Config.Session is set.
 type sessionCore struct {
-	sm *session.StateModel // state-machine wiring from Config.Session
+	sm     *session.StateModel // state-machine wiring from Config.Session
+	seqSig string              // corpus.SeqSignature(sm.Name)
 	// actModel maps (state, action) to the index of the action's data
 	// model in Config.Models, resolved once at construction.
 	actModel [][]int
@@ -109,6 +112,10 @@ type sessionCore struct {
 	// seqs is the retained valuable-sequence queue (deep copies; oldest
 	// evicted at sessionRetained).
 	seqs []retainedSeq
+	// stateW is pickSeqBase's per-state weight scratch; pool caches the
+	// corpus sequences decoded (see pooled).
+	stateW []uint64
+	pool   []pooledSeq
 
 	// Sequence-operator accounting: lifetime trials and hits per operator,
 	// driving the floor+span weighted draw once past warmup. opRound is
@@ -143,6 +150,8 @@ func newSessionCore(sm *session.StateModel, models []*datamodel.Model) (*session
 	}
 	s := &sessionCore{
 		sm:         sm,
+		seqSig:     corpus.SeqSignature(sm.Name),
+		stateW:     make([]uint64, len(sm.States)),
 		actModel:   make([][]int, len(sm.States)),
 		stateSent:  make([]uint64, len(sm.States)),
 		stateEdges: make([]int, len(sm.States)),
@@ -262,37 +271,70 @@ func (e *Engine) mutateSequence() {
 // preferred, the session analogue of rarity-weighted seed selection.
 func (e *Engine) pickSeqBase() session.Sequence {
 	s := e.sess
-	if pool := e.corp.Sequences(s.sm.Name); len(pool) > 0 && e.r.Chance(8) {
-		enc := pool[e.r.Intn(len(pool))]
-		if seq, err := session.Decode(enc.Data); err == nil {
-			s.sm.Repair(&seq)
-			if len(seq.Steps) > 0 {
-				return seq
-			}
+	if pool := e.corp.Puzzles(s.seqSig); len(pool) > 0 && e.r.Chance(8) {
+		if seq := s.pooled(pool, e.r.Intn(len(pool))); len(seq.Steps) > 0 {
+			return seq
 		}
 	}
+	return s.seqs[s.pickRetained(e.r)].seq
+}
+
+// pickRetained draws the index of a retained sequence with probability
+// proportional to 1 + maxSent/(1+sent), where sent is how many messages
+// were sent from the state the sequence ends in and maxSent the most any
+// state has: one division per state, then one Uint64 draw and a walk of
+// table lookups.
+func (s *sessionCore) pickRetained(r *rng.RNG) int {
 	var maxSent uint64
 	for _, n := range s.stateSent {
-		if n > maxSent {
-			maxSent = n
-		}
+		maxSent = max(maxSent, n)
 	}
-	weight := func(rs *retainedSeq) uint64 {
-		return 1 + maxSent/(1+s.stateSent[rs.endState])
+	for st, n := range s.stateSent {
+		s.stateW[st] = 1 + maxSent/(1+n)
 	}
 	var total uint64
 	for i := range s.seqs {
-		total += weight(&s.seqs[i])
+		total += s.stateW[s.seqs[i].endState]
 	}
-	k := e.r.Uint64() % total // total >= len(seqs) >= 1
+	k := r.Uint64() % total // total >= len(seqs) >= 1
 	for i := range s.seqs {
-		if w := weight(&s.seqs[i]); k < w {
-			return s.seqs[i].seq
-		} else {
-			k -= w
+		w := s.stateW[s.seqs[i].endState]
+		if k < w {
+			return i
+		}
+		k -= w
+	}
+	return len(s.seqs) - 1 // unreachable: k < total
+}
+
+// pooledSeq is one corpus sequence as pickSeqBase uses it: the encoding
+// it was decoded from, and the decoded sequence repaired onto the state
+// model (empty when the encoding does not decode).
+type pooledSeq struct {
+	enc []byte
+	seq session.Sequence
+}
+
+// pooled returns pool[i] decoded and repaired, decoding it only when the
+// cache's entry i does not hold that very encoding. The cache is indexed
+// like the pool and an entry matches when it holds the same backing array
+// and length: stored puzzles are immutable, and the entry's reference
+// keeps its bytes from being freed and the address reused, so an
+// eviction, removal or merge that shifts the pool only makes entries
+// miss. The returned steps are shared with the cache; callers copy them.
+func (s *sessionCore) pooled(pool []corpus.Puzzle, i int) session.Sequence {
+	for len(s.pool) < len(pool) {
+		s.pool = append(s.pool, pooledSeq{})
+	}
+	c, enc := &s.pool[i], pool[i].Data
+	if len(c.enc) != len(enc) || len(enc) > 0 && &c.enc[0] != &enc[0] {
+		c.enc, c.seq = enc, session.Sequence{}
+		if seq, err := session.Decode(enc); err == nil {
+			s.sm.Repair(&seq)
+			c.seq = seq
 		}
 	}
-	return s.seqs[len(s.seqs)-1].seq // unreachable: k < total
+	return c.seq
 }
 
 // pickSeqOp draws one sequence operator: uniform until warmup (and always
@@ -350,7 +392,7 @@ func (e *Engine) genStepPayload(mi int) []byte {
 		// Fixup is idempotent: its shared leaf table renders as it is.
 		return m.DefaultFlat().Render(&e.arena)
 	}
-	return e.baselineGenerate(m)
+	return e.baselineGenerate(mi)
 }
 
 // noteStepGen records step i's generation round: the model its payload

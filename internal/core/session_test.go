@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/datamodel"
 	"repro/internal/executor"
 	"repro/internal/mem"
+	"repro/internal/rng"
 	"repro/internal/session"
 )
 
@@ -218,7 +220,7 @@ func TestSessionSequencesEnterCorpus(t *testing.T) {
 	e := newSessionEngine(t, 3, false)
 	e.Run(5000)
 	sm := toyStateModel()
-	pool := e.Corpus().Sequences(sm.Name)
+	pool := e.Corpus().Puzzles(corpus.SeqSignature(sm.Name))
 	if len(pool) == 0 {
 		t.Fatal("no sequences published to the corpus")
 	}
@@ -298,4 +300,92 @@ func legalWalk(sm *session.StateModel, s session.Sequence) error {
 		cur = acts[st.Action].Next
 	}
 	return nil
+}
+
+// TestPickRetainedMatchesPerSequenceWeights: the per-state weight table
+// draws the index the per-sequence formula 1 + maxSent/(1+sent[end])
+// draws, and leaves the RNG in the same state.
+func TestPickRetainedMatchesPerSequenceWeights(t *testing.T) {
+	perSequence := func(s *sessionCore, r *rng.RNG) int {
+		var maxSent uint64
+		for _, n := range s.stateSent {
+			maxSent = max(maxSent, n)
+		}
+		weight := func(rs *retainedSeq) uint64 { return 1 + maxSent/(1+s.stateSent[rs.endState]) }
+		var total uint64
+		for i := range s.seqs {
+			total += weight(&s.seqs[i])
+		}
+		k := r.Uint64() % total
+		for i := range s.seqs {
+			if w := weight(&s.seqs[i]); k < w {
+				return i
+			} else {
+				k -= w
+			}
+		}
+		return len(s.seqs) - 1
+	}
+	gen := rng.New(4)
+	for trial := 0; trial < 300; trial++ {
+		ns := 1 + gen.Intn(6)
+		s := &sessionCore{stateSent: make([]uint64, ns), stateW: make([]uint64, ns)}
+		for i := range s.stateSent {
+			s.stateSent[i] = gen.Uint64() >> uint(gen.Intn(64))
+		}
+		for n := 1 + gen.Intn(sessionRetained); n > 0; n-- {
+			s.seqs = append(s.seqs, retainedSeq{endState: gen.Intn(ns)})
+		}
+		ra, rb := rng.New(uint64(trial)), rng.New(uint64(trial))
+		if got, want := s.pickRetained(rb), perSequence(s, ra); got != want {
+			t.Fatalf("trial %d: per-state weights drew %d, per-sequence formula %d", trial, got, want)
+		}
+		if ra.State() != rb.State() {
+			t.Fatalf("trial %d: RNG state differs after the draw", trial)
+		}
+	}
+}
+
+// TestPooledMatchesDecode: a corpus sequence comes out of the decode cache
+// as session.Decode + Repair make it, also after an eviction shifts the
+// pool under the cache and for an entry that does not decode.
+func TestPooledMatchesDecode(t *testing.T) {
+	sm := toyStateModel()
+	s, err := newSessionCore(sm, toySessionModels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := corpus.New(3)
+	check := func(label string) {
+		t.Helper()
+		pool := c.Puzzles(s.seqSig)
+		for i := range pool {
+			want, err := session.Decode(pool[i].Data)
+			if err == nil {
+				sm.Repair(&want)
+			} else {
+				want = session.Sequence{}
+			}
+			for pass := 0; pass < 2; pass++ { // a miss, then a hit
+				if got := s.pooled(pool, i); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: entry %d pass %d: cached %+v, decoded %+v", label, i, pass, got, want)
+				}
+			}
+		}
+	}
+	walk := func(n int) []byte {
+		seq := session.Sequence{}
+		for i := 0; i < n; i++ {
+			seq.Steps = append(seq.Steps, session.Step{State: i % len(sm.States), Data: []byte{byte(n), byte(i)}})
+		}
+		return session.Encode(nil, seq)
+	}
+	c.AddSequence(sm.Name, walk(1))
+	c.AddSequence(sm.Name, []byte{0xFF, 1, 2}) // unknown codec version
+	check("fresh")
+	c.AddSequence(sm.Name, walk(2))
+	c.AddSequence(sm.Name, walk(3)) // evicts walk(1): every entry shifts
+	check("after eviction")
+	c.AddSequence(sm.Name, walk(4))
+	check("after a second eviction")
 }

@@ -6,16 +6,16 @@ import (
 	"repro/internal/rng"
 )
 
-// baselineGenerate implements Algorithm 1's per-iteration body for one
-// model: ANALYZE the chunks, GENERATE with Peach's inherent mutators, JOINT
+// baselineGenerate implements Algorithm 1's per-iteration body for model
+// cfg.Models[mi]: ANALYZE the chunks, GENERATE with Peach's inherent mutators, JOINT
 // in declared order. Like Peach, one test case perturbs a small number of
 // elements — usually one — while the rest keep their model values; that is
 // what lets generation-based fuzzing carry packets past framing and
 // integrity validation (§I). Relations and fixups are re-established on
 // output, with a small probability of being left stale, matching Peach
 // mutators that target integrity fields themselves.
-func (e *Engine) baselineGenerate(m *datamodel.Model) []byte {
-	e.skeleton(m)
+func (e *Engine) baselineGenerate(mi int) []byte {
+	e.skeleton(mi)
 	// Mutate 1..3 leaves, geometrically biased toward 1.
 	k := 1
 	for k < 3 && e.r.Chance(3) {
@@ -39,8 +39,9 @@ func (e *Engine) baselineGenerate(m *datamodel.Model) []byte {
 // round. The default and valuable instances are flattened once, when built
 // or retained, and only their leaf tables are copied here; a randomized one
 // is a fresh tree and is flattened as it is made.
-func (e *Engine) skeleton(m *datamodel.Model) {
-	if q := e.valuable[m.Name]; len(q) > 0 && e.r.Chance(4) {
+func (e *Engine) skeleton(mi int) {
+	m := e.cfg.Models[mi]
+	if q := e.valuable[mi]; len(q) > 0 && e.r.Chance(4) {
 		e.work.CopyFrom(e.pickValuable(q), &e.arena)
 		return
 	}
@@ -65,18 +66,19 @@ func (e *Engine) mutateLeaf(leaf *datamodel.Node) {
 }
 
 // semanticGenerate implements Algorithm 3: construct a batch of seeds for
-// model m by filling each chunk position with donor puzzles from the
+// model cfg.Models[mi] by filling each chunk position with donor puzzles from the
 // corpus where available and with the inherent rule otherwise, then apply
 // File Fixup (§IV-D). The donor cartesian product is enumerated up to
 // MaxBatch seeds (the paper's p×q enumeration, bounded). The batch is
 // appended to e.pending.
-func (e *Engine) semanticGenerate(m *datamodel.Model) {
+func (e *Engine) semanticGenerate(mi int) {
+	m := e.cfg.Models[mi]
 	// Donor recombination starts from a structurally sound base: the
 	// default instance or a coverage-selected valuable one — never the
 	// fully randomized skeleton, whose scrambled framing would waste the
 	// whole batch.
 	skeleton := m.DefaultFlat()
-	if q := e.valuable[m.Name]; len(q) > 0 && e.r.Bool() {
+	if q := e.valuable[mi]; len(q) > 0 && e.r.Bool() {
 		skeleton = e.pickValuable(q)
 	}
 	e.work.CopyFrom(skeleton, &e.arena)

@@ -169,6 +169,10 @@ func (c *Corpus) Donors(chunk *datamodel.Chunk) []Puzzle {
 	return c.bySig[datamodel.RuleSignature(chunk)]
 }
 
+// Puzzles returns the stored puzzles under a signature, oldest first. The
+// slice is shared; callers must not modify it.
+func (c *Corpus) Puzzles(sig string) []Puzzle { return c.bySig[sig] }
+
 // CrossModelDonors returns donors whose provenance differs from the given
 // model — the cross-opcode donation of §IV-D ("a valuable seed with one
 // value of the opcode can be used to optimize seed generation for other

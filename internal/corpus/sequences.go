@@ -20,9 +20,3 @@ func SeqSignature(stateModel string) string { return seqSigPrefix + stateModel }
 func (c *Corpus) AddSequence(stateModel string, encoded []byte) bool {
 	return c.Add(Puzzle{Signature: SeqSignature(stateModel), Data: encoded, Model: stateModel})
 }
-
-// Sequences returns the stored encoded sequences for the named state
-// model, oldest first. The slice is shared; callers must not modify it.
-func (c *Corpus) Sequences(stateModel string) []Puzzle {
-	return c.bySig[SeqSignature(stateModel)]
-}

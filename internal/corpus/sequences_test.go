@@ -41,7 +41,7 @@ func TestAddSequenceDedupAndBound(t *testing.T) {
 		seq := session.Sequence{Steps: []session.Step{{Data: []byte(fmt.Sprintf("p%d", i))}}}
 		c.AddSequence("sm", session.Encode(nil, seq))
 	}
-	if got := len(c.Sequences("sm")); got != 4 {
+	if got := len(c.Puzzles(SeqSignature("sm"))); got != 4 {
 		t.Fatalf("per-signature bound not applied: %d", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestSequencesRideJournalSync(t *testing.T) {
 	if added != 1 {
 		t.Fatalf("second window added %d", added)
 	}
-	got := dst.Sequences("iec104")
+	got := dst.Puzzles(SeqSignature("iec104"))
 	if len(got) != 2 {
 		t.Fatalf("dst holds %d sequences, want 2", len(got))
 	}

@@ -16,15 +16,20 @@
 //
 // # Hot path
 //
-// Every consumer of a coverage map (MergeTracer, PathHash, AppendEdges,
-// CountEdges) views it as a sequence of 64-bit words and skips zero words
-// outright — the maps are sparse (a protocol execution lights a few hundred
-// edges out of 65536), so the scan touches roughly 1/64th of the map's
-// bytes. Bucketing goes through a precomputed 16-bit lookup table, AFL's
-// count_class_lookup16 trick, classifying two counters per table load. All
-// of this is observationally identical to the byte-at-a-time definitions
-// (the test suite checks the word implementations against byte-level
-// reference implementations), so campaign determinism is unaffected.
+// A Tracer keeps a dirty index of the lines Hit touched, and every
+// consumer of its map walks only those lines: Virgin.Consume (the engine's
+// per-execution step: merge, count, clear, and the adaptive scheduler's
+// rarity accounting, in one pass), Reset, PathHash (a crash's path
+// signature, read before Consume), Snapshot, and the read-only
+// MergeTracer and CountEdges that tools and the benchmark's stage replay
+// use. Within a line they view the map as 64-bit words and skip zero words
+// outright — the maps are sparse (a protocol execution lights a few
+// hundred edges out of 65536). Bucketing goes through a precomputed
+// 16-bit lookup table, AFL's count_class_lookup16 trick, classifying two
+// counters per table load. All of this is observationally identical to
+// the byte-at-a-time definitions (the test suite checks the word
+// implementations against byte-level reference implementations), so
+// campaign determinism is unaffected.
 package coverage
 
 import (
@@ -44,8 +49,8 @@ type BlockID uint16
 // dirtyLine is the granularity of the tracer's dirty index: one bit per
 // 64-byte cache line of the map. A typical protocol execution lights a few
 // hundred edges, touching well under 1/10th of the map's 1024 lines, so
-// consumers that walk the dirty index (MergeTracer, PathHash, Reset) skip
-// the overwhelmingly zero remainder without loading it at all.
+// consumers that walk the dirty index (Consume, PathHash, Reset and the
+// rest) skip the overwhelmingly zero remainder without loading it at all.
 const (
 	dirtyShift = 6                          // log2 of the line size
 	dirtyWords = MapSize >> dirtyShift / 64 // 64 lines tracked per uint64
@@ -57,8 +62,9 @@ const (
 // per-execution consumers scan only the lines this execution touched.
 //
 // A Tracer is not safe for concurrent use; each fuzzing worker owns one.
-// Code must mutate the map only through Hit, which keeps the dirty
-// index.
+// Code must write the map only through Hit, which keeps the dirty index,
+// and clear it only through Reset or Virgin.Consume, which clear exactly
+// the dirty lines and their bits.
 type Tracer struct {
 	buf   [MapSize]byte
 	dirty [dirtyWords]uint64
@@ -138,10 +144,10 @@ func (t *Tracer) PathHash() uint64 {
 // Snapshot copies the current coverage map. The copy is bucketed lazily by
 // the consumer; raw hit counts are preserved here. Only dirty lines are
 // copied — the untouched remainder of the map is provably zero (Hit is the
-// sole writer and marks every line it touches; Reset clears exactly the
-// dirty lines) and the fresh allocation is already zero-filled — so the
-// copy cost is proportional to the execution's footprint, not the map
-// size, identically to CountEdges/MergeTracer.
+// sole writer and marks every line it touches; Reset and Consume clear
+// exactly the dirty lines) and the fresh allocation is already
+// zero-filled — so the copy cost is proportional to the execution's
+// footprint, not the map size, identically to CountEdges/MergeTracer.
 func (t *Tracer) Snapshot() []byte {
 	out := make([]byte, MapSize)
 	for wi, w := range t.dirty {
@@ -151,31 +157,6 @@ func (t *Tracer) Snapshot() []byte {
 		}
 	}
 	return out
-}
-
-// AppendEdges appends the indices of the edges (non-zero bytes) lit in the
-// current map to dst and returns it, walking only dirty lines in ascending
-// index order. The adaptive scheduler uses the edge list of a valuable
-// execution as the seed's identity for rarity scoring and corpus
-// distillation.
-func (t *Tracer) AppendEdges(dst []uint16) []uint16 {
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				for b := 0; b < 64; b += 8 {
-					if byte(lw>>b) != 0 {
-						dst = append(dst, uint16(i+b/8))
-					}
-				}
-			}
-		}
-	}
-	return dst
 }
 
 // CountEdges returns the number of distinct edges (non-zero bytes) in the
@@ -261,10 +242,10 @@ type Virgin struct {
 func NewVirgin() *Virgin { return &Virgin{} }
 
 // MergeTracer folds one execution's map into the accumulator, walking only
-// the lines the execution touched — the per-execution feedback step of the
-// engine. It returns true if the execution is "valuable": it produced at
-// least one (edge, bucket) pair never seen before. The tracer is read, not
-// modified.
+// the lines the execution touched: Consume's merge, without its counting
+// and clearing. It returns true if the execution is "valuable": it
+// produced at least one (edge, bucket) pair never seen before. The tracer
+// is read, not modified.
 //
 // Bucket values are single bits, so "bucket b unseen at edge i" is exactly
 // "b &^ seen[i] != 0", which vectorizes over eight edges per word; only
@@ -298,6 +279,70 @@ func (v *Virgin) MergeTracer(t *Tracer) bool {
 		}
 	}
 	return valuable
+}
+
+// Consume is the engine's per-execution feedback step: one walk over the
+// lines the execution dirtied that merges the tracer's map into v
+// (MergeTracer), counts its edges (CountEdges) and clears each line
+// behind it (Reset), so the executor's next Reset finds nothing to clear.
+// It returns MergeTracer's valuable verdict and CountEdges' figure.
+// Whatever else must read the trace — PathHash for a crash — reads it
+// first.
+//
+// When h is non-nil the same walk counts the execution into h (what a
+// HitCounts' per-execution accumulation is defined as: every lit edge
+// gains one, saturating) and appends each lit edge's index, ascending, to
+// edges, which it returns; otherwise edges is returned as given. This is
+// the adaptive scheduler's rarity accounting and its seeds' edge lists.
+func (v *Virgin) Consume(t *Tracer, h *HitCounts, edges []uint16) (valuable bool, n int, _ []uint16) {
+	const lo7, hi = 0x7F7F7F7F7F7F7F7F, 0x8080808080808080
+	seen := v.seen[:]
+	if h != nil {
+		h.execs++
+	}
+	for wi, w := range t.dirty {
+		if w == 0 {
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
+			for i := base; i < base+(1<<dirtyShift); i += 8 {
+				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
+				if lw == 0 {
+					continue
+				}
+				// The high bit of each byte of zero marks a zero counter.
+				zero := ^((lw&lo7 + lo7) | lw | lo7) & hi
+				n += 8 - bits.OnesCount64(zero)
+				if h != nil {
+					for b := 0; b < 64; b += 8 {
+						if byte(lw>>b) != 0 {
+							if c := &h.counts[i+b/8]; *c != ^uint32(0) {
+								*c++
+							}
+							edges = append(edges, uint16(i+b/8))
+						}
+					}
+				}
+				binary.LittleEndian.PutUint64(t.buf[i:i+8], 0)
+				sw := binary.LittleEndian.Uint64(seen[i : i+8])
+				novel := classifyWord(lw) &^ sw
+				if novel == 0 {
+					continue
+				}
+				valuable = true
+				for b := 0; b < 64; b += 8 {
+					if byte(sw>>b) == 0 && byte(novel>>b) != 0 {
+						v.edges++
+					}
+				}
+				binary.LittleEndian.PutUint64(seen[i:i+8], sw|novel)
+			}
+		}
+		t.dirty[wi] = 0
+	}
+	t.prev = 0
+	return valuable, n, edges
 }
 
 // MergeVirgin folds another accumulator's observed state into v, the

@@ -1,10 +1,5 @@
 package coverage
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
-
 // This file implements the per-edge global hit accounting behind
 // rarity-weighted seed selection: Virgin answers "has this (edge, bucket)
 // ever been seen?", HitCounts answers "how often has this edge been lit
@@ -30,32 +25,6 @@ type HitCounts struct {
 
 // NewHitCounts returns an empty per-edge execution counter map.
 func NewHitCounts() *HitCounts { return &HitCounts{} }
-
-// AccumulateTracer folds one execution's footprint into the counters: every
-// edge lit in the tracer's live map gains one, walking only dirty lines
-// (the per-execution cost is proportional to the footprint, like
-// MergeTracer's).
-func (h *HitCounts) AccumulateTracer(t *Tracer) {
-	h.execs++
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				for b := 0; b < 64; b += 8 {
-					if byte(lw>>b) != 0 {
-						if c := &h.counts[i+b/8]; *c != ^uint32(0) {
-							*c++
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // Count returns how many accumulated executions lit the edge.
 func (h *HitCounts) Count(edge uint16) uint32 { return h.counts[edge] }

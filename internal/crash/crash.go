@@ -146,11 +146,11 @@ func copySequence(seq [][]byte) [][]byte {
 }
 
 // ReportHang counts a hanging execution and files its triage
-// context: the exhausted budget (steps or watchdog milliseconds) and the
-// offending packet, classed by its HangPrefixLen-byte prefix. At most
-// maxHangClasses distinct classes are retained; the hang tally is always
-// exact.
-func (b *Bank) ReportHang(budget int, packet []byte) {
+// context: the exhausted budget (the process executor's watchdog timeout,
+// in milliseconds) and the offending packet, classed by its
+// HangPrefixLen-byte prefix. At most maxHangClasses distinct classes are
+// retained; the hang tally is always exact.
+func (b *Bank) ReportHang(millis int, packet []byte) {
 	prefix := packet
 	if len(prefix) > HangPrefixLen {
 		prefix = prefix[:HangPrefixLen]
@@ -170,7 +170,7 @@ func (b *Bank) ReportHang(budget int, packet []byte) {
 		return
 	}
 	h := &HangRecord{
-		Budget: budget,
+		Budget: millis,
 		Prefix: append([]byte(nil), prefix...),
 		Count:  1,
 	}

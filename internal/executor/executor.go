@@ -59,16 +59,17 @@ func (o Outcome) String() string {
 
 // Result is the supervisor's view of one execution: what happened and the
 // fault details when it crashed. The execution's coverage stays in the
-// backend's tracer until the next Run; the engine hashes it into a crash's
-// path signature (Tracer.PathHash) only when there is a crash to triage.
+// backend's tracer until the next Run or until the engine consumes it; the
+// engine hashes it into a crash's path signature (Tracer.PathHash) only
+// when there is a crash to triage.
 // The fields below the fault are filled only by the process backend.
 type Result struct {
 	Outcome Outcome
 	Fault   *mem.Fault // non-nil iff Outcome == Crash
-	// HangSteps is the budget the hanging execution exhausted: the
-	// watchdog timeout in milliseconds for a supervised process. 0 unless
-	// Outcome == Hang.
-	HangSteps int
+	// HangMillis is the budget the hanging execution exhausted: the
+	// process backend's watchdog timeout, in milliseconds. 0 unless
+	// Outcome == Hang (in-process executions never hang).
+	HangMillis int
 	// Repro, when non-nil, is the exact packet sequence (oldest first,
 	// the current packet last) that drove the target from a fresh start
 	// to this crash or hang — the replayable reproducer captured by the
@@ -83,8 +84,12 @@ type Result struct {
 
 // Executor runs one generated packet against the target and classifies the
 // outcome. Implementations own a coverage tracer that, after each Run,
-// holds exactly that execution's coverage map — the engine merges it into
-// the campaign's virgin state and hashes it for path signatures.
+// holds exactly that execution's coverage map, and reset it at the start
+// of every Run. The engine reads the map once per execution — a crash's
+// path signature first, then coverage.Virgin.Consume, which merges it into
+// the campaign's virgin state and clears it — so a Reset at the next Run
+// usually finds nothing left to clear. Nothing may read the tracer after
+// the engine has observed the execution.
 //
 // Run returns an error only for backend-infrastructure failures the
 // executor cannot recover by itself (the target binary is missing, the
@@ -94,7 +99,8 @@ type Result struct {
 type Executor interface {
 	// Run executes one packet and classifies what happened.
 	Run(packet []byte) (Result, error)
-	// Tracer exposes the coverage map of the most recent Run.
+	// Tracer exposes the coverage map of the most recent Run, until the
+	// engine consumes it.
 	Tracer() *coverage.Tracer
 	// Close releases the backend (kills a supervised process, closes its
 	// connection). Idempotent.

@@ -518,7 +518,7 @@ func (p *Proc) hangResult() Result {
 	p.cfg.Logf("executor: watchdog fired after %v; process group killed", p.cfg.ExecTimeout)
 	return Result{
 		Outcome:     Hang,
-		HangSteps:   int(p.cfg.ExecTimeout / time.Millisecond),
+		HangMillis:  int(p.cfg.ExecTimeout / time.Millisecond),
 		Repro:       repro,
 		ReproStarts: starts,
 	}

@@ -176,8 +176,8 @@ func TestProcWatchdogHang(t *testing.T) {
 	if res.Outcome != Hang {
 		t.Fatalf("outcome = %v, want Hang", res.Outcome)
 	}
-	if res.HangSteps != 150 {
-		t.Fatalf("HangSteps = %d, want 150 (watchdog ms)", res.HangSteps)
+	if res.HangMillis != 150 {
+		t.Fatalf("HangMillis = %d, want 150 (watchdog ms)", res.HangMillis)
 	}
 	if len(res.Repro) != 2 {
 		t.Fatalf("hang reproducer has %d packets, want 2", len(res.Repro))

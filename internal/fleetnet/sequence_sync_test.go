@@ -18,7 +18,7 @@ import (
 func seqPool(state *core.SyncState, name string) [][]byte {
 	var out [][]byte
 	state.Exchange(core.ExchangeFunc(func(_ *coverage.Virgin, corp *corpus.Corpus, _ *crash.Bank) error {
-		for _, p := range corp.Sequences(name) {
+		for _, p := range corp.Puzzles(corpus.SeqSignature(name)) {
 			out = append(out, append([]byte(nil), p.Data...))
 		}
 		return nil
@@ -97,7 +97,7 @@ func TestSequenceSyncLossless(t *testing.T) {
 	// The reserved namespace survived the trip: the entries are stored
 	// under the sequence signature, invisible to donor lookups.
 	state.Exchange(core.ExchangeFunc(func(_ *coverage.Virgin, corp *corpus.Corpus, _ *crash.Bank) error {
-		for _, p := range corp.Sequences(sm.Name) {
+		for _, p := range corp.Puzzles(corpus.SeqSignature(sm.Name)) {
 			if p.Signature != corpus.SeqSignature(sm.Name) {
 				t.Errorf("synced sequence stored under non-reserved signature %q", p.Signature)
 			}

@@ -18,8 +18,10 @@ import (
 type Mutator interface {
 	// Name identifies the mutator in logs and ablation reports.
 	Name() string
-	// Applies reports whether the mutator can handle the chunk.
-	Applies(c *datamodel.Chunk) bool
+	// Kinds is the set of chunk kinds the mutator handles. Whether a
+	// mutator applies depends on the chunk's kind alone, so a Table
+	// resolves it once per kind instead of once per pick.
+	Kinds() Kinds
 	// Mutate returns new wire bytes for the chunk, allocated from a when
 	// possible: on the engine's hot path the returned slice lives only
 	// until the arena's next Reset (one generation round), which is the
@@ -50,8 +52,8 @@ type NumberRandom struct{}
 // Name implements Mutator.
 func (NumberRandom) Name() string { return "NumberRandom" }
 
-// Applies accepts Number chunks.
-func (NumberRandom) Applies(c *datamodel.Chunk) bool { return c.Kind == datamodel.Number }
+// Kinds implements Mutator: Number chunks.
+func (NumberRandom) Kinds() Kinds { return numberKinds }
 
 // Mutate implements Mutator.
 func (NumberRandom) Mutate(r *rng.RNG, c *datamodel.Chunk, _ []byte, a *datamodel.Arena) []byte {
@@ -71,8 +73,8 @@ type NumberEdgeCase struct{}
 // Name implements Mutator.
 func (NumberEdgeCase) Name() string { return "NumberEdgeCase" }
 
-// Applies accepts Number chunks.
-func (NumberEdgeCase) Applies(c *datamodel.Chunk) bool { return c.Kind == datamodel.Number }
+// Kinds implements Mutator: Number chunks.
+func (NumberEdgeCase) Kinds() Kinds { return numberKinds }
 
 // Mutate implements Mutator.
 func (NumberEdgeCase) Mutate(r *rng.RNG, c *datamodel.Chunk, _ []byte, a *datamodel.Arena) []byte {
@@ -86,8 +88,8 @@ type NumberDeltaFromDefault struct{}
 // Name implements Mutator.
 func (NumberDeltaFromDefault) Name() string { return "NumberDeltaFromDefault" }
 
-// Applies accepts Number chunks.
-func (NumberDeltaFromDefault) Applies(c *datamodel.Chunk) bool { return c.Kind == datamodel.Number }
+// Kinds implements Mutator: Number chunks.
+func (NumberDeltaFromDefault) Kinds() Kinds { return numberKinds }
 
 // Mutate implements Mutator.
 func (NumberDeltaFromDefault) Mutate(r *rng.RNG, c *datamodel.Chunk, prev []byte, a *datamodel.Arena) []byte {
@@ -113,10 +115,8 @@ type BlobRandom struct{}
 // Name implements Mutator.
 func (BlobRandom) Name() string { return "BlobRandom" }
 
-// Applies accepts Blob and String chunks.
-func (BlobRandom) Applies(c *datamodel.Chunk) bool {
-	return c.Kind == datamodel.Blob || c.Kind == datamodel.String
-}
+// Kinds implements Mutator: Blob and String chunks.
+func (BlobRandom) Kinds() Kinds { return blobKinds }
 
 // Mutate implements Mutator.
 func (BlobRandom) Mutate(r *rng.RNG, c *datamodel.Chunk, _ []byte, a *datamodel.Arena) []byte {
@@ -138,10 +138,8 @@ type BlobBitFlip struct{}
 // Name implements Mutator.
 func (BlobBitFlip) Name() string { return "BlobBitFlip" }
 
-// Applies accepts Blob and String chunks.
-func (BlobBitFlip) Applies(c *datamodel.Chunk) bool {
-	return c.Kind == datamodel.Blob || c.Kind == datamodel.String
-}
+// Kinds implements Mutator: Blob and String chunks.
+func (BlobBitFlip) Kinds() Kinds { return blobKinds }
 
 // Mutate implements Mutator.
 func (BlobBitFlip) Mutate(r *rng.RNG, c *datamodel.Chunk, prev []byte, a *datamodel.Arena) []byte {
@@ -169,10 +167,8 @@ type BlobExpand struct{}
 // Name implements Mutator.
 func (BlobExpand) Name() string { return "BlobExpand" }
 
-// Applies accepts Blob and String chunks.
-func (BlobExpand) Applies(c *datamodel.Chunk) bool {
-	return c.Kind == datamodel.Blob || c.Kind == datamodel.String
-}
+// Kinds implements Mutator: Blob and String chunks.
+func (BlobExpand) Kinds() Kinds { return blobKinds }
 
 // Mutate implements Mutator.
 func (BlobExpand) Mutate(r *rng.RNG, c *datamodel.Chunk, prev []byte, a *datamodel.Arena) []byte {
@@ -211,10 +207,8 @@ type BlobTruncate struct{}
 // Name implements Mutator.
 func (BlobTruncate) Name() string { return "BlobTruncate" }
 
-// Applies accepts Blob and String chunks.
-func (BlobTruncate) Applies(c *datamodel.Chunk) bool {
-	return c.Kind == datamodel.Blob || c.Kind == datamodel.String
-}
+// Kinds implements Mutator: Blob and String chunks.
+func (BlobTruncate) Kinds() Kinds { return blobKinds }
 
 // Mutate implements Mutator.
 func (BlobTruncate) Mutate(r *rng.RNG, c *datamodel.Chunk, prev []byte, a *datamodel.Arena) []byte {
@@ -244,15 +238,28 @@ func Suite() []Mutator {
 	}
 }
 
+// Kinds is a set of chunk kinds, one bit per datamodel.Kind.
+type Kinds uint32
+
+// The kind sets of the built-in mutators.
+const (
+	numberKinds = Kinds(1) << datamodel.Number
+	blobKinds   = Kinds(1)<<datamodel.Blob | Kinds(1)<<datamodel.String
+)
+
+// Has reports whether k is in the set.
+func (s Kinds) Has(k datamodel.Kind) bool { return k >= 0 && k < 32 && s&(1<<k) != 0 }
+
 // Pick selects a uniformly random mutator applicable to the chunk, or nil
-// when none applies (interior chunks). The applicable set is counted and
-// indexed in place rather than materialized, so Pick is allocation-free on
-// the per-leaf hot path; the single Intn draw over the same count keeps the
-// RNG stream identical to the materializing implementation.
+// when none applies (interior chunks), by scanning the suite: one Intn
+// draw over the applicable count, then the k-th applicable mutator in
+// suite order. It allocates nothing. A Table draws the same mutator with
+// the same single draw from a list it built once; Pick is the scan the
+// table is held to, for callers without one.
 func Pick(r *rng.RNG, suite []Mutator, c *datamodel.Chunk) Mutator {
 	apt := 0
 	for _, m := range suite {
-		if m.Applies(c) {
+		if m.Kinds().Has(c.Kind) {
 			apt++
 		}
 	}
@@ -261,7 +268,7 @@ func Pick(r *rng.RNG, suite []Mutator, c *datamodel.Chunk) Mutator {
 	}
 	k := r.Intn(apt)
 	for _, m := range suite {
-		if !m.Applies(c) {
+		if !m.Kinds().Has(c.Kind) {
 			continue
 		}
 		if k == 0 {
@@ -272,58 +279,85 @@ func Pick(r *rng.RNG, suite []Mutator, c *datamodel.Chunk) Mutator {
 	return nil // unreachable
 }
 
+// Table is a mutator suite indexed by chunk kind: for each kind, the suite
+// indices of the mutators that handle it, in suite order. A pick is then
+// one draw and one lookup. Built once per engine; read-only afterwards.
+type Table struct {
+	suite  []Mutator
+	byKind [32][]int // suite indices per kind; 32 = the width of Kinds
+}
+
+// NewTable indexes the suite by kind.
+func NewTable(suite []Mutator) *Table {
+	t := &Table{suite: suite}
+	for i, m := range suite {
+		for k := range t.byKind {
+			if m.Kinds().Has(datamodel.Kind(k)) {
+				t.byKind[k] = append(t.byKind[k], i)
+			}
+		}
+	}
+	return t
+}
+
+// Suite returns the indexed suite, in suite order. Callers must not modify
+// it.
+func (t *Table) Suite() []Mutator { return t.suite }
+
+// applicable lists the suite indices of the mutators handling c's kind.
+func (t *Table) applicable(c *datamodel.Chunk) []int {
+	if c.Kind < 0 || int(c.Kind) >= len(t.byKind) {
+		return nil
+	}
+	return t.byKind[c.Kind]
+}
+
+// Pick is the package-level Pick over the table's suite: the same
+// mutator, drawn with the same single Intn.
+func (t *Table) Pick(r *rng.RNG, c *datamodel.Chunk) Mutator {
+	apt := t.applicable(c)
+	if len(apt) == 0 {
+		return nil
+	}
+	return t.suite[apt[r.Intn(len(apt))]]
+}
+
 // PickWeighted selects a mutator applicable to the chunk with probability
 // proportional to its weight, returning it with its suite index, or
-// (nil, -1) when none applies. weights is indexed parallel to suite;
+// (nil, -1) when none applies. weights is indexed parallel to the suite;
 // entries for inapplicable mutators are ignored. A nil (or short) weights
-// slice treats missing entries as weight 1, so PickWeighted(r, suite, c,
-// nil) is a uniform draw like Pick — but note it draws from the RNG
-// differently (one Uint64 over the weight total rather than one Intn over
-// the applicable count), so the two are distinct streams: the engine's
+// slice treats missing entries as weight 1, so PickWeighted(r, c, nil) is
+// a uniform draw like Pick — but note it draws from the RNG differently
+// (one Uint64 over the weight total rather than one Intn over the
+// applicable count), so the two are distinct streams: the engine's
 // adaptive-off path must keep calling Pick.
 //
-// Like Pick, the applicable set is scanned in place and exactly one RNG
-// value is consumed per call with at least one applicable mutator, so the
-// choice is deterministic for a fixed RNG state and allocation-free.
-// Callers enforce the scheduler's starvation floor by never passing a zero
-// weight; a weight of 0 is tolerated (the mutator is simply never drawn)
-// unless every applicable weight is 0, which falls back to a uniform draw
-// over the applicable set so the call still consumes one value and returns
-// a mutator.
-func PickWeighted(r *rng.RNG, suite []Mutator, c *datamodel.Chunk, weights []uint32) (Mutator, int) {
-	var total uint64
-	apt := 0
-	for i, m := range suite {
-		if !m.Applies(c) {
-			continue
-		}
-		apt++
-		total += uint64(weightAt(weights, i))
-	}
-	if apt == 0 {
+// Exactly one RNG value is consumed per call with at least one applicable
+// mutator, so the choice is deterministic for a fixed RNG state, and the
+// call allocates nothing. Callers enforce the scheduler's starvation floor
+// by never passing a zero weight; a weight of 0 is tolerated (the mutator
+// is simply never drawn) unless every applicable weight is 0, which falls
+// back to a uniform draw over the applicable set so the call still
+// consumes one value and returns a mutator.
+func (t *Table) PickWeighted(r *rng.RNG, c *datamodel.Chunk, weights []uint32) (Mutator, int) {
+	apt := t.applicable(c)
+	if len(apt) == 0 {
 		return nil, -1
+	}
+	var total uint64
+	for _, i := range apt {
+		total += uint64(weightAt(weights, i))
 	}
 	if total == 0 {
 		// All applicable weights zero: degrade to the uniform draw.
-		k := r.Intn(apt)
-		for i, m := range suite {
-			if !m.Applies(c) {
-				continue
-			}
-			if k == 0 {
-				return m, i
-			}
-			k--
-		}
+		i := apt[r.Intn(len(apt))]
+		return t.suite[i], i
 	}
 	k := r.Uint64() % total
-	for i, m := range suite {
-		if !m.Applies(c) {
-			continue
-		}
+	for _, i := range apt {
 		w := uint64(weightAt(weights, i))
 		if k < w {
-			return m, i
+			return t.suite[i], i
 		}
 		k -= w
 	}

@@ -174,13 +174,13 @@ func TestSuiteApplicability(t *testing.T) {
 	suite := Suite()
 	nApplies, bApplies := 0, 0
 	for _, m := range suite {
-		if m.Applies(num(2)) {
+		if m.Kinds().Has(datamodel.Number) {
 			nApplies++
 		}
-		if m.Applies(blob(4)) {
+		if m.Kinds().Has(datamodel.Blob) {
 			bApplies++
 		}
-		if m.Applies(datamodel.Blk("x", num(1))) {
+		if m.Kinds().Has(datamodel.Block) {
 			t.Fatalf("%s applies to a block", m.Name())
 		}
 	}
@@ -194,7 +194,7 @@ func TestPickReturnsApplicable(t *testing.T) {
 	suite := Suite()
 	for i := 0; i < 100; i++ {
 		m := Pick(r, suite, num(2))
-		if m == nil || !m.Applies(num(2)) {
+		if m == nil || !m.Kinds().Has(datamodel.Number) {
 			t.Fatal("Pick returned inapplicable mutator")
 		}
 	}
@@ -231,7 +231,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 func TestMutatorsDeterministicUnderSeed(t *testing.T) {
 	for _, m := range Suite() {
 		var c *datamodel.Chunk
-		if m.Applies(num(4)) {
+		if m.Kinds().Has(datamodel.Number) {
 			c = num(4)
 		} else {
 			c = vblob(1, 16)

@@ -51,7 +51,7 @@ func TestPickWeightedDeterministic(t *testing.T) {
 		r := rng.New(7)
 		var got []int
 		for i := 0; i < 200; i++ {
-			m, idx := PickWeighted(r, suite, vblob(0, 8), weights)
+			m, idx := NewTable(suite).PickWeighted(r, vblob(0, 8), weights)
 			if m == nil || idx < 0 || suite[idx] != m {
 				t.Fatalf("draw %d: m=%v idx=%d", i, m, idx)
 			}
@@ -81,7 +81,7 @@ func TestPickWeightedFollowsWeights(t *testing.T) {
 	weights := make([]uint32, len(suite))
 	hot := -1
 	for i, m := range suite {
-		if !m.Applies(c) {
+		if !m.Kinds().Has(c.Kind) {
 			continue
 		}
 		weights[i] = 16
@@ -93,7 +93,7 @@ func TestPickWeightedFollowsWeights(t *testing.T) {
 	counts := make(map[int]int)
 	const draws = 4000
 	for i := 0; i < draws; i++ {
-		_, idx := PickWeighted(r, suite, c, weights)
+		_, idx := NewTable(suite).PickWeighted(r, c, weights)
 		counts[idx]++
 	}
 	// hot carries 256 of 304 total weight ≈ 84%; each cold one ≈ 5%.
@@ -101,7 +101,7 @@ func TestPickWeightedFollowsWeights(t *testing.T) {
 		t.Fatalf("hot mutator drawn %d/%d, want the majority", counts[hot], draws)
 	}
 	for i, m := range suite {
-		if !m.Applies(c) || i == hot {
+		if !m.Kinds().Has(c.Kind) || i == hot {
 			continue
 		}
 		if counts[i] == 0 {
@@ -120,8 +120,8 @@ func TestPickWeightedNilUniform(t *testing.T) {
 	counts := make(map[int]int)
 	const draws = 3000
 	for i := 0; i < draws; i++ {
-		m, idx := PickWeighted(r, suite, c, nil)
-		if m == nil || !m.Applies(c) {
+		m, idx := NewTable(suite).PickWeighted(r, c, nil)
+		if m == nil || !m.Kinds().Has(c.Kind) {
 			t.Fatal("nil-weights draw returned inapplicable mutator")
 		}
 		counts[idx]++
@@ -146,8 +146,8 @@ func TestPickWeightedZeroTotalFallsBack(t *testing.T) {
 	weights := make([]uint32, len(suite))
 	seen := make(map[int]bool)
 	for i := 0; i < 500; i++ {
-		m, idx := PickWeighted(r, suite, c, weights)
-		if m == nil || !m.Applies(c) {
+		m, idx := NewTable(suite).PickWeighted(r, c, weights)
+		if m == nil || !m.Kinds().Has(c.Kind) {
 			t.Fatal("zero-total draw returned inapplicable mutator")
 		}
 		seen[idx] = true
@@ -163,7 +163,7 @@ func TestPickWeightedInapplicable(t *testing.T) {
 	r := rng.New(3)
 	before := r.Uint64()
 	r = rng.New(3)
-	m, idx := PickWeighted(r, Suite(), datamodel.Blk("x", num(1)), nil)
+	m, idx := NewTable(Suite()).PickWeighted(r, datamodel.Blk("x", num(1)), nil)
 	if m != nil || idx != -1 {
 		t.Fatalf("block draw = (%v, %d), want (nil, -1)", m, idx)
 	}
@@ -181,8 +181,8 @@ func TestPickWeightedPartialWeights(t *testing.T) {
 	c := vblob(0, 8)
 	seen := make(map[int]bool)
 	for i := 0; i < 2000; i++ {
-		m, idx := PickWeighted(r, suite, c, []uint32{1})
-		if m == nil || !m.Applies(c) {
+		m, idx := NewTable(suite).PickWeighted(r, c, []uint32{1})
+		if m == nil || !m.Kinds().Has(c.Kind) {
 			t.Fatal("short-weights draw returned inapplicable mutator")
 		}
 		seen[idx] = true
