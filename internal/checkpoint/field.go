@@ -7,11 +7,13 @@ import (
 )
 
 // Field is one unit of checkpointed state: it writes itself through a
-// Writer and reads itself back through a Reader. Whole layers satisfy it
-// with hand-written methods (mem.Heap, coverage.Virgin, corpus.Corpus,
-// crash.Bank); the constructors below build one over a pointer into the
-// owner's storage, so a target declares its state once as an ordered
-// []Field and write/read symmetry and width checks hold by construction.
+// Writer and reads itself back through a Reader. The constructors below
+// build one over a pointer into the owner's storage, so a layer declares
+// its state once as an ordered []Field and write/read symmetry and width
+// checks hold by construction. Whole layers satisfy it too: mem.Heap,
+// corpus.Corpus and crash.Bank walk their own field list in both
+// directions (the last two validate and rebuild their indexes in one pass
+// after it), and coverage.Virgin's sparse bitmap codec is hand-written.
 type Field interface {
 	// Snapshot appends the field's encoding.
 	Snapshot(w *Writer)

@@ -106,16 +106,18 @@ type workerPeer struct {
 // the shared state back into the worker. The pull half is what makes
 // sharding more than N independent campaigns — a worker stops re-counting
 // paths the fleet has already found and gains donor material cracked by its
-// peers (local or, through the network transport, remote). After each
-// window the consumed journal prefixes are compacted away on both sides.
+// peers (local or, through the network transport, remote). Puzzles move
+// through ReadJournal and Absorb, the pair a network peer session uses.
+// After each window the consumed journal prefixes are compacted away on
+// both sides.
 func (p *workerPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashes *crash.Bank) error {
 	w := p.w
 	virgin.MergeVirgin(w.virgin)
 	w.virgin.MergeVirgin(virgin)
-	_, p.pushed = corp.MergeJournal(w.corp, p.pushed)
+	p.pushed = w.corp.ReadJournal(p.pushed, func(pz corpus.Puzzle) { corp.Absorb(pz) })
 	w.corp.AdvancePeer(p.selfID, p.pushed)
 	w.corp.CompactJournal()
-	_, p.pulled = w.corp.MergeJournal(corp, p.pulled)
+	p.pulled = corp.ReadJournal(p.pulled, func(pz corpus.Puzzle) { w.corp.Absorb(pz) })
 	corp.AdvancePeer(p.sharedID, p.pulled)
 	corp.CompactJournal()
 	// Publish the worker's unique faults so a network hub can relay them;

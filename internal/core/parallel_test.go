@@ -205,16 +205,28 @@ func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 	}
 }
 
+// replayAll folds src's whole store into dst through the sync path
+// (ReadJournal from a mark outside the journal, then Absorb) and returns
+// how many puzzles were new to dst.
+func replayAll(dst, src *corpus.Corpus) (added int) {
+	src.ReadJournal(-1, func(p corpus.Puzzle) {
+		if dst.Absorb(p) {
+			added++
+		}
+	})
+	return added
+}
+
 // TestJournalSyncMatchesFullMerge: a fleet whose sync windows exchange
-// journal deltas must end with the same shared corpus a full MergeFrom walk
-// would produce.
+// journal deltas must end with the same shared corpus a full replay of
+// every worker would produce.
 func TestJournalSyncMatchesFullMerge(t *testing.T) {
 	f := newFleet(t, 3, 128, 11)
 	f.Run(4000)
 	// Rebuild the union corpus from scratch with full walks.
 	full := corpus.New(0)
 	for _, w := range f.workers {
-		full.MergeFrom(w.corp)
+		replayAll(full, w.corp)
 	}
 	got := f.state.corp
 	if got.Len() == 0 {

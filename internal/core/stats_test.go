@@ -70,8 +70,8 @@ func TestDriveLeavesStateUnion(t *testing.T) {
 					t.Errorf("worker %d holds coverage the shared state lacks", i)
 				}
 				corp := corpus.New(0)
-				corp.MergeFrom(st.corp)
-				if n := corp.MergeFrom(w.corp); n != 0 {
+				replayAll(corp, st.corp)
+				if n := replayAll(corp, w.corp); n != 0 {
 					t.Errorf("worker %d holds %d puzzles the shared state would take", i, n)
 				}
 			}

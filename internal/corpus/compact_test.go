@@ -102,7 +102,7 @@ func TestMergeJournalAfterCompactionConverges(t *testing.T) {
 	mark := 0
 	for round := 0; round < 6; round++ {
 		fill(src, round*25, 25)
-		_, mark = subject.MergeJournal(src, mark)
+		_, mark = merge(subject, src, mark)
 		src.AdvancePeer(peer, mark)
 		if round%2 == 1 {
 			if dropped := src.CompactJournal(); dropped == 0 {
@@ -114,7 +114,7 @@ func TestMergeJournalAfterCompactionConverges(t *testing.T) {
 	control := New(0) // one full replay of an uncompacted equivalent
 	full := New(0)
 	fill(full, 0, 150)
-	control.MergeJournal(full, 0)
+	merge(control, full, 0)
 
 	equalCorpora(t, subject, control)
 }
@@ -132,7 +132,7 @@ func TestMergeJournalFallbackOnCompactedMark(t *testing.T) {
 	}
 
 	stale := New(0)
-	added, mark := stale.MergeJournal(src, 3) // 3 < JournalBase: fallback
+	added, mark := merge(stale, src, 3) // 3 < JournalBase: fallback
 	if mark != src.JournalLen() {
 		t.Fatalf("fallback mark = %d, want %d", mark, src.JournalLen())
 	}
@@ -140,7 +140,7 @@ func TestMergeJournalFallbackOnCompactedMark(t *testing.T) {
 		t.Fatalf("fallback added %d puzzles, want the full corpus (%d)", added, src.Len())
 	}
 	fresh := New(0)
-	fresh.MergeFrom(src)
+	merge(fresh, src, fullReplay)
 	equalCorpora(t, stale, fresh)
 }
 

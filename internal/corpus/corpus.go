@@ -39,7 +39,7 @@ type Corpus struct {
 	inserted int             // accepted Add calls, evictions included; part of the checkpoint image
 	// journal is the list of accepted puzzles in acceptance order. Sync
 	// peers remember how far into a corpus's journal they have read
-	// (JournalLen) and exchange only the tail (MergeJournal), making a
+	// (JournalLen) and exchange only the tail (ReadJournal), making a
 	// sync window O(puzzles since last sync) instead of O(corpus). An
 	// evicted puzzle's journal entry just dedups or bounces off a full
 	// signature when replayed.
@@ -212,7 +212,7 @@ func (c *Corpus) CrossModelDonorsInto(dst []Puzzle, chunk *datamodel.Chunk, mode
 // bytes, returning true when it was present. This is the corpus-distillation
 // primitive: the scheduler removes puzzles whose source seeds fell out of
 // the minimal covering set, shrinking the donor lists (and with them what
-// MergeFrom-based full replays ship).
+// ReadJournal's full replays ship).
 //
 // Remove touches only the live store (bySig and the dedup set) — never the
 // acceptance journal or the registered peer cursors. A removed puzzle's
@@ -244,45 +244,6 @@ func (c *Corpus) Remove(sig string, data []byte) bool {
 	return false
 }
 
-// MergeFrom folds o's puzzles into c, returning how many were new.
-// Iteration is in sorted-signature order so merging is deterministic for a
-// fixed pair of corpora. Puzzle data is shared, not copied: puzzles are
-// immutable once stored, so the slices may safely back both corpora.
-//
-// Merged puzzles only fill a signature's spare capacity — unlike Add they
-// never evict. Eviction forgets dedup keys, so an evicting merge between
-// two bounded corpora would reintroduce each other's evicted material every
-// round (perpetual churn) and displace fresh local puzzles with old remote
-// ones; filling spare capacity keeps each corpus's own freshness ordering
-// and makes repeated merges converge to no-ops. This is the exchange step
-// of the sharded campaign runner — workers push local discoveries into the
-// shared corpus and pull the other workers' material back out.
-func (c *Corpus) MergeFrom(o *Corpus) int {
-	added := 0
-	for _, sig := range o.Signatures() {
-		for _, p := range o.bySig[sig] {
-			if c.addNoEvict(p) {
-				added++
-			}
-		}
-	}
-	return added
-}
-
-// addNoEvict stores one puzzle only when it is unseen and its signature has
-// spare capacity.
-func (c *Corpus) addNoEvict(p Puzzle) bool {
-	if c.seek(p.Signature, p.Data) || len(c.bySig[p.Signature]) >= c.perSig {
-		return false
-	}
-	c.seen[string(c.key)] = true
-	c.inserted++
-	c.bySig[p.Signature] = append(c.bySig[p.Signature], p)
-	c.puzzles++
-	c.journal = append(c.journal, p)
-	return true
-}
-
 // JournalLen returns the absolute length of the acceptance journal — the
 // mark a sync peer records to resume reading the journal later. Marks are
 // absolute positions: they stay valid across CompactJournal.
@@ -290,46 +251,23 @@ func (c *Corpus) JournalLen() int { return c.journalBase + len(c.journal) }
 
 // JournalBase returns the absolute index of the oldest journal entry still
 // held — the compaction horizon. A mark below it can no longer be resumed
-// incrementally; MergeJournal and ReadJournal fall back to a full replay of
-// the corpus's current contents.
+// incrementally; ReadJournal falls back to a full replay of the corpus's
+// current contents.
 func (c *Corpus) JournalBase() int { return c.journalBase }
 
-// MergeJournal folds o's puzzles accepted since mark (a previous JournalLen
-// of o) into c and returns o's new journal length. Like MergeFrom it never
-// evicts — deltas only fill spare signature capacity — and puzzle data is
-// shared, not copied. This is the incremental form of MergeFrom used by the
-// sharded campaign runner's sync windows: cost is proportional to what o
-// accepted since the last window, not to the whole corpus.
-//
-// If mark falls outside o's live journal — below the compaction horizon
-// (a reconnecting network peer whose cursor was compacted away) or beyond
-// the end (a cursor issued by some previous incarnation of o, e.g. a hub
-// that restarted with lost state) — the incremental tail is meaningless
-// and the call degrades to MergeFrom: a full replay of o's current
-// contents, which converges to the same corpus as replaying the lost
-// entries would have (dropped entries either dedup or bounce off full
-// signatures).
-func (c *Corpus) MergeJournal(o *Corpus, mark int) (added, newMark int) {
-	if mark < o.journalBase || mark > o.JournalLen() {
-		return c.MergeFrom(o), o.JournalLen()
-	}
-	for _, p := range o.journal[mark-o.journalBase:] {
-		if c.addNoEvict(p) {
-			added++
-		}
-	}
-	return added, o.JournalLen()
-}
-
 // ReadJournal invokes fn for every puzzle accepted at or after mark and
-// returns the new mark — the journal-export primitive network transports
-// use to encode a sync delta without touching corpus internals. Like
-// MergeJournal it falls back to a full replay (current contents, sorted
-// signature order) when mark falls outside the live journal: below the
-// compaction horizon, or — a cursor minted by a previous incarnation of
-// this corpus, such as a hub restarted with lost state — beyond the end.
-// Remote cursors reach this unvalidated, so out-of-range must degrade,
-// never panic.
+// returns the new mark — the export half of every sync: a local worker's
+// window feeds it straight into the other corpus's Absorb, and a network
+// transport encodes it as a delta. Cost is proportional to what was
+// accepted since mark, not to the whole corpus. When mark falls outside
+// the live journal — below the compaction horizon (a reconnecting peer
+// whose cursor was compacted away), or beyond the end (a cursor minted by
+// a previous incarnation of this corpus, such as a hub restarted with lost
+// state) — the tail is meaningless and fn instead sees a full replay of
+// the current contents in sorted signature order, which converges to the
+// same corpus as replaying the lost entries would have (dropped entries
+// either dedup or bounce off full signatures). Remote cursors reach this
+// unvalidated, so out-of-range must degrade, never panic.
 func (c *Corpus) ReadJournal(mark int, fn func(Puzzle)) (newMark int) {
 	if mark < c.journalBase || mark > c.JournalLen() {
 		for _, sig := range c.Signatures() {
@@ -345,11 +283,26 @@ func (c *Corpus) ReadJournal(mark int, fn func(Puzzle)) (newMark int) {
 	return c.JournalLen()
 }
 
-// Absorb stores one puzzle received from a sync peer: unseen content fills
+// Absorb stores one puzzle received from a sync peer — the import half of
+// every sync, fed by the other side's ReadJournal: unseen content fills
 // its signature's spare capacity and is journaled for this corpus's own
-// peers, duplicates and overflow are dropped. Never evicts (see MergeFrom
-// for why evicting merges churn). Returns true when the puzzle was new.
-func (c *Corpus) Absorb(p Puzzle) bool { return c.addNoEvict(p) }
+// peers, duplicates and overflow are dropped. Puzzle data is shared, not
+// copied: puzzles are immutable once stored, so the slices may safely back
+// both corpora. Returns true when the puzzle was new.
+//
+// Unlike Add, Absorb never evicts. Eviction forgets dedup keys, so an
+// evicting merge between two bounded corpora would reintroduce each
+// other's evicted material every round (perpetual churn) and displace
+// fresh local puzzles with old remote ones; filling spare capacity keeps
+// each corpus's own freshness ordering and makes repeated merges converge
+// to no-ops.
+func (c *Corpus) Absorb(p Puzzle) bool {
+	if c.seek(p.Signature, p.Data) || len(c.bySig[p.Signature]) >= c.perSig {
+		return false
+	}
+	c.insert(p) // the signature has room, so nothing is evicted
+	return true
+}
 
 // RegisterPeer declares a sync consumer of this corpus's journal, starting
 // at absolute cursor (0 for a fresh peer, a saved mark for a resuming one;
@@ -381,7 +334,7 @@ func (c *Corpus) AdvancePeer(id, cursor int) {
 
 // DropPeer unregisters a sync peer (a disconnected network leaf), so a dead
 // consumer no longer pins the journal. If the peer later resumes with its
-// old mark, RegisterPeer + the MergeJournal fallback give it a full replay
+// old mark, RegisterPeer + the ReadJournal fallback give it a full replay
 // when its tail has been compacted away.
 func (c *Corpus) DropPeer(id int) {
 	if id >= 0 && id < len(c.peerCursors) {

@@ -14,6 +14,22 @@ func puzzle(sig, data, model string) Puzzle {
 	return Puzzle{Signature: sig, Data: []byte(data), Model: model}
 }
 
+// fullReplay is a mark outside every journal: reading from it replays the
+// corpus's whole store in signature order.
+const fullReplay = -1
+
+// merge folds src into dst the way every sync does — src's ReadJournal
+// from mark, each puzzle through dst's Absorb — and returns how many
+// puzzles were new to dst and src's new mark.
+func merge(dst, src *Corpus, mark int) (added, newMark int) {
+	newMark = src.ReadJournal(mark, func(p Puzzle) {
+		if dst.Absorb(p) {
+			added++
+		}
+	})
+	return added, newMark
+}
+
 func TestAddAndDonors(t *testing.T) {
 	c := New(0)
 	if !c.Empty() {
@@ -149,13 +165,13 @@ func TestMergeFromDedups(t *testing.T) {
 	b.Add(puzzle("sig1", "cc", "m2"))
 	b.Add(puzzle("sig3", "dd", "m2"))
 
-	if got := a.MergeFrom(b); got != 2 {
+	if got, _ := merge(a, b, fullReplay); got != 2 {
 		t.Fatalf("merge added %d puzzles, want 2 (one exact duplicate dropped)", got)
 	}
 	if got := a.Len(); got != 4 {
 		t.Fatalf("merged corpus holds %d puzzles, want 4", got)
 	}
-	if got := a.MergeFrom(b); got != 0 {
+	if got, _ := merge(a, b, fullReplay); got != 0 {
 		t.Fatalf("second merge added %d puzzles, want 0", got)
 	}
 	// The source corpus is unchanged.
@@ -169,7 +185,7 @@ func TestMergeFromRespectsPerSigBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Add(puzzle("sig", fmt.Sprintf("d%d", i), "m"))
 	}
-	a.MergeFrom(b)
+	merge(a, b, fullReplay)
 	if got := a.Len(); got != 2 {
 		t.Fatalf("bounded corpus holds %d puzzles, want 2", got)
 	}
@@ -182,7 +198,7 @@ func TestMergeFromNeverEvicts(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Add(puzzle("sig", fmt.Sprintf("remote%d", i), "m"))
 	}
-	if got := a.MergeFrom(b); got != 0 {
+	if got, _ := merge(a, b, fullReplay); got != 0 {
 		t.Fatalf("merge into a full signature added %d puzzles, want 0", got)
 	}
 	donors := a.bySig["sig"]
@@ -191,7 +207,7 @@ func TestMergeFromNeverEvicts(t *testing.T) {
 	}
 	// Merging is idempotent: a second pass converges to a no-op even when
 	// both corpora are bounded.
-	if got := a.MergeFrom(b); got != 0 {
+	if got, _ := merge(a, b, fullReplay); got != 0 {
 		t.Fatalf("repeat merge added %d puzzles, want 0", got)
 	}
 }
@@ -214,18 +230,18 @@ func TestMergeJournalAppliesOnlyTheDelta(t *testing.T) {
 	src.Add(puzzle("sig", "a", "m"))
 	src.Add(puzzle("sig", "b", "m"))
 
-	added, mark := dst.MergeJournal(src, 0)
+	added, mark := merge(dst, src, 0)
 	if added != 2 || mark != 2 {
 		t.Fatalf("first delta: added=%d mark=%d, want 2,2", added, mark)
 	}
 	// Nothing new: replay from the mark is a no-op.
-	if added, mark = dst.MergeJournal(src, mark); added != 0 || mark != 2 {
+	if added, mark = merge(dst, src, mark); added != 0 || mark != 2 {
 		t.Fatalf("empty delta: added=%d mark=%d, want 0,2", added, mark)
 	}
 	// New material after the mark is picked up, old entries are not
 	// re-scanned.
 	src.Add(puzzle("sig", "c", "m"))
-	if added, mark = dst.MergeJournal(src, mark); added != 1 || mark != 3 {
+	if added, mark = merge(dst, src, mark); added != 1 || mark != 3 {
 		t.Fatalf("second delta: added=%d mark=%d, want 1,3", added, mark)
 	}
 	if dst.Len() != 3 {
@@ -239,8 +255,8 @@ func TestMergeJournalMatchesMergeFrom(t *testing.T) {
 		src.Add(puzzle(fmt.Sprintf("sig%d", i%3), fmt.Sprintf("d%d", i), "m"))
 	}
 	viaFrom, viaJournal := New(2), New(2)
-	viaFrom.MergeFrom(src)
-	viaJournal.MergeJournal(src, 0)
+	merge(viaFrom, src, fullReplay)
+	merge(viaJournal, src, 0)
 	if viaFrom.Len() != viaJournal.Len() {
 		t.Fatalf("journal merge = %d puzzles, full merge = %d", viaJournal.Len(), viaFrom.Len())
 	}
@@ -255,7 +271,7 @@ func TestMergeJournalNeverEvicts(t *testing.T) {
 	src, dst := New(0), New(1)
 	dst.Add(puzzle("sig", "local", "m"))
 	src.Add(puzzle("sig", "remote", "m"))
-	if added, _ := dst.MergeJournal(src, 0); added != 0 {
+	if added, _ := merge(dst, src, 0); added != 0 {
 		t.Fatalf("delta into full signature added %d, want 0", added)
 	}
 	if got := dst.bySig["sig"][0].Data; string(got) != "local" {
@@ -268,8 +284,8 @@ func TestMergedPuzzlesPropagateThroughJournal(t *testing.T) {
 	// so a third peer syncing against the worker still sees it.
 	a, b, c := New(0), New(0), New(0)
 	a.Add(puzzle("sig", "x", "m"))
-	b.MergeJournal(a, 0)
-	c.MergeJournal(b, 0)
+	merge(b, a, 0)
+	merge(c, b, 0)
 	if c.Len() != 1 {
 		t.Fatalf("puzzle did not propagate: c has %d", c.Len())
 	}

@@ -73,7 +73,7 @@ func TestRemoveLeavesJournal(t *testing.T) {
 	}
 
 	dst := New(0)
-	if added, _ := dst.MergeJournal(src, 0); added != 2 {
+	if added, _ := merge(dst, src, 0); added != 2 {
 		t.Fatalf("replay after remove added %d, want 2 (journal is append-only)", added)
 	}
 	if dst.Len() != 2 {
@@ -91,7 +91,7 @@ func TestDistillMidSync(t *testing.T) {
 	src.Add(puzzle("sig", "a", "m"))
 	src.Add(puzzle("sig", "b", "m"))
 
-	added, mark := dst.MergeJournal(src, 0)
+	added, mark := merge(dst, src, 0)
 	if added != 2 || mark != 2 {
 		t.Fatalf("first window: added=%d mark=%d, want 2,2", added, mark)
 	}
@@ -104,7 +104,7 @@ func TestDistillMidSync(t *testing.T) {
 	src.Add(puzzle("sig", "c", "m"))
 	src.Add(puzzle("sig2", "d", "m"))
 
-	added, mark = dst.MergeJournal(src, mark)
+	added, mark = merge(dst, src, mark)
 	if added != 2 || mark != 4 {
 		t.Fatalf("post-distill window: added=%d mark=%d, want 2,4", added, mark)
 	}
@@ -113,15 +113,15 @@ func TestDistillMidSync(t *testing.T) {
 	}
 
 	// Re-replaying the full journal is idempotent for the destination…
-	if added, _ = dst.MergeJournal(src, 0); added != 0 {
+	if added, _ = merge(dst, src, 0); added != 0 {
 		t.Fatalf("full re-replay added %d, want 0", added)
 	}
 	// …and re-absorbs the pruned puzzle on the source itself, deduping on
 	// a second pass (the crash-recovery path).
-	if added, _ = src.MergeJournal(src, 0); added != 1 {
+	if added, _ = merge(src, src, 0); added != 1 {
 		t.Fatalf("self-replay re-added %d, want 1 (just the pruned puzzle)", added)
 	}
-	if added, _ = src.MergeJournal(src, 0); added != 0 {
+	if added, _ = merge(src, src, 0); added != 0 {
 		t.Fatalf("second self-replay added %d, want 0", added)
 	}
 }
@@ -170,7 +170,7 @@ func TestDistillWithPeerCursors(t *testing.T) {
 	// degrades to a full replay of the live (distilled) store — the two
 	// pruned puzzles are gone, everything else converges.
 	dst := New(0)
-	added, newMark := dst.MergeJournal(src, 0)
+	added, newMark := merge(dst, src, 0)
 	if added != src.Len() || newMark != src.JournalLen() {
 		t.Fatalf("out-of-range delta = %d,%d, want full replay %d,%d",
 			added, newMark, src.Len(), src.JournalLen())

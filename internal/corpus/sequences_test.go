@@ -56,7 +56,7 @@ func TestSequencesRideJournalSync(t *testing.T) {
 	seqA := session.Sequence{Steps: []session.Step{{State: 0, Action: 0, Data: []byte{0x68, 0x04, 0x07, 0, 0, 0}}}}
 	src.AddSequence("iec104", session.Encode(nil, seqA))
 	mark := 0
-	added, mark := dst.MergeJournal(src, mark)
+	added, mark := merge(dst, src, mark)
 	if added != 1 {
 		t.Fatalf("first window added %d", added)
 	}
@@ -66,7 +66,7 @@ func TestSequencesRideJournalSync(t *testing.T) {
 		{State: 1, Action: 2, Data: []byte("deep")},
 	}}
 	src.AddSequence("iec104", session.Encode(nil, seqB))
-	added, _ = dst.MergeJournal(src, mark)
+	added, _ = merge(dst, src, mark)
 	if added != 1 {
 		t.Fatalf("second window added %d", added)
 	}

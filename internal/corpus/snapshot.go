@@ -18,112 +18,76 @@ import (
 // stored order, every integer minimally — snapshot → restore → snapshot
 // reproduces the identical byte string.
 
-// Snapshot writes the corpus's full state through the checkpoint codec.
-func (c *Corpus) Snapshot(w *checkpoint.Writer) {
-	w.Int(c.perSig)
-	w.Int(c.inserted)
-	sigs := c.Signatures()
-	w.Int(len(sigs))
-	for _, sig := range sigs {
-		list := c.bySig[sig]
-		w.String(sig)
-		w.Int(len(list))
-		for _, p := range list {
-			w.Blob(p.Data)
-			w.String(p.Model)
-		}
-	}
-	w.Int(c.journalBase)
-	w.Int(len(c.journal))
-	for _, p := range c.journal {
-		w.String(p.Signature)
-		w.Blob(p.Data)
-		w.String(p.Model)
-	}
-	w.Int(len(c.peerCursors))
-	for _, cur := range c.peerCursors {
-		// -1 (dropped slot) encodes as 0, live cursor n as n+1 — keeps
-		// every value in uvarint range.
-		w.Int(cur + 1)
+// The entry codecs. A stored puzzle leaves out its signature, the map key
+// it is listed under; a journal entry carries its own. A peer cursor is
+// stored as cursor+1, so a dropped slot (-1) stays in uvarint range.
+var (
+	storedList = checkpoint.ListCodec(checkpoint.Codec[Puzzle]{
+		Put: func(w *checkpoint.Writer, p Puzzle) { w.Blob(p.Data); w.String(p.Model) },
+		Get: func(r *checkpoint.Reader) Puzzle { return Puzzle{Data: r.Blob(), Model: r.String()} },
+	})
+	journalList = checkpoint.ListCodec(checkpoint.Codec[Puzzle]{
+		Put: func(w *checkpoint.Writer, p Puzzle) { w.String(p.Signature); w.Blob(p.Data); w.String(p.Model) },
+		Get: func(r *checkpoint.Reader) Puzzle {
+			return Puzzle{Signature: r.String(), Data: r.Blob(), Model: r.String()}
+		},
+	})
+	cursorList = checkpoint.ListCodec(checkpoint.Codec[int]{
+		Put: func(w *checkpoint.Writer, cur int) { w.Int(cur + 1) },
+		Get: func(r *checkpoint.Reader) int { return r.Int() - 1 },
+	})
+)
+
+// fields declares the checkpointed corpus. The dedup set and the puzzle
+// count are left out: Restore rebuilds them from the store.
+func (c *Corpus) fields() []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Int(&c.perSig),
+		checkpoint.Int(&c.inserted),
+		checkpoint.Map(&c.bySig, checkpoint.StringCodec, storedList),
+		checkpoint.Int(&c.journalBase),
+		checkpoint.Value(&c.journal, journalList),
+		checkpoint.Value(&c.peerCursors, cursorList),
 	}
 }
 
-// Restore overwrites the corpus with a Snapshot-produced dump, rebuilding
-// the dedup set and puzzle counter from the restored store. Violated
-// invariants — unsorted signatures, over-capacity lists, duplicate
-// (signature, bytes) pairs, a journal horizon behind its base — fail the
-// restore.
-func (c *Corpus) Restore(r *checkpoint.Reader) error {
-	perSig := r.Int()
-	inserted := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if perSig <= 0 {
-		return fmt.Errorf("corpus: non-positive per-signature bound %d", perSig)
-	}
-	c.perSig = perSig
-	c.inserted = inserted
-	c.bySig = make(map[string][]Puzzle)
-	c.seen = make(map[string]bool)
-	c.puzzles = 0
-	c.journal = nil
-	c.journalBase = 0
-	c.peerCursors = nil
+// Snapshot writes the corpus's full state through the checkpoint codec.
+func (c *Corpus) Snapshot(w *checkpoint.Writer) { checkpoint.SnapshotFields(w, c.fields()) }
 
-	nsig := r.Count()
-	prevSig := ""
-	for i := 0; i < nsig && r.Err() == nil; i++ {
-		sig := r.String()
-		n := r.Count()
-		if r.Err() != nil {
-			break
+// Restore overwrites the corpus with a Snapshot-produced dump, then
+// rebuilds the dedup set and puzzle counter from the restored store.
+// Violated invariants — a non-positive bound, unsorted signatures, empty or
+// over-capacity lists, duplicate (signature, bytes) pairs, a peer cursor
+// beyond the journal — fail the restore.
+func (c *Corpus) Restore(r *checkpoint.Reader) error {
+	if err := checkpoint.RestoreFields(r, c.fields()); err != nil {
+		return err
+	}
+	if c.perSig <= 0 {
+		return fmt.Errorf("corpus: non-positive per-signature bound %d", c.perSig)
+	}
+	c.seen, c.puzzles = make(map[string]bool), 0
+	for _, sig := range c.Signatures() {
+		list := c.bySig[sig]
+		if len(list) == 0 || len(list) > c.perSig {
+			return fmt.Errorf("corpus: signature %q holds %d puzzles (bound %d)", sig, len(list), c.perSig)
 		}
-		if i > 0 && sig <= prevSig {
-			return fmt.Errorf("corpus: signatures out of order at %q", sig)
-		}
-		prevSig = sig
-		if n == 0 || n > c.perSig {
-			return fmt.Errorf("corpus: signature %q holds %d puzzles (bound %d)", sig, n, c.perSig)
-		}
-		list := make([]Puzzle, 0, n)
-		for j := 0; j < n && r.Err() == nil; j++ {
-			p := Puzzle{Signature: sig, Data: r.Blob(), Model: r.String()}
-			if r.Err() != nil {
-				break
-			}
-			key := dedupKey(sig, p.Data)
+		for i := range list {
+			list[i].Signature = sig
+			key := dedupKey(sig, list[i].Data)
 			if c.seen[key] {
 				return fmt.Errorf("corpus: duplicate puzzle under %q", sig)
 			}
 			c.seen[key] = true
-			list = append(list, p)
-			c.puzzles++
 		}
-		c.bySig[sig] = list
+		c.puzzles += len(list)
 	}
-
-	c.journalBase = r.Int()
-	nj := r.Count()
-	for i := 0; i < nj && r.Err() == nil; i++ {
-		p := Puzzle{Signature: r.String(), Data: r.Blob(), Model: r.String()}
-		if r.Err() == nil {
-			c.journal = append(c.journal, p)
-		}
-	}
-
-	np := r.Count()
-	for i := 0; i < np && r.Err() == nil; i++ {
-		cur := r.Int() - 1
-		if r.Err() != nil {
-			break
-		}
+	for _, cur := range c.peerCursors {
 		if cur > c.JournalLen() {
 			return fmt.Errorf("corpus: peer cursor %d beyond journal length %d", cur, c.JournalLen())
 		}
-		c.peerCursors = append(c.peerCursors, cur)
 	}
-	return r.Err()
+	return nil
 }
 
 // Peers returns the number of peer cursor slots ever registered (live and

@@ -25,6 +25,49 @@ func (r *Record) Fields() []checkpoint.Field {
 	}
 }
 
+// The entry codecs. A nil Sequence (in-process fault; single-packet
+// reproducer) is semantically distinct from an empty one, so a record's
+// reproducer follows its Fields behind a presence byte.
+var (
+	packetList = checkpoint.ListCodec(checkpoint.BlobCodec)
+	startList  = checkpoint.ListCodec(checkpoint.IntCodec)
+	recordList = checkpoint.ListCodec(checkpoint.Codec[*Record]{
+		Put: func(w *checkpoint.Writer, rec *Record) {
+			checkpoint.SnapshotFields(w, rec.Fields())
+			w.Bool(rec.Sequence != nil)
+			if rec.Sequence != nil {
+				packetList.Put(w, rec.Sequence)
+				startList.Put(w, rec.SeqStarts)
+			}
+		},
+		Get: func(r *checkpoint.Reader) *Record {
+			rec := &Record{}
+			r.Fail(checkpoint.RestoreFields(r, rec.Fields()))
+			if r.Bool() {
+				rec.Sequence = append([][]byte{}, packetList.Get(r)...)
+				rec.SeqStarts = startList.Get(r)
+			}
+			return rec
+		},
+	})
+	hangList = checkpoint.ListCodec(checkpoint.Codec[*HangRecord]{
+		Put: func(w *checkpoint.Writer, h *HangRecord) { w.Int(h.Budget); w.Blob(h.Prefix); w.Int(h.Count) },
+		Get: func(r *checkpoint.Reader) *HangRecord {
+			return &HangRecord{Budget: r.Int(), Prefix: r.Blob(), Count: r.Int()}
+		},
+	})
+)
+
+// fields declares the checkpointed bank, its records being recs. The two
+// dedup indexes are left out: Restore rebuilds them.
+func (b *Bank) fields(recs *[]*Record) []checkpoint.Field {
+	return []checkpoint.Field{
+		checkpoint.Value(recs, recordList),
+		checkpoint.Int(&b.hangs),
+		checkpoint.Value(&b.hangOrder, hangList),
+	}
+}
+
 // Snapshot writes the bank's full state through the checkpoint codec.
 func (b *Bank) Snapshot(w *checkpoint.Writer) {
 	b.mu.Lock()
@@ -34,67 +77,29 @@ func (b *Bank) Snapshot(w *checkpoint.Writer) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		r := b.byKey[k]
-		checkpoint.SnapshotFields(w, r.Fields())
-		// A nil Sequence (in-process fault; single-packet reproducer) is
-		// semantically distinct from an empty one, so its presence gets an
-		// explicit marker.
-		w.Bool(r.Sequence != nil)
-		if r.Sequence != nil {
-			w.Int(len(r.Sequence))
-			for _, p := range r.Sequence {
-				w.Blob(p)
-			}
-			w.Int(len(r.SeqStarts))
-			for _, s := range r.SeqStarts {
-				w.Int(s)
-			}
-		}
+	recs := make([]*Record, len(keys))
+	for i, k := range keys {
+		recs[i] = b.byKey[k]
 	}
-	w.Int(b.hangs)
-	w.Int(len(b.hangOrder))
-	for _, h := range b.hangOrder {
-		w.Int(h.Budget)
-		w.Blob(h.Prefix)
-		w.Int(h.Count)
-	}
+	checkpoint.SnapshotFields(w, b.fields(&recs))
 }
 
-// Restore overwrites the bank with a Snapshot-produced dump. Duplicate
-// fault identities and out-of-range session boundaries fail the restore.
+// Restore overwrites the bank with a Snapshot-produced dump, then rebuilds
+// its dedup indexes. Duplicate fault identities or hang classes and
+// out-of-range session boundaries fail the restore.
 func (b *Bank) Restore(r *checkpoint.Reader) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.byKey = make(map[string]*Record)
-	b.hangs = 0
-	b.hangByKey = nil
-	b.hangOrder = nil
-
-	n := r.Count()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := &Record{}
-		if err := checkpoint.RestoreFields(r, rec.Fields()); err != nil {
-			return err
-		}
-		if r.Bool() {
-			ns := r.Count()
-			rec.Sequence = make([][]byte, 0, ns)
-			for j := 0; j < ns && r.Err() == nil; j++ {
-				rec.Sequence = append(rec.Sequence, r.Blob())
+	var recs []*Record
+	if err := checkpoint.RestoreFields(r, b.fields(&recs)); err != nil {
+		return err
+	}
+	b.byKey = make(map[string]*Record, len(recs))
+	for _, rec := range recs {
+		for _, s := range rec.SeqStarts {
+			if s > len(rec.Sequence) {
+				return fmt.Errorf("crash: session boundary %d beyond sequence length %d", s, len(rec.Sequence))
 			}
-			nb := r.Count()
-			for j := 0; j < nb && r.Err() == nil; j++ {
-				s := r.Int()
-				if r.Err() == nil && s > len(rec.Sequence) {
-					return fmt.Errorf("crash: session boundary %d beyond sequence length %d", s, len(rec.Sequence))
-				}
-				rec.SeqStarts = append(rec.SeqStarts, s)
-			}
-		}
-		if r.Err() != nil {
-			break
 		}
 		k := RecordKey(rec)
 		if _, dup := b.byKey[k]; dup {
@@ -102,23 +107,13 @@ func (b *Bank) Restore(r *checkpoint.Reader) error {
 		}
 		b.byKey[k] = rec
 	}
-
-	b.hangs = r.Int()
-	nh := r.Count()
-	for i := 0; i < nh && r.Err() == nil; i++ {
-		h := &HangRecord{Budget: r.Int(), Prefix: r.Blob(), Count: r.Int()}
-		if r.Err() != nil {
-			break
-		}
-		if b.hangByKey == nil {
-			b.hangByKey = make(map[string]*HangRecord)
-		}
+	b.hangByKey = make(map[string]*HangRecord, len(b.hangOrder))
+	for _, h := range b.hangOrder {
 		k := string(h.Prefix)
 		if _, dup := b.hangByKey[k]; dup {
 			return fmt.Errorf("crash: duplicate hang class %q", k)
 		}
 		b.hangByKey[k] = h
-		b.hangOrder = append(b.hangOrder, h)
 	}
-	return r.Err()
+	return nil
 }
