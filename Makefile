@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci check build vet lint test test-386 race race-sync soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
+.PHONY: ci check build vet lint test test-386 race race-sync flake soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
 
 ci: build vet lint test test-386 race race-sync alloc-guard docs-check api-check loc-check soak
 
@@ -48,11 +48,34 @@ race:
 # with a write always in flight, and a leaf session with both jobs in
 # flight) add about 15 s on a 2-vCPU Xeon. The Snapshot tests ride
 # along: each worker publishes its progress record under a lock that any
-# goroutine may take (they add about 30 s).
+# goroutine may take (they add about 30 s). The tests are listed once per
+# package; flake runs the same lists.
+SYNC_FLEETNET = TestSingleLeafTransportLossless|TestSyncAfterCloseRevivesUplink
+SYNC_PEACHSTAR = TestLeafWindowOverlapsExchange|TestHubAttachmentPublishesLocalWork|TestServeAndDialSync|TestJoinMeshLoopback|TestStartStopDuringMeshSync|TestStartCancelMeshPromptness|TestStartSnapshotDuringRun|TestSnapshotMatchesStatsAfterWait
+SYNC_ROOT = TestCheckpointWriterTeardown|TestCheckpointLeafSession
+
 race-sync:
-	$(GO) test -race -count=20 -run 'TestSingleLeafTransportLossless|TestSyncAfterCloseRevivesUplink' ./internal/fleetnet
-	$(GO) test -race -count=20 -run 'TestLeafWindowOverlapsExchange|TestHubAttachmentPublishesLocalWork|TestServeAndDialSync|TestJoinMeshLoopback|TestStartStopDuringMeshSync|TestStartCancelMeshPromptness|TestStartSnapshotDuringRun|TestSnapshotMatchesStatsAfterWait' ./peachstar
-	$(GO) test -race -count=20 -run 'TestCheckpointWriterTeardown|TestCheckpointLeafSession' .
+	$(GO) test -race -count=20 -run '$(SYNC_FLEETNET)' ./internal/fleetnet
+	$(GO) test -race -count=20 -run '$(SYNC_PEACHSTAR)' ./peachstar
+	$(GO) test -race -count=20 -run '$(SYNC_ROOT)' .
+
+# Flake census: every race-sync test under the race detector N times
+# (default 200), then each package's result line and the failures per test
+# (its "--- FAIL" lines counted by name; a subtest counts under its own
+# name). Any failure makes it exit non-zero. It stays out of check and ci
+# because of its wall time: N=200 is ten race-syncs back to back. One
+# N=200 run on a 2-vCPU Xeon (go1.24.0, idle host) took 33 min
+# (fleetnet 19 min, peachstar 12, root 2) and found no failure.
+N ?= 200
+flake:
+	@log=$$(mktemp); \
+	$(GO) test -race -count=$(N) -timeout 3h -run '$(SYNC_FLEETNET)' ./internal/fleetnet >$$log 2>&1; \
+	$(GO) test -race -count=$(N) -timeout 3h -run '$(SYNC_PEACHSTAR)' ./peachstar >>$$log 2>&1; \
+	$(GO) test -race -count=$(N) -timeout 3h -run '$(SYNC_ROOT)' . >>$$log 2>&1; \
+	grep -E '^(ok|FAIL)[[:space:]]' $$log; \
+	fails=$$(sed -n 's/^ *--- FAIL: \([^ ]*\).*/\1/p' $$log | sort | uniq -c); \
+	echo "failures per test over $(N) runs:"; echo "$${fails:-      none}"; \
+	! grep -q '^FAIL' $$log; status=$$?; rm -f $$log; exit $$status
 
 # Chaos soak over the real-target execution backend: a timed campaign
 # against the bundled toy Modbus server while a chaos goroutine SIGKILLs

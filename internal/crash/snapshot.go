@@ -44,7 +44,7 @@ var (
 			rec := &Record{}
 			r.Fail(checkpoint.RestoreFields(r, rec.Fields()))
 			if r.Bool() {
-				rec.Sequence = append([][]byte{}, packetList.Get(r)...)
+				rec.Sequence = append([][]byte{}, packetList.Get(r)...) // non-nil even when empty
 				rec.SeqStarts = startList.Get(r)
 			}
 			return rec

@@ -112,7 +112,6 @@ type Proc struct {
 	sessions  bool
 
 	restarts int // process (re)spawns after the first
-	drops    int // connection drops survived without a restart
 	spawned  bool
 	closed   bool
 	broken   error // sticky unrecoverable-backend error
@@ -413,7 +412,6 @@ func (p *Proc) connFailure(cause error, packet []byte) Result {
 			return p.crashResult(st)
 		}
 		if err := p.connectProbeShort(); err == nil {
-			p.drops++
 			p.cfg.Logf("executor: survived connection drop (%v); reconnected", cause)
 			p.tracer.Hit(p.blocks[blkDrop])
 			return Result{Outcome: OK}
@@ -429,7 +427,6 @@ func (p *Proc) connFailure(cause error, packet []byte) Result {
 		if st, dead := p.exitedWithin(5 * time.Millisecond); dead {
 			return p.crashResult(st)
 		}
-		p.drops++
 		p.cfg.Logf("executor: survived connection drop (%v); reconnected", cause)
 		p.tracer.Hit(p.blocks[blkDrop])
 		if p.sessions {

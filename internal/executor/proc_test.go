@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/mem"
 )
 
@@ -235,9 +237,17 @@ func TestProcExternalKill(t *testing.T) {
 	}
 }
 
+// onlyDropMarked reports whether p's tracer holds exactly one edge, the
+// survived-drop marker a reconnect hits: the exchange saw no response.
+func onlyDropMarked(p *Proc) bool {
+	want := coverage.NewTracer()
+	want.Hit(p.blocks[blkDrop])
+	return bytes.Equal(p.Tracer().Snapshot(), want.Snapshot())
+}
+
 // TestProcDroppedConnection: a server shedding the connection (the toy
 // server drops on a malformed frame) is survived by reconnecting — no
-// crash record, no restart.
+// crash record, no restart, and the drop marker as the exec's coverage.
 func TestProcDroppedConnection(t *testing.T) {
 	p := newTestProc(t)
 	mustRun(t, p, pktRead)
@@ -249,8 +259,8 @@ func TestProcDroppedConnection(t *testing.T) {
 	if res.Outcome != OK {
 		t.Fatalf("outcome = %v, want OK (survived drop)", res.Outcome)
 	}
-	if p.Drops() != 1 {
-		t.Fatalf("Drops = %d, want 1", p.Drops())
+	if !onlyDropMarked(p) {
+		t.Fatalf("tracer holds %d edges, want only the drop marker", p.Tracer().CountEdges())
 	}
 	if p.Restarts() != 0 {
 		t.Fatalf("Restarts = %d, want 0 — a dropped connection is not a crash", p.Restarts())

@@ -116,8 +116,8 @@ func TestSessionDropReestablishesPrefix(t *testing.T) {
 	if res := mustRun(t, p, pktDrop); res.Outcome != OK {
 		t.Fatalf("drop outcome = %v, want OK (survived)", res.Outcome)
 	}
-	if p.Drops() != 1 || p.Restarts() != 0 {
-		t.Fatalf("Drops = %d Restarts = %d, want 1/0", p.Drops(), p.Restarts())
+	if !onlyDropMarked(p) || p.Restarts() != 0 {
+		t.Fatalf("tracer holds %d edges, Restarts = %d; want only the drop marker and 0", p.Tracer().CountEdges(), p.Restarts())
 	}
 	// Only a re-established prefix (STARTDT + I0 replayed on the fresh
 	// connection) lets the rest of the sequence stay in step: I1 must be
