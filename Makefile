@@ -33,9 +33,12 @@ test:
 # The codec tests with a 32-bit int: every package whose state is in a
 # checkpoint, then the byte-identity and warm-restart pins, so the format
 # and its width checks hold on both word sizes (vet only type-checks 386).
+# The frame golden pins the wire side of the bitmap and puzzle codecs the
+# checkpoint shares.
 test-386:
 	GOARCH=386 $(GO) test ./internal/checkpoint ./internal/corpus ./internal/coverage ./internal/crash ./internal/core
 	GOARCH=386 $(GO) test -run 'TestCheckpoint(BytesStable|RoundTripGolden|WarmRestartContinuesExactly)' .
+	GOARCH=386 $(GO) test -run 'TestFrameBytesGolden' ./internal/fleetnet
 
 # Every package under the race detector (about a minute).
 race:

@@ -384,7 +384,8 @@ func TestCheckpointTargetStateRefused(t *testing.T) {
 
 // TestCheckpointCorruptRejected: header damage (magic, version, digest)
 // and truncation anywhere must fail the restore with an error, never a
-// panic or a silent partial state.
+// panic or a silent partial state. An image of the previous format
+// version is refused by its version.
 func TestCheckpointCorruptRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "good.ckpt")
@@ -418,6 +419,11 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 		if tryRestore(good[:n]) == nil {
 			t.Errorf("restore accepted a checkpoint truncated to %d bytes", n)
 		}
+	}
+	v1 := append([]byte(nil), good...)
+	v1[len(checkpoint.Magic)] = 1
+	if err := tryRestore(v1); err == nil || !strings.Contains(err.Error(), "unknown version 1") {
+		t.Errorf("restore of a version-1 image = %v, want a refusal naming version 1", err)
 	}
 }
 

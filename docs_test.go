@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/fleetnet"
 )
 
@@ -124,17 +125,31 @@ func TestDocsArchitectureSections(t *testing.T) {
 // protocol version ("protocol version N", "fleetnet protocol N", "min = max
 // = N"), N is the version the build speaks.
 func TestDocsProtocolVersion(t *testing.T) {
+	checkStatedVersion(t, `(?:protocol version|fleetnet protocol|min = max =)\s+(\d+)`, fleetnet.ProtocolVersion)
+}
+
+// TestDocsCheckpointVersion: wherever ARCHITECTURE.md states the checkpoint
+// format version ("checkpoint version N"), N is the version the build
+// writes and restores.
+func TestDocsCheckpointVersion(t *testing.T) {
+	checkStatedVersion(t, `checkpoint version\s+(\d+)`, checkpoint.Version)
+}
+
+// checkStatedVersion fails unless ARCHITECTURE.md matches pattern at least
+// once and every match's number is want.
+func checkStatedVersion(t *testing.T, pattern string, want int) {
+	t.Helper()
 	arch, err := os.ReadFile("ARCHITECTURE.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stated := regexp.MustCompile(`(?:protocol version|fleetnet protocol|min = max =) (\d+)`).FindAllStringSubmatch(string(arch), -1)
+	stated := regexp.MustCompile(pattern).FindAllStringSubmatch(string(arch), -1)
 	if len(stated) == 0 {
-		t.Fatal("ARCHITECTURE.md no longer states the fleetnet protocol version")
+		t.Fatalf("ARCHITECTURE.md no longer states the version (%s)", pattern)
 	}
 	for _, m := range stated {
-		if n, _ := strconv.Atoi(m[1]); n != fleetnet.ProtocolVersion {
-			t.Errorf("ARCHITECTURE.md says %q, the build speaks protocol %d", m[0], fleetnet.ProtocolVersion)
+		if n, _ := strconv.Atoi(m[1]); n != want {
+			t.Errorf("ARCHITECTURE.md says %q, the build has version %d", m[0], want)
 		}
 	}
 }

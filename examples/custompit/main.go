@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/peachstar"
 )
@@ -128,7 +129,7 @@ func crc32of(data []byte) uint32 {
 }
 
 func main() {
-	models, err := peachstar.ParsePitString(telemetryPit)
+	models, err := peachstar.ParsePit(strings.NewReader(telemetryPit))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,8 +40,10 @@ import (
 const Magic = "PSCK"
 
 // Version is the checkpoint envelope version. Restore rejects any other
-// value, so the format can evolve without a flag day.
-const Version = 1
+// value, so the format can evolve without a flag day. Version 2 stores the
+// coverage bitmap and the corpus journal in the fleet wire's record
+// formats and the valuable queues by model index.
+const Version = 2
 
 // Writer accumulates a canonical binary encoding. The zero value is ready
 // to use; Data returns the accumulated bytes.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -421,6 +422,31 @@ func TestScalarFieldsAllocFree(t *testing.T) {
 		t.Fatalf("declaring five scalar fields allocated %v times, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestListDecodeAllocatesOnce: decoding an n-element list allocates its
+// slice once, presized from the bounded count, rather than growing it.
+func TestListDecodeAllocatesOnce(t *testing.T) {
+	words := make([]uint16, 1000)
+	for i := range words {
+		words[i] = uint16(i * 61)
+	}
+	c := ListCodec(WordCodec[uint16]())
+	var w Writer
+	c.Put(&w, words)
+	var (
+		r   Reader
+		got []uint16
+	)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r = *NewReader(w.Data())
+		got = c.Get(&r)
+	}); allocs != 1 {
+		t.Fatalf("decoding a %d-word list allocated %v times, want 1", len(words), allocs)
+	}
+	if err := r.Finish(); err != nil || !slices.Equal(got, words) {
+		t.Fatalf("decoded list differs (err %v)", err)
+	}
 }
 
 // TestFieldsRoundTrip: a field list restores exactly what it wrote —

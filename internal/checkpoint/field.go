@@ -13,7 +13,8 @@ import (
 // checks hold by construction. Whole layers satisfy it too: mem.Heap,
 // corpus.Corpus and crash.Bank walk their own field list in both
 // directions (the last two validate and rebuild their indexes in one pass
-// after it), and coverage.Virgin's sparse bitmap codec is hand-written.
+// after it), and coverage.Virgin writes its fleet wire delta against an
+// all-zero shadow.
 type Field interface {
 	// Snapshot appends the field's encoding.
 	Snapshot(w *Writer)
@@ -87,7 +88,8 @@ func WordCodec[T Word]() Codec[T] {
 }
 
 // ListCodec is a counted list of elements under codec c; an empty list
-// decodes to nil.
+// decodes to nil. The decoded list is allocated once, at the count
+// Reader.Count has already bounded by the bytes that remain.
 func ListCodec[T any](c Codec[T]) Codec[[]T] {
 	return Codec[[]T]{
 		func(w *Writer, l []T) {
@@ -96,8 +98,13 @@ func ListCodec[T any](c Codec[T]) Codec[[]T] {
 				c.Put(w, v)
 			}
 		},
-		func(r *Reader) (l []T) {
-			for n := r.Count(); len(l) < n && r.Err() == nil; {
+		func(r *Reader) []T {
+			n := r.Count()
+			if n == 0 {
+				return nil
+			}
+			l := make([]T, 0, n)
+			for len(l) < n && r.Err() == nil {
 				l = append(l, c.Get(r))
 			}
 			return l

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/corpus"
@@ -255,18 +254,19 @@ func (e *Engine) resetTransient() {
 	}
 }
 
-// valuableField is the retained valuable instances in sorted model-name
-// order; a model with none writes no entry. A seed is its rendered bytes
-// plus the trace metadata that drives base selection. Restore re-cracks
-// the bytes against the digest-pinned model; a seed that no longer cracks,
-// or whose model is unknown, is dropped — a lost mutation base, not an
-// error.
+// valuableField is the retained valuable instances, one list per model
+// index after the model count. The index needs no name beside it: the
+// envelope's model digest walks the model names in order, so a checkpoint
+// taken under another model list is refused before this field is read. A
+// seed is its rendered bytes plus the trace metadata that drives base
+// selection. Restore re-cracks the bytes against the model; a seed that no
+// longer cracks is dropped — a lost mutation base, not an error.
 func (e *Engine) valuableField() checkpoint.Field {
 	var model *datamodel.Model // restore: the model of the list being read
 	seeds := checkpoint.ListCodec(checkpoint.Record(func(v *valuableSeed) []checkpoint.Field {
 		return []checkpoint.Field{
 			checkpoint.Func(func(w *checkpoint.Writer) { w.Blob(v.ins.Render(nil)) }, func(r *checkpoint.Reader) error {
-				if data := r.Blob(); r.Err() == nil && model != nil && e.crk.Crack(model, data) {
+				if data := r.Blob(); r.Err() == nil && e.crk.Crack(model, data) {
 					v.ins = e.crk.Flat().Clone()
 				}
 				return r.Err()
@@ -274,42 +274,28 @@ func (e *Engine) valuableField() checkpoint.Field {
 			checkpoint.Int(&v.depth), checkpoint.Value(&v.edges, edgeList), checkpoint.U64(&v.score),
 		}
 	}))
+	dim := checkpoint.Dim(len(e.cfg.Models), "valuable models")
 	return checkpoint.Func(func(w *checkpoint.Writer) {
-		order := make([]int, 0, len(e.valuable))
-		for mi, q := range e.valuable {
-			if len(q) > 0 {
-				order = append(order, mi)
-			}
-		}
-		sort.Slice(order, func(i, j int) bool { return e.cfg.Models[order[i]].Name < e.cfg.Models[order[j]].Name })
-		w.Int(len(order))
-		for _, mi := range order {
-			w.String(e.cfg.Models[mi].Name)
-			seeds.Put(w, e.valuable[mi])
+		dim.Snapshot(w)
+		for _, q := range e.valuable {
+			seeds.Put(w, q)
 		}
 	}, func(r *checkpoint.Reader) error {
-		e.valuable = make([][]valuableSeed, len(e.cfg.Models))
-		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-			name := r.String()
-			mi := slices.IndexFunc(e.cfg.Models, func(m *datamodel.Model) bool { return m.Name == name })
-			model = nil
-			if mi >= 0 {
-				model = e.cfg.Models[mi]
-			}
-			q := seeds.Get(r)
-			if r.Err() == nil && len(q) > valuablePerModel+1 {
-				return fmt.Errorf("core: %d retained seeds for model %q exceeds bound", len(q), name)
-			}
-			if mi < 0 {
-				continue // a model this campaign lacks: its seeds are dropped
-			}
-			for _, v := range q {
-				if v.ins != nil {
-					e.valuable[mi] = append(e.valuable[mi], v)
-				}
-			}
+		if err := dim.Restore(r); err != nil {
+			return err
 		}
-		return r.Err()
+		for mi, m := range e.cfg.Models {
+			model = m
+			q := seeds.Get(r)
+			if r.Err() != nil {
+				return r.Err()
+			}
+			if len(q) > valuablePerModel+1 {
+				return fmt.Errorf("core: %d retained seeds for model %q exceeds bound", len(q), m.Name)
+			}
+			e.valuable[mi] = slices.DeleteFunc(q, func(v valuableSeed) bool { return v.ins == nil })
+		}
+		return nil
 	})
 }
 

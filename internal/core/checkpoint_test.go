@@ -68,10 +68,12 @@ func TestSchedulerRestoreRejectsOverWide(t *testing.T) {
 	}
 }
 
-// TestRestoreDropsUnknownModelSeeds: a checkpoint's valuable queue for a
-// model the restoring campaign lacks is read past and dropped, and every
-// other model's queue restores in full.
-func TestRestoreDropsUnknownModelSeeds(t *testing.T) {
+// TestRestoreRejectsValuableModelCount: the valuable queues are stored by
+// model index after the model count, so every model's queue restores in
+// full into a campaign with the same models, and an image taken under a
+// different number of models fails the count check (a real campaign's
+// model digest refuses it before that).
+func TestRestoreRejectsValuableModelCount(t *testing.T) {
 	const digest = 1
 	newFleet := func(models []*datamodel.Model) *Fleet {
 		f, err := NewFleet(Config{
@@ -87,19 +89,19 @@ func TestRestoreDropsUnknownModelSeeds(t *testing.T) {
 	}
 	src := newFleet(toyModels())
 	src.Run(3000)
-	models := toyModels()
-	models[0].Name = "op9"
-	dst := newFleet(models)
-	if err := dst.RestoreCheckpoint(src.Checkpoint(digest), digest); err != nil {
+	img := src.Checkpoint(digest)
+	same := newFleet(toyModels())
+	if err := same.RestoreCheckpoint(img, digest); err != nil {
 		t.Fatal(err)
 	}
-	want, got := src.workers[0].valuable, dst.workers[0].valuable
-	if len(want[0]) == 0 || len(got[0]) != 0 {
-		t.Fatalf("renamed model holds %d seeds after restore, want 0 (the checkpoint held %d)", len(got[0]), len(want[0]))
-	}
-	for mi := 1; mi < len(want); mi++ {
-		if len(got[mi]) != len(want[mi]) {
+	want, got := src.workers[0].valuable, same.workers[0].valuable
+	for mi := range want {
+		if len(want[mi]) == 0 || len(got[mi]) != len(want[mi]) {
 			t.Errorf("model %d restored %d seeds, the checkpoint held %d", mi, len(got[mi]), len(want[mi]))
 		}
+	}
+	err := newFleet(toyModels()[:2]).RestoreCheckpoint(img, digest)
+	if err == nil || !strings.Contains(err.Error(), "3 valuable models stored, 2 live") {
+		t.Fatalf("restore under two of the three models = %v, want the valuable model count refused", err)
 	}
 }

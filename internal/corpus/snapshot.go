@@ -18,20 +18,25 @@ import (
 // stored order, every integer minimally — snapshot → restore → snapshot
 // reproduces the identical byte string.
 
-// The entry codecs. A stored puzzle leaves out its signature, the map key
-// it is listed under; a journal entry carries its own. A peer cursor is
-// stored as cursor+1, so a dropped slot (-1) stays in uvarint range.
+// PuzzleList is the corpus's one puzzle record, listed: signature, model,
+// data. The fleet wire's corpus deltas and the checkpoint journal both
+// carry it. The stored list writes the same record minus the signature,
+// which is the map key it is listed under. A peer cursor is stored as
+// cursor+1, so a dropped slot (-1) stays in uvarint range.
 var (
-	storedList = checkpoint.ListCodec(checkpoint.Codec[Puzzle]{
-		Put: func(w *checkpoint.Writer, p Puzzle) { w.Blob(p.Data); w.String(p.Model) },
-		Get: func(r *checkpoint.Reader) Puzzle { return Puzzle{Data: r.Blob(), Model: r.String()} },
-	})
-	journalList = checkpoint.ListCodec(checkpoint.Codec[Puzzle]{
-		Put: func(w *checkpoint.Writer, p Puzzle) { w.String(p.Signature); w.Blob(p.Data); w.String(p.Model) },
+	PuzzleList = checkpoint.ListCodec(checkpoint.Codec[Puzzle]{
+		Put: func(w *checkpoint.Writer, p Puzzle) { w.String(p.Signature); storedPuzzle.Put(w, p) },
 		Get: func(r *checkpoint.Reader) Puzzle {
-			return Puzzle{Signature: r.String(), Data: r.Blob(), Model: r.String()}
+			sig := r.String()
+			p := storedPuzzle.Get(r)
+			p.Signature = sig
+			return p
 		},
 	})
+	storedPuzzle = checkpoint.Codec[Puzzle]{
+		Put: func(w *checkpoint.Writer, p Puzzle) { w.String(p.Model); w.Blob(p.Data) },
+		Get: func(r *checkpoint.Reader) Puzzle { return Puzzle{Model: r.String(), Data: r.Blob()} },
+	}
 	cursorList = checkpoint.ListCodec(checkpoint.Codec[int]{
 		Put: func(w *checkpoint.Writer, cur int) { w.Int(cur + 1) },
 		Get: func(r *checkpoint.Reader) int { return r.Int() - 1 },
@@ -44,9 +49,9 @@ func (c *Corpus) fields() []checkpoint.Field {
 	return []checkpoint.Field{
 		checkpoint.Int(&c.perSig),
 		checkpoint.Int(&c.inserted),
-		checkpoint.Map(&c.bySig, checkpoint.StringCodec, storedList),
+		checkpoint.Map(&c.bySig, checkpoint.StringCodec, checkpoint.ListCodec(storedPuzzle)),
 		checkpoint.Int(&c.journalBase),
-		checkpoint.Value(&c.journal, journalList),
+		checkpoint.Value(&c.journal, PuzzleList),
 		checkpoint.Value(&c.peerCursors, cursorList),
 	}
 }

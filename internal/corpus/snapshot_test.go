@@ -116,16 +116,16 @@ func TestCorpusRestoreRejects(t *testing.T) {
 			w.String(list[0].sig)
 			w.Int(len(list) - 1)
 			for _, e := range list[1:] {
-				w.Blob([]byte(e.data))
 				w.String("m")
+				w.Blob([]byte(e.data))
 			}
 		}
 		w.Int(0)
 		w.Int(journal)
 		for i := 0; i < journal; i++ {
 			w.String("a")
-			w.Blob([]byte{byte(i)})
 			w.String("m")
+			w.Blob([]byte{byte(i)})
 		}
 		w.Int(len(cursors))
 		for _, cur := range cursors {

@@ -1,9 +1,19 @@
 package coverage
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
+
+// delta returns cur's WriteDelta encoding against shadow.
+func delta(cur, shadow *Virgin) []byte {
+	var w checkpoint.Writer
+	cur.WriteDelta(&w, shadow)
+	return w.Data()
+}
 
 // randomVirgin merges n random sparse executions into a fresh accumulator.
 func randomVirgin(r *rand.Rand, execs int) *Virgin {
@@ -25,7 +35,7 @@ func TestVirginDeltaFullStateFromEmptyShadow(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	cur := randomVirgin(r, 10)
 
-	frame := AppendVirginDelta(nil, cur, NewVirgin())
+	frame := delta(cur, NewVirgin())
 	got := NewVirgin()
 	changed, err := got.ApplyDelta(frame)
 	if err != nil {
@@ -63,7 +73,7 @@ func TestVirginDeltaIncrementalMatchesMergeVirgin(t *testing.T) {
 			}
 			cur.Merge(raw)
 		}
-		frame := AppendVirginDelta(nil, cur, shadow)
+		frame := delta(cur, shadow)
 		if _, err := viaDelta.ApplyDelta(frame); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -81,9 +91,9 @@ func TestVirginDeltaEmptyWhenCaughtUp(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	cur := randomVirgin(r, 5)
 	shadow := NewVirgin()
-	AppendVirginDelta(nil, cur, shadow)
+	delta(cur, shadow)
 
-	frame := AppendVirginDelta(nil, cur, shadow)
+	frame := delta(cur, shadow)
 	if len(frame) != 1 || frame[0] != 0 {
 		t.Fatalf("caught-up delta = %x, want the single-byte zero count", frame)
 	}
@@ -99,7 +109,7 @@ func TestVirginDeltaEmptyWhenCaughtUp(t *testing.T) {
 func TestVirginDeltaIdempotent(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	cur := randomVirgin(r, 10)
-	frame := AppendVirginDelta(nil, cur, NewVirgin())
+	frame := delta(cur, NewVirgin())
 
 	v := NewVirgin()
 	if _, err := v.ApplyDelta(frame); err != nil {
@@ -117,7 +127,7 @@ func TestVirginDeltaIdempotent(t *testing.T) {
 
 func TestVirginDeltaRejectsMalformedFrames(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	frame := AppendVirginDelta(nil, randomVirgin(r, 5), NewVirgin())
+	frame := delta(randomVirgin(r, 5), NewVirgin())
 	cases := map[string][]byte{
 		"empty":           {},
 		"truncated entry": frame[:len(frame)-3],
@@ -128,6 +138,15 @@ func TestVirginDeltaRejectsMalformedFrames(t *testing.T) {
 	for name, f := range cases {
 		if _, err := NewVirgin().ApplyDelta(f); err == nil {
 			t.Errorf("%s: malformed frame accepted", name)
+		}
+		// A checkpoint section is read by Restore and then finished.
+		r := checkpoint.NewReader(f)
+		err := NewVirgin().Restore(r)
+		if err == nil {
+			err = r.Finish()
+		}
+		if err == nil {
+			t.Errorf("%s: malformed snapshot restored", name)
 		}
 	}
 }
@@ -142,7 +161,7 @@ func TestVirginDeltaUnionWithLocalState(t *testing.T) {
 	localB := NewVirgin()
 	localB.MergeVirgin(localA)
 
-	frame := AppendVirginDelta(nil, remote, NewVirgin())
+	frame := delta(remote, NewVirgin())
 	if _, err := localA.ApplyDelta(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -152,24 +171,26 @@ func TestVirginDeltaUnionWithLocalState(t *testing.T) {
 	}
 }
 
-func BenchmarkAppendVirginDelta(b *testing.B) {
+func BenchmarkWriteDelta(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	cur := randomVirgin(r, 50)
 	shadow := NewVirgin()
-	buf := AppendVirginDelta(nil, cur, shadow)
+	delta(cur, shadow)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendVirginDelta(buf[:0], cur, shadow)
+		var w checkpoint.Writer
+		cur.WriteDelta(&w, shadow)
 	}
 }
 
 // FuzzVirginDelta pins ApplyDelta's contract over arbitrary bytes: an error
 // or a union, never a panic (a gap of 2^64-1 must not wrap the word index
 // to -1) and nothing allocated from a declared count; an accepted delta
-// is idempotent, and the state it built re-encodes to a delta that builds
-// the same state.
+// is idempotent, the state it built re-encodes to a delta that builds
+// the same state, and that state survives Snapshot → Restore → Snapshot
+// with identical bytes.
 func FuzzVirginDelta(f *testing.F) {
-	good := AppendVirginDelta(nil, randomVirgin(rand.New(rand.NewSource(8)), 3), NewVirgin())
+	good := delta(randomVirgin(rand.New(rand.NewSource(8)), 3), NewVirgin())
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte{})
@@ -188,11 +209,22 @@ func FuzzVirginDelta(f *testing.F) {
 			t.Fatalf("re-applying an accepted delta: changed=%v err=%v edges %d -> %d", changed, err, edges, v.Edges())
 		}
 		again := NewVirgin()
-		if _, err := again.ApplyDelta(AppendVirginDelta(nil, v, NewVirgin())); err != nil {
+		if _, err := again.ApplyDelta(delta(v, NewVirgin())); err != nil {
 			t.Fatalf("re-encoded delta rejected: %v", err)
 		}
 		if again.seen != v.seen || again.Edges() != edges {
 			t.Fatal("re-encoded delta builds a different state")
+		}
+		var snap, resnap checkpoint.Writer
+		v.Snapshot(&snap)
+		back := NewVirgin()
+		r := checkpoint.NewReader(snap.Data())
+		if err := back.Restore(r); err != nil || r.Finish() != nil {
+			t.Fatalf("snapshot of an accepted state does not restore: %v, %v", err, r.Finish())
+		}
+		back.Snapshot(&resnap)
+		if !bytes.Equal(resnap.Data(), snap.Data()) || back.seen != v.seen || back.Edges() != edges {
+			t.Fatal("snapshot → restore → snapshot changed the state or its bytes")
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package coverage
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/checkpoint"
@@ -16,56 +15,20 @@ import (
 // and the byte stream is canonical (snapshot → restore → snapshot is the
 // identical byte string).
 
-// Snapshot writes the accumulator's observed state: the number of non-zero
-// map words, then per word an ascending uvarint word index and the fixed
-// 64-bit word. The edge counter is derived state and is recomputed on
-// restore rather than stored.
-func (v *Virgin) Snapshot(w *checkpoint.Writer) {
-	seen := v.seen[:]
-	n := 0
-	for i := 0; i+8 <= len(seen); i += 8 {
-		if binary.LittleEndian.Uint64(seen[i:i+8]) != 0 {
-			n++
-		}
-	}
-	w.Int(n)
-	for i := 0; i+8 <= len(seen); i += 8 {
-		sw := binary.LittleEndian.Uint64(seen[i : i+8])
-		if sw == 0 {
-			continue
-		}
-		w.Int(i / 8)
-		w.U64(sw)
-	}
-}
+// Snapshot writes the accumulator's observed state in the wire delta's
+// format (delta.go), against an all-zero shadow. The edge counter is
+// derived state and is recomputed on restore rather than stored.
+func (v *Virgin) Snapshot(w *checkpoint.Writer) { v.WriteDelta(w, nil) }
 
 // Restore overwrites the accumulator with a Snapshot-produced dump,
 // recomputing the edge counter from the restored map. Word indices must be
-// strictly ascending and in range; violations fail the restore and leave
-// the reader's sticky error set.
+// strictly ascending and in range.
 func (v *Virgin) Restore(r *checkpoint.Reader) error {
 	v.Reset()
-	seen := v.seen[:]
-	n := r.Count()
-	prev := -1
-	for i := 0; i < n && r.Err() == nil; i++ {
-		wi := r.Int()
-		sw := r.U64()
-		if r.Err() != nil {
-			break
-		}
-		if wi <= prev || wi >= MapSize/8 {
-			return fmt.Errorf("coverage: virgin word index %d out of order or range", wi)
-		}
-		prev = wi
-		binary.LittleEndian.PutUint64(seen[wi*8:wi*8+8], sw)
-		for b := 0; b < 64; b += 8 {
-			if byte(sw>>b) != 0 {
-				v.edges++
-			}
-		}
+	if _, err := v.readDelta(r); err != nil {
+		return fmt.Errorf("coverage: virgin: %w", err)
 	}
-	return r.Err()
+	return nil
 }
 
 // Snapshot writes the counter map: the accumulated execution count, the

@@ -116,18 +116,6 @@ var addrList = checkpoint.Codec[[]string]{
 	},
 }
 
-// puzzleList is the corpus delta shared by both sync directions.
-var puzzleList = checkpoint.ListCodec(checkpoint.Codec[corpus.Puzzle]{
-	Put: func(w *checkpoint.Writer, p corpus.Puzzle) {
-		w.String(p.Signature)
-		w.String(p.Model)
-		w.Blob(p.Data)
-	},
-	Get: func(r *checkpoint.Reader) corpus.Puzzle {
-		return corpus.Puzzle{Signature: r.String(), Model: r.String(), Data: r.Blob()}
-	},
-})
-
 // crashList is the crash-record delta shared by both sync directions: each
 // record's identity and counts (crash.Record.Fields), no reproducer.
 // Counts are read with Int: a peer-supplied count of 2^63 or more is a
@@ -153,7 +141,7 @@ type syncFrame struct {
 func (f *syncFrame) fields() []checkpoint.Field {
 	return []checkpoint.Field{
 		checkpoint.Uint(&f.execs), checkpoint.Uint(&f.hangs), checkpoint.Int(&f.cursor),
-		checkpoint.Blob(&f.virginDelta), checkpoint.Value(&f.puzzles, puzzleList), checkpoint.Value(&f.crashes, crashList),
+		checkpoint.Blob(&f.virginDelta), checkpoint.Value(&f.puzzles, corpus.PuzzleList), checkpoint.Value(&f.crashes, crashList),
 	}
 }
 
@@ -176,7 +164,7 @@ type syncAckFrame struct {
 
 func (f *syncAckFrame) fields() []checkpoint.Field {
 	return []checkpoint.Field{
-		checkpoint.Blob(&f.virginDelta), checkpoint.Value(&f.puzzles, puzzleList), checkpoint.Value(&f.crashes, crashList),
+		checkpoint.Blob(&f.virginDelta), checkpoint.Value(&f.puzzles, corpus.PuzzleList), checkpoint.Value(&f.crashes, crashList),
 		checkpoint.Int(&f.newCursor), checkpoint.Uint(&f.fleetExecs), checkpoint.Uint(&f.fleetEdges), checkpoint.Uint(&f.leaves),
 	}
 }

@@ -1,6 +1,7 @@
 package fleetnet
 
 import (
+	"repro/internal/checkpoint"
 	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/crash"
@@ -89,7 +90,9 @@ func (s *peerSession) unregister(corp *corpus.Corpus) {
 // the spans that arrived from this very peer. The cursor and the journal
 // registration advance to the journal end.
 func (s *peerSession) sendDelta(virgin *coverage.Virgin, corp *corpus.Corpus) (virginDelta []byte, puzzles []corpus.Puzzle) {
-	virginDelta = coverage.AppendVirginDelta(nil, virgin, s.shadow)
+	var w checkpoint.Writer
+	virgin.WriteDelta(&w, s.shadow)
+	virginDelta = w.Data()
 	from := s.localCursor
 	// Index arithmetic only holds while the cursor is inside the live
 	// journal; outside it ReadJournal serves a full signature-ordered

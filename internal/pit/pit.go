@@ -119,11 +119,6 @@ func convertModels(doc *xmlPit) ([]*datamodel.Model, error) {
 	return models, nil
 }
 
-// ParseString is Parse over an in-memory document.
-func ParseString(s string) ([]*datamodel.Model, error) {
-	return Parse(strings.NewReader(s))
-}
-
 // convert maps one XML element to a datamodel chunk.
 func convert(x *xmlChunk) (*datamodel.Chunk, error) {
 	switch x.XMLName.Local {

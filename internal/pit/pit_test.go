@@ -37,7 +37,7 @@ const samplePit = `
 </Pit>`
 
 func TestParseSample(t *testing.T) {
-	models, err := ParseString(samplePit)
+	models, err := Parse(strings.NewReader(samplePit))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestParseSample(t *testing.T) {
 }
 
 func TestParsedEndianness(t *testing.T) {
-	models, _ := ParseString(samplePit)
+	models, _ := Parse(strings.NewReader(samplePit))
 	var crc *datamodel.Chunk
 	var find func(c *datamodel.Chunk)
 	for _, f := range models[0].Fields {
@@ -85,7 +85,7 @@ func TestParsedEndianness(t *testing.T) {
 }
 
 func TestParsedLegalSet(t *testing.T) {
-	models, _ := ParseString(samplePit)
+	models, _ := Parse(strings.NewReader(samplePit))
 	m := models[2]
 	inst, err := m.Crack([]byte{2, 0, 1, 0, 0x10})
 	if err != nil {
@@ -118,14 +118,14 @@ func TestParseErrors(t *testing.T) {
 		"bad blob minsize": `<Pit><DataModel name="m"><Blob name="a" minSize="q"/></DataModel></Pit>`,
 	}
 	for name, doc := range cases {
-		if _, err := ParseString(doc); err == nil {
+		if _, err := Parse(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
 func TestHexValueParsing(t *testing.T) {
-	models, err := ParseString(`<Pit><DataModel name="m"><Blob name="a" size="3" value="0a 0b 0c"/></DataModel></Pit>`)
+	models, err := Parse(strings.NewReader(`<Pit><DataModel name="m"><Blob name="a" size="3" value="0a 0b 0c"/></DataModel></Pit>`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestHexValueParsing(t *testing.T) {
 }
 
 func TestHexNumberValue(t *testing.T) {
-	models, err := ParseString(`<Pit><DataModel name="m"><Number name="a" size="16" value="0xABCD"/></DataModel></Pit>`)
+	models, err := Parse(strings.NewReader(`<Pit><DataModel name="m"><Number name="a" size="16" value="0xABCD"/></DataModel></Pit>`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

@@ -3,7 +3,6 @@ package pit
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/datamodel"
 	"repro/internal/session"
@@ -76,11 +75,6 @@ func ParseDocument(r io.Reader) (*Document, error) {
 		out.StateModels = append(out.StateModels, sm)
 	}
 	return out, nil
-}
-
-// ParseDocumentString is ParseDocument over an in-memory document.
-func ParseDocumentString(s string) (*Document, error) {
-	return ParseDocument(strings.NewReader(s))
 }
 
 // convertStateModel maps one <StateModel> element onto a session model.

@@ -28,7 +28,7 @@ const statefulPit = `
 </Pit>`
 
 func TestParseDocumentStateModel(t *testing.T) {
-	doc, err := ParseDocumentString(statefulPit)
+	doc, err := ParseDocument(strings.NewReader(statefulPit))
 	if err != nil {
 		t.Fatalf("ParseDocument: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestParseDocumentStateModel(t *testing.T) {
 // TestParseIgnoresStateModel: the legacy Parse entry point must keep
 // returning just the data models for stateful documents.
 func TestParseIgnoresStateModel(t *testing.T) {
-	models, err := ParseString(statefulPit)
+	models, err := Parse(strings.NewReader(statefulPit))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -89,13 +89,13 @@ func TestParseDocumentStateModelErrors(t *testing.T) {
 	for _, tc := range cases {
 		doc := `<Pit><DataModel name="StartDT"><Number name="n" size="8"/></DataModel>` +
 			`<StateModel name="SM">` + tc.fragment + `</StateModel></Pit>`
-		_, err := ParseDocumentString(doc)
+		_, err := ParseDocument(strings.NewReader(doc))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := ParseDocumentString(`<Pit><DataModel name="D"><Number name="n" size="8"/></DataModel>` +
-		`<StateModel name="SM" initialState="ghost"><State name="a"><Action ref="D"/></State></StateModel></Pit>`); err == nil {
+	if _, err := ParseDocument(strings.NewReader(`<Pit><DataModel name="D"><Number name="n" size="8"/></DataModel>` +
+		`<StateModel name="SM" initialState="ghost"><State name="a"><Action ref="D"/></State></StateModel></Pit>`)); err == nil {
 		t.Fatalf("undeclared initialState accepted")
 	}
 }

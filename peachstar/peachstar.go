@@ -323,17 +323,11 @@ func TargetNames() []string { return targets.Names() }
 // ParsePit reads an XML Pit format specification into data models.
 func ParsePit(r io.Reader) ([]*Model, error) { return pit.Parse(r) }
 
-// ParsePitString is ParsePit over an in-memory document.
-func ParsePitString(s string) ([]*Model, error) { return pit.ParseString(s) }
-
 // ParsePitDocument reads an XML Pit specification into both halves: the
 // data models and any <StateModel> session state machines referencing
 // them. Feed a parsed state machine to Options.StateModel for a session
 // campaign over the document's models.
 func ParsePitDocument(r io.Reader) (*PitDocument, error) { return pit.ParseDocument(r) }
-
-// ParsePitDocumentString is ParsePitDocument over an in-memory document.
-func ParsePitDocumentString(s string) (*PitDocument, error) { return pit.ParseDocumentString(s) }
 
 // Blocks pre-computes n deterministic instrumentation block IDs for a named
 // region of a custom target — the explicit-hook stand-in for the paper's

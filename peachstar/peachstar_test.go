@@ -73,7 +73,7 @@ func TestCampaignCrashRecords(t *testing.T) {
 
 func TestModelsOverride(t *testing.T) {
 	tgt, _ := NewTarget("libmodbus")
-	models, err := ParsePitString(`
+	models, err := ParsePit(strings.NewReader(`
 <Pit>
   <DataModel name="OnlyReads">
     <Number name="txn" size="16" value="1"/>
@@ -86,7 +86,7 @@ func TestModelsOverride(t *testing.T) {
       <Number name="qty" size="16" value="4"/>
     </Block>
   </DataModel>
-</Pit>`)
+</Pit>`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,24 @@ func collectEvents(r *Run) (stats []StatsEvent, cov []NewCoverageEvent, crashes 
 	return stats, cov, crashes, syncs
 }
 
+// waitFor polls cond until it holds, failing the test after a deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pastOneWindow reports whether r's published executions have passed one
+// merge window: the session is under way.
+func pastOneWindow(r *Run) func() bool {
+	return func() bool { return r.Snapshot().Execs >= DefaultMergeEvery }
+}
+
 // TestStartDeliversTypedEvents: a budgeted session emits at least one
 // StatsEvent, coverage growth, and one CrashEvent per unique fault the
 // campaign banks — the stream is the campaign, observed.
@@ -118,7 +136,7 @@ func TestStartCancelMidWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "one merge window", pastOneWindow(r))
 	began := time.Now()
 	cancel()
 	if err := r.Wait(); err != context.Canceled {
@@ -132,7 +150,7 @@ func TestStartCancelMidWindow(t *testing.T) {
 		t.Fatal("canceled run closed its stream without a final StatsEvent")
 	}
 	if r.Snapshot().Execs == 0 {
-		t.Fatal("session ran 50ms but snapshot shows no executions")
+		t.Fatal("session ran a merge window but snapshot shows no executions")
 	}
 }
 
@@ -157,7 +175,8 @@ func TestStartStopDuringMeshSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "node A's inbound link", func() bool { _, inbound, _ := nodeA.PeerStats(); return inbound > 0 })
+	waitFor(t, "one merge window", pastOneWindow(rB))
 	began := time.Now()
 	rB.Stop()
 	if err := rB.Wait(); err != nil {
@@ -189,7 +208,7 @@ func TestStartCancelMeshPromptness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, "one merge window", pastOneWindow(r))
 	began := time.Now()
 	cancel()
 	if err := r.Wait(); err != context.Canceled {
@@ -210,7 +229,7 @@ func TestStartStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, "one merge window", pastOneWindow(r))
 	done := make(chan error, 2)
 	go func() { done <- r.Wait() }()
 	go func() { done <- r.Wait() }()
