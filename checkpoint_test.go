@@ -134,22 +134,24 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 // TestCheckpointBytesStable pins the on-disk format itself, where the
 // round-trip golden above only proves self-consistency: the SHA-256 of the
 // serial Seed-1, 20000-exec checkpoint of every target (plus one
-// adaptive+sessions case), captured at the commit before the target codecs
-// became field lists. A reordered field or a changed width fails here, and
-// checkpoint files written by that commit stay restorable.
+// adaptive+sessions case), captured when checkpoint version 2 moved the
+// bitmap and the corpus journal onto the fleet wire's record formats and
+// keyed the valuable queues by model index. A reordered field or a
+// changed width fails here, and checkpoint files written by that commit
+// stay restorable.
 func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		target             string
 		adaptive, sessions bool
 		sum                string
 	}{
-		{"IEC104", false, false, "78090045f5e3101243760d1a460759b8fcccffe80491b60264a17f07c84c7dbd"},
-		{"lib60870", false, false, "788e480933dd2d931f7634048ffcfdceca24a98927a2161f535a5fb74c1f1209"},
-		{"libiccp", false, false, "c51ea9bd75f37a229512519eb7887ee3b4e72b800b5b03b4dbf2196807e074d0"},
-		{"libiec61850", false, false, "c6e15466fc77a87306c56ef15b20bc78f35d143d95ee36cd3ed6f608f410f4b8"},
-		{"libmodbus", false, false, "a22a4a1da3ff904fc578ce291637eb31bde5150352315c128cad02941daef14c"},
-		{"opendnp3", false, false, "fb734d628e4c26048fab57b8f4c7e6e547275920af8b28bd1822f39240b001cd"},
-		{"IEC104", true, true, "8505c0cca7e283bdb64d01b14f33e87e71b6f577abd53635f5668cf6ceca5cb2"},
+		{"IEC104", false, false, "be06423b6796048c84d5ae78f127275da541df1144795219f31189352c14746b"},
+		{"lib60870", false, false, "8bb29f7282145db7890a7ceeb6229c4aaf104df1f4850035930b872da0f97977"},
+		{"libiccp", false, false, "071270ffe296f2983abc7e165e814569fc34fc95cda988c7a8317f607ee13d7f"},
+		{"libiec61850", false, false, "c355b5eb2aaf1592e4d2cdbafbfecd1dabea093fc3503212c42ce97c8281639f"},
+		{"libmodbus", false, false, "caca149c7d713e577c5fb593b5d18e443c7414863180022681ca1e1756decdbb"},
+		{"opendnp3", false, false, "b22228b24936a3545e69623be3761c761a02a8805ba3bf9438dc53865c9a1ec9"},
+		{"IEC104", true, true, "e59175b84db5fef76544f69e6aedf311a4e92096e1318b44daf4b201900976b1"},
 	} {
 		name := tc.target
 		if tc.sessions {

@@ -66,15 +66,16 @@ func goldenCorpus() *Corpus {
 }
 
 // TestCorpusSnapshotBytesGolden pins the corpus's checkpoint bytes: the
-// per-signature bound and insert count, the store in signature order, the
-// journal from its compaction horizon, and each cursor stored as cursor+1
-// (a dropped slot as 0). Restoring them and snapshotting again reproduces
-// them.
+// per-signature bound and insert count, the store in signature order (each
+// puzzle as model, data), the journal from its compaction horizon (each
+// entry as signature, model, data: the fleet wire's record), and each
+// cursor stored as cursor+1 (a dropped slot as 0). Restoring them and
+// snapshotting again reproduces them.
 func TestCorpusSnapshotBytesGolden(t *testing.T) {
 	const golden = "0205" +
-		"02" + "057369672d61" + "02" + "026132026d32" + "026133026d31" +
-		"057369672d62" + "01" + "00026d32" +
-		"02" + "03" + "057369672d61026133026d31" + "057369672d6200026d32" + "057369672d62026232026d31" +
+		"02" + "057369672d61" + "02" + "026d32026132" + "026d31026133" +
+		"057369672d62" + "01" + "026d3200" +
+		"02" + "03" + "057369672d61026d31026133" + "057369672d62026d3200" + "057369672d62026d31026232" +
 		"03" + "06" + "00" + "03"
 	c := goldenCorpus()
 	if c.JournalBase() != 2 || c.Len() != 3 || c.Peers() != 3 {
