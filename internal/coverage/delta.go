@@ -37,11 +37,11 @@ const virginWords = MapSize / 8
 
 // word returns the 64-bit word of seen at byte offset i; a nil seen is
 // all zero.
-func word(seen []byte, i int) uint64 {
+func word(seen *[MapSize]byte, i int) uint64 {
 	if seen == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(seen[i : i+8])
+	return binary.LittleEndian.Uint64(seen[i:])
 }
 
 // WriteDelta writes every bitmap word of v that differs from shadow and
@@ -50,10 +50,10 @@ func word(seen []byte, i int) uint64 {
 // the write is then v's full observed state. With a shadow that has
 // caught up it writes an empty delta (one zero byte).
 func (v *Virgin) WriteDelta(w *checkpoint.Writer, shadow *Virgin) {
-	cs := v.seen[:]
-	var ss []byte
+	cs := &v.seen
+	var ss *[MapSize]byte
 	if shadow != nil {
-		ss = shadow.seen[:]
+		ss = &shadow.seen
 	}
 	count := 0
 	for i := 0; i < MapSize; i += 8 {
@@ -96,7 +96,7 @@ func (v *Virgin) readDelta(r *checkpoint.Reader) (changed bool, err error) {
 		}
 		wi += gap
 		i := wi * 8
-		if vw := word(v.seen[:], i); w&^vw != 0 {
+		if vw := word(&v.seen, i); w&^vw != 0 {
 			changed = true
 			v.or(i, vw, w)
 		}

@@ -140,10 +140,10 @@ func TestVirginDeltaRejectsMalformedFrames(t *testing.T) {
 			t.Errorf("%s: malformed frame accepted", name)
 		}
 		// A checkpoint section is read by Restore and then finished.
-		r := checkpoint.NewReader(f)
-		err := NewVirgin().Restore(r)
+		cr := checkpoint.NewReader(f)
+		err := NewVirgin().Restore(cr)
 		if err == nil {
-			err = r.Finish()
+			err = cr.Finish()
 		}
 		if err == nil {
 			t.Errorf("%s: malformed snapshot restored", name)
@@ -187,8 +187,8 @@ func BenchmarkWriteDelta(b *testing.B) {
 // or a union, never a panic (a gap of 2^64-1 must not wrap the word index
 // to -1) and nothing allocated from a declared count; an accepted delta
 // is idempotent, the state it built re-encodes to a delta that builds
-// the same state, and that state survives Snapshot → Restore → Snapshot
-// with identical bytes.
+// the same state, and that state's snapshot — the delta against an empty
+// shadow — survives Snapshot → Restore → Snapshot with identical bytes.
 func FuzzVirginDelta(f *testing.F) {
 	good := delta(randomVirgin(rand.New(rand.NewSource(8)), 3), NewVirgin())
 	f.Add(good)
@@ -217,6 +217,9 @@ func FuzzVirginDelta(f *testing.F) {
 		}
 		var snap, resnap checkpoint.Writer
 		v.Snapshot(&snap)
+		if !bytes.Equal(snap.Data(), delta(v, NewVirgin())) {
+			t.Fatal("snapshot differs from the delta against an empty shadow")
+		}
 		back := NewVirgin()
 		r := checkpoint.NewReader(snap.Data())
 		if err := back.Restore(r); err != nil || r.Finish() != nil {
