@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/fleetnet"
+	"repro/internal/leakcheck"
 	"repro/internal/targets"
 	"repro/peachstar"
 
@@ -462,8 +463,8 @@ func TestRunConfigCheckpointPath(t *testing.T) {
 	}
 	// 6000 execs at a 2048 cadence: checkpoints at 2048, 4096, and the
 	// final one after the last window, in snapshot order.
-	if len(execs) != 3 || execs[0] < 2048 || execs[1] < 4096 || execs[2] != c.Execs() {
-		t.Fatalf("checkpoint events at execs %v, want [2048 4096 %d]", execs, c.Execs())
+	if len(execs) != 3 || execs[0] < 2048 || execs[1] < 4096 || execs[2] != c.Stats().Execs {
+		t.Fatalf("checkpoint events at execs %v, want [2048 4096 %d]", execs, c.Stats().Execs)
 	}
 	for i := 1; i < len(execs); i++ {
 		if execs[i] <= execs[i-1] {
@@ -488,7 +489,7 @@ func TestRunConfigCheckpointPath(t *testing.T) {
 // write is joined before Wait returns: right after Wait no temp file is
 // left beside the checkpoint and the file restores (after a Stop, to the
 // finished campaign's exact state), and every goroutine the session
-// started exits (checkGoroutinesExit).
+// started exits (leakcheck.Mark).
 func TestCheckpointWriterTeardown(t *testing.T) {
 	for _, viaCancel := range []bool{false, true} {
 		name := map[bool]string{false: "stop", true: "cancel"}[viaCancel]
@@ -498,7 +499,7 @@ func TestCheckpointWriterTeardown(t *testing.T) {
 			c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			before := liveGoroutines()
+			exited := leakcheck.Mark()
 			run, err := c.Start(ctx, peachstar.RunConfig{
 				CheckpointPath:  path,
 				CheckpointEvery: 64,
@@ -544,7 +545,7 @@ func TestCheckpointWriterTeardown(t *testing.T) {
 			// The session goroutine and the context watcher may still be
 			// returning when Wait does; nothing the session started may
 			// stay.
-			checkGoroutinesExit(t, before, 5*time.Second)
+			exited(t, 5*time.Second)
 		})
 	}
 }
@@ -563,7 +564,7 @@ func TestCheckpointLeafSession(t *testing.T) {
 	defer hub.Close()
 	path := filepath.Join(t.TempDir(), "leaf.ckpt")
 	c := newCheckpointCampaign(t, "libmodbus", 1, false, false)
-	before := liveGoroutines()
+	exited := leakcheck.Mark()
 	run, err := c.Start(context.Background(), peachstar.RunConfig{
 		Execs:           execs,
 		SyncEvery:       every / 4,
@@ -600,7 +601,7 @@ func TestCheckpointLeafSession(t *testing.T) {
 		t.Fatalf("final checkpoint does not capture the session's end state:\n got %+v\nwant %+v", got, want)
 	}
 	// The hub drops the link once the leaf hangs up.
-	checkGoroutinesExit(t, before, 10*time.Second)
+	exited(t, 10*time.Second)
 }
 
 // TestCheckpointRelaySession: a RelayOnly hub session executes nothing,
@@ -664,8 +665,8 @@ func TestCheckpointWriteFailureNotFatal(t *testing.T) {
 	if err := run.Wait(); err != nil {
 		t.Fatalf("Wait = %v, want nil: a failed checkpoint write is not a session error", err)
 	}
-	if c.Execs() < 3000 {
-		t.Fatalf("session stopped at %d execs, before its 3000-exec budget", c.Execs())
+	if c.Stats().Execs < 3000 {
+		t.Fatalf("session stopped at %d execs, before its 3000-exec budget", c.Stats().Execs)
 	}
 	if want := 3000/512 + 1; events != want {
 		t.Fatalf("saw %d checkpoint events, want %d", events, want)

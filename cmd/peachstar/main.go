@@ -15,7 +15,7 @@
 // Usage:
 //
 //	peachstar -target libmodbus -strategy peachstar -execs 50000 -seed 1
-//	peachstar -target libmodbus -execs 200000 -workers 4 -stats-every 20000
+//	peachstar -target libmodbus -execs 200000 -workers 4 -report 10
 //	peachstar -target libmodbus -serve :7712 -execs 0            # hub (aggregator only)
 //	peachstar -target libmodbus -connect host:7712 -seed-stream 1 -execs 100000
 //	peachstar -target libmodbus -mesh :7712 -advertise hostA:7712 -execs 100000            # mesh seed node
@@ -48,15 +48,14 @@ func main() {
 		execs      = flag.Int("execs", 50000, "target executions to run (0 with -serve/-mesh: relay only)")
 		seed       = flag.Uint64("seed", 1, "campaign seed (reproducible)")
 		duration   = flag.Duration("duration", 0, "wall-clock budget (overrides -execs when set)")
-		report     = flag.Int("report", 10, "number of progress reports when -stats-every is 0")
-		statsEvery = flag.Int("stats-every", 0, "executions between live stats lines (0: derive from -report)")
+		report     = flag.Int("report", 10, "number of progress reports over the -execs or -duration budget")
 		workers    = flag.Int("workers", 1, "parallel worker engines sharing the exec budget")
 		serve      = flag.String("serve", "", "serve fleet sync to remote leaves on this host:port (hub node)")
 		connect    = flag.String("connect", "", "sync with the fleet hub at this host:port (leaf node)")
 		mesh       = flag.String("mesh", "", "join a hub-less mesh fleet, accepting peers on this host:port (mesh node)")
 		peers      = flag.String("peers", "", "comma-separated bootstrap peer addresses (with -mesh; one live address is enough)")
 		advertise  = flag.String("advertise", "", "externally dialable address peers should reach this node at (with -mesh; default: the bound -mesh address)")
-		syncEvery  = flag.Int("sync-every", 1024, "executions between fleet syncs (with -serve, -connect or -mesh)")
+		syncEvery  = flag.Int("sync-every", peachstar.DefaultSyncEvery, "executions between fleet syncs (with -serve, -connect or -mesh)")
 		seedStream = flag.Int("seed-stream", 0, "RNG stream offset for this node's workers; give each leaf a disjoint range")
 		adaptive   = flag.Bool("adaptive", false, "enable the adaptive scheduler (learned mutator weights, rarity-weighted seeds, corpus distillation)")
 		sessions   = flag.Bool("sessions", false, "fuzz stateful message sequences through the target's session state machine instead of independent packets (target must publish a state model)")
@@ -101,7 +100,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "a process-backed campaign supervises one target: -exec-cmd requires -workers 1")
 			os.Exit(2)
 		}
-		backend = peachstar.WithProcOptions(strings.Fields(*execCmd), *execAddr, peachstar.ProcOptions{
+		backend = peachstar.WithProcTarget(strings.Fields(*execCmd), *execAddr, peachstar.ProcOptions{
 			Net:          *execNet,
 			ExecTimeout:  *execTO,
 			TargetStderr: os.Stderr,
@@ -241,7 +240,6 @@ func main() {
 			Execs:           *execs,
 			Duration:        *duration,
 			SyncEvery:       *syncEvery,
-			StatsEvery:      *statsEvery,
 			Attach:          attach,
 			Exec:            backend,
 			CheckpointPath:  *ckptPath,
@@ -253,21 +251,18 @@ func main() {
 		// Derive the stats cadence from the budget actually in force:
 		// exec-budget runs report every execs/report executions; duration
 		// runs report every duration/report of wall clock (a ticker below
-		// — the exec total is unknowable up front), unless -stats-every
-		// pins an execution cadence explicitly.
+		// — the exec total is unknowable up front).
 		var reportTick time.Duration
 		if *duration > 0 {
-			cfg.Execs = 0 // wall clock overrides the exec budget
-			if *statsEvery == 0 {
-				cfg.StatsEvery = -1 // no exec-based stats; ticker instead
-				if *report > 0 {
-					reportTick = *duration / time.Duration(*report)
-				}
-				if reportTick <= 0 {
-					reportTick = *duration
-				}
+			cfg.Execs = 0       // wall clock overrides the exec budget
+			cfg.StatsEvery = -1 // no exec-based stats; ticker instead
+			if *report > 0 {
+				reportTick = *duration / time.Duration(*report)
 			}
-		} else if *statsEvery == 0 {
+			if reportTick <= 0 {
+				reportTick = *duration
+			}
+		} else {
 			if *report > 0 {
 				cfg.StatsEvery = *execs / *report
 			}

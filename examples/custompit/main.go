@@ -129,10 +129,11 @@ func crc32of(data []byte) uint32 {
 }
 
 func main() {
-	models, err := peachstar.ParsePit(strings.NewReader(telemetryPit))
+	doc, err := peachstar.ParsePitDocument(strings.NewReader(telemetryPit))
 	if err != nil {
 		log.Fatal(err)
 	}
+	models := doc.Models
 	fmt.Printf("parsed %d data models from the pit file\n", len(models))
 
 	target := newTelemetryTarget(models)

@@ -121,7 +121,7 @@ func main() {
 	if *verbose {
 		opts.Logf = log.Printf
 	}
-	backend := peachstar.WithProcOptions([]string{bin, "-listen", "{addr}"}, addr, opts)
+	backend := peachstar.WithProcTarget([]string{bin, "-listen", "{addr}"}, addr, opts)
 
 	fmt.Printf("fuzzing %s at %s for %d execs\n", filepath.Base(bin), addr, *execs)
 	run, err := campaign.Start(context.Background(), peachstar.RunConfig{

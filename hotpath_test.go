@@ -45,13 +45,13 @@ func TestSteadyStateExecAllocBudget(t *testing.T) {
 			runCampaign(t, c, 30000)
 
 			const window = 5000
-			start := c.Execs()
+			start := c.Stats().Execs
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			runCampaign(t, c, start+window)
 			runtime.ReadMemStats(&after)
-			execs := c.Execs() - start
+			execs := c.Stats().Execs - start
 
 			perExec := float64(after.Mallocs-before.Mallocs) / float64(execs)
 			t.Logf("steady state: %.2f allocs/exec over %d execs", perExec, execs)

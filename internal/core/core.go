@@ -58,15 +58,10 @@ type Config struct {
 	// Models is the data-model set extracted from the format
 	// specification (EXTRACTDATAMODEL of Algorithms 1 and 2).
 	Models []*datamodel.Model
-	// Target is the instrumented protocol program under test.
+	// Target is the instrumented protocol program under test. The engine
+	// wraps it in executor.NewInProc; SwapExecutor attaches another
+	// backend.
 	Target executor.Target
-	// Executor, when non-nil, overrides the execution backend: the engine
-	// runs every generated seed through it instead of building an
-	// in-process executor over Target. The engine borrows the executor (the
-	// caller that built it closes it) and reads coverage from its Tracer.
-	// When nil — the default every existing campaign uses — the engine
-	// wraps Target in executor.NewInProc.
-	Executor executor.Executor
 	// Strategy selects Peach or Peach*.
 	Strategy Strategy
 	// Seed drives all randomness; equal seeds give equal campaigns.
@@ -80,10 +75,6 @@ type Config struct {
 	// bit-for-bit identical to the single-packet build.
 	Session *session.StateModel
 
-	// MaxBatch caps the number of seeds Algorithm 3 materializes per
-	// iteration from the donor cartesian product (the paper enumerates
-	// p*q combinations; unbounded enumeration explodes). 0 = default.
-	MaxBatch int
 	// CorpusPerSig bounds stored puzzles per rule signature. 0 = default.
 	CorpusPerSig int
 
@@ -108,9 +99,10 @@ type Config struct {
 	DisableCrossModel bool
 }
 
-// DefaultMaxBatch is the default cap on seeds materialized per semantic
-// generation round.
-const DefaultMaxBatch = 64
+// defaultMaxBatch caps the number of seeds Algorithm 3 materializes per
+// iteration from the donor cartesian product (the paper enumerates p*q
+// combinations; unbounded enumeration explodes).
+const defaultMaxBatch = 64
 
 // Stats is a snapshot of campaign progress.
 type Stats struct {
@@ -202,6 +194,9 @@ type Engine struct {
 	r       *rng.RNG
 	exec    executor.Executor
 	execErr error // first unrecoverable backend failure; sticky
+	// maxBatch caps a semantic generation round (defaultMaxBatch; a test
+	// lowers it to exercise the cap).
+	maxBatch int
 	// restartsAccum carries the target-restart counts of previous
 	// executors across SwapExecutor boundaries, so a campaign's
 	// TargetRestarts survives the session restoring the in-process
@@ -255,7 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("core: no data models")
 	}
-	if cfg.Target == nil && cfg.Executor == nil {
+	if cfg.Target == nil {
 		return nil, fmt.Errorf("core: no target")
 	}
 	// Models are named uniquely: the valuable queues are indexed like
@@ -271,17 +266,11 @@ func New(cfg Config) (*Engine, error) {
 		}
 		names[m.Name] = true
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	ex := cfg.Executor
-	if ex == nil {
-		ex = executor.NewInProc(cfg.Target)
-	}
 	e := &Engine{
 		cfg:      cfg,
 		r:        rng.New(cfg.Seed),
-		exec:     ex,
+		exec:     executor.NewInProc(cfg.Target),
+		maxBatch: defaultMaxBatch,
 		virgin:   coverage.NewVirgin(),
 		corp:     corpus.New(cfg.CorpusPerSig),
 		crashes:  crash.NewBank(),
@@ -343,9 +332,6 @@ func (e *Engine) execRestarts() int {
 
 // Crashes exposes the crash bank for reporting.
 func (e *Engine) Crashes() *crash.Bank { return e.crashes }
-
-// Executor exposes the engine's execution backend.
-func (e *Engine) Executor() executor.Executor { return e.exec }
 
 // SwapExecutor replaces the engine's execution backend, returning the
 // previous one. The caller owns both lifecycles; swapping mid-campaign is

@@ -243,11 +243,12 @@ func TestStrategyString(t *testing.T) {
 func TestSemanticGenerateRespectsMaxBatch(t *testing.T) {
 	e, err := New(Config{
 		Models: toyModels(), Target: newToyTarget(),
-		Strategy: StrategyPeachStar, Seed: 8, MaxBatch: 5,
+		Strategy: StrategyPeachStar, Seed: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxBatch = 5
 	// Prime the corpus.
 	e.Run(300)
 	if e.Corpus().Empty() {

@@ -19,13 +19,13 @@ import (
 // — its own RNG stream (split from the campaign seed), its own target
 // instance and executor, its own coverage accumulator, puzzle corpus and
 // crash bank — and runs the unmodified serial loop. Workers meet only at
-// coarse-grained sync points: every MergeEvery executions a worker publishes
-// its coverage and puzzles into the shared campaign state and folds the
-// other workers' discoveries back out, all under one mutex. Between syncs
-// there is no shared mutable state at all, so the hot loop is exactly the
-// serial hot loop.
+// coarse-grained sync points: every DefaultMergeEvery executions a worker
+// publishes its coverage and puzzles into the shared campaign state and
+// folds the other workers' discoveries back out, all under one mutex.
+// Between syncs there is no shared mutable state at all, so the hot loop
+// is exactly the serial hot loop.
 
-// DefaultMergeEvery is the default number of per-worker executions between
+// DefaultMergeEvery is the number of per-worker executions between
 // synchronizations with the shared campaign state. Small enough that
 // cross-worker donation (a puzzle cracked on worker A donated by worker B)
 // happens many times per campaign, large enough that the mutex is cold.
@@ -40,9 +40,6 @@ type ParallelConfig struct {
 	// targets are stateful servers and must not be shared across
 	// goroutines.
 	NewTarget func() executor.Target
-	// MergeEvery is the per-worker execution count between shared-state
-	// syncs (0 = DefaultMergeEvery).
-	MergeEvery int
 	// SeedStream offsets the RNG stream indices the workers draw: worker i
 	// fuzzes with rng.Split(Config.Seed, SeedStream+i). Zero for a local
 	// fleet; distributed leaves sharing one campaign seed use disjoint
@@ -60,7 +57,7 @@ type ParallelConfig struct {
 type Fleet struct {
 	workers []*Engine
 	peers   []*workerPeer
-	merge   int
+	merge   int // per-worker execs between syncs (DefaultMergeEvery; tests lower it)
 	// state is the shared campaign state. Workers touch it only at sync
 	// points; everything else they own privately. A network transport
 	// attaches to the same state (see State), which is how remote
@@ -143,12 +140,8 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 	if workers > 1 && pcfg.NewTarget == nil {
 		return nil, fmt.Errorf("core: ParallelConfig.NewTarget is required for %d workers", workers)
 	}
-	merge := pcfg.MergeEvery
-	if merge <= 0 {
-		merge = DefaultMergeEvery
-	}
 	f := &Fleet{
-		merge: merge,
+		merge: DefaultMergeEvery,
 		state: NewSyncState(cfg.CorpusPerSig),
 	}
 	for i := 0; i < workers; i++ {
@@ -281,22 +274,11 @@ func (f *Fleet) Stats() Stats {
 // Crashes merges the workers' crash banks — plus any records that arrived
 // from remote fleet nodes via the shared state — into one campaign-level
 // bank, deduplicating faults found by several workers. A fresh bank is
-// built per call so repeated snapshots never double-count. Remote records
+// built per call, for any worker count, so repeated snapshots never
+// double-count and no caller holds a worker's live bank. Remote records
 // are folded with Absorb (idempotent max-count merge), so a local fault
 // echoed back by a hub never inflates its own count.
 func (f *Fleet) Crashes() *crash.Bank {
-	if len(f.workers) == 1 {
-		remote := f.state.CrashRecords()
-		if len(remote) == 0 {
-			return f.workers[0].Crashes()
-		}
-		bank := crash.NewBank()
-		bank.MergeFrom(f.workers[0].crashes)
-		for _, r := range remote {
-			bank.Absorb(r)
-		}
-		return bank
-	}
 	bank := crash.NewBank()
 	for _, w := range f.workers {
 		bank.MergeFrom(w.crashes)

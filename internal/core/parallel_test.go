@@ -17,12 +17,14 @@ func newFleet(t *testing.T, workers, budgetPerSync int, seed uint64) *Fleet {
 		Strategy: StrategyPeachStar,
 		Seed:     seed,
 	}, ParallelConfig{
-		Workers:    workers,
-		NewTarget:  func() executor.Target { return newToyTarget() },
-		MergeEvery: budgetPerSync,
+		Workers:   workers,
+		NewTarget: func() executor.Target { return newToyTarget() },
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if budgetPerSync > 0 {
+		f.merge = budgetPerSync
 	}
 	return f
 }

@@ -201,9 +201,6 @@ func (e *Engine) enableAdaptive() {
 	s.distillIn = schedDistillEvery
 }
 
-// Adaptive reports whether the adaptive scheduler is on.
-func (e *Engine) Adaptive() bool { return e.sched.on }
-
 // beginRound opens a generation round for model mi (-1 for rounds with no
 // model, e.g. the byte-level mutation strategies): the round's mutator
 // credit set starts empty.

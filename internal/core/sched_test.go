@@ -27,7 +27,7 @@ func newAdaptiveEngine(t *testing.T, seed uint64) *Engine {
 // scheduler code on the hot path.
 func TestAdaptiveOffNoSchedulerState(t *testing.T) {
 	e := newEngine(t, StrategyPeachStar, 1)
-	if e.Adaptive() {
+	if e.sched.on {
 		t.Fatal("scheduler on without Config.Adaptive")
 	}
 	e.Run(2000)

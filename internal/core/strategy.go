@@ -69,7 +69,7 @@ func (e *Engine) mutateLeaf(leaf *datamodel.Node) {
 // model cfg.Models[mi] by filling each chunk position with donor puzzles from the
 // corpus where available and with the inherent rule otherwise, then apply
 // File Fixup (§IV-D). The donor cartesian product is enumerated up to
-// MaxBatch seeds (the paper's p×q enumeration, bounded). The batch is
+// maxBatch seeds (the paper's p×q enumeration, bounded). The batch is
 // appended to e.pending.
 func (e *Engine) semanticGenerate(mi int) {
 	m := e.cfg.Models[mi]
@@ -111,7 +111,7 @@ func (e *Engine) semanticGenerate(mi int) {
 	candidates := e.cands
 
 	// The donor cartesian product (Algorithm 3's p×q) is materialized
-	// exactly while it stays small; past MaxBatch it is sampled instead.
+	// exactly while it stays small; past maxBatch it is sampled instead.
 	// Unbounded enumeration would flood the execution budget with
 	// near-duplicate packets and starve exploration — the opposite of
 	// the paper's intent of "ruling out meaningless repetitions".
@@ -122,12 +122,12 @@ func (e *Engine) semanticGenerate(mi int) {
 			n = 1 // inherent rule counts as one candidate (§IV-D)
 		}
 		product *= n + 1 // +1: the skeleton's own content
-		if product > e.cfg.MaxBatch {
+		if product > e.maxBatch {
 			break
 		}
 	}
 	clear(e.dedup)
-	if product <= e.cfg.MaxBatch {
+	if product <= e.maxBatch {
 		e.enumerateBatch(leaves, candidates)
 	} else {
 		e.sampleBatch(leaves, candidates)
@@ -144,7 +144,7 @@ func (e *Engine) semanticGenerate(mi int) {
 func (e *Engine) enumerateBatch(leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
 	var construct func(pos int)
 	construct = func(pos int) {
-		if len(e.pending) >= e.cfg.MaxBatch {
+		if len(e.pending) >= e.maxBatch {
 			return
 		}
 		if pos == len(leaves) { // EQUAL(CurPos, Size+1)
@@ -155,7 +155,7 @@ func (e *Engine) enumerateBatch(leaves []*datamodel.Node, candidates [][]corpus.
 		saved := leaf.Data
 		construct(pos + 1) // skeleton's own content
 		for _, donor := range candidates[pos] {
-			if len(e.pending) >= e.cfg.MaxBatch {
+			if len(e.pending) >= e.maxBatch {
 				break
 			}
 			leaf.Data = donor.Data
@@ -173,7 +173,7 @@ func (e *Engine) enumerateBatch(leaves []*datamodel.Node, candidates [][]corpus.
 const sampleBatchSize = 3
 
 func (e *Engine) sampleBatch(leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
-	for k := 0; k < sampleBatchSize && len(e.pending) < e.cfg.MaxBatch; k++ {
+	for k := 0; k < sampleBatchSize && len(e.pending) < e.maxBatch; k++ {
 		e.saved = e.saved[:0]
 		for i, leaf := range leaves {
 			e.saved = append(e.saved, leaf.Data)

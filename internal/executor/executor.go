@@ -174,6 +174,13 @@ func NewInProc(t Target) *InProc {
 // reset before the execution, so after Run returns the tracer holds exactly
 // this execution's coverage. The error is always nil: every abnormal
 // termination becomes a Crash result.
+//
+// Inside the engine the reset finds the tracer already clean, because
+// Virgin.Consume cleared it after the previous execution. It stays for the
+// callers that run back to back with no Consume in between and then read
+// the tracer: cmd/bench's stage replay calls Run over a batch and reads
+// CountEdges, and without the reset its coverage.edges_per_exec and crack
+// counts would sum coverage across executions.
 func (x *InProc) Run(packet []byte) (res Result, err error) {
 	x.tracer.Reset()
 	defer func() {

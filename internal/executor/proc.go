@@ -337,12 +337,8 @@ func (p *Proc) connectProbe() error {
 		if st, dead := p.exited(); dead {
 			return fmt.Errorf("executor: target died during liveness probe: %s", exitDesc(st))
 		}
-		c, err := net.DialTimeout(p.cfg.Net, p.cfg.Addr, 250*time.Millisecond)
+		err := p.dial()
 		if err == nil {
-			if tc, ok := c.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
-			}
-			p.conn = c
 			return nil
 		}
 		if fromNow(0).After(deadline) {
@@ -350,6 +346,21 @@ func (p *Proc) connectProbe() error {
 		}
 		time.Sleep(p.bk.Delay(5*time.Millisecond, 250*time.Millisecond, attempt))
 	}
+}
+
+// dial makes one connection attempt to the target and, when it succeeds,
+// makes the connection live (TCP without Nagle: every exchange is one
+// small request awaiting its reply).
+func (p *Proc) dial() error {
+	c, err := net.DialTimeout(p.cfg.Net, p.cfg.Addr, 250*time.Millisecond)
+	if err != nil {
+		return err
+	}
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
+	p.conn = c
+	return nil
 }
 
 // exchange performs one send+receive round and classifies the outcome.
@@ -449,12 +460,7 @@ func (p *Proc) connFailure(cause error, packet []byte) Result {
 // the full spawn budget — a healthy server re-accepts immediately.
 func (p *Proc) connectProbeShort() error {
 	for attempt := 0; attempt < 4; attempt++ {
-		c, err := net.DialTimeout(p.cfg.Net, p.cfg.Addr, 250*time.Millisecond)
-		if err == nil {
-			if tc, ok := c.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
-			}
-			p.conn = c
+		if p.dial() == nil {
 			return nil
 		}
 		time.Sleep(p.bk.Delay(2*time.Millisecond, 50*time.Millisecond, attempt))

@@ -73,16 +73,6 @@ type xmlFixup struct {
 	Over  string `xml:"over,attr"`
 }
 
-// Parse reads a Pit document and returns its data models, validated.
-// <StateModel> elements are ignored; use ParseDocument for both halves.
-func Parse(r io.Reader) ([]*datamodel.Model, error) {
-	var doc xmlPit
-	if err := decodePit(r, &doc); err != nil {
-		return nil, err
-	}
-	return convertModels(&doc)
-}
-
 // decodePit unmarshals the XML root.
 func decodePit(r io.Reader, doc *xmlPit) error {
 	if err := xml.NewDecoder(r).Decode(doc); err != nil {

@@ -1,6 +1,7 @@
 package pit
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -36,8 +37,17 @@ const samplePit = `
   </DataModel>
 </Pit>`
 
+// parseModels is the data-model half of ParseDocument.
+func parseModels(r io.Reader) ([]*datamodel.Model, error) {
+	doc, err := ParseDocument(r)
+	if err != nil {
+		return nil, err
+	}
+	return doc.Models, nil
+}
+
 func TestParseSample(t *testing.T) {
-	models, err := Parse(strings.NewReader(samplePit))
+	models, err := parseModels(strings.NewReader(samplePit))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -62,7 +72,7 @@ func TestParseSample(t *testing.T) {
 }
 
 func TestParsedEndianness(t *testing.T) {
-	models, _ := Parse(strings.NewReader(samplePit))
+	models, _ := parseModels(strings.NewReader(samplePit))
 	var crc *datamodel.Chunk
 	var find func(c *datamodel.Chunk)
 	for _, f := range models[0].Fields {
@@ -85,7 +95,7 @@ func TestParsedEndianness(t *testing.T) {
 }
 
 func TestParsedLegalSet(t *testing.T) {
-	models, _ := Parse(strings.NewReader(samplePit))
+	models, _ := parseModels(strings.NewReader(samplePit))
 	m := models[2]
 	inst, err := m.Crack([]byte{2, 0, 1, 0, 0x10})
 	if err != nil {
@@ -118,14 +128,14 @@ func TestParseErrors(t *testing.T) {
 		"bad blob minsize": `<Pit><DataModel name="m"><Blob name="a" minSize="q"/></DataModel></Pit>`,
 	}
 	for name, doc := range cases {
-		if _, err := Parse(strings.NewReader(doc)); err == nil {
+		if _, err := parseModels(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
 func TestHexValueParsing(t *testing.T) {
-	models, err := Parse(strings.NewReader(`<Pit><DataModel name="m"><Blob name="a" size="3" value="0a 0b 0c"/></DataModel></Pit>`))
+	models, err := parseModels(strings.NewReader(`<Pit><DataModel name="m"><Blob name="a" size="3" value="0a 0b 0c"/></DataModel></Pit>`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -137,7 +147,7 @@ func TestHexValueParsing(t *testing.T) {
 }
 
 func TestHexNumberValue(t *testing.T) {
-	models, err := Parse(strings.NewReader(`<Pit><DataModel name="m"><Number name="a" size="16" value="0xABCD"/></DataModel></Pit>`))
+	models, err := parseModels(strings.NewReader(`<Pit><DataModel name="m"><Number name="a" size="16" value="0xABCD"/></DataModel></Pit>`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -147,8 +157,8 @@ func TestHexNumberValue(t *testing.T) {
 }
 
 func TestParseReader(t *testing.T) {
-	models, err := Parse(strings.NewReader(samplePit))
+	models, err := parseModels(strings.NewReader(samplePit))
 	if err != nil || len(models) != 3 {
-		t.Fatalf("Parse(reader) = %d models, %v", len(models), err)
+		t.Fatalf("parseModels(reader) = %d models, %v", len(models), err)
 	}
 }

@@ -50,8 +50,8 @@ type Document struct {
 	StateModels []*session.StateModel
 }
 
-// ParseDocument reads a Pit document and returns both halves, validated.
-// Unlike Parse, it also converts <StateModel> elements; every Action ref
+// ParseDocument reads a Pit document and returns both halves, validated:
+// the data models and the <StateModel> elements, whose every Action ref
 // must resolve to a DataModel declared in the same document.
 func ParseDocument(r io.Reader) (*Document, error) {
 	var doc xmlPit

@@ -66,18 +66,6 @@ func TestParseDocumentStateModel(t *testing.T) {
 	}
 }
 
-// TestParseIgnoresStateModel: the legacy Parse entry point must keep
-// returning just the data models for stateful documents.
-func TestParseIgnoresStateModel(t *testing.T) {
-	models, err := Parse(strings.NewReader(statefulPit))
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if len(models) != 2 {
-		t.Fatalf("models = %d, want 2", len(models))
-	}
-}
-
 func TestParseDocumentStateModelErrors(t *testing.T) {
 	cases := []struct{ name, fragment, want string }{
 		{"bad-ref", `<State name="a"><Action ref="NoSuch"/></State>`, "not a declared DataModel"},

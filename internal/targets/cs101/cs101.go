@@ -337,12 +337,6 @@ func (s *Slave) interrogation(tr *coverage.Tracer, body []byte, cot byte) {
 	}
 }
 
-// LinkReset reports link state (tests use it).
-func (s *Slave) LinkReset() bool { return s.linkReset }
-
-// LastCOT returns the last accepted cause of transmission (tests use it).
-func (s *Slave) LastCOT() byte { return s.lastCOT }
-
 func init() {
 	targets.Register("lib60870", func() targets.Target { return New() })
 }

@@ -64,7 +64,7 @@ func TestDefaultInstancesSafeAfterReset(t *testing.T) {
 func TestLinkStateMachine(t *testing.T) {
 	s := New()
 	r := executor.NewInProc(s)
-	if s.LinkReset() {
+	if s.linkReset {
 		t.Fatal("link should start down")
 	}
 	// ASDUs before reset are dropped.
@@ -74,7 +74,7 @@ func TestLinkStateMachine(t *testing.T) {
 		t.Fatal("ASDU processed before link reset")
 	}
 	resetLink(r)
-	if !s.LinkReset() {
+	if !s.linkReset {
 		t.Fatal("reset frame not processed")
 	}
 	r.Run(varFrameRaw(asdu))
@@ -89,7 +89,7 @@ func TestFixedFrameValidation(t *testing.T) {
 	bad := fixedFrame(fcResetRemoteLink)
 	bad[3]++ // break checksum
 	r.Run(bad)
-	if s.LinkReset() {
+	if s.linkReset {
 		t.Fatal("bad checksum accepted")
 	}
 	short := []byte{0x10, 0x40, 0x01, 0x41}
@@ -252,7 +252,7 @@ func TestCOTRecorded(t *testing.T) {
 	resetLink(r)
 	asdu := []byte{typeCIcNa, 1, 6, 0, 1, 0, 0x00, 0x00, 0x00, 0x14}
 	r.Run(varFrameRaw(asdu))
-	if s.LastCOT() != 6 {
-		t.Fatalf("lastCOT = %d", s.LastCOT())
+	if s.lastCOT != 6 {
+		t.Fatalf("lastCOT = %d", s.lastCOT)
 	}
 }

@@ -545,15 +545,6 @@ func (o *Outstation) unsolMask(tr *coverage.Tracer, objs []byte, enable bool) {
 	}
 }
 
-// Clock returns the written absolute time (tests use it).
-func (o *Outstation) Clock() uint64 { return o.clock }
-
-// Output returns binary output state (tests use it).
-func (o *Outstation) Output(i int) bool { return o.outputs[i] }
-
-// Restarts counts restart requests (tests use it).
-func (o *Outstation) Restarts() int { return o.restarts }
-
 func init() {
 	targets.Register("opendnp3", func() targets.Target { return New() })
 }

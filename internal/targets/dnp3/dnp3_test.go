@@ -82,18 +82,18 @@ func TestBadCRCDropped(t *testing.T) {
 	pkt := buildFrame(app(afColdRestart))
 	pkt[8] ^= 0xFF // header CRC
 	r.Run(pkt)
-	if o.Restarts() != 0 {
+	if o.restarts != 0 {
 		t.Fatal("frame with bad header CRC processed")
 	}
 	pkt = buildFrame(app(afColdRestart))
 	pkt[len(pkt)-1] ^= 0xFF // block CRC
 	r.Run(pkt)
-	if o.Restarts() != 0 {
+	if o.restarts != 0 {
 		t.Fatal("frame with bad block CRC processed")
 	}
 	pkt = buildFrame(app(afColdRestart))
 	r.Run(pkt)
-	if o.Restarts() != 1 {
+	if o.restarts != 1 {
 		t.Fatal("valid restart not processed")
 	}
 }
@@ -109,7 +109,7 @@ func TestAddressFiltering(t *testing.T) {
 	pkt = append(pkt, user...)
 	pkt = append(pkt, byte(bcrc), byte(bcrc>>8))
 	r.Run(pkt)
-	if o.Restarts() != 0 {
+	if o.restarts != 0 {
 		t.Fatal("frame for another outstation processed")
 	}
 }
@@ -120,7 +120,7 @@ func TestTransportRequiresFirFin(t *testing.T) {
 	user := app(afColdRestart)
 	user[0] = 0x40 // FIR only
 	r.Run(buildFrame(user))
-	if o.Restarts() != 0 {
+	if o.restarts != 0 {
 		t.Fatal("multi-fragment transport accepted")
 	}
 }
@@ -133,8 +133,8 @@ func TestWriteTime(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("write crashed: %v", res.Fault)
 	}
-	if o.Clock() != 0x0098765432_10 {
-		t.Fatalf("clock = %x", o.Clock())
+	if o.clock != 0x0098765432_10 {
+		t.Fatalf("clock = %x", o.clock)
 	}
 }
 
@@ -144,20 +144,20 @@ func TestSelectBeforeOperate(t *testing.T) {
 	crob := []byte{grCROB, 1, 0x17, 1, 3, 0x01, 1, 100, 0, 0, 0, 0, 0, 0, 0, 0}
 	// Operate without select: refused.
 	r.Run(buildFrame(app(afOperate, crob...)))
-	if o.Output(3) {
+	if o.outputs[3] {
 		t.Fatal("operate without select executed")
 	}
 	// Select then operate: executes LATCH_ON at index 3.
 	r.Run(buildFrame(app(afSelect, crob...)))
 	r.Run(buildFrame(app(afOperate, crob...)))
-	if !o.Output(3) {
+	if !o.outputs[3] {
 		t.Fatal("select+operate did not execute")
 	}
 	// Second operate without re-select: refused (select consumed).
 	crobOff := append([]byte(nil), crob...)
 	crobOff[5] = 0x03 // LATCH_OFF
 	r.Run(buildFrame(app(afOperate, crobOff...)))
-	if !o.Output(3) {
+	if !o.outputs[3] {
 		t.Fatal("operate ran without matching select")
 	}
 }
@@ -167,7 +167,7 @@ func TestDirectOperateSkipsSelect(t *testing.T) {
 	r := executor.NewInProc(o)
 	crob := []byte{grCROB, 1, 0x17, 1, 5, 0x01, 1, 100, 0, 0, 0, 0, 0, 0, 0, 0}
 	r.Run(buildFrame(app(afDirectOperate, crob...)))
-	if !o.Output(5) {
+	if !o.outputs[5] {
 		t.Fatal("direct operate did not execute")
 	}
 }
@@ -177,7 +177,7 @@ func TestInvalidControlCode(t *testing.T) {
 	r := executor.NewInProc(o)
 	crob := []byte{grCROB, 1, 0x17, 1, 2, 0x0F, 1, 100, 0, 0, 0, 0, 0, 0, 0, 0}
 	r.Run(buildFrame(app(afDirectOperate, crob...)))
-	if o.Output(2) {
+	if o.outputs[2] {
 		t.Fatal("invalid op code executed")
 	}
 }
@@ -248,7 +248,7 @@ func TestCROBModelMatchesHandBuilt(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("generated CROB crashed: %v", res.Fault)
 	}
-	if !o.Output(0) {
+	if !o.outputs[0] {
 		t.Fatal("generated direct-operate CROB did not latch output 0")
 	}
 }

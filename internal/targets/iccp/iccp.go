@@ -347,15 +347,6 @@ func (s *Server) defineNamedList(tr *coverage.Tracer, rest []byte) {
 	}
 }
 
-// Associated reports association state (tests use it).
-func (s *Server) Associated() bool { return s.associated }
-
-// TransferSets counts defined transfer sets (tests use it).
-func (s *Server) TransferSets() int { return s.transferSets }
-
-// TableValue returns a bilateral-table entry (tests use it).
-func (s *Server) TableValue(name string) []byte { return s.table[name] }
-
 func init() {
 	targets.Register("libiccp", func() targets.Target { return New() })
 }

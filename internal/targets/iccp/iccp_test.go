@@ -74,16 +74,16 @@ func TestAssociationLifecycle(t *testing.T) {
 	r := executor.NewInProc(s)
 	// Data before COTP connect: dropped.
 	r.Run(dt(mmsPDU(tagInitiate, []byte{0x00, 0x01, 0x04, 0x00, 0x00})))
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("associated without COTP connection")
 	}
 	r.Run(connect)
 	r.Run(initiatePDU("CLIENT1"))
-	if !s.Associated() {
+	if !s.associated {
 		t.Fatal("initiate did not associate")
 	}
 	r.Run(dt(mmsPDU(tagConclude, []byte{0})))
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("conclude did not end association")
 	}
 }
@@ -95,13 +95,13 @@ func TestInitiateValidation(t *testing.T) {
 	// Wrong protocol version.
 	body := []byte{0x00, 0x09, 0x04, 0x00, 0x03, 'A', 'B', 'C'}
 	r.Run(dt(mmsPDU(tagInitiate, body)))
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("wrong version accepted")
 	}
 	// Max PDU too small.
 	body = []byte{0x00, 0x01, 0x00, 0x10, 0x03, 'A', 'B', 'C'}
 	r.Run(dt(mmsPDU(tagInitiate, body)))
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("tiny max PDU accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestConfirmedRequiresAssociation(t *testing.T) {
 	r.Run(connect)
 	r.Run(confirmedPDU(svcRead, 3, 'a', 'b', 'c'))
 	// No crash, no effect: the read bug is unreachable pre-association.
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("state corrupted")
 	}
 }
@@ -215,7 +215,7 @@ func TestWriteValidPath(t *testing.T) {
 	if res, _ := r.Run(confirmedPDU(svcWrite, rest...)); res.Outcome != executor.OK {
 		t.Fatalf("valid write crashed: %v", res.Fault)
 	}
-	v := s.TableValue(name)
+	v := s.table[name]
 	if len(v) != 2 || v[0] != 0xAA {
 		t.Fatalf("table value = %x", v)
 	}
@@ -239,8 +239,8 @@ func TestDefineTransferSetValid(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("valid transfer set crashed: %v", res.Fault)
 	}
-	if s.TransferSets() != 1 {
-		t.Fatalf("transfer sets = %d", s.TransferSets())
+	if s.transferSets != 1 {
+		t.Fatalf("transfer sets = %d", s.transferSets)
 	}
 }
 
@@ -298,7 +298,7 @@ func TestModelDefaultsReachDeepServices(t *testing.T) {
 	// bring it back, confirming the default instances drive the state
 	// machine end to end.
 	r.Run(models[1].Generate().Bytes())
-	if !s.Associated() {
+	if !s.associated {
 		t.Fatal("default Initiate instance did not associate")
 	}
 }

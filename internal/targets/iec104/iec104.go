@@ -288,9 +288,6 @@ func (s *Slave) clockSync(tr *coverage.Tracer, body []byte) {
 	s.hit(tr, 47)
 }
 
-// Started reports the state machine position (tests use it).
-func (s *Slave) Started() bool { return s.started }
-
 func init() {
 	targets.Register("IEC104", func() targets.Target { return New() })
 }

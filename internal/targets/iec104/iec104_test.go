@@ -52,15 +52,15 @@ func TestModelsSelfConsistent(t *testing.T) {
 func TestStateMachine(t *testing.T) {
 	s := New()
 	r := executor.NewInProc(s)
-	if s.Started() {
+	if s.started {
 		t.Fatal("slave should start stopped")
 	}
 	r.Run(startDT)
-	if !s.Started() {
+	if !s.started {
 		t.Fatal("STARTDT not processed")
 	}
 	r.Run([]byte{0x68, 0x04, 0x13, 0x00, 0x00, 0x00}) // STOPDT
-	if s.Started() {
+	if s.started {
 		t.Fatal("STOPDT not processed")
 	}
 }

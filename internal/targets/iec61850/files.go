@@ -223,6 +223,3 @@ func fileName(raw []byte) (string, bool) {
 	}
 	return name, true
 }
-
-// OpenFiles reports the FRSM count (tests use it).
-func (s *Server) OpenFiles() int { return len(s.fs.frsm) }

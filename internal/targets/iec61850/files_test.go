@@ -30,8 +30,8 @@ func TestFileOpenReadClose(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("fileOpen crashed: %v", res.Fault)
 	}
-	if s.OpenFiles() != 1 {
-		t.Fatalf("open files = %d", s.OpenFiles())
+	if len(s.fs.frsm) != 1 {
+		t.Fatalf("open files = %d", len(s.fs.frsm))
 	}
 	// R1.DAT is 90 bytes: three reads (32+32+26) reach EOF.
 	for i := 0; i < 3; i++ {
@@ -41,7 +41,7 @@ func TestFileOpenReadClose(t *testing.T) {
 		t.Fatalf("frsm position = %d", s.fs.frsm[1].pos)
 	}
 	r.Run(fileService(3, 0xBF, 0x4A, []byte{0x02, 0x01, 0x01}))
-	if s.OpenFiles() != 0 {
+	if len(s.fs.frsm) != 0 {
 		t.Fatal("fileClose did not release the FRSM")
 	}
 }
@@ -60,7 +60,7 @@ func TestFileOpenValidation(t *testing.T) {
 			t.Fatalf("fileOpen %x crashed: %v", body, res.Fault)
 		}
 	}
-	if s.OpenFiles() != 0 {
+	if len(s.fs.frsm) != 0 {
 		t.Fatal("invalid open created an FRSM")
 	}
 }
@@ -72,8 +72,8 @@ func TestFileOpenLimit(t *testing.T) {
 	for i := 0; i < frsmLimit+2; i++ {
 		r.Run(fileService(byte(i), 0xBF, 0x48, openBody("model.icd")))
 	}
-	if s.OpenFiles() != frsmLimit {
-		t.Fatalf("open files = %d, want limit %d", s.OpenFiles(), frsmLimit)
+	if len(s.fs.frsm) != frsmLimit {
+		t.Fatalf("open files = %d, want limit %d", len(s.fs.frsm), frsmLimit)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestFileOpenModelEffective(t *testing.T) {
 			continue
 		}
 		r.Run(m.Generate().Bytes())
-		if s.OpenFiles() != 1 {
+		if len(s.fs.frsm) != 1 {
 			t.Fatal("FileOpen model default did not open a file")
 		}
 		return

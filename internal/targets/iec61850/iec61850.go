@@ -637,18 +637,6 @@ func (s *Server) deleteNVL(tr *coverage.Tracer, d *berDecoder, body []byte) {
 	delete(s.nvls, key)
 }
 
-// Associated reports MMS association state (tests use it).
-func (s *Server) Associated() bool { return s.associated }
-
-// Writes counts successful write operations (tests use it).
-func (s *Server) Writes() int { return s.writes }
-
-// Reads counts successful variable reads (tests use it).
-func (s *Server) Reads() int { return s.reads }
-
-// NVLCount returns the number of named variable lists (tests use it).
-func (s *Server) NVLCount() int { return len(s.nvls) }
-
 func init() {
 	targets.Register("libiec61850", func() targets.Target { return New() })
 }

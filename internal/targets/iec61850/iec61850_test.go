@@ -55,15 +55,15 @@ func TestModelsSelfConsistent(t *testing.T) {
 func TestAssociationViaModels(t *testing.T) {
 	s := New()
 	r := executor.NewInProc(s)
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("fresh server associated")
 	}
 	associate(t, r)
-	if !s.Associated() {
+	if !s.associated {
 		t.Fatal("model defaults did not associate")
 	}
 	r.Run(modelByName(t, "Conclude").pkt)
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("conclude ignored")
 	}
 }
@@ -83,13 +83,13 @@ func TestReadVariableCounts(t *testing.T) {
 	r := executor.NewInProc(s)
 	associate(t, r)
 	r.Run(modelByName(t, "ReadVariable").pkt)
-	if s.Reads() != 1 {
-		t.Fatalf("reads = %d", s.Reads())
+	if s.reads != 1 {
+		t.Fatalf("reads = %d", s.reads)
 	}
 	// NVL read expands both members.
 	r.Run(modelByName(t, "ReadNVL").pkt)
-	if s.Reads() != 3 {
-		t.Fatalf("reads after NVL = %d", s.Reads())
+	if s.reads != 3 {
+		t.Fatalf("reads after NVL = %d", s.reads)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestWriteVariable(t *testing.T) {
 	r := executor.NewInProc(s)
 	associate(t, r)
 	r.Run(modelByName(t, "WriteVariable").pkt)
-	if s.Writes() != 1 {
-		t.Fatalf("writes = %d", s.Writes())
+	if s.writes != 1 {
+		t.Fatalf("writes = %d", s.writes)
 	}
 	attr := s.domains["simpleIOGenericIO"]["GGIO1$SP$NamPlt$vendor"]
 	if string(attr.value) != "ACME" {
@@ -123,7 +123,7 @@ func TestWriteReadOnlyRefused(t *testing.T) {
 		m.ApplyFixups(inst)
 		r.Run(inst.Bytes())
 	}
-	if s.Writes() != 0 {
+	if s.writes != 0 {
 		t.Fatal("read-only attribute written")
 	}
 }
@@ -142,7 +142,7 @@ func TestWriteTypeMismatchRefused(t *testing.T) {
 		m.ApplyFixups(inst)
 		r.Run(inst.Bytes())
 	}
-	if s.Writes() != 0 {
+	if s.writes != 0 {
 		t.Fatal("type-mismatched write accepted")
 	}
 }
@@ -151,18 +151,18 @@ func TestDefineAndDeleteNVL(t *testing.T) {
 	s := New()
 	r := executor.NewInProc(s)
 	associate(t, r)
-	base := s.NVLCount()
+	base := len(s.nvls)
 	r.Run(modelByName(t, "DefineNVL").pkt)
-	if s.NVLCount() != base+1 {
-		t.Fatalf("NVL not defined (count %d)", s.NVLCount())
+	if len(s.nvls) != base+1 {
+		t.Fatalf("NVL not defined (count %d)", len(s.nvls))
 	}
 	// Defining the same list again: object-exists.
 	r.Run(modelByName(t, "DefineNVL").pkt)
-	if s.NVLCount() != base+1 {
+	if len(s.nvls) != base+1 {
 		t.Fatal("duplicate NVL defined")
 	}
 	r.Run(modelByName(t, "DeleteNVL").pkt)
-	if s.NVLCount() != base {
+	if len(s.nvls) != base {
 		t.Fatal("NVL not deleted")
 	}
 }
@@ -180,7 +180,7 @@ func TestPreconfiguredNVLProtected(t *testing.T) {
 		m.ApplyFixups(inst)
 		r.Run(inst.Bytes())
 	}
-	if s.NVLCount() != 1 {
+	if len(s.nvls) != 1 {
 		t.Fatal("config-defined NVL deleted")
 	}
 }
@@ -191,7 +191,7 @@ func TestConfirmedRequiresAssociation(t *testing.T) {
 	r.Run(modelByName(t, "COTPConnect").pkt)
 	// Jump straight to a read without initiate: dropped.
 	r.Run(modelByName(t, "ReadVariable").pkt)
-	if s.Reads() != 0 {
+	if s.reads != 0 {
 		t.Fatal("read served without association")
 	}
 }
@@ -202,7 +202,7 @@ func TestSessionRequiredForData(t *testing.T) {
 	r.Run(modelByName(t, "COTPConnect").pkt)
 	// DATA SPDU before session CONNECT: dropped at the session layer.
 	r.Run(modelByName(t, "Identify").pkt)
-	if s.Associated() {
+	if s.associated {
 		t.Fatal("state moved without session")
 	}
 }

@@ -71,7 +71,7 @@ func TestReadFileRecord(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("read file record crashed: %v", res.Fault)
 	}
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	// fc, respLen, subLen=5, refType, then records 0x0201 0x0202.
 	if resp[7] != fcReadFileRecord || resp[9] != 5 || resp[10] != refTypeFileRecord {
 		t.Fatalf("response header = %x", resp)
@@ -123,14 +123,14 @@ func TestReadFIFOQueue(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("fifo crashed: %v", res.Fault)
 	}
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	if resp[11] != 3 || resp[12] != 0x01 || resp[13] != 0x02 {
 		t.Fatalf("fifo response = %x", resp)
 	}
 	// Over-depth queue -> illegal value.
 	s.holding[0x60] = 99
 	r.Run(frame([]byte{fcReadFIFOQueue, 0x00, 0x60}))
-	if resp := s.LastResponse(); resp[0] != fcReadFIFOQueue|0x80 || resp[1] != exIllegalValue {
+	if resp := s.lastResponse; resp[0] != fcReadFIFOQueue|0x80 || resp[1] != exIllegalValue {
 		t.Fatalf("over-depth response = %x", resp)
 	}
 }
@@ -143,24 +143,24 @@ func TestDeviceIdentification(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("device id crashed: %v", res.Fault)
 	}
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	if resp[7] != fcEncapsulated || resp[8] != meiDeviceID {
 		t.Fatalf("device id response = %x", resp)
 	}
 	// Individual access: object 1 = product code.
 	r.Run(frame([]byte{fcEncapsulated, meiDeviceID, 0x04, 0x01}))
-	resp = s.LastResponse()
+	resp = s.lastResponse
 	if string(resp[len(resp)-5:]) != "PSTAR" {
 		t.Fatalf("individual object response = %x", resp)
 	}
 	// Unknown MEI type -> illegal function.
 	r.Run(frame([]byte{fcEncapsulated, 0x0D, 0x01, 0x00}))
-	if resp := s.LastResponse(); resp[0] != fcEncapsulated|0x80 {
+	if resp := s.lastResponse; resp[0] != fcEncapsulated|0x80 {
 		t.Fatalf("unknown MEI response = %x", resp)
 	}
 	// Unknown object in individual mode -> illegal address.
 	r.Run(frame([]byte{fcEncapsulated, meiDeviceID, 0x04, 0x55}))
-	if resp := s.LastResponse(); resp[1] != exIllegalAddress {
+	if resp := s.lastResponse; resp[1] != exIllegalAddress {
 		t.Fatalf("unknown object response = %x", resp)
 	}
 }

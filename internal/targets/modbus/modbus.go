@@ -561,9 +561,6 @@ func (s *Server) respond(tr *coverage.Tracer, pdu []byte) {
 	s.lastResponse = resp
 }
 
-// LastResponse returns the most recent response frame (tests use it).
-func (s *Server) LastResponse() []byte { return s.lastResponse }
-
 func be16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
 
 func init() {

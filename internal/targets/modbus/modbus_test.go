@@ -78,7 +78,7 @@ func TestReadHoldingRegisters(t *testing.T) {
 	if res.Outcome != executor.OK {
 		t.Fatalf("read crashed: %v", res.Fault)
 	}
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	// fc, byteCount=4, reg1=3, reg2=6.
 	if resp[7] != 0x03 || resp[8] != 4 || resp[10] != 3 || resp[12] != 6 {
 		t.Fatalf("response = %x", resp)
@@ -89,17 +89,17 @@ func TestReadExceptionResponses(t *testing.T) {
 	s := New()
 	// Quantity too large -> illegal value.
 	run(t, s, frame([]byte{0x03, 0x00, 0x00, 0x00, 0xFF}))
-	if resp := s.LastResponse(); resp[0] != 0x83 || resp[1] != exIllegalValue {
+	if resp := s.lastResponse; resp[0] != 0x83 || resp[1] != exIllegalValue {
 		t.Fatalf("response = %x", resp)
 	}
 	// Address out of range -> illegal address.
 	run(t, s, frame([]byte{0x03, 0xFF, 0x00, 0x00, 0x01}))
-	if resp := s.LastResponse(); resp[0] != 0x83 || resp[1] != exIllegalAddress {
+	if resp := s.lastResponse; resp[0] != 0x83 || resp[1] != exIllegalAddress {
 		t.Fatalf("response = %x", resp)
 	}
 	// Unknown function -> illegal function.
 	run(t, s, frame([]byte{0x55}))
-	if resp := s.LastResponse(); resp[0] != 0xD5 || resp[1] != exIllegalFunction {
+	if resp := s.lastResponse; resp[0] != 0xD5 || resp[1] != exIllegalFunction {
 		t.Fatalf("response = %x", resp)
 	}
 }
@@ -111,13 +111,13 @@ func TestWriteAndReadBackCoil(t *testing.T) {
 		t.Fatal("coil 10 not set")
 	}
 	run(t, s, frame([]byte{0x01, 0x00, 0x0A, 0x00, 0x01}))
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	if resp[9]&1 != 1 {
 		t.Fatalf("read coils response = %x", resp)
 	}
 	// Illegal coil value.
 	run(t, s, frame([]byte{0x05, 0x00, 0x0A, 0x12, 0x34}))
-	if resp := s.LastResponse(); resp[0] != 0x85 || resp[1] != exIllegalValue {
+	if resp := s.lastResponse; resp[0] != 0x85 || resp[1] != exIllegalValue {
 		t.Fatalf("response = %x", resp)
 	}
 }
@@ -141,7 +141,7 @@ func TestWriteMultipleRegisters(t *testing.T) {
 	}
 	// Byte count mismatch.
 	run(t, s, frame([]byte{0x10, 0x00, 0x30, 0x00, 0x02, 0x05, 0xDE, 0xAD, 0xBE, 0xEF, 0x00}))
-	if resp := s.LastResponse(); resp[0] != 0x90 {
+	if resp := s.lastResponse; resp[0] != 0x90 {
 		t.Fatalf("response = %x", resp)
 	}
 }
@@ -221,7 +221,7 @@ func TestRWMultipleValidPath(t *testing.T) {
 	if s.holding[0x10] != 0x5566 {
 		t.Fatal("write part of 0x17 lost")
 	}
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	if resp[7] != 0x17 || resp[9] != 0x00 || resp[10] != 0xAA {
 		t.Fatalf("read part wrong: %x", resp)
 	}
@@ -231,13 +231,13 @@ func TestDiagnosticsClearAndCounters(t *testing.T) {
 	s := New()
 	run(t, s, frame([]byte{0x06, 0x00, 0x01, 0x11, 0x11})) // bump event count
 	run(t, s, frame([]byte{0x0B}))
-	resp := s.LastResponse()
+	resp := s.lastResponse
 	if resp[10] != 0 || resp[11] != 1 {
 		t.Fatalf("event counter response = %x", resp)
 	}
 	run(t, s, frame([]byte{0x08, 0x00, 0x0A, 0x00, 0x00})) // clear
 	run(t, s, frame([]byte{0x0B}))
-	if resp := s.LastResponse(); resp[11] != 0 {
+	if resp := s.lastResponse; resp[11] != 0 {
 		t.Fatal("counters not cleared")
 	}
 }

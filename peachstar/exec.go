@@ -22,7 +22,7 @@ type FaultKind = mem.FaultKind
 
 // ExecBackend selects the execution backend of one session
 // (RunConfig.Exec): where a generated packet is actually run. Build one
-// with WithProcTarget or WithProcOptions; a nil ExecBackend means the
+// with WithProcTarget; a nil ExecBackend means the
 // default in-process runner, which is bit-for-bit identical to every
 // campaign that predates the backends.
 type ExecBackend interface {
@@ -48,14 +48,15 @@ type ProcOptions struct {
 }
 
 // WithProcTarget returns an execution backend that spawns the given
-// command as the target process and fuzzes it over TCP at addr. The
-// literal substring "{addr}" in any argument is replaced with addr, so one
-// value spells both where the server listens and where the fuzzer
-// connects:
+// command as the target process and fuzzes it at addr, tuned by opts (the
+// zero ProcOptions is TCP with the default watchdog). The literal
+// substring "{addr}" in any argument is replaced with addr, so one value
+// spells both where the server listens and where the fuzzer connects:
 //
 //	run, _ := campaign.Start(ctx, peachstar.RunConfig{
 //		Execs: 100000,
-//		Exec:  peachstar.WithProcTarget([]string{"./server", "-listen", "{addr}"}, "127.0.0.1:1502"),
+//		Exec: peachstar.WithProcTarget([]string{"./server", "-listen", "{addr}"},
+//			"127.0.0.1:1502", peachstar.ProcOptions{}),
 //	})
 //
 // The session owns the process: it is spawned (with a liveness probe) when
@@ -64,12 +65,7 @@ type ProcOptions struct {
 // Crashes are classified by exit status and each ships with a replayable
 // packet-sequence reproducer (CrashRecord.Sequence; verify with
 // ReplayCrash). A process-backed session requires Options.Workers <= 1.
-func WithProcTarget(cmd []string, addr string) ExecBackend {
-	return WithProcOptions(cmd, addr, ProcOptions{})
-}
-
-// WithProcOptions is WithProcTarget with explicit tuning.
-func WithProcOptions(cmd []string, addr string, opts ProcOptions) ExecBackend {
+func WithProcTarget(cmd []string, addr string, opts ProcOptions) ExecBackend {
 	return procBackend{cfg: executor.ProcConfig{
 		Cmd:         cmd,
 		Addr:        addr,

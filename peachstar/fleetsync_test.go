@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // newSyncCampaign builds a campaign on the given seed stream for the
@@ -58,7 +60,7 @@ func TestServeAndDialSync(t *testing.T) {
 	}
 	// One more hub-side flush so the hub campaign's workers pull what the
 	// leaf pushed, then a final leaf window to settle both directions.
-	runExecs(t, hubCampaign, hubCampaign.Execs()+256)
+	runExecs(t, hubCampaign, hubCampaign.Stats().Execs+256)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestHubAttachmentPublishesLocalWork(t *testing.T) {
 			if pushed.UniqueCrashes == 0 {
 				t.Fatal("leaf found no crash; budget too small for this assertion")
 			}
-			runExecs(t, hubCampaign, hubCampaign.Execs()+256, srv.Attachment())
+			runExecs(t, hubCampaign, hubCampaign.Stats().Execs+256, srv.Attachment())
 			if err := leaf.Sync(); err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +258,7 @@ func TestLeafWindowOverlapsExchange(t *testing.T) {
 			leafCampaign := newSyncCampaign(t, 1)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			before := runtime.NumGoroutine()
+			exited := leakcheck.Mark()
 			run, err := leafCampaign.Start(ctx, RunConfig{SyncEvery: every, Attach: []Attachment{WithLeaf(gate.Addr())}})
 			if err != nil {
 				t.Fatal(err)
@@ -287,12 +289,7 @@ func TestLeafWindowOverlapsExchange(t *testing.T) {
 					t.Fatalf("cancel with an exchange in flight took %v", took)
 				}
 				// The proxy and the hub drop the link once the leaf hangs up.
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					runtime.Gosched()
-				}
-				if n := runtime.NumGoroutine(); n > before {
-					t.Errorf("%d goroutines after Wait, %d before Start", n, before)
-				}
+				exited(t, 5*time.Second)
 				return
 			}
 			close(gate.release)

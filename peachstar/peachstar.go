@@ -289,10 +289,6 @@ func targetFactory(opts Options) func() executor.Target {
 // Workers returns the campaign's parallelism.
 func (c *Campaign) Workers() int { return c.fleet.Workers() }
 
-// Execs returns the total executions performed so far, without building a
-// full Stats snapshot — for budget arithmetic in driving loops.
-func (c *Campaign) Execs() int { return c.fleet.Execs() }
-
 // Stats returns the current progress snapshot, aggregated across workers:
 // counters summed, Edges and CorpusPuzzles the fleet's union, crash
 // figures from the deduplicated bank. Reading it changes nothing a served
@@ -319,9 +315,6 @@ func NewTarget(name string) (Target, error) { return targets.New(name) }
 
 // TargetNames lists the registered protocol targets.
 func TargetNames() []string { return targets.Names() }
-
-// ParsePit reads an XML Pit format specification into data models.
-func ParsePit(r io.Reader) ([]*Model, error) { return pit.Parse(r) }
 
 // ParsePitDocument reads an XML Pit specification into both halves: the
 // data models and any <StateModel> session state machines referencing

@@ -73,7 +73,7 @@ func TestCampaignCrashRecords(t *testing.T) {
 
 func TestModelsOverride(t *testing.T) {
 	tgt, _ := NewTarget("libmodbus")
-	models, err := ParsePit(strings.NewReader(`
+	doc, err := ParsePitDocument(strings.NewReader(`
 <Pit>
   <DataModel name="OnlyReads">
     <Number name="txn" size="16" value="1"/>
@@ -90,7 +90,7 @@ func TestModelsOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCampaign(Options{Target: tgt, Models: models, Strategy: PeachStar, Seed: 2})
+	c, err := NewCampaign(Options{Target: tgt, Models: doc.Models, Strategy: PeachStar, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

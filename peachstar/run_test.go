@@ -266,7 +266,7 @@ func TestStartRejectsConcurrentSessions(t *testing.T) {
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Start(context.Background(), RunConfig{Execs: c.Execs() + 256})
+	r2, err := c.Start(context.Background(), RunConfig{Execs: c.Stats().Execs + 256})
 	if err != nil {
 		t.Fatalf("Start after previous session ended: %v", err)
 	}

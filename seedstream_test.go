@@ -61,7 +61,7 @@ func TestSeedStreamGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := &packetHasher{InProc: executor.NewInProc(tgt), sum: 14695981039346656037}
-		cfg := core.Config{Models: tgt.Models(), Target: tgt, Executor: h, Strategy: core.StrategyPeachStar, Seed: 1}
+		cfg := core.Config{Models: tgt.Models(), Target: tgt, Strategy: core.StrategyPeachStar, Seed: 1}
 		if sessions {
 			cfg.Session = tgt.(targets.SessionTarget).StateModel()
 		}
@@ -69,6 +69,7 @@ func TestSeedStreamGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.SwapExecutor(h)
 		eng.Run(20000)
 		if h.sum != golden {
 			t.Errorf("%s: packet stream hash %#x, want %#x — the generated bytes changed", name, h.sum, golden)

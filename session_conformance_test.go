@@ -81,11 +81,11 @@ func TestDeepStateConformance(t *testing.T) {
 		Target:   tgt2,
 		Strategy: core.StrategyPeachStar,
 		Seed:     1,
-		Executor: perConnExec{executor.NewInProc(tgt2)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng2.SwapExecutor(perConnExec{executor.NewInProc(tgt2)})
 	eng2.Run(budget)
 	for _, r := range eng2.Crashes().Records() {
 		if r.Site == deepFaultSite {

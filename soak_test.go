@@ -112,7 +112,7 @@ func TestSoakRealTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := peachstar.WithProcOptions([]string{bin, "-listen", "{addr}"}, addr,
+	backend := peachstar.WithProcTarget([]string{bin, "-listen", "{addr}"}, addr,
 		peachstar.ProcOptions{ExecTimeout: 60 * time.Millisecond})
 
 	run, err := campaign.Start(context.Background(), peachstar.RunConfig{
