@@ -1,15 +1,15 @@
 # CI entry points for the Peach* reproduction. `make ci` is the full gate;
 # the individual targets are what it runs. `make check` is the fast
 # pre-commit gate: build + vet + lint + race + the hot-path allocation
-# guard + the docs, API and size gates.
+# guard + the inlining gate + the docs, API and size gates.
 
 GO ?= go
 
-.PHONY: ci check build vet lint test test-386 race race-sync flake soak fuzz alloc-guard docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
+.PHONY: ci check build vet lint test test-386 race race-sync flake soak fuzz alloc-guard inline-check docs-check api-check api-snapshot bench bench-compare profile loc loc-check clean
 
-ci: build vet lint test test-386 race race-sync alloc-guard docs-check api-check loc-check soak
+ci: build vet lint test test-386 race race-sync alloc-guard inline-check docs-check api-check loc-check soak
 
-check: build vet lint test-386 race race-sync alloc-guard docs-check api-check loc-check
+check: build vet lint test-386 race race-sync alloc-guard inline-check docs-check api-check loc-check
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,25 @@ docs-check:
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateExecAllocBudget|TestApplyFixupsAllocFree' -v .
 	$(GO) test -run 'TestSemanticGenerateSteadyStateAllocs|TestCrackRejectAllocFree' -v ./internal/core
+
+# Inlining gate, alloc-guard's companion for the instrumentation stub:
+# coverage.(*Tracer).Hit runs at every instrumented branch of every
+# target, so a call that is not inlined would cost a function call per
+# branch. The compiler must report Hit inlinable, and the object code of
+# every package under internal/targets and of internal/executor (the
+# callers of Hit) must hold no call to it — a call the inliner refused,
+# say in a function too big for the full budget, fails here too.
+inline-check:
+	@$(GO) build -gcflags=-m ./internal/coverage 2>&1 | grep 'can inline (\*Tracer).Hit$$' >/dev/null || \
+		{ echo "inline-check: the compiler no longer reports (*Tracer).Hit inlinable"; exit 1; }
+	@dir=$$(mktemp -d); status=0; \
+	for p in $$($(GO) list ./internal/targets/... ./internal/executor); do \
+		$(GO) build -o $$dir/pkg.a $$p || { status=1; break; }; \
+		if $(GO) tool objdump $$dir/pkg.a | grep 'R_CALL:repro/internal/coverage\.(\*Tracer)\.Hit' >/dev/null; then \
+			echo "inline-check: $$p calls (*Tracer).Hit without inlining it"; status=1; \
+		fi; \
+	done; rm -rf $$dir; \
+	if [ $$status -eq 0 ]; then echo "inline-check: (*Tracer).Hit is inlined at every call site"; fi; exit $$status
 
 # Public-API gate: the exported peachstar surface must match the golden
 # snapshot (api/peachstar.golden) and every exported symbol must carry a

@@ -154,8 +154,9 @@ type Stats struct {
 // and the per-operator and per-state slices add element-wise (copied on
 // first use, so s never aliases a record). StatesReached is recounted from
 // the summed StateCoverage: a state any worker sent from is reached.
-// Edges, CorpusPuzzles and the crash figures are unions, not sums; the
-// fleet sets them (Fleet.StatsApprox).
+// Hangs add too: the merged bank's hang tally is the workers' sum. Edges,
+// CorpusPuzzles and UniqueCrashes are unions, not sums; the fleet sets
+// them (Fleet.StatsApprox).
 func (s *Stats) add(r *Stats) {
 	s.Iterations += r.Iterations
 	s.Execs += r.Execs
@@ -165,6 +166,7 @@ func (s *Stats) add(r *Stats) {
 	s.TargetRestarts += r.TargetRestarts
 	s.Distills += r.Distills
 	s.Sequences += r.Sequences
+	s.Hangs += r.Hangs
 	addOp := func(s, r *MutatorStat) { s.Trials += r.Trials; s.Hits += r.Hits }
 	s.MutatorStats = addEach(s.MutatorStats, r.MutatorStats, addOp)
 	s.SeqOpStats = addEach(s.SeqOpStats, r.SeqOpStats, addOp)

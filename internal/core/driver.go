@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/crash"
@@ -227,7 +228,8 @@ func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 	p, w := f.peers[i], f.workers[i]
 	f.publish(i)
 	f.pubCorpus.Store(int64(corpusLen))
-	delta := f.publishEdges(edges)
+	raise(&f.pubUnique, crash.Union(f.banks...))
+	delta := raise(&f.pubEdges, edges)
 	if hook == nil {
 		return
 	}
@@ -249,27 +251,28 @@ func (f *Fleet) publishWindow(i int, edges, corpusLen int, hook WindowHook) {
 	})
 }
 
-// publishEdges raises the published union edge count to edges (it never
-// lowers it — workers publish concurrently and coverage only grows; only
-// PublishStats, at quiescence, stores a lower figure) and returns how many
-// edges this publication added.
-func (f *Fleet) publishEdges(edges int) (delta int) {
+// raise lifts a published union figure to v (it never lowers it —
+// workers publish concurrently and coverage and crashes only grow; only
+// PublishStats, at quiescence, stores a lower figure) and returns how much
+// this publication added.
+func raise(fig *atomic.Int64, v int) (delta int) {
 	for {
-		old := f.pubEdges.Load()
-		if int64(edges) <= old {
+		old := fig.Load()
+		if int64(v) <= old {
 			return 0
 		}
-		if f.pubEdges.CompareAndSwap(old, int64(edges)) {
-			return edges - int(old)
+		if fig.CompareAndSwap(old, int64(v)) {
+			return v - int(old)
 		}
 	}
 }
 
 // PublishStats refreshes every published figure while the fleet is
-// quiescent (no Drive in flight): every worker's record, and the union
+// quiescent (no Drive in flight): every worker's record, the union
 // edge and corpus figures — taken from the lone worker (serial fleets
 // never sync, so the worker is the union) or from the shared state (which
-// every worker's final window synced into). The union figures are stored,
+// every worker's final window synced into) — and the unique crash count
+// of the merged bank (crash.Union). The union figures are stored,
 // not raised: at quiescence they are exact, including after a restore
 // rolled the campaign back. Drive's return, Stats and RestoreCheckpoint
 // call it; so do drivers between windows, which is how Run.Snapshot and
@@ -289,16 +292,17 @@ func (f *Fleet) PublishStats() {
 	}
 	f.pubEdges.Store(int64(edges))
 	f.pubCorpus.Store(int64(corpusLen))
+	f.pubUnique.Store(int64(crash.Union(f.banks...)))
 }
 
 // StatsApprox is the concurrent-safe campaign snapshot, safe to call from
 // any goroutine while Drive is in flight: the sum of the workers'
-// published records (Stats.add), with the published union Edges and
-// CorpusPuzzles and the crash figures of the merged bank (crash banks
-// are internally locked, so those are exact at all times). While a fleet
-// runs, each record is as of its worker's latest merge window, so the
-// figures lag by at most one window; at quiescence, after PublishStats,
-// StatsApprox equals Stats.
+// published records (Stats.add, which also sums their hang tallies), with
+// the published union Edges, CorpusPuzzles and UniqueCrashes. It builds
+// no crash bank. While a fleet runs, each record is as of its worker's
+// latest merge window, so the figures lag by at most one window; at
+// quiescence, after PublishStats, StatsApprox equals Stats and its crash
+// figures equal Crashes' Unique and Hangs.
 func (f *Fleet) StatsApprox() Stats {
 	var s Stats
 	for _, p := range f.peers {
@@ -308,8 +312,6 @@ func (f *Fleet) StatsApprox() Stats {
 	}
 	s.Edges = int(f.pubEdges.Load())
 	s.CorpusPuzzles = int(f.pubCorpus.Load())
-	bank := f.Crashes()
-	s.UniqueCrashes = bank.Unique()
-	s.Hangs = bank.Hangs()
+	s.UniqueCrashes = int(f.pubUnique.Load())
 	return s
 }

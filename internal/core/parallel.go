@@ -64,12 +64,16 @@ type Fleet struct {
 	// discoveries reach the workers: they arrive in the shared state and
 	// the workers' next pull folds them out.
 	state *SyncState
-	// pubEdges and pubCorpus are the fleet-level published union figures,
-	// raised at every merge window (see driver.go) and stored at
-	// quiescence by PublishStats; with the workers' published records they
-	// are what StatsApprox reads.
+	// pubEdges, pubCorpus and pubUnique are the fleet-level published
+	// union figures, raised at every merge window (see driver.go) and
+	// stored at quiescence by PublishStats; with the workers' published
+	// records they are what StatsApprox reads.
 	pubEdges  atomic.Int64
 	pubCorpus atomic.Int64
+	pubUnique atomic.Int64
+	// banks are the crash banks Crashes merges, the shared state's first
+	// and then each worker's, in the one order crash.Union locks them.
+	banks []*crash.Bank
 }
 
 // workerPeer adapts one worker engine to the SyncPeer merge path. It holds
@@ -144,6 +148,7 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 		merge: DefaultMergeEvery,
 		state: NewSyncState(cfg.CorpusPerSig),
 	}
+	f.banks = append(f.banks, f.state.crashes)
 	for i := 0; i < workers; i++ {
 		wcfg := cfg
 		wcfg.Seed = rng.Split(cfg.Seed, pcfg.SeedStream+i)
@@ -155,6 +160,7 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 			return nil, err
 		}
 		f.workers = append(f.workers, eng)
+		f.banks = append(f.banks, eng.crashes)
 		f.peers = append(f.peers, &workerPeer{
 			w:        eng,
 			selfID:   eng.corp.RegisterPeer(0),
@@ -252,7 +258,7 @@ func (f *Fleet) Run(execBudget int) {
 
 // Stats is the campaign snapshot at quiescence: PublishStats, then the
 // StatsApprox sum of the fresh records. Execution and path counters are
-// summed over workers and crash figures come from the merged bank. Edges
+// summed over workers and crash figures are the merged bank's. Edges
 // and CorpusPuzzles are the shared state's union figures: every worker's
 // final window synced into it, so reading them merges nothing and Stats
 // writes nothing but the published records. A one-worker fleet never syncs
@@ -277,7 +283,9 @@ func (f *Fleet) Stats() Stats {
 // built per call, for any worker count, so repeated snapshots never
 // double-count and no caller holds a worker's live bank. Remote records
 // are folded with Absorb (idempotent max-count merge), so a local fault
-// echoed back by a hub never inflates its own count.
+// echoed back by a hub never inflates its own count. It is the one way
+// to list records, for one-shot reports; pollers read the published
+// crash figures of StatsApprox instead.
 func (f *Fleet) Crashes() *crash.Bank {
 	bank := crash.NewBank()
 	for _, w := range f.workers {

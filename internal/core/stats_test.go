@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/coverage"
+	"repro/internal/crash"
 	"repro/internal/executor"
+	"repro/internal/mem"
 	"repro/internal/targets"
 )
 
@@ -104,6 +106,38 @@ func TestRestoreIntoUsedFleet(t *testing.T) {
 			}
 			if got, want := used.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Stats after restoring into a used fleet = %+v, into a fresh one = %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestStatsApproxCrashFigures: a poll reads the published crash figures
+// and builds no merged bank. After Drive and after Stats they equal
+// Crashes' Unique and Hangs, a record that reached the shared state from
+// a remote peer included, and a poll allocates nothing.
+func TestStatsApproxCrashFigures(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			f := newTargetFleet(t, "lib60870", workers, 1)
+			f.State().crashes.Absorb(&crash.Record{Kind: mem.SEGV, Site: "remote.only", Count: 1})
+			f.Drive(nil, Budget{Execs: 8000}, nil)
+			check := func(when string, s Stats) {
+				t.Helper()
+				bank := f.Crashes()
+				if s.UniqueCrashes != bank.Unique() || s.Hangs != bank.Hangs() {
+					t.Fatalf("%s: published %d unique, %d hangs; merged bank %d, %d", when, s.UniqueCrashes, s.Hangs, bank.Unique(), bank.Hangs())
+				}
+				if bank.Unique() < 2 {
+					t.Fatalf("%s: %d unique crashes, want the remote one and a local one", when, bank.Unique())
+				}
+			}
+			check("after Drive", f.StatsApprox())
+			check("Stats", f.Stats())
+			if raceEnabled {
+				return
+			}
+			if n := testing.AllocsPerRun(100, func() { f.StatsApprox() }); n != 0 {
+				t.Fatalf("StatsApprox allocates %.1f objects per call", n)
 			}
 		})
 	}

@@ -1,7 +1,9 @@
 package coverage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,15 +13,28 @@ import (
 // walk against its definition, run on a copy of the tracer: MergeTracer
 // into an equal accumulator, CountEdges, then Reset; the byte-at-a-time
 // refVirgin over the raw map; and, with h, AccumulateTracer and
-// AppendEdges into equal counters. v and h advance; tr ends empty.
+// AppendEdges into equal counters. On the way it holds the copy's
+// PathHash, CountEdges, Snapshot and Reset to their whole-map byte
+// references. v and h advance; tr ends empty.
 func checkConsume(t *testing.T, label string, v *Virgin, ref *refVirgin, h *HitCounts, tr *Tracer) {
 	t.Helper()
 	cp := *tr
+	cp.log = slices.Clone(tr.log)
+	raw := cp.buf
+	if got := cp.Snapshot(); !bytes.Equal(got, raw[:]) {
+		t.Fatalf("%s: Snapshot differs from the raw map", label)
+	}
+	if got, want := cp.PathHash(), refHash(raw[:]); got != want {
+		t.Fatalf("%s: PathHash = %#x, byte reference = %#x", label, got, want)
+	}
 	want := *v
 	wantValuable := want.MergeTracer(&cp)
 	wantN := cp.CountEdges()
-	if refValuable := ref.merge(cp.buf[:]); refValuable != wantValuable {
+	if refValuable := ref.merge(raw[:]); refValuable != wantValuable {
 		t.Fatalf("%s: MergeTracer = %v, byte reference = %v", label, wantValuable, refValuable)
+	}
+	if refN := len(cp.AppendEdges(nil)); refN != wantN {
+		t.Fatalf("%s: CountEdges = %d, byte reference = %d", label, wantN, refN)
 	}
 	var wantH HitCounts
 	var wantEdges []uint16
@@ -29,6 +44,9 @@ func checkConsume(t *testing.T, label string, v *Virgin, ref *refVirgin, h *HitC
 		wantEdges = cp.AppendEdges([]uint16{7})
 	}
 	cp.Reset()
+	if cp.buf != [MapSize]byte{} || len(cp.log) != 0 || cp.prev != 0 {
+		t.Fatalf("%s: the tracer is not empty after Reset", label)
+	}
 
 	var edges []uint16
 	if h != nil {
@@ -41,7 +59,7 @@ func checkConsume(t *testing.T, label string, v *Virgin, ref *refVirgin, h *HitC
 	if v.seen != want.seen || v.seen != ref.seen || v.Edges() != want.Edges() || v.Edges() != ref.edges {
 		t.Fatalf("%s: accumulator diverged from MergeTracer / the byte reference", label)
 	}
-	if *tr != cp {
+	if tr.buf != [MapSize]byte{} || len(tr.log) != 0 || tr.prev != 0 {
 		t.Fatalf("%s: the tracer is not empty after Consume", label)
 	}
 	if h != nil && (*h != wantH || !slices.Equal(edges, wantEdges)) {
@@ -78,6 +96,80 @@ func TestConsumeMatchesMergeCountReset(t *testing.T) {
 	}
 }
 
+// TestConsumeLogEdgeCases: the log's corner cases against the byte
+// references, with and without hit counters. A counter hit 256·k times is
+// back at zero but logged k times; one hit 256·k + 1 times is non-zero and
+// logged k + 1 times; and a tracer is reused after Reset and after
+// Consume.
+func TestConsumeLogEdgeCases(t *testing.T) {
+	// hot hits edge 0 times times (Hit(0) from a zero prev register always
+	// lands on edge 0) between two random traces, so the repeated entries
+	// sit among others in the log.
+	hot := func(tr *Tracer, times int, seed uint64) *Tracer {
+		tr.prev = 0
+		for k := 0; k < times; k++ {
+			tr.Hit(0)
+		}
+		for _, b := range Blocks(fmt.Sprint("edge-cases", seed), 30) {
+			tr.Hit(b | 1)
+		}
+		return tr
+	}
+	for _, adaptive := range []bool{false, true} {
+		v, ref := NewVirgin(), &refVirgin{}
+		var h *HitCounts
+		if adaptive {
+			h = NewHitCounts()
+		}
+		for _, times := range []int{256, 257, 512, 513} {
+			label := fmt.Sprintf("adaptive=%v, edge 0 hit %d times", adaptive, times)
+			tr := hot(NewTracer(), times, uint64(times))
+			if logged := countOf(tr.log, 0); tr.buf[0] != byte(times) || logged != (times+255)/256 {
+				t.Fatalf("%s: counter %d logged %d times", label, tr.buf[0], logged)
+			}
+			checkConsume(t, label, v, ref, h, tr)
+			checkConsume(t, label+", reused after Consume", v, ref, h, hot(tr, times, uint64(times)+1))
+			hot(tr, times, uint64(times)+2).Reset()
+			checkConsume(t, label+", reused after Reset", v, ref, h, hot(tr, times, uint64(times)+3))
+		}
+	}
+}
+
+// countOf is how many times e occurs in log.
+func countOf(log []uint16, e uint16) int {
+	n := 0
+	for _, x := range log {
+		if x == e {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConsumeAllocFree: once its log and the edge list have grown, a
+// tracer's hits and the Consume that clears them allocate nothing, with
+// and without hit counters.
+func TestConsumeAllocFree(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		v, tr := NewVirgin(), NewTracer()
+		var h *HitCounts
+		if adaptive {
+			h = NewHitCounts()
+		}
+		var edges []uint16
+		exec := func() {
+			for k := 0; k < 600; k++ {
+				tr.Hit(BlockID(k % 200 * 331))
+			}
+			_, _, edges = v.Consume(tr, h, edges[:0])
+		}
+		exec()
+		if n := testing.AllocsPerRun(100, exec); n != 0 {
+			t.Fatalf("adaptive=%v: Hit + Consume allocate %.1f objects per execution", adaptive, n)
+		}
+	}
+}
+
 // FuzzVirginConsume feeds arbitrary block sequences through Consume, on an
 // accumulator that has already seen a random campaign, and holds it to
 // checkConsume's definitions.
@@ -88,6 +180,9 @@ func FuzzVirginConsume(f *testing.F) {
 	seed := make([]byte, 600)
 	rand.New(rand.NewSource(8)).Read(seed)
 	f.Add(seed, uint8(3), true)
+	// One block 300 times: its edge's counter wraps past zero and is
+	// logged twice.
+	f.Add(bytes.Repeat([]byte{1, 1}, 300), uint8(2), false)
 	f.Fuzz(func(t *testing.T, blocks []byte, prior uint8, adaptive bool) {
 		v := randomVirgin(rand.New(rand.NewSource(int64(prior))), int(prior%4))
 		ref := &refVirgin{seen: v.seen, edges: v.edges}
@@ -109,8 +204,8 @@ func FuzzVirginConsume(f *testing.F) {
 }
 
 // BenchmarkConsume is the engine's per-execution coverage step on a trace
-// of five hits: a libmodbus or IEC104 execution lights about four edges,
-// each in a line of its own.
+// of five hits: a libmodbus execution lights about four edges (counted
+// over 200 k executions), scattered over the map.
 func BenchmarkConsume(b *testing.B) {
 	v := NewVirgin()
 	tr := NewTracer()

@@ -16,25 +16,25 @@
 //
 // # Hot path
 //
-// A Tracer keeps a dirty index of the lines Hit touched, and every
-// consumer of its map walks only those lines: Virgin.Consume (the engine's
-// per-execution step: merge, count, clear, and the adaptive scheduler's
-// rarity accounting, in one pass), Reset, PathHash (a crash's path
-// signature, read before Consume), Snapshot, and the read-only
-// MergeTracer and CountEdges that tools and the benchmark's stage replay
-// use. Within a line they view the map as 64-bit words and skip zero words
-// outright — the maps are sparse (a protocol execution lights a few
-// hundred edges out of 65536). Bucketing goes through a precomputed
-// 16-bit lookup table, AFL's count_class_lookup16 trick, classifying two
-// counters per table load. All of this is observationally identical to
-// the byte-at-a-time definitions (the test suite checks the word
-// implementations against byte-level reference implementations), so
-// campaign determinism is unaffected.
+// A Tracer logs the index of every counter Hit takes from zero to one,
+// and that log is the one index every consumer of the map walks:
+// Virgin.Consume (the engine's per-execution step: merge, count, clear,
+// and the adaptive scheduler's rarity accounting, in one pass), Reset,
+// PathHash (a crash's path signature, read before Consume), Snapshot,
+// and the read-only MergeTracer and CountEdges that tools and the
+// benchmark's stage replay use. Each costs O(lit edges), not O(map): a
+// protocol execution lights about 4 edges out of 65536 (counted over
+// 200 k libmodbus executions), each in a cache line of its own. Walks
+// that must visit ascending indices, or each edge once, sort the log in
+// place first. Bucketing is one load from a precomputed table. All of this is
+// observationally identical to the byte-at-a-time definitions over the
+// whole map (the test suite checks every walk against byte-level
+// reference implementations), so campaign determinism is unaffected.
 package coverage
 
 import (
 	"encoding/binary"
-	"math/bits"
+	"slices"
 )
 
 // MapSize is the size of the shared coverage byte map. AFL and the paper's
@@ -46,29 +46,25 @@ const MapSize = 1 << 16
 // compile-time random value in the paper's instrumentation snippet.
 type BlockID uint16
 
-// dirtyLine is the granularity of the tracer's dirty index: one bit per
-// 64-byte cache line of the map. A typical protocol execution lights a few
-// hundred edges, touching well under 1/10th of the map's 1024 lines, so
-// consumers that walk the dirty index (Consume, PathHash, Reset and the
-// rest) skip the overwhelmingly zero remainder without loading it at all.
-const (
-	dirtyShift = 6                          // log2 of the line size
-	dirtyWords = MapSize >> dirtyShift / 64 // 64 lines tracked per uint64
-)
-
 // Tracer records edge coverage for a single execution of a target. It is the
 // shared_mem[] region plus the prev_location register from the paper, plus a
-// dirty-line index maintained by Hit (the sole writer of the map) that lets
-// per-execution consumers scan only the lines this execution touched.
+// first-hit log maintained by Hit (the sole writer of the map) that lets
+// per-execution consumers visit only the edges this execution lit.
 //
 // A Tracer is not safe for concurrent use; each fuzzing worker owns one.
-// Code must write the map only through Hit, which keeps the dirty index,
-// and clear it only through Reset or Virgin.Consume, which clear exactly
-// the dirty lines and their bits.
+// Code must write the map only through Hit, which keeps the log, and clear
+// it only through Reset or Virgin.Consume, which clear exactly the logged
+// counters and empty the log.
 type Tracer struct {
-	buf   [MapSize]byte
-	dirty [dirtyWords]uint64
-	prev  BlockID
+	buf [MapSize]byte
+	// log holds, in hit order, the index of every counter Hit took from
+	// 0 to 1. A counter that wraps back to 0 and is hit again is logged
+	// again, so an index may repeat and may name a zero counter: every
+	// walk skips a zero counter, and a walk that must see each index once
+	// sorts the log and drops the repeats first (sortLog). Its backing
+	// array is reused across executions.
+	log  []uint16
+	prev BlockID
 }
 
 // NewTracer returns a tracer with an empty coverage map.
@@ -76,104 +72,83 @@ func NewTracer() *Tracer { return &Tracer{} }
 
 // Hit records entry into basic block cur, updating the edge counter for the
 // transition prev -> cur. This is a verbatim transcription of the paper's
-// instrumentation stub, plus one OR to mark the touched line dirty.
+// instrumentation stub, plus one append to the log when the counter leaves
+// zero. It must stay small enough to inline (make inline-check).
 func (t *Tracer) Hit(cur BlockID) {
 	i := uint16(cur) ^ uint16(t.prev)
 	t.buf[i]++
-	t.dirty[i>>(dirtyShift+6)] |= 1 << ((i >> dirtyShift) & 63)
+	if t.buf[i] == 1 {
+		t.log = append(t.log, i)
+	}
 	t.prev = cur >> 1
 }
 
 // Reset clears the map and the previous-location register, preparing the
-// tracer for the next execution. Only dirty lines are cleared, so the cost
-// is proportional to the previous execution's footprint, not the map size.
+// tracer for the next execution. Only logged counters are cleared, so the
+// cost is the previous execution's footprint, not the map size; after
+// Virgin.Consume the log is already empty.
 func (t *Tracer) Reset() {
-	for wi := range t.dirty {
-		w := t.dirty[wi]
-		if w == 0 {
-			continue
-		}
-		for ; w != 0; w &= w - 1 {
-			line := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			b := t.buf[line : line+(1<<dirtyShift)]
-			for i := range b {
-				b[i] = 0
-			}
-		}
-		t.dirty[wi] = 0
+	for _, i := range t.log {
+		t.buf[i] = 0
 	}
+	t.log = t.log[:0]
 	t.prev = 0
 }
 
+// sortLog sorts the log in place and drops its repeated entries, so a walk
+// visits each logged index once, ascending, and returns it. The map is not
+// touched, and every non-zero counter stays logged.
+func (t *Tracer) sortLog() []uint16 {
+	slices.Sort(t.log)
+	t.log = slices.Compact(t.log)
+	return t.log
+}
+
 // PathHash returns a 64-bit FNV-1a hash of the bucketed form of the
-// tracer's live map, walking only dirty lines. Two executions with equal
-// hashes exercised the same bucketed edge set; the crash triager uses this
-// as a cheap execution-path signature. The value is identical to the
-// byte-at-a-time definition over the whole map: zero bytes never contribute, and
-// dirty lines are visited in ascending order.
+// tracer's live map. Two executions with equal hashes exercised the same
+// bucketed edge set; the crash triager uses this as a cheap
+// execution-path signature. The value is identical to the byte-at-a-time
+// definition over the whole map: zero counters never contribute, and the
+// sorted log visits each lit edge once, in ascending order.
 func (t *Tracer) PathHash() uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	var h uint64 = offset
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				for b := 0; b < 64; b += 8 {
-					c := byte(lw >> b)
-					if c == 0 {
-						continue
-					}
-					h ^= uint64(i + b/8)
-					h *= prime
-					h ^= uint64(bucket(c))
-					h *= prime
-				}
-			}
+	for _, i := range t.sortLog() {
+		c := t.buf[i]
+		if c == 0 {
+			continue
 		}
+		h ^= uint64(i)
+		h *= prime
+		h ^= uint64(bucket(c))
+		h *= prime
 	}
 	return h
 }
 
 // Snapshot copies the current coverage map. The copy is bucketed lazily by
-// the consumer; raw hit counts are preserved here. Only dirty lines are
-// copied — the untouched remainder of the map is provably zero (Hit is the
-// sole writer and marks every line it touches; Reset and Consume clear
-// exactly the dirty lines) and the fresh allocation is already
-// zero-filled — so the copy cost is proportional to the execution's
-// footprint, not the map size, identically to CountEdges/MergeTracer.
+// the consumer; raw hit counts are preserved here. Only logged counters
+// are copied — every other counter is provably zero (Hit is the sole
+// writer and logs every counter it takes from zero) and the fresh
+// allocation is already zero-filled.
 func (t *Tracer) Snapshot() []byte {
 	out := make([]byte, MapSize)
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			line := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			copy(out[line:line+(1<<dirtyShift)], t.buf[line:line+(1<<dirtyShift)])
-		}
+	for _, i := range t.log {
+		out[i] = t.buf[i]
 	}
 	return out
 }
 
-// CountEdges returns the number of distinct edges (non-zero bytes) in the
-// current map, walking only dirty lines.
+// CountEdges returns the number of distinct edges (non-zero counters) in
+// the current map.
 func (t *Tracer) CountEdges() int {
 	n := 0
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				for ; lw != 0; lw >>= 8 {
-					if byte(lw) != 0 {
-						n++
-					}
-				}
-			}
+	for _, i := range t.sortLog() {
+		if t.buf[i] != 0 {
+			n++
 		}
 	}
 	return n
@@ -207,8 +182,8 @@ func bucket(c byte) byte {
 }
 
 // classLUT folds bucket over pairs of adjacent counters: entry i holds
-// bucket(lo(i)) in its low byte and bucket(hi(i)) in its high byte. One
-// 128 KiB table classifies two map bytes per load (AFL's
+// bucket(lo(i)) in its low byte and bucket(hi(i)) in its high byte, so
+// byte(classLUT[c]) is bucket(c) for one counter (AFL's
 // count_class_lookup16).
 var classLUT [1 << 16]uint16
 
@@ -216,17 +191,6 @@ func init() {
 	for i := range classLUT {
 		classLUT[i] = uint16(bucket(byte(i))) | uint16(bucket(byte(i>>8)))<<8
 	}
-}
-
-// classifyWord buckets all eight counters of a map word at once through
-// the 16-bit LUT, four table loads per word; pinned to bucket() by
-// TestClassifyWordVariantsMatchBucket, measured end to end by cmd/bench's
-// coverage.merge_ns.
-func classifyWord(w uint64) uint64 {
-	return uint64(classLUT[uint16(w)]) |
-		uint64(classLUT[uint16(w>>16)])<<16 |
-		uint64(classLUT[uint16(w>>32)])<<32 |
-		uint64(classLUT[uint16(w>>48)])<<48
 }
 
 // Virgin tracks which bucketed edge states have ever been observed across a
@@ -241,106 +205,79 @@ type Virgin struct {
 // NewVirgin returns an empty campaign-coverage accumulator.
 func NewVirgin() *Virgin { return &Virgin{} }
 
-// MergeTracer folds one execution's map into the accumulator, walking only
-// the lines the execution touched: Consume's merge, without its counting
-// and clearing. It returns true if the execution is "valuable": it
-// produced at least one (edge, bucket) pair never seen before. The tracer
-// is read, not modified.
-//
-// Bucket values are single bits, so "bucket b unseen at edge i" is exactly
-// "b &^ seen[i] != 0", which vectorizes over eight edges per word; only
-// words carrying novelty (rare in steady state) fall back to per-byte work
-// for the edge counter. The whole-map Merge its tests hold it to lives in
+// MergeTracer folds one execution's map into the accumulator, visiting
+// only the logged counters: Consume's merge, without its counting and
+// clearing. It returns true if the execution is "valuable": it produced
+// at least one (edge, bucket) pair never seen before. The tracer is read,
+// not modified; a repeated log entry merges the same counter twice, which
+// changes nothing. The whole-map Merge its tests hold it to lives in
 // merge_test.go.
 func (v *Virgin) MergeTracer(t *Tracer) bool {
 	valuable := false
-	seen := v.seen[:]
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				sw := binary.LittleEndian.Uint64(seen[i : i+8])
-				novel := classifyWord(lw) &^ sw
-				if novel == 0 {
-					continue
-				}
-				valuable = true
-				for b := 0; b < 64; b += 8 {
-					if byte(sw>>b) == 0 && byte(novel>>b) != 0 {
-						v.edges++
-					}
-				}
-				binary.LittleEndian.PutUint64(seen[i:i+8], sw|novel)
-			}
+	for _, i := range t.log {
+		if v.mergeEdge(i, t.buf[i]) {
+			valuable = true
 		}
 	}
 	return valuable
 }
 
+// mergeEdge folds counter c of edge i into the accumulator and reports
+// whether it lit a bucket never seen at i. Bucket values are single bits,
+// so "bucket b unseen at edge i" is exactly "b &^ seen[i] != 0"; a zero
+// counter has no bucket and merges nothing.
+func (v *Virgin) mergeEdge(i uint16, c byte) bool {
+	s := v.seen[i]
+	b := byte(classLUT[c])
+	if b&^s == 0 {
+		return false
+	}
+	if s == 0 {
+		v.edges++
+	}
+	v.seen[i] = s | b
+	return true
+}
+
 // Consume is the engine's per-execution feedback step: one walk over the
-// lines the execution dirtied that merges the tracer's map into v
-// (MergeTracer), counts its edges (CountEdges) and clears each line
-// behind it (Reset), so the executor's next Reset finds nothing to clear.
-// It returns MergeTracer's valuable verdict and CountEdges' figure.
-// Whatever else must read the trace — PathHash for a crash — reads it
-// first.
+// log that merges the tracer's map into v (MergeTracer), counts its edges
+// (CountEdges) and clears each counter behind it (Reset), so the
+// executor's next Reset finds an empty log. It returns MergeTracer's
+// valuable verdict and CountEdges' figure. Whatever else must read the
+// trace — PathHash for a crash — reads it first. A logged counter that is
+// zero (it wrapped, or an earlier entry for it already cleared it) is
+// skipped.
 //
-// When h is non-nil the same walk counts the execution into h (what a
-// HitCounts' per-execution accumulation is defined as: every lit edge
-// gains one, saturating) and appends each lit edge's index, ascending, to
-// edges, which it returns; otherwise edges is returned as given. This is
-// the adaptive scheduler's rarity accounting and its seeds' edge lists.
+// When h is non-nil Consume sorts the log first (sortLog), and the same
+// walk counts the execution into h (what a HitCounts' per-execution
+// accumulation is defined as: every lit edge gains one, saturating) and
+// appends each lit edge's index, ascending, to edges, which it returns;
+// otherwise edges is returned as given. This is the adaptive scheduler's
+// rarity accounting and its seeds' edge lists.
 func (v *Virgin) Consume(t *Tracer, h *HitCounts, edges []uint16) (valuable bool, n int, _ []uint16) {
-	const lo7, hi = 0x7F7F7F7F7F7F7F7F, 0x8080808080808080
-	seen := v.seen[:]
+	log := t.log
 	if h != nil {
 		h.execs++
+		log = t.sortLog()
 	}
-	for wi, w := range t.dirty {
-		if w == 0 {
+	for _, i := range log {
+		c := t.buf[i]
+		if c == 0 {
 			continue
 		}
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				// The high bit of each byte of zero marks a zero counter.
-				zero := ^((lw&lo7 + lo7) | lw | lo7) & hi
-				n += 8 - bits.OnesCount64(zero)
-				if h != nil {
-					for b := 0; b < 64; b += 8 {
-						if byte(lw>>b) != 0 {
-							if c := &h.counts[i+b/8]; *c != ^uint32(0) {
-								*c++
-							}
-							edges = append(edges, uint16(i+b/8))
-						}
-					}
-				}
-				binary.LittleEndian.PutUint64(t.buf[i:i+8], 0)
-				sw := binary.LittleEndian.Uint64(seen[i : i+8])
-				novel := classifyWord(lw) &^ sw
-				if novel == 0 {
-					continue
-				}
-				valuable = true
-				for b := 0; b < 64; b += 8 {
-					if byte(sw>>b) == 0 && byte(novel>>b) != 0 {
-						v.edges++
-					}
-				}
-				binary.LittleEndian.PutUint64(seen[i:i+8], sw|novel)
+		t.buf[i] = 0
+		n++
+		if h != nil {
+			if p := &h.counts[i]; *p != ^uint32(0) {
+				*p++
 			}
+			edges = append(edges, i)
 		}
-		t.dirty[wi] = 0
+		if v.mergeEdge(i, c) {
+			valuable = true
+		}
 	}
+	t.log = log[:0]
 	t.prev = 0
 	return valuable, n, edges
 }

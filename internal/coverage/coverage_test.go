@@ -106,13 +106,14 @@ func TestVirginMergeDetectsNewBuckets(t *testing.T) {
 }
 
 // tracerOf loads a raw map into a tracer the way Hit would have: counters
-// set, touched lines marked dirty.
+// set, every lit index logged. The log is descending, so a walk that must
+// ascend cannot rely on the order it was written in.
 func tracerOf(raw []byte) *Tracer {
 	tr := NewTracer()
-	for i, c := range raw {
-		if c != 0 {
-			tr.buf[i] = c
-			tr.dirty[i>>(dirtyShift+6)] |= 1 << ((i >> dirtyShift) & 63)
+	for i := len(raw) - 1; i >= 0; i-- {
+		if raw[i] != 0 {
+			tr.buf[i] = raw[i]
+			tr.log = append(tr.log, uint16(i))
 		}
 	}
 	return tr
@@ -287,14 +288,14 @@ func TestMergeVirginBucketGranularity(t *testing.T) {
 	}
 }
 
-// --- word-level scan vs byte-level reference ---
+// --- log walks vs byte-level reference ---
 //
-// The hot-path rewrite views maps as 64-bit words, skips zero words, and
-// buckets through the 16-bit lookup table. These tests pin the word
-// implementations to byte-at-a-time reference transcriptions of the original
-// definitions, over maps exercising word boundaries, dense regions, and the
-// full counter range. Bit-for-bit equality here is what guarantees campaign
-// determinism across the rewrite.
+// The hot path visits only the tracer's logged counters and buckets
+// through the lookup table. These tests pin those walks (and the
+// word-at-a-time Merge) to byte-at-a-time reference transcriptions of the
+// original definitions over the whole map, over maps exercising word
+// boundaries, dense regions, and the full counter range. Bit-for-bit
+// equality here is what guarantees campaign determinism.
 
 // refVirgin is the byte-at-a-time Merge/edge accounting.
 type refVirgin struct {
@@ -482,18 +483,16 @@ func TestSparseResetClearsEverything(t *testing.T) {
 			t.Fatalf("map[%d] = %d after Reset", i, c)
 		}
 	}
-	for _, w := range tr.dirty {
-		if w != 0 {
-			t.Fatal("dirty index not cleared by Reset")
-		}
+	if len(tr.log) != 0 {
+		t.Fatal("log not emptied by Reset")
 	}
 	if tr.PathHash() != refHash(tr.buf[:]) {
 		t.Fatal("empty tracer hash mismatch")
 	}
-	// The tracer must be fully reusable after a sparse reset.
+	// The tracer must be fully reusable after a reset.
 	tr.Hit(7)
 	if tr.buf[:][7] != 1 || tr.CountEdges() != 1 {
-		t.Fatal("tracer unusable after sparse Reset")
+		t.Fatal("tracer unusable after Reset")
 	}
 }
 

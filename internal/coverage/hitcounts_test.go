@@ -2,10 +2,10 @@ package coverage
 
 import "testing"
 
-// TestSnapshotMatchesFullCopy pins the dirty-walk Snapshot against the
+// TestSnapshotMatchesFullCopy pins the log-walk Snapshot against the
 // obvious reference — a full copy of the raw map — across random hit
 // patterns of varying density, including the empty tracer and a tracer
-// reused after Reset (the case a stale dirty index would break).
+// reused after Reset (the case a stale log would break).
 func TestSnapshotMatchesFullCopy(t *testing.T) {
 	check := func(tr *Tracer, what string) {
 		t.Helper()

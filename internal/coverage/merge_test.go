@@ -1,9 +1,6 @@
 package coverage
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "encoding/binary"
 
 // Merge is MergeTracer over a whole raw map: the word-at-a-time reference
 // the tests compare MergeTracer against, and a way to feed a hand-built map
@@ -47,51 +44,37 @@ func (v *Virgin) Merge(raw []byte) bool {
 	return valuable
 }
 
-// AppendEdges appends the indices of the edges (non-zero bytes) lit in the
-// current map to dst and returns it, walking only dirty lines in ascending
-// index order: the reference for the edge list Virgin.Consume appends.
+// AppendEdges appends the indices of the edges (non-zero bytes) of the
+// whole map to dst, ascending, and returns it: the byte-at-a-time
+// reference for the edge list Virgin.Consume appends.
 func (t *Tracer) AppendEdges(dst []uint16) []uint16 {
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				for b := 0; b < 64; b += 8 {
-					if byte(lw>>b) != 0 {
-						dst = append(dst, uint16(i+b/8))
-					}
-				}
-			}
+	for i, c := range t.buf {
+		if c != 0 {
+			dst = append(dst, uint16(i))
 		}
 	}
 	return dst
 }
 
 // AccumulateTracer folds one execution's footprint into the counters: every
-// edge lit in the tracer's live map gains one, saturating. It is the
-// reference for the accumulation Virgin.Consume does when given a
-// HitCounts.
+// non-zero byte of the tracer's whole map gains one, saturating. It is the
+// byte-at-a-time reference for the accumulation Virgin.Consume does when
+// given a HitCounts.
 func (h *HitCounts) AccumulateTracer(t *Tracer) {
 	h.execs++
-	for wi, w := range t.dirty {
-		for ; w != 0; w &= w - 1 {
-			base := wi<<(dirtyShift+6) + bits.TrailingZeros64(w)<<dirtyShift
-			for i := base; i < base+(1<<dirtyShift); i += 8 {
-				lw := binary.LittleEndian.Uint64(t.buf[i : i+8])
-				if lw == 0 {
-					continue
-				}
-				for b := 0; b < 64; b += 8 {
-					if byte(lw>>b) != 0 {
-						if c := &h.counts[i+b/8]; *c != ^uint32(0) {
-							*c++
-						}
-					}
-				}
-			}
+	for i, c := range t.buf {
+		if c != 0 && h.counts[i] != ^uint32(0) {
+			h.counts[i]++
 		}
 	}
+}
+
+// classifyWord buckets all eight counters of a map word at once through
+// the 16-bit LUT, four table loads per word: Merge's classifier, pinned to
+// bucket() by TestClassifyWordVariantsMatchBucket.
+func classifyWord(w uint64) uint64 {
+	return uint64(classLUT[uint16(w)]) |
+		uint64(classLUT[uint16(w>>16)])<<16 |
+		uint64(classLUT[uint16(w>>32)])<<32 |
+		uint64(classLUT[uint16(w>>48)])<<48
 }

@@ -11,9 +11,8 @@ import (
 // checkpoint codec. Both dumps are sparse — only non-zero words (Virgin)
 // or non-zero counters (HitCounts) are written, in ascending index order —
 // so a checkpoint costs space proportional to the coverage actually
-// observed, the same dirty-word-aware discipline as the hot-path scans,
-// and the byte stream is canonical (snapshot → restore → snapshot is the
-// identical byte string).
+// observed rather than to the map size, and the byte stream is canonical
+// (snapshot → restore → snapshot is the identical byte string).
 
 // Snapshot writes the accumulator's observed state in the wire delta's
 // format (delta.go), against an all-zero shadow. The edge counter is

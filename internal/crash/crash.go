@@ -276,6 +276,43 @@ func (b *Bank) MergeFrom(o *Bank) int {
 	return added
 }
 
+// Union returns the number of unique faults the banks hold together: the
+// Unique of one bank that merged them all (MergeFrom, Absorb), counted
+// without building it and without allocating. It holds every bank's lock
+// at once, taken in argument order, and is the only code that holds two:
+// callers must pass a given set of banks in one fixed order.
+func Union(banks ...*Bank) int {
+	for _, b := range banks {
+		b.mu.Lock()
+	}
+	n := 0
+	for i, b := range banks {
+		for k := range b.byKey {
+			// Bound first: peachlint's detsource rejects a call in a
+			// map-range condition, though a count is order-free.
+			earlier := holds(banks[:i], k)
+			if !earlier {
+				n++
+			}
+		}
+	}
+	for _, b := range banks {
+		b.mu.Unlock()
+	}
+	return n
+}
+
+// holds reports whether any of banks holds the fault key k; the caller
+// holds their locks.
+func holds(banks []*Bank, k string) bool {
+	for _, b := range banks {
+		if _, ok := b.byKey[k]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Absorb folds one record received from a sync peer into the bank,
 // returning true when its fault identity was new. Unlike MergeFrom it is
 // idempotent: re-absorbing a record a reconnecting peer re-sends never

@@ -163,3 +163,35 @@ func TestAbsorbCopiesRecord(t *testing.T) {
 		t.Fatalf("bank aliased the caller's record: %+v", got)
 	}
 }
+
+// TestUnionMatchesMergedBank: Union counts what a bank merging every
+// argument would hold — shared faults once, absorbed records included —
+// and allocates nothing.
+func TestUnionMatchesMergedBank(t *testing.T) {
+	shared, w0, w1 := NewBank(), NewBank(), NewBank()
+	f1 := &mem.Fault{Kind: mem.HeapBufferOverflow, Site: "parse"}
+	f2 := &mem.Fault{Kind: mem.SEGV, Site: "dispatch"}
+	f3 := &mem.Fault{Kind: mem.SEGV, Site: "parse"}
+	w0.Report(f1, []byte{1}, nil, nil, 1, 0)
+	w1.Report(f1, []byte{2}, nil, nil, 2, 0)
+	w1.Report(f2, []byte{3}, nil, nil, 3, 0)
+	shared.Absorb(&Record{Kind: f2.Kind, Site: f2.Site, Count: 1})
+	shared.Absorb(&Record{Kind: f3.Kind, Site: f3.Site, Count: 1})
+	merged := NewBank()
+	for _, b := range []*Bank{w0, w1} {
+		merged.MergeFrom(b)
+	}
+	for _, r := range shared.Records() {
+		merged.Absorb(r)
+	}
+	if got, want := Union(shared, w0, w1), merged.Unique(); got != want || got != 3 {
+		t.Fatalf("Union = %d, merged bank holds %d, want 3", got, want)
+	}
+	if got := Union(); got != 0 {
+		t.Fatalf("Union of no banks = %d", got)
+	}
+	banks := []*Bank{shared, w0, w1}
+	if n := testing.AllocsPerRun(100, func() { Union(banks...) }); n != 0 {
+		t.Fatalf("Union allocates %.1f objects per call", n)
+	}
+}
