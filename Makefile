@@ -144,7 +144,8 @@ api-snapshot:
 
 # Short native-fuzz smoke runs over the crack/generate round-trip targets,
 # the fixup plan against its string-resolving reference, the engine's
-# one-walk coverage step against its definitions, and every decoder
+# one-walk coverage step against its definitions, the change-log unions
+# (merges, deltas, snapshots) against the dense scans, and every decoder
 # built on the checkpoint codec — sequences, virgin deltas, fleetnet frames,
 # campaign checkpoints (truncated, corrupt, and non-minimal-varint inputs
 # must be rejected with errors, never panics).
@@ -156,6 +157,7 @@ fuzz:
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/coverage -fuzz 'FuzzVirginDelta$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/coverage -fuzz 'FuzzVirginConsume$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/coverage -fuzz 'FuzzVirginMerge$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
 	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
 

@@ -49,10 +49,11 @@ type section struct {
 }
 
 // sections declares the fleet checkpoint in envelope order. The meta
-// section is the worker count and each worker's merge cursors; a
+// section is the worker count and each worker's journal cursors; a
 // workerPeer's engine and journal registrations are left out (NewFleet
 // makes them in worker order, so restored cursors land on the same slots),
-// and so is its published record (PublishStats re-derives it).
+// and so are its published record (PublishStats re-derives it) and its
+// coverage cursors (a restored change log is a new generation, read whole).
 //
 // Restore drops the shared corpus's cursor slots beyond the fleet's own
 // workers: they belonged to network peers of the previous incarnation, and
@@ -183,8 +184,8 @@ func (f *Fleet) RestoreCheckpoint(data []byte, digest uint64) error {
 //   - dedup: the per-batch duplicate filter;
 //   - execErr: the sticky backend error (a restored campaign runs a fresh
 //     backend);
-//   - arena, work, cands, saved, donorScr, crk: per-round and per-crack
-//     scratch, dead between steps;
+//   - arena, work, cands, saved, order, donorScr, crk: per-round and
+//     per-crack scratch, dead between steps;
 //   - cfg, exec, muts: construction wiring.
 //
 // resetTransient resets the first three. restartsAccum is stored folded

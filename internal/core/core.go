@@ -223,6 +223,7 @@ type Engine struct {
 	work  datamodel.Flat    // per-round working instance
 	cands [][]corpus.Puzzle // per-iteration walk scratch
 	saved [][]byte          // per-iteration walk scratch
+	order []*datamodel.Node // chunk-aware donation's leaf shuffle scratch
 	dedup map[string]bool   // per-batch filter
 	crk   datamodel.Cracker // Algorithm 2 scratch, refilled by every crack
 	// valuable holds the retained coverage-increasing instances per

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // This file implements the paper's second future-work direction (§VII):
 // "customize our work into other generation- or mutation-based fuzzers".
@@ -83,9 +79,9 @@ func (e *Engine) chunkAwareMutate(base []byte) ([]byte, bool) {
 			continue
 		}
 		e.work.CopyFrom(e.crk.Flat(), &e.arena)
-		leaves := slices.Clone(e.work.Leaves)
-		rng.Shuffle(e.r, leaves)
-		for _, leaf := range leaves {
+		e.order = append(e.order[:0], e.work.Leaves...)
+		rng.Shuffle(e.r, e.order)
+		for _, leaf := range e.order {
 			donors := e.corp.CrossModelDonors(leaf.Chunk, m.Name)
 			if len(donors) == 0 {
 				continue

@@ -77,14 +77,14 @@ type Fleet struct {
 }
 
 // workerPeer adapts one worker engine to the SyncPeer merge path. It holds
-// the worker's journal cursors: how much of the worker's corpus journal has
-// been pushed into the shared corpus, and how much of the shared journal
-// has been pulled back out. Deltas make a sync window O(puzzles found since
-// the last window), not O(corpus).
+// the worker's cursors: how much of its corpus journal and coverage change
+// log has been pushed into the shared state, and how much of the shared
+// ones pulled back out, so a window is O(what was found since), not O(state).
 type workerPeer struct {
-	w      *Engine
-	pushed int // cursor into the worker's own journal
-	pulled int // cursor into the shared corpus's journal
+	w                          *Engine
+	pushed                     int // cursor into the worker's own journal
+	pulled                     int // cursor into the shared corpus's journal
+	virginPushed, virginPulled coverage.Cursor
 	// selfID registers the fleet as the consumer of the worker's journal,
 	// sharedID registers the worker as a consumer of the shared journal;
 	// both feed journal compaction.
@@ -113,8 +113,8 @@ type workerPeer struct {
 // both sides.
 func (p *workerPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashes *crash.Bank) error {
 	w := p.w
-	virgin.MergeVirgin(w.virgin)
-	w.virgin.MergeVirgin(virgin)
+	p.virginPushed, _ = virgin.MergeVirgin(w.virgin, p.virginPushed)
+	p.virginPulled, _ = w.virgin.MergeVirgin(virgin, p.virginPulled)
 	p.pushed = w.corp.ReadJournal(p.pushed, func(pz corpus.Puzzle) { corp.Absorb(pz) })
 	w.corp.AdvancePeer(p.selfID, p.pushed)
 	w.corp.CompactJournal()

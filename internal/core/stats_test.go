@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/corpus"
 	"repro/internal/coverage"
 	"repro/internal/crash"
@@ -67,8 +69,8 @@ func TestDriveLeavesStateUnion(t *testing.T) {
 			st := f.State()
 			for i, w := range f.workers {
 				virgin := coverage.NewVirgin()
-				virgin.MergeVirgin(st.virgin)
-				if virgin.MergeVirgin(w.virgin) {
+				virgin.MergeVirgin(st.virgin, coverage.Cursor{})
+				if _, changed := virgin.MergeVirgin(w.virgin, coverage.Cursor{}); changed {
 					t.Errorf("worker %d holds coverage the shared state lacks", i)
 				}
 				corp := corpus.New(0)
@@ -106,6 +108,66 @@ func TestRestoreIntoUsedFleet(t *testing.T) {
 			}
 			if got, want := used.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Stats after restoring into a used fleet = %+v, into a fresh one = %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestRestoreWindowMergesWholeLogs: a 2-worker fleet restores a checkpoint
+// whose workers hold coverage the shared state lacks, and one window per
+// worker (SyncAll) leaves the shared accumulator equal to the union of
+// the three restored ones, built by applying their snapshots as deltas.
+// It holds restoring into a fresh fleet and into the fleet that wrote the
+// checkpoint after it synced on past it, whose merge cursors then point
+// into logs of an earlier generation, some past the restored logs' ends.
+func TestRestoreWindowMergesWholeLogs(t *testing.T) {
+	const digest = 1
+	// lightNovel merges a hand-made trace into each worker's own
+	// accumulator: edges no libmodbus execution lights, so the shared
+	// state lacks them until the next window.
+	lightNovel := func(f *Fleet, round int) {
+		for i, w := range f.workers {
+			tr := coverage.NewTracer()
+			for _, b := range coverage.Blocks(fmt.Sprintf("restore-window-%d-%d", round, i), 40) {
+				tr.Hit(b)
+			}
+			w.virgin.Consume(tr, nil, nil)
+		}
+	}
+	snapshot := func(v *coverage.Virgin) []byte {
+		var w checkpoint.Writer
+		v.Snapshot(&w)
+		return w.Data()
+	}
+	used := newTargetFleet(t, "libmodbus", 2, 1)
+	used.Run(4000)
+	lightNovel(used, 0)
+	union := coverage.NewVirgin()
+	for _, v := range []*coverage.Virgin{used.state.virgin, used.workers[0].virgin, used.workers[1].virgin} {
+		if _, err := union.ApplyDelta(snapshot(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt := used.Checkpoint(digest)
+	used.SyncAll()
+	lightNovel(used, 1)
+	used.SyncAll()
+
+	for _, tc := range []struct {
+		name string
+		f    *Fleet
+	}{{"fresh", newTargetFleet(t, "libmodbus", 2, 1)}, {"stale cursors", used}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.f.RestoreCheckpoint(ckpt, digest); err != nil {
+				t.Fatal(err)
+			}
+			st := tc.f.state.virgin
+			if st.Edges() >= union.Edges() {
+				t.Fatalf("the restored shared state already holds %d edges of the union's %d", st.Edges(), union.Edges())
+			}
+			tc.f.SyncAll()
+			if !bytes.Equal(snapshot(st), snapshot(union)) || st.Edges() != union.Edges() {
+				t.Fatalf("after one window the shared state holds %d edges, the union of the restored accumulators %d", st.Edges(), union.Edges())
 			}
 		})
 	}

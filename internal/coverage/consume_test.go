@@ -12,36 +12,57 @@ import (
 // checkConsume consumes tr into v (and h, when non-nil) and checks the one
 // walk against its definition, run on a copy of the tracer: MergeTracer
 // into an equal accumulator, CountEdges, then Reset; the byte-at-a-time
-// refVirgin over the raw map; and, with h, AccumulateTracer and
-// AppendEdges into equal counters. On the way it holds the copy's
-// PathHash, CountEdges, Snapshot and Reset to their whole-map byte
-// references. v and h advance; tr ends empty.
-func checkConsume(t *testing.T, label string, v *Virgin, ref *refVirgin, h *HitCounts, tr *Tracer) {
+// refVirgin over the raw map; and, with h, the per-execution accumulation
+// and the ascending edge list, counted byte by byte. On the way it holds
+// the copy's PathHash, CountEdges, Snapshot and Reset to their byte
+// references. The byte references visit the indices of span, ascending:
+// every index Hit may have lit (allIndices, the whole map, when the
+// caller does not know them). v and h advance; tr ends empty.
+func checkConsume(t *testing.T, label string, v *Virgin, ref *refVirgin, h *HitCounts, tr *Tracer, span []uint16) {
 	t.Helper()
 	cp := *tr
 	cp.log = slices.Clone(tr.log)
-	raw := cp.buf
+	raw := &cp.buf
 	if got := cp.Snapshot(); !bytes.Equal(got, raw[:]) {
 		t.Fatalf("%s: Snapshot differs from the raw map", label)
 	}
-	if got, want := cp.PathHash(), refHash(raw[:]); got != want {
+	if got, want := cp.PathHash(), refHashSpan(raw[:], span); got != want {
 		t.Fatalf("%s: PathHash = %#x, byte reference = %#x", label, got, want)
 	}
 	want := *v
+	want.log = nil
 	wantValuable := want.MergeTracer(&cp)
 	wantN := cp.CountEdges()
-	if refValuable := ref.merge(raw[:]); refValuable != wantValuable {
+	if refValuable := ref.mergeSpan(raw[:], span); refValuable != wantValuable {
 		t.Fatalf("%s: MergeTracer = %v, byte reference = %v", label, wantValuable, refValuable)
 	}
-	if refN := len(cp.AppendEdges(nil)); refN != wantN {
-		t.Fatalf("%s: CountEdges = %d, byte reference = %d", label, wantN, refN)
-	}
-	var wantH HitCounts
+	// The byte references of the edge count, the edge list and the
+	// counters over span: every lit index counts once, ascending, and its
+	// counter gains one, saturating; every other counter stays.
 	var wantEdges []uint16
+	var wantCounts []uint32
+	var wantExecs uint64
 	if h != nil {
-		wantH = *h
-		wantH.AccumulateTracer(&cp)
-		wantEdges = cp.AppendEdges([]uint16{7})
+		wantEdges, wantExecs = []uint16{7}, h.execs+1
+	}
+	refN := 0
+	for _, i := range span {
+		lit := raw[i] != 0
+		if lit {
+			refN++
+		}
+		if h == nil {
+			continue
+		}
+		c := h.counts[i]
+		if lit {
+			wantEdges = append(wantEdges, i)
+			c = min(c, ^uint32(0)-1) + 1
+		}
+		wantCounts = append(wantCounts, c)
+	}
+	if refN != wantN {
+		t.Fatalf("%s: CountEdges = %d, byte reference = %d", label, wantN, refN)
 	}
 	cp.Reset()
 	if cp.buf != [MapSize]byte{} || len(cp.log) != 0 || cp.prev != 0 {
@@ -62,13 +83,31 @@ func checkConsume(t *testing.T, label string, v *Virgin, ref *refVirgin, h *HitC
 	if tr.buf != [MapSize]byte{} || len(tr.log) != 0 || tr.prev != 0 {
 		t.Fatalf("%s: the tracer is not empty after Consume", label)
 	}
-	if h != nil && (*h != wantH || !slices.Equal(edges, wantEdges)) {
-		t.Fatalf("%s: counters or edge list diverged from AccumulateTracer / AppendEdges", label)
+	if h == nil {
+		if edges != nil {
+			t.Fatalf("%s: edge list appended without hit counters", label)
+		}
+		return
 	}
-	if h == nil && edges != nil {
-		t.Fatalf("%s: edge list appended without hit counters", label)
+	if h.execs != wantExecs || !slices.Equal(edges, wantEdges) {
+		t.Fatalf("%s: execution count or edge list diverged from the byte reference", label)
+	}
+	for k, i := range span {
+		if h.counts[i] != wantCounts[k] {
+			t.Fatalf("%s: counter %d = %d, byte reference = %d", label, i, h.counts[i], wantCounts[k])
+		}
 	}
 }
+
+// allIndices is every index of the map, ascending: the span of the
+// whole-map byte references.
+var allIndices = func() []uint16 {
+	s := make([]uint16, MapSize)
+	for i := range s {
+		s[i] = uint16(i)
+	}
+	return s
+}()
 
 // TestConsumeMatchesMergeCountReset: the one walk equals MergeTracer +
 // CountEdges + Reset (and, with hit counters, AccumulateTracer +
@@ -82,17 +121,17 @@ func TestConsumeMatchesMergeCountReset(t *testing.T) {
 			h = NewHitCounts()
 		}
 		for round := 0; round < 20; round++ {
-			checkConsume(t, "random trace", v, ref, h, hitTracer(20+round*70, uint64(round+1)))
+			checkConsume(t, "random trace", v, ref, h, hitTracer(20+round*70, uint64(round+1)), allIndices)
 		}
 		for _, m := range testMaps() {
-			checkConsume(t, "test map", v, ref, h, tracerOf(m))
+			checkConsume(t, "test map", v, ref, h, tracerOf(m), allIndices)
 		}
 		sat := hitTracer(100, 3)
 		for i := 0; i < 300; i++ {
 			sat.Hit(BlockID(i % 5))
 		}
-		checkConsume(t, "hot loop", v, ref, h, sat)
-		checkConsume(t, "empty trace", v, ref, h, NewTracer())
+		checkConsume(t, "hot loop", v, ref, h, sat, allIndices)
+		checkConsume(t, "empty trace", v, ref, h, NewTracer(), allIndices)
 	}
 }
 
@@ -127,10 +166,10 @@ func TestConsumeLogEdgeCases(t *testing.T) {
 			if logged := countOf(tr.log, 0); tr.buf[0] != byte(times) || logged != (times+255)/256 {
 				t.Fatalf("%s: counter %d logged %d times", label, tr.buf[0], logged)
 			}
-			checkConsume(t, label, v, ref, h, tr)
-			checkConsume(t, label+", reused after Consume", v, ref, h, hot(tr, times, uint64(times)+1))
+			checkConsume(t, label, v, ref, h, tr, allIndices)
+			checkConsume(t, label+", reused after Consume", v, ref, h, hot(tr, times, uint64(times)+1), allIndices)
 			hot(tr, times, uint64(times)+2).Reset()
-			checkConsume(t, label+", reused after Reset", v, ref, h, hot(tr, times, uint64(times)+3))
+			checkConsume(t, label+", reused after Reset", v, ref, h, hot(tr, times, uint64(times)+3), allIndices)
 		}
 	}
 }
@@ -172,7 +211,9 @@ func TestConsumeAllocFree(t *testing.T) {
 
 // FuzzVirginConsume feeds arbitrary block sequences through Consume, on an
 // accumulator that has already seen a random campaign, and holds it to
-// checkConsume's definitions.
+// checkConsume's definitions over the indices the blocks lit. The prior
+// accumulators are built once per prior, and the tracer and the counters
+// are scratch, emptied per input.
 func FuzzVirginConsume(f *testing.F) {
 	f.Add([]byte{}, uint8(0), true)
 	f.Add([]byte{0, 1, 0, 1, 0, 1}, uint8(1), false)
@@ -183,24 +224,44 @@ func FuzzVirginConsume(f *testing.F) {
 	// One block 300 times: its edge's counter wraps past zero and is
 	// logged twice.
 	f.Add(bytes.Repeat([]byte{1, 1}, 300), uint8(2), false)
+	priors := map[uint8]*Virgin{}
+	tr, counts := NewTracer(), NewHitCounts()
 	f.Fuzz(func(t *testing.T, blocks []byte, prior uint8, adaptive bool) {
-		v := randomVirgin(rand.New(rand.NewSource(int64(prior))), int(prior%4))
+		p := priors[prior]
+		if p == nil {
+			p = randomVirgin(rand.New(rand.NewSource(int64(prior))), int(prior%4))
+			priors[prior] = p
+		}
+		v := *p
+		v.log = slices.Clone(p.log)
 		ref := &refVirgin{seen: v.seen, edges: v.edges}
 		var h *HitCounts
 		if adaptive {
-			h = NewHitCounts()
+			*counts = HitCounts{}
+			h = counts
 		}
-		tr := NewTracer()
-		for i := 0; i+1 < len(blocks); i += 2 {
-			tr.Hit(BlockID(binary.LittleEndian.Uint16(blocks[i:])))
-		}
-		checkConsume(t, "fuzz", v, ref, h, tr)
+		tr.Reset()
+		checkConsume(t, "fuzz", &v, ref, h, tr, replay(tr, blocks, 2))
 		// A second trace over the same accumulator and counters.
-		for i := 0; i+1 < len(blocks); i += 3 {
-			tr.Hit(BlockID(binary.LittleEndian.Uint16(blocks[i:])))
-		}
-		checkConsume(t, "fuzz, second trace", v, ref, h, tr)
+		checkConsume(t, "fuzz, second trace", &v, ref, h, tr, replay(tr, blocks, 3))
 	})
+}
+
+// replay hits tr, whose previous-location register is zero, with the
+// 16-bit block at every stride-th byte of blocks, and returns the indices
+// those hits lit, ascending: the paper's cur ^ prev, recomputed beside
+// the tracer.
+func replay(tr *Tracer, blocks []byte, stride int) []uint16 {
+	var lit []uint16
+	var prev uint16
+	for i := 0; i+1 < len(blocks); i += stride {
+		cur := binary.LittleEndian.Uint16(blocks[i:])
+		tr.Hit(BlockID(cur))
+		lit = append(lit, cur^prev)
+		prev = cur >> 1
+	}
+	slices.Sort(lit)
+	return slices.Compact(lit)
 }
 
 // BenchmarkConsume is the engine's per-execution coverage step on a trace

@@ -30,12 +30,14 @@
 // observationally identical to the byte-at-a-time definitions over the
 // whole map (the test suite checks every walk against byte-level
 // reference implementations), so campaign determinism is unaffected.
+//
+// Virgin, the campaign accumulator, logs every byte of its map that gains
+// a bucket; its unions (MergeVirgin, WriteDelta) read that log's tail past
+// a Cursor, so a window costs what changed since the last one, not a scan
+// of 8192 words (FuzzVirginMerge holds them to the dense scans).
 package coverage
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "slices"
 
 // MapSize is the size of the shared coverage byte map. AFL and the paper's
 // prototype both use a 64 KiB map, which keeps collision rates low for
@@ -198,8 +200,29 @@ func init() {
 // execution light any bit that has never been lit before?
 type Virgin struct {
 	seen [MapSize]byte // OR of all bucketed maps observed so far
+	// log is the change log: the index of every byte of seen that gained
+	// a bucket (mergeEdge, or), so at most 8 × MapSize entries and never
+	// compacted. gen numbers the log generations Reset starts.
+	log []uint16
+	gen uint32
 	// Derived from seen; recomputed on restore.
 	edges int // distinct edges with any bucket seen
+}
+
+// Cursor is how much of one Virgin's change log another (a merge's
+// receiver, a delta's shadow) has taken in. The zero Cursor, and one from
+// before either started a new log generation, reads from 0.
+type Cursor struct {
+	n        int
+	src, dst uint32 // the two logs' generations when the cursor was taken
+}
+
+// tail returns v's log past from, as dst holds it, and the cursor at its end.
+func (v *Virgin) tail(from Cursor, dst *Virgin) ([]uint16, Cursor) {
+	if from.src != v.gen || from.dst != dst.gen {
+		from.n = 0
+	}
+	return v.log[from.n:], Cursor{n: len(v.log), src: v.gen, dst: dst.gen}
 }
 
 // NewVirgin returns an empty campaign-coverage accumulator.
@@ -215,20 +238,20 @@ func NewVirgin() *Virgin { return &Virgin{} }
 func (v *Virgin) MergeTracer(t *Tracer) bool {
 	valuable := false
 	for _, i := range t.log {
-		if v.mergeEdge(i, t.buf[i]) {
+		if v.mergeEdge(i, byte(classLUT[t.buf[i]])) {
 			valuable = true
 		}
 	}
 	return valuable
 }
 
-// mergeEdge folds counter c of edge i into the accumulator and reports
-// whether it lit a bucket never seen at i. Bucket values are single bits,
-// so "bucket b unseen at edge i" is exactly "b &^ seen[i] != 0"; a zero
-// counter has no bucket and merges nothing.
-func (v *Virgin) mergeEdge(i uint16, c byte) bool {
+// mergeEdge ORs bucket bits b into edge i, counting the edge if it was
+// unseen and logging the change, and reports whether any bit was new.
+// Bucket values are single bits, so "bucket b unseen at edge i" is
+// exactly "b &^ seen[i] != 0"; a counter c merges as byte(classLUT[c]),
+// and a zero counter has no bucket and merges nothing.
+func (v *Virgin) mergeEdge(i uint16, b byte) bool {
 	s := v.seen[i]
-	b := byte(classLUT[c])
 	if b&^s == 0 {
 		return false
 	}
@@ -236,6 +259,7 @@ func (v *Virgin) mergeEdge(i uint16, c byte) bool {
 		v.edges++
 	}
 	v.seen[i] = s | b
+	v.log = append(v.log, i)
 	return true
 }
 
@@ -273,7 +297,7 @@ func (v *Virgin) Consume(t *Tracer, h *HitCounts, edges []uint16) (valuable bool
 			}
 			edges = append(edges, i)
 		}
-		if v.mergeEdge(i, c) {
+		if v.mergeEdge(i, byte(classLUT[c])) {
 			valuable = true
 		}
 	}
@@ -285,39 +309,26 @@ func (v *Virgin) Consume(t *Tracer, h *HitCounts, edges []uint16) (valuable bool
 // MergeVirgin folds another accumulator's observed state into v, the
 // campaign-level union operation behind sharded fuzzing: each worker
 // accumulates coverage locally and the shard runner periodically merges the
-// local accumulators into (and back out of) a shared one. It returns true
-// when o contributed at least one (edge, bucket) pair v had not seen. o is
-// read, not modified.
-func (v *Virgin) MergeVirgin(o *Virgin) bool {
-	changed := false
-	vs, os := v.seen[:], o.seen[:]
-	for i := 0; i+8 <= len(os); i += 8 {
-		ow := binary.LittleEndian.Uint64(os[i : i+8])
-		if ow == 0 {
-			continue
-		}
-		vw := binary.LittleEndian.Uint64(vs[i : i+8])
-		novel := ow &^ vw
-		if novel == 0 {
-			continue
-		}
-		changed = true
-		for b := 0; b < 64; b += 8 {
-			if byte(vw>>b) == 0 && byte(novel>>b) != 0 {
-				v.edges++
-			}
-		}
-		binary.LittleEndian.PutUint64(vs[i:i+8], vw|novel)
+// local accumulators into (and back out of) a shared one. It reads o's
+// change log past from, the cursor the previous merge of o into v returned
+// (or the zero Cursor), and returns the next one and whether o contributed
+// an (edge, bucket) pair v had not seen. o is read, not modified.
+func (v *Virgin) MergeVirgin(o *Virgin, from Cursor) (next Cursor, changed bool) {
+	log, next := o.tail(from, v)
+	for _, i := range log {
+		changed = v.mergeEdge(i, o.seen[i]) || changed
 	}
-	return changed
+	return next, changed
 }
 
 // Edges returns the number of distinct edges observed so far, a coarse
 // campaign-level coverage measure used by the speed-to-coverage experiment.
 func (v *Virgin) Edges() int { return v.edges }
 
-// Reset clears the accumulator.
+// Reset clears the accumulator and starts a new log generation.
 func (v *Virgin) Reset() {
 	v.seen = [MapSize]byte{}
+	v.log = v.log[:0]
+	v.gen++
 	v.edges = 0
 }

@@ -254,14 +254,17 @@ func TestMergeVirginUnion(t *testing.T) {
 	a.Merge(raw1)
 	b.Merge(raw2)
 
-	if !a.MergeVirgin(b) {
+	next, changed := a.MergeVirgin(b, Cursor{})
+	if !changed {
 		t.Fatal("merging b's novel edge 30 should report change")
 	}
 	if got := a.Edges(); got != 3 {
 		t.Fatalf("edges after union = %d, want 3", got)
 	}
-	if a.MergeVirgin(b) {
-		t.Fatal("second merge must be a no-op")
+	for _, from := range []Cursor{next, {}} {
+		if _, changed := a.MergeVirgin(b, from); changed {
+			t.Fatalf("second merge from %+v must be a no-op", from)
+		}
 	}
 	// a now subsumes both executions.
 	if a.Merge(raw1) || a.Merge(raw2) {
@@ -280,7 +283,7 @@ func TestMergeVirginBucketGranularity(t *testing.T) {
 	a.Merge(raw)
 	raw[5] = 9 // bucket 16: same edge, new bucket
 	b.Merge(raw)
-	if !a.MergeVirgin(b) {
+	if _, changed := a.MergeVirgin(b, Cursor{}); !changed {
 		t.Fatal("new bucket on a known edge should report change")
 	}
 	if got := a.Edges(); got != 1 {
@@ -303,9 +306,14 @@ type refVirgin struct {
 	edges int
 }
 
-func (v *refVirgin) merge(raw []byte) bool {
+func (v *refVirgin) merge(raw []byte) bool { return v.mergeSpan(raw, allIndices[:len(raw)]) }
+
+// mergeSpan is merge over the indices of span alone, the others being
+// zero.
+func (v *refVirgin) mergeSpan(raw []byte, span []uint16) bool {
 	valuable := false
-	for i, c := range raw {
+	for _, i := range span {
+		c := raw[i]
 		if c == 0 {
 			continue
 		}
@@ -321,13 +329,18 @@ func (v *refVirgin) merge(raw []byte) bool {
 	return valuable
 }
 
-func refHash(raw []byte) uint64 {
+func refHash(raw []byte) uint64 { return refHashSpan(raw, allIndices[:len(raw)]) }
+
+// refHashSpan is refHash over the ascending indices of span alone, the
+// others being zero.
+func refHashSpan(raw []byte, span []uint16) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	var h uint64 = offset
-	for i, c := range raw {
+	for _, i := range span {
+		c := raw[i]
 		if c == 0 {
 			continue
 		}

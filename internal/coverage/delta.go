@@ -3,6 +3,7 @@ package coverage
 import (
 	"encoding/binary"
 	"fmt"
+	mbits "math/bits"
 
 	"repro/internal/checkpoint"
 )
@@ -12,11 +13,11 @@ import (
 // A Virgin accumulator is monotonic — words only ever gain bits — so the
 // state a peer is missing is exactly the set of 64-bit words that changed
 // since the last exchange. A sender keeps a shadow Virgin per peer (the
-// state it last sent); WriteDelta encodes only the differing words and
-// brings the shadow up to date, so steady-state sync windows ship a
-// handful of words instead of the 64 KiB map. A checkpoint is the same
-// encoding against an all-zero shadow (Snapshot), read back into an empty
-// accumulator (Restore).
+// state it last sent) and a Cursor into its change log; WriteDelta finds
+// and encodes only the changed words and brings the shadow up to date, so
+// a steady-state window ships a handful of words, not the 64 KiB map. A
+// checkpoint is the same encoding against an all-zero shadow (Snapshot),
+// read back into an empty accumulator (Restore).
 //
 // Format, written and read through the repo's one binary codec
 // (internal/checkpoint; all integers canonical uvarints unless noted):
@@ -35,47 +36,56 @@ import (
 // virginWords is the Virgin bitmap size in 64-bit words.
 const virginWords = MapSize / 8
 
-// word returns the 64-bit word of seen at byte offset i; a nil seen is
-// all zero.
-func word(seen *[MapSize]byte, i int) uint64 {
-	if seen == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(seen[i:])
-}
+// word returns the 64-bit word of seen at byte offset i.
+func word(seen *[MapSize]byte, i int) uint64 { return binary.LittleEndian.Uint64(seen[i:]) }
 
 // WriteDelta writes every bitmap word of v that differs from shadow and
 // ORs those words into shadow, bringing it up to date, edge counter
-// included. A nil shadow stands for an all-zero one and is not updated:
-// the write is then v's full observed state. With a shadow that has
-// caught up it writes an empty delta (one zero byte).
-func (v *Virgin) WriteDelta(w *checkpoint.Writer, shadow *Virgin) {
-	cs := &v.seen
-	var ss *[MapSize]byte
+// included. It compares only the words v's change log names past from,
+// the cursor the previous WriteDelta into this shadow returned (or the
+// zero Cursor), and returns the next one; every other word is equal as
+// long as shadow gains nothing v lacks. A nil shadow stands for an
+// all-zero one, which no logged word equals, and is not updated: the
+// write is then v's full observed state. With a shadow that has caught
+// up it writes an empty delta (one zero byte).
+func (v *Virgin) WriteDelta(w *checkpoint.Writer, shadow *Virgin, from Cursor) Cursor {
+	log, next := v.log, Cursor{}
 	if shadow != nil {
-		ss = &shadow.seen
+		log, next = v.tail(from, shadow)
+	}
+	if len(log) == 0 {
+		w.Int(0)
+		return next
+	}
+	var set [virginWords / 64]uint64 // word numbers: sorted, no repeats
+	for _, i := range log {
+		set[i>>9] |= 1 << (i >> 3 & 63)
 	}
 	count := 0
-	for i := 0; i < MapSize; i += 8 {
-		if word(cs, i) != word(ss, i) {
-			count++
+	for k := range set {
+		for bits := set[k]; shadow != nil && bits != 0; bits &= bits - 1 {
+			b := mbits.TrailingZeros64(bits)
+			if i := (k<<6 | b) * 8; word(&v.seen, i) == word(&shadow.seen, i) {
+				set[k] &^= 1 << b
+			}
 		}
+		count += mbits.OnesCount64(set[k])
 	}
 	w.Int(count)
 	prev := 0
-	for wi := 0; wi < virginWords; wi++ {
-		i := wi * 8
-		cw, sw := word(cs, i), word(ss, i)
-		if cw == sw {
-			continue
-		}
-		w.Int(wi - prev)
-		w.U64(cw)
-		prev = wi
-		if ss != nil {
-			shadow.or(i, sw, cw)
+	for k, bits := range &set {
+		for ; bits != 0; bits &= bits - 1 {
+			wi := k<<6 | mbits.TrailingZeros64(bits)
+			cw := word(&v.seen, wi*8)
+			w.Int(wi - prev)
+			w.U64(cw)
+			prev = wi
+			if shadow != nil {
+				shadow.or(wi*8, word(&shadow.seen, wi*8), cw)
+			}
 		}
 	}
+	return next
 }
 
 // readDelta ORs one WriteDelta encoding into the accumulator, keeping the
@@ -105,12 +115,16 @@ func (v *Virgin) readDelta(r *checkpoint.Reader) (changed bool, err error) {
 }
 
 // or sets the word at byte offset i, whose current value is old, to
-// old|w, counting each edge byte that turns non-zero.
+// old|w, counting each edge byte that turns non-zero and logging each
+// byte that gains a bit.
 func (v *Virgin) or(i int, old, w uint64) {
 	novel := w &^ old
 	for b := 0; b < 64; b += 8 {
-		if byte(old>>b) == 0 && byte(novel>>b) != 0 {
-			v.edges++
+		if byte(novel>>b) != 0 {
+			if byte(old>>b) == 0 {
+				v.edges++
+			}
+			v.log = append(v.log, uint16(i+b/8))
 		}
 	}
 	binary.LittleEndian.PutUint64(v.seen[i:i+8], old|novel)

@@ -8,10 +8,11 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// delta returns cur's WriteDelta encoding against shadow.
+// delta returns cur's WriteDelta encoding against shadow, walking cur's
+// whole change log (the zero Cursor).
 func delta(cur, shadow *Virgin) []byte {
 	var w checkpoint.Writer
-	cur.WriteDelta(&w, shadow)
+	cur.WriteDelta(&w, shadow, Cursor{})
 	return w.Data()
 }
 
@@ -20,9 +21,7 @@ func randomVirgin(r *rand.Rand, execs int) *Virgin {
 	v := NewVirgin()
 	raw := make([]byte, MapSize)
 	for e := 0; e < execs; e++ {
-		for i := range raw {
-			raw[i] = 0
-		}
+		clear(raw)
 		for h := 0; h < 200; h++ {
 			raw[r.Intn(MapSize)] = byte(1 + r.Intn(255))
 		}
@@ -54,13 +53,15 @@ func TestVirginDeltaFullStateFromEmptyShadow(t *testing.T) {
 
 // TestVirginDeltaIncrementalMatchesMergeVirgin drives several rounds of new
 // coverage through the delta path and checks the receiver stays bit-for-bit
-// identical to a receiver using the in-process MergeVirgin union.
+// identical to a receiver using the in-process MergeVirgin union, each
+// side holding its cursor into the sender's change log.
 func TestVirginDeltaIncrementalMatchesMergeVirgin(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	cur := NewVirgin()
 	shadow := NewVirgin()
 	viaDelta := NewVirgin()
 	viaMerge := NewVirgin()
+	var sent, merged Cursor
 	raw := make([]byte, MapSize)
 
 	for round := 0; round < 8; round++ {
@@ -73,11 +74,17 @@ func TestVirginDeltaIncrementalMatchesMergeVirgin(t *testing.T) {
 			}
 			cur.Merge(raw)
 		}
-		frame := delta(cur, shadow)
-		if _, err := viaDelta.ApplyDelta(frame); err != nil {
+		var w, dense checkpoint.Writer
+		denseShadow := *shadow
+		denseWriteDelta(&dense, cur, &denseShadow)
+		sent = cur.WriteDelta(&w, shadow, sent)
+		if !bytes.Equal(w.Data(), dense.Data()) || shadow.seen != denseShadow.seen {
+			t.Fatalf("round %d: delta from a held cursor differs from the dense delta", round)
+		}
+		if _, err := viaDelta.ApplyDelta(w.Data()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		viaMerge.MergeVirgin(cur)
+		merged, _ = viaMerge.MergeVirgin(cur, merged)
 		if viaDelta.seen != viaMerge.seen || viaDelta.Edges() != viaMerge.Edges() {
 			t.Fatalf("round %d: delta receiver diverged from MergeVirgin receiver", round)
 		}
@@ -159,27 +166,38 @@ func TestVirginDeltaUnionWithLocalState(t *testing.T) {
 	remote := randomVirgin(r, 8)
 	localA := randomVirgin(r, 8)
 	localB := NewVirgin()
-	localB.MergeVirgin(localA)
+	localB.MergeVirgin(localA, Cursor{})
 
 	frame := delta(remote, NewVirgin())
 	if _, err := localA.ApplyDelta(frame); err != nil {
 		t.Fatal(err)
 	}
-	localB.MergeVirgin(remote)
+	localB.MergeVirgin(remote, Cursor{})
 	if localA.seen != localB.seen || localA.Edges() != localB.Edges() {
 		t.Fatal("delta union differs from MergeVirgin union")
 	}
 }
 
+// BenchmarkWriteDelta is one delta into a caught-up shadow of a
+// 50-execution accumulator. "steady" holds the cursor at the end of the
+// log and there is no novelty: a sync round or checkpoint that found
+// nothing new. "log" walks the whole log from the zero Cursor, as a
+// delta into a fresh shadow or a Snapshot does.
 func BenchmarkWriteDelta(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	cur := randomVirgin(r, 50)
+	cur := randomVirgin(rand.New(rand.NewSource(7)), 50)
 	shadow := NewVirgin()
-	delta(cur, shadow)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var w checkpoint.Writer
-		cur.WriteDelta(&w, shadow)
+	var w checkpoint.Writer
+	end := cur.WriteDelta(&w, shadow, Cursor{})
+	for _, bc := range []struct {
+		name string
+		from Cursor
+	}{{"steady", end}, {"log", Cursor{}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var w checkpoint.Writer
+				cur.WriteDelta(&w, shadow, bc.from)
+			}
+		})
 	}
 }
 

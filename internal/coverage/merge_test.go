@@ -1,47 +1,92 @@
 package coverage
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/checkpoint"
+)
 
 // Merge is MergeTracer over a whole raw map: the word-at-a-time reference
 // the tests compare MergeTracer against, and a way to feed a hand-built map
-// into a Virgin.
+// into a Virgin. It writes through or and mergeEdge, so the change log
+// names what it set.
 func (v *Virgin) Merge(raw []byte) bool {
 	valuable := false
-	seen := v.seen[:]
 	i := 0
 	for ; i+8 <= len(raw); i += 8 {
 		w := binary.LittleEndian.Uint64(raw[i : i+8])
 		if w == 0 {
 			continue
 		}
-		sw := binary.LittleEndian.Uint64(seen[i : i+8])
-		novel := classifyWord(w) &^ sw
-		if novel == 0 {
-			continue
+		sw := word(&v.seen, i)
+		if novel := classifyWord(w) &^ sw; novel != 0 {
+			valuable = true
+			v.or(i, sw, novel)
 		}
-		valuable = true
-		for b := 0; b < 64; b += 8 {
-			if byte(sw>>b) == 0 && byte(novel>>b) != 0 {
-				v.edges++
-			}
-		}
-		binary.LittleEndian.PutUint64(seen[i:i+8], sw|novel)
 	}
 	for ; i < len(raw); i++ {
-		c := raw[i]
-		if c == 0 {
-			continue
-		}
-		b := bucket(c)
-		if seen[i]&b == 0 {
-			if seen[i] == 0 {
-				v.edges++
-			}
-			seen[i] |= b
+		if raw[i] != 0 && v.mergeEdge(uint16(i), bucket(raw[i])) {
 			valuable = true
 		}
 	}
 	return valuable
+}
+
+// denseMergeVirgin is MergeVirgin as it was before the change log, a scan
+// of every word of the map: the reference the log walk is held to. It
+// writes seen and the edge counter directly and logs nothing.
+func denseMergeVirgin(v, o *Virgin) bool {
+	changed := false
+	for i := 0; i < MapSize; i += 8 {
+		vw := word(&v.seen, i)
+		if novel := word(&o.seen, i) &^ vw; novel != 0 {
+			changed = true
+			v.denseOr(i, vw, novel)
+		}
+	}
+	return changed
+}
+
+// denseWriteDelta is WriteDelta as the scan of every word of the map:
+// each word of v that differs from shadow (nil: all zero), ORed into
+// shadow without logging.
+func denseWriteDelta(w *checkpoint.Writer, v, shadow *Virgin) {
+	ss := &[MapSize]byte{}
+	if shadow != nil {
+		ss = &shadow.seen
+	}
+	count := 0
+	for i := 0; i < MapSize; i += 8 {
+		if word(&v.seen, i) != word(ss, i) {
+			count++
+		}
+	}
+	w.Int(count)
+	prev := 0
+	for wi := 0; wi < virginWords; wi++ {
+		i := wi * 8
+		cw, sw := word(&v.seen, i), word(ss, i)
+		if cw == sw {
+			continue
+		}
+		w.Int(wi - prev)
+		w.U64(cw)
+		prev = wi
+		if shadow != nil {
+			shadow.denseOr(i, sw, cw)
+		}
+	}
+}
+
+// denseOr is or without the log.
+func (v *Virgin) denseOr(i int, old, w uint64) {
+	novel := w &^ old
+	for b := 0; b < 64; b += 8 {
+		if byte(old>>b) == 0 && byte(novel>>b) != 0 {
+			v.edges++
+		}
+	}
+	binary.LittleEndian.PutUint64(v.seen[i:i+8], old|novel)
 }
 
 // AppendEdges appends the indices of the edges (non-zero bytes) of the

@@ -17,7 +17,7 @@ import (
 // Snapshot writes the accumulator's observed state in the wire delta's
 // format (delta.go), against an all-zero shadow. The edge counter is
 // derived state and is recomputed on restore rather than stored.
-func (v *Virgin) Snapshot(w *checkpoint.Writer) { v.WriteDelta(w, nil) }
+func (v *Virgin) Snapshot(w *checkpoint.Writer) { v.WriteDelta(w, nil, Cursor{}) }
 
 // Restore overwrites the accumulator with a Snapshot-produced dump,
 // recomputing the edge counter from the restored map. Word indices must be

@@ -13,8 +13,9 @@ import (
 // the shapes of the nodes at either end, keep exactly the same three
 // pieces of state — so it lives in one struct used by both directions:
 //
-//   - shadow: the coverage the remote is known to hold (what we sent plus
-//     what it sent us); outgoing bitmap deltas are computed against it.
+//   - shadow + shadowCursor: the coverage the remote is known to hold
+//     (what we sent plus what it sent us), and the position in the local
+//     change log up to which outgoing bitmap deltas compared against it.
 //   - localCursor + journalID: the read position in the *local* shared
 //     journal (everything below it has crossed this link) and the
 //     registration that pins journal compaction no further than it.
@@ -28,7 +29,8 @@ import (
 // or the node's sync round); methods that touch the shared state must
 // be called under the SyncState lock (inside an Exchange).
 type peerSession struct {
-	shadow *coverage.Virgin
+	shadow       *coverage.Virgin
+	shadowCursor coverage.Cursor
 	// journalID is this link's RegisterPeer id in the local shared
 	// journal; -1 until registered.
 	journalID int
@@ -91,7 +93,7 @@ func (s *peerSession) unregister(corp *corpus.Corpus) {
 // registration advance to the journal end.
 func (s *peerSession) sendDelta(virgin *coverage.Virgin, corp *corpus.Corpus) (virginDelta []byte, puzzles []corpus.Puzzle) {
 	var w checkpoint.Writer
-	virgin.WriteDelta(&w, s.shadow)
+	s.shadowCursor = virgin.WriteDelta(&w, s.shadow, s.shadowCursor)
 	virginDelta = w.Data()
 	from := s.localCursor
 	// Index arithmetic only holds while the cursor is inside the live
@@ -202,13 +204,14 @@ func (s *peerSession) inEchoSpan(idx int) bool {
 
 // resetWire rewinds everything that described the lost connection: the
 // replacement session's far side may not remember this link, so the shadow,
-// local cursor, watermarks and echo spans go back to zero and everything is
-// re-sent (merging idempotently). remoteCursor and the journal registration
+// both local cursors, watermarks and echo spans go back to zero and everything
+// is re-sent (merging idempotently). remoteCursor and the journal registration
 // deliberately survive — the cursor indexes remote state the remote itself
 // validates, and the registration keeps compaction honest until the link is
 // explicitly closed.
 func (s *peerSession) resetWire() {
 	s.shadow = coverage.NewVirgin()
+	s.shadowCursor = coverage.Cursor{}
 	s.localCursor = 0
 	s.sentCrash = make(map[string]int)
 	s.echoSpans = nil

@@ -10,6 +10,7 @@ package peachstar
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -569,8 +570,12 @@ func (r *Run) emitWindow(n *SyncNode, res fleetnet.Round) {
 }
 
 // windowHook is the driver's per-merge-window observer, called on worker
-// goroutines: it turns window facts into stream events.
+// goroutines: it turns window facts into stream events, then yields once
+// if it emitted, so a consumer parked on Events() need not wait for this
+// worker's next preemption tick (~10 ms on a saturated fleet).
 func (r *Run) windowHook(w core.WindowInfo) {
+	emitted := false
+	emit := func(ev Event) { r.emit(ev); emitted = true }
 	for _, rec := range w.NewCrashes {
 		key := crash.RecordKey(rec)
 		r.crashMu.Lock()
@@ -578,17 +583,17 @@ func (r *Run) windowHook(w core.WindowInfo) {
 		r.crashSeen[key] = true
 		r.crashMu.Unlock()
 		if !dup {
-			r.emit(CrashEvent{Record: rec, Worker: w.Worker})
+			emit(CrashEvent{Record: rec, Worker: w.Worker})
 		}
 	}
 	if w.NewEdges > 0 {
-		r.emit(NewCoverageEvent{Edges: w.Edges, Delta: w.NewEdges, Worker: w.Worker})
+		emit(NewCoverageEvent{Edges: w.Edges, Delta: w.NewEdges, Worker: w.Worker})
 	}
 	for _, st := range w.NewStates {
-		r.emit(StateEvent{State: st.State, Exec: st.Exec, Worker: w.Worker})
+		emit(StateEvent{State: st.State, Exec: st.Exec, Worker: w.Worker})
 	}
 	for _, d := range w.Distills {
-		r.emit(DistillEvent{
+		emit(DistillEvent{
 			Worker:         w.Worker,
 			SeedsKept:      d.SeedsKept,
 			SeedsDropped:   d.SeedsDropped,
@@ -596,21 +601,20 @@ func (r *Run) windowHook(w core.WindowInfo) {
 			Edges:          d.Edges,
 		})
 	}
-	every := int64(r.cfg.StatsEvery)
-	if every <= 0 {
-		return
-	}
-	for {
+	for every := int64(r.cfg.StatsEvery); every > 0; {
 		next := r.statsNext.Load()
 		if int64(w.FleetExecs) < next {
-			return
+			break
 		}
 		// Jump past the current count so a burst of windows yields one
 		// event, not a backlog.
 		target := (int64(w.FleetExecs)/every + 1) * every
 		if r.statsNext.CompareAndSwap(next, target) {
-			r.emit(StatsEvent{Stats: r.c.fleet.StatsApprox(), Elapsed: time.Since(r.start)})
-			return
+			emit(StatsEvent{Stats: r.c.fleet.StatsApprox(), Elapsed: time.Since(r.start)})
+			break
 		}
+	}
+	if emitted {
+		runtime.Gosched()
 	}
 }
