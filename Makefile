@@ -104,8 +104,8 @@ docs-check:
 # Allocation-regression guard, the gate that keeps the per-exec path
 # allocation-lean: the steady-state Peach*, session and adaptive exec paths
 # must stay within their per-exec budgets, File Fixup — on a tree, and as
-# the engine's flat copy → fixup → render — must allocate nothing (see
-# hotpath_test.go), the warm semantic generation round must stay within
+# the engine's draft reset → edit → fixup → render — must allocate nothing
+# (see hotpath_test.go), the warm semantic generation round must stay within
 # its per-round budget (internal/core's sched_test.go), and a model that
 # rejects a valuable seed must cost the crack path no allocation
 # (internal/core's crack_equiv_test.go).
@@ -143,23 +143,27 @@ api-snapshot:
 	$(GO) run ./cmd/apicheck -update
 
 # Short native-fuzz smoke runs over the crack/generate round-trip targets,
-# the fixup plan against its string-resolving reference, the engine's
-# one-walk coverage step against its definitions, the change-log unions
-# (merges, deltas, snapshots) against the dense scans, and every decoder
-# built on the checkpoint codec — sequences, virgin deltas, fleetnet frames,
-# campaign checkpoints (truncated, corrupt, and non-minimal-varint inputs
-# must be rejected with errors, never panics).
+# the fixup plan against its string-resolving reference (through the tree
+# and through the engine's draft of a sealed base), the engine's one-walk
+# coverage step against its definitions, the change-log unions (merges,
+# deltas, snapshots) against the dense scans, and every decoder built on the
+# checkpoint codec — sequences, virgin deltas, fleetnet frames, campaign
+# checkpoints (truncated, corrupt, and non-minimal-varint inputs must be
+# rejected with errors, never panics). Minimizing a newly interesting input
+# is bounded at 1 s: unbounded, it took most of each 10 s run.
+FUZZFLAGS = -fuzztime 10s -fuzzminimizetime 1s -run XXX
 fuzz:
-	$(GO) test ./internal/datamodel -fuzz 'FuzzCrack$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/datamodel -fuzz 'FuzzGenerate$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/datamodel -fuzz 'FuzzCrackSeedCorpusBytes$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/targets -fuzz 'FuzzFixupPlan$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/coverage -fuzz 'FuzzVirginDelta$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/coverage -fuzz 'FuzzVirginConsume$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/coverage -fuzz 'FuzzVirginMerge$$' -fuzztime 10s -run XXX
-	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
-	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/datamodel -fuzz 'FuzzCrack$$' $(FUZZFLAGS)
+	$(GO) test ./internal/datamodel -fuzz 'FuzzGenerate$$' $(FUZZFLAGS)
+	$(GO) test ./internal/datamodel -fuzz 'FuzzCrackSeedCorpusBytes$$' $(FUZZFLAGS)
+	$(GO) test ./internal/targets -fuzz 'FuzzFixupPlan$$' $(FUZZFLAGS)
+	$(GO) test ./internal/targets -fuzz 'FuzzDraftFixups$$' $(FUZZFLAGS)
+	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' $(FUZZFLAGS)
+	$(GO) test ./internal/coverage -fuzz 'FuzzVirginDelta$$' $(FUZZFLAGS)
+	$(GO) test ./internal/coverage -fuzz 'FuzzVirginConsume$$' $(FUZZFLAGS)
+	$(GO) test ./internal/coverage -fuzz 'FuzzVirginMerge$$' $(FUZZFLAGS)
+	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' $(FUZZFLAGS)
+	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' $(FUZZFLAGS)
 
 # The repo's one benchmark (see cmd/bench/README.md and BENCHMARK.json):
 # six closed-loop workloads, four end-to-end metrics, per-layer attribution;

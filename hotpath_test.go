@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -65,10 +66,11 @@ func TestSteadyStateExecAllocBudget(t *testing.T) {
 
 // TestApplyFixupsAllocFree: File Fixup runs on every seed the engine emits,
 // so after one warm-up call (which compiles nothing — NewModel did — but
-// may grow the pooled scratch and the arena slabs) neither entry point
-// allocates: the tree one (ApplyFixups and VerifyFixups flatten into pooled
-// scratch) nor the engine's per-exec one (copy the leaf table out of the
-// arena, fix it up, render it), measured on the deepest model of the deepest
+// may grow the pooled scratch, the draft's tables and the arena slabs)
+// neither entry point allocates: the tree one (ApplyFixups and
+// VerifyFixups flatten into pooled scratch) nor the engine's per-exec one
+// (reset a draft to the sealed default instance, edit a leaf's length,
+// fix it up, render it), measured on the deepest model of the deepest
 // target.
 func TestApplyFixupsAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -93,16 +95,27 @@ func TestApplyFixupsAllocFree(t *testing.T) {
 		t.Fatalf("VerifyFixups on %s allocates %.1f objects per call", model.Name, n)
 	}
 	var arena datamodel.Arena
-	var work datamodel.Flat
+	var draft datamodel.Draft
 	src := model.DefaultFlat()
+	leaf := -1 // the last variable-size leaf, so the edit moves lengths
+	for i, n := range src.Leaves {
+		if n.Chunk.Size == datamodel.Variable {
+			leaf = i
+		}
+	}
+	if leaf < 0 {
+		t.Fatalf("%s has no variable-size leaf", model.Name)
+	}
+	edit := append(bytes.Clone(src.Leaves[leaf].Data), 'x')
 	perExec := func() {
 		arena.Reset()
-		work.CopyFrom(src, &arena)
-		work.ApplyFixups()
-		work.Render(&arena)
+		draft.Reset(src)
+		draft.Set(leaf, edit)
+		draft.ApplyFixups()
+		draft.Render(&arena)
 	}
 	perExec() // overflows the empty slabs; the next Reset grows them
 	if n := testing.AllocsPerRun(200, perExec); n != 0 {
-		t.Fatalf("flat copy → fixup → render on %s allocates %.1f objects per call", model.Name, n)
+		t.Fatalf("draft reset → edit → fixup → render on %s allocates %.1f objects per call", model.Name, n)
 	}
 }

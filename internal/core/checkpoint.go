@@ -266,7 +266,7 @@ func (e *Engine) valuableField() checkpoint.Field {
 	var model *datamodel.Model // restore: the model of the list being read
 	seeds := checkpoint.ListCodec(checkpoint.Record(func(v *valuableSeed) []checkpoint.Field {
 		return []checkpoint.Field{
-			checkpoint.Func(func(w *checkpoint.Writer) { w.Blob(v.ins.Render(nil)) }, func(r *checkpoint.Reader) error {
+			checkpoint.Func(func(w *checkpoint.Writer) { w.Blob(v.ins.Wire()) }, func(r *checkpoint.Reader) error {
 				if data := r.Blob(); r.Err() == nil && e.crk.Crack(model, data) {
 					v.ins = e.crk.Flat().Clone()
 				}

@@ -214,16 +214,16 @@ type Engine struct {
 	pending         [][]byte
 	pendingSemantic bool
 	// Hot-path scratch state, reset once per generation round: the arena
-	// backs every transient instance and rendered seed; work is the
-	// round's working instance (a flat copy of the skeleton); cands and
-	// saved are reused slices for the per-iteration loops; dedup is the
-	// per-batch duplicate filter. Everything that outlives an iteration
-	// (corpus, crash bank, valuable queue) copies out.
+	// backs every transient instance and rendered seed; draft is the
+	// round's working instance (a sealed skeleton plus edits); skel holds
+	// a randomized skeleton; cands is a reused slice for the per-iteration
+	// loops; dedup is the per-batch duplicate filter. Everything that
+	// outlives an iteration (corpus, crash bank, valuable queue) copies out.
 	arena datamodel.Arena   // per-round scratch slab, reset at round start
-	work  datamodel.Flat    // per-round working instance
+	draft datamodel.Draft   // per-round working instance
+	skel  datamodel.Flat    // per-round randomized skeleton
 	cands [][]corpus.Puzzle // per-iteration walk scratch
-	saved [][]byte          // per-iteration walk scratch
-	order []*datamodel.Node // chunk-aware donation's leaf shuffle scratch
+	order []int             // chunk-aware donation's leaf shuffle scratch
 	dedup map[string]bool   // per-batch filter
 	crk   datamodel.Cracker // Algorithm 2 scratch, refilled by every crack
 	// valuable holds the retained coverage-increasing instances per

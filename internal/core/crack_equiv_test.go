@@ -164,7 +164,7 @@ func checkCrack(t *testing.T, e *Engine, ref *corpus.Corpus, m *datamodel.Model,
 	}
 
 	var wantFlat datamodel.Flat
-	m.Flatten(&wantFlat, want)
+	m.Flatten(&wantFlat, want).Seal()
 	got := e.crk.Flat().Clone()
 	if len(got.Leaves) != len(wantFlat.Leaves) {
 		t.Fatalf("%s on %x: %d leaves, reference %d", m.Name, pkt, len(got.Leaves), len(wantFlat.Leaves))
@@ -175,14 +175,14 @@ func checkCrack(t *testing.T, e *Engine, ref *corpus.Corpus, m *datamodel.Model,
 			t.Fatalf("%s on %x: leaf %d is %s=%x, reference %s=%x", m.Name, pkt, i, n.Chunk.Name, n.Data, w.Chunk.Name, w.Data)
 		}
 	}
-	// The shape — slot spans, relation and checksum leaves — compared
-	// whole: everything but the leaf pointers.
+	// The shape — slot spans, relation and checksum leaves — and the seal
+	// compared whole: everything but the leaf pointers.
 	gs, ws := *got, wantFlat
 	gs.Leaves, ws.Leaves = nil, nil
 	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s on %x: flat shape differs from Flatten's", m.Name, pkt)
 	}
-	if r := e.crk.Flat().Render(nil); !bytes.Equal(r, pkt) {
+	if r := e.crk.Flat().Wire(); !bytes.Equal(r, pkt) {
 		t.Fatalf("%s: flat renders %x, packet %x", m.Name, r, pkt)
 	}
 

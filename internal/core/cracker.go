@@ -43,7 +43,7 @@ func (e *Engine) crackValuable(seed []byte, depth int) {
 		if !e.crk.Crack(m, seed) { // lines 5-6: PARSE, LEGAL
 			continue
 		}
-		// Retained flat: skeleton copies the leaf table per execution.
+		// Retained flat, sealed: a draft starts from it per execution.
 		q := append(e.valuable[mi], valuableSeed{ins: e.crk.Flat().Clone(), depth: depth, edges: edges})
 		if len(q) > valuablePerModel {
 			q = q[1:]

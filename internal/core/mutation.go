@@ -78,17 +78,20 @@ func (e *Engine) chunkAwareMutate(base []byte) ([]byte, bool) {
 		if !e.crk.Crack(m, base) {
 			continue
 		}
-		e.work.CopyFrom(e.crk.Flat(), &e.arena)
-		e.order = append(e.order[:0], e.work.Leaves...)
+		e.draft.Reset(e.crk.Flat())
+		e.order = e.order[:0]
+		for i := 0; i < e.draft.Len(); i++ {
+			e.order = append(e.order, i)
+		}
 		rng.Shuffle(e.r, e.order)
-		for _, leaf := range e.order {
-			donors := e.corp.CrossModelDonors(leaf.Chunk, m.Name)
+		for _, i := range e.order {
+			donors := e.corp.CrossModelDonors(e.draft.Chunk(i), m.Name)
 			if len(donors) == 0 {
 				continue
 			}
-			leaf.Data = rng.Pick(e.r, donors).Data // read-only alias; fixups never write donatable leaves
-			e.work.ApplyFixups()
-			return e.work.Render(&e.arena), true
+			e.draft.Set(i, rng.Pick(e.r, donors).Data) // read-only alias; a draft never writes an override's bytes
+			e.draft.ApplyFixups()
+			return e.draft.Render(&e.arena), true
 		}
 		return nil, false // cracked but nothing donatable
 	}

@@ -389,8 +389,9 @@ func (e *Engine) genStepPayload(mi int) []byte {
 	}
 	if e.r.Bool() {
 		// The default instance is fixed up once, when built, and File
-		// Fixup is idempotent: its shared leaf table renders as it is.
-		return m.DefaultFlat().Render(&e.arena)
+		// Fixup is idempotent: an unedited draft of it renders its wire.
+		e.draft.Reset(m.DefaultFlat())
+		return e.draft.Render(&e.arena)
 	}
 	return e.baselineGenerate(mi)
 }

@@ -22,12 +22,12 @@ func (e *Engine) baselineGenerate(mi int) []byte {
 		k++
 	}
 	for ; k > 0; k-- {
-		e.mutateLeaf(rng.Pick(e.r, e.work.Leaves))
+		e.mutateLeaf(e.r.Intn(e.draft.Len()))
 	}
 	if !e.r.Chance(8) {
-		e.work.ApplyFixups()
+		e.draft.ApplyFixups()
 	}
-	return e.work.Render(&e.arena)
+	return e.draft.Render(&e.arena)
 }
 
 // skeleton picks the structural starting point for generation: the default
@@ -35,34 +35,35 @@ func (e *Engine) baselineGenerate(mi int) []byte {
 // alternatives, array counts, field draws), or — once feedback has
 // retained some — a coverage-selected valuable instance of this model
 // ("mutation on existing chunks", §II, guided by §IV-B's feedback). The
-// skeleton lands in e.work, arena-backed: it lives exactly one generation
-// round. The default and valuable instances are flattened once, when built
-// or retained, and only their leaf tables are copied here; a randomized one
-// is a fresh tree and is flattened as it is made.
+// draft starts from the skeleton with no edits. The default and valuable
+// instances are flattened and sealed once, when built or retained, and are
+// never copied; a randomized one is a fresh arena-backed tree, flattened
+// and sealed into e.skel as it is made, that lives one generation round.
 func (e *Engine) skeleton(mi int) {
 	m := e.cfg.Models[mi]
 	if q := e.valuable[mi]; len(q) > 0 && e.r.Chance(4) {
-		e.work.CopyFrom(e.pickValuable(q), &e.arena)
+		e.draft.Reset(e.pickValuable(q))
 		return
 	}
 	if e.r.Chance(8) {
-		m.GenerateRandomFlat(&e.work, &e.arena, e.r)
+		m.GenerateRandomFlat(&e.skel, &e.arena, e.r)
+		e.draft.Reset(&e.skel)
 		return
 	}
-	e.work.CopyFrom(m.DefaultFlat(), &e.arena)
+	e.draft.Reset(m.DefaultFlat())
 }
 
-// mutateLeaf rewrites one leaf's bytes with a selected applicable mutator —
-// uniform by default, yield-weighted under the adaptive scheduler (see
-// pickMutator). The new bytes come from the engine arena and live exactly
-// as long as the instance tree they are written into — one generation
-// round.
-func (e *Engine) mutateLeaf(leaf *datamodel.Node) {
-	mut := e.pickMutator(leaf.Chunk)
+// mutateLeaf rewrites leaf i of the draft with a selected applicable
+// mutator — uniform by default, yield-weighted under the adaptive scheduler
+// (see pickMutator). The new bytes come from the engine arena and live one
+// generation round.
+func (e *Engine) mutateLeaf(i int) {
+	c := e.draft.Chunk(i)
+	mut := e.pickMutator(c)
 	if mut == nil {
 		return
 	}
-	leaf.Data = mut.Mutate(e.r, leaf.Chunk, leaf.Data, &e.arena)
+	e.draft.Set(i, mut.Mutate(e.r, c, e.draft.Data(i), &e.arena))
 }
 
 // semanticGenerate implements Algorithm 3: construct a batch of seeds for
@@ -81,24 +82,25 @@ func (e *Engine) semanticGenerate(mi int) {
 	if q := e.valuable[mi]; len(q) > 0 && e.r.Bool() {
 		skeleton = e.pickValuable(q)
 	}
-	e.work.CopyFrom(skeleton, &e.arena)
-	leaves := e.work.Leaves
+	e.draft.Reset(skeleton)
+	n := e.draft.Len()
 
 	// Candidate donors per position (GETDONOR, Algorithm 3 line 10). The
 	// cross-model filter writes into engine-owned per-position scratch
 	// (donorScr), the same pattern as e.cands itself, so semantic rounds
 	// allocate nothing here in steady state.
 	e.cands = e.cands[:0]
-	for len(e.donorScr) < len(leaves) {
+	for len(e.donorScr) < n {
 		e.donorScr = append(e.donorScr, nil)
 	}
 	anyDonor := false
-	for i, leaf := range leaves {
+	for i := 0; i < n; i++ {
+		c := e.draft.Chunk(i)
 		var donors []corpus.Puzzle
 		if e.cfg.DisableCrossModel {
-			donors = e.corp.Donors(leaf.Chunk)
+			donors = e.corp.Donors(c)
 		} else {
-			donors, e.donorScr[i] = e.corp.CrossModelDonorsInto(e.donorScr[i], leaf.Chunk, m.Name)
+			donors, e.donorScr[i] = e.corp.CrossModelDonorsInto(e.donorScr[i], c, m.Name)
 		}
 		e.cands = append(e.cands, donors)
 		if len(donors) > 0 {
@@ -128,40 +130,41 @@ func (e *Engine) semanticGenerate(mi int) {
 	}
 	clear(e.dedup)
 	if product <= e.maxBatch {
-		e.enumerateBatch(leaves, candidates)
+		e.enumerateBatch(candidates)
 	} else {
-		e.sampleBatch(leaves, candidates)
+		e.sampleBatch(skeleton, candidates)
 	}
 }
 
 // enumerateBatch is the literal recursion of Algorithm 3: every candidate
 // combination becomes one seed. The skeleton's own content participates as
 // one candidate per position, so fresh chunks mix with donated ones. Donor
-// bytes are aliased, not copied, into the working instance: puzzles are
-// immutable once stored and the fixup pass never writes through a donatable
-// leaf (Donatable excludes relation/fixup/token chunks), so the alias is
-// read-only for its whole lifetime.
-func (e *Engine) enumerateBatch(leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
+// bytes are aliased, not copied, into the draft, which never writes an
+// override's bytes, so the alias is read-only for its whole lifetime. A
+// position's content is restored after its donors have had their turn;
+// File Fixup's overrides carry over from seed to seed.
+func (e *Engine) enumerateBatch(candidates [][]corpus.Puzzle) {
 	var construct func(pos int)
 	construct = func(pos int) {
 		if len(e.pending) >= e.maxBatch {
 			return
 		}
-		if pos == len(leaves) { // EQUAL(CurPos, Size+1)
+		if pos == len(candidates) { // EQUAL(CurPos, Size+1)
 			e.appendSeed()
 			return
 		}
-		leaf := leaves[pos]
-		saved := leaf.Data
+		saved := e.draft.Data(pos)
 		construct(pos + 1) // skeleton's own content
 		for _, donor := range candidates[pos] {
 			if len(e.pending) >= e.maxBatch {
 				break
 			}
-			leaf.Data = donor.Data
+			e.draft.Set(pos, donor.Data)
 			construct(pos + 1)
 		}
-		leaf.Data = saved
+		if len(candidates[pos]) > 0 {
+			e.draft.Set(pos, saved)
+		}
 	}
 	construct(0)
 }
@@ -169,29 +172,25 @@ func (e *Engine) enumerateBatch(leaves []*datamodel.Node, candidates [][]corpus.
 // sampleBatch draws sampleBatchSize independent points from the product
 // space: each donor-eligible position takes a random donor with
 // probability 1/2 (occasionally mutated), otherwise keeps the skeleton's
-// content. Batches stay small and diverse.
+// content. Batches stay small and diverse. Each point starts from the
+// unedited skeleton.
 const sampleBatchSize = 3
 
-func (e *Engine) sampleBatch(leaves []*datamodel.Node, candidates [][]corpus.Puzzle) {
+func (e *Engine) sampleBatch(skeleton *datamodel.Flat, candidates [][]corpus.Puzzle) {
 	for k := 0; k < sampleBatchSize && len(e.pending) < e.maxBatch; k++ {
-		e.saved = e.saved[:0]
-		for i, leaf := range leaves {
-			e.saved = append(e.saved, leaf.Data)
-			donors := candidates[i]
+		e.draft.Reset(skeleton)
+		for i, donors := range candidates {
 			if len(donors) == 0 || e.r.Bool() {
 				continue
 			}
-			leaf.Data = rng.Pick(e.r, donors).Data
+			e.draft.Set(i, rng.Pick(e.r, donors).Data)
 			// A light mutation on top of a donor probes the
 			// neighbourhood of known-good content.
 			if e.r.Chance(8) {
-				e.mutateLeaf(leaf)
+				e.mutateLeaf(i)
 			}
 		}
 		e.appendSeed()
-		for i, leaf := range leaves {
-			leaf.Data = e.saved[i]
-		}
 	}
 }
 
@@ -203,9 +202,9 @@ func (e *Engine) sampleBatch(leaves []*datamodel.Node, candidates [][]corpus.Puz
 // allocate; only genuinely new seeds pay for a key.
 func (e *Engine) appendSeed() {
 	if !e.cfg.DisableFixup {
-		e.work.ApplyFixups()
+		e.draft.ApplyFixups()
 	}
-	seed := e.work.Render(&e.arena)
+	seed := e.draft.Render(&e.arena)
 	if e.dedup[string(seed)] {
 		return
 	}

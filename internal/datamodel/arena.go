@@ -1,10 +1,9 @@
 package datamodel
 
-// Arena is a per-engine bump allocator for the execution hot path. A
-// steady-state fuzzing iteration builds an instance tree, mutates it,
-// renders it, and throws it away; the arena turns all of those heap
-// allocations (nodes, child slices, leaf payloads, the rendered seed) into
-// pointer bumps over slabs that are reset once per iteration.
+// Arena is a per-engine bump allocator for the execution hot path. What a
+// generation round makes and throws away — a randomized skeleton's nodes and
+// child slices, mutated leaf bytes, the rendered seeds — comes from it as
+// pointer bumps over slabs that are reset once per round.
 //
 // Lifetime contract: everything handed out by an arena dies at the next
 // Reset. Callers must copy anything that outlives the iteration (the engine
@@ -73,22 +72,6 @@ func (a *Arena) Node() *Node {
 	a.nodeOff++
 	*n = Node{}
 	return n
-}
-
-// Nodes returns n zeroed nodes in one contiguous block — a flat instance's
-// leaf table (Flat.CopyFrom) — that live until the next Reset.
-func (a *Arena) Nodes(n int) []Node {
-	if a == nil || a.nodeOff+n > len(a.nodes) {
-		if a != nil {
-			a.nodeMiss += n
-		}
-		// Slab-exhaustion fallback; misses are counted and the next Reset grows the slab.
-		return make([]Node, n)
-	}
-	s := a.nodes[a.nodeOff : a.nodeOff+n : a.nodeOff+n]
-	a.nodeOff += n
-	clear(s)
-	return s
 }
 
 // Children returns a zero-length child slice with capacity n. Appending

@@ -69,7 +69,7 @@ type Cracker struct {
 
 	leaves []leafAt   // parsed leaves, document order
 	rels   []relValue // parsed size-of/count-of values, latest last
-	bound  []int32    // slots bound in flat.own.spans, in binding order
+	bound  []int32    // slots bound in flat.shape.spans, in binding order
 	sig    []byte     // the signature of every node entered, children nested inside parents
 	log    []puzzleAt // completed puzzles, post-order
 	fail   failure    // why the last crack was rejected
@@ -151,10 +151,9 @@ func (p *Cracker) Crack(m *Model, packet []byte) bool {
 	return ok
 }
 
-// Flat returns the last accepted instance in flat form. Its leaves alias the
-// packet and its shape is the cracker's scratch, so it is read-only and
-// valid until the next Crack: CopyFrom it for a writable copy, Clone it to
-// retain it.
+// Flat returns the last accepted instance in flat form, sealed. It is the
+// cracker's scratch, so it is read-only and valid until the next Crack: a
+// Draft edits it, Clone retains it.
 func (p *Cracker) Flat() *Flat { return &p.flat }
 
 // Puzzles returns how many puzzles the last accepted crack logged: one per
@@ -193,12 +192,12 @@ func (p *Cracker) run(m *Model, packet []byte, tree bool) (*Node, bool) {
 	p.root, p.data, p.tree, p.own = root, packet, tree, nil
 	p.leaves, p.rels, p.bound, p.sig, p.log = p.leaves[:0], p.rels[:0], p.bound[:0], p.sig[:0], p.log[:0]
 	p.fail = failure{}
-	spans := p.flat.own.spans
+	spans := p.flat.shape.spans
 	if cap(spans) <= slots {
 		spans = make([]span, slots+1)
 	}
-	p.flat.own.spans = spans[:slots+1]
-	clear(p.flat.own.spans)
+	p.flat.shape.spans = spans[:slots+1]
+	clear(p.flat.shape.spans)
 
 	n, next, why := p.parseAt(root, 0, len(packet))
 	if why != crackOK {
@@ -217,6 +216,7 @@ func (p *Cracker) run(m *Model, packet []byte, tree bool) (*Node, bool) {
 		return nil, false
 	}
 	p.fail = failure{} // a greedy array's last, failed element left its reason
+	p.flat.Seal()
 	return n, true
 }
 
@@ -378,10 +378,10 @@ func (p *Cracker) parseAt(c *Chunk, off, end int) (*Node, int, failCode) {
 // that slot in document order, returning the slot (0 when it is not).
 func (p *Cracker) bind(c *Chunk) int32 {
 	s := c.slot
-	if s == 0 || p.flat.own.spans[s].bound {
+	if s == 0 || p.flat.shape.spans[s].bound {
 		return 0
 	}
-	p.flat.own.spans[s] = span{lo: int32(len(p.leaves)), bound: true}
+	p.flat.shape.spans[s] = span{lo: int32(len(p.leaves)), bound: true}
 	p.bound = append(p.bound, s)
 	return s
 }
@@ -390,7 +390,7 @@ func (p *Cracker) bind(c *Chunk) int32 {
 // are known.
 func (p *Cracker) endSpan(slot int32, kids int) {
 	if slot != 0 {
-		sp := &p.flat.own.spans[slot]
+		sp := &p.flat.shape.spans[slot]
 		sp.hi, sp.kids = int32(len(p.leaves)), int32(kids)
 	}
 }
@@ -423,7 +423,7 @@ func (p *Cracker) mark() mark {
 // set, which is what backtracking a choice alternative does.
 func (p *Cracker) undo(at mark, rels bool) {
 	for _, s := range p.bound[at.bound:] {
-		p.flat.own.spans[s] = span{}
+		p.flat.shape.spans[s] = span{}
 	}
 	p.leaves, p.bound, p.sig, p.log = p.leaves[:at.leaves], p.bound[:at.bound], p.sig[:at.sig], p.log[:at.log]
 	if rels {
@@ -464,8 +464,8 @@ func (p *Cracker) fillFlat() {
 	if cap(p.nodes) < len(p.leaves) {
 		p.nodes = make([]Node, 2*len(p.leaves))
 	}
-	f, s := &p.flat, &p.flat.own
-	f.shape, f.Leaves = s, f.Leaves[:0]
+	f, s := &p.flat, &p.flat.shape
+	f.Leaves, f.offs = f.Leaves[:0], f.offs[:0]
 	s.rels, s.fixes = s.rels[:0], s.fixes[:0]
 	for i, l := range p.leaves {
 		n := &p.nodes[i]

@@ -49,27 +49,30 @@ func TestBlobFixupWiderThan8(t *testing.T) {
 	}
 }
 
-// TestFlatCopyOwnsFixupBytes: a flat copy aliases its source's leaf bytes,
-// and a Blob checksum field is the one leaf File Fixup writes in place — so
-// the copy must own that field's bytes, or fixing up a mutated copy would
-// rewrite the checksum of the shared source under every other worker.
-func TestFlatCopyOwnsFixupBytes(t *testing.T) {
+// TestDraftOwnsFixupBytes: a draft aliases its base's leaf bytes and the
+// bytes edits hand it, so what File Fixup writes — here a Blob checksum
+// field, which the base's Flat.ApplyFixups writes in place — must land in
+// the draft's own storage, or fixing up one worker's draft would rewrite the
+// checksum of the shared base under every other worker.
+func TestDraftOwnsFixupBytes(t *testing.T) {
 	m := NewModel("m",
 		Bytes("payload", 4, []byte{1, 2, 3, 4}),
 		Bytes("sum", 12, nil).WithFix(CRC32IEEE, "payload"),
 	)
 	src := m.DefaultFlat()
-	before := src.Render(nil)
-	for _, a := range []*Arena{nil, {}} {
-		var cp Flat
-		cp.CopyFrom(src, a)
-		cp.Leaves[0].Data = []byte{9, 9, 9, 9, 9}
-		cp.ApplyFixups()
-		if !cp.VerifyFixups() || bytes.Equal(cp.Leaves[1].Data, src.Leaves[1].Data) {
-			t.Fatalf("copy not fixed up: sum %x", cp.Leaves[1].Data)
+	before := bytes.Clone(src.Wire())
+	edit := []byte{9, 9, 9, 9}
+	var d Draft
+	for round := 0; round < 2; round++ {
+		d.Reset(src)
+		d.Set(0, edit)
+		d.Set(1, src.Leaves[1].Data)
+		d.ApplyFixups()
+		if _, err := m.Crack(d.Render(nil)); err != nil || bytes.Equal(d.Data(1), src.Leaves[1].Data) {
+			t.Fatalf("draft not fixed up: sum %x (%v)", d.Data(1), err)
 		}
-		if after := src.Render(nil); !bytes.Equal(after, before) || !src.VerifyFixups() {
-			t.Fatalf("fixing up the copy wrote through to its source: %x → %x", before, after)
+		if !bytes.Equal(src.Wire(), before) || !bytes.Equal(edit, []byte{9, 9, 9, 9}) {
+			t.Fatalf("fixing up the draft wrote through: base %x → %x, edit %x", before, src.Wire(), edit)
 		}
 	}
 }

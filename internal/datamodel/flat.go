@@ -6,21 +6,24 @@ import "sync"
 // the shape the model's fixup plan reads from it. Everything the engine does
 // to an instance between picking a skeleton and sending the packet — mutate
 // leaves, alias donor bytes into them, File Fixup, JOINT — touches leaf
-// content only, so it runs as flat loops over Leaves and never walks a tree.
+// content only, so it runs as flat loops and never walks a tree.
 //
-// A Flat is used through a pointer. One built by Flatten or Clone that
-// nothing writes to afterwards (a model's default instance, a retained
-// valuable instance) may be shared read-only across workers; CopyFrom gives
-// a worker its own writable copy per execution.
+// A Flat is used through a pointer. One that is final (a model's default
+// instance, a retained valuable instance, the engine's randomized skeleton,
+// a Cracker's accepted instance) is sealed: Seal caches its wire bytes and
+// leaf offsets, nothing writes it afterwards, and it may be shared read-only
+// across workers. A Draft edits it without copying it.
 type Flat struct {
 	// Leaves are the instance's leaf nodes in document order. Callers may
-	// repoint a leaf's Data; the slice itself belongs to the Flat.
+	// repoint a leaf's Data until the Flat is sealed; the slice itself
+	// belongs to the Flat.
 	Leaves []*Node
-	// shape is the one in force: &own after Flatten or Clone, the
-	// source's — shared, never written — after CopyFrom.
-	shape *shape
-	own   shape
-	buf   []byte // serialization of the chunks one checksum covers
+	shape  shape
+	buf    []byte // serialization of the chunks one checksum covers
+	// wire and offs are the seal: the instance's wire bytes and each
+	// leaf's offset in them, offs[len(Leaves)] being their length.
+	wire []byte
+	offs []int32
 }
 
 // shape is what the fixup plan needs to know about an instance's structure.
@@ -48,7 +51,7 @@ type span struct {
 // the tree.
 func (m *Model) Flatten(f *Flat, root *Node) *Flat {
 	m.planOnce.Do(m.compilePlan)
-	s := &f.own
+	s := &f.shape
 	if cap(s.spans) <= m.slots {
 		// First flatten of a model with more slots than any before it; the grown table is reused.
 		s.spans = make([]span, m.slots+1)
@@ -56,7 +59,7 @@ func (m *Model) Flatten(f *Flat, root *Node) *Flat {
 	s.spans = s.spans[:m.slots+1]
 	clear(s.spans)
 	s.rels, s.fixes = s.rels[:0], s.fixes[:0]
-	f.shape, f.Leaves = s, f.Leaves[:0]
+	f.Leaves, f.offs = f.Leaves[:0], f.offs[:0]
 	f.flatten(root)
 	return f
 }
@@ -65,16 +68,16 @@ func (m *Model) Flatten(f *Flat, root *Node) *Flat {
 func (f *Flat) flatten(n *Node) {
 	c := n.Chunk
 	var sp *span
-	if c.slot != 0 && !f.own.spans[c.slot].bound {
-		sp = &f.own.spans[c.slot]
+	if c.slot != 0 && !f.shape.spans[c.slot].bound {
+		sp = &f.shape.spans[c.slot]
 		*sp = span{lo: int32(len(f.Leaves)), kids: int32(len(n.Children)), bound: true}
 	}
 	if n.IsLeaf() {
 		if c.Rel != nil && c.Kind == Number {
-			f.own.rels = append(f.own.rels, int32(len(f.Leaves)))
+			f.shape.rels = append(f.shape.rels, int32(len(f.Leaves)))
 		}
 		if c.Fix != nil {
-			f.own.fixes = append(f.own.fixes, int32(len(f.Leaves)))
+			f.shape.fixes = append(f.shape.fixes, int32(len(f.Leaves)))
 		}
 		f.Leaves = append(f.Leaves, n)
 	} else {
@@ -87,27 +90,21 @@ func (f *Flat) flatten(n *Node) {
 	}
 }
 
-// CopyFrom makes f a writable copy of src: one contiguous block of leaf
-// nodes drawn from the arena (nil means the heap), sharing src's shape and
-// aliasing src's leaf bytes. Nothing done to the copy writes through to src:
-// mutators and donors repoint Data, SetUint writes the copy's inline store,
-// and the one in-place write File Fixup makes — a Blob checksum field — gets
-// its own bytes here.
-func (f *Flat) CopyFrom(src *Flat, a *Arena) {
-	block := a.Nodes(len(src.Leaves))
-	f.Leaves = f.Leaves[:0]
-	for i, s := range src.Leaves {
-		n := &block[i]
-		n.Chunk, n.Data = s.Chunk, s.Data
-		f.Leaves = append(f.Leaves, n)
+// Seal caches f's wire bytes and leaf offsets and returns f: a base for
+// Drafts. f must be final and a fixed point of ApplyFixups — relations hold,
+// checksums match, relation fields are Width bytes long.
+func (f *Flat) Seal() *Flat {
+	f.wire, f.offs = f.wire[:0], append(f.offs[:0], 0)
+	for _, n := range f.Leaves {
+		f.wire = append(f.wire, n.Data...)
+		f.offs = append(f.offs, int32(len(f.wire)))
 	}
-	f.shape = src.shape
-	for _, i := range f.shape.fixes {
-		if n := f.Leaves[i]; n.Chunk.Kind == Blob {
-			n.Data = append(a.Buffer(len(n.Data)), n.Data...)
-		}
-	}
+	return f
 }
+
+// Wire returns a sealed Flat's wire bytes — the instance, rendered. They
+// belong to f and are read-only.
+func (f *Flat) Wire() []byte { return f.wire }
 
 // size is the serialized length of Leaves[lo:hi].
 func (f *Flat) size(lo, hi int32) (total int) {
@@ -115,17 +112,6 @@ func (f *Flat) size(lo, hi int32) (total int) {
 		total += len(n.Data)
 	}
 	return total
-}
-
-// Render returns the instance's wire bytes — JOINT as one loop over the
-// leaves — in a buffer drawn from the arena (nil means the heap) and sized
-// beforehand, so it lives until the next Arena.Reset.
-func (f *Flat) Render(a *Arena) []byte {
-	dst := a.Buffer(f.size(0, int32(len(f.Leaves))))
-	for _, n := range f.Leaves {
-		dst = append(dst, n.Data...)
-	}
-	return dst
 }
 
 // ApplyFixups re-establishes the model's integrity constraints on the
@@ -164,7 +150,7 @@ func (f *Flat) ApplyFixups() {
 func (f *Flat) setRelations() (resized bool) {
 	for _, i := range f.shape.rels {
 		n := f.Leaves[i]
-		if v, ok := f.relationValue(n.Chunk); ok {
+		if v, ok := f.shape.relationValue(n.Chunk, f.size); ok {
 			resized = resized || len(n.Data) != n.Chunk.Width
 			n.SetUint(v)
 		}
@@ -172,22 +158,22 @@ func (f *Flat) setRelations() (resized bool) {
 	return resized
 }
 
-// relationValue measures what relation field c should hold. ok is false when
-// the measured chunk is absent from the instance, which leaves the field
-// alone.
-func (f *Flat) relationValue(c *Chunk) (v uint64, ok bool) {
-	sp := f.shape.spans[c.relSlot]
+// relationValue measures what relation field c should hold, given the byte
+// size of a leaf range. ok is false when the measured chunk is absent from
+// the instance, which leaves the field alone.
+func (s *shape) relationValue(c *Chunk, size func(lo, hi int32) int) (v uint64, ok bool) {
+	sp := s.spans[c.relSlot]
 	if !sp.bound {
 		return 0, false
 	}
 	var q int
 	switch c.Rel.Kind {
 	case SizeOf:
-		q = f.size(sp.lo, sp.hi)
+		q = size(sp.lo, sp.hi)
 	case CountOf:
 		q = int(sp.kids)
 	case OffsetOf:
-		q = f.size(0, sp.lo)
+		q = size(0, sp.lo)
 	}
 	q += c.Rel.Adjust
 	if q < 0 {
@@ -211,18 +197,12 @@ func (f *Flat) checksum(c *Chunk) uint64 {
 	return Checksum(c.Fix.Kind, buf)
 }
 
-// VerifyFixups reports whether every fixup field currently matches the
-// checksum of the bytes it covers, and whether every size/count/offset
-// relation holds — the conditions ApplyFixups establishes, checked through
-// the same plan and bindings.
-func (f *Flat) VerifyFixups() bool { return f.violation() < 0 }
-
-// violation returns the index of the first leaf VerifyFixups rejects —
+// violation returns the index of the first leaf Model.VerifyFixups rejects —
 // relations first, then checksums, each in document order — or -1.
 func (f *Flat) violation() int {
 	for _, i := range f.shape.rels {
 		n := f.Leaves[i]
-		if v, ok := f.relationValue(n.Chunk); ok && n.Uint() != v {
+		if v, ok := f.shape.relationValue(n.Chunk, f.size); ok && n.Uint() != v {
 			return int(i)
 		}
 	}
@@ -240,39 +220,30 @@ func (f *Flat) violation() int {
 	return -1
 }
 
-// Clone returns a copy of f that shares nothing with it — leaf nodes, leaf
-// bytes and shape are its own — for retaining an instance whose source is
-// scratch (a Cracker's). Number leaves keep their bytes inline; the others
-// share one buffer, each capped at its own length.
+// Clone returns a sealed copy of sealed f that shares nothing with it —
+// leaf nodes, bytes and shape are its own — for retaining an instance whose
+// source is scratch (a Cracker's). Every leaf aliases the copy's wire bytes,
+// capped at its own length.
 func (f *Flat) Clone() *Flat {
-	g := &Flat{Leaves: make([]*Node, len(f.Leaves))}
-	nodes := make([]Node, len(f.Leaves))
-	var buf []byte
-	for _, s := range f.Leaves {
-		if !s.inline() {
-			buf = append(buf, s.Data...)
-		}
+	g := &Flat{
+		Leaves: make([]*Node, len(f.Leaves)),
+		shape: shape{
+			spans: append([]span(nil), f.shape.spans...),
+			rels:  append([]int32(nil), f.shape.rels...),
+			fixes: append([]int32(nil), f.shape.fixes...),
+		},
+		wire: append([]byte(nil), f.wire...),
+		offs: append([]int32(nil), f.offs...),
 	}
-	off := 0
+	nodes := make([]Node, len(f.Leaves))
 	for i, s := range f.Leaves {
 		n := &nodes[i]
 		n.Chunk = s.Chunk
-		switch k := len(s.Data); {
-		case s.inline():
-			n.Data = n.store[:k]
-			copy(n.Data, s.Data)
-		case k > 0:
-			n.Data = buf[off : off+k : off+k]
-			off += k
+		if lo, hi := g.offs[i], g.offs[i+1]; hi > lo {
+			n.Data = g.wire[lo:hi:hi]
 		}
 		g.Leaves[i] = n
 	}
-	g.own = shape{
-		spans: append([]span(nil), f.shape.spans...),
-		rels:  append([]int32(nil), f.shape.rels...),
-		fixes: append([]int32(nil), f.shape.fixes...),
-	}
-	g.shape = &g.own
 	return g
 }
 
@@ -298,10 +269,10 @@ func (m *Model) ApplyFixups(root *Node) {
 	f.release()
 }
 
-// VerifyFixups is Flat.VerifyFixups on an instance tree. Crackers use it to
-// reject corrupt packets; tests use it to state the fixup invariant.
+// VerifyFixups reports whether every relation and checksum of an instance
+// tree holds, through ApplyFixups's plan — the fixup invariant.
 func (m *Model) VerifyFixups(root *Node) bool {
 	f := m.Flatten(flatPool.Get().(*Flat), root)
 	defer f.release()
-	return f.VerifyFixups()
+	return f.violation() < 0
 }

@@ -57,10 +57,10 @@ func FuzzCrack(f *testing.F) {
 			if got := ins.Bytes(); !bytes.Equal(got, data) {
 				t.Fatalf("%s: crack accepted %x but re-serializes to %x", m.Name, data, got)
 			}
-			if got := p.Flat().Render(nil); !bytes.Equal(got, data) {
+			if got := p.Flat().Wire(); !bytes.Equal(got, data) {
 				t.Fatalf("%s: crack accepted %x but its flat form renders %x", m.Name, data, got)
 			}
-			if got := p.Flat().Clone().Render(nil); !bytes.Equal(got, data) {
+			if got := p.Flat().Clone().Wire(); !bytes.Equal(got, data) {
 				t.Fatalf("%s: crack accepted %x but its retained flat form renders %x", m.Name, data, got)
 			}
 			if _, root := p.Puzzle(p.Puzzles() - 1); !bytes.Equal(root, data) {

@@ -18,9 +18,9 @@ func (m *Model) GenerateInto(a *Arena) *Node {
 	return m.defaultInst.CloneInto(a)
 }
 
-// DefaultFlat returns the flat form of the default instance, fixed up: a
-// pure function of the model, built on first use and shared read-only — the
-// engine copies it per execution, or renders it as it is.
+// DefaultFlat returns the flat form of the default instance, fixed up and
+// sealed: a pure function of the model, built on first use and shared
+// read-only — the base of the engine's drafts.
 func (m *Model) DefaultFlat() *Flat {
 	m.defaultOnce.Do(m.buildDefault)
 	return &m.defaultFlat
@@ -31,6 +31,7 @@ func (m *Model) DefaultFlat() *Flat {
 func (m *Model) buildDefault() {
 	m.defaultInst = generateChunk(nil, m.root(), nil)
 	m.Flatten(&m.defaultFlat, m.defaultInst).ApplyFixups()
+	m.defaultFlat.Seal()
 }
 
 // GenerateRandomFlat instantiates the model with randomized leaf content:
@@ -39,12 +40,13 @@ func (m *Model) buildDefault() {
 // small count. Tokens keep their defaults — they define the packet type.
 // Fixups are applied, so the output is structurally legal. This is the
 // "random generation" mutator class of §II. Nodes come from the arena
-// (nil = heap), and the instance's flat form is left in f — the one walk
-// File Fixup needs anyway, so the engine's randomized skeleton costs no
+// (nil = heap), and the instance's flat form is left in f, sealed — the one
+// walk File Fixup needs anyway, so the engine's randomized skeleton costs no
 // second one.
 func (m *Model) GenerateRandomFlat(f *Flat, a *Arena, r *rng.RNG) *Node {
 	n := generateChunk(a, m.root(), r)
 	m.Flatten(f, n).ApplyFixups()
+	f.Seal()
 	return n
 }
 

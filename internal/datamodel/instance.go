@@ -28,12 +28,6 @@ func (n *Node) IsLeaf() bool {
 	return k == Number || k == String || k == Blob
 }
 
-// inline reports whether the leaf's bytes fit its inline store, as every
-// Number's do.
-func (n *Node) inline() bool {
-	return n.Chunk.Kind == Number && len(n.Data) <= len(n.store)
-}
-
 // Bytes renders the subtree to wire bytes by in-order concatenation of leaf
 // data — the JOINT operation of Algorithms 1 and 2. One buffer is pre-sized
 // via Len, so rendering is a single allocation regardless of depth.

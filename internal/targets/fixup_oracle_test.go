@@ -17,8 +17,8 @@ import (
 // targets' model sets are importable without a cycle. The plan must produce
 // the same bytes and the same verdicts on every instance, odd ones included,
 // through both of its entry points: the tree one (Model.ApplyFixups) and the
-// engine's flat one (Flatten once, then per packet CopyFrom → leaf edits →
-// Flat.ApplyFixups → Render).
+// engine's draft one (a sealed base, then per packet Draft.Reset → leaf
+// edits → Draft.ApplyFixups → Render).
 
 func refWidthMask(width int) uint64 {
 	if width >= 8 {
@@ -264,43 +264,59 @@ func perturb(r *rng.RNG, m *datamodel.Model, root *datamodel.Node, op byte) {
 	case 7: // drop or duplicate an array element
 		resizeArray(root, int(op>>3))
 	default:
-		perturbLeaves(r, root.Leaves(nil), op)
+		perturbLeaves(r, treeLeaves(root.Leaves(nil)), op)
 	}
 }
 
+// leafTable is what a content op edits: a tree's leaves, or a draft.
+type leafTable interface {
+	Len() int
+	Chunk(i int) *datamodel.Chunk
+	Data(i int) []byte
+	Set(i int, data []byte)
+}
+
+// treeLeaves is a tree's leaf table; Set repoints the leaf.
+type treeLeaves []*datamodel.Node
+
+func (t treeLeaves) Len() int                     { return len(t) }
+func (t treeLeaves) Chunk(i int) *datamodel.Chunk { return t[i].Chunk }
+func (t treeLeaves) Data(i int) []byte            { return t[i].Data }
+func (t treeLeaves) Set(i int, data []byte)       { t[i].Data = data }
+
 // perturbLeaves is perturb's content half — everything the engine does to an
-// instance between picking a skeleton and File Fixup — on a leaf table: a
-// tree's, or a flat copy's.
-func perturbLeaves(r *rng.RNG, leaves []*datamodel.Node, op byte) {
-	if len(leaves) == 0 {
+// instance between picking a skeleton and File Fixup — on a leaf table.
+func perturbLeaves(r *rng.RNG, leaves leafTable, op byte) {
+	if leaves.Len() == 0 {
 		return
 	}
-	leaf := leaves[int(op>>3)%len(leaves)]
+	i := int(op>>3) % leaves.Len()
+	c := leaves.Chunk(i)
 	switch op & 7 {
 	case 0, 1: // the engine's mutateLeaf
-		if m := mutator.Pick(r, oracleSuite, leaf.Chunk); m != nil {
-			leaf.Data = m.Mutate(r, leaf.Chunk, leaf.Data, nil)
+		if m := mutator.Pick(r, oracleSuite, c); m != nil {
+			leaves.Set(i, m.Mutate(r, c, leaves.Data(i), nil))
 		}
 	case 2: // a donor aliased into a donatable leaf
-		if leaf.Chunk.Rel == nil && leaf.Chunk.Fix == nil {
-			leaf.Data = oracleDonor[:1+int(op>>3)%len(oracleDonor)]
+		if c.Rel == nil && c.Fix == nil {
+			leaves.Set(i, oracleDonor[:1+int(op>>3)%len(oracleDonor)])
 		}
 	case 3, 4, 5: // resize a relation or fixup field away from its width
-		var fields []*datamodel.Node
-		for _, l := range leaves {
-			if l.Chunk.Rel != nil || l.Chunk.Fix != nil {
-				fields = append(fields, l)
+		var fields []int
+		for j := 0; j < leaves.Len(); j++ {
+			if c := leaves.Chunk(j); c.Rel != nil || c.Fix != nil {
+				fields = append(fields, j)
 			}
 		}
 		if len(fields) == 0 {
 			return
 		}
 		f := fields[int(op>>3)%len(fields)]
-		size := []int{0, 1, f.Chunk.Width + 3}[op&7-3]
-		f.Data = make([]byte, size)
-		for i := range f.Data {
-			f.Data[i] = r.Byte()
+		data := make([]byte, []int{0, 1, leaves.Chunk(f).Width + 3}[op&7-3])
+		for k := range data {
+			data[k] = r.Byte()
 		}
+		leaves.Set(f, data)
 	}
 }
 
@@ -391,52 +407,49 @@ func checkAgainstReference(tb testing.TB, m *datamodel.Model, inst *datamodel.No
 var oracleArena datamodel.Arena
 
 // checkFlatAgainstReference holds the engine's path to the same reference:
-// base is flattened once, as a retained instance is; a copy of the leaf
-// table takes the content ops, is fixed up and rendered, and must give the
-// reference's verdicts and bytes for a clone of base that took the same ops.
-// Neither base nor the donor bytes may change under it.
+// a copy of base, fixed up by the reference, is flattened and sealed once,
+// as a retained instance is; a draft of it takes the content ops, is fixed
+// up and rendered, and must give the reference's bytes for a clone of the
+// sealed base that took the same ops — once, and again after a second
+// fixup. Neither the base nor the donor bytes may change under it.
 func checkFlatAgainstReference(tb testing.TB, m *datamodel.Model, base *datamodel.Node, seed uint64, ops []byte, what string) {
 	tb.Helper()
-	var src, cp datamodel.Flat
-	m.Flatten(&src, base)
+	base = base.Clone()
+	referenceApplyFixups(base)
+	var src datamodel.Flat
+	m.Flatten(&src, base).Seal()
 	before, donor := base.Bytes(), bytes.Clone(oracleDonor)
-	oracleArena.Reset()
-	cp.CopyFrom(&src, &oracleArena)
+	var d datamodel.Draft
+	d.Reset(&src)
 	ref := base.Clone()
-	refLeaves := ref.Leaves(nil)
 	ra, rb := rng.New(seed), rng.New(seed)
 	for _, op := range ops {
-		perturbLeaves(ra, cp.Leaves, op)
-		perturbLeaves(rb, refLeaves, op)
+		perturbLeaves(ra, &d, op)
+		perturbLeaves(rb, treeLeaves(ref.Leaves(nil)), op)
 	}
 	edited := ref.Bytes()
-	if got, want := cp.VerifyFixups(), referenceVerifyFixups(ref); got != want {
-		tb.Fatalf("%s/%s: flat VerifyFixups = %v, reference %v (pkt %x)", m.Name, what, got, want, edited)
-	}
-	cp.ApplyFixups()
+	oracleArena.Reset()
+	d.ApplyFixups()
 	referenceApplyFixups(ref)
-	got, want := cp.Render(&oracleArena), ref.Bytes()
+	got, want := d.Render(&oracleArena), ref.Bytes()
 	if !bytes.Equal(got, want) {
-		tb.Fatalf("%s/%s: flat ApplyFixups on %x\n  flat      %x\n  reference %x", m.Name, what, edited, got, want)
+		tb.Fatalf("%s/%s: draft ApplyFixups on %x\n  draft     %x\n  reference %x", m.Name, what, edited, got, want)
 	}
-	if a, b := cp.VerifyFixups(), referenceVerifyFixups(ref); a != b {
-		tb.Fatalf("%s/%s: after flat fixups VerifyFixups = %v, reference %v (pkt %x)", m.Name, what, a, b, got)
+	d.ApplyFixups()
+	if again := d.Render(nil); !bytes.Equal(again, got) {
+		tb.Fatalf("%s/%s: draft ApplyFixups twice %x, once %x", m.Name, what, again, got)
 	}
-	cp.ApplyFixups()
-	if again := cp.Render(nil); !bytes.Equal(again, got) {
-		tb.Fatalf("%s/%s: flat ApplyFixups twice %x, once %x", m.Name, what, again, got)
-	}
-	if after := base.Bytes(); !bytes.Equal(after, before) || !bytes.Equal(oracleDonor, donor) {
-		tb.Fatalf("%s/%s: fixing up a flat copy wrote through: source %x → %x, donor %x → %x",
-			m.Name, what, before, after, donor, oracleDonor)
+	if after := base.Bytes(); !bytes.Equal(after, before) || !bytes.Equal(src.Wire(), before) || !bytes.Equal(oracleDonor, donor) {
+		tb.Fatalf("%s/%s: fixing up a draft wrote through: base %x → %x (wire %x), donor %x → %x",
+			m.Name, what, before, after, src.Wire(), donor, oracleDonor)
 	}
 }
 
 // TestFixupPlanMatchesReference is the differential oracle over every
 // target's models and the shapes: default and random instances, as generated
-// and after one to three perturbations of each kind. The flat path takes the
-// same instances: a structural perturbation lands on the tree before it is
-// flattened, a content one on the copied leaf table.
+// and after one to three perturbations of each kind. The draft path takes
+// the same instances: a structural perturbation lands on the tree before it
+// is sealed, a content one on the draft.
 func TestFixupPlanMatchesReference(t *testing.T) {
 	random := 200
 	if testing.Short() {
@@ -491,8 +504,8 @@ func FuzzFixupPlan(f *testing.F) {
 		if len(ops) > 16 {
 			ops = ops[:16]
 		}
-		// The flat path takes the structural ops on the tree it flattens
-		// and the content ops on its copy of the leaf table.
+		// The draft path takes the structural ops on the tree it seals
+		// and the content ops on the draft.
 		flatBase := inst.Clone()
 		var content []byte
 		for _, op := range ops {
@@ -506,6 +519,150 @@ func FuzzFixupPlan(f *testing.F) {
 		checkFlatAgainstReference(t, m, flatBase, seed, content, "fuzz")
 		checkAgainstReference(t, m, inst, "fuzz")
 	})
+}
+
+// draftBase builds one of the bases the engine drafts from, by kind: the
+// model's default instance (0), a randomized one (1) or the retained clone
+// of a cracked one (2, falling back to the default when the randomized
+// instance does not crack). It returns the sealed base and a tree whose
+// leaves line up with the base's, fixed up by the reference.
+func draftBase(m *datamodel.Model, kind byte, r *rng.RNG) (*datamodel.Flat, *datamodel.Node) {
+	switch kind % 3 {
+	case 1:
+		f := new(datamodel.Flat)
+		return f, m.GenerateRandomFlat(f, nil, r).Clone()
+	case 2:
+		var c datamodel.Cracker
+		for _, pkt := range [][]byte{m.GenerateRandomFlat(new(datamodel.Flat), nil, r).Bytes(), m.DefaultFlat().Wire()} {
+			if tree, err := m.Crack(pkt); err == nil && c.Crack(m, pkt) {
+				return c.Flat().Clone(), tree
+			}
+		}
+	}
+	return m.DefaultFlat(), m.Generate()
+}
+
+// FuzzDraftFixups runs edit sequences on a draft of a sealed base and holds
+// every render to a materialized reference: a tree of the same base that
+// takes the same edits and the reference File Fixup. Besides the content
+// ops of perturbLeaves (mutators, donors, relation and checksum fields
+// resized), an op can grow any leaf by a byte, restore a leaf's base bytes,
+// or end a round — fixup, render, compare — after which the edits go on,
+// from where they are or from a reset draft, as a semantic batch's do.
+func FuzzDraftFixups(f *testing.F) {
+	f.Add(uint16(0), uint64(1), byte(0), []byte{})
+	f.Add(uint16(3), uint64(2), byte(1), []byte{0x0b, 0x16, 0x07, 0x1e, 0x0f, 0x2c})
+	f.Add(uint16(40), uint64(3), byte(2), []byte{0x03, 0x07, 0x2e, 0x11, 0x0f, 0x04, 0x06})
+	models := oracleModels(f)
+	f.Fuzz(func(t *testing.T, which uint16, seed uint64, kind byte, ops []byte) {
+		m := models[int(which)%len(models)]
+		r := rng.New(seed)
+		base, tree := draftBase(m, kind, r)
+		referenceApplyFixups(tree)
+		if !bytes.Equal(tree.Bytes(), base.Wire()) {
+			t.Fatalf("%s: base %x is not the reference's fixed point %x", m.Name, base.Wire(), tree.Bytes())
+		}
+		if len(ops) > 32 {
+			ops = ops[:32]
+		}
+		var d datamodel.Draft
+		d.Reset(base)
+		if d.Len() == 0 {
+			return
+		}
+		before := joinLeaves(base)
+		ref := tree.Clone()
+		ra, rb := rng.New(seed), rng.New(seed)
+		round := func(op byte) {
+			d.ApplyFixups()
+			referenceApplyFixups(ref)
+			if got, want := d.Render(nil), ref.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("%s: after ops %x (op %#x)\n  draft     %x\n  reference %x", m.Name, ops, op, got, want)
+			}
+		}
+		for _, op := range ops {
+			leaves := treeLeaves(ref.Leaves(nil))
+			i := int(op>>4) % d.Len()
+			switch {
+			case op&7 < 6:
+				perturbLeaves(ra, &d, op)
+				perturbLeaves(rb, leaves, op)
+			case op&15 == 6: // a length change on any leaf
+				grown := append(bytes.Clone(d.Data(i)), byte(op))
+				d.Set(i, grown)
+				leaves.Set(i, bytes.Clone(grown))
+			case op&15 == 14: // an edit that restores the base's bytes
+				d.Set(i, base.Leaves[i].Data)
+				leaves.Set(i, bytes.Clone(base.Leaves[i].Data))
+			default: // a round; then every other one resets the draft
+				round(op)
+				if op&8 != 0 {
+					d.Reset(base)
+					ref = tree.Clone()
+				}
+			}
+		}
+		round(0)
+		if !bytes.Equal(joinLeaves(base), before) || !bytes.Equal(base.Wire(), before) {
+			t.Fatalf("%s: drafting wrote through to the base: %x (wire %x), was %x", m.Name, joinLeaves(base), base.Wire(), before)
+		}
+	})
+}
+
+// TestSealedBasesAreFixedPoints: a Draft skips every relation and checksum
+// no edit reaches, which is sound only on a base that File Fixup leaves as
+// it is, with every relation field Width bytes long. The engine drafts from
+// four kinds of base; each must be one, on every model of the six targets.
+func TestSealedBasesAreFixedPoints(t *testing.T) {
+	for _, name := range targets.Names() {
+		tgt, err := targets.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mi, m := range tgt.Models() {
+			r := rng.New(uint64(mi) + 1)
+			checkFixedPoint(t, m.DefaultFlat(), m.Name+"/default")
+			var c datamodel.Cracker
+			for i := 0; i < 20; i++ {
+				var f datamodel.Flat
+				pkt := m.GenerateRandomFlat(&f, nil, r).Bytes()
+				checkFixedPoint(t, &f, fmt.Sprintf("%s/random %d", m.Name, i))
+				if c.Crack(m, pkt) {
+					checkFixedPoint(t, c.Flat(), fmt.Sprintf("%s/cracked %d", m.Name, i))
+					checkFixedPoint(t, c.Flat().Clone(), fmt.Sprintf("%s/retained %d", m.Name, i))
+				}
+			}
+		}
+	}
+}
+
+// joinLeaves is f's leaves' bytes, joined.
+func joinLeaves(f *datamodel.Flat) []byte {
+	var out []byte
+	for _, n := range f.Leaves {
+		out = append(out, n.Data...)
+	}
+	return out
+}
+
+// checkFixedPoint fails unless sealed base f renders as its leaves join,
+// holds every relation field at its Width, and comes out of ApplyFixups
+// (run on a clone, so shared bases stay untouched) byte-identical.
+func checkFixedPoint(t *testing.T, f *datamodel.Flat, what string) {
+	t.Helper()
+	for _, n := range f.Leaves {
+		if c := n.Chunk; c.Rel != nil && c.Kind == datamodel.Number && len(n.Data) != c.Width {
+			t.Fatalf("%s: relation field %s is %d bytes, width %d", what, c.Name, len(n.Data), c.Width)
+		}
+	}
+	if joined := joinLeaves(f); !bytes.Equal(joined, f.Wire()) {
+		t.Fatalf("%s: sealed wire %x, leaves join to %x", what, f.Wire(), joined)
+	}
+	g := f.Clone()
+	g.ApplyFixups()
+	if got := g.Seal().Wire(); !bytes.Equal(got, f.Wire()) {
+		t.Fatalf("%s: not a fixed point of ApplyFixups: %x → %x", what, f.Wire(), got)
+	}
 }
 
 var verifySink bool
