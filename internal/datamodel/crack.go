@@ -216,7 +216,6 @@ func (p *Cracker) run(m *Model, packet []byte, tree bool) (*Node, bool) {
 		return nil, false
 	}
 	p.fail = failure{} // a greedy array's last, failed element left its reason
-	p.flat.Seal()
 	return n, true
 }
 
@@ -460,16 +459,20 @@ func (p *Cracker) relation(kind RelKind, c *Chunk) (int, bool) {
 
 // fillFlat makes flat the accepted instance: one scratch node per parsed
 // leaf, its bytes aliasing the packet; the spans were bound by the parse.
+// The leaves tile the packet, so it is the seal's wire as it stands, and
+// only the offsets are built (the flat is never re-sealed: Seal would write
+// the borrowed packet).
 func (p *Cracker) fillFlat() {
 	if cap(p.nodes) < len(p.leaves) {
 		p.nodes = make([]Node, 2*len(p.leaves))
 	}
 	f, s := &p.flat, &p.flat.shape
-	f.Leaves, f.offs = f.Leaves[:0], f.offs[:0]
+	f.Leaves, f.offs, f.wire = f.Leaves[:0], append(f.offs[:0], 0), p.data
 	s.rels, s.fixes = s.rels[:0], s.fixes[:0]
 	for i, l := range p.leaves {
 		n := &p.nodes[i]
 		n.Chunk, n.Data = l.c, p.data[l.off:l.next:l.next]
+		f.offs = append(f.offs, int32(l.next))
 		if l.c.Rel != nil && l.c.Kind == Number {
 			s.rels = append(s.rels, int32(i))
 		}

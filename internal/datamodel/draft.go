@@ -97,14 +97,8 @@ func (d *Draft) ApplyFixups() {
 		if !d.reaches(i, c) {
 			continue
 		}
-		buf := d.buf[:0] // the covered chunks, serialized as Flat.checksum does
-		for _, slot := range c.fixSlots {
-			if sp := b.shape.spans[slot]; sp.bound {
-				buf = d.appendLeaves(buf, sp.lo, sp.hi)
-			}
-		}
-		d.buf = buf
-		sum := Checksum(c.Fix.Kind, buf)
+		var sum uint64
+		sum, d.buf = b.shape.checksum(c, d.buf, d.appendLeaves)
 		switch c.Kind {
 		case Number:
 			d.setUint(i, sum&widthMask(c.Width))

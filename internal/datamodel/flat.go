@@ -184,17 +184,30 @@ func (s *shape) relationValue(c *Chunk, size func(lo, hi int32) int) (v uint64, 
 
 // checksum computes fixup field c's checksum over the serialized bytes of
 // the chunks it covers, in declaration order; absent chunks cover nothing.
-func (f *Flat) checksum(c *Chunk) uint64 {
-	buf := f.buf[:0]
+func (f *Flat) checksum(c *Chunk) (sum uint64) {
+	sum, f.buf = f.shape.checksum(c, f.buf, f.appendLeaves)
+	return sum
+}
+
+// appendLeaves appends the bytes of Leaves[lo:hi].
+func (f *Flat) appendLeaves(dst []byte, lo, hi int32) []byte {
+	for _, n := range f.Leaves[lo:hi] {
+		dst = append(dst, n.Data...)
+	}
+	return dst
+}
+
+// checksum computes fixup field c's checksum, given a serializer of leaf
+// ranges: the covered chunks are gathered into buf, which is returned for
+// reuse.
+func (s *shape) checksum(c *Chunk, buf []byte, appendLeaves func(dst []byte, lo, hi int32) []byte) (uint64, []byte) {
+	buf = buf[:0]
 	for _, slot := range c.fixSlots {
-		if sp := f.shape.spans[slot]; sp.bound {
-			for _, n := range f.Leaves[sp.lo:sp.hi] {
-				buf = append(buf, n.Data...)
-			}
+		if sp := s.spans[slot]; sp.bound {
+			buf = appendLeaves(buf, sp.lo, sp.hi)
 		}
 	}
-	f.buf = buf
-	return Checksum(c.Fix.Kind, buf)
+	return Checksum(c.Fix.Kind, buf), buf
 }
 
 // violation returns the index of the first leaf Model.VerifyFixups rejects —
