@@ -213,12 +213,9 @@ type Engine struct {
 	// produces batches); pendingSemantic records their provenance.
 	pending         [][]byte
 	pendingSemantic bool
-	// Hot-path scratch state, reset once per generation round: the arena
-	// backs every transient instance and rendered seed; draft is the
-	// round's working instance (a sealed skeleton plus edits); skel holds
-	// a randomized skeleton; cands is a reused slice for the per-iteration
-	// loops; dedup is the per-batch duplicate filter. Everything that
-	// outlives an iteration (corpus, crash bank, valuable queue) copies out.
+	// Hot-path scratch, reset once per generation round; the draft is a
+	// sealed skeleton plus edits. Everything that outlives an iteration
+	// (corpus, crash bank, valuable queue) copies out.
 	arena datamodel.Arena   // per-round scratch slab, reset at round start
 	draft datamodel.Draft   // per-round working instance
 	skel  datamodel.Flat    // per-round randomized skeleton

@@ -459,9 +459,7 @@ func (p *Cracker) relation(kind RelKind, c *Chunk) (int, bool) {
 
 // fillFlat makes flat the accepted instance: one scratch node per parsed
 // leaf, its bytes aliasing the packet; the spans were bound by the parse.
-// The leaves tile the packet, so it is the seal's wire as it stands, and
-// only the offsets are built (the flat is never re-sealed: Seal would write
-// the borrowed packet).
+// The leaves tile the packet, so the packet is its sealed wire as it stands.
 func (p *Cracker) fillFlat() {
 	if cap(p.nodes) < len(p.leaves) {
 		p.nodes = make([]Node, 2*len(p.leaves))

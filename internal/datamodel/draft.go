@@ -97,8 +97,7 @@ func (d *Draft) ApplyFixups() {
 		if !d.reaches(i, c) {
 			continue
 		}
-		var sum uint64
-		sum, d.buf = b.shape.checksum(c, d.buf, d.appendLeaves)
+		sum := b.shape.checksum(c, &d.buf, d.appendLeaves)
 		switch c.Kind {
 		case Number:
 			d.setUint(i, sum&widthMask(c.Width))

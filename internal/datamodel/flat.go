@@ -10,9 +10,10 @@ import "sync"
 //
 // A Flat is used through a pointer. One that is final (a model's default
 // instance, a retained valuable instance, the engine's randomized skeleton,
-// a Cracker's accepted instance) is sealed: Seal caches its wire bytes and
-// leaf offsets, nothing writes it afterwards, and it may be shared read-only
-// across workers. A Draft edits it without copying it.
+// a Cracker's accepted instance) is sealed: its wire bytes and leaf offsets
+// are cached (by Seal, or by the Cracker as it accepts), nothing writes it
+// afterwards, and it may be shared read-only across workers. A Draft edits
+// it without copying it.
 type Flat struct {
 	// Leaves are the instance's leaf nodes in document order. Callers may
 	// repoint a leaf's Data until the Flat is sealed; the slice itself
@@ -135,7 +136,7 @@ func (f *Flat) ApplyFixups() {
 	}
 	for _, i := range f.shape.fixes {
 		n := f.Leaves[i]
-		sum := f.checksum(n.Chunk)
+		sum := f.shape.checksum(n.Chunk, &f.buf, f.appendLeaves)
 		switch n.Chunk.Kind {
 		case Number:
 			n.SetUint(sum & widthMask(n.Chunk.Width))
@@ -182,13 +183,6 @@ func (s *shape) relationValue(c *Chunk, size func(lo, hi int32) int) (v uint64, 
 	return uint64(q) & widthMask(c.Width), true
 }
 
-// checksum computes fixup field c's checksum over the serialized bytes of
-// the chunks it covers, in declaration order; absent chunks cover nothing.
-func (f *Flat) checksum(c *Chunk) (sum uint64) {
-	sum, f.buf = f.shape.checksum(c, f.buf, f.appendLeaves)
-	return sum
-}
-
 // appendLeaves appends the bytes of Leaves[lo:hi].
 func (f *Flat) appendLeaves(dst []byte, lo, hi int32) []byte {
 	for _, n := range f.Leaves[lo:hi] {
@@ -197,17 +191,18 @@ func (f *Flat) appendLeaves(dst []byte, lo, hi int32) []byte {
 	return dst
 }
 
-// checksum computes fixup field c's checksum, given a serializer of leaf
-// ranges: the covered chunks are gathered into buf, which is returned for
-// reuse.
-func (s *shape) checksum(c *Chunk, buf []byte, appendLeaves func(dst []byte, lo, hi int32) []byte) (uint64, []byte) {
-	buf = buf[:0]
+// checksum computes fixup field c's checksum over the serialized bytes of
+// the chunks it covers, in declaration order (absent chunks cover nothing),
+// gathered into *buf by a serializer of leaf ranges.
+func (s *shape) checksum(c *Chunk, buf *[]byte, appendLeaves func(dst []byte, lo, hi int32) []byte) uint64 {
+	b := (*buf)[:0]
 	for _, slot := range c.fixSlots {
 		if sp := s.spans[slot]; sp.bound {
-			buf = appendLeaves(buf, sp.lo, sp.hi)
+			b = appendLeaves(b, sp.lo, sp.hi)
 		}
 	}
-	return Checksum(c.Fix.Kind, buf), buf
+	*buf = b
+	return Checksum(c.Fix.Kind, b)
 }
 
 // violation returns the index of the first leaf Model.VerifyFixups rejects —
@@ -221,7 +216,7 @@ func (f *Flat) violation() int {
 	}
 	for _, i := range f.shape.fixes {
 		n := f.Leaves[i]
-		sum := f.checksum(n.Chunk)
+		sum := f.shape.checksum(n.Chunk, &f.buf, f.appendLeaves)
 		if n.Chunk.Kind == Number {
 			if n.Uint() != sum&widthMask(len(n.Data)) {
 				return int(i)
